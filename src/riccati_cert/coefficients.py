@@ -16,6 +16,11 @@ carry a documented finite-difference error:
                     interpolation, central-difference node derivatives
                     (second order interior, first order at the ends).
 
+``eval`` and ``derivative`` take a scalar time or a 1-D array of times;
+an array of m times returns the stacked (m, n, n) matrices (or (m,)
+scalars), each equal bit for bit to the scalar call. The gauge algebra
+S_L, Q_L, R_L accepts both forms the same way.
+
 Values are immutable after construction and evaluation is pure, so
 functions are safe to share across threads.
 """
@@ -28,7 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import as_matrix, frobenius, hermiticity_defect
+from .matrix_core import MAX_DIM, as_matrix, frobenius, hermiticity_defect
 
 #: Highest supported polynomial degree.
 MAX_DEGREE = 8
@@ -49,6 +54,13 @@ def _as_value(value, scalar: bool, name: str):
             raise ValueError(f"{name}: non-finite scalar value")
         return v.reshape(())
     return as_matrix(value, name)
+
+
+def _times(t):
+    """None for a scalar time t, else t as a 1-D float64 array."""
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:
+        return None
+    return np.asarray(t, dtype=np.float64)
 
 
 class CoefficientFunction:
@@ -73,7 +85,7 @@ class CoefficientFunction:
         raise NotImplementedError
 
     def _out(self, value: np.ndarray):
-        if self.is_scalar:
+        if self.is_scalar and np.ndim(value) == 0:
             return complex(value)
         return np.asarray(value, dtype=np.complex128)
 
@@ -87,11 +99,14 @@ class ConstantFunction(CoefficientFunction):
         self.value = _freeze(np.array(_as_value(value, scalar, "constant value")))
         self.shape = self.value.shape
 
-    def eval(self, t: float):
+    def eval(self, t):
+        ts = _times(t)
+        if ts is not None:
+            return self._out(np.broadcast_to(self.value, ts.shape + self.shape).copy())
         return self._out(self.value.copy())
 
-    def derivative(self, t: float):
-        return self._out(np.zeros(self.shape, dtype=np.complex128))
+    def derivative(self, t):
+        return self._out(np.zeros_like(self.eval(t)))
 
 
 class PolynomialFunction(CoefficientFunction):
@@ -126,18 +141,23 @@ class PolynomialFunction(CoefficientFunction):
     def degree(self) -> int:
         return self.coefficients.shape[0] - 1
 
-    @staticmethod
-    def _horner(coeffs: np.ndarray, dt: float) -> np.ndarray:
-        acc = coeffs[-1].copy()
+    def _horner(self, coeffs: np.ndarray, t) -> np.ndarray:
+        ts = _times(t)
+        if ts is None:
+            dt, acc = float(t) - self.t_ref, coeffs[-1].copy()
+        else:
+            # an (m, 1, 1) column of offsets scales the whole stack per step
+            dt = (ts - self.t_ref).reshape(ts.shape + (1,) * len(self.shape))
+            acc = np.broadcast_to(coeffs[-1], ts.shape + self.shape).copy()
         for k in range(coeffs.shape[0] - 2, -1, -1):
             acc = acc * dt + coeffs[k]
         return acc
 
-    def eval(self, t: float):
-        return self._out(self._horner(self.coefficients, float(t) - self.t_ref))
+    def eval(self, t):
+        return self._out(self._horner(self.coefficients, t))
 
-    def derivative(self, t: float):
-        return self._out(self._horner(self._deriv_coefficients, float(t) - self.t_ref))
+    def derivative(self, t):
+        return self._out(self._horner(self._deriv_coefficients, t))
 
 
 class SampledFunction(CoefficientFunction):
@@ -183,28 +203,37 @@ class SampledFunction(CoefficientFunction):
         if self.order == 3 and times.size >= 3:
             self._spline = CubicSpline(times, vals, axis=0, bc_type="natural")
 
-    def _clip_t(self, t: float) -> float:
-        t = float(t)
+    def _clip_t(self, t):
         lo, hi = float(self.times[0]), float(self.times[-1])
         slack = 1e-9 * max(1.0, hi - lo)
-        if t < lo - slack or t > hi + slack:
-            raise DomainError(f"t = {t} outside sampled domain [{lo}, {hi}]")
-        return min(max(t, lo), hi)
+        ts = _times(t)
+        if ts is None:
+            t = float(t)
+            outside = [t] if t < lo - slack or t > hi + slack else []
+        else:
+            outside = ts[(ts < lo - slack) | (ts > hi + slack)]
+        if len(outside):
+            raise DomainError(f"t = {outside[0]} outside sampled domain [{lo}, {hi}]")
+        return min(max(t, lo), hi) if ts is None else np.clip(ts, lo, hi)
 
-    def _linear(self, stacked: np.ndarray, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), self.times.size - 2)
+    def _linear(self, stacked: np.ndarray, t) -> np.ndarray:
+        # t is clipped into the domain, so only the right end needs capping
+        i = np.searchsorted(self.times, t, side="right") - 1
+        scalar = isinstance(t, float)
+        i = min(int(i), self.times.size - 2) if scalar else np.minimum(i, self.times.size - 2)
         t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
+        if not scalar:
+            w = w.reshape(t.shape + (1,) * len(self.shape))
         return (1.0 - w) * stacked[i] + w * stacked[i + 1]
 
-    def eval(self, t: float):
+    def eval(self, t):
         t = self._clip_t(t)
         if self._spline is not None:
             return self._out(self._spline(t))
         return self._out(self._linear(self.values, t))
 
-    def derivative(self, t: float):
+    def derivative(self, t):
         t = self._clip_t(t)
         return self._out(self._linear(self._node_derivs, t))
 
@@ -256,8 +285,8 @@ class CoefficientSet:
     notes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 1 <= self.n <= 64:
-            raise DimensionError(f"dimension n = {self.n} outside supported range 1..64")
+        if not 1 <= self.n <= MAX_DIM:
+            raise DimensionError(f"dimension n = {self.n} outside supported range 1..{MAX_DIM}")
         if not self.t0 < self.t_end:
             raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
         for name in ("P", "Q", "R", "S"):
@@ -272,21 +301,25 @@ class CoefficientSet:
         return self.t_end - self.t0
 
 
-def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction, t: float) -> np.ndarray:
-    """S(t) - L'(t) - L(t)P(t)L(t) - Q(t)L(t) - L(t)R(t) for the gauge L."""
-    _require_matrix_function(lam, cs.n, "lambda")
-    lam_t = lam.eval(t)
-    return (cs.S.eval(t) - lam.derivative(t) - lam_t @ cs.P.eval(t) @ lam_t
+def _shifted_source(cs: CoefficientSet, t, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.ndarray:
+    """S - L' - L P L - Q L - L R from the gauge's values and derivative at t."""
+    return (cs.S.eval(t) - lam_dot - lam_t @ cs.P.eval(t) @ lam_t
             - cs.Q.eval(t) @ lam_t - lam_t @ cs.R.eval(t))
 
 
-def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction, t: float) -> np.ndarray:
+def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
+    """S(t) - L'(t) - L(t)P(t)L(t) - Q(t)L(t) - L(t)R(t) for the gauge L."""
+    _require_matrix_function(lam, cs.n, "lambda")
+    return _shifted_source(cs, t, lam.eval(t), lam.derivative(t))
+
+
+def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
     """Q(t) + L(t)P(t)."""
     _require_matrix_function(lam, cs.n, "lambda")
     return cs.Q.eval(t) + lam.eval(t) @ cs.P.eval(t)
 
 
-def eval_R_lambda(cs: CoefficientSet, lam: CoefficientFunction, t: float) -> np.ndarray:
+def eval_R_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
     """R(t) + P(t)L(t)."""
     _require_matrix_function(lam, cs.n, "lambda")
     return cs.R.eval(t) + cs.P.eval(t) @ lam.eval(t)

@@ -19,24 +19,32 @@ uses:
   R = Q*, which certifies 0 <= Y(t) <= Ytilde(t) for PSD initial values.
 
 All conditions are verified pointwise on a finite uniform grid; every
-report carries a note stating this declared approximation.
+report carries a note stating this declared approximation. Each condition
+matrix has one builder from an array of times to the stacked matrices;
+the public pointwise helpers call it at a scalar time. One scanner runs
+the builders over the grid in blocks of at most 2**14 matrix entries
+(``matrix_core.BLOCK_ENTRIES``) and picks the witnesses once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientFunction, CoefficientSet, eval_S_lambda
+from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source, eval_S_lambda
 from .exceptions import DimensionError, NotPositiveDefiniteError
 from .matrix_core import (
     DEFAULT_TOL,
+    _eigh,
+    _hermitian_eigvals,
+    _sqrt_of_eigh,
+    adjoint,
     as_matrix,
+    block_slices,
     check_psd,
-    frobenius,
     principal_sqrt,
     psd_band,
     sqrt_derivative,
@@ -92,14 +100,7 @@ class ConditionRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "kind": self.kind,
-            "worst_value": self.worst_value,
-            "worst_time": self.worst_time,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -131,26 +132,21 @@ class CriterionReport:
             "conditions": [rec.to_dict() for rec in self.conditions],
             "notes": list(self.notes),
         }
-        if self.extracted_mu is not None:
-            out["extracted_mu"] = function_to_obj(self.extracted_mu)
-        if self.extracted_nu is not None:
-            out["extracted_nu"] = function_to_obj(self.extracted_nu)
+        for key in ("extracted_mu", "extracted_nu"):
+            if getattr(self, key) is not None:
+                out[key] = function_to_obj(getattr(self, key))
         return out
 
 
-def _imaginary_shift_note(fn: CoefficientFunction, grid: GridSpec, tol: float,
-                          name: str) -> list[str]:
-    """Warn when a scalar gauge has a material imaginary part.
+def _imaginary_shift_note(values: np.ndarray, tol: float, name: str) -> list[str]:
+    """Warn when a scalar gauge has a material imaginary part on the grid.
 
     A purely imaginary shift rotates solutions in the complex plane
     (y' = -i y is the model case) and defeats any lower bound on Y + Y*,
     so certificates are only sound for real shifts. The conditions above
     accept complex shifts by contract; this note records the caveat.
     """
-    worst = 0.0
-    for t in grid.points:
-        z = complex(fn.eval(float(t)))
-        worst = max(worst, abs(z.imag) / (1.0 + abs(z)))
+    worst = float(np.max(np.abs(values.imag) / (1.0 + np.abs(values)), initial=0.0))
     if worst > tol:
         return [f"extracted or supplied {name}(t) has a nonzero imaginary part "
                 f"(max relative magnitude {worst:.3e}); the certified lower "
@@ -159,40 +155,97 @@ def _imaginary_shift_note(fn: CoefficientFunction, grid: GridSpec, tol: float,
     return []
 
 
-def _worse_min(cur: tuple[float, float], val: float, t: float) -> tuple[float, float]:
-    """Lexicographic worst witness for eigenvalue conditions (min value, then time)."""
-    if val < cur[0] or (val == cur[0] and t < cur[1]):
-        return (val, t)
-    return cur
+# ---------------------------------------------------------------------------
+# The blocked grid scanner
+# ---------------------------------------------------------------------------
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
 
 
-def _scan_psd(grid: GridSpec, matrix_at, tol: float, name: str, note: str = "",
-              strict: bool = False) -> ConditionRecord:
-    """PSD (or strict PD) check of ``matrix_at(t)`` over the grid."""
-    passed = True
-    worst = (np.inf, np.inf)
-    max_defect = 0.0
-    for t in grid.points:
-        h = matrix_at(t)
-        band = psd_band(h, tol, tol)
-        verdict = check_psd(h, tol_psd=band, tol_herm=tol * (1.0 + frobenius(h)))
-        max_defect = max(max_defect, verdict.hermiticity_defect)
-        ok = verdict.min_eigenvalue > band if strict else verdict.is_psd
-        if strict and verdict.hermiticity_defect > tol * (1.0 + frobenius(h)):
-            ok = False
-        passed = passed and ok
-        worst = _worse_min(worst, verdict.min_eigenvalue, float(t))
-    if max_defect > 0 and not passed and not note:
-        note = f"max hermiticity defect {max_defect:.3e}"
-    return ConditionRecord(name=name, passed=passed, kind="min_eigenvalue",
-                           worst_value=worst[0], worst_time=worst[1], note=note)
+def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
+    """Per-point (least eigenvalue of the Hermitian part, verdict, Hermiticity
+    defect) of a stack. The band tol + tol ||H||_2 takes ||H||_2 from the same
+    eigenvalues; the defect must stay within tol (1 + ||H||_F). ``strict``
+    asks for the least eigenvalue above the band (positive definiteness)."""
+    eigs = _hermitian_eigvals(h, "criteria")
+    lo = eigs[:, 0]
+    band = tol + tol * np.maximum(np.abs(lo), np.abs(eigs[:, -1]))
+    defect = _fro(h - adjoint(h))
+    ok = (defect <= tol * (1.0 + _fro(h))) & ((lo > band) if strict else (lo >= -band))
+    return lo, ok, defect
+
+
+def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
+    """Per-point (||resid||_F, its ratio to 1 + ||ref||_F, verdict ratio <= tol);
+    with resid = M + M* and ref = M it measures skew-Hermiticity."""
+    norm = _fro(resid)
+    scale = 1.0 + _fro(ref)
+    return norm, norm / scale, norm <= tol * scale
+
+
+def _scan(grid: GridSpec, n: int, block) -> list[np.ndarray]:
+    """Run ``block(ts)`` over the grid in blocks of at most BLOCK_ENTRIES
+    matrix entries and join the per-point arrays it returns."""
+    parts = [block(grid.points[s]) for s in block_slices(grid.num_points, n)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _least(name: str, ts: np.ndarray, lo: np.ndarray, ok: np.ndarray,
+           defect: np.ndarray | None = None) -> ConditionRecord:
+    """Eigenvalue record: the least value, earliest on ties. Points left out
+    carry +inf (all out: witness (inf, inf)); a failing scan notes the
+    largest Hermiticity ``defect``."""
+    k = int(np.argmin(lo))
+    note = ""
+    if defect is not None and not ok.all() and defect.max() > 0:
+        note = f"max hermiticity defect {defect.max():.3e}"
+    return ConditionRecord(name=name, passed=bool(ok.all()), kind="min_eigenvalue",
+                           worst_value=float(lo[k]),
+                           worst_time=float(ts[k]) if lo[k] < np.inf else np.inf,
+                           note=note)
+
+
+def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
+             value: np.ndarray, ok: np.ndarray) -> ConditionRecord:
+    """Residual or defect record: the largest score, at the earliest time on ties."""
+    k = int(np.argmax(score))
+    return ConditionRecord(name=name, passed=bool(ok.all()), kind=kind,
+                           worst_value=float(value[k]), worst_time=float(ts[k]))
+
+
+def _psd_condition(grid: GridSpec, n: int, stack_at, tol: float, name: str) -> ConditionRecord:
+    """PSD check of the stacks ``stack_at(ts)`` over the grid."""
+    lo, ok, defect = _scan(grid, n, lambda ts: _psd_measure(stack_at(ts), tol))
+    return _least(name, grid.points, lo, ok, defect)
+
+
+def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
+            **extracted) -> CriterionReport:
+    return CriterionReport(criterion=criterion, conditions=conditions, notes=notes,
+                           holds=all(rec.passed for rec in conditions), **extracted)
+
+
+def _initial_value(y0, n: int) -> np.ndarray:
+    y0 = as_matrix(y0, "Y0")
+    if y0.shape[0] != n:
+        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {n}")
+    return y0
+
+
+def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> ConditionRecord:
+    """PSD clause on one matrix at t0."""
+    verdict = check_psd(g0, tol_psd=psd_band(g0, tol, tol))
+    return ConditionRecord(name=name, passed=verdict.is_psd, kind="min_eigenvalue",
+                           worst_value=verdict.min_eigenvalue, worst_time=t0)
 
 
 def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> ConditionRecord:
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
     grid = grid or GridSpec.for_set(cs)
-    return _scan_psd(grid, cs.P.eval, tol, "coefficient_psd")
+    return _psd_condition(grid, cs.n, cs.P.eval, tol, "coefficient_psd")
 
 
 def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -209,25 +262,16 @@ def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | 
     lam = lam or cf.zero_matrix_function(cs.n)
     cf._require_matrix_function(lam, cs.n, "lambda")
     eye = np.eye(cs.n)
-    passed = True
-    worst_val, worst_t, worst_ratio = 0.0, float(grid.points[0]), -np.inf
-    mu_vals = []
-    for t in grid.points:
-        lam_t = lam.eval(t)
-        m = cs.R.eval(t) - cs.Q.eval(t).conj().T - cs.P.eval(t) @ (lam_t.conj().T - lam_t)
-        mu_hat = np.trace(m) / cs.n
-        mu_vals.append(complex(mu_hat))
-        resid = float(np.linalg.norm(m - mu_hat * eye))
-        scale = 1.0 + float(np.linalg.norm(m))
-        if resid > tol * scale:
-            passed = False
-        ratio = resid / scale
-        if ratio > worst_ratio:
-            worst_ratio, worst_val, worst_t = ratio, resid, float(t)
-    mu_fn = cf.sampled(grid.points, mu_vals, order=1, scalar=True)
-    rec = ConditionRecord(name="scalar_shift", passed=passed, kind="residual",
-                          worst_value=worst_val, worst_time=worst_t)
-    return rec, mu_fn
+
+    def block(ts):
+        lam_t = lam.eval(ts)
+        m = cs.R.eval(ts) - adjoint(cs.Q.eval(ts)) - cs.P.eval(ts) @ (adjoint(lam_t) - lam_t)
+        mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
+        return (mu_hat, *_defect_measure(m - mu_hat[:, None, None] * eye, m, tol))
+
+    mu_hat, resid, ratio, ok = _scan(grid, cs.n, block)
+    rec = _largest("scalar_shift", "residual", grid.points, ratio, resid, ok)
+    return rec, cf.sampled(grid.points, mu_hat, order=1, scalar=True)
 
 
 def check_source_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -237,21 +281,11 @@ def check_source_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
     grid = grid or GridSpec.for_set(cs)
     lam = lam or cf.zero_matrix_function(cs.n)
 
-    def shifted_source(t):
-        s = eval_S_lambda(cs, lam, t)
-        return s + s.conj().T
+    def shifted_source(ts):
+        s = eval_S_lambda(cs, lam, ts)
+        return s + adjoint(s)
 
-    return _scan_psd(grid, shifted_source, tol, "shifted_source_psd")
-
-
-def _initial_bound_record(y0: np.ndarray, lam: CoefficientFunction, t0: float,
-                          tol: float) -> ConditionRecord:
-    lam0 = lam.eval(t0)
-    g0 = y0 + y0.conj().T - lam0 - lam0.conj().T
-    verdict = check_psd(g0, tol_psd=psd_band(g0, tol, tol))
-    return ConditionRecord(name="initial_lower_bound", passed=verdict.is_psd,
-                           kind="min_eigenvalue", worst_value=verdict.min_eigenvalue,
-                           worst_time=t0)
+    return _psd_condition(grid, cs.n, shifted_source, tol, "shifted_source_psd")
 
 
 def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -267,49 +301,61 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     """
     grid = grid or GridSpec.for_set(cs)
     lam = lam or cf.zero_matrix_function(cs.n)
-    y0 = as_matrix(y0, "Y0")
-    if y0.shape[0] != cs.n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {cs.n}")
+    y0 = _initial_value(y0, cs.n)
     cond_p = check_positivity_condition(cs, grid, tol)
     cond_shift, mu_fn = check_scalar_shift_condition(cs, lam, grid, tol)
     cond_src = check_source_condition(cs, lam, grid, tol)
-    cond_init = _initial_bound_record(y0, lam, cs.t0, tol)
-    conditions = [cond_p, cond_shift, cond_src, cond_init]
-    notes = [GRID_NOTE]
-    notes.extend(_imaginary_shift_note(mu_fn, grid, tol, "mu"))
-    return CriterionReport(
-        criterion="theorem3.1",
-        holds=all(rec.passed for rec in conditions),
-        conditions=conditions,
-        notes=notes,
-        extracted_mu=mu_fn,
-    )
+    lam0 = lam.eval(cs.t0)
+    cond_init = _initial_record("initial_lower_bound",
+                                y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol)
+    return _report("theorem3.1", [cond_p, cond_shift, cond_src, cond_init],
+                   [GRID_NOTE, *_imaginary_shift_note(mu_fn.values, tol, "mu")],
+                   extracted_mu=mu_fn)
 
 
 # ---------------------------------------------------------------------------
-# Skew-gauge variant (wire name cor3.1)
+# Frame variants (wire names cor3.1 and cor3.2)
 # ---------------------------------------------------------------------------
 
-def _skew_gauge_at(cs: CoefficientSet, mu: CoefficientFunction, t: float):
-    """Pointwise gauge L0 = P^{-1}(Q* - R + mu I)/2 and its exact derivative.
+def _frame_conditions(cs: CoefficientSet, grid: GridSpec, tol: float, frame,
+                      skew_name: str, psd_name: str) -> list[ConditionRecord]:
+    """coefficient_pd plus the two conditions on a frame that needs P > 0.
+
+    ``frame(ts, p)`` returns, where P is positive definite, the matrix that
+    must be skew-Hermitian and the one that must be PSD. Elsewhere both
+    conditions fail and the points are left out of their witnesses.
+    """
+    def block(ts):
+        p = cs.P.eval(ts)
+        lo, pd, defect = _psd_measure(p, tol, strict=True)
+        skew, skew_ok = np.zeros(ts.size), np.zeros(ts.size, dtype=bool)
+        c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
+        if pd.any():
+            k, c = frame(ts[pd], p[pd])
+            skew[pd], _, skew_ok[pd] = _defect_measure(k + adjoint(k), k, tol)
+            c_lo[pd], c_ok[pd], _ = _psd_measure(c, tol)
+        return lo, pd, defect, skew, skew_ok, c_lo, c_ok
+
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok = _scan(grid, cs.n, block)
+    ts = grid.points
+    return [_least("coefficient_pd", ts, lo, pd, defect),
+            _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
+            _least(psd_name, ts, c_lo, c_ok)]
+
+
+def _skew_gauge(cs: CoefficientSet, mu: CoefficientFunction, ts, p: np.ndarray):
+    """L0 = P^{-1}(Q* - R + mu I)/2 and its exact derivative where P > 0.
 
     The derivative uses d(P^{-1})/dt = -P^{-1} P' P^{-1}, so no finite
-    differences enter the source condition below.
+    differences enter the source condition.
     """
+    # scalar values get two trailing axes to scale the identity
     eye = np.eye(cs.n)
-    p = cs.P.eval(t)
-    g = cs.Q.eval(t).conj().T - cs.R.eval(t) + complex(mu.eval(t)) * eye
-    gdot = (cs.Q.derivative(t).conj().T - cs.R.derivative(t)
-            + complex(mu.derivative(t)) * eye)
-    band = psd_band(p)
-    verdict = check_psd(p, tol_psd=band)
-    if verdict.min_eigenvalue <= band:
-        raise NotPositiveDefiniteError(
-            f"P({t}) is not positive definite (min eigenvalue "
-            f"{verdict.min_eigenvalue:.6e}); the skew gauge is undefined",
-            min_eigenvalue=verdict.min_eigenvalue)
+    g = adjoint(cs.Q.eval(ts)) - cs.R.eval(ts) + np.asarray(mu.eval(ts))[..., None, None] * eye
+    gdot = (adjoint(cs.Q.derivative(ts)) - cs.R.derivative(ts)
+            + np.asarray(mu.derivative(ts))[..., None, None] * eye)
     lam0 = np.linalg.solve(p, g) / 2.0
-    lam0dot = np.linalg.solve(p, gdot / 2.0 - cs.P.derivative(t) @ lam0)
+    lam0dot = np.linalg.solve(p, gdot / 2.0 - cs.P.derivative(ts) @ lam0)
     return lam0, lam0dot
 
 
@@ -321,26 +367,28 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
     Returns the gauge as a sampled function (cubic values, exact node
     derivatives) plus a record of whether it is skew-Hermitian at every
     point. When skewness passes, L0 + L0* is identically zero and the
-    certified bound reduces to Y(t) + Y*(t) >= 0.
+    certified bound reduces to Y(t) + Y*(t) >= 0. Raises
+    ``NotPositiveDefiniteError`` at the first grid point where P is not
+    positive definite at tolerance ``tol``.
     """
     grid = grid or GridSpec.for_set(cs)
     mu = mu or cf.zero_scalar_function()
-    vals, derivs = [], []
-    passed = True
-    worst_val, worst_t = 0.0, float(grid.points[0])
-    for t in grid.points:
-        lam0, lam0dot = _skew_gauge_at(cs, mu, t)
-        vals.append(lam0)
-        derivs.append(lam0dot)
-        defect = float(np.linalg.norm(lam0 + lam0.conj().T))
-        if defect > tol * (1.0 + float(np.linalg.norm(lam0))):
-            passed = False
-        if defect > worst_val:
-            worst_val, worst_t = defect, float(t)
+
+    def block(ts):
+        p = cs.P.eval(ts)
+        lo, pd, _ = _psd_measure(p, tol, strict=True)
+        if not pd.all():
+            k = int(np.argmin(pd))
+            raise NotPositiveDefiniteError(
+                f"P({ts[k]}) is not positive definite (min eigenvalue "
+                f"{lo[k]:.6e}); the skew gauge is undefined",
+                min_eigenvalue=float(lo[k]))
+        lam0, lam0dot = _skew_gauge(cs, mu, ts, p)
+        return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
+
+    vals, derivs, defect, _, ok = _scan(grid, cs.n, block)
     lam0_fn = cf.sampled(grid.points, vals, order=3, node_derivatives=derivs)
-    rec = ConditionRecord(name="gauge_skew", passed=passed, kind="skew_defect",
-                          worst_value=worst_val, worst_time=worst_t)
-    return lam0_fn, rec
+    return lam0_fn, _largest("gauge_skew", "skew_defect", grid.points, defect, defect, ok)
 
 
 def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | None,
@@ -349,82 +397,46 @@ def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | Non
     """Criterion with the forced skew gauge (wire name ``cor3.1``)."""
     grid = grid or GridSpec.for_set(cs)
     mu = mu or cf.zero_scalar_function()
-    y0 = as_matrix(y0, "Y0")
-    if y0.shape[0] != cs.n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {cs.n}")
+    y0 = _initial_value(y0, cs.n)
 
-    cond_pd = _scan_psd(grid, cs.P.eval, tol, "coefficient_pd", strict=True)
+    def frame(ts, p):
+        lam0, lam0dot = _skew_gauge(cs, mu, ts, p)
+        s_l = _shifted_source(cs, ts, lam0, lam0dot)
+        return lam0, s_l + adjoint(s_l)
 
-    passed_skew = True
-    worst_skew, worst_skew_t = 0.0, float(grid.points[0])
-    passed_src = True
-    worst_src = (np.inf, np.inf)
-    for t in grid.points:
-        try:
-            lam0, lam0dot = _skew_gauge_at(cs, mu, t)
-        except NotPositiveDefiniteError:
-            # witnessed by cond_pd; the gauge is undefined at this point
-            passed_skew = passed_src = False
-            continue
-        defect = float(np.linalg.norm(lam0 + lam0.conj().T))
-        if defect > tol * (1.0 + float(np.linalg.norm(lam0))):
-            passed_skew = False
-        if defect > worst_skew:
-            worst_skew, worst_skew_t = defect, float(t)
-        s_l = (cs.S.eval(t) - lam0dot - lam0 @ cs.P.eval(t) @ lam0
-               - cs.Q.eval(t) @ lam0 - lam0 @ cs.R.eval(t))
-        h = s_l + s_l.conj().T
-        verdict = check_psd(h, tol_psd=psd_band(h, tol, tol))
-        passed_src = passed_src and verdict.is_psd
-        worst_src = _worse_min(worst_src, verdict.min_eigenvalue, float(t))
-
-    cond_skew = ConditionRecord(name="gauge_skew", passed=passed_skew,
-                                kind="skew_defect", worst_value=worst_skew,
-                                worst_time=worst_skew_t)
-    cond_src = ConditionRecord(name="shifted_source_psd", passed=passed_src,
-                               kind="min_eigenvalue", worst_value=worst_src[0],
-                               worst_time=worst_src[1])
-    g0 = y0 + y0.conj().T
-    v0 = check_psd(g0, tol_psd=psd_band(g0, tol, tol))
-    cond_init = ConditionRecord(name="initial_psd", passed=v0.is_psd,
-                                kind="min_eigenvalue",
-                                worst_value=v0.min_eigenvalue, worst_time=cs.t0)
-    conditions = [cond_pd, cond_skew, cond_src, cond_init]
-    notes = [GRID_NOTE,
-             "skew gauge cancels in the bound: the certified statement is "
-             "Y(t) + Y*(t) >= 0"]
-    notes.extend(_imaginary_shift_note(mu, grid, tol, "mu"))
-    return CriterionReport(
-        criterion="cor3.1",
-        holds=all(rec.passed for rec in conditions),
-        conditions=conditions,
-        notes=notes,
-    )
+    conditions = _frame_conditions(cs, grid, tol, frame, "gauge_skew", "shifted_source_psd")
+    conditions.append(_initial_record("initial_psd", y0 + adjoint(y0), cs.t0, tol))
+    return _report("cor3.1", conditions,
+                   [GRID_NOTE, "skew gauge cancels in the bound: the certified statement is "
+                    "Y(t) + Y*(t) >= 0", *_imaginary_shift_note(mu.eval(grid.points), tol, "mu")])
 
 
-# ---------------------------------------------------------------------------
-# Sqrt-frame variant (wire name cor3.2)
-# ---------------------------------------------------------------------------
+def _sqrt_frame(cs: CoefficientSet, nu: CoefficientFunction, ts, sp: np.ndarray):
+    """The frame term T and the condition matrix at ts, given sqrt(P) there:
+
+        T = (sqrt(P)^{-1} [Q* - R] sqrt(P) + nu I) / 2,
+        C = sqrt(P)(S + S*)sqrt(P) + 2 T^2 + (conj(nu) - nu) T.
+    """
+    nu_t = np.asarray(nu.eval(ts))[..., None, None]
+    a = adjoint(cs.Q.eval(ts)) - cs.R.eval(ts)
+    t_term = (np.linalg.solve(sp, a) @ sp + nu_t * np.eye(cs.n)) / 2.0
+    s = cs.S.eval(ts)
+    return t_term, sp @ (s + adjoint(s)) @ sp + 2.0 * (t_term @ t_term) \
+        + (np.conj(nu_t) - nu_t) * t_term
+
 
 def sqrt_frame_skew_term(cs: CoefficientSet, nu: CoefficientFunction | None,
                          t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """T(t) = (sqrt(P)^{-1} [Q*(t) - R(t)] sqrt(P) + nu(t) I) / 2."""
-    nu = nu or cf.zero_scalar_function()
     sp = principal_sqrt(cs.P.eval(t), tol)
-    a = cs.Q.eval(t).conj().T - cs.R.eval(t)
-    return (np.linalg.solve(sp, a) @ sp + complex(nu.eval(t)) * np.eye(cs.n)) / 2.0
+    return _sqrt_frame(cs, nu or cf.zero_scalar_function(), t, sp)[0]
 
 
 def sqrt_frame_condition_matrix(cs: CoefficientSet, nu: CoefficientFunction | None,
                                 t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """sqrt(P)(S + S*)sqrt(P) + 2 T^2 + (conj(nu) - nu) T at time t."""
-    nu = nu or cf.zero_scalar_function()
     sp = principal_sqrt(cs.P.eval(t), tol)
-    s = cs.S.eval(t)
-    t_term = sqrt_frame_skew_term(cs, nu, t, tol)
-    nu_t = complex(nu.eval(t))
-    return sp @ (s + s.conj().T) @ sp + 2.0 * (t_term @ t_term) \
-        + (np.conj(nu_t) - nu_t) * t_term
+    return _sqrt_frame(cs, nu or cf.zero_scalar_function(), t, sp)[1]
 
 
 def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None = None,
@@ -439,69 +451,25 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     grid = grid or GridSpec.for_set(cs)
     nu = nu or cf.zero_scalar_function()
 
-    cond_pd = _scan_psd(grid, cs.P.eval, tol, "coefficient_pd", strict=True)
+    def frame(ts, p):
+        return _sqrt_frame(cs, nu, ts, _sqrt_of_eigh(*_eigh((p + adjoint(p)) / 2, "cor3.2")))
 
-    passed_skew = True
-    worst_skew, worst_skew_t = 0.0, float(grid.points[0])
-    passed_cond = True
-    worst_cond = (np.inf, np.inf)
-    nu_vals = []
-    for t in grid.points:
-        nu_vals.append(complex(nu.eval(t)))
-        try:
-            t_term = sqrt_frame_skew_term(cs, nu, t, tol)
-        except NotPositiveDefiniteError:
-            # already witnessed by cond_pd; skip the dependent conditions here
-            passed_skew = passed_cond = False
-            continue
-        defect = float(np.linalg.norm(t_term + t_term.conj().T))
-        if defect > tol * (1.0 + float(np.linalg.norm(t_term))):
-            passed_skew = False
-        if defect > worst_skew:
-            worst_skew, worst_skew_t = defect, float(t)
-        sp = principal_sqrt(cs.P.eval(t), tol)
-        s = cs.S.eval(t)
-        nu_t = nu_vals[-1]
-        c = sp @ (s + s.conj().T) @ sp + 2.0 * (t_term @ t_term) \
-            + (np.conj(nu_t) - nu_t) * t_term
-        verdict = check_psd(c, tol_psd=psd_band(c, tol, tol))
-        passed_cond = passed_cond and verdict.is_psd
-        worst_cond = _worse_min(worst_cond, verdict.min_eigenvalue, float(t))
-
-    conditions = [
-        cond_pd,
-        ConditionRecord(name="sqrt_frame_skew", passed=passed_skew, kind="skew_defect",
-                        worst_value=worst_skew, worst_time=worst_skew_t),
-        ConditionRecord(name="sqrt_frame_psd", passed=passed_cond,
-                        kind="min_eigenvalue", worst_value=worst_cond[0],
-                        worst_time=worst_cond[1]),
-    ]
+    conditions = _frame_conditions(cs, grid, tol, frame, "sqrt_frame_skew", "sqrt_frame_psd")
     if y0 is not None:
-        y0 = as_matrix(y0, "Y0")
-        if y0.shape[0] != cs.n:
-            raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {cs.n}")
-        if cond_pd.passed:
+        y0 = _initial_value(y0, cs.n)
+        g0 = y0 + adjoint(y0)
+        if conditions[0].passed:
             sp0 = principal_sqrt(cs.P.eval(cs.t0), tol)
-            g0 = sp0 @ (y0 + y0.conj().T) @ sp0
-        else:
-            g0 = y0 + y0.conj().T
-        v0 = check_psd(g0, tol_psd=psd_band(g0, tol, tol))
-        conditions.append(ConditionRecord(
-            name="initial_psd", passed=v0.is_psd, kind="min_eigenvalue",
-            worst_value=v0.min_eigenvalue, worst_time=cs.t0))
+            g0 = sp0 @ g0 @ sp0
+        conditions.append(_initial_record("initial_psd", g0, cs.t0, tol))
 
+    nu_vals = nu.eval(grid.points)
     notes = [GRID_NOTE,
              "certified bound is the congruence "
              "sqrt(P(t))(Y(t) + Y*(t))sqrt(P(t)) >= 0, equivalent to "
-             "Y(t) + Y*(t) >= 0 while P(t) > 0"]
-    notes.extend(_imaginary_shift_note(nu, grid, tol, "nu"))
-    return CriterionReport(
-        criterion="cor3.2",
-        holds=all(rec.passed for rec in conditions),
-        conditions=conditions,
-        notes=notes,
-        extracted_nu=cf.sampled(grid.points, nu_vals, order=1, scalar=True),
-    )
+             "Y(t) + Y*(t) >= 0 while P(t) > 0", *_imaginary_shift_note(nu_vals, tol, "nu")]
+    return _report("cor3.2", conditions, notes,
+                   extracted_nu=cf.sampled(grid.points, nu_vals, order=1, scalar=True))
 
 
 def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL
@@ -560,38 +528,21 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """P >= 0, S >= 0, R = Q*, Y0 >= 0 (wire name ``theorem1.1``)."""
     grid = grid or GridSpec.for_set(cs)
-    y0 = as_matrix(y0, "Y0")
-    if y0.shape[0] != cs.n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {cs.n}")
-    cond_p = _scan_psd(grid, cs.P.eval, tol, "coefficient_psd")
-    cond_s = _scan_psd(grid, cs.S.eval, tol, "source_psd")
+    y0 = _initial_value(y0, cs.n)
+    cond_p = check_positivity_condition(cs, grid, tol)
+    cond_s = _psd_condition(grid, cs.n, cs.S.eval, tol, "source_psd")
 
-    passed = True
-    worst_val, worst_t, worst_ratio = 0.0, float(grid.points[0]), -np.inf
-    for t in grid.points:
-        r = cs.R.eval(t)
-        resid = float(np.linalg.norm(r - cs.Q.eval(t).conj().T))
-        scale = 1.0 + float(np.linalg.norm(r))
-        if resid > tol * scale:
-            passed = False
-        if resid / scale > worst_ratio:
-            worst_ratio, worst_val, worst_t = resid / scale, resid, float(t)
-    cond_sym = ConditionRecord(name="symmetric_pair", passed=passed, kind="residual",
-                               worst_value=worst_val, worst_time=worst_t)
+    def block(ts):
+        r = cs.R.eval(ts)
+        return _defect_measure(r - adjoint(cs.Q.eval(ts)), r, tol)
 
-    v0 = check_psd(y0, tol_psd=psd_band(y0, tol, tol))
-    cond_init = ConditionRecord(name="initial_psd", passed=v0.is_psd,
-                                kind="min_eigenvalue",
-                                worst_value=v0.min_eigenvalue, worst_time=cs.t0)
-    conditions = [cond_p, cond_s, cond_sym, cond_init]
-    return CriterionReport(
-        criterion="theorem1.1",
-        holds=all(rec.passed for rec in conditions),
-        conditions=conditions,
-        notes=[GRID_NOTE,
-               "certified statement: 0 <= Y(t) <= Ytilde(t) with Ytilde the "
-               "linear comparison solution (integrate_lyapunov_comparison)"],
-    )
+    resid, ratio, ok = _scan(grid, cs.n, block)
+    cond_sym = _largest("symmetric_pair", "residual", grid.points, ratio, resid, ok)
+    cond_init = _initial_record("initial_psd", y0, cs.t0, tol)
+    return _report("theorem1.1", [cond_p, cond_s, cond_sym, cond_init],
+                   [GRID_NOTE,
+                    "certified statement: 0 <= Y(t) <= Ytilde(t) with Ytilde the "
+                    "linear comparison solution (integrate_lyapunov_comparison)"])
 
 
 def run_criterion(name: str, cs: CoefficientSet, y0,

@@ -232,17 +232,6 @@ def gen_comparison(spec: InstanceSpec):
     return cs, y0
 
 
-def generate(spec: InstanceSpec):
-    """Dispatch by target; returns (cs, lam, mu, y0) with None placeholders."""
-    if spec.target == "satisfying":
-        return gen_satisfying(spec)
-    if spec.target == "blowup":
-        cs, y0 = gen_blowup(spec)
-        return cs, None, None, y0
-    cs, y0 = gen_comparison(spec)
-    return cs, None, None, y0
-
-
 # ---------------------------------------------------------------------------
 # Canonical closed-form cases
 # ---------------------------------------------------------------------------

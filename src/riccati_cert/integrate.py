@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .exceptions import DimensionError, IntegrationError
-from .matrix_core import as_matrix
+from .matrix_core import adjoint, as_matrix, block_slices
 
 # Dormand-Prince 5(4) tableau. The fifth-order row is propagated; the
 # difference against the fourth-order row gives the error estimate.
@@ -533,16 +533,19 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
         dets = np.linalg.det(phis)
         ys = traj.values[[traj_index[float(t)] for t in ts]]
 
-        integrand = np.array([np.trace(cs.R.eval(t) + cs.P.eval(t) @ ys[k])
-                              for k, t in enumerate(ts)])
+        integrand = np.empty(ts.size, dtype=np.complex128)
+        integrand2 = np.empty(ts.size)
+        for s in block_slices(ts.size, cs.n):
+            r, p, y = cs.R.eval(ts[s]), cs.P.eval(ts[s]), ys[s]
+            integrand[s] = np.trace(r + p @ y, axis1=-2, axis2=-1)
+            integrand2[s] = np.trace(r + adjoint(r) + p @ (y + adjoint(y)),
+                                     axis1=-2, axis2=-1).real
+
         cum = _cumulative_simpson(integrand, dx)
         rhs = dets[0] * np.exp(cum)
         rel = np.abs(dets - rhs) / np.maximum(np.maximum(np.abs(dets), np.abs(rhs)), tiny)
         max_det = max(max_det, float(np.max(rel)))
 
-        integrand2 = np.array([np.trace(cs.R.eval(t) + cs.R.eval(t).conj().T
-                                        + cs.P.eval(t) @ (ys[k] + ys[k].conj().T)).real
-                               for k, t in enumerate(ts)])
         cum2 = _cumulative_simpson(integrand2, dx)
         lhs2 = np.abs(dets) ** 2
         rhs2 = (np.abs(dets[0]) ** 2) * np.exp(cum2)

@@ -2,8 +2,9 @@
 
 Hermitian/positive-semidefinite predicates with an explicit tolerance
 policy, trace identities, and the principal matrix square root together
-with its time derivative. All functions are pure; inputs are never
-mutated.
+with its time derivative. Grid scans work on stacks of matrices, cut
+into blocks of at most ``BLOCK_ENTRIES`` entries by ``block_slices``.
+All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ MAX_DIM = 64
 #: Default absolute and relative tolerance used by the PSD band and by
 #: Hermiticity/skewness checks.
 DEFAULT_TOL = 1e-9
+
+#: Most matrix entries in one stacked block of a grid scan. A block of
+#: n x n matrices holds max(1, BLOCK_ENTRIES // n**2) time points, which
+#: bounds the scan's temporaries at every n while keeping numpy calls few.
+BLOCK_ENTRIES = 2 ** 14
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -73,10 +79,16 @@ def hermiticity_defect(m) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
-def skewness_defect(m) -> float:
-    """Frobenius norm of M + M*, zero iff M is exactly skew-Hermitian."""
-    m = as_matrix(m, "M")
-    return float(np.linalg.norm(m + m.conj().T))
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.swapaxes(-1, -2).conj()
+
+
+def block_slices(count: int, n: int) -> list[slice]:
+    """Consecutive slices over ``count`` stacked n x n matrices, each block
+    holding at most ``BLOCK_ENTRIES`` entries (and at least one matrix)."""
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    return [slice(k, k + step) for k in range(0, count, step)]
 
 
 def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
@@ -84,6 +96,11 @@ def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"{context}: eigenvalue solver failed: {exc}") from exc
+
+
+def _hermitian_eigvals(h: np.ndarray, context: str) -> np.ndarray:
+    """Ascending eigenvalues of (H + H*)/2 for a matrix or each matrix of a stack."""
+    return _eigvalsh((h + adjoint(h)) / 2, context)
 
 
 def _eigh(h: np.ndarray, context: str):
@@ -186,9 +203,13 @@ def principal_sqrt(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``||S @ S - P||_F <= tol * ||P||_F`` at the supported scales.
     """
     p = as_matrix(p, "P")
-    w, v = _require_hpd(p, tol, "principal_sqrt")
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return hermitian_part(s)
+    return _sqrt_of_eigh(*_require_hpd(p, tol, "principal_sqrt"))
+
+
+def _sqrt_of_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(w)) V*, symmetrized; (w, v) may be a stack of eigendecompositions."""
+    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
+    return (s + adjoint(s)) / 2
 
 
 def sqrt_derivative(p, pdot, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .exceptions import DimensionError
-from .matrix_core import _eigvalsh, hermitian_part
+from .matrix_core import _hermitian_eigvals, adjoint, block_slices
 from .integrate import Trajectory
 
 
@@ -54,11 +54,11 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     if lam.dim != n:
         raise DimensionError(f"lambda has dimension {lam.dim}, expected {n}")
     out = np.empty(traj.times.size)
-    for k, t in enumerate(traj.times):
-        y = traj.values[k]
-        lam_t = lam.eval(float(t))
-        g = y + y.conj().T - lam_t - lam_t.conj().T
-        out[k] = float(_eigvalsh(hermitian_part(g), "eigen_monitor")[0])
+    for s in block_slices(traj.times.size, n):
+        y = traj.values[s]
+        lam_t = lam.eval(traj.times[s])
+        g = y + adjoint(y) - lam_t - adjoint(lam_t)
+        out[s] = _hermitian_eigvals(g, "eigen_monitor")[:, 0]
     return out
 
 
@@ -78,6 +78,12 @@ def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = N
     return BoundReport(passed=min_value >= -tol, min_value=min_value,
                        t_min=float(traj.times[k]), tol=tol,
                        times=traj.times, series=series)
+
+
+def _least(series: np.ndarray, times: np.ndarray) -> tuple[float, float]:
+    """(least value, its earliest time), or (inf, nan) for an empty series."""
+    k = int(np.argmin(series)) if series.size else None
+    return (np.inf, np.nan) if k is None else (float(series[k]), float(times[k]))
 
 
 @dataclass
@@ -100,17 +106,12 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise ValueError("trajectories are sampled on different grids")
     if traj.values.shape != traj_tilde.values.shape:
         raise DimensionError("trajectory dimensions differ")
-    lower = (np.inf, np.nan)
-    upper = (np.inf, np.nan)
-    for k, t in enumerate(traj.times):
-        y = traj.values[k]
-        diff = traj_tilde.values[k] - y
-        lo = float(_eigvalsh(hermitian_part(y), "verify_sandwich")[0])
-        hi = float(_eigvalsh(hermitian_part(diff), "verify_sandwich")[0])
-        if lo < lower[0]:
-            lower = (lo, float(t))
-        if hi < upper[0]:
-            upper = (hi, float(t))
+    lo, hi = np.empty((2, traj.times.size))
+    for s in block_slices(traj.times.size, traj.n):
+        y = traj.values[s]
+        lo[s] = _hermitian_eigvals(y, "verify_sandwich")[:, 0]
+        hi[s] = _hermitian_eigvals(traj_tilde.values[s] - y, "verify_sandwich")[:, 0]
+    lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],
                           upper_min=upper[0], upper_t=upper[1], tol=tol)
@@ -129,12 +130,12 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
         raise ValueError("residual check needs at least 3 samples")
     deriv = np.gradient(traj.values, traj.times, axis=0, edge_order=2)
     out = np.empty(traj.times.size)
-    for k, t in enumerate(traj.times):
-        t = float(t)
-        y = traj.values[k]
-        resid = deriv[k] + y @ cs.P.eval(t) @ y + cs.Q.eval(t) @ y \
-            + y @ cs.R.eval(t) - cs.S.eval(t)
-        out[k] = float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(y)) ** 2)
+    for s in block_slices(traj.times.size, traj.n):
+        ts, y = traj.times[s], traj.values[s]
+        resid = deriv[s] + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y \
+            + y @ cs.R.eval(ts) - cs.S.eval(ts)
+        out[s] = np.linalg.norm(resid, axis=(-2, -1)) \
+            / (1.0 + np.linalg.norm(y, axis=(-2, -1)) ** 2)
     return out
 
 

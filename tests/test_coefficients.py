@@ -145,3 +145,72 @@ class TestCoefficientSet:
             CoefficientSet(n=1, t0=0.0, t_end=1.0,
                            P=cf.constant(1.0, scalar=True), Q=cf.constant([[0.0]]),
                            R=cf.constant([[0.0]]), S=cf.constant([[0.0]]))
+
+
+def _array_eval_functions():
+    rng = np.random.default_rng(31)
+
+    def m():
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+    nodes = np.linspace(0.0, 1.0, 6)
+    return {
+        "constant": cf.constant(m()),
+        "constant_scalar": cf.constant(0.5 - 2.0j, scalar=True),
+        "polynomial": cf.polynomial([m() for _ in range(4)], t_ref=0.3),
+        "polynomial_degree0": cf.polynomial([m()]),
+        "polynomial_scalar": cf.polynomial([1.0, 2.0j, -0.5], scalar=True),
+        "sampled1": cf.sampled(nodes, [m() for _ in nodes], order=1),
+        "sampled3": cf.sampled(nodes, [m() for _ in nodes], order=3),
+        "sampled3_node_derivatives": cf.sampled(nodes, [m() for _ in nodes], order=3,
+                                                node_derivatives=[m() for _ in nodes]),
+        "sampled1_scalar": cf.sampled(nodes, rng.standard_normal(6) + 1j, order=1,
+                                      scalar=True),
+        "sampled3_scalar": cf.sampled(nodes, rng.standard_normal(6) - 1j, order=3,
+                                      scalar=True),
+    }
+
+
+ARRAY_EVAL_FUNCTIONS = _array_eval_functions()
+
+
+class TestArrayEval:
+    @pytest.mark.parametrize("method", ["eval", "derivative"])
+    @pytest.mark.parametrize("name", sorted(ARRAY_EVAL_FUNCTIONS))
+    def test_matches_stacked_scalar_calls_bit_for_bit(self, name, method):
+        f = ARRAY_EVAL_FUNCTIONS[name]
+        ts = np.linspace(0.0, 1.0, 23)
+        got = getattr(f, method)(ts)
+        want = np.stack([np.asarray(getattr(f, method)(float(t))) for t in ts])
+        assert got.shape == (ts.size,) + f.shape
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_point_out_of_domain_raises(self):
+        f = ARRAY_EVAL_FUNCTIONS["sampled3"]
+        ts = np.array([0.0, 0.5, 1.5, 0.7])
+        with pytest.raises(DomainError, match="1.5"):
+            f.eval(ts)
+        with pytest.raises(DomainError):
+            f.derivative(ts)
+
+    def test_gauge_algebra_on_a_stack(self):
+        cs = CoefficientSet(n=2, t0=0.0, t_end=1.0,
+                            P=cf.polynomial([np.eye(2), np.eye(2)]),
+                            Q=ARRAY_EVAL_FUNCTIONS["polynomial"],
+                            R=ARRAY_EVAL_FUNCTIONS["sampled3"],
+                            S=ARRAY_EVAL_FUNCTIONS["constant"])
+        lam = ARRAY_EVAL_FUNCTIONS["sampled1"]
+        ts = np.linspace(0.0, 1.0, 7)
+        for fn in (eval_S_lambda, eval_Q_lambda, eval_R_lambda):
+            want = np.stack([fn(cs, lam, float(t)) for t in ts])
+            assert fn(cs, lam, ts).tobytes() == want.tobytes()
+
+
+class TestDimensionCap:
+    def test_cap_follows_matrix_core(self):
+        from riccati_cert.matrix_core import MAX_DIM
+
+        f = cf.constant(np.eye(1))
+        with pytest.raises(DimensionError, match=f"1..{MAX_DIM}"):
+            CoefficientSet(n=MAX_DIM + 1, t0=0.0, t_end=1.0, P=f, Q=f, R=f, S=f)

@@ -216,6 +216,22 @@ class TestSkewGauge:
         rep = check_skew_gauge_criterion(cs, None, np.zeros((2, 2)), grid(cs))
         assert rep.holds and rep.criterion == "cor3.1"
 
+    def test_gauge_domain_follows_caller_tol(self):
+        # P = 1e-10 is positive definite at tol = 1e-12 (but inside the
+        # default 1e-9 band): the gauge L0 = 0 exists at every point
+        cs = make_set(1, P=cf.constant([[1e-10]]), S=cf.constant([[1.0]]))
+        rep = check_skew_gauge_criterion(cs, None, np.zeros((1, 1)), grid(cs), tol=1e-12)
+        assert rep.holds
+        assert rep.condition("gauge_skew").passed
+        src = rep.condition("shifted_source_psd")
+        assert src.worst_value == pytest.approx(2.0) and src.worst_time == 0.0
+        assert check_sqrt_frame_criterion(cs, None, None, grid(cs), tol=1e-12).holds
+
+        lam0, rec = build_skew_gauge(cs, None, grid(cs), tol=1e-12)
+        assert rec.passed and lam0.eval(0.5)[0, 0] == 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            build_skew_gauge(cs, None, grid(cs))
+
 
 class TestSqrtFrame:
     def test_skew_term_symmetric_pair(self):

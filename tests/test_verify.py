@@ -91,6 +91,28 @@ class TestEigenMonitor:
         assert np.max(np.abs(series - 2 * np.tanh(ts))) <= 1e-8
 
 
+    def test_blocks_match_per_sample_reference(self):
+        # n = 32 puts 16 samples in a block, so 41 samples span three blocks
+        rng = np.random.default_rng(23)
+        n, ts = 32, np.linspace(0.0, 1.0, 41)
+        values = rng.standard_normal((ts.size, n, n)) + 1j * rng.standard_normal((ts.size, n, n))
+        traj = Trajectory(times=ts, values=values, status="completed", method="direct")
+        g = rng.standard_normal((n, n))
+        lam = cf.polynomial([g, g.T])
+        cs = CoefficientSet(n=n, t0=0.0, t_end=1.0, P=cf.constant(g @ g.T),
+                            Q=lam, R=cf.constant(g), S=lam)
+        deriv = np.gradient(values, ts, axis=0, edge_order=2)
+        want_gap, want_resid = [], []
+        for k, t in enumerate(ts):
+            y, l = values[k], lam.eval(float(t))
+            gap = y + y.conj().T - l - l.conj().T
+            want_gap.append(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
+            r = deriv[k] + y @ cs.P.eval(t) @ y + cs.Q.eval(t) @ y + y @ cs.R.eval(t) - cs.S.eval(t)
+            want_resid.append(np.linalg.norm(r) / (1.0 + np.linalg.norm(y) ** 2))
+        assert eigen_monitor(traj, lam).tobytes() == np.array(want_gap).tobytes()
+        assert_allclose(residual_series(traj, cs), want_resid, rtol=1e-12, atol=0)
+
+
 class TestSandwich:
     def test_tanh_under_linear(self):
         cs = CAT["tanh"].cs
