@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
-from .exceptions import RiccatiError
+from .exceptions import InstanceFormatError, RiccatiError
 from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
 from .integrate import (
     IntegratorOptions,
@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     inst = load_instance(args.instance)
     num = args.grid or inst.grid_points or DEFAULT_GRID_POINTS
-    grid = GridSpec.for_set(inst.cs, num)
+    try:
+        grid = GridSpec.for_set(inst.cs, num)
+    except ValueError as exc:
+        raise RiccatiError(f"--grid: {exc}") from exc
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     print(json.dumps(report.to_dict(), indent=2))
@@ -149,6 +152,13 @@ def _cmd_integrate(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     times, values = read_trajectory_csv(args.trajectory, inst.cs.n)
+    t0, t_end = inst.cs.t0, inst.cs.t_end
+    if times[0] < t0 - 1e-12 * max(1.0, abs(t0)):
+        raise InstanceFormatError(f"trajectory CSV first row, column 't': time "
+                                  f"{float(times[0])!r} is before t0 = {t0!r}")
+    if times[-1] > t_end + 1e-12 * max(1.0, abs(t_end)):
+        raise InstanceFormatError(f"trajectory CSV last row, column 't': time "
+                                  f"{float(times[-1])!r} is after t_end = {t_end!r}")
     traj = Trajectory(times=times, values=values, status="completed", method="file")
     report = verify_hermitian_bound(traj, inst.lam, tol=args.tol)
     out = report.to_dict()

@@ -52,6 +52,8 @@ from .matrix_core import (
 
 #: Default number of uniform grid points for criterion checks.
 DEFAULT_GRID_POINTS = 1001
+#: Largest accepted grid; the grid and the per-point series are held in memory.
+MAX_GRID_POINTS = 10**6
 
 GRID_NOTE = ("conditions verified pointwise on a finite uniform grid over "
              "[t0, t_end]; the certified statement requires them for every "
@@ -69,8 +71,8 @@ class GridSpec:
     num_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        if self.num_points < 2:
-            raise ValueError(f"grid needs >= 2 points, got {self.num_points}")
+        if not 2 <= self.num_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid needs 2..{MAX_GRID_POINTS} points, got {self.num_points}")
         if not self.t0 < self.t_end:
             raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
 

@@ -14,8 +14,16 @@ Wire conventions shared by the CLI:
   and ``residual`` (and ``det_phi_abs`` for the linear-flow method);
 * each CSV gets a JSON status sidecar next to it.
 
-Parse errors raise ``InstanceFormatError`` with the offending field named
-in the message.
+The CSV writer formats every number with ``repr``, the shortest string
+that reads back to the same float, and ends every line with ``\r\n``;
+no field is ever quoted. The reader takes the first ``1 + 2 n^2``
+columns of each row, accepts ``\n`` line ends and quoted fields, and
+rejects non-finite values and times that do not strictly increase. It
+rebuilds Y as ``re + 1j * im``, so a zero part may come back with the
+other sign.
+
+Parse errors raise ``InstanceFormatError`` with the offending field (or
+CSV line and column) named in the message.
 """
 
 from __future__ import annotations
@@ -24,11 +32,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
+from .criteria import MAX_GRID_POINTS
 from .exceptions import InstanceFormatError, RiccatiError
 from .integrate import LinearFlow, Trajectory
 
@@ -42,33 +52,71 @@ def complex_to_pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
+def _real(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _to_float(x, field: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise InstanceFormatError(f"field '{field}' is too large for a float") from None
+
+
 def pair_to_complex(obj, field: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
-        return complex(obj[0], obj[1])
+    if _real(obj):
+        return complex(_to_float(obj, field))
+    if isinstance(obj, list) and len(obj) == 2 and all(map(_real, obj)):
+        return complex(_to_float(obj[0], field), _to_float(obj[1], field))
     raise InstanceFormatError(f"field '{field}' must be a number or [re, im] pair")
 
 
 def matrix_to_obj(m) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_pair(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
+
+
+def _pair_matrix(obj, n: int):
+    """The (n, n) complex array of ``obj`` when every entry is an ``[re, im]``
+    pair of ints or floats that fit a float, else None."""
+    if not all(type(row) is list and len(row) == n for row in obj):
+        return None
+    entries = list(chain.from_iterable(obj))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    parts = list(chain.from_iterable(entries))
+    if not set(map(type, parts)) <= {int, float}:
+        return None
+    try:
+        return np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+    except OverflowError:
+        return None
 
 
 def obj_to_matrix(obj, n: int, field: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != n:
         raise InstanceFormatError(f"field '{field}' must be an {n}x{n} row-major matrix")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            raise InstanceFormatError(f"field '{field}[{i}]' must have {n} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = pair_to_complex(entry, f"{field}[{i}][{j}]")
+    out = _pair_matrix(obj, n)
+    if out is None:
+        # Bare numbers, other types and errors: the entry loop names the field.
+        out = np.empty((n, n), dtype=np.complex128)
+        for i, row in enumerate(obj):
+            if not isinstance(row, list) or len(row) != n:
+                raise InstanceFormatError(f"field '{field}[{i}]' must have {n} entries")
+            for j, entry in enumerate(row):
+                out[i, j] = pair_to_complex(entry, f"{field}[{i}][{j}]")
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise InstanceFormatError(f"field '{field}' contains non-finite entries")
     return out
+
+
+def _finite_number(obj, field: str) -> float:
+    if not _real(obj):
+        raise InstanceFormatError(f"field '{field}' must be a finite number")
+    x = _to_float(obj, field)
+    if not math.isfinite(x):
+        raise InstanceFormatError(f"field '{field}' must be a finite number")
+    return x
 
 
 def _value_to_obj(v, scalar: bool):
@@ -98,7 +146,7 @@ def function_to_obj(f: CoefficientFunction) -> dict:
         return {
             "kind": "sampled",
             "order": f.order,
-            "times": [float(t) for t in f.times],
+            "times": f.times.tolist(),
             "values": [_value_to_obj(v, scalar) for v in f.values],
         }
     raise RiccatiError(f"cannot serialize coefficient function of kind {f.kind!r}")
@@ -119,13 +167,11 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
         if not isinstance(coeffs, list) or not coeffs:
             raise InstanceFormatError(
                 f"field '{field}.coefficients' must be a non-empty list")
-        t_ref = obj.get("t_ref", default_t_ref)
-        if not isinstance(t_ref, (int, float)) or isinstance(t_ref, bool):
-            raise InstanceFormatError(f"field '{field}.t_ref' must be a number")
+        t_ref = _finite_number(obj.get("t_ref", default_t_ref), f"{field}.t_ref")
         vals = [_obj_to_value(c, n, f"{field}.coefficients[{k}]", scalar)
                 for k, c in enumerate(coeffs)]
         try:
-            return cf.polynomial(vals, t_ref=float(t_ref), scalar=scalar)
+            return cf.polynomial(vals, t_ref=t_ref, scalar=scalar)
         except ValueError as exc:
             raise InstanceFormatError(f"field '{field}': {exc}") from exc
     if kind == "sampled":
@@ -140,6 +186,7 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
         order = obj.get("order", 3)
         if order not in (1, 3):
             raise InstanceFormatError(f"field '{field}.order' must be 1 or 3")
+        times = [_finite_number(t, f"{field}.times[{k}]") for k, t in enumerate(times)]
         vals = [_obj_to_value(v, n, f"{field}.values[{k}]", scalar)
                 for k, v in enumerate(values)]
         try:
@@ -171,13 +218,11 @@ def parse_instance(obj) -> ParsedInstance:
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceFormatError("field 'n' must be a positive integer")
-    for name in ("t0", "t_end"):
-        v = obj.get(name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise InstanceFormatError(f"field '{name}' must be a finite number")
-    t0, t_end = float(obj["t0"]), float(obj["t_end"])
+    t0, t_end = (_finite_number(obj.get(name), name) for name in ("t0", "t_end"))
     if not t0 < t_end:
         raise InstanceFormatError("field 't_end' must exceed 't0'")
+    if not math.isfinite(t_end - t0):
+        raise InstanceFormatError("field 't_end' minus 't0' must be a finite number")
 
     fns = {}
     for name in ("P", "Q", "R", "S"):
@@ -206,8 +251,10 @@ def parse_instance(obj) -> ParsedInstance:
 
     grid_points = obj.get("grid_points")
     if grid_points is not None:
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
-            raise InstanceFormatError("field 'grid_points' must be an integer >= 2")
+        if not isinstance(grid_points, int) or isinstance(grid_points, bool) \
+                or not 2 <= grid_points <= MAX_GRID_POINTS:
+            raise InstanceFormatError(
+                f"field 'grid_points' must be an integer in 2..{MAX_GRID_POINTS}")
 
     return ParsedInstance(cs=cs, y0=y0, lam=lam, mu=mu, nu=nu, grid_points=grid_points)
 
@@ -218,7 +265,8 @@ def load_instance(path: str) -> ParsedInstance:
             obj = json.load(fh)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
         raise InstanceFormatError(f"instance file is not valid JSON: {exc}") from exc
     return parse_instance(obj)
 
@@ -278,44 +326,41 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     ``lambda_min_gap`` is the least eigenvalue of Y + Y* - L - L*;
     ``residual`` is the central-difference equation residual (empty when
     fewer than 3 samples are available); ``det_phi_abs`` is only present
-    when a linear flow is supplied.
+    when a linear flow is supplied. Rows are written one at a time.
     """
     from .verify import eigen_monitor, residual_series
 
-    n = traj.n
-    gaps = eigen_monitor(traj, lam)
-    if traj.times.size >= 3:
-        resid = residual_series(traj, cs)
+    m = traj.times.size
+    gaps = eigen_monitor(traj, lam).tolist()
+    if m >= 3:
+        resid = ["" if math.isnan(r) else repr(r) for r in residual_series(traj, cs).tolist()]
     else:
-        resid = np.full(traj.times.size, np.nan)
-    dets = None
+        resid = [""] * m
+    tails = [[repr(g), r] for g, r in zip(gaps, resid)]
     if flow is not None:
-        det_by_time = {float(t): abs(complex(np.linalg.det(flow.phi[k])))
-                       for k, t in enumerate(flow.times)}
-        dets = [det_by_time.get(float(t), float("nan")) for t in traj.times]
+        det_by_time = dict(zip(flow.times.tolist(),
+                               (abs(complex(d)) for d in np.linalg.det(flow.phi))))
+        for tail, t in zip(tails, traj.times.tolist()):
+            tail.append(repr(det_by_time.get(t, float("nan"))))
+    # Re/im parts interleaved, in row-major order of Y.
+    ys = np.ascontiguousarray(traj.values, dtype=np.complex128).reshape(m, -1).view(np.float64)
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_csv_header(n, with_det=flow is not None))
-        for k, t in enumerate(traj.times):
-            row = [repr(float(t))]
-            y = traj.values[k]
-            for i in range(n):
-                for j in range(n):
-                    row.append(repr(float(y[i, j].real)))
-                    row.append(repr(float(y[i, j].imag)))
-            row.append(repr(float(gaps[k])))
-            row.append("" if np.isnan(resid[k]) else repr(float(resid[k])))
-            if dets is not None:
-                row.append(repr(dets[k]))
-            writer.writerow(row)
+        fh.write(",".join(trajectory_csv_header(traj.n, with_det=flow is not None)) + "\r\n")
+        for t, y, tail in zip(traj.times.tolist(), ys, tails):
+            fh.write(",".join([repr(t), *map(repr, y.tolist()), *tail]) + "\r\n")
 
 
 def read_trajectory_csv(path: str, n: int):
-    """Read back (times, values) from a trajectory CSV of dimension n."""
+    """Read back (times, values) from a trajectory CSV of dimension n.
+
+    Every value must be finite and the times strictly increasing; a
+    violation raises ``InstanceFormatError`` naming the line and column.
+    """
     expected = 1 + 2 * n * n
-    times: list[float] = []
-    values: list[np.ndarray] = []
+    columns = trajectory_csv_header(n)
+    rows: list[np.ndarray] = []
+    lines: list[int] = []
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -329,18 +374,45 @@ def read_trajectory_csv(path: str, n: int):
                     continue
                 if len(row) < expected:
                     raise InstanceFormatError(
-                        f"trajectory CSV row has {len(row)} columns, expected >= {expected}")
-                times.append(float(row[0]))
-                flat = np.array([float(row[1 + 2 * k]) + 1j * float(row[2 + 2 * k])
-                                 for k in range(n * n)])
-                values.append(flat.reshape(n, n))
+                        f"trajectory CSV line {reader.line_num} has {len(row)} columns, "
+                        f"expected >= {expected}")
+                rows.append(_parse_row(row[:expected], reader.line_num, columns))
+                lines.append(reader.line_num)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read trajectory CSV: {exc}") from exc
-    except ValueError as exc:
-        raise InstanceFormatError(f"trajectory CSV contains a malformed number: {exc}") from exc
-    if not times:
+    except (ValueError, csv.Error) as exc:
+        raise InstanceFormatError(f"trajectory CSV cannot be read: {exc}") from exc
+    if not rows:
         raise InstanceFormatError("trajectory CSV contains no samples")
-    return np.array(times), np.array(values)
+    data = np.stack(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, k = bad[0]
+        raise InstanceFormatError(
+            f"trajectory CSV line {lines[r]}, column '{columns[k]}': "
+            f"non-finite value {float(data[r, k])!r}")
+    times = data[:, 0].copy()
+    steps = np.flatnonzero(np.diff(times) <= 0)
+    if steps.size:
+        r = steps[0] + 1
+        raise InstanceFormatError(
+            f"trajectory CSV line {lines[r]}, column 't': time {float(times[r])!r} does not "
+            f"exceed the previous time {float(times[r - 1])!r}")
+    values = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
+    return times, values
+
+
+def _parse_row(fields: list[str], line: int, columns: list[str]) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        for col, x in zip(columns, fields):
+            try:
+                float(x)
+            except ValueError:
+                raise InstanceFormatError(f"trajectory CSV line {line}, column '{col}': "
+                                          f"malformed number {x!r}") from None
+        raise
 
 
 def status_sidecar_path(csv_path: str) -> str:
