@@ -20,7 +20,13 @@ import sys
 
 import numpy as np
 
-from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
+from .criteria import (
+    CRITERION_NAMES,
+    DEFAULT_GRID_POINTS,
+    MAX_GRID_POINTS,
+    GridSpec,
+    run_criterion,
+)
 from .exceptions import InstanceFormatError, RiccatiError
 from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
 from .integrate import (
@@ -118,8 +124,9 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
 
 def _cmd_integrate(args) -> int:
     inst = load_instance(args.instance)
-    if args.samples < 2:
-        raise RiccatiError("--samples must be at least 2")
+    if not 2 <= args.samples <= MAX_GRID_POINTS:
+        raise RiccatiError(f"--samples must be between 2 and {MAX_GRID_POINTS}, "
+                           f"got {args.samples}")
     ts = np.linspace(inst.cs.t0, inst.cs.t_end, args.samples)
     opts = IntegratorOptions(rtol=args.rtol, atol=args.atol)
     extra: dict = {}

@@ -44,9 +44,7 @@ from .matrix_core import (
     adjoint,
     as_matrix,
     block_slices,
-    check_psd,
     principal_sqrt,
-    psd_band,
     sqrt_derivative,
 )
 
@@ -237,10 +235,10 @@ def _initial_value(y0, n: int) -> np.ndarray:
 
 
 def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> ConditionRecord:
-    """PSD clause on one matrix at t0."""
-    verdict = check_psd(g0, tol_psd=psd_band(g0, tol, tol))
-    return ConditionRecord(name=name, passed=verdict.is_psd, kind="min_eigenvalue",
-                           worst_value=verdict.min_eigenvalue, worst_time=t0)
+    """PSD clause on one matrix at t0, by the grid's own measure."""
+    lo, ok, _ = _psd_measure(g0[None], tol)
+    return ConditionRecord(name=name, passed=bool(ok[0]), kind="min_eigenvalue",
+                           worst_value=float(lo[0]), worst_time=t0)
 
 
 def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,

@@ -8,12 +8,15 @@
 * ``integrate_lyapunov_comparison`` -- the linear comparison equation
   Ytilde' = S - R* Ytilde - Ytilde R used by the sandwich bound.
 
-All three share one embedded explicit Runge-Kutta 5(4) pair
-(Dormand-Prince coefficients, FSAL) with a PI step-size controller.
-Requested sample times are hit exactly by clamping steps, so no dense
-interpolation error enters the stored samples. Everything is
-deterministic: the initial step comes from a standard starting-step
-heuristic and there are no randomized components.
+All three share one driver: the embedded explicit Runge-Kutta 5(4) pair
+of Dormand and Prince with a PI step-size controller. The pair is FSAL
+(first same as last): the last stage point is the new state, and the
+right-hand side there is the first stage of the next step, so an
+accepted step costs six right-hand-side calls. Requested sample times
+are hit exactly by clamping steps, so no dense interpolation error
+enters the stored samples. Everything is deterministic: the initial step
+comes from a standard starting-step heuristic and there are no
+randomized components.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from .coefficients import CoefficientSet
 from .exceptions import DimensionError, IntegrationError
 from .matrix_core import adjoint, as_matrix, block_slices
 
-# Dormand-Prince 5(4) tableau. The fifth-order row is propagated; the
-# difference against the fourth-order row gives the error estimate.
+# Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order
+# solution, which is propagated; the _ERR row (fifth- minus fourth-order
+# weights) gives the error estimate.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -39,7 +43,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
@@ -47,6 +50,18 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA = 0.04
 _ALPHA = 0.2 - 0.75 * _BETA
+
+#: Smallest step: a rejected step that would shrink below it ends the run
+#: (``step_collapse``).
+_H_MIN = 1e-12
+
+#: The direct integration declares blow-up (``norm_cap``) once the
+#: Frobenius norm of Y exceeds this.
+_BLOWUP_NORM = 1e8
+
+#: The linear flow is reset to (I, Y) at a sample where its condition
+#: estimate or magnitude exceeds this.
+_RECONDITION_THRESHOLD = 1e8
 
 #: Hard ceiling on the reconstruction-condition estimate beyond which a
 #: flow sample always counts as numerically singular. The effective
@@ -60,30 +75,18 @@ _MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Step control and detection thresholds.
+    """Error tolerances of the step-size control.
 
-    ``blowup_norm`` caps the Frobenius norm of the direct solution;
-    ``recondition_threshold`` bounds the condition estimate of the linear
-    flow before a (Phi, Psi) <- (I, Y) reset is performed.
+    The minimum step, the blow-up norm cap and the recondition threshold
+    are fixed module constants (1e-12, 1e8 and 1e8).
     """
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: float | None = None
-    h_min: float = 1e-12
-    h_max: float = math.inf
-    blowup_norm: float = 1e8
-    recondition_threshold: float = 1e8
 
     def __post_init__(self):
         if not (self.rtol > 0 and self.atol > 0):
             raise IntegrationError("rtol and atol must be positive")
-        if not 0 < self.h_min <= self.h_max:
-            raise IntegrationError("need 0 < h_min <= h_max")
-        if self.h_init is not None and not self.h_min <= self.h_init <= self.h_max:
-            raise IntegrationError("need h_min <= h_init <= h_max")
-        if self.blowup_norm <= 0 or self.recondition_threshold <= 0:
-            raise IntegrationError("thresholds must be positive")
 
 
 @dataclass
@@ -115,9 +118,9 @@ class Trajectory:
 class LinearFlow:
     """Samples of the linear flow (Phi, Psi) with its restart log.
 
-    Stored samples are the values used going forward, i.e. post-reset at
-    restart times, so Y(tau) = Psi(tau) Phi(tau)^{-1} is preserved across
-    each reset by construction.
+    The samples are the driver's states at the sample times: post-reset
+    at restart times, so Y(tau) = Psi(tau) Phi(tau)^{-1} is preserved
+    across each reset by construction.
     """
 
     times: np.ndarray
@@ -149,8 +152,7 @@ def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100 * h0, h1, span, opts.h_max)
-    return max(h, opts.h_min)
+    return max(min(100 * h0, h1, span), _H_MIN)
 
 
 def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
@@ -162,27 +164,39 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
 
-    Returns (times, states, stop_reason, t_last) where ``times``/``states``
-    hold the samples actually reached and ``t_last`` is the last accepted
+    Returns (times, states, stop_reason, t_last) where the arrays
+    ``times``/``states`` hold the samples actually reached, each state as
+    it stands after ``at_sample``, and ``t_last`` is the last accepted
     time.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128).copy()
+    f_curr = None  # f(t, y), evaluated once there is a step to take
     times: list[float] = []
     states: list[np.ndarray] = []
 
-    if at_sample is not None:
-        y = at_sample(t, y)
-    times.append(t)
-    states.append(y.copy())
+    def record(t_sample: float) -> None:
+        """Store a reached sample; a replaced state gets its f anew."""
+        nonlocal y, f_curr
+        if at_sample is not None:
+            y_new = at_sample(t_sample, y)
+            if y_new is not y:
+                y = y_new
+                if f_curr is not None:
+                    f_curr = f(t, y)
+        times.append(t_sample)
+        states.append(y.copy())
+
+    def result(reason):
+        return np.array(times), np.array(states), reason, t
+
+    record(t)
     reason = after_step(t, y) if after_step is not None else None
     if reason is not None or sample_times.size == 1:
-        return times, states, reason, t
+        return result(reason)
 
     f_curr = f(t, y)
-    span = float(sample_times[-1]) - t
-    h = opts.h_init if opts.h_init is not None else _initial_step(f, t, y, f_curr, opts, span)
-    h = min(max(h, opts.h_min), opts.h_max)
+    h = _initial_step(f, t, y, f_curr, opts, float(sample_times[-1]) - t)
 
     facold = 1e-4
     rejected_last = False
@@ -195,13 +209,7 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
         tiny = 1e-13 * max(1.0, abs(t_target))
         if t_target - t <= tiny:
             # already there to rounding; record the sample without stepping
-            if at_sample is not None:
-                y_new = at_sample(t_target, y)
-                if y_new is not y:
-                    y = y_new
-                    f_curr = f(t, y)
-            times.append(t_target)
-            states.append(y.copy())
+            record(t_target)
             next_idx += 1
             continue
 
@@ -212,7 +220,8 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
         hit = h >= (t_target - t) - tiny
         h_eff = (t_target - t) if hit else h
 
-        # stages (FSAL: k[0] is f at the current point)
+        # stages (FSAL: k[0] is f at the current point, and the last stage
+        # point is the fifth-order solution)
         k[0] = f_curr
         for i in range(1, 7):
             yi = y.copy()
@@ -220,10 +229,7 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
                 if a != 0.0:
                     yi += (h_eff * a) * k[j]
             k[i] = f(t + _C[i] * h_eff, yi)
-        y_new = y.copy()
-        for j, b in enumerate(_B5):
-            if b != 0.0:
-                y_new += (h_eff * b) * k[j]
+        y_new = yi
 
         err_vec = np.zeros_like(y)
         for j, e in enumerate(_ERR):
@@ -247,28 +253,22 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
                 factor = min(factor, 1.0)
             rejected_last = False
             facold = max(err, 1e-4)
-            h = min(max(h_eff * factor, opts.h_min), opts.h_max)
+            h = max(h_eff * factor, _H_MIN)
             if hit:
-                if at_sample is not None:
-                    y_new2 = at_sample(t, y)
-                    if y_new2 is not y:
-                        y = y_new2
-                        f_curr = f(t, y)
-                times.append(t)
-                states.append(y.copy())
+                record(t)
                 next_idx += 1
             if after_step is not None:
                 reason = after_step(t, y)
                 if reason is not None:
-                    return times, states, reason, t
+                    return result(reason)
         else:
             rejected_last = True
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA)) if math.isfinite(err) else _MIN_FACTOR
             h = h_eff * min(factor, 1.0)
-            if h < opts.h_min:
-                return times, states, "step_collapse", t
+            if h < _H_MIN:
+                return result("step_collapse")
 
-    return times, states, None, t
+    return result(None)
 
 
 def _check_samples(cs: CoefficientSet, sample_times) -> np.ndarray:
@@ -284,24 +284,28 @@ def _check_samples(cs: CoefficientSet, sample_times) -> np.ndarray:
     return ts
 
 
+def _prologue(cs: CoefficientSet, y0, name: str, sample_times) -> tuple[np.ndarray, np.ndarray]:
+    """The validated initial value ``name`` and sample times of an integrator
+    call (default: ``default_sample_times(cs)``)."""
+    y0 = as_matrix(y0, name)
+    if y0.shape[0] != cs.n:
+        raise DimensionError(f"{name} has dimension {y0.shape[0]}, expected {cs.n}")
+    return y0, _check_samples(cs, sample_times if sample_times is not None
+                              else default_sample_times(cs))
+
+
 def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
                              sample_times=None) -> Trajectory:
     """Integrate Y' = S(t) - Y P(t) Y - Q(t) Y - Y R(t) from Y(t0) = Y0.
 
-    Declares blow-up when the Frobenius norm of Y exceeds
-    ``opts.blowup_norm`` or the accepted step collapses below
-    ``opts.h_min``; the escape-time estimate is the last accepted time and
-    the report distinguishes the two triggers (a step collapse can also
-    signal stiffness).
+    Declares blow-up when the Frobenius norm of Y exceeds 1e8 or the step
+    collapses below 1e-12 after a rejection; the escape-time estimate is
+    the last accepted time and the report distinguishes the two triggers
+    (a step collapse can also signal stiffness).
     """
     opts = opts or IntegratorOptions()
-    y0 = as_matrix(y0, "Y0")
+    y0, ts = _prologue(cs, y0, "Y0", sample_times)
     n = cs.n
-    if y0.shape[0] != n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {n}")
-    ts = _check_samples(cs, sample_times if sample_times is not None
-                        else default_sample_times(cs))
-
     p_at, q_at, r_at, s_at = cs.P.eval, cs.Q.eval, cs.R.eval, cs.S.eval
 
     def f(t, y):
@@ -310,15 +314,14 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
         return dy.ravel()
 
     def guard(t, y):
-        return "norm_cap" if np.linalg.norm(y) > opts.blowup_norm else None
+        return "norm_cap" if np.linalg.norm(y) > _BLOWUP_NORM else None
 
     times, states, reason, t_last = _integrate_sampled(f, ts, y0.ravel(), opts,
                                                        after_step=guard)
-    values = np.array(states).reshape(len(states), n, n)
+    values = states.reshape(times.size, n, n)
     if reason is None:
-        return Trajectory(times=np.array(times), values=values,
-                          status="completed", method="direct")
-    return Trajectory(times=np.array(times), values=values, status="blow_up",
+        return Trajectory(times=times, values=values, status="completed", method="direct")
+    return Trajectory(times=times, values=values, status="blow_up",
                       method="direct", t_escape=t_last, blowup_trigger=reason)
 
 
@@ -330,24 +333,23 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     estimate of the reconstruction, (max(||Phi||, ||Psi||) + atol/rtol) /
     sigma_min(Phi), decides what happens:
 
-    * above the singular cutoff max(0.5/rtol, 2 * recondition_threshold)
-      (capped at 1e13) the sample is marked singular and skipped: the
-      reconstructed value would carry an error estimate of order one or
-      worse. The linear flow itself never blows up and simply continues;
-    * above ``opts.recondition_threshold`` (or when the raw magnitude
+    * above the singular cutoff max(0.5/rtol, 2e8) (capped at 1e13) the
+      sample is marked singular and skipped: the reconstructed value
+      would carry an error estimate of order one or worse. The linear
+      flow itself never blows up and simply continues;
+    * above the recondition threshold 1e8 (or when the raw magnitude
       exceeds it) the pair is reset to (I, Y(tau)) and the restart
       logged; the reset preserves the numerical ratio Psi Phi^{-1}
       exactly, so it never adds error to the continued flow;
     * otherwise Y is reconstructed and stored (with reconstruction error
       bounded by roughly cond_est * rtol relative to 1 + ||Y||).
+
+    The returned ``LinearFlow`` holds the driver's states at the sample
+    times, so at a restart it holds the reset pair.
     """
     opts = opts or IntegratorOptions()
-    y0 = as_matrix(y0, "Y0")
+    y0, ts = _prologue(cs, y0, "Y0", sample_times)
     n = cs.n
-    if y0.shape[0] != n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {n}")
-    ts = _check_samples(cs, sample_times if sample_times is not None
-                        else default_sample_times(cs))
     n2 = n * n
     eye_flat = np.eye(n, dtype=np.complex128).ravel()
 
@@ -360,55 +362,43 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         dpsi = s_at(t) @ phi - q_at(t) @ psi
         return np.concatenate([dphi.ravel(), dpsi.ravel()])
 
-    flow_times: list[float] = []
-    phis: list[np.ndarray] = []
-    psis: list[np.ndarray] = []
     restarts: list[float] = []
     traj_times: list[float] = []
     traj_vals: list[np.ndarray] = []
     singular: list[float] = []
     floor = opts.atol / opts.rtol
     singular_cutoff = min(_SINGULAR_COND_CEILING,
-                          max(0.5 / opts.rtol, 2.0 * opts.recondition_threshold))
+                          max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
-        phi = y[:n2].reshape(n, n).copy()
-        psi = y[n2:].reshape(n, n).copy()
+        phi = y[:n2].reshape(n, n)
+        psi = y[n2:].reshape(n, n)
         smin = float(np.linalg.svd(phi, compute_uv=False)[-1])
         mag = max(float(np.linalg.norm(phi)), float(np.linalg.norm(psi)))
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
-        first = not flow_times
         # the first sample is exact (Phi = I, Psi = Y0): never singular
-        if cond_est > singular_cutoff and not first:
+        if cond_est > singular_cutoff and traj_times:
             singular.append(float(t))
-            flow_times.append(float(t))
-            phis.append(phi)
-            psis.append(psi)
             return y
         ymat = np.linalg.solve(phi.T, psi.T).T
         traj_times.append(float(t))
         traj_vals.append(ymat)
-        if cond_est > opts.recondition_threshold or mag > opts.recondition_threshold:
-            phi = np.eye(n, dtype=np.complex128)
-            psi = ymat
+        if cond_est > _RECONDITION_THRESHOLD or mag > _RECONDITION_THRESHOLD:
             restarts.append(float(t))
-            y = np.concatenate([eye_flat.copy(), ymat.ravel()])
-        flow_times.append(float(t))
-        phis.append(phi)
-        psis.append(psi)
+            return np.concatenate([eye_flat, ymat.ravel()])
         return y
 
-    state0 = np.concatenate([eye_flat.copy(), y0.ravel()])
-    _, _, reason, t_last = _integrate_sampled(f, ts, state0, opts, at_sample=at_sample)
+    state0 = np.concatenate([eye_flat, y0.ravel()])
+    times, states, reason, t_last = _integrate_sampled(f, ts, state0, opts,
+                                                       at_sample=at_sample)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
             "the flow is linear and should not collapse at these scales")
 
-    flow = LinearFlow(times=np.array(flow_times),
-                      phi=np.array(phis).reshape(len(phis), n, n),
-                      psi=np.array(psis).reshape(len(psis), n, n),
-                      restarts=restarts)
+    m = times.size
+    flow = LinearFlow(times=times, phi=states[:, :n2].reshape(m, n, n),
+                      psi=states[:, n2:].reshape(m, n, n), restarts=restarts)
     values = (np.array(traj_vals).reshape(len(traj_vals), n, n)
               if traj_vals else np.empty((0, n, n), dtype=np.complex128))
     status = "phi_singular" if singular else "completed"
@@ -427,13 +417,8 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     hence never blows up on a finite span.
     """
     opts = opts or IntegratorOptions()
-    y0 = as_matrix(ytilde0, "Ytilde0")
+    y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
     n = cs.n
-    if y0.shape[0] != n:
-        raise DimensionError(f"Ytilde0 has dimension {y0.shape[0]}, expected {n}")
-    ts = _check_samples(cs, sample_times if sample_times is not None
-                        else default_sample_times(cs))
-
     r_at, s_at = cs.R.eval, cs.S.eval
 
     def f(t, y):
@@ -445,8 +430,7 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")
-    return Trajectory(times=np.array(times),
-                      values=np.array(states).reshape(len(states), n, n),
+    return Trajectory(times=times, values=states.reshape(times.size, n, n),
                       status="completed", method="lyapunov",
                       notes=["comparison coefficient A(t) := R(t) "
                              "(symmetric-pair hypothesis R = Q*)"])
@@ -511,7 +495,6 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
         current.append(i)
     if current:
         spans.append(current)
-    spans = [s for s in spans if len(s) >= 1]
     if not spans:
         raise IntegrationError("no singularity-free span available")
 

@@ -184,8 +184,8 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
             raise InstanceFormatError(
                 f"field '{field}': {len(times)} times but {len(values)} values")
         order = obj.get("order", 3)
-        if order not in (1, 3):
-            raise InstanceFormatError(f"field '{field}.order' must be 1 or 3")
+        if type(order) is not int or order not in (1, 3):
+            raise InstanceFormatError(f"field '{field}.order' must be the integer 1 or 3")
         times = [_finite_number(t, f"{field}.times[{k}]") for k, t in enumerate(times)]
         vals = [_obj_to_value(v, n, f"{field}.values[{k}]", scalar)
                 for k, v in enumerate(values)]

@@ -23,6 +23,7 @@ from riccati_cert.criteria import (
     sqrt_frame_source_term,
 )
 from riccati_cert.exceptions import NotPositiveDefiniteError
+from riccati_cert.instances import InstanceSpec, gen_comparison
 from riccati_cert.matrix_core import principal_sqrt
 
 
@@ -388,6 +389,17 @@ class TestComparisonHypotheses:
         cs = make_set(1, S=cf.constant([[-0.5]]))
         rep = check_comparison_hypotheses(cs, np.zeros((1, 1)), grid(cs))
         assert [r.name for r in rep.failed_conditions()] == ["source_psd"]
+
+    def test_initial_clause_follows_caller_tol(self):
+        # a 1e-6 Hermiticity defect in Y0 is within tol = 1e-3, as on the grid
+        cs, y0 = gen_comparison(InstanceSpec(n=2, seed=3, target="comparison"))
+        y0 = y0.astype(complex)
+        y0[0, 1] += 1e-6
+        init = check_comparison_hypotheses(cs, y0, grid(cs), tol=1e-3).conditions[-1]
+        assert init.name == "initial_psd"
+        assert init.passed
+        assert init.worst_value == pytest.approx(0.216, abs=1e-3)
+        assert not check_comparison_hypotheses(cs, y0, grid(cs)).conditions[-1].passed
 
 
 class TestDispatch:

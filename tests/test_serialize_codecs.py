@@ -402,6 +402,9 @@ class TestLoaderErrors:
         ('"times": [0.0, 1.0]', '"times": [false, true]', "'S.times[0]'"),
         ('"times": [0.0, 1.0]', '"times": [0.0, Infinity]', "'S.times[1]'"),
         ('"t0": 0.0, "t_end": 1.0', '"t0": -1e308, "t_end": 1e308', "'t_end' minus 't0'"),
+        ('"order": 1', '"order": true', "'S.order'"),
+        ('"order": 1', '"order": 1.0', "'S.order'"),
+        ('"order": 1', '"order": 3.0', "'S.order'"),
     ])
     def test_exit_two_with_named_field(self, capsys, tmp_path, old, new, field):
         text = json.dumps(base_instance())
@@ -439,6 +442,17 @@ class TestLoaderErrors:
         code, _, err = run(capsys, "check", str(path), "--grid", grid)
         assert code == 2
         assert "--grid" in err
+
+    @pytest.mark.parametrize("samples", ["1", "1000001", "1000000000", str(10**20)])
+    def test_samples_flag_out_of_range(self, capsys, tmp_path, samples):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(base_instance()))
+        out = tmp_path / "traj.csv"
+        code, _, err = run(capsys, "integrate", str(path), "--out", str(out),
+                           "--samples", samples)
+        assert code == 2
+        assert "--samples" in err
+        assert not out.exists()
 
 
 class TestVerifyRefuses:
