@@ -40,6 +40,7 @@ from .serialize import (
     dumps_instance,
     instance_to_obj,
     load_instance,
+    read_status_sidecar,
     read_trajectory_csv,
     trajectory_status_obj,
     write_status_sidecar,
@@ -166,7 +167,9 @@ def _cmd_verify(args) -> int:
     if times[-1] > t_end + 1e-12 * max(1.0, abs(t_end)):
         raise InstanceFormatError(f"trajectory CSV last row, column 't': time "
                                   f"{float(times[-1])!r} is after t_end = {t_end!r}")
-    traj = Trajectory(times=times, values=values, status="completed", method="file")
+    side = read_status_sidecar(args.trajectory)
+    traj = Trajectory(times=times, values=values, method="file",
+                      status=side["status"] if side else "completed")
     report = verify_hermitian_bound(traj, inst.lam, tol=args.tol)
     out = report.to_dict()
     warnings: list[str] = []
@@ -174,6 +177,12 @@ def _cmd_verify(args) -> int:
         out["max_residual"] = residual_check(traj, inst.cs)
     else:
         warnings.append("residual check skipped: fewer than 3 samples")
+    if side is not None:
+        out.update(side)
+        if side["status"] != "completed":
+            warnings.append(f"trajectory status is {side['status']} (t_escape "
+                            f"{side['t_escape']!r}, {len(side['singular_times'])} singular "
+                            "times): only the stored samples are verified")
     out["warnings"] = warnings
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -17,6 +17,16 @@ are hit exactly by clamping steps, so no dense interpolation error
 enters the stored samples. Everything is deterministic: the initial step
 comes from a standard starting-step heuristic and there are no
 randomized components.
+
+Each right-hand-side call evaluates the coefficients it needs through
+one ``coefficients.stacked_evaluator``: constants cost nothing,
+polynomials that share ``t_ref`` go through one Horner pass over their
+stacked coefficients, and only sampled data calls ``eval``. The values
+equal ``eval``'s bit for bit, and each stage sums its weighted slopes
+one at a time in the tableau's order, skipping the zero weights, so the
+trajectories do not depend on how the coefficients are stored. The
+driver counts its right-hand-side calls and steps in
+``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, stacked_evaluator
 from .exceptions import DimensionError, IntegrationError
 from .matrix_core import adjoint, as_matrix, block_slices
 
@@ -44,6 +54,11 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+#: The non-zero weights (j, a_ij) of each stage i = 1..6 with its node c_i,
+#: and the non-zero (j, err_j), each in the tableau's order.
+_STAGES = tuple((_C[i], tuple((j, a) for j, a in enumerate(_A[i]) if a != 0.0))
+                for i in range(1, 7))
+_ERR_WEIGHTS = tuple((j, e) for j, e in enumerate(_ERR) if e != 0.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -98,6 +113,10 @@ class Trajectory:
     ``step_collapse``), or ``phi_singular`` (the linear flow crossed
     numerically singular Phi at ``singular_times``; those samples carry no
     reconstructed value). All stored values are finite.
+
+    ``stats`` holds the driver's counters: ``nfev`` (right-hand-side
+    calls), ``steps_accepted`` and ``steps_rejected``; it is empty for a
+    trajectory read from a file.
     """
 
     times: np.ndarray
@@ -108,6 +127,7 @@ class Trajectory:
     blowup_trigger: str | None = None
     singular_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     notes: list[str] = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -134,7 +154,9 @@ def default_sample_times(cs: CoefficientSet, num: int = 201) -> np.ndarray:
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+    """Root mean square of a 1-D array, with the sum and the division of
+    ``np.mean``."""
+    return math.sqrt(np.add.reduce(np.abs(x) ** 2) / x.size)
 
 
 def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -164,31 +186,36 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
 
-    Returns (times, states, stop_reason, t_last) where the arrays
+    Returns (times, states, stop_reason, t_last, stats) where the arrays
     ``times``/``states`` hold the samples actually reached, each state as
-    it stands after ``at_sample``, and ``t_last`` is the last accepted
-    time.
+    it stands after ``at_sample``, ``t_last`` is the last accepted time
+    and ``stats`` counts the calls of ``f`` (``nfev``: every stage, the
+    starting-step probe and the re-evaluation after a replaced state) and
+    the accepted and rejected steps.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128).copy()
     f_curr = None  # f(t, y), evaluated once there is a step to take
+    nfev = accepted = rejected = 0
     times: list[float] = []
     states: list[np.ndarray] = []
 
     def record(t_sample: float) -> None:
         """Store a reached sample; a replaced state gets its f anew."""
-        nonlocal y, f_curr
+        nonlocal y, f_curr, nfev
         if at_sample is not None:
             y_new = at_sample(t_sample, y)
             if y_new is not y:
                 y = y_new
                 if f_curr is not None:
                     f_curr = f(t, y)
+                    nfev += 1
         times.append(t_sample)
         states.append(y.copy())
 
     def result(reason):
-        return np.array(times), np.array(states), reason, t
+        stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected}
+        return np.array(times), np.array(states), reason, t, stats
 
     record(t)
     reason = after_step(t, y) if after_step is not None else None
@@ -197,11 +224,11 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
 
     f_curr = f(t, y)
     h = _initial_step(f, t, y, f_curr, opts, float(sample_times[-1]) - t)
+    nfev += 2  # f_curr and the one probe in _initial_step
 
     facold = 1e-4
     rejected_last = False
     next_idx = 1
-    n_steps = 0
     k = [None] * 7
 
     while next_idx < sample_times.size:
@@ -213,34 +240,34 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
             next_idx += 1
             continue
 
-        n_steps += 1
-        if n_steps > _MAX_STEPS:
+        if accepted + rejected >= _MAX_STEPS:
             raise IntegrationError(f"step budget exceeded ({_MAX_STEPS} steps)")
 
         hit = h >= (t_target - t) - tiny
         h_eff = (t_target - t) if hit else h
 
         # stages (FSAL: k[0] is f at the current point, and the last stage
-        # point is the fifth-order solution)
+        # point is the fifth-order solution); each sum is accumulated in
+        # the tableau's order, one weighted stage at a time
         k[0] = f_curr
-        for i in range(1, 7):
+        for i, (c, weights) in enumerate(_STAGES, 1):
             yi = y.copy()
-            for j, a in enumerate(_A[i]):
-                if a != 0.0:
-                    yi += (h_eff * a) * k[j]
-            k[i] = f(t + _C[i] * h_eff, yi)
+            for j, a in weights:
+                yi += (h_eff * a) * k[j]
+            k[i] = f(t + c * h_eff, yi)
         y_new = yi
+        nfev += 6
 
         err_vec = np.zeros_like(y)
-        for j, e in enumerate(_ERR):
-            if e != 0.0:
-                err_vec += (h_eff * e) * k[j]
+        for j, e in _ERR_WEIGHTS:
+            err_vec += (h_eff * e) * k[j]
         sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms(err_vec / sc)
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             err = math.inf
 
         if err <= 1.0:
+            accepted += 1
             t = t_target if hit else t + h_eff
             y = y_new
             f_curr = k[6]  # FSAL
@@ -262,6 +289,7 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
                 if reason is not None:
                     return result(reason)
         else:
+            rejected += 1
             rejected_last = True
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA)) if math.isfinite(err) else _MIN_FACTOR
             h = h_eff * min(factor, 1.0)
@@ -306,23 +334,25 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
     n = cs.n
-    p_at, q_at, r_at, s_at = cs.P.eval, cs.Q.eval, cs.R.eval, cs.S.eval
+    pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
     def f(t, y):
         ymat = y.reshape(n, n)
-        dy = s_at(t) - ymat @ p_at(t) @ ymat - q_at(t) @ ymat - ymat @ r_at(t)
+        p, q, r, s = pqrs(t)
+        dy = s - ymat @ p @ ymat - q @ ymat - ymat @ r
         return dy.ravel()
 
     def guard(t, y):
         return "norm_cap" if np.linalg.norm(y) > _BLOWUP_NORM else None
 
-    times, states, reason, t_last = _integrate_sampled(f, ts, y0.ravel(), opts,
-                                                       after_step=guard)
+    times, states, reason, t_last, stats = _integrate_sampled(f, ts, y0.ravel(), opts,
+                                                              after_step=guard)
     values = states.reshape(times.size, n, n)
     if reason is None:
-        return Trajectory(times=times, values=values, status="completed", method="direct")
-    return Trajectory(times=times, values=values, status="blow_up",
-                      method="direct", t_escape=t_last, blowup_trigger=reason)
+        return Trajectory(times=times, values=values, status="completed", method="direct",
+                          stats=stats)
+    return Trajectory(times=times, values=values, status="blow_up", method="direct",
+                      t_escape=t_last, blowup_trigger=reason, stats=stats)
 
 
 def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
@@ -352,14 +382,14 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     n = cs.n
     n2 = n * n
     eye_flat = np.eye(n, dtype=np.complex128).ravel()
-
-    p_at, q_at, r_at, s_at = cs.P.eval, cs.Q.eval, cs.R.eval, cs.S.eval
+    pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
     def f(t, y):
         phi = y[:n2].reshape(n, n)
         psi = y[n2:].reshape(n, n)
-        dphi = r_at(t) @ phi + p_at(t) @ psi
-        dpsi = s_at(t) @ phi - q_at(t) @ psi
+        p, q, r, s = pqrs(t)
+        dphi = r @ phi + p @ psi
+        dpsi = s @ phi - q @ psi
         return np.concatenate([dphi.ravel(), dpsi.ravel()])
 
     restarts: list[float] = []
@@ -389,8 +419,8 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         return y
 
     state0 = np.concatenate([eye_flat, y0.ravel()])
-    times, states, reason, t_last = _integrate_sampled(f, ts, state0, opts,
-                                                       at_sample=at_sample)
+    times, states, reason, t_last, stats = _integrate_sampled(f, ts, state0, opts,
+                                                              at_sample=at_sample)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
@@ -403,7 +433,7 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
               if traj_vals else np.empty((0, n, n), dtype=np.complex128))
     status = "phi_singular" if singular else "completed"
     traj = Trajectory(times=np.array(traj_times), values=values, status=status,
-                      method="radon", singular_times=np.array(singular))
+                      method="radon", singular_times=np.array(singular), stats=stats)
     return flow, traj
 
 
@@ -419,19 +449,19 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
     n = cs.n
-    r_at, s_at = cs.R.eval, cs.S.eval
+    rs = stacked_evaluator((cs.R, cs.S))
 
     def f(t, y):
         ymat = y.reshape(n, n)
-        r = r_at(t)
-        return (s_at(t) - r.conj().T @ ymat - ymat @ r).ravel()
+        r, s = rs(t)
+        return (s - r.conj().T @ ymat - ymat @ r).ravel()
 
-    times, states, reason, t_last = _integrate_sampled(f, ts, y0.ravel(), opts)
+    times, states, reason, t_last, stats = _integrate_sampled(f, ts, y0.ravel(), opts)
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")
     return Trajectory(times=times, values=states.reshape(times.size, n, n),
-                      status="completed", method="lyapunov",
+                      status="completed", method="lyapunov", stats=stats,
                       notes=["comparison coefficient A(t) := R(t) "
                              "(symmetric-pair hypothesis R = Q*)"])
 

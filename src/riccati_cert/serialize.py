@@ -445,3 +445,45 @@ def write_status_sidecar(csv_path: str, traj: Trajectory, extra: dict | None = N
         json.dump(trajectory_status_obj(traj, extra), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return sidecar
+
+
+#: The termination statuses a trajectory can carry.
+STATUSES = ("completed", "blow_up", "phi_singular")
+
+
+def read_status_sidecar(csv_path: str) -> dict | None:
+    """``status``, ``t_escape`` and ``singular_times`` from the status
+    sidecar of ``csv_path``, or None when there is no sidecar.
+
+    Each of the three fields must be present: ``status`` one of
+    ``STATUSES``, ``t_escape`` a finite number or null, ``singular_times``
+    a list of finite numbers. Otherwise ``InstanceFormatError`` names the
+    field.
+    """
+    sidecar = status_sidecar_path(csv_path)
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read status sidecar: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InstanceFormatError(f"status sidecar {sidecar} is not valid JSON: {exc}") from exc
+    try:
+        if not isinstance(obj, dict):
+            raise InstanceFormatError("it must be a JSON object")
+        for key in ("status", "t_escape", "singular_times"):
+            if key not in obj:
+                raise InstanceFormatError(f"field '{key}' is missing")
+        status, t_escape, singular = obj["status"], obj["t_escape"], obj["singular_times"]
+        if not isinstance(status, str) or status not in STATUSES:
+            raise InstanceFormatError(f"field 'status' must be one of {', '.join(STATUSES)}")
+        if t_escape is not None:
+            t_escape = _finite_number(t_escape, "t_escape")
+        if not isinstance(singular, list):
+            raise InstanceFormatError("field 'singular_times' must be a list of finite numbers")
+        singular = [_finite_number(t, f"singular_times[{i}]") for i, t in enumerate(singular)]
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"status sidecar {sidecar}: {exc}") from None
+    return {"status": status, "t_escape": t_escape, "singular_times": singular}

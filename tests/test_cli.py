@@ -211,6 +211,69 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(inst), str(bad))
         assert code == 2
 
+    def test_blowup_chain_reports_sidecar_status(self, capsys, tmp_path):
+        inst, _ = gen_file(capsys, tmp_path, "blowup", n=2, seed=3)
+        out = tmp_path / "blow.csv"
+        code, stdout, _ = run(capsys, "integrate", str(inst), "--method", "direct",
+                              "--out", str(out))
+        assert code == 0
+        side = json.loads(stdout)
+        assert side["status"] == "blow_up"
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        report = json.loads(stdout)
+        assert report["status"] == "blow_up"
+        assert report["t_escape"] == side["t_escape"]
+        assert report["singular_times"] == []
+        assert report["samples"] == side["samples"]
+        assert any("blow_up" in w for w in report["warnings"])
+        assert "warning: trajectory status is blow_up" in err
+        # without the sidecar: the same verdict and exit code, no status
+        (tmp_path / "blow.status.json").unlink()
+        code_bare, stdout, err = run(capsys, "verify", str(inst), str(out))
+        bare = json.loads(stdout)
+        assert code_bare == code
+        assert "status" not in bare and "blow_up" not in err
+        assert {k: v for k, v in report.items()
+                if k not in ("status", "t_escape", "singular_times", "warnings")} == \
+            {k: v for k, v in bare.items() if k != "warnings"}
+
+    def test_completed_sidecar_adds_no_warning(self, capsys, tmp_path):
+        inst = write_tanh_instance(tmp_path)
+        out = tmp_path / "traj.csv"
+        run(capsys, "integrate", str(inst), "--method", "radon",
+            "--out", str(out), "--samples", "51")
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["status"] == "completed" and report["t_escape"] is None
+        assert report["warnings"] == [] and err == ""
+
+    @pytest.mark.parametrize("text, field", [
+        ("{", "not valid JSON"),
+        ("[]", "JSON object"),
+        ('{"t_escape": null, "singular_times": []}', "'status'"),
+        ('{"status": "done", "t_escape": null, "singular_times": []}', "'status'"),
+        ('{"status": 1, "t_escape": null, "singular_times": []}', "'status'"),
+        ('{"status": "blow_up", "singular_times": []}', "'t_escape'"),
+        ('{"status": "blow_up", "t_escape": "1.5", "singular_times": []}', "'t_escape'"),
+        ('{"status": "blow_up", "t_escape": NaN, "singular_times": []}', "'t_escape'"),
+        ('{"status": "blow_up", "t_escape": true, "singular_times": []}', "'t_escape'"),
+        ('{"status": "completed", "t_escape": null}', "'singular_times'"),
+        ('{"status": "phi_singular", "t_escape": null, "singular_times": 0.5}',
+         "'singular_times'"),
+        ('{"status": "phi_singular", "t_escape": null, "singular_times": [0.5, null]}',
+         "'singular_times[1]'"),
+    ])
+    def test_malformed_sidecar_exits_two(self, capsys, tmp_path, text, field):
+        inst = write_tanh_instance(tmp_path)
+        out = tmp_path / "traj.csv"
+        run(capsys, "integrate", str(inst), "--method", "direct",
+            "--out", str(out), "--samples", "11")
+        (tmp_path / "traj.status.json").write_text(text)
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and "status sidecar" in err and field in err
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -214,3 +214,74 @@ class TestDimensionCap:
         f = cf.constant(np.eye(1))
         with pytest.raises(DimensionError, match=f"1..{MAX_DIM}"):
             CoefficientSet(n=MAX_DIM + 1, t0=0.0, t_end=1.0, P=f, Q=f, R=f, S=f)
+
+
+def _evaluator_functions(n):
+    """Constant, sampled and polynomial functions of dimension n in a mixed
+    order: every degree 0..8 at two t_refs, and parts equal to -0.0 in the
+    coefficients and the constants."""
+    rng = np.random.default_rng(7 + n)
+
+    def m():
+        # about a third of the real and of the imaginary parts are -0.0;
+        # set part by part, since complex arithmetic would drop some signs
+        a = np.empty((n, n), dtype=np.complex128)
+        a.real = np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n)))
+        a.imag = np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n)))
+        return a
+
+    negative_zero = np.full((n, n), complex(-0.0, -0.0))
+    nodes = np.linspace(-3.0, 3.0, 9)
+    fs = [cf.constant(m()), cf.constant(negative_zero),
+          cf.sampled(nodes, [m() for _ in nodes], order=1),
+          cf.sampled(nodes, [m() for _ in nodes], order=3)]
+    fs += [cf.polynomial([m() for _ in range(d + 1)], t_ref=t_ref)
+           for d in range(cf.MAX_DEGREE + 1) for t_ref in (0.3, -1.25)]
+    fs += [cf.polynomial([m(), negative_zero], t_ref=0.3),
+           cf.polynomial([negative_zero] * 3, t_ref=-1.25)]
+    order = rng.permutation(len(fs))
+    return [fs[i] for i in order]
+
+
+class TestStackedEvaluator:
+    # t < both t_refs, each t_ref itself, between them, and beyond
+    TIMES = (-2.5, -1.25, -0.5, 0.0, 0.3, 1.0, 2.75)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_matches_eval_bit_for_bit(self, n):
+        fs = _evaluator_functions(n)
+        values = cf.stacked_evaluator(fs)
+        for t in self.TIMES:
+            got = values(t)
+            assert len(got) == len(fs)
+            for f, v in zip(fs, got):
+                want = f.eval(t)
+                assert v.shape == want.shape and v.dtype == want.dtype
+                assert v.tobytes() == want.tobytes(), (f.kind, getattr(f, "degree", None), t)
+
+    def test_constants_are_stored_read_only_values(self):
+        fs = _evaluator_functions(2)
+        got = cf.stacked_evaluator(fs)(0.7)
+        for f, v in zip(fs, got):
+            if f.kind == "constant":
+                assert v is f.value
+                assert not v.flags.writeable
+                with pytest.raises(ValueError):
+                    v[0, 0] = 1.0
+
+    def test_calls_do_not_share_polynomial_values(self):
+        f = cf.polynomial([np.eye(2), np.eye(2)])
+        values = cf.stacked_evaluator((f, f))
+        a, b = values(1.0)
+        a2, _ = values(2.0)
+        assert a.tobytes() == f.eval(1.0).tobytes() == b.tobytes()
+        assert a2.tobytes() == f.eval(2.0).tobytes()
+
+    def test_scalar_functions_go_through_eval(self):
+        fs = [ARRAY_EVAL_FUNCTIONS[k] for k in ("constant_scalar", "polynomial_scalar",
+                                                 "sampled3_scalar", "polynomial")]
+        values = cf.stacked_evaluator(fs)
+        for t in (0.0, 0.25, 1.0):
+            for f, v in zip(fs, values(t)):
+                assert type(v) is type(f.eval(t))
+                assert np.asarray(v).tobytes() == np.asarray(f.eval(t)).tobytes()

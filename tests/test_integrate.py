@@ -191,6 +191,49 @@ class TestLinearFlow:
                     assert diff <= 1e-6 * (1 + np.linalg.norm(direct.values[k]))
 
 
+def _sampled_constant(value, t_end):
+    return cf.sampled([0.0, t_end], [[[value]], [[value]]], order=1)
+
+
+class TestStats:
+    """``Trajectory.stats`` counts the driver's right-hand-side calls and
+    steps; a sampled R goes through ``R.eval`` once per call."""
+
+    CASES = {
+        # y' = -1 - y^2 escapes at pi/2 (norm cap), with rejected steps
+        "direct_blowup": (integrate_riccati_direct, 3.0, dict(p=1.0, s=-1.0), 0.0, 5),
+        # phi = e^{4t}: resets, each followed by a call at the reset state
+        "radon_restarts": (integrate_linear_system, 6.0, {}, 4.0, 61),
+        # y' = -8 y, with a rejected step
+        "lyapunov": (integrate_lyapunov_comparison, 6.0, {}, 4.0, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nfev_counts_sampled_R_evals(self, case, monkeypatch):
+        integrator, t_end, data, r, samples = self.CASES[case]
+        cs = scalar_set(t_end, **data)
+        cs = CoefficientSet(n=1, t0=0.0, t_end=t_end, P=cs.P, Q=cs.Q,
+                            R=_sampled_constant(r, t_end), S=cs.S)
+        calls = []
+        r_eval = cs.R.eval
+        monkeypatch.setattr(cs.R, "eval", lambda t: calls.append(t) or r_eval(t))
+        result = integrator(cs, np.array([[1.0]]), IntegratorOptions(rtol=1e-7),
+                            default_sample_times(cs, samples))
+        flow, traj = result if isinstance(result, tuple) else (None, result)
+        stats = traj.stats
+        assert stats["nfev"] == len(calls) > 0
+        steps = stats["steps_accepted"] + stats["steps_rejected"]
+        resets = len(flow.restarts) if flow is not None else 0
+        # f at t0, the starting-step probe, six stages per step and one
+        # call after each reset
+        assert stats["nfev"] == 2 + 6 * steps + resets
+        if flow is not None:
+            assert resets >= 1
+        else:
+            assert stats["steps_rejected"] >= 1
+            assert traj.status == ("blow_up" if case == "direct_blowup" else "completed")
+
+
 class TestLyapunovComparison:
     def test_constant_source(self):
         cs = CoefficientSet(n=2, t0=0.0, t_end=3.0,
