@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -177,12 +178,22 @@ def _cmd_verify(args) -> int:
         out["max_residual"] = residual_check(traj, inst.cs)
     else:
         warnings.append("residual check skipped: fewer than 3 samples")
+    for key in ("min_lambda", "max_residual"):
+        if key in out and not math.isfinite(out[key]):
+            warnings.append(f"{key} is {out[key]!r}: the trajectory holds entries too large "
+                            "for the monitor, written as null")
+            out[key] = None
     if side is not None:
-        out.update(side)
+        out.update((key, side[key]) for key in ("status", "t_escape", "singular_times"))
         if side["status"] != "completed":
             warnings.append(f"trajectory status is {side['status']} (t_escape "
                             f"{side['t_escape']!r}, {len(side['singular_times'])} singular "
                             "times): only the stored samples are verified")
+        # a CSV cut short or from another run: warned, the exit code follows the bound
+        found = {"samples": int(times.size), "t_last": float(times[-1])}
+        warnings += [f"status sidecar records {key} = {side[key]!r} but the trajectory "
+                     f"CSV has {found[key]!r}: it may be truncated or from another run"
+                     for key in found if key in side and side[key] != found[key]]
     out["warnings"] = warnings
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

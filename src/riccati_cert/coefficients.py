@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import MAX_DIM, as_matrix, frobenius, hermiticity_defect
+from .matrix_core import MAX_DIM, _defect_measure, adjoint, as_matrix
 
 #: Highest supported polynomial degree.
 MAX_DEGREE = 8
@@ -359,10 +359,11 @@ class CoefficientSet:
             raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
         for name in ("P", "Q", "R", "S"):
             _require_matrix_function(getattr(self, name), self.n, name)
-        for t in (self.t0, 0.5 * (self.t0 + self.t_end), self.t_end):
-            p = self.P.eval(t)
-            if hermiticity_defect(p) > 1e-8 * (1.0 + frobenius(p)):
-                raise NotHermitianError(f"P({t}) is not Hermitian")
+        ts = np.array([self.t0, 0.5 * (self.t0 + self.t_end), self.t_end])
+        p = self.P.eval(ts)
+        hermitian = _defect_measure(p - adjoint(p), p, 1e-8)[2]
+        if not hermitian.all():
+            raise NotHermitianError(f"P({ts[np.argmin(hermitian)]}) is not Hermitian")
 
     @property
     def span(self) -> float:

@@ -21,9 +21,9 @@ uses:
 All conditions are verified pointwise on a finite uniform grid; every
 report carries a note stating this declared approximation. Each condition
 matrix has one builder from an array of times to the stacked matrices;
-the public pointwise helpers call it at a scalar time. One scanner runs
-the builders over the grid in blocks of at most 2**14 matrix entries
-(``matrix_core.BLOCK_ENTRIES``) and picks the witnesses once at the end.
+the public pointwise helpers call it at a scalar time. ``matrix_core._scan``
+runs the builders over the grid and its measures judge them (the PSD band,
+the Hermiticity-defect rule); this module picks the witnesses at the end.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source, 
 from .exceptions import DimensionError, NotPositiveDefiniteError
 from .matrix_core import (
     DEFAULT_TOL,
+    _defect_measure,
     _eigh,
-    _hermitian_eigvals,
+    _psd_measure,
+    _scan,
     _sqrt_of_eigh,
     adjoint,
     as_matrix,
-    block_slices,
     principal_sqrt,
     sqrt_derivative,
 )
@@ -156,41 +157,8 @@ def _imaginary_shift_note(values: np.ndarray, tol: float, name: str) -> list[str
 
 
 # ---------------------------------------------------------------------------
-# The blocked grid scanner
+# Witness records
 # ---------------------------------------------------------------------------
-
-def _fro(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a stack."""
-    return np.linalg.norm(m, axis=(-2, -1))
-
-
-def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
-    """Per-point (least eigenvalue of the Hermitian part, verdict, Hermiticity
-    defect) of a stack. The band tol + tol ||H||_2 takes ||H||_2 from the same
-    eigenvalues; the defect must stay within tol (1 + ||H||_F). ``strict``
-    asks for the least eigenvalue above the band (positive definiteness)."""
-    eigs = _hermitian_eigvals(h, "criteria")
-    lo = eigs[:, 0]
-    band = tol + tol * np.maximum(np.abs(lo), np.abs(eigs[:, -1]))
-    defect = _fro(h - adjoint(h))
-    ok = (defect <= tol * (1.0 + _fro(h))) & ((lo > band) if strict else (lo >= -band))
-    return lo, ok, defect
-
-
-def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
-    """Per-point (||resid||_F, its ratio to 1 + ||ref||_F, verdict ratio <= tol);
-    with resid = M + M* and ref = M it measures skew-Hermiticity."""
-    norm = _fro(resid)
-    scale = 1.0 + _fro(ref)
-    return norm, norm / scale, norm <= tol * scale
-
-
-def _scan(grid: GridSpec, n: int, block) -> list[np.ndarray]:
-    """Run ``block(ts)`` over the grid in blocks of at most BLOCK_ENTRIES
-    matrix entries and join the per-point arrays it returns."""
-    parts = [block(grid.points[s]) for s in block_slices(grid.num_points, n)]
-    return [np.concatenate(col) for col in zip(*parts)]
-
 
 def _least(name: str, ts: np.ndarray, lo: np.ndarray, ok: np.ndarray,
            defect: np.ndarray | None = None) -> ConditionRecord:
@@ -217,7 +185,7 @@ def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
 
 def _psd_condition(grid: GridSpec, n: int, stack_at, tol: float, name: str) -> ConditionRecord:
     """PSD check of the stacks ``stack_at(ts)`` over the grid."""
-    lo, ok, defect = _scan(grid, n, lambda ts: _psd_measure(stack_at(ts), tol))
+    lo, ok, defect = _scan(grid.points, n, lambda ts: _psd_measure(stack_at(ts), tol))
     return _least(name, grid.points, lo, ok, defect)
 
 
@@ -269,7 +237,7 @@ def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | 
         mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
         return (mu_hat, *_defect_measure(m - mu_hat[:, None, None] * eye, m, tol))
 
-    mu_hat, resid, ratio, ok = _scan(grid, cs.n, block)
+    mu_hat, resid, ratio, ok = _scan(grid.points, cs.n, block)
     rec = _largest("scalar_shift", "residual", grid.points, ratio, resid, ok)
     return rec, cf.sampled(grid.points, mu_hat, order=1, scalar=True)
 
@@ -336,7 +304,7 @@ def _frame_conditions(cs: CoefficientSet, grid: GridSpec, tol: float, frame,
             c_lo[pd], c_ok[pd], _ = _psd_measure(c, tol)
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok
 
-    lo, pd, defect, skew, skew_ok, c_lo, c_ok = _scan(grid, cs.n, block)
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok = _scan(grid.points, cs.n, block)
     ts = grid.points
     return [_least("coefficient_pd", ts, lo, pd, defect),
             _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
@@ -386,7 +354,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
         lam0, lam0dot = _skew_gauge(cs, mu, ts, p)
         return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
 
-    vals, derivs, defect, _, ok = _scan(grid, cs.n, block)
+    vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block)
     lam0_fn = cf.sampled(grid.points, vals, order=3, node_derivatives=derivs)
     return lam0_fn, _largest("gauge_skew", "skew_defect", grid.points, defect, defect, ok)
 
@@ -490,33 +458,28 @@ def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL
 
 
 def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
-                           t: float, tol: float = DEFAULT_TOL,
-                           fd_step: float = 1e-4) -> np.ndarray:
+                           t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Source term D(t) of the frame-shifted quadratic equation:
 
         D = T' + T^2 + F T + T L - sqrt(P) S sqrt(P).
 
-    T' is exact (zero) for constant data and otherwise approximated by a
-    divided difference with step ``fd_step`` (one-sided at the domain
-    ends). For skew T the identity
+    T' is exact: with A = Q* - R, sp = sqrt(P) and sp' from ``sqrt_derivative``,
+    T' = (-sp^{-1} sp' sp^{-1} A sp + sp^{-1} A' sp + sp^{-1} A sp' + nu' I) / 2.
+    For skew T the identity
     D + D* = -2 T^2 + (nu - conj(nu)) T - sqrt(P)(S + S*)sqrt(P) holds,
     which ties this term to the condition matrix of the checker above.
     """
     nu = nu or cf.zero_scalar_function()
     t = float(t)
-    t_term = sqrt_frame_skew_term(cs, nu, t, tol)
-    all_constant = all(g.kind == "constant" for g in (cs.P, cs.Q, cs.R, nu))
-    if all_constant:
-        tdot = np.zeros((cs.n, cs.n), dtype=np.complex128)
-    else:
-        ta = max(cs.t0, t - fd_step)
-        tb = min(cs.t_end, t + fd_step)
-        if tb <= ta:
-            raise ValueError("fd_step too large for the domain")
-        tdot = (sqrt_frame_skew_term(cs, nu, tb, tol)
-                - sqrt_frame_skew_term(cs, nu, ta, tol)) / (tb - ta)
+    p = cs.P.eval(t)
+    sp = principal_sqrt(p, tol)
+    spdot = sqrt_derivative(p, cs.P.derivative(t), tol)
+    a = adjoint(cs.Q.eval(t)) - cs.R.eval(t)
+    adot = adjoint(cs.Q.derivative(t)) - cs.R.derivative(t)
+    t_term = _sqrt_frame(cs, nu, t, sp)[0]
+    tdot = (np.linalg.solve(sp, adot @ sp + a @ spdot - spdot @ np.linalg.solve(sp, a) @ sp)
+            + nu.derivative(t) * np.eye(cs.n)) / 2.0
     f, l = sqrt_frame_factors(cs, t, tol)
-    sp = principal_sqrt(cs.P.eval(t), tol)
     return tdot + t_term @ t_term + f @ t_term + t_term @ l - sp @ cs.S.eval(t) @ sp
 
 
@@ -536,7 +499,7 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
         r = cs.R.eval(ts)
         return _defect_measure(r - adjoint(cs.Q.eval(ts)), r, tol)
 
-    resid, ratio, ok = _scan(grid, cs.n, block)
+    resid, ratio, ok = _scan(grid.points, cs.n, block)
     cond_sym = _largest("symmetric_pair", "residual", grid.points, ratio, resid, ok)
     cond_init = _initial_record("initial_psd", y0, cs.t0, tol)
     return _report("theorem1.1", [cond_p, cond_s, cond_sym, cond_init],

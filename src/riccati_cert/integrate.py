@@ -38,7 +38,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, stacked_evaluator
 from .exceptions import DimensionError, IntegrationError
-from .matrix_core import adjoint, as_matrix, block_slices
+from .matrix_core import _scan, adjoint, as_matrix
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order
 # solution, which is propagated; the _ERR row (fifth- minus fourth-order
@@ -528,6 +528,12 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     if not spans:
         raise IntegrationError("no singularity-free span available")
 
+    def integrands(ts, y):
+        """tr(R + P Y) and tr(R + R* + P (Y + Y*)) at every sample of a span."""
+        r, p = cs.R.eval(ts), cs.P.eval(ts)
+        return (np.trace(r + p @ y, axis1=-2, axis2=-1),
+                np.trace(r + adjoint(r) + p @ (y + adjoint(y)), axis1=-2, axis2=-1).real)
+
     max_det = 0.0
     max_mod = 0.0
     checked: list[tuple[float, float]] = []
@@ -546,13 +552,7 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
         dets = np.linalg.det(phis)
         ys = traj.values[[traj_index[float(t)] for t in ts]]
 
-        integrand = np.empty(ts.size, dtype=np.complex128)
-        integrand2 = np.empty(ts.size)
-        for s in block_slices(ts.size, cs.n):
-            r, p, y = cs.R.eval(ts[s]), cs.P.eval(ts[s]), ys[s]
-            integrand[s] = np.trace(r + p @ y, axis1=-2, axis2=-1)
-            integrand2[s] = np.trace(r + adjoint(r) + p @ (y + adjoint(y)),
-                                     axis1=-2, axis2=-1).real
+        integrand, integrand2 = _scan(ts, cs.n, integrands, ys)
 
         cum = _cumulative_simpson(integrand, dx)
         rhs = dets[0] * np.exp(cum)

@@ -1,10 +1,12 @@
-"""Dense complex matrix primitives.
+"""Dense complex matrix primitives and the numerical policy of the package.
 
-Hermitian/positive-semidefinite predicates with an explicit tolerance
-policy, trace identities, and the principal matrix square root together
-with its time derivative. Grid scans work on stacks of matrices, cut
-into blocks of at most ``BLOCK_ENTRIES`` entries by ``block_slices``.
-All functions are pure; inputs are never mutated.
+This module alone knows the PSD band (a Hermitian H is >= 0 when its least
+eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above the band),
+the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)) and the
+block size of stacked scans. Every criterion, monitor and predicate of the
+package applies them through ``_psd_measure``, ``_defect_measure`` and
+``_scan``. Also: trace identities and the principal matrix square root with
+its time derivative. All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise DimensionError(f"{what}: dimension mismatch {a.shape} vs {b.shape}")
 
 
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
-
-
 def hermitian_part(m) -> np.ndarray:
     """Return (M + M*)/2.
 
@@ -73,12 +70,6 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermiticity_defect(m) -> float:
-    """Frobenius norm of M - M*, zero iff M is exactly Hermitian."""
-    m = as_matrix(m, "M")
-    return float(np.linalg.norm(m - m.conj().T))
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix in a stack."""
     return m.swapaxes(-1, -2).conj()
@@ -86,9 +77,10 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def block_slices(count: int, n: int) -> list[slice]:
     """Consecutive slices over ``count`` stacked n x n matrices, each block
-    holding at most ``BLOCK_ENTRIES`` entries (and at least one matrix)."""
+    holding at most ``BLOCK_ENTRIES`` entries and at least one matrix; an
+    empty stack gets one empty block."""
     step = max(1, BLOCK_ENTRIES // (n * n))
-    return [slice(k, k + step) for k in range(0, count, step)]
+    return [slice(k, k + step) for k in range(0, max(count, 1), step)]
 
 
 def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
@@ -103,11 +95,63 @@ def _hermitian_eigvals(h: np.ndarray, context: str) -> np.ndarray:
     return _eigvalsh((h + adjoint(h)) / 2, context)
 
 
+def _least_eigvals(h: np.ndarray, context: str) -> np.ndarray:
+    """Least eigenvalue of each Hermitian part of a stack; NaN where it is not finite."""
+    herm = (h + adjoint(h)) / 2
+    finite = np.isfinite(herm).all(axis=(-2, -1))
+    lo = np.full(herm.shape[0], np.nan)
+    lo[finite] = _eigvalsh(herm[finite], context)[:, 0]
+    return lo
+
+
 def _eigh(h: np.ndarray, context: str):
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"{context}: eigenvalue solver failed: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# The PSD band, the Hermiticity-defect rule and the blocked scan
+# ---------------------------------------------------------------------------
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of every matrix in a stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+def _band(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """The PSD band tol + tol ||H||_2, ||H||_2 read off ascending eigenvalues."""
+    return tol + tol * np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+
+
+def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
+    """Per-point (||resid||_F, its ratio to 1 + ||ref||_F, verdict ratio <= tol).
+
+    With resid = M - M* and ref = M this is the Hermiticity-defect rule;
+    with resid = M + M* it measures skew-Hermiticity.
+    """
+    norm = _fro(resid)
+    scale = 1.0 + _fro(ref)
+    return norm, norm / scale, norm <= tol * scale
+
+
+def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
+    """Per-point (least eigenvalue of the Hermitian part, verdict, Hermiticity
+    defect) of a stack. The verdict asks for the Hermiticity-defect rule and
+    for the least eigenvalue at or above -band; ``strict`` asks for it above
+    +band instead (positive definiteness)."""
+    eigs = _hermitian_eigvals(h, "criteria")
+    lo, band = eigs[:, 0], _band(eigs, tol)
+    defect, _, hermitian = _defect_measure(h - adjoint(h), h, tol)
+    return lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect
+
+
+def _scan(ts: np.ndarray, n: int, block, *stacks) -> list[np.ndarray]:
+    """Run ``block(ts[s], *(a[s] for a in stacks))`` over blocks of at most
+    BLOCK_ENTRIES matrix entries and join the per-point arrays it returns."""
+    parts = [block(ts[s], *(a[s] for a in stacks)) for s in block_slices(ts.size, n)]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -124,50 +168,23 @@ class PsdVerdict:
     hermiticity_defect: float
 
 
-def psd_band(h: np.ndarray, tol_abs: float = DEFAULT_TOL, tol_rel: float = DEFAULT_TOL) -> float:
-    """Width of the negative eigenvalue band treated as zero.
-
-    A Hermitian matrix counts as >= 0 when its least eigenvalue is at
-    least -(tol_abs + tol_rel * ||H||_2). Exact inequalities need a band
-    in floating point.
-    """
-    h = np.asarray(h)
-    # ||H||_2 of the Hermitian part; cheap at the supported dimensions.
-    norm2 = float(np.linalg.norm(hermitian_part(h), 2)) if h.size else 0.0
-    return tol_abs + tol_rel * norm2
-
-
 def check_psd(h, tol_psd: float | None = None, tol_herm: float | None = None) -> PsdVerdict:
     """Test whether a matrix is positive semidefinite.
 
-    The matrix is symmetrized first so roundoff asymmetry cannot flip the
-    verdict; the asymmetry itself is reported as ``hermiticity_defect``
-    and compared against ``tol_herm``.
-
-    Parameters
-    ----------
-    h : array_like
-        Square complex matrix.
-    tol_psd : float, optional
-        Band below zero accepted for the least eigenvalue. Defaults to
-        ``psd_band(h)``.
-    tol_herm : float, optional
-        Largest accepted Hermiticity defect. Defaults to
-        ``DEFAULT_TOL * (1 + ||H||_F)``.
+    Left to their defaults, the tolerances give the verdict of ``_psd_measure``
+    at ``DEFAULT_TOL``, as on a criterion grid. ``tol_psd`` replaces the PSD
+    band below zero accepted for the least eigenvalue of the Hermitian part;
+    ``tol_herm`` replaces the defect rule by a bound on ``hermiticity_defect``.
     """
-    h = as_matrix(h, "H")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if tol_herm is None:
-        tol_herm = DEFAULT_TOL * (1.0 + frobenius(h))
+    h = as_matrix(h, "H")[None]
+    eigs = _hermitian_eigvals(h, "check_psd")[0]
+    defect, _, hermitian = (x[0] for x in _defect_measure(h - adjoint(h), h, DEFAULT_TOL))
+    if tol_herm is not None:
+        hermitian = defect <= tol_herm
     if tol_psd is None:
-        tol_psd = psd_band(h)
-    eigs = _eigvalsh(hermitian_part(h), "check_psd")
-    min_eig = float(eigs[0])
-    return PsdVerdict(
-        is_psd=(defect <= tol_herm) and (min_eig >= -tol_psd),
-        min_eigenvalue=min_eig,
-        hermiticity_defect=defect,
-    )
+        tol_psd = _band(eigs, DEFAULT_TOL)
+    return PsdVerdict(is_psd=bool(hermitian and eigs[0] >= -tol_psd),
+                      min_eigenvalue=float(eigs[0]), hermiticity_defect=float(defect))
 
 
 def trace_product(a, b) -> complex:
@@ -180,18 +197,14 @@ def trace_product(a, b) -> complex:
 
 def _require_hpd(p: np.ndarray, tol: float, context: str):
     """Validate Hermitian positive definiteness; return (eigvals, eigvecs)."""
-    defect = float(np.linalg.norm(p - p.conj().T))
-    if defect > tol * (1.0 + frobenius(p)):
-        raise NotHermitianError(
-            f"{context}: matrix is not Hermitian (defect {defect:.3e})"
-        )
+    defect, _, hermitian = _defect_measure(p - adjoint(p), p, tol)
+    if not hermitian:
+        raise NotHermitianError(f"{context}: matrix is not Hermitian (defect {defect:.3e})")
     w, v = _eigh(hermitian_part(p), context)
     min_eig = float(w[0])
-    if min_eig <= tol * (1.0 + float(w[-1])):
-        raise NotPositiveDefiniteError(
-            f"{context}: matrix is not positive definite (min eigenvalue {min_eig:.6e})",
-            min_eigenvalue=min_eig,
-        )
+    if not min_eig > _band(w, tol):
+        raise NotPositiveDefiniteError(f"{context}: matrix is not positive definite "
+                                       f"(min eigenvalue {min_eig:.6e})", min_eigenvalue=min_eig)
     return w, v
 
 
@@ -223,7 +236,7 @@ def sqrt_derivative(p, pdot, tol: float = DEFAULT_TOL) -> np.ndarray:
     p = as_matrix(p, "P")
     pdot = as_matrix(pdot, "Pdot")
     _require_same_dim(p, pdot, "sqrt_derivative")
-    if hermiticity_defect(pdot) > tol * (1.0 + frobenius(pdot)):
+    if not _defect_measure(pdot - adjoint(pdot), pdot, tol)[2]:
         raise NotHermitianError("sqrt_derivative: Pdot is not Hermitian")
     w, v = _require_hpd(p, tol, "sqrt_derivative")
     s = np.sqrt(w)

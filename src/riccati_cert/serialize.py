@@ -325,18 +325,16 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
 
     ``lambda_min_gap`` is the least eigenvalue of Y + Y* - L - L*;
     ``residual`` is the central-difference equation residual (empty when
-    fewer than 3 samples are available); ``det_phi_abs`` is only present
-    when a linear flow is supplied. Rows are written one at a time.
+    fewer than 3 samples are available); either is empty where it is NaN.
+    ``det_phi_abs`` is only present when a linear flow is supplied. Rows
+    are written one at a time.
     """
     from .verify import eigen_monitor, residual_series
 
     m = traj.times.size
-    gaps = eigen_monitor(traj, lam).tolist()
-    if m >= 3:
-        resid = ["" if math.isnan(r) else repr(r) for r in residual_series(traj, cs).tolist()]
-    else:
-        resid = [""] * m
-    tails = [[repr(g), r] for g, r in zip(gaps, resid)]
+    gaps = _csv_floats(eigen_monitor(traj, lam))
+    resid = _csv_floats(residual_series(traj, cs)) if m >= 3 else [""] * m
+    tails = [[g, r] for g, r in zip(gaps, resid)]
     if flow is not None:
         det_by_time = dict(zip(flow.times.tolist(),
                                (abs(complex(d)) for d in np.linalg.det(flow.phi))))
@@ -349,6 +347,11 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
         fh.write(",".join(trajectory_csv_header(traj.n, with_det=flow is not None)) + "\r\n")
         for t, y, tail in zip(traj.times.tolist(), ys, tails):
             fh.write(",".join([repr(t), *map(repr, y.tolist()), *tail]) + "\r\n")
+
+
+def _csv_floats(series: np.ndarray) -> list[str]:
+    """Monitor column cells: repr of each value, empty for NaN."""
+    return ["" if math.isnan(x) else repr(x) for x in series.tolist()]
 
 
 def read_trajectory_csv(path: str, n: int):
@@ -452,13 +455,15 @@ STATUSES = ("completed", "blow_up", "phi_singular")
 
 
 def read_status_sidecar(csv_path: str) -> dict | None:
-    """``status``, ``t_escape`` and ``singular_times`` from the status
-    sidecar of ``csv_path``, or None when there is no sidecar.
+    """``status``, ``t_escape``, ``singular_times`` and, when recorded,
+    ``samples`` and ``t_last`` from the status sidecar of ``csv_path``, or
+    None when there is no sidecar.
 
-    Each of the three fields must be present: ``status`` one of
-    ``STATUSES``, ``t_escape`` a finite number or null, ``singular_times``
-    a list of finite numbers. Otherwise ``InstanceFormatError`` names the
-    field.
+    The first three fields must be present: ``status`` one of ``STATUSES``,
+    ``t_escape`` a finite number or null, ``singular_times`` a list of
+    finite numbers; ``samples`` must be a non-negative integer and
+    ``t_last`` a finite number or null. Otherwise ``InstanceFormatError``
+    names the field.
     """
     sidecar = status_sidecar_path(csv_path)
     try:
@@ -484,6 +489,14 @@ def read_status_sidecar(csv_path: str) -> dict | None:
         if not isinstance(singular, list):
             raise InstanceFormatError("field 'singular_times' must be a list of finite numbers")
         singular = [_finite_number(t, f"singular_times[{i}]") for i, t in enumerate(singular)]
+        out = {"status": status, "t_escape": t_escape, "singular_times": singular}
+        if "samples" in obj:
+            out["samples"] = obj["samples"]
+            if type(out["samples"]) is not int or out["samples"] < 0:  # bool is refused
+                raise InstanceFormatError("field 'samples' must be a non-negative integer")
+        if "t_last" in obj:
+            t_last = obj["t_last"]
+            out["t_last"] = None if t_last is None else _finite_number(t_last, "t_last")
     except InstanceFormatError as exc:
         raise InstanceFormatError(f"status sidecar {sidecar}: {exc}") from None
-    return {"status": status, "t_escape": t_escape, "singular_times": singular}
+    return out

@@ -5,6 +5,9 @@ lower bound Y + Y* >= L + L*, the two-sided comparison 0 <= Y <= Ytilde,
 and the equation residual. The residual uses central differences of the
 stored samples rather than the integrator's internal derivative, so the
 check is independent of the integration code path.
+
+Every series is one ``matrix_core._scan`` over the samples. A monitor is
+NaN, and fails its bound, at a sample whose matrix overflows.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .exceptions import DimensionError
-from .matrix_core import _hermitian_eigvals, adjoint, block_slices
+from .matrix_core import _fro, _least_eigvals, _scan, adjoint
 from .integrate import Trajectory
 
 
@@ -49,17 +52,15 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     guarantees; the series is exported as the ``lambda_min_gap`` CSV
     column.
     """
-    n = traj.n
-    lam = lam or cf.zero_matrix_function(n)
-    if lam.dim != n:
-        raise DimensionError(f"lambda has dimension {lam.dim}, expected {n}")
-    out = np.empty(traj.times.size)
-    for s in block_slices(traj.times.size, n):
-        y = traj.values[s]
-        lam_t = lam.eval(traj.times[s])
-        g = y + adjoint(y) - lam_t - adjoint(lam_t)
-        out[s] = _hermitian_eigvals(g, "eigen_monitor")[:, 0]
-    return out
+    lam = lam or cf.zero_matrix_function(traj.n)
+    if lam.dim != traj.n:
+        raise DimensionError(f"lambda has dimension {lam.dim}, expected {traj.n}")
+
+    def block(ts, y):
+        lam_t = lam.eval(ts)
+        return (_least_eigvals(y + adjoint(y) - lam_t - adjoint(lam_t), "eigen_monitor"),)
+
+    return _scan(traj.times, traj.n, block, traj.values)[0]
 
 
 def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = None,
@@ -73,15 +74,14 @@ def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = N
     series = eigen_monitor(traj, lam)
     if series.size == 0:
         raise ValueError("trajectory has no samples")
-    k = int(np.argmin(series))
-    min_value = float(series[k])
-    return BoundReport(passed=min_value >= -tol, min_value=min_value,
-                       t_min=float(traj.times[k]), tol=tol,
-                       times=traj.times, series=series)
+    min_value, t_min = _least(series, traj.times)
+    return BoundReport(passed=min_value >= -tol, min_value=min_value, t_min=t_min,
+                       tol=tol, times=traj.times, series=series)
 
 
 def _least(series: np.ndarray, times: np.ndarray) -> tuple[float, float]:
-    """(least value, its earliest time), or (inf, nan) for an empty series."""
+    """(least value, its earliest time), or (inf, nan) for an empty series; a NaN
+    value counts as least, so a monitor that broke down is the witness."""
     k = int(np.argmin(series)) if series.size else None
     return (np.inf, np.nan) if k is None else (float(series[k]), float(times[k]))
 
@@ -106,11 +106,10 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise ValueError("trajectories are sampled on different grids")
     if traj.values.shape != traj_tilde.values.shape:
         raise DimensionError("trajectory dimensions differ")
-    lo, hi = np.empty((2, traj.times.size))
-    for s in block_slices(traj.times.size, traj.n):
-        y = traj.values[s]
-        lo[s] = _hermitian_eigvals(y, "verify_sandwich")[:, 0]
-        hi[s] = _hermitian_eigvals(traj_tilde.values[s] - y, "verify_sandwich")[:, 0]
+    lo, hi = _scan(traj.times, traj.n,
+                   lambda ts, y, y_tilde: (_least_eigvals(y, "verify_sandwich"),
+                                           _least_eigvals(y_tilde - y, "verify_sandwich")),
+                   traj.values, traj_tilde.values)
     lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],
@@ -129,14 +128,12 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     if traj.times.size < 3:
         raise ValueError("residual check needs at least 3 samples")
     deriv = np.gradient(traj.values, traj.times, axis=0, edge_order=2)
-    out = np.empty(traj.times.size)
-    for s in block_slices(traj.times.size, traj.n):
-        ts, y = traj.times[s], traj.values[s]
-        resid = deriv[s] + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y \
-            + y @ cs.R.eval(ts) - cs.S.eval(ts)
-        out[s] = np.linalg.norm(resid, axis=(-2, -1)) \
-            / (1.0 + np.linalg.norm(y, axis=(-2, -1)) ** 2)
-    return out
+
+    def block(ts, y, dy):
+        resid = dy + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y + y @ cs.R.eval(ts) - cs.S.eval(ts)
+        return (_fro(resid) / (1.0 + _fro(y) ** 2),)
+
+    return _scan(traj.times, traj.n, block, traj.values, deriv)[0]
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

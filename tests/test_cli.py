@@ -287,3 +287,91 @@ class TestRoundTrip:
         assert code == 0
         code, _, _ = run(capsys, "verify", str(path), str(out))
         assert code == 0
+
+
+def _strict_json(text):
+    """Parse as strict JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _write_csv(path, rows, n):
+    header = ["t"] + [f"y{i}_{j}_{part}" for i in range(n) for j in range(n)
+                      for part in ("re", "im")]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    path.write_text("\r\n".join(lines) + "\r\n")
+
+
+class TestNonFiniteMonitors:
+    def test_nan_gap_is_null_and_fails(self, capsys, tmp_path):
+        inst = write_tanh_instance(tmp_path)
+        n2 = json.loads(inst.read_text())
+        zero = [[[0.0, 0.0]] * 2] * 2
+        n2.update(n=2, P={"kind": "constant", "value": zero},
+                  Q={"kind": "constant", "value": zero},
+                  R={"kind": "constant", "value": zero},
+                  S={"kind": "constant", "value": zero}, Y0=zero)
+        inst.write_text(json.dumps(n2))
+        out = tmp_path / "huge.csv"
+        _write_csv(out, [[0.0, 1e308, 0, 0, 0, 0, 0, 1.0, 0], [1.0] + [0.0] * 8], 2)
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        report = _strict_json(stdout)
+        assert code == 1
+        assert report["passed"] is False and report["min_lambda"] is None
+        assert report["t_min"] == 0.0
+        assert any("min_lambda" in w for w in report["warnings"])
+        assert "warning: min_lambda" in err
+
+    def test_overflowing_residual_is_null(self, capsys, tmp_path):
+        inst = write_tanh_instance(tmp_path)
+        out = tmp_path / "big.csv"
+        _write_csv(out, [[t, 1e200, 0.0] for t in (0.0, 0.5, 1.0)], 1)
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        report = _strict_json(stdout)
+        assert code == 0 and report["passed"] is True
+        assert report["max_residual"] is None
+        assert any("max_residual" in w for w in report["warnings"])
+
+
+class TestSidecarSamples:
+    def integrate(self, capsys, tmp_path, samples=51):
+        inst = write_tanh_instance(tmp_path)
+        out = tmp_path / "traj.csv"
+        run(capsys, "integrate", str(inst), "--method", "direct",
+            "--out", str(out), "--samples", str(samples))
+        return inst, out, tmp_path / "traj.status.json"
+
+    def test_truncated_csv_warns_but_exits_by_the_bound(self, capsys, tmp_path):
+        inst, out, _ = self.integrate(capsys, tmp_path)
+        rows = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(rows[:3]))
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        report = json.loads(stdout)
+        assert code == 0
+        assert any("samples = 51" in w and "2" in w for w in report["warnings"])
+        assert any("t_last = 1.0" in w for w in report["warnings"])
+        assert "truncated" in err
+
+    def test_sidecar_without_the_fields_is_not_compared(self, capsys, tmp_path):
+        inst, out, side = self.integrate(capsys, tmp_path)
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:3]))
+        obj = json.loads(side.read_text())
+        del obj["samples"], obj["t_last"]
+        side.write_text(json.dumps(obj))
+        code, stdout, _ = run(capsys, "verify", str(inst), str(out))
+        assert code == 0
+        assert not any("sidecar" in w for w in json.loads(stdout)["warnings"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", -1), ("samples", 2.5), ("samples", True), ("samples", "51"),
+        ("samples", None), ("t_last", "1.0"), ("t_last", float("nan")), ("t_last", True),
+    ])
+    def test_malformed_field_exits_two(self, capsys, tmp_path, field, value):
+        inst, out, side = self.integrate(capsys, tmp_path, samples=11)
+        obj = json.loads(side.read_text())
+        obj[field] = value
+        side.write_text(json.dumps(obj))
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        assert code == 2 and stdout == ""
+        assert "status sidecar" in err and f"'{field}'" in err

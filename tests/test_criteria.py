@@ -372,6 +372,36 @@ class TestSourceTermIdentity:
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
 
+class TestExactFrameDerivative:
+    """T' in the source term is exact, also at the domain ends."""
+
+    @staticmethod
+    def closed_form(t, s):
+        # n = 1, P = (1 + t)^2, Q = t^3, R = 0, S = s: sqrt(P) = 1 + t and
+        # sqrt(P)' = 1, so T = t^3 / 2, T' = 3 t^2 / 2, F = t^3 - 1/(1 + t),
+        # L = -1/(1 + t), and D = T' + T^2 + F T + T L - (1 + t) s (1 + t)
+        tt = t ** 3 / 2
+        f, l = t ** 3 - 1 / (1 + t), -1 / (1 + t)
+        return 1.5 * t ** 2 + tt * tt + f * tt + tt * l - (1 + t) ** 2 * s
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_scalar_polynomial_matches_closed_form(self, t):
+        cs = make_set(1, P=cf.polynomial([[[1.0]], [[2.0]], [[1.0]]]),
+                      Q=cf.polynomial([[[0.0]], [[0.0]], [[0.0]], [[1.0]]]),
+                      S=cf.constant([[2.0]]))
+        d = sqrt_frame_source_term(cs, None, t)
+        assert abs(d[0, 0] - self.closed_form(t, 2.0)) <= 1e-12
+
+    def test_time_varying_nu_enters_through_its_derivative(self):
+        # nu = 4t adds nu/2 = 2t to T and nu'/2 = 2 to T'
+        cs = make_set(1, S=cf.constant([[0.0]]))
+        nu = cf.polynomial([0.0, 4.0], scalar=True)
+        t = 0.25
+        tt = 2 * t
+        d = sqrt_frame_source_term(cs, nu, t)
+        assert abs(d[0, 0] - (2.0 + tt * tt)) <= 1e-12
+
+
 class TestComparisonHypotheses:
     def test_symmetric_pair_passes(self):
         cs = make_set(1, S=cf.constant([[1.0]]))

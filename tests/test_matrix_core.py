@@ -219,3 +219,36 @@ class TestTraceLemmas:
             norm2 = np.linalg.norm(mc.hermitian_part(m), 2)
             verdict = mc.check_psd(m, tol_psd=1e-9 * max(norm2, 1.0))
             assert verdict.is_psd
+
+
+class TestSharedMeasures:
+    """check_psd and _require_hpd apply the stacked measures of the grid scans."""
+
+    def test_default_check_psd_is_the_stacked_measure(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            h = mc.hermitian_part(_rand(rng, n))
+            # shift the least eigenvalue to the edge of the band, either side
+            h -= (np.linalg.eigvalsh(h)[0] + rng.choice([-2e-9, 0.0, 2e-9])) * np.eye(n)
+            lo, ok, defect = mc._psd_measure(h[None], mc.DEFAULT_TOL)
+            v = mc.check_psd(h)
+            assert v.is_psd == bool(ok[0])
+            assert v.min_eigenvalue == lo[0] and v.hermiticity_defect == defect[0]
+
+    def test_explicit_tolerances_replace_their_rule(self):
+        m = np.array([[1.0, 1e-3], [0.0, -1e-6]])
+        assert not mc.check_psd(m).is_psd
+        assert not mc.check_psd(m, tol_herm=1e-2).is_psd
+        assert not mc.check_psd(m, tol_psd=1e-3).is_psd
+        assert mc.check_psd(m, tol_psd=1e-3, tol_herm=1e-2).is_psd
+
+    def test_positive_definiteness_uses_the_strict_band(self):
+        for eps, pd in ((3e-9, True), (1e-9, False), (0.0, False)):
+            p = np.diag([1.0, eps])
+            assert bool(mc._psd_measure(p[None], 1e-9, strict=True)[1][0]) is pd
+            if pd:
+                mc.principal_sqrt(p)
+            else:
+                with pytest.raises(NotPositiveDefiniteError):
+                    mc.principal_sqrt(p)

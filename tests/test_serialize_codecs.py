@@ -503,3 +503,17 @@ class TestVerifyRefuses:
         code, stdout, _ = run(capsys, "verify", str(path), str(out))
         assert code == 0
         assert math.isfinite(json.loads(stdout)["min_lambda"])
+
+
+def test_writer_leaves_an_overflowing_gap_empty(tmp_path):
+    # Y + Y* overflows at n = 3: the sample is written, its monitor cells empty
+    zero = cf.constant(np.zeros((3, 3)))
+    cs = CoefficientSet(n=3, t0=0.0, t_end=1.0, P=zero, Q=zero, R=zero, S=zero)
+    traj = Trajectory(times=np.array([0.5]), values=np.full((1, 3, 3), 1e308 + 0j),
+                      status="completed", method="file")
+    out = tmp_path / "huge.csv"
+    write_trajectory_csv(str(out), traj, cs)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-2:] == ["lambda_min_gap", "residual"]
+    assert rows[1] == ["0.5", *["1e+308", "0.0"] * 9, "", ""]

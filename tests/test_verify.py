@@ -221,3 +221,35 @@ class TestGuaranteeSoundness:
                                                  sample_times=np.linspace(cs.t0, cs.t_end, 51))
             assert traj.status == "completed"
             assert traj.singular_times.size == 0
+
+
+class TestNonFiniteMonitors:
+    """Samples whose Y + Y* overflows never reach the eigenvalue solver."""
+
+    @staticmethod
+    def huge_trajectory(n, k=1):
+        values = np.tile(np.eye(n, dtype=complex), (4, 1, 1))
+        values[k] = 1e308
+        return Trajectory(times=np.linspace(0.0, 1.0, 4), values=values,
+                          status="completed", method="file")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_overflowing_sample_gives_nan(self, n):
+        series = eigen_monitor(self.huge_trajectory(n))
+        assert np.isnan(series[1])
+        assert_allclose(series[[0, 2, 3]], 2.0)
+
+    def test_nan_fails_the_bound_at_its_time(self):
+        rep = verify_hermitian_bound(self.huge_trajectory(3, k=2))
+        assert not rep.passed
+        assert math.isnan(rep.min_value) and rep.t_min == pytest.approx(2 / 3)
+
+    def test_sandwich_fails_instead_of_raising(self):
+        traj = self.huge_trajectory(3)
+        rep = verify_sandwich(traj, traj)
+        assert not rep.passed and math.isnan(rep.lower_min)
+
+    def test_empty_trajectory_gives_empty_series(self):
+        traj = Trajectory(times=np.empty(0), values=np.empty((0, 2, 2), dtype=complex),
+                          status="phi_singular", method="radon")
+        assert eigen_monitor(traj).shape == (0,)
