@@ -99,9 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_finite(flag: str, value: float, bound: str = "") -> None:
+    """Refuse a flag value that is not finite or misses ``bound`` ("> 0" or ">= 0")."""
+    ok = {"": True, "> 0": value > 0, ">= 0": value >= 0}[bound]
+    if not (math.isfinite(value) and ok):
+        raise RiccatiError(f"{flag} must be a finite number{' ' + bound if bound else ''}, "
+                           f"got {value!r}")
+
+
 def _cmd_check(args) -> int:
+    _require_finite("--tol", args.tol, ">= 0")
     inst = load_instance(args.instance)
-    num = args.grid or inst.grid_points or DEFAULT_GRID_POINTS
+    num = args.grid if args.grid is not None else inst.grid_points
     try:
         grid = GridSpec.for_set(inst.cs, num)
     except ValueError as exc:
@@ -125,6 +134,8 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
 
 
 def _cmd_integrate(args) -> int:
+    _require_finite("--rtol", args.rtol, "> 0")
+    _require_finite("--atol", args.atol, "> 0")
     inst = load_instance(args.instance)
     if not 2 <= args.samples <= MAX_GRID_POINTS:
         raise RiccatiError(f"--samples must be between 2 and {MAX_GRID_POINTS}, "
@@ -159,6 +170,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_finite("--tol", args.tol, ">= 0")
     inst = load_instance(args.instance)
     times, values = read_trajectory_csv(args.trajectory, inst.cs.n)
     t0, t_end = inst.cs.t0, inst.cs.t_end
@@ -202,6 +214,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _require_finite("--horizon", args.horizon, "> 0")
+    _require_finite("--scale", args.scale, "> 0")
+    _require_finite("--t0", args.t0)
+    _require_finite("--t0 + --horizon", args.t0 + args.horizon)
     spec = InstanceSpec(n=args.n, seed=args.seed, horizon=args.horizon,
                         t0=args.t0, scale=args.scale, target=args.target)
     if args.target == "satisfying":

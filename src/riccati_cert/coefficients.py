@@ -6,15 +6,19 @@ The quadratic matrix equation
 
 is specified through four matrix-valued functions of time plus an
 optional matrix gauge L(t) and scalar gauges mu(t), nu(t). Three
-representations are supported so that derivatives are either exact or
-carry a documented finite-difference error:
+representations are supported, each with the exact derivative of the
+function it evaluates:
 
 * constant       -- a single value, derivative identically zero;
 * polynomial     -- matrix (or scalar) coefficients of t -> sum C_k (t - t_ref)^k,
-                    degree <= 8, exact term-by-term derivative;
-* sampled        -- values on a strictly increasing grid, linear or cubic
-                    interpolation, central-difference node derivatives
-                    (second order interior, first order at the ends).
+                    degree <= 8, term-by-term derivative;
+* sampled        -- values on a strictly increasing grid, read through one
+                    piecewise polynomial (linear, natural cubic spline, or
+                    cubic Hermite given node derivatives) and its derivative.
+
+Polynomial algebra (sum, product, derivative) lives here too, on stacks
+of coefficients of shape (d+1, ...); the instance generator builds its
+data with it.
 
 ``eval`` and ``derivative`` take a scalar time or a 1-D array of times;
 an array of m times returns the stacked (m, n, n) matrices (or (m,)
@@ -32,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
 from .matrix_core import MAX_DIM, _defect_measure, adjoint, as_matrix
 
-#: Highest supported polynomial degree.
+#: Highest degree of an input polynomial; products built with the algebra
+#: below may exceed it.
 MAX_DEGREE = 8
 
 
@@ -111,6 +116,37 @@ class ConstantFunction(CoefficientFunction):
         return self._out(np.zeros_like(self.eval(t)))
 
 
+def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two polynomials given as coefficient stacks of one value shape.
+
+    The shorter stack is padded with zeros that are added, as in a sum
+    term by term, so a -0.0 part beyond its end comes back as 0.0.
+    """
+    m = max(len(a), len(b))
+    a, b = (np.concatenate([c, np.zeros((m - len(c),) + c.shape[1:], c.dtype)]) for c in (a, b))
+    return a + b
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two matrix polynomials, stacks of shape (d+1, n, n).
+
+    Coefficient j + k accumulates a_j @ b_k in increasing j, starting from
+    zero; the degree may exceed ``MAX_DEGREE``.
+    """
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]), dtype=np.result_type(a, b))
+    for j, c in enumerate(a):
+        out[j:j + len(b)] += c @ b
+    return out
+
+
+def _poly_diff(a: np.ndarray) -> np.ndarray:
+    """Term-by-term derivative of a coefficient stack; that of a constant is
+    one zero coefficient."""
+    if len(a) == 1:
+        return np.zeros_like(a)
+    return a[1:] * np.arange(1.0, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+
+
 class PolynomialFunction(CoefficientFunction):
     """t -> sum_k C_k (t - t_ref)^k, evaluated by Horner's scheme."""
 
@@ -130,14 +166,7 @@ class PolynomialFunction(CoefficientFunction):
         self.coefficients = _freeze(np.stack(coeffs))
         self.t_ref = float(t_ref)
         self.shape = shape
-        # Term-by-term derivative coefficients, precomputed once.
-        d = len(coeffs) - 1
-        if d == 0:
-            deriv = np.zeros((1,) + shape, dtype=np.complex128)
-        else:
-            ks = np.arange(1, d + 1, dtype=np.float64).reshape((-1,) + (1,) * len(shape))
-            deriv = self.coefficients[1:] * ks
-        self._deriv_coefficients = _freeze(deriv)
+        self._deriv_coefficients = _freeze(_poly_diff(self.coefficients))
 
     @property
     def degree(self) -> int:
@@ -163,13 +192,12 @@ class PolynomialFunction(CoefficientFunction):
 
 
 class SampledFunction(CoefficientFunction):
-    """Values on a strictly increasing time grid.
-
-    ``order`` selects linear (1) or natural cubic spline (3) interpolation
-    of the values. Node derivatives default to central differences on the
-    grid (one-sided at the endpoints; error O(h^2) interior, O(h) at the
-    ends) and are interpolated linearly between nodes. Exact node
-    derivatives may be supplied instead when the caller knows them.
+    """Values on a strictly increasing time grid, read through one scipy
+    piecewise polynomial built at construction: straight lines for
+    ``order`` 1, the natural cubic spline for ``order`` 3, or the cubic
+    Hermite spline through given ``node_derivatives`` (order 3 only).
+    ``derivative`` is that interpolant's derivative; for order 1 at a node,
+    the slope of the cell to its right (to its left at the last node).
     """
 
     kind = "sampled"
@@ -192,18 +220,22 @@ class SampledFunction(CoefficientFunction):
         self.values = _freeze(vals)
         self.order = int(order)
         self.shape = vals.shape[1:]
+        self.node_derivatives = None
         if node_derivatives is not None:
+            if self.order != 3:
+                raise ValueError("node derivatives need order 3 (cubic Hermite)")
             nd = np.stack([_as_value(v, scalar, f"node derivative {k}")
                            for k, v in enumerate(node_derivatives)])
             if nd.shape != vals.shape:
                 raise DimensionError("node_derivatives shape mismatch")
-            self._node_derivs = _freeze(nd)
+            self.node_derivatives = _freeze(nd)
+            pp = CubicHermiteSpline(times, vals, nd, axis=0)
+        elif self.order == 3:
+            pp = CubicSpline(times, vals, axis=0, bc_type="natural")
         else:
-            self._node_derivs = _freeze(np.gradient(vals, times, axis=0, edge_order=1))
-        # Natural cubic spline needs a few points; degrade gracefully below.
-        self._spline = None
-        if self.order == 3 and times.size >= 3:
-            self._spline = CubicSpline(times, vals, axis=0, bc_type="natural")
+            slopes = np.diff(vals, axis=0) / np.diff(times).reshape((-1,) + (1,) * len(self.shape))
+            pp = PPoly(np.stack([slopes, vals[:-1]]), times)
+        self._pp, self._dpp = pp, pp.derivative()
 
     def _clip_t(self, t):
         lo, hi = float(self.times[0]), float(self.times[-1])
@@ -218,26 +250,11 @@ class SampledFunction(CoefficientFunction):
             raise DomainError(f"t = {outside[0]} outside sampled domain [{lo}, {hi}]")
         return min(max(t, lo), hi) if ts is None else np.clip(ts, lo, hi)
 
-    def _linear(self, stacked: np.ndarray, t) -> np.ndarray:
-        # t is clipped into the domain, so only the right end needs capping
-        i = np.searchsorted(self.times, t, side="right") - 1
-        scalar = isinstance(t, float)
-        i = min(int(i), self.times.size - 2) if scalar else np.minimum(i, self.times.size - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        if not scalar:
-            w = w.reshape(t.shape + (1,) * len(self.shape))
-        return (1.0 - w) * stacked[i] + w * stacked[i + 1]
-
     def eval(self, t):
-        t = self._clip_t(t)
-        if self._spline is not None:
-            return self._out(self._spline(t))
-        return self._out(self._linear(self.values, t))
+        return self._out(self._pp(self._clip_t(t)))
 
     def derivative(self, t):
-        t = self._clip_t(t)
-        return self._out(self._linear(self._node_derivs, t))
+        return self._out(self._dpp(self._clip_t(t)))
 
 
 def stacked_evaluator(functions):

@@ -81,7 +81,7 @@ class GridSpec:
 
     @classmethod
     def for_set(cls, cs: CoefficientSet, num_points: int | None = None) -> "GridSpec":
-        return cls(cs.t0, cs.t_end, num_points or DEFAULT_GRID_POINTS)
+        return cls(cs.t0, cs.t_end, DEFAULT_GRID_POINTS if num_points is None else num_points)
 
 
 @dataclass
@@ -332,8 +332,8 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
                      ) -> tuple[cf.SampledFunction, ConditionRecord]:
     """Construct L0(t) = P(t)^{-1}[Q*(t) - R(t) + mu(t) I]/2 on the grid.
 
-    Returns the gauge as a sampled function (cubic values, exact node
-    derivatives) plus a record of whether it is skew-Hermitian at every
+    Returns the gauge as a sampled function (the cubic Hermite spline
+    through its values and exact node derivatives) plus a record of whether it is skew-Hermitian at every
     point. When skewness passes, L0 + L0* is identically zero and the
     certified bound reduces to Y(t) + Y*(t) >= 0. Raises
     ``NotPositiveDefiniteError`` at the first grid point where P is not

@@ -19,7 +19,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, _poly_add, _poly_diff, _poly_mul
+from .matrix_core import adjoint
 
 TARGETS = ("satisfying", "blowup", "comparison")
 
@@ -45,10 +46,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t0 and t0 + horizon must be finite, got t0 = {self.t0!r}")
 
     def kind_of(self, name: str) -> str:
         return (self.kinds or {}).get(name, "polynomial")
@@ -56,44 +59,6 @@ class InstanceSpec:
     @property
     def t_end(self) -> float:
         return self.t0 + self.horizon
-
-
-# ---------------------------------------------------------------------------
-# Polynomial algebra on coefficient lists (shared t_ref)
-# ---------------------------------------------------------------------------
-
-def _poly_add(a: list, b: list) -> list:
-    m = max(len(a), len(b))
-    out = []
-    for k in range(m):
-        x = a[k] if k < len(a) else np.zeros_like(a[0])
-        y = b[k] if k < len(b) else np.zeros_like(b[0])
-        out.append(x + y)
-    return out
-
-def _poly_neg(a: list) -> list:
-    return [-c for c in a]
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [np.zeros_like(a[0] @ b[0]) for _ in range(len(a) + len(b) - 1)]
-    for j, cj in enumerate(a):
-        for k, ck in enumerate(b):
-            out[j + k] = out[j + k] + cj @ ck
-    return out
-
-def _poly_adjoint(a: list) -> list:
-    # adjoint of a matrix polynomial of a real variable: conjugate-transpose
-    # each coefficient
-    return [c.conj().T for c in a]
-
-def _poly_diff(a: list) -> list:
-    if len(a) == 1:
-        return [np.zeros_like(a[0])]
-    return [k * a[k] for k in range(1, len(a))]
-
-def _scalar_poly_to_matrix(mu: list, n: int) -> list:
-    eye = np.eye(n, dtype=np.complex128)
-    return [complex(c) * eye for c in mu]
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +77,14 @@ def _random_psd(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     return (scale / nrm) * h if nrm > 0 else h
 
 def _random_matrix_poly(rng: np.random.Generator, n: int, degree: int,
-                        scale: float, span: float) -> list:
+                        scale: float, span: float) -> np.ndarray:
     # normalized so sup_{[t0, t_end]} ||poly||_F <= scale
     base = max(span, 1.0)
-    return [_random_matrix(rng, n, scale / ((degree + 1) * base ** k))
-            for k in range(degree + 1)]
+    return np.stack([_random_matrix(rng, n, scale / ((degree + 1) * base ** k))
+                     for k in range(degree + 1)])
 
 def _random_scalar_poly(rng: np.random.Generator, degree: int,
-                        scale: float, span: float) -> list:
+                        scale: float, span: float) -> np.ndarray:
     # Real coefficients: the certified bound is only sound for a real
     # scalar shift (a purely imaginary shift rotates solutions, e.g.
     # y' = -i y, and defeats any lower bound on Y + Y*).
@@ -129,7 +94,7 @@ def _random_scalar_poly(rng: np.random.Generator, degree: int,
         x = float(rng.standard_normal())
         bound = scale / ((degree + 1) * base ** k)
         out.append(complex(bound * max(-1.0, min(1.0, x))))
-    return out
+    return np.array(out)
 
 
 def _degree_for(spec: InstanceSpec, name: str, poly_degree: int) -> int:
@@ -160,12 +125,12 @@ def gen_satisfying(spec: InstanceSpec):
     w = _random_psd(rng, n, spec.scale)
     h0 = _random_psd(rng, n, spec.scale)
 
-    p = _poly_mul(_poly_adjoint(a), a)
-    lam_gap = _poly_add(_poly_adjoint(lam), _poly_neg(lam))
-    r = _poly_add(_poly_add(_poly_adjoint(q), _poly_mul(p, lam_gap)),
-                  _scalar_poly_to_matrix(mu, n))
+    p = _poly_mul(adjoint(a), a)
+    lam_gap = _poly_add(adjoint(lam), -lam)
+    r = _poly_add(_poly_add(adjoint(q), _poly_mul(p, lam_gap)),
+                  mu[:, None, None] * np.eye(n, dtype=np.complex128))
     s = _poly_add(
-        _poly_add([w / 2.0], _poly_diff(lam)),
+        _poly_add((w / 2.0)[None], _poly_diff(lam)),
         _poly_add(_poly_mul(_poly_mul(lam, p), lam),
                   _poly_add(_poly_mul(q, lam), _poly_mul(lam, r))),
     )
@@ -224,10 +189,10 @@ def gen_comparison(spec: InstanceSpec):
 
     cs = CoefficientSet(
         n=n, t0=t0, t_end=spec.t_end,
-        P=cf.polynomial(_poly_mul(_poly_adjoint(a), a), t_ref=t0),
+        P=cf.polynomial(_poly_mul(adjoint(a), a), t_ref=t0),
         Q=cf.polynomial(q, t_ref=t0),
-        R=cf.polynomial(_poly_adjoint(q), t_ref=t0),
-        S=cf.polynomial(_poly_mul(_poly_adjoint(b), b), t_ref=t0),
+        R=cf.polynomial(adjoint(q), t_ref=t0),
+        S=cf.polynomial(_poly_mul(adjoint(b), b), t_ref=t0),
     )
     return cs, y0
 

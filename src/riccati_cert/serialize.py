@@ -143,6 +143,9 @@ def function_to_obj(f: CoefficientFunction) -> dict:
             "coefficients": [_value_to_obj(c, scalar) for c in f.coefficients],
         }
     if f.kind == "sampled":
+        if f.node_derivatives is not None:
+            raise RiccatiError("cannot serialize a sampled function with node derivatives: "
+                               "the schema has no field for them")
         return {
             "kind": "sampled",
             "order": f.order,

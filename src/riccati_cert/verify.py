@@ -7,7 +7,8 @@ stored samples rather than the integrator's internal derivative, so the
 check is independent of the integration code path.
 
 Every series is one ``matrix_core._scan`` over the samples. A monitor is
-NaN, and fails its bound, at a sample whose matrix overflows.
+NaN, and fails its bound, at a sample whose matrix overflows; the scans
+run under ``np.errstate`` so that case raises no numpy warning.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .coefficients import CoefficientFunction, CoefficientSet
 from .exceptions import DimensionError
 from .matrix_core import _fro, _least_eigvals, _scan, adjoint
 from .integrate import Trajectory
+
+#: numpy error state of the scans: an overflowing sample gives NaN, its documented result.
+_OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
@@ -60,7 +64,8 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
         lam_t = lam.eval(ts)
         return (_least_eigvals(y + adjoint(y) - lam_t - adjoint(lam_t), "eigen_monitor"),)
 
-    return _scan(traj.times, traj.n, block, traj.values)[0]
+    with np.errstate(**_OVERFLOW_QUIET):
+        return _scan(traj.times, traj.n, block, traj.values)[0]
 
 
 def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = None,
@@ -106,10 +111,11 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise ValueError("trajectories are sampled on different grids")
     if traj.values.shape != traj_tilde.values.shape:
         raise DimensionError("trajectory dimensions differ")
-    lo, hi = _scan(traj.times, traj.n,
-                   lambda ts, y, y_tilde: (_least_eigvals(y, "verify_sandwich"),
-                                           _least_eigvals(y_tilde - y, "verify_sandwich")),
-                   traj.values, traj_tilde.values)
+    with np.errstate(**_OVERFLOW_QUIET):
+        lo, hi = _scan(traj.times, traj.n,
+                       lambda ts, y, y_tilde: (_least_eigvals(y, "verify_sandwich"),
+                                               _least_eigvals(y_tilde - y, "verify_sandwich")),
+                       traj.values, traj_tilde.values)
     lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],
@@ -127,13 +133,14 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """
     if traj.times.size < 3:
         raise ValueError("residual check needs at least 3 samples")
-    deriv = np.gradient(traj.values, traj.times, axis=0, edge_order=2)
 
     def block(ts, y, dy):
         resid = dy + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y + y @ cs.R.eval(ts) - cs.S.eval(ts)
         return (_fro(resid) / (1.0 + _fro(y) ** 2),)
 
-    return _scan(traj.times, traj.n, block, traj.values, deriv)[0]
+    with np.errstate(**_OVERFLOW_QUIET):
+        deriv = np.gradient(traj.values, traj.times, axis=0, edge_order=2)
+        return _scan(traj.times, traj.n, block, traj.values, deriv)[0]
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

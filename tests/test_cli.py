@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -303,6 +304,16 @@ def _write_csv(path, rows, n):
     path.write_text("\r\n".join(lines) + "\r\n")
 
 
+def run_quietly(capsys, *argv):
+    """``run``, asserting that numpy raised no RuntimeWarning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+    return result
+
+
 class TestNonFiniteMonitors:
     def test_nan_gap_is_null_and_fails(self, capsys, tmp_path):
         inst = write_tanh_instance(tmp_path)
@@ -315,7 +326,7 @@ class TestNonFiniteMonitors:
         inst.write_text(json.dumps(n2))
         out = tmp_path / "huge.csv"
         _write_csv(out, [[0.0, 1e308, 0, 0, 0, 0, 0, 1.0, 0], [1.0] + [0.0] * 8], 2)
-        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        code, stdout, err = run_quietly(capsys, "verify", str(inst), str(out))
         report = _strict_json(stdout)
         assert code == 1
         assert report["passed"] is False and report["min_lambda"] is None
@@ -327,7 +338,7 @@ class TestNonFiniteMonitors:
         inst = write_tanh_instance(tmp_path)
         out = tmp_path / "big.csv"
         _write_csv(out, [[t, 1e200, 0.0] for t in (0.0, 0.5, 1.0)], 1)
-        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        code, stdout, err = run_quietly(capsys, "verify", str(inst), str(out))
         report = _strict_json(stdout)
         assert code == 0 and report["passed"] is True
         assert report["max_residual"] is None

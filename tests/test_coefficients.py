@@ -51,12 +51,52 @@ class TestEval:
             cf.polynomial([np.eye(1)] * 10)
 
 
+def _derivative_cases():
+    """One function of each kind; the sampled ones hold sin(3t) M on an
+    h = 0.1 grid over [0, 2] (the Hermite one with the exact node slopes)."""
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    nodes = np.linspace(0.0, 2.0, 21)
+    values = [np.sin(3 * t) * m for t in nodes]
+    return m, {
+        "constant": cf.constant(m),
+        "polynomial": cf.polynomial([m, 2 * m, -m, 0.5 * m], t_ref=0.3),
+        "sampled1": cf.sampled(nodes, values, order=1),
+        "sampled3": cf.sampled(nodes, values, order=3),
+        "sampled3_scalar": cf.sampled(nodes, np.sin(3 * nodes) + 0.5j, order=3, scalar=True),
+        "hermite": cf.sampled(nodes, values, order=3,
+                              node_derivatives=[3 * np.cos(3 * t) * m for t in nodes]),
+    }
+
+
+SINE_MATRIX, DERIVATIVE_CASES = _derivative_cases()
+# inside the cells, so an order-1 difference quotient never straddles a node
+INSIDE_CELLS = np.linspace(0.0, 2.0, 21)[:-1] + 0.037
+
+
 class TestDerivative:
-    def test_sampled_grid_derivative_oracle(self):
-        # values of t^2 I on an h = 0.01 grid; exact derivative at t = 1 is 2I
-        ts = np.arange(0.5, 1.5 + 1e-12, 0.01)
-        f = cf.sampled(ts, [t * t * np.eye(2) for t in ts], order=3)
-        assert np.linalg.norm(f.derivative(1.0) - 2 * np.eye(2)) < 1e-3
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_CASES))
+    def test_is_the_derivative_of_eval(self, name):
+        f, h = DERIVATIVE_CASES[name], 1e-6
+        fd = (f.eval(INSIDE_CELLS + h) - f.eval(INSIDE_CELLS - h)) / (2 * h)
+        assert np.max(np.abs(f.derivative(INSIDE_CELLS) - fd)) <= 1e-7 * (1 + np.max(np.abs(fd)))
+
+    def test_sampled_cubic_derivative_oracle(self):
+        # the spline's own derivative of sin(3t) M is O(h^3) off 3 cos(3t) M
+        # away from the natural ends
+        ts = INSIDE_CELLS[5:-5]
+        exact = 3 * np.cos(3 * ts)[:, None, None] * SINE_MATRIX
+        err = np.abs(DERIVATIVE_CASES["sampled3"].derivative(ts) - exact).max()
+        assert err < 1e-2 * np.abs(SINE_MATRIX).max()
+
+    def test_two_node_cubic_is_the_line(self):
+        f = cf.sampled([0.0, 2.0], [np.zeros((1, 1)), 4 * np.eye(1)], order=3)
+        assert_allclose(f.eval(0.5), [[1.0]], atol=1e-15)
+        assert_allclose(f.derivative(np.array([0.0, 1.3, 2.0])), np.full((3, 1, 1), 2.0))
+
+    def test_node_derivatives_need_order_3(self):
+        with pytest.raises(ValueError, match="order 3"):
+            cf.sampled([0.0, 1.0], [np.eye(1)] * 2, order=1, node_derivatives=[np.eye(1)] * 2)
 
     def test_sampled_cubic_values(self):
         ts = np.linspace(0.0, 2.0, 41)

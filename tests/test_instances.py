@@ -31,6 +31,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             InstanceSpec(n=1, seed=0, scale=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", math.nan), ("horizon", math.inf), ("scale", math.nan),
+        ("scale", math.inf), ("t0", math.nan), ("t0", 1e308),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        spec = {"horizon": 1e308} if field == "t0" else {}
+        with pytest.raises(ValueError, match="finite"):
+            InstanceSpec(n=1, seed=0, **{**spec, field: value})
+
 
 class TestDeterminism:
     def test_satisfying_is_bit_identical(self):

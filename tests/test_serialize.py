@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
-from riccati_cert.exceptions import InstanceFormatError
+from riccati_cert.criteria import GridSpec, build_skew_gauge
+from riccati_cert.exceptions import InstanceFormatError, RiccatiError
 from riccati_cert.instances import InstanceSpec, gen_satisfying
 from riccati_cert.serialize import (
     dumps_instance,
@@ -62,6 +63,15 @@ class TestFunctions:
         f = cf.sampled(ts, [t * np.eye(2) for t in ts], order=1)
         g = obj_to_function(function_to_obj(f), "R", 2)
         assert_allclose(g.eval(0.3), f.eval(0.3))
+
+    def test_sampled_with_node_derivatives_is_refused(self):
+        # the schema has no field for node derivatives: written without them,
+        # the skew gauge would read back as the natural spline, another function
+        cs, _, _, _ = gen_satisfying(InstanceSpec(n=2, seed=4))
+        gauge, _ = build_skew_gauge(cs, grid=GridSpec.for_set(cs, 11))
+        assert gauge.node_derivatives is not None
+        with pytest.raises(RiccatiError, match="node derivatives"):
+            function_to_obj(gauge)
 
     def test_scalar_function(self):
         f = cf.polynomial([1.0, 2.0j], scalar=True)

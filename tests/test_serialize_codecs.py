@@ -435,13 +435,37 @@ class TestLoaderErrors:
         assert code == 2
         assert "'grid_points'" in err
 
-    @pytest.mark.parametrize("grid", ["1", str(10**20)])
+    @pytest.mark.parametrize("grid", ["0", "1", "-3", str(10**20)])
     def test_grid_flag_out_of_range(self, capsys, tmp_path, grid):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(base_instance()))
         code, _, err = run(capsys, "check", str(path), "--grid", grid)
         assert code == 2
         assert "--grid" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("check", "--tol", "nan"), ("check", "--tol", "-1"), ("check", "--tol", "inf"),
+        ("verify", "--tol", "nan"), ("verify", "--tol", "-1e-6"), ("verify", "--tol", "inf"),
+        ("integrate", "--rtol", "inf"), ("integrate", "--rtol", "0"),
+        ("integrate", "--atol", "nan"), ("integrate", "--atol", "-1"),
+        ("gen", "--horizon", "nan"), ("gen", "--horizon", "inf"), ("gen", "--horizon", "0"),
+        ("gen", "--t0", "nan"), ("gen", "--t0", "-inf"),
+        ("gen", "--scale", "inf"), ("gen", "--scale", "-1"),
+        ("gen", "--t0", "1e308"),
+    ])
+    def test_numeric_flag_out_of_range(self, capsys, tmp_path, command, flag, value):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(base_instance()))
+        out = tmp_path / "out.csv"
+        argv = {"check": ["check", str(path)],
+                "verify": ["verify", str(path), str(out)],
+                "integrate": ["integrate", str(path), "--out", str(out)],
+                "gen": ["gen", "--target", "satisfying", "--n", "2", "--out", str(out),
+                        "--horizon", "1e308"]}[command]
+        code, stdout, err = run(capsys, *argv, f"{flag}={value}")
+        assert code == 2 and stdout == ""
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["1", "1000001", "1000000000", str(10**20)])
     def test_samples_flag_out_of_range(self, capsys, tmp_path, samples):
