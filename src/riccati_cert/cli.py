@@ -30,6 +30,7 @@ from .criteria import (
 )
 from .exceptions import InstanceFormatError, RiccatiError
 from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
+from .matrix_core import MAX_DIM
 from .integrate import (
     IntegratorOptions,
     Trajectory,
@@ -89,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("--target", choices=("satisfying", "blowup", "comparison"),
                        required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=int, required=True, help=f"dimension, 1..{MAX_DIM}")
+    p_gen.add_argument("--seed", type=int, default=0, help="non-negative integer")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--horizon", type=float, default=5.0)
     p_gen.add_argument("--t0", type=float, default=0.0)
@@ -214,6 +215,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if not 1 <= args.n <= MAX_DIM:
+        raise RiccatiError(f"--n must be an integer in 1..{MAX_DIM}, got {args.n}")
+    if args.seed < 0:
+        raise RiccatiError(f"--seed must be a non-negative integer, got {args.seed}")
     _require_finite("--horizon", args.horizon, "> 0")
     _require_finite("--scale", args.scale, "> 0")
     _require_finite("--t0", args.t0)

@@ -387,16 +387,15 @@ class CoefficientSet:
         return self.t_end - self.t0
 
 
-def _shifted_source(cs: CoefficientSet, t, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.ndarray:
-    """S - L' - L P L - Q L - L R from the gauge's values and derivative at t."""
-    return (cs.S.eval(t) - lam_dot - lam_t @ cs.P.eval(t) @ lam_t
-            - cs.Q.eval(t) @ lam_t - lam_t @ cs.R.eval(t))
+def _shifted_source(p, q, r, s, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.ndarray:
+    """S - L' - L P L - Q L - L R from values of P, Q, R, S, L and L'."""
+    return s - lam_dot - lam_t @ p @ lam_t - q @ lam_t - lam_t @ r
 
 
 def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
     """S(t) - L'(t) - L(t)P(t)L(t) - Q(t)L(t) - L(t)R(t) for the gauge L."""
     _require_matrix_function(lam, cs.n, "lambda")
-    return _shifted_source(cs, t, lam.eval(t), lam.derivative(t))
+    return _shifted_source(*(f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S, lam)), lam.derivative(t))
 
 
 def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:

@@ -19,11 +19,12 @@ uses:
   R = Q*, which certifies 0 <= Y(t) <= Ytilde(t) for PSD initial values.
 
 All conditions are verified pointwise on a finite uniform grid; every
-report carries a note stating this declared approximation. Each condition
-matrix has one builder from an array of times to the stacked matrices;
-the public pointwise helpers call it at a scalar time. ``matrix_core._scan``
-runs the builders over the grid and its measures judge them (the PSD band,
-the Hermiticity-defect rule); this module picks the witnesses at the end.
+report carries a note stating this declared approximation. Each criterion
+is one ``matrix_core._scan`` whose block evaluates P, Q, R, S (and the
+gauge or derivatives it needs) once and returns the per-point columns of
+all its grid conditions, judged by matrix_core's measures; ``_least`` and
+``_largest`` pick the witnesses. The formulas take coefficient values, and
+the public pointwise helpers call them at a scalar time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source, eval_S_lambda
+from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source
 from .exceptions import DimensionError, NotPositiveDefiniteError
 from .matrix_core import (
     DEFAULT_TOL,
@@ -166,9 +167,8 @@ def _least(name: str, ts: np.ndarray, lo: np.ndarray, ok: np.ndarray,
     carry +inf (all out: witness (inf, inf)); a failing scan notes the
     largest Hermiticity ``defect``."""
     k = int(np.argmin(lo))
-    note = ""
-    if defect is not None and not ok.all() and defect.max() > 0:
-        note = f"max hermiticity defect {defect.max():.3e}"
+    noted = defect is not None and not ok.all() and defect.max() > 0
+    note = f"max hermiticity defect {defect.max():.3e}" if noted else ""
     return ConditionRecord(name=name, passed=bool(ok.all()), kind="min_eigenvalue",
                            worst_value=float(lo[k]),
                            worst_time=float(ts[k]) if lo[k] < np.inf else np.inf,
@@ -181,12 +181,6 @@ def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
     k = int(np.argmax(score))
     return ConditionRecord(name=name, passed=bool(ok.all()), kind=kind,
                            worst_value=float(value[k]), worst_time=float(ts[k]))
-
-
-def _psd_condition(grid: GridSpec, n: int, stack_at, tol: float, name: str) -> ConditionRecord:
-    """PSD check of the stacks ``stack_at(ts)`` over the grid."""
-    lo, ok, defect = _scan(grid.points, n, lambda ts: _psd_measure(stack_at(ts), tol))
-    return _least(name, grid.points, lo, ok, defect)
 
 
 def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
@@ -209,11 +203,35 @@ def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> Conditi
                            worst_value=float(lo[0]), worst_time=t0)
 
 
+def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
+                      grid: GridSpec | None, tol: float) -> tuple[list, cf.SampledFunction]:
+    """The three grid conditions of theorem3.1 in one pass that evaluates P, Q,
+    R, S, L and L' once per block, and mu_hat (``check_scalar_shift_condition``)."""
+    lam = lam or cf.zero_matrix_function(cs.n)
+    cf._require_matrix_function(lam, cs.n, "lambda")
+
+    def block(ts):
+        p, q, r, s = (f.eval(ts) for f in (cs.P, cs.Q, cs.R, cs.S))
+        lam_t = lam.eval(ts)
+        m = r - adjoint(q) - p @ (adjoint(lam_t) - lam_t)
+        mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
+        s_l = _shifted_source(p, q, r, s, lam_t, lam.derivative(ts))
+        return (*_psd_measure(p, tol), mu_hat,
+                *_defect_measure(m - mu_hat[:, None, None] * np.eye(cs.n), m, tol),
+                *_psd_measure(s_l + adjoint(s_l), tol))
+
+    ts = (grid or GridSpec.for_set(cs)).points
+    p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(ts, cs.n, block)
+    return ([_least("coefficient_psd", ts, p_lo, p_ok, p_def),
+             _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
+             _least("shifted_source_psd", ts, s_lo, s_ok, s_def)],
+            cf.sampled(ts, mu_hat, order=1, scalar=True))
+
+
 def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> ConditionRecord:
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
-    grid = grid or GridSpec.for_set(cs)
-    return _psd_condition(grid, cs.n, cs.P.eval, tol, "coefficient_psd")
+    return _gauge_conditions(cs, None, grid, tol)[0][0]
 
 
 def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -226,34 +244,15 @@ def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | 
     ||M - mu_hat I||_F <= tol (1 + ||M||_F). Returns the extracted mu_hat
     as a sampled scalar function on the grid.
     """
-    grid = grid or GridSpec.for_set(cs)
-    lam = lam or cf.zero_matrix_function(cs.n)
-    cf._require_matrix_function(lam, cs.n, "lambda")
-    eye = np.eye(cs.n)
-
-    def block(ts):
-        lam_t = lam.eval(ts)
-        m = cs.R.eval(ts) - adjoint(cs.Q.eval(ts)) - cs.P.eval(ts) @ (adjoint(lam_t) - lam_t)
-        mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
-        return (mu_hat, *_defect_measure(m - mu_hat[:, None, None] * eye, m, tol))
-
-    mu_hat, resid, ratio, ok = _scan(grid.points, cs.n, block)
-    rec = _largest("scalar_shift", "residual", grid.points, ratio, resid, ok)
-    return rec, cf.sampled(grid.points, mu_hat, order=1, scalar=True)
+    conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
+    return conditions[1], mu_fn
 
 
 def check_source_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
                            grid: GridSpec | None = None, tol: float = DEFAULT_TOL
                            ) -> ConditionRecord:
     """S_L(t) + S_L*(t) >= 0 at every grid point."""
-    grid = grid or GridSpec.for_set(cs)
-    lam = lam or cf.zero_matrix_function(cs.n)
-
-    def shifted_source(ts):
-        s = eval_S_lambda(cs, lam, ts)
-        return s + adjoint(s)
-
-    return _psd_condition(grid, cs.n, shifted_source, tol, "shifted_source_psd")
+    return _gauge_conditions(cs, lam, grid, tol)[0][2]
 
 
 def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -267,16 +266,13 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     Y(t) + Y*(t) >= L(t) + L*(t); ``verify.verify_hermitian_bound``
     tests that bound along computed trajectories.
     """
-    grid = grid or GridSpec.for_set(cs)
     lam = lam or cf.zero_matrix_function(cs.n)
     y0 = _initial_value(y0, cs.n)
-    cond_p = check_positivity_condition(cs, grid, tol)
-    cond_shift, mu_fn = check_scalar_shift_condition(cs, lam, grid, tol)
-    cond_src = check_source_condition(cs, lam, grid, tol)
+    conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
     lam0 = lam.eval(cs.t0)
-    cond_init = _initial_record("initial_lower_bound",
-                                y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol)
-    return _report("theorem3.1", [cond_p, cond_shift, cond_src, cond_init],
+    conditions.append(_initial_record("initial_lower_bound",
+                                      y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol))
+    return _report("theorem3.1", conditions,
                    [GRID_NOTE, *_imaginary_shift_note(mu_fn.values, tol, "mu")],
                    extracted_mu=mu_fn)
 
@@ -285,45 +281,47 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
 # Frame variants (wire names cor3.1 and cor3.2)
 # ---------------------------------------------------------------------------
 
-def _frame_conditions(cs: CoefficientSet, grid: GridSpec, tol: float, frame,
-                      skew_name: str, psd_name: str) -> list[ConditionRecord]:
-    """coefficient_pd plus the two conditions on a frame that needs P > 0.
-
-    ``frame(ts, p)`` returns, where P is positive definite, the matrix that
-    must be skew-Hermitian and the one that must be PSD. Elsewhere both
-    conditions fail and the points are left out of their witnesses.
-    """
+def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: GridSpec | None,
+                      tol: float, frame, skew_name: str, psd_name: str, derive=()):
+    """coefficient_pd plus the two conditions on a frame that needs P > 0, and
+    the scalar ``shift`` on the grid. Each block evaluates P and the shift once,
+    and where P is positive definite Q, R, S and the derivatives of ``derive``
+    once; ``frame(p, q, r, s, shift, *derivatives)`` returns from those values
+    the matrices that must be skew-Hermitian and PSD there. Elsewhere both
+    conditions fail and the points are left out of their witnesses."""
     def block(ts):
-        p = cs.P.eval(ts)
+        p, shift_t = cs.P.eval(ts), shift.eval(ts)
         lo, pd, defect = _psd_measure(p, tol, strict=True)
         skew, skew_ok = np.zeros(ts.size), np.zeros(ts.size, dtype=bool)
         c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
         if pd.any():
-            k, c = frame(ts[pd], p[pd])
+            t_pd = ts[pd]
+            k, c = frame(p[pd], *(f.eval(t_pd) for f in (cs.Q, cs.R, cs.S)), shift_t[pd],
+                         *(f.derivative(t_pd) for f in derive))
             skew[pd], _, skew_ok[pd] = _defect_measure(k + adjoint(k), k, tol)
             c_lo[pd], c_ok[pd], _ = _psd_measure(c, tol)
-        return lo, pd, defect, skew, skew_ok, c_lo, c_ok
+        return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
 
-    lo, pd, defect, skew, skew_ok, c_lo, c_ok = _scan(grid.points, cs.n, block)
-    ts = grid.points
-    return [_least("coefficient_pd", ts, lo, pd, defect),
-            _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
-            _least(psd_name, ts, c_lo, c_ok)]
+    ts = (grid or GridSpec.for_set(cs)).points
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block)
+    return ([_least("coefficient_pd", ts, lo, pd, defect),
+             _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
+             _least(psd_name, ts, c_lo, c_ok)], shift_t)
 
 
-def _skew_gauge(cs: CoefficientSet, mu: CoefficientFunction, ts, p: np.ndarray):
-    """L0 = P^{-1}(Q* - R + mu I)/2 and its exact derivative where P > 0.
+def _skew_gauge(p, q, r, mu, pdot, qdot, rdot, mudot):
+    """L0 = P^{-1}(Q* - R + mu I)/2 and its exact derivative, from the values
+    of P, Q, R, mu and of their derivatives where P > 0.
 
     The derivative uses d(P^{-1})/dt = -P^{-1} P' P^{-1}, so no finite
     differences enter the source condition.
     """
     # scalar values get two trailing axes to scale the identity
-    eye = np.eye(cs.n)
-    g = adjoint(cs.Q.eval(ts)) - cs.R.eval(ts) + np.asarray(mu.eval(ts))[..., None, None] * eye
-    gdot = (adjoint(cs.Q.derivative(ts)) - cs.R.derivative(ts)
-            + np.asarray(mu.derivative(ts))[..., None, None] * eye)
+    eye = np.eye(p.shape[-1])
+    g = adjoint(q) - r + mu[..., None, None] * eye
+    gdot = adjoint(qdot) - rdot + mudot[..., None, None] * eye
     lam0 = np.linalg.solve(p, g) / 2.0
-    lam0dot = np.linalg.solve(p, gdot / 2.0 - cs.P.derivative(ts) @ lam0)
+    lam0dot = np.linalg.solve(p, gdot / 2.0 - pdot @ lam0)
     return lam0, lam0dot
 
 
@@ -351,7 +349,8 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
                 f"P({ts[k]}) is not positive definite (min eigenvalue "
                 f"{lo[k]:.6e}); the skew gauge is undefined",
                 min_eigenvalue=float(lo[k]))
-        lam0, lam0dot = _skew_gauge(cs, mu, ts, p)
+        lam0, lam0dot = _skew_gauge(p, *(f.eval(ts) for f in (cs.Q, cs.R, mu)),
+                                    *(f.derivative(ts) for f in (cs.P, cs.Q, cs.R, mu)))
         return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
 
     vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block)
@@ -363,48 +362,50 @@ def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | Non
                                y0, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> CriterionReport:
     """Criterion with the forced skew gauge (wire name ``cor3.1``)."""
-    grid = grid or GridSpec.for_set(cs)
     mu = mu or cf.zero_scalar_function()
     y0 = _initial_value(y0, cs.n)
 
-    def frame(ts, p):
-        lam0, lam0dot = _skew_gauge(cs, mu, ts, p)
-        s_l = _shifted_source(cs, ts, lam0, lam0dot)
+    def frame(p, q, r, s, mu_t, *derivatives):
+        lam0, lam0dot = _skew_gauge(p, q, r, mu_t, *derivatives)
+        s_l = _shifted_source(p, q, r, s, lam0, lam0dot)
         return lam0, s_l + adjoint(s_l)
 
-    conditions = _frame_conditions(cs, grid, tol, frame, "gauge_skew", "shifted_source_psd")
+    conditions, mu_t = _frame_conditions(cs, mu, grid, tol, frame, "gauge_skew",
+                                         "shifted_source_psd", derive=(cs.P, cs.Q, cs.R, mu))
     conditions.append(_initial_record("initial_psd", y0 + adjoint(y0), cs.t0, tol))
     return _report("cor3.1", conditions,
                    [GRID_NOTE, "skew gauge cancels in the bound: the certified statement is "
-                    "Y(t) + Y*(t) >= 0", *_imaginary_shift_note(mu.eval(grid.points), tol, "mu")])
+                    "Y(t) + Y*(t) >= 0", *_imaginary_shift_note(mu_t, tol, "mu")])
 
 
-def _sqrt_frame(cs: CoefficientSet, nu: CoefficientFunction, ts, sp: np.ndarray):
-    """The frame term T and the condition matrix at ts, given sqrt(P) there:
+def _sqrt_frame(sp: np.ndarray, q, r, s, nu):
+    """The frame term T and the condition matrix from sqrt(P) and the values
+    of Q, R, S and nu (matrices or stacks of one length):
 
         T = (sqrt(P)^{-1} [Q* - R] sqrt(P) + nu I) / 2,
         C = sqrt(P)(S + S*)sqrt(P) + 2 T^2 + (conj(nu) - nu) T.
     """
-    nu_t = np.asarray(nu.eval(ts))[..., None, None]
-    a = adjoint(cs.Q.eval(ts)) - cs.R.eval(ts)
-    t_term = (np.linalg.solve(sp, a) @ sp + nu_t * np.eye(cs.n)) / 2.0
-    s = cs.S.eval(ts)
+    nu = np.asarray(nu)[..., None, None]
+    t_term = (np.linalg.solve(sp, adjoint(q) - r) @ sp + nu * np.eye(sp.shape[-1])) / 2.0
     return t_term, sp @ (s + adjoint(s)) @ sp + 2.0 * (t_term @ t_term) \
-        + (np.conj(nu_t) - nu_t) * t_term
+        + (np.conj(nu) - nu) * t_term
+
+
+def _sqrt_frame_at(cs: CoefficientSet, nu: CoefficientFunction | None, t: float, tol: float):
+    p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
+    return _sqrt_frame(principal_sqrt(p, tol), q, r, s, (nu or cf.zero_scalar_function()).eval(t))
 
 
 def sqrt_frame_skew_term(cs: CoefficientSet, nu: CoefficientFunction | None,
                          t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """T(t) = (sqrt(P)^{-1} [Q*(t) - R(t)] sqrt(P) + nu(t) I) / 2."""
-    sp = principal_sqrt(cs.P.eval(t), tol)
-    return _sqrt_frame(cs, nu or cf.zero_scalar_function(), t, sp)[0]
+    return _sqrt_frame_at(cs, nu, t, tol)[0]
 
 
 def sqrt_frame_condition_matrix(cs: CoefficientSet, nu: CoefficientFunction | None,
                                 t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """sqrt(P)(S + S*)sqrt(P) + 2 T^2 + (conj(nu) - nu) T at time t."""
-    sp = principal_sqrt(cs.P.eval(t), tol)
-    return _sqrt_frame(cs, nu or cf.zero_scalar_function(), t, sp)[1]
+    return _sqrt_frame_at(cs, nu, t, tol)[1]
 
 
 def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None = None,
@@ -419,10 +420,11 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     grid = grid or GridSpec.for_set(cs)
     nu = nu or cf.zero_scalar_function()
 
-    def frame(ts, p):
-        return _sqrt_frame(cs, nu, ts, _sqrt_of_eigh(*_eigh((p + adjoint(p)) / 2, "cor3.2")))
+    def frame(p, q, r, s, nu_t):
+        return _sqrt_frame(_sqrt_of_eigh(*_eigh((p + adjoint(p)) / 2, "cor3.2")), q, r, s, nu_t)
 
-    conditions = _frame_conditions(cs, grid, tol, frame, "sqrt_frame_skew", "sqrt_frame_psd")
+    conditions, nu_vals = _frame_conditions(cs, nu, grid, tol, frame, "sqrt_frame_skew",
+                                            "sqrt_frame_psd")
     if y0 is not None:
         y0 = _initial_value(y0, cs.n)
         g0 = y0 + adjoint(y0)
@@ -431,7 +433,6 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
             g0 = sp0 @ g0 @ sp0
         conditions.append(_initial_record("initial_psd", g0, cs.t0, tol))
 
-    nu_vals = nu.eval(grid.points)
     notes = [GRID_NOTE,
              "certified bound is the congruence "
              "sqrt(P(t))(Y(t) + Y*(t))sqrt(P(t)) >= 0, equivalent to "
@@ -451,10 +452,8 @@ def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL
     p = cs.P.eval(t)
     sp = principal_sqrt(p, tol)
     spdot = sqrt_derivative(p, cs.P.derivative(t), tol)
-    rhs_f = sp @ cs.Q.eval(t) - spdot
-    f = np.linalg.solve(sp.T, rhs_f.T).T
-    l = np.linalg.solve(sp, cs.R.eval(t) @ sp - spdot)
-    return f, l
+    f = np.linalg.solve(sp.T, (sp @ cs.Q.eval(t) - spdot).T).T
+    return f, np.linalg.solve(sp, cs.R.eval(t) @ sp - spdot)
 
 
 def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
@@ -471,16 +470,16 @@ def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
     """
     nu = nu or cf.zero_scalar_function()
     t = float(t)
-    p = cs.P.eval(t)
+    p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
     sp = principal_sqrt(p, tol)
     spdot = sqrt_derivative(p, cs.P.derivative(t), tol)
-    a = adjoint(cs.Q.eval(t)) - cs.R.eval(t)
+    a = adjoint(q) - r
     adot = adjoint(cs.Q.derivative(t)) - cs.R.derivative(t)
-    t_term = _sqrt_frame(cs, nu, t, sp)[0]
+    t_term = _sqrt_frame(sp, q, r, s, nu.eval(t))[0]
     tdot = (np.linalg.solve(sp, adot @ sp + a @ spdot - spdot @ np.linalg.solve(sp, a) @ sp)
             + nu.derivative(t) * np.eye(cs.n)) / 2.0
     f, l = sqrt_frame_factors(cs, t, tol)
-    return tdot + t_term @ t_term + f @ t_term + t_term @ l - sp @ cs.S.eval(t) @ sp
+    return tdot + t_term @ t_term + f @ t_term + t_term @ l - sp @ s @ sp
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +489,20 @@ def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
 def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = None,
                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """P >= 0, S >= 0, R = Q*, Y0 >= 0 (wire name ``theorem1.1``)."""
-    grid = grid or GridSpec.for_set(cs)
     y0 = _initial_value(y0, cs.n)
-    cond_p = check_positivity_condition(cs, grid, tol)
-    cond_s = _psd_condition(grid, cs.n, cs.S.eval, tol, "source_psd")
 
     def block(ts):
-        r = cs.R.eval(ts)
-        return _defect_measure(r - adjoint(cs.Q.eval(ts)), r, tol)
+        p, q, r, s = (f.eval(ts) for f in (cs.P, cs.Q, cs.R, cs.S))
+        return (*_psd_measure(p, tol), *_psd_measure(s, tol),
+                *_defect_measure(r - adjoint(q), r, tol))
 
-    resid, ratio, ok = _scan(grid.points, cs.n, block)
-    cond_sym = _largest("symmetric_pair", "residual", grid.points, ratio, resid, ok)
-    cond_init = _initial_record("initial_psd", y0, cs.t0, tol)
-    return _report("theorem1.1", [cond_p, cond_s, cond_sym, cond_init],
+    ts = (grid or GridSpec.for_set(cs)).points
+    p_lo, p_ok, p_def, s_lo, s_ok, s_def, resid, ratio, sym_ok = _scan(ts, cs.n, block)
+    return _report("theorem1.1",
+                   [_least("coefficient_psd", ts, p_lo, p_ok, p_def),
+                    _least("source_psd", ts, s_lo, s_ok, s_def),
+                    _largest("symmetric_pair", "residual", ts, ratio, resid, sym_ok),
+                    _initial_record("initial_psd", y0, cs.t0, tol)],
                    [GRID_NOTE,
                     "certified statement: 0 <= Y(t) <= Ytilde(t) with Ytilde the "
                     "linear comparison solution (integrate_lyapunov_comparison)"])

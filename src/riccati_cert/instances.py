@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientSet, _poly_add, _poly_diff, _poly_mul
-from .matrix_core import adjoint
+from .matrix_core import MAX_DIM, adjoint
 
 TARGETS = ("satisfying", "blowup", "comparison")
 
@@ -46,6 +46,10 @@ class InstanceSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
+        if not 1 <= self.n <= MAX_DIM:
+            raise ValueError(f"n must be in 1..{MAX_DIM}, got {self.n!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):

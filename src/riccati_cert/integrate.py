@@ -507,26 +507,12 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     the squared-modulus form with integrand tr(R + R* + P (Y + Y*)).
     Returns the maximum relative error over all checked samples.
     """
-    traj_index = {float(t): i for i, t in enumerate(traj.times)}
-    restart_set = {float(t) for t in flow.restarts}
-
-    spans: list[list[int]] = []
-    current: list[int] = []
-    for i, t in enumerate(flow.times):
-        t = float(t)
-        if t not in traj_index:
-            if current:
-                spans.append(current)
-            current = []
-            continue
-        if t in restart_set and current:
-            spans.append(current)
-            current = []
-        current.append(i)
-    if current:
-        spans.append(current)
-    if not spans:
+    kept = np.flatnonzero(np.isin(flow.times, traj.times))
+    if not kept.size:
         raise IntegrationError("no singularity-free span available")
+    # a span starts after a dropped (singular) sample or at a restart
+    starts = (np.diff(kept, prepend=-2) > 1) | np.isin(flow.times[kept], flow.restarts)
+    spans = np.split(kept, np.flatnonzero(starts)[1:])
 
     def integrands(ts, y):
         """tr(R + P Y) and tr(R + R* + P (Y + Y*)) at every sample of a span."""
@@ -538,11 +524,10 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     max_mod = 0.0
     checked: list[tuple[float, float]] = []
     tiny = np.finfo(float).tiny
-    for span in spans:
-        idx = np.array(span)
+    for idx in spans:
         ts = flow.times[idx]
         checked.append((float(ts[0]), float(ts[-1])))
-        if len(span) == 1:
+        if idx.size == 1:
             continue  # trivial span: identity holds with error 0 by definition
         dxs = np.diff(ts)
         dx = float(dxs[0])
@@ -550,7 +535,7 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
             raise IntegrationError("liouville_check requires a uniform sample grid")
         phis = flow.phi[idx]
         dets = np.linalg.det(phis)
-        ys = traj.values[[traj_index[float(t)] for t in ts]]
+        ys = traj.values[np.searchsorted(traj.times, ts)]
 
         integrand, integrand2 = _scan(ts, cs.n, integrands, ys)
 

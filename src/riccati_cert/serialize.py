@@ -39,7 +39,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import MAX_GRID_POINTS
-from .exceptions import InstanceFormatError, RiccatiError
+from .exceptions import DomainError, InstanceFormatError, RiccatiError
 from .integrate import LinearFlow, Trajectory
 
 
@@ -227,11 +227,24 @@ def parse_instance(obj) -> ParsedInstance:
     if not math.isfinite(t_end - t0):
         raise InstanceFormatError("field 't_end' minus 't0' must be a finite number")
 
+    def function(name: str, scalar: bool = False) -> CoefficientFunction:
+        """Field ``name`` as a function; sampled data must cover [t0, t_end] by
+        the sampled domain rule, so that nothing fails later mid-run."""
+        f = obj_to_function(obj[name], name, n, scalar=scalar, default_t_ref=t0)
+        if f.kind == "sampled":
+            try:
+                f.eval(np.array([t0, t_end]))
+            except DomainError:
+                raise InstanceFormatError(
+                    f"field '{name}.times' must cover [t0, t_end] = [{t0!r}, {t_end!r}], "
+                    f"got [{float(f.times[0])!r}, {float(f.times[-1])!r}]") from None
+        return f
+
     fns = {}
     for name in ("P", "Q", "R", "S"):
         if name not in obj:
             raise InstanceFormatError(f"field '{name}' is missing")
-        fns[name] = obj_to_function(obj[name], name, n, scalar=False, default_t_ref=t0)
+        fns[name] = function(name)
     if "Y0" not in obj:
         raise InstanceFormatError("field 'Y0' is missing")
     y0 = obj_to_matrix(obj["Y0"], n, "Y0")
@@ -243,12 +256,9 @@ def parse_instance(obj) -> ParsedInstance:
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
-    lam = (obj_to_function(obj["lambda"], "lambda", n, scalar=False, default_t_ref=t0)
-           if "lambda" in obj else None)
-    mu = (obj_to_function(obj["mu"], "mu", n, scalar=True, default_t_ref=t0)
-          if "mu" in obj else None)
-    nu = (obj_to_function(obj["nu"], "nu", n, scalar=True, default_t_ref=t0)
-          if "nu" in obj else None)
+    lam = function("lambda") if "lambda" in obj else None
+    mu = function("mu", scalar=True) if "mu" in obj else None
+    nu = function("nu", scalar=True) if "nu" in obj else None
     if lam is not None and lam.dim != n:
         raise InstanceFormatError(f"field 'lambda' has dimension {lam.dim}, expected {n}")
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
+from riccati_cert import criteria
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.criteria import (
     GridSpec,
@@ -23,8 +24,8 @@ from riccati_cert.criteria import (
     sqrt_frame_source_term,
 )
 from riccati_cert.exceptions import NotPositiveDefiniteError
-from riccati_cert.instances import InstanceSpec, gen_comparison
-from riccati_cert.matrix_core import principal_sqrt
+from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
+from riccati_cert.matrix_core import block_slices, principal_sqrt
 
 
 def make_set(n, t_end=1.0, t0=0.0, **kw):
@@ -453,3 +454,56 @@ class TestDispatch:
         rep = run_criterion("theorem3.1", cs, np.zeros((1, 1)))
         blob = json.dumps(rep.to_dict())
         assert "conditions" in blob and "theorem3.1" in blob
+
+
+class TestOnePassPerCriterion:
+    """Each criterion is one scan whose block evaluates every coefficient,
+    gauge and derivative it needs once; the single-condition helpers select
+    from that pass."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The n=2 satisfying instance (seed 3) on a one-block grid, counting
+        the calls of ``criteria._scan`` and the array-argument ``eval`` and
+        ``derivative`` calls of P, Q, R, S, L and mu (also passed as nu)."""
+        cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=2, seed=3))
+        g = grid(cs)
+        assert len(block_slices(g.num_points, cs.n)) == 1
+        named = {"P": cs.P, "Q": cs.Q, "R": cs.R, "S": cs.S, "L": lam, "mu": mu}
+        assert len({id(f) for f in named.values()}) == len(named)
+        calls: dict = {}
+
+        def counting(key, method):
+            def wrapper(t, *rest):
+                if np.ndim(t) == 1:
+                    calls[key] = calls.get(key, 0) + 1
+                return method(t, *rest)
+            return wrapper
+
+        for name, f in named.items():
+            for meth in ("eval", "derivative"):
+                key = name if meth == "eval" else name + "'"
+                monkeypatch.setattr(f, meth, counting(key, getattr(f, meth)))
+        monkeypatch.setattr(criteria, "_scan", counting("_scan", criteria._scan))
+        return cs, lam, mu, y0, g, calls
+
+    @pytest.mark.parametrize("name, grid_functions", [
+        ("theorem3.1", {"P", "Q", "R", "S", "L", "L'"}),
+        ("cor3.1", {"P", "Q", "R", "S", "mu", "P'", "Q'", "R'", "mu'"}),
+        ("cor3.2", {"P", "Q", "R", "S", "mu"}),
+        ("theorem1.1", {"P", "Q", "R", "S"}),
+    ])
+    def test_one_scan_one_evaluation_per_block(self, counted, name, grid_functions):
+        cs, lam, mu, y0, g, calls = counted
+        run_criterion(name, cs, y0, lam=lam, mu=mu, nu=mu, grid=g)
+        assert calls == dict.fromkeys(grid_functions | {"_scan"}, 1)
+
+    def test_single_condition_helpers_select_from_the_pass(self, counted):
+        cs, lam, _, y0, g, calls = counted
+        rep = check_gauge_criterion(cs, lam, y0, g)
+        assert check_positivity_condition(cs, g) == rep.condition("coefficient_psd")
+        rec, mu_fn = check_scalar_shift_condition(cs, lam, g)
+        assert rec == rep.condition("scalar_shift")
+        assert mu_fn.values.tobytes() == rep.extracted_mu.values.tobytes()
+        assert check_source_condition(cs, lam, g) == rep.condition("shifted_source_psd")
+        assert calls["_scan"] == 4

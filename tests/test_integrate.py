@@ -5,17 +5,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
+from riccati_cert import integrate
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import IntegrationError
 from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison, gen_satisfying
 from riccati_cert.integrate import (
     IntegratorOptions,
+    LiouvilleReport,
     default_sample_times,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
     liouville_check,
 )
+from riccati_cert.matrix_core import adjoint
 
 CAT = canonical_catalog()
 
@@ -304,3 +307,73 @@ class TestLiouville:
         rep = liouville_check(flow, cs, traj)
         assert len(rep.spans) == len(flow.restarts) + 1
         assert rep.max_rel_error <= 1e-6
+
+
+def reference_liouville_check(flow, cs, traj):
+    """``liouville_check`` as it was with its spans found by a per-sample
+    loop over float-keyed dict and set lookups; the array version must give
+    the same spans and the same report bit for bit."""
+    traj_index = {float(t): i for i, t in enumerate(traj.times)}
+    restart_set = {float(t) for t in flow.restarts}
+    spans, current = [], []
+    for i, t in enumerate(flow.times):
+        t = float(t)
+        if t not in traj_index:
+            if current:
+                spans.append(current)
+            current = []
+            continue
+        if t in restart_set and current:
+            spans.append(current)
+            current = []
+        current.append(i)
+    if current:
+        spans.append(current)
+
+    def integrands(ts, y):
+        r, p = cs.R.eval(ts), cs.P.eval(ts)
+        return (np.trace(r + p @ y, axis1=-2, axis2=-1),
+                np.trace(r + adjoint(r) + p @ (y + adjoint(y)), axis1=-2, axis2=-1).real)
+
+    max_det = max_mod = 0.0
+    checked = []
+    tiny = np.finfo(float).tiny
+    for span in spans:
+        idx = np.array(span)
+        ts = flow.times[idx]
+        checked.append((float(ts[0]), float(ts[-1])))
+        if len(span) == 1:
+            continue
+        dx = float(np.diff(ts)[0])
+        dets = np.linalg.det(flow.phi[idx])
+        ys = traj.values[[traj_index[float(t)] for t in ts]]
+        integrand, integrand2 = integrate._scan(ts, cs.n, integrands, ys)
+        rhs = dets[0] * np.exp(integrate._cumulative_simpson(integrand, dx))
+        rel = np.abs(dets - rhs) / np.maximum(np.maximum(np.abs(dets), np.abs(rhs)), tiny)
+        max_det = max(max_det, float(np.max(rel)))
+        lhs2 = np.abs(dets) ** 2
+        rhs2 = (np.abs(dets[0]) ** 2) * np.exp(integrate._cumulative_simpson(integrand2, dx))
+        rel2 = np.abs(lhs2 - rhs2) / np.maximum(np.maximum(lhs2, rhs2), tiny)
+        max_mod = max(max_mod, float(np.max(rel2)))
+    return LiouvilleReport(max_rel_error=max(max_det, max_mod), det_form_error=max_det,
+                           modulus_form_error=max_mod, spans=checked)
+
+
+@pytest.mark.parametrize("case", ["tanh", "growth", "through_pole"])
+def test_liouville_spans_match_the_per_sample_loop(case):
+    """tanh: one span; growth: restarts split the span; through_pole:
+    singular samples drop out of the trajectory and split it."""
+    cs, t_end, y0 = {"tanh": (scalar_set(2.0, p=1.0, s=1.0), 2.0, np.zeros((1, 1))),
+                     "growth": (scalar_set(6.0, r=4.0), 6.0, np.array([[1.0]])),
+                     "through_pole": (scalar_set(math.pi, p=1.0, s=-1.0), math.pi,
+                                      np.zeros((1, 1)))}[case]
+    flow, traj = integrate_linear_system(cs, y0, sample_times=np.linspace(0.0, t_end, 101))
+    assert (len(flow.restarts) > 0) == (case == "growth")
+    assert (traj.singular_times.size > 0) == (case == "through_pole")
+    ref = reference_liouville_check(flow, cs, traj)
+    rep = liouville_check(flow, cs, traj)
+    assert rep.spans == ref.spans
+    assert len(rep.spans) == {"tanh": 1, "growth": len(flow.restarts) + 1}.get(case, 2)
+    assert [float(x).hex() for x in (rep.max_rel_error, rep.det_form_error,
+                                     rep.modulus_form_error)] == \
+        [float(x).hex() for x in (ref.max_rel_error, ref.det_form_error, ref.modulus_form_error)]

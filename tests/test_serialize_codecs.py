@@ -405,6 +405,8 @@ class TestLoaderErrors:
         ('"order": 1', '"order": true', "'S.order'"),
         ('"order": 1', '"order": 1.0', "'S.order'"),
         ('"order": 1', '"order": 3.0', "'S.order'"),
+        ('"t_end": 1.0', '"t_end": 5.0', "'S.times' must cover [t0, t_end]"),
+        ('"t0": 0.0', '"t0": -1.0', "'S.times' must cover [t0, t_end]"),
     ])
     def test_exit_two_with_named_field(self, capsys, tmp_path, old, new, field):
         text = json.dumps(base_instance())
@@ -414,6 +416,28 @@ class TestLoaderErrors:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("field", ["P", "Q", "R", "S", "lambda", "mu", "nu"])
+    @pytest.mark.parametrize("command", ["check", "integrate", "verify"])
+    def test_sampled_data_short_of_t_end_exits_two_at_load(self, capsys, tmp_path, field,
+                                                           command):
+        obj = base_instance()
+        obj["t_end"] = 5.0
+        obj["S"]["times"] = [0.0, 5.0]
+        value = [1.0, 0.0] if field in ("mu", "nu") else [[1.0]]
+        obj[field] = {"kind": "sampled", "times": [0.0, 1.0], "values": [value, value],
+                      "order": 1}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "traj.csv"
+        out.write_text("t,y0_0_re,y0_0_im\r\n0.0,1.0,0.0\r\n5.0,1.0,0.0\r\n")
+        argv = {"check": ["check", str(path)],
+                "integrate": ["integrate", str(path), "--out", str(tmp_path / "new.csv")],
+                "verify": ["verify", str(path), str(out)]}[command]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert f"field '{field}.times' must cover [t0, t_end]" in err
+        assert not (tmp_path / "new.csv").exists()
 
     @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000, None])
     def test_unreadable_json_exits_two(self, capsys, tmp_path, text):
@@ -452,6 +476,8 @@ class TestLoaderErrors:
         ("gen", "--t0", "nan"), ("gen", "--t0", "-inf"),
         ("gen", "--scale", "inf"), ("gen", "--scale", "-1"),
         ("gen", "--t0", "1e308"),
+        ("gen", "--n", "-1"), ("gen", "--n", "0"), ("gen", "--n", "65"),
+        ("gen", "--seed", "-1"),
     ])
     def test_numeric_flag_out_of_range(self, capsys, tmp_path, command, flag, value):
         path = tmp_path / "ok.json"

@@ -80,7 +80,9 @@ def test_csv_round_trip(tmp_path_factory, traj):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def functions(draw, n):
+def functions(draw, n, t0, t_end):
+    """A constant, polynomial or sampled function; sampled times span
+    [t0, t_end], as the instance format requires."""
     kind = draw(st.sampled_from(["constant", "polynomial", "sampled"]))
     if kind == "constant":
         return cf.constant(draw(matrices(n, moderate)))
@@ -90,7 +92,8 @@ def functions(draw, n):
         return cf.polynomial(coeffs, t_ref=draw(st.floats(-10.0, 10.0)))
     k = draw(st.integers(2, 5))
     steps = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k))
-    times = np.cumsum(steps) - steps[0]
+    fractions = np.cumsum(steps) - steps[0]
+    times = t0 + fractions / fractions[-1] * (t_end - t0)
     return cf.sampled(times, [draw(matrices(n, moderate)) for _ in range(k)],
                       order=draw(st.sampled_from([1, 3])))
 
@@ -100,10 +103,11 @@ def instances(draw):
     n = draw(st.integers(1, 3))
     a = draw(matrices(n, moderate))
     t0 = draw(st.floats(-100.0, 100.0))
-    cs = CoefficientSet(n=n, t0=t0, t_end=t0 + draw(st.floats(0.1, 10.0)),
-                        P=cf.constant(a + a.conj().T), Q=draw(functions(n)),
-                        R=draw(functions(n)), S=draw(functions(n)))
-    lam = draw(st.none() | functions(n))
+    t_end = t0 + draw(st.floats(0.1, 10.0))
+    cs = CoefficientSet(n=n, t0=t0, t_end=t_end, P=cf.constant(a + a.conj().T),
+                        Q=draw(functions(n, t0, t_end)), R=draw(functions(n, t0, t_end)),
+                        S=draw(functions(n, t0, t_end)))
+    lam = draw(st.none() | functions(n, t0, t_end))
     grid_points = draw(st.none() | st.integers(2, 5000))
     return instance_to_obj(cs, draw(matrices(n)), lam=lam, grid_points=grid_points)
 
