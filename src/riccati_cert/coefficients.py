@@ -16,16 +16,22 @@ function it evaluates:
                     piecewise polynomial (linear, natural cubic spline, or
                     cubic Hermite given node derivatives) and its derivative.
 
-Polynomial algebra (sum, product, derivative) lives here too, on stacks
-of coefficients of shape (d+1, ...); the instance generator builds its
-data with it.
+A function's data (its value, its polynomial coefficients, or its
+sampled values and node derivatives) is one complex128 stack, checked once
+at construction by ``matrix_core``'s stack rule; an error names the first
+bad value. Polynomial algebra (sum, product, derivative) lives here too,
+on stacks of coefficients of shape (d+1, ...); the instance generator
+builds its data with it.
 
 ``eval`` and ``derivative`` take a scalar time or a 1-D array of times;
 an array of m times returns the stacked (m, n, n) matrices (or (m,)
 scalars), each equal bit for bit to the scalar call. The gauge algebra
-S_L, Q_L, R_L accepts both forms the same way. ``stacked_evaluator``
-gives several functions' values at one scalar time in one call, equal
-bit for bit to ``eval``; the integrators' right-hand sides use it.
+S_L, Q_L, R_L accepts both forms the same way. One Horner,
+``_staggered_horner``, evaluates polynomials: each ``PolynomialFunction``
+runs it over its own stacks, and ``stacked_evaluator`` over the grouped
+stacks of several functions, giving their values at one scalar time in
+one call, equal bit for bit to ``eval``; the integrators' right-hand
+sides use it.
 
 Values are immutable after construction and evaluation is pure, so
 functions are safe to share across threads.
@@ -39,7 +45,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import MAX_DIM, _defect_measure, adjoint, as_matrix
+from .matrix_core import MAX_DIM, _as_stack, _defect_measure, adjoint
 
 #: Highest degree of an input polynomial; products built with the algebra
 #: below may exceed it.
@@ -49,25 +55,6 @@ MAX_DEGREE = 8
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _as_value(value, scalar: bool, name: str):
-    """Normalize one stored value: () for scalar kind, (n, n) otherwise."""
-    if scalar:
-        v = np.asarray(value, dtype=np.complex128)
-        if v.ndim != 0:
-            raise DimensionError(f"{name}: expected a scalar value, got shape {v.shape}")
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise ValueError(f"{name}: non-finite scalar value")
-        return v.reshape(())
-    return as_matrix(value, name)
-
-
-def _times(t):
-    """None for a scalar time t, else t as a 1-D float64 array."""
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:
-        return None
-    return np.asarray(t, dtype=np.float64)
 
 
 class CoefficientFunction:
@@ -92,9 +79,7 @@ class CoefficientFunction:
         raise NotImplementedError
 
     def _out(self, value: np.ndarray):
-        if self.is_scalar and np.ndim(value) == 0:
-            return complex(value)
-        return np.asarray(value, dtype=np.complex128)
+        return complex(value) if self.is_scalar and np.ndim(value) == 0 else value
 
 
 class ConstantFunction(CoefficientFunction):
@@ -103,17 +88,14 @@ class ConstantFunction(CoefficientFunction):
     kind = "constant"
 
     def __init__(self, value, scalar: bool = False):
-        self.value = _freeze(np.array(_as_value(value, scalar, "constant value")))
+        self.value = _freeze(_as_stack([value], "constant value".format, scalar).squeeze(0))
         self.shape = self.value.shape
 
     def eval(self, t):
-        ts = _times(t)
-        if ts is not None:
-            return self._out(np.broadcast_to(self.value, ts.shape + self.shape).copy())
-        return self._out(self.value.copy())
+        return self._out(np.full(np.asarray(t).shape + self.shape, self.value))
 
     def derivative(self, t):
-        return self._out(np.zeros_like(self.eval(t)))
+        return self._out(np.zeros(np.asarray(t).shape + self.shape, dtype=np.complex128))
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,47 +130,31 @@ def _poly_diff(a: np.ndarray) -> np.ndarray:
 
 
 class PolynomialFunction(CoefficientFunction):
-    """t -> sum_k C_k (t - t_ref)^k, evaluated by Horner's scheme."""
+    """t -> sum_k C_k (t - t_ref)^k, evaluated by Horner's scheme (``_staggered_horner``)."""
 
     kind = "polynomial"
 
     def __init__(self, coefficients, t_ref: float = 0.0, scalar: bool = False):
-        coeffs = [_as_value(c, scalar, f"polynomial coefficient {k}")
-                  for k, c in enumerate(coefficients)]
-        if not coeffs:
+        coeffs = _as_stack(coefficients, "polynomial coefficient {}".format, scalar)
+        if not len(coeffs):
             raise ValueError("polynomial needs at least one coefficient")
         if len(coeffs) - 1 > MAX_DEGREE:
             raise ValueError(f"polynomial degree {len(coeffs) - 1} exceeds cap {MAX_DEGREE}")
-        shape = coeffs[0].shape
-        for k, c in enumerate(coeffs):
-            if c.shape != shape:
-                raise DimensionError(f"polynomial coefficient {k} has shape {c.shape}, expected {shape}")
-        self.coefficients = _freeze(np.stack(coeffs))
+        self.coefficients = _freeze(coeffs)
         self.t_ref = float(t_ref)
-        self.shape = shape
-        self._deriv_coefficients = _freeze(_poly_diff(self.coefficients))
+        self.shape = coeffs.shape[1:]
+        self._values = _staggered_horner([self.coefficients], self.t_ref)
+        self._slopes = _staggered_horner([_poly_diff(self.coefficients)], self.t_ref)
 
     @property
     def degree(self) -> int:
         return self.coefficients.shape[0] - 1
 
-    def _horner(self, coeffs: np.ndarray, t) -> np.ndarray:
-        ts = _times(t)
-        if ts is None:
-            dt, acc = float(t) - self.t_ref, coeffs[-1].copy()
-        else:
-            # an (m, 1, 1) column of offsets scales the whole stack per step
-            dt = (ts - self.t_ref).reshape(ts.shape + (1,) * len(self.shape))
-            acc = np.broadcast_to(coeffs[-1], ts.shape + self.shape).copy()
-        for k in range(coeffs.shape[0] - 2, -1, -1):
-            acc = acc * dt + coeffs[k]
-        return acc
-
     def eval(self, t):
-        return self._out(self._horner(self.coefficients, t))
+        return self._out(self._values(t)[0])
 
     def derivative(self, t):
-        return self._out(self._horner(self._deriv_coefficients, t))
+        return self._out(self._slopes(t)[0])
 
 
 class SampledFunction(CoefficientFunction):
@@ -211,8 +177,7 @@ class SampledFunction(CoefficientFunction):
             raise ValueError("sampled grid times must be strictly increasing")
         if order not in (1, 3):
             raise ValueError(f"interpolation order must be 1 or 3, got {order}")
-        vals = np.stack([_as_value(v, scalar, f"sampled value {k}")
-                         for k, v in enumerate(values)])
+        vals = _as_stack(values, "sampled value {}".format, scalar)
         if vals.shape[0] != times.size:
             raise DimensionError(
                 f"sampled grid has {times.size} times but {vals.shape[0]} values")
@@ -224,8 +189,7 @@ class SampledFunction(CoefficientFunction):
         if node_derivatives is not None:
             if self.order != 3:
                 raise ValueError("node derivatives need order 3 (cubic Hermite)")
-            nd = np.stack([_as_value(v, scalar, f"node derivative {k}")
-                           for k, v in enumerate(node_derivatives)])
+            nd = _as_stack(node_derivatives, "node derivative {}".format, scalar)
             if nd.shape != vals.shape:
                 raise DimensionError("node_derivatives shape mismatch")
             self.node_derivatives = _freeze(nd)
@@ -240,15 +204,11 @@ class SampledFunction(CoefficientFunction):
     def _clip_t(self, t):
         lo, hi = float(self.times[0]), float(self.times[-1])
         slack = 1e-9 * max(1.0, hi - lo)
-        ts = _times(t)
-        if ts is None:
-            t = float(t)
-            outside = [t] if t < lo - slack or t > hi + slack else []
-        else:
-            outside = ts[(ts < lo - slack) | (ts > hi + slack)]
-        if len(outside):
+        ts = np.asarray(t, dtype=np.float64)
+        outside = ts[(ts < lo - slack) | (ts > hi + slack)]
+        if outside.size:
             raise DomainError(f"t = {outside[0]} outside sampled domain [{lo}, {hi}]")
-        return min(max(t, lo), hi) if ts is None else np.clip(ts, lo, hi)
+        return np.minimum(np.maximum(ts, lo), hi)
 
     def eval(self, t):
         return self._out(self._pp(self._clip_t(t)))
@@ -285,7 +245,8 @@ def stacked_evaluator(functions):
     horners = []
     for (t_ref, _), slots in groups.items():
         slots.sort(key=lambda i: -functions[i].degree)
-        horners.append((_staggered_horner([functions[i] for i in slots], t_ref), slots))
+        horners.append((_staggered_horner([functions[i].coefficients for i in slots], t_ref),
+                        slots))
 
     def values(t) -> list:
         out = template.copy()
@@ -299,22 +260,33 @@ def stacked_evaluator(functions):
     return values
 
 
-def _staggered_horner(polys, t_ref: float):
-    """``t -> the stacked values of polys at t``, for polys of one shape
-    and ``t_ref`` sorted by degree, highest first."""
-    top = polys[0].degree
-    leading = _freeze(np.stack([p.coefficients[-1] for p in polys]))
+def _staggered_horner(stacks, t_ref: float):
+    """``t -> the stacked values at t`` of polynomials about ``t_ref`` given
+    as coefficient stacks of one value shape, sorted by length, longest
+    first. At a scalar t the result has shape (p,) + value shape; at a 1-D
+    array of m times, (p, m) + value shape, each value equal bit for bit to
+    the one at the scalar time."""
+    # rows of one polynomial are views of its stack (no second copy); several are stacked
+    leading = _freeze(stacks[0][-1:] if len(stacks) == 1 else np.stack([c[-1] for c in stacks]))
     # step k: the first `active` rows (degree > k) do acc = acc * dt + C_k;
     # the row of a poly of degree k holds its leading coefficient until then
     steps = []
-    for k in range(top - 1, -1, -1):
-        active = sum(p.degree > k for p in polys)
-        steps.append((active, _freeze(np.stack([p.coefficients[k] for p in polys[:active]]))))
+    for k in range(len(stacks[0]) - 2, -1, -1):
+        active = sum(len(c) - 1 > k for c in stacks)
+        rows = stacks[0][k:k + 1] if active == 1 else np.stack([c[k] for c in stacks[:active]])
+        steps.append((active, _freeze(rows)))
+    # on a time grid each coefficient row spans the time axis after it
+    grid_steps = [(active, coeffs[:, None]) for active, coeffs in steps]
 
     def horner(t) -> np.ndarray:
-        dt = float(t) - t_ref
-        acc = leading.copy()
-        for active, coeffs in steps:
+        # a float offset and no broadcasting keep the integrators' per-call cost
+        if isinstance(t, float) or np.ndim(t) == 0:
+            dt, acc, todo = float(t) - t_ref, leading.copy(), steps
+        else:
+            ts = np.asarray(t, dtype=np.float64)
+            dt = (ts - t_ref).reshape(ts.shape + (1,) * (leading.ndim - 1))
+            acc, todo = np.repeat(leading[:, None], ts.size, axis=1), grid_steps
+        for active, coeffs in todo:
             head = acc[:active]
             head *= dt
             head += coeffs

@@ -231,7 +231,9 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
 def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> ConditionRecord:
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
-    return _gauge_conditions(cs, None, grid, tol)[0][0]
+    ts = (grid or GridSpec.for_set(cs)).points
+    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(cs.P.eval(block_ts), tol))
+    return _least("coefficient_psd", ts, lo, ok, defect)
 
 
 def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -450,10 +452,14 @@ def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL
     L = sqrt(P)^{-1} [R sqrt(P) - sqrt(P)'].
     """
     p = cs.P.eval(t)
-    sp = principal_sqrt(p, tol)
-    spdot = sqrt_derivative(p, cs.P.derivative(t), tol)
-    f = np.linalg.solve(sp.T, (sp @ cs.Q.eval(t) - spdot).T).T
-    return f, np.linalg.solve(sp, cs.R.eval(t) @ sp - spdot)
+    return _sqrt_frame_factors(principal_sqrt(p, tol), sqrt_derivative(p, cs.P.derivative(t), tol),
+                               cs.Q.eval(t), cs.R.eval(t))
+
+
+def _sqrt_frame_factors(sp: np.ndarray, spdot: np.ndarray, q: np.ndarray, r: np.ndarray):
+    """F and L of ``sqrt_frame_factors`` from sqrt(P), sqrt(P)', Q and R."""
+    f = np.linalg.solve(sp.T, (sp @ q - spdot).T).T
+    return f, np.linalg.solve(sp, r @ sp - spdot)
 
 
 def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
@@ -478,7 +484,7 @@ def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
     t_term = _sqrt_frame(sp, q, r, s, nu.eval(t))[0]
     tdot = (np.linalg.solve(sp, adot @ sp + a @ spdot - spdot @ np.linalg.solve(sp, a) @ sp)
             + nu.derivative(t) * np.eye(cs.n)) / 2.0
-    f, l = sqrt_frame_factors(cs, t, tol)
+    f, l = _sqrt_frame_factors(sp, spdot, q, r)
     return tdot + t_term @ t_term + f @ t_term + t_term @ l - sp @ s @ sp
 
 

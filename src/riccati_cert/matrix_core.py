@@ -1,12 +1,13 @@
 """Dense complex matrix primitives and the numerical policy of the package.
 
-This module alone knows the PSD band (a Hermitian H is >= 0 when its least
-eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above the band),
-the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)) and the
-block size of stacked scans. Every criterion, monitor and predicate of the
-package applies them through ``_psd_measure``, ``_defect_measure`` and
-``_scan``. Also: trace identities and the principal matrix square root with
-its time derivative. All functions are pure; inputs are never mutated.
+This module alone knows the rule for input values (finite, square,
+1 <= n <= MAX_DIM; ``_as_stack``), the PSD band (a Hermitian H is >= 0 when
+its least eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above
+the band), the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F))
+and the block size of stacked scans. Every criterion, monitor and predicate
+of the package applies them through ``_psd_measure``, ``_defect_measure``
+and ``_scan``. Also: trace identities and the principal matrix square root
+with its time derivative. All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -36,23 +37,43 @@ DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 14
 
 
+def _as_stack(values, label, scalar: bool = False) -> np.ndarray:
+    """Validate and normalize a sequence of values into one C-contiguous
+    complex128 stack: (k,) finite scalars with ``scalar``, else (k, n, n)
+    finite square matrices with 1 <= n <= MAX_DIM, a scalar read as a 1 x 1
+    matrix. ``label(i)`` names value i in the error, raised at the first bad
+    value: ``DimensionError`` for a shape, ``ValueError`` for NaN/Inf."""
+    values = values if isinstance(values, np.ndarray) else list(values)
+    try:
+        stack = np.array(values, dtype=np.complex128, order="C")
+    except ValueError:
+        shapes = [np.shape(v) for v in values]
+        k = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if k is None:
+            raise
+        raise DimensionError(f"{label(k)} has shape {shapes[k]}, expected {shapes[0]}") from None
+    if not scalar and stack.ndim == 1:
+        stack = stack.reshape(-1, 1, 1)
+    shape = stack.shape[1:]
+    if scalar and shape:
+        raise DimensionError(f"{label(0)}: expected a scalar value, got shape {shape}")
+    square = len(shape) == 2 and shape[0] == shape[1] and 1 <= shape[0] <= MAX_DIM
+    if not scalar and not square:
+        raise DimensionError(f"{label(0)} must be square, n in 1..{MAX_DIM}; got shape {shape}")
+    finite = np.isfinite(stack.view(np.float64)).reshape(stack.shape + (2,))
+    finite = finite.all(axis=tuple(range(1, finite.ndim)))
+    if not finite.all():
+        raise ValueError(f"{label(int(np.argmin(finite)))} contains non-finite entries")
+    return stack
+
+
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Validate and normalize a square complex matrix.
+    """Validate and normalize a square complex matrix by the rule of ``_as_stack``.
 
     Returns a C-contiguous complex128 copy. Raises ``DimensionError`` for
     non-square or over-cap inputs and ``ValueError`` for NaN/Inf entries.
     """
-    m = np.array(value, dtype=np.complex128, copy=True, order="C")
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    n = m.shape[0]
-    if not 1 <= n <= MAX_DIM:
-        raise DimensionError(f"{name} dimension {n} outside supported range 1..{MAX_DIM}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return _as_stack([value], lambda _: name)[0]
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:

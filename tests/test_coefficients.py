@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -325,3 +327,110 @@ class TestStackedEvaluator:
             for f, v in zip(fs, values(t)):
                 assert type(v) is type(f.eval(t))
                 assert np.asarray(v).tobytes() == np.asarray(f.eval(t)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The one Horner against the per-function Horner it replaced
+# ---------------------------------------------------------------------------
+
+def reference_horner(coeffs: np.ndarray, t_ref: float, t) -> np.ndarray:
+    """The per-function Horner ``PolynomialFunction`` used before it shared
+    ``_staggered_horner``: a Python-float offset at a scalar time, an
+    (m, 1, 1) column of offsets on a time array, and acc = acc * dt + C_k."""
+    shape = coeffs.shape[1:]
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:
+        dt, acc = float(t) - t_ref, coeffs[-1].copy()
+    else:
+        ts = np.asarray(t, dtype=np.float64)
+        dt = (ts - t_ref).reshape(ts.shape + (1,) * len(shape))
+        acc = np.broadcast_to(coeffs[-1], ts.shape + shape).copy()
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        acc = acc * dt + coeffs[k]
+    return acc
+
+
+def _scalar_polynomials():
+    """Scalar-kind polynomials of every degree 0..8, with -0.0 parts."""
+    rng = np.random.default_rng(5)
+    out = []
+    for d in range(cf.MAX_DEGREE + 1):
+        c = np.empty(d + 1, dtype=np.complex128)
+        c.real = np.where(rng.random(d + 1) < 0.3, -0.0, rng.standard_normal(d + 1))
+        c.imag = np.where(rng.random(d + 1) < 0.3, -0.0, rng.standard_normal(d + 1))
+        out.append(cf.polynomial(c, t_ref=0.3, scalar=True))
+    return out
+
+
+class TestOneHorner:
+    TIMES = TestStackedEvaluator.TIMES + (np.linspace(-3.0, 3.0, 1001),)
+
+    @staticmethod
+    def polynomials(n):
+        fs = _evaluator_functions(n) + (_scalar_polynomials() if n == 1 else [])
+        return [f for f in fs if f.kind == "polynomial"]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_eval_and_derivative_match_the_reference(self, n):
+        for f in self.polynomials(n):
+            for t in self.TIMES:
+                for got, coeffs in ((f.eval(t), f.coefficients),
+                                    (f.derivative(t), cf._poly_diff(f.coefficients))):
+                    want = reference_horner(coeffs, f.t_ref, t)
+                    assert np.asarray(got).tobytes() == want.tobytes(), (f.degree, np.ndim(t))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_stacked_evaluator_matches_the_reference(self, n):
+        polys = self.polynomials(n)
+        values = cf.stacked_evaluator(polys)
+        for t in self.TIMES[:-1]:
+            for f, got in zip(polys, values(t)):
+                want = reference_horner(f.coefficients, f.t_ref, t)
+                assert np.asarray(got).tobytes() == want.tobytes(), (f.degree, t)
+
+
+# ---------------------------------------------------------------------------
+# One check per stack of values
+# ---------------------------------------------------------------------------
+
+def _malformed(case):
+    """(values, scalar, exception type, index named) of a malformed stack."""
+    m = np.ones((2, 2))
+    nan = np.ones((2, 2))
+    nan[1, 0] = np.nan
+    return {
+        "ragged": ([m, m, np.ones((3, 3)), m], False, DimensionError, 2),
+        "non_square": ([np.ones((2, 3))] * 4, False, DimensionError, 0),
+        "n65": ([np.eye(65)] * 4, False, DimensionError, 0),
+        "nan": ([m, m, m, nan], False, ValueError, 3),
+        "nan_scalar": ([1.0, complex(0.0, np.inf), 2.0, 3.0], True, ValueError, 1),
+        "matrix_as_scalar": ([1.0, 2.0, m, 3.0], True, DimensionError, 2),
+        "matrices_as_scalars": ([m] * 4, True, DimensionError, 0),
+    }[case]
+
+
+STACK_KINDS = {
+    "polynomial coefficient": lambda v, scalar: cf.polynomial(v, scalar=scalar),
+    "sampled value": lambda v, scalar: cf.sampled(np.arange(4.0), v, scalar=scalar),
+    "node derivative": lambda v, scalar: cf.sampled(
+        np.arange(4.0), np.zeros(4) if scalar else [np.eye(2)] * 4, scalar=scalar,
+        node_derivatives=v),
+}
+
+
+class TestMalformedStacks:
+    @pytest.mark.parametrize("case", ["ragged", "non_square", "n65", "nan", "nan_scalar",
+                                      "matrix_as_scalar", "matrices_as_scalars"])
+    @pytest.mark.parametrize("label", sorted(STACK_KINDS))
+    def test_raises_the_type_and_names_the_first_bad_index(self, label, case):
+        values, scalar, exc, k = _malformed(case)
+        with pytest.raises(exc, match=rf"\b{re.escape(label)} {k}\b"):
+            STACK_KINDS[label](values, scalar)
+
+    def test_any_iterable_of_values(self):
+        f = cf.polynomial(np.eye(2) * k for k in (1.0, 2.0))
+        assert f.eval(1.0).tobytes() == (3.0 * np.eye(2) + 0j).tobytes()
+
+    def test_scalar_matrix_values_read_as_1x1(self):
+        f = cf.sampled([0.0, 1.0], [2.0, 4.0])
+        assert f.shape == (1, 1)
+        assert f.eval(0.5).tobytes() == np.array([[3.0 + 0j]]).tobytes()

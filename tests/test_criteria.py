@@ -329,6 +329,26 @@ class TestSqrtFrameFactors:
         assert_allclose(sp @ l, r @ sp - spdot, atol=1e-10)
 
 
+class TestSourceTermWork:
+    def test_one_sqrt_one_sqrt_derivative_one_P_eval_per_call(self, monkeypatch):
+        # the factors F, L are built from the sqrt(P) and sqrt(P)' the source
+        # term already holds, not recomputed from P
+        cs, _, mu, _ = gen_satisfying(InstanceSpec(n=3, seed=3))
+        calls: dict = {}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("principal_sqrt", "sqrt_derivative"):
+            monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
+        monkeypatch.setattr(cs.P, "eval", counting("P.eval", cs.P.eval))
+        sqrt_frame_source_term(cs, mu, 0.7)
+        assert calls == {"principal_sqrt": 1, "sqrt_derivative": 1, "P.eval": 1}
+
+
 def _skew_frame_instance(rng, n):
     """Constant data with an exactly skew frame term: R := Q* - sqrt(P)(2K - nu I)sqrt(P)^{-1}."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -507,3 +527,9 @@ class TestOnePassPerCriterion:
         assert mu_fn.values.tobytes() == rep.extracted_mu.values.tobytes()
         assert check_source_condition(cs, lam, g) == rep.condition("shifted_source_psd")
         assert calls["_scan"] == 4
+
+    def test_positivity_scans_P_only(self, counted):
+        cs, _, _, y0, g, calls = counted
+        rec = check_positivity_condition(cs, g)
+        assert calls == {"_scan": 1, "P": 1}
+        assert rec == check_gauge_criterion(cs, None, y0, g).condition("coefficient_psd")
