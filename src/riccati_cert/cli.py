@@ -10,6 +10,10 @@ Subcommands::
     riccati-cert integrate INSTANCE --method direct|radon|both|lyapunov --out CSV
     riccati-cert verify INSTANCE TRAJECTORY_CSV
     riccati-cert gen --target satisfying|blowup|comparison --n N --seed K --out FILE
+
+A flag's rule and default belong to the library type that takes its value
+(``InstanceSpec``, ``IntegratorOptions``, ``GridSpec``); a command builds it
+and names the flag in its error. Only ``--tol``'s range is checked here.
 """
 
 from __future__ import annotations
@@ -21,17 +25,13 @@ import sys
 
 import numpy as np
 
-from .criteria import (
-    CRITERION_NAMES,
-    DEFAULT_GRID_POINTS,
-    MAX_GRID_POINTS,
-    GridSpec,
-    run_criterion,
-)
-from .exceptions import InstanceFormatError, RiccatiError
+from .coefficients import CoefficientSet
+from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
+from .exceptions import InstanceFormatError, IntegrationError, RiccatiError
 from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
-from .matrix_core import MAX_DIM
+from .matrix_core import DEFAULT_TOL, MAX_DIM
 from .integrate import (
+    DEFAULT_SAMPLES,
     IntegratorOptions,
     Trajectory,
     integrate_linear_system,
@@ -48,7 +48,7 @@ from .serialize import (
     write_status_sidecar,
     write_trajectory_csv,
 )
-from .verify import residual_check, verify_hermitian_bound
+from .verify import DEFAULT_BOUND_TOL, MIN_RESIDUAL_SAMPLES, residual_check, verify_hermitian_bound
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a criterion check on an instance file")
     p_check.add_argument("instance", help="path to an instance JSON file")
     p_check.add_argument("--criterion", choices=CRITERION_NAMES, default="theorem3.1")
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.add_argument("--grid", type=int, default=None,
                          help="number of uniform grid points (default: instance "
                               f"grid_points or {DEFAULT_GRID_POINTS})")
@@ -76,16 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--method", choices=("direct", "radon", "both", "lyapunov"),
                        default="direct")
     p_int.add_argument("--out", required=True, help="output CSV path")
-    p_int.add_argument("--samples", type=int, default=201)
-    p_int.add_argument("--rtol", type=float, default=1e-9)
-    p_int.add_argument("--atol", type=float, default=1e-12)
+    p_int.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p_int.add_argument("--rtol", type=float, default=IntegratorOptions.rtol)
+    p_int.add_argument("--atol", type=float, default=IntegratorOptions.atol)
 
     p_ver = sub.add_parser("verify", help="verify the Hermitian-part lower bound "
                                           "along a trajectory CSV")
     p_ver.add_argument("instance")
     p_ver.add_argument("trajectory", help="CSV produced by the integrate subcommand "
                                           "for the same instance")
-    p_ver.add_argument("--tol", type=float, default=1e-6)
+    p_ver.add_argument("--tol", type=float, default=DEFAULT_BOUND_TOL)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("--target", choices=("satisfying", "blowup", "comparison"),
@@ -93,29 +93,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help=f"dimension, 1..{MAX_DIM}")
     p_gen.add_argument("--seed", type=int, default=0, help="non-negative integer")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--horizon", type=float, default=5.0)
-    p_gen.add_argument("--t0", type=float, default=0.0)
-    p_gen.add_argument("--scale", type=float, default=1.0)
+    p_gen.add_argument("--horizon", type=float, default=InstanceSpec.horizon)
+    p_gen.add_argument("--t0", type=float, default=InstanceSpec.t0)
+    p_gen.add_argument("--scale", type=float, default=InstanceSpec.scale)
 
     return parser
 
 
-def _require_finite(flag: str, value: float, bound: str = "") -> None:
-    """Refuse a flag value that is not finite or misses ``bound`` ("> 0" or ">= 0")."""
-    ok = {"": True, "> 0": value > 0, ">= 0": value >= 0}[bound]
-    if not (math.isfinite(value) and ok):
-        raise RiccatiError(f"{flag} must be a finite number{' ' + bound if bound else ''}, "
-                           f"got {value!r}")
+def _require_tol(tol: float) -> None:
+    """--tol, of check and verify, has no library owner: finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise RiccatiError(f"--tol must be a finite number >= 0, got {tol!r}")
+
+
+def _grid(cs: CoefficientSet, num: int | None, flag: str) -> GridSpec:
+    try:
+        return GridSpec.for_set(cs, num)
+    except ValueError as exc:
+        raise RiccatiError(f"{flag}: {exc}") from exc
 
 
 def _cmd_check(args) -> int:
-    _require_finite("--tol", args.tol, ">= 0")
+    _require_tol(args.tol)
     inst = load_instance(args.instance)
-    num = args.grid if args.grid is not None else inst.grid_points
-    try:
-        grid = GridSpec.for_set(inst.cs, num)
-    except ValueError as exc:
-        raise RiccatiError(f"--grid: {exc}") from exc
+    # the instance's grid_points passed GridSpec at load
+    grid = _grid(inst.cs, args.grid if args.grid is not None else inst.grid_points, "--grid")
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     print(json.dumps(report.to_dict(), indent=2))
@@ -135,14 +137,12 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
 
 
 def _cmd_integrate(args) -> int:
-    _require_finite("--rtol", args.rtol, "> 0")
-    _require_finite("--atol", args.atol, "> 0")
+    try:
+        opts = IntegratorOptions(rtol=args.rtol, atol=args.atol)
+    except IntegrationError as exc:  # the message starts with the field
+        raise RiccatiError(f"--{exc}") from exc
     inst = load_instance(args.instance)
-    if not 2 <= args.samples <= MAX_GRID_POINTS:
-        raise RiccatiError(f"--samples must be between 2 and {MAX_GRID_POINTS}, "
-                           f"got {args.samples}")
-    ts = np.linspace(inst.cs.t0, inst.cs.t_end, args.samples)
-    opts = IntegratorOptions(rtol=args.rtol, atol=args.atol)
+    ts = _grid(inst.cs, args.samples, "--samples").points
     extra: dict = {}
 
     if args.method == "direct":
@@ -165,20 +165,22 @@ def _cmd_integrate(args) -> int:
         extra["max_discrepancy"] = disc
         print(f"max_discrepancy {disc:.6e}")
 
-    write_status_sidecar(args.out, traj, extra)
-    print(json.dumps(trajectory_status_obj(traj, extra)))
+    status = trajectory_status_obj(traj, extra)
+    write_status_sidecar(args.out, status)
+    print(json.dumps(status))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    _require_finite("--tol", args.tol, ">= 0")
+    _require_tol(args.tol)
     inst = load_instance(args.instance)
     times, values = read_trajectory_csv(args.trajectory, inst.cs.n)
     t0, t_end = inst.cs.t0, inst.cs.t_end
-    if times[0] < t0 - 1e-12 * max(1.0, abs(t0)):
+    slack_t0, slack_t_end = inst.cs.end_slack()
+    if times[0] < t0 - slack_t0:
         raise InstanceFormatError(f"trajectory CSV first row, column 't': time "
                                   f"{float(times[0])!r} is before t0 = {t0!r}")
-    if times[-1] > t_end + 1e-12 * max(1.0, abs(t_end)):
+    if times[-1] > t_end + slack_t_end:
         raise InstanceFormatError(f"trajectory CSV last row, column 't': time "
                                   f"{float(times[-1])!r} is after t_end = {t_end!r}")
     side = read_status_sidecar(args.trajectory)
@@ -187,10 +189,10 @@ def _cmd_verify(args) -> int:
     report = verify_hermitian_bound(traj, inst.lam, tol=args.tol)
     out = report.to_dict()
     warnings: list[str] = []
-    if times.size >= 3:
+    if times.size >= MIN_RESIDUAL_SAMPLES:
         out["max_residual"] = residual_check(traj, inst.cs)
     else:
-        warnings.append("residual check skipped: fewer than 3 samples")
+        warnings.append(f"residual check skipped: fewer than {MIN_RESIDUAL_SAMPLES} samples")
     for key in ("min_lambda", "max_residual"):
         if key in out and not math.isfinite(out[key]):
             warnings.append(f"{key} is {out[key]!r}: the trajectory holds entries too large "
@@ -215,16 +217,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if not 1 <= args.n <= MAX_DIM:
-        raise RiccatiError(f"--n must be an integer in 1..{MAX_DIM}, got {args.n}")
-    if args.seed < 0:
-        raise RiccatiError(f"--seed must be a non-negative integer, got {args.seed}")
-    _require_finite("--horizon", args.horizon, "> 0")
-    _require_finite("--scale", args.scale, "> 0")
-    _require_finite("--t0", args.t0)
-    _require_finite("--t0 + --horizon", args.t0 + args.horizon)
-    spec = InstanceSpec(n=args.n, seed=args.seed, horizon=args.horizon,
-                        t0=args.t0, scale=args.scale, target=args.target)
+    try:
+        spec = InstanceSpec(n=args.n, seed=args.seed, horizon=args.horizon,
+                            t0=args.t0, scale=args.scale, target=args.target)
+    except ValueError as exc:  # the message starts with the field, which names the flag
+        raise RiccatiError(f"--{exc}") from exc
     if args.target == "satisfying":
         cs, lam, mu, y0 = gen_satisfying(spec)
         obj = instance_to_obj(cs, y0, lam=lam, mu=mu)
@@ -253,18 +250,11 @@ def _cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "integrate": _cmd_integrate,
-        "verify": _cmd_verify,
-        "gen": _cmd_gen,
-    }
+    handlers = {"check": _cmd_check, "integrate": _cmd_integrate, "verify": _cmd_verify,
+                "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
-    except RiccatiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (RiccatiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

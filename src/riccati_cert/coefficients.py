@@ -45,7 +45,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import MAX_DIM, _as_stack, _defect_measure, adjoint
+from .matrix_core import MAX_DIM, _as_stack, _defect_measure, adjoint, as_matrix
 
 #: Highest degree of an input polynomial; products built with the algebra
 #: below may exceed it.
@@ -324,6 +324,14 @@ def _require_matrix_function(f: CoefficientFunction, n: int, name: str) -> None:
         raise DimensionError(f"{name} has dimension {f.dim}, expected {n}")
 
 
+def _require_matrix(value, n: int, name: str) -> np.ndarray:
+    """``value`` (an initial value such as Y0) as an n x n matrix by ``as_matrix``'s rule."""
+    m = as_matrix(value, name)
+    if m.shape[0] != n:
+        raise DimensionError(f"{name} has dimension {m.shape[0]}, expected {n}")
+    return m
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The data (P, Q, R, S) of the quadratic equation on [t0, t_end].
@@ -357,6 +365,10 @@ class CoefficientSet:
     @property
     def span(self) -> float:
         return self.t_end - self.t0
+
+    def end_slack(self) -> tuple[float, float]:
+        """How far a computed or stored time may pass t0 and t_end: 1e-12 max(1, |t|)."""
+        return tuple(1e-12 * max(1.0, abs(t)) for t in (self.t0, self.t_end))
 
 
 def _shifted_source(p, q, r, s, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.ndarray:

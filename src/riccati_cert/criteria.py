@@ -36,7 +36,7 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source
-from .exceptions import DimensionError, NotPositiveDefiniteError
+from .exceptions import NotPositiveDefiniteError
 from .matrix_core import (
     DEFAULT_TOL,
     _defect_measure,
@@ -45,7 +45,6 @@ from .matrix_core import (
     _scan,
     _sqrt_of_eigh,
     adjoint,
-    as_matrix,
     principal_sqrt,
     sqrt_derivative,
 )
@@ -189,13 +188,6 @@ def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
                            holds=all(rec.passed for rec in conditions), **extracted)
 
 
-def _initial_value(y0, n: int) -> np.ndarray:
-    y0 = as_matrix(y0, "Y0")
-    if y0.shape[0] != n:
-        raise DimensionError(f"Y0 has dimension {y0.shape[0]}, expected {n}")
-    return y0
-
-
 def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> ConditionRecord:
     """PSD clause on one matrix at t0, by the grid's own measure."""
     lo, ok, _ = _psd_measure(g0[None], tol)
@@ -269,7 +261,7 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     tests that bound along computed trajectories.
     """
     lam = lam or cf.zero_matrix_function(cs.n)
-    y0 = _initial_value(y0, cs.n)
+    y0 = cf._require_matrix(y0, cs.n, "Y0")
     conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
     lam0 = lam.eval(cs.t0)
     conditions.append(_initial_record("initial_lower_bound",
@@ -365,7 +357,7 @@ def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | Non
                                tol: float = DEFAULT_TOL) -> CriterionReport:
     """Criterion with the forced skew gauge (wire name ``cor3.1``)."""
     mu = mu or cf.zero_scalar_function()
-    y0 = _initial_value(y0, cs.n)
+    y0 = cf._require_matrix(y0, cs.n, "Y0")
 
     def frame(p, q, r, s, mu_t, *derivatives):
         lam0, lam0dot = _skew_gauge(p, q, r, mu_t, *derivatives)
@@ -428,7 +420,7 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     conditions, nu_vals = _frame_conditions(cs, nu, grid, tol, frame, "sqrt_frame_skew",
                                             "sqrt_frame_psd")
     if y0 is not None:
-        y0 = _initial_value(y0, cs.n)
+        y0 = cf._require_matrix(y0, cs.n, "Y0")
         g0 = y0 + adjoint(y0)
         if conditions[0].passed:
             sp0 = principal_sqrt(cs.P.eval(cs.t0), tol)
@@ -495,7 +487,7 @@ def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
 def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = None,
                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """P >= 0, S >= 0, R = Q*, Y0 >= 0 (wire name ``theorem1.1``)."""
-    y0 = _initial_value(y0, cs.n)
+    y0 = cf._require_matrix(y0, cs.n, "Y0")
 
     def block(ts):
         p, q, r, s = (f.eval(ts) for f in (cs.P, cs.Q, cs.R, cs.S))

@@ -44,8 +44,9 @@ class InstanceSpec:
     target: str = "satisfying"
 
     def __post_init__(self):
+        # each message starts with the field it names; the CLI turns it into the flag
         if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
+            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if not 1 <= self.n <= MAX_DIM:
             raise ValueError(f"n must be in 1..{MAX_DIM}, got {self.n!r}")
         if not self.seed >= 0:
@@ -55,7 +56,8 @@ class InstanceSpec:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         if not math.isfinite(self.t_end):
-            raise ValueError(f"t0 and t0 + horizon must be finite, got t0 = {self.t0!r}")
+            raise ValueError(f"t0 + horizon must be finite, got t0 = {self.t0!r} "
+                             f"and horizon = {self.horizon!r}")
 
     def kind_of(self, name: str) -> str:
         return (self.kinds or {}).get(name, "polynomial")

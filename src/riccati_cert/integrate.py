@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, stacked_evaluator
-from .exceptions import DimensionError, IntegrationError
-from .matrix_core import _scan, adjoint, as_matrix
+from .coefficients import CoefficientSet, _require_matrix, stacked_evaluator
+from .exceptions import IntegrationError
+from .matrix_core import _scan, adjoint
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order
 # solution, which is propagated; the _ERR row (fifth- minus fourth-order
@@ -74,8 +74,8 @@ _H_MIN = 1e-12
 #: Frobenius norm of Y exceeds this.
 _BLOWUP_NORM = 1e8
 
-#: The linear flow is reset to (I, Y) at a sample where its condition
-#: estimate or magnitude exceeds this.
+#: The linear flow is reset to (I, Y) at a sample where its magnitude, or
+#: its condition estimate, exceeds this (the latter also past 0.25/rtol).
 _RECONDITION_THRESHOLD = 1e8
 
 #: Hard ceiling on the reconstruction-condition estimate beyond which a
@@ -87,21 +87,24 @@ _SINGULAR_COND_CEILING = 1e13
 
 _MAX_STEPS = 1_000_000
 
+DEFAULT_SAMPLES = 201  # uniform sample times of ``default_sample_times``
+
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Error tolerances of the step-size control.
 
-    The minimum step, the blow-up norm cap and the recondition threshold
-    are fixed module constants (1e-12, 1e8 and 1e8).
+    The minimum step and the blow-up norm cap are fixed module constants
+    (1e-12 and 1e8); the linear flow's thresholds follow rtol.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise IntegrationError("rtol and atol must be positive")
+        for name, value in (("rtol", self.rtol), ("atol", self.atol)):
+            if not (math.isfinite(value) and value > 0):
+                raise IntegrationError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -149,7 +152,7 @@ class LinearFlow:
     restarts: list[float] = field(default_factory=list)
 
 
-def default_sample_times(cs: CoefficientSet, num: int = 201) -> np.ndarray:
+def default_sample_times(cs: CoefficientSet, num: int = DEFAULT_SAMPLES) -> np.ndarray:
     return np.linspace(cs.t0, cs.t_end, num)
 
 
@@ -303,11 +306,12 @@ def _check_samples(cs: CoefficientSet, sample_times) -> np.ndarray:
     ts = np.asarray(sample_times, dtype=np.float64)
     if ts.ndim != 1 or ts.size < 1:
         raise IntegrationError("sample_times must be a non-empty 1-D array")
-    if abs(float(ts[0]) - cs.t0) > 1e-12 * max(1.0, abs(cs.t0)):
+    slack_t0, slack_t_end = cs.end_slack()
+    if abs(float(ts[0]) - cs.t0) > slack_t0:
         raise IntegrationError(f"sample_times must start at t0 = {cs.t0}")
     if ts.size > 1 and not np.all(np.diff(ts) > 0):
         raise IntegrationError("sample_times must be strictly increasing")
-    if float(ts[-1]) > cs.t_end + 1e-12 * max(1.0, abs(cs.t_end)):
+    if float(ts[-1]) > cs.t_end + slack_t_end:
         raise IntegrationError(f"sample_times exceed t_end = {cs.t_end}")
     return ts
 
@@ -315,11 +319,8 @@ def _check_samples(cs: CoefficientSet, sample_times) -> np.ndarray:
 def _prologue(cs: CoefficientSet, y0, name: str, sample_times) -> tuple[np.ndarray, np.ndarray]:
     """The validated initial value ``name`` and sample times of an integrator
     call (default: ``default_sample_times(cs)``)."""
-    y0 = as_matrix(y0, name)
-    if y0.shape[0] != cs.n:
-        raise DimensionError(f"{name} has dimension {y0.shape[0]}, expected {cs.n}")
-    return y0, _check_samples(cs, sample_times if sample_times is not None
-                              else default_sample_times(cs))
+    ts = default_sample_times(cs) if sample_times is None else sample_times
+    return _require_matrix(y0, cs.n, name), _check_samples(cs, ts)
 
 
 def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
@@ -363,14 +364,14 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     estimate of the reconstruction, (max(||Phi||, ||Psi||) + atol/rtol) /
     sigma_min(Phi), decides what happens:
 
-    * above the singular cutoff max(0.5/rtol, 2e8) (capped at 1e13) the
+    * above the singular cutoff max(0.5/rtol, 2 r) (capped at 1e13) the
       sample is marked singular and skipped: the reconstructed value
       would carry an error estimate of order one or worse. The linear
       flow itself never blows up and simply continues;
-    * above the recondition threshold 1e8 (or when the raw magnitude
-      exceeds it) the pair is reset to (I, Y(tau)) and the restart
-      logged; the reset preserves the numerical ratio Psi Phi^{-1}
-      exactly, so it never adds error to the continued flow;
+    * above the recondition threshold r = min(1e8, 0.25/rtol) (or when
+      the raw magnitude exceeds 1e8) the pair is reset to (I, Y(tau))
+      and the restart logged; the reset preserves the numerical ratio
+      Psi Phi^{-1} exactly, so it never adds error to the continued flow;
     * otherwise Y is reconstructed and stored (with reconstruction error
       bounded by roughly cond_est * rtol relative to 1 + ||Y||).
 
@@ -397,8 +398,8 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     traj_vals: list[np.ndarray] = []
     singular: list[float] = []
     floor = opts.atol / opts.rtol
-    singular_cutoff = min(_SINGULAR_COND_CEILING,
-                          max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
+    recondition = min(_RECONDITION_THRESHOLD, 0.25 / opts.rtol)
+    singular_cutoff = min(_SINGULAR_COND_CEILING, max(0.5 / opts.rtol, 2.0 * recondition))
 
     def at_sample(t, y):
         phi = y[:n2].reshape(n, n)
@@ -413,7 +414,7 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         ymat = np.linalg.solve(phi.T, psi.T).T
         traj_times.append(float(t))
         traj_vals.append(ymat)
-        if cond_est > _RECONDITION_THRESHOLD or mag > _RECONDITION_THRESHOLD:
+        if cond_est > recondition or mag > _RECONDITION_THRESHOLD:
             restarts.append(float(t))
             return np.concatenate([eye_flat, ymat.ravel()])
         return y
@@ -484,8 +485,10 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
         out[1] = dx * (y[0] + y[1]) / 2.0
         return out
     out[1] = dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
-    for i in range(2, m):
-        out[i] = out[i - 2] + dx * (y[i - 2] + 4.0 * y[i - 1] + y[i]) / 3.0
+    # Simpson over [k-2, k]; each parity chain is one running sum, added in recurrence order
+    steps = dx * (y[:-2] + 4.0 * y[1:-1] + y[2:]) / 3.0
+    for first in (0, 1):
+        out[first::2] = np.cumsum(np.concatenate((out[first:first + 1], steps[first::2])))
     return out
 
 

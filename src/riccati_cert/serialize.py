@@ -38,9 +38,10 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
-from .criteria import MAX_GRID_POINTS
+from .criteria import GridSpec
 from .exceptions import DomainError, InstanceFormatError, RiccatiError
 from .integrate import LinearFlow, Trajectory
+from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +252,21 @@ def parse_instance(obj) -> ParsedInstance:
 
     try:
         cs = CoefficientSet(n=n, t0=t0, t_end=t_end, **fns)
-    except RiccatiError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    except ValueError as exc:
+    except (RiccatiError, ValueError) as exc:
         raise InstanceFormatError(str(exc)) from exc
 
     lam = function("lambda") if "lambda" in obj else None
     mu = function("mu", scalar=True) if "mu" in obj else None
     nu = function("nu", scalar=True) if "nu" in obj else None
-    if lam is not None and lam.dim != n:
-        raise InstanceFormatError(f"field 'lambda' has dimension {lam.dim}, expected {n}")
-
+    # every matrix above is read as n x n, lambda's values too
     grid_points = obj.get("grid_points")
     if grid_points is not None:
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool) \
-                or not 2 <= grid_points <= MAX_GRID_POINTS:
-            raise InstanceFormatError(
-                f"field 'grid_points' must be an integer in 2..{MAX_GRID_POINTS}")
+        if not isinstance(grid_points, int) or isinstance(grid_points, bool):
+            raise InstanceFormatError("field 'grid_points' must be an integer")
+        try:
+            GridSpec.for_set(cs, grid_points)
+        except ValueError as exc:
+            raise InstanceFormatError(f"field 'grid_points': {exc}") from exc
 
     return ParsedInstance(cs=cs, y0=y0, lam=lam, mu=mu, nu=nu, grid_points=grid_points)
 
@@ -342,11 +341,9 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     ``det_phi_abs`` is only present when a linear flow is supplied. Rows
     are written one at a time.
     """
-    from .verify import eigen_monitor, residual_series
-
     m = traj.times.size
     gaps = _csv_floats(eigen_monitor(traj, lam))
-    resid = _csv_floats(residual_series(traj, cs)) if m >= 3 else [""] * m
+    resid = [""] * m if m < MIN_RESIDUAL_SAMPLES else _csv_floats(residual_series(traj, cs))
     tails = [[g, r] for g, r in zip(gaps, resid)]
     if flow is not None:
         det_by_time = dict(zip(flow.times.tolist(),
@@ -455,10 +452,11 @@ def trajectory_status_obj(traj: Trajectory, extra: dict | None = None) -> dict:
     return obj
 
 
-def write_status_sidecar(csv_path: str, traj: Trajectory, extra: dict | None = None) -> str:
+def write_status_sidecar(csv_path: str, status: dict) -> str:
+    """Write ``status`` (a ``trajectory_status_obj``) next to ``csv_path``."""
     sidecar = status_sidecar_path(csv_path)
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(trajectory_status_obj(traj, extra), fh, sort_keys=True, indent=2)
+        json.dump(status, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return sidecar
 

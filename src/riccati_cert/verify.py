@@ -26,6 +26,9 @@ from .integrate import Trajectory
 #: numpy error state of the scans: an overflowing sample gives NaN, its documented result.
 _OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
 
+DEFAULT_BOUND_TOL = 1e-6  # absolute band of the bound checks on the least eigenvalue
+MIN_RESIDUAL_SAMPLES = 3  # of the central-difference residual
+
 
 @dataclass
 class BoundReport:
@@ -57,8 +60,7 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     column.
     """
     lam = lam or cf.zero_matrix_function(traj.n)
-    if lam.dim != traj.n:
-        raise DimensionError(f"lambda has dimension {lam.dim}, expected {traj.n}")
+    cf._require_matrix_function(lam, traj.n, "lambda")
 
     def block(ts, y):
         lam_t = lam.eval(ts)
@@ -69,12 +71,12 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
 
 
 def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = None,
-                           tol: float = 1e-6) -> BoundReport:
+                           tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
     """Check Y(t) + Y*(t) >= L(t) + L*(t) along the trajectory.
 
     The tolerance is absolute on the least eigenvalue: the certified
     inequality is exact but computed trajectories are not, so the default
-    band (-1e-6) is matched to the integrator tolerances.
+    band (``-DEFAULT_BOUND_TOL``) is matched to the integrator tolerances.
     """
     series = eigen_monitor(traj, lam)
     if series.size == 0:
@@ -104,7 +106,7 @@ class SandwichReport:
 
 
 def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
-                    tol: float = 1e-6) -> SandwichReport:
+                    tol: float = DEFAULT_BOUND_TOL) -> SandwichReport:
     """Check Y(t) >= 0 and Ytilde(t) - Y(t) >= 0 at every shared sample."""
     if traj.times.shape != traj_tilde.times.shape or \
             not np.array_equal(traj.times, traj_tilde.times):
@@ -131,8 +133,8 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     Scaling by 1 + ||Y||_F^2 keeps the measure meaningful for large
     solutions.
     """
-    if traj.times.size < 3:
-        raise ValueError("residual check needs at least 3 samples")
+    if traj.times.size < MIN_RESIDUAL_SAMPLES:
+        raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
 
     def block(ts, y, dy):
         resid = dy + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y + y @ cs.R.eval(ts) - cs.S.eval(ts)

@@ -40,6 +40,18 @@ class TestSpec:
         with pytest.raises(ValueError, match="finite"):
             InstanceSpec(n=1, seed=0, **{**spec, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("target", "mystery"), ("n", 0), ("n", 65), ("seed", -1),
+        ("horizon", 0.0), ("horizon", math.inf), ("scale", -1.0), ("scale", math.nan),
+        ("t0", math.nan), ("t0", 1e308),
+    ])
+    def test_error_starts_with_the_field(self, field, value):
+        # the gen command names the flag --<field> from the message's first word
+        spec = {"n": 1, "seed": 0, "horizon": 1e308 if (field, value) == ("t0", 1e308) else 5.0}
+        with pytest.raises(ValueError) as err:
+            InstanceSpec(**{**spec, field: value})
+        assert str(err.value).split()[0] == field
+
 
 class TestDeterminism:
     def test_satisfying_is_bit_identical(self):

@@ -14,6 +14,11 @@ holds, Phi must stay well conditioned on the whole grid and
 Y + Y* >= 0 (up to rounding) must hold there, and the direct and radon
 integrators must reproduce the flow. The instance generators must
 always satisfy the criterion they are built for.
+
+On the constant blow-up family the flow is Phi = cos(sqrt(c) (t - t0)) I,
+and the zeros of det Phi, confirmed on the expm flow, must be bracketed:
+the direct integration escapes at the first zero, and the linear flow
+marks a sample singular exactly where a zero is a sample time.
 """
 
 import numpy as np
@@ -26,7 +31,11 @@ from riccati_cert import coefficients as cf
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.criteria import run_criterion
 from riccati_cert.instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
-from riccati_cert.integrate import integrate_linear_system, integrate_riccati_direct
+from riccati_cert.integrate import (
+    IntegratorOptions,
+    integrate_linear_system,
+    integrate_riccati_direct,
+)
 
 ORACLE = settings(derandomize=True, deadline=None, max_examples=40,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -74,12 +83,18 @@ def exact_flow(cs, y0, ts):
     return x[:, :cs.n], x[:, cs.n:]
 
 
+def flow_ratio(cs, y0, ts):
+    """sigma_min(Phi) / ||[Phi; Psi]||_2 of the exact flow at the times ts."""
+    phi, psi = exact_flow(cs, y0, ts)
+    return (np.linalg.svd(phi, compute_uv=False)[:, -1]
+            / np.linalg.norm(np.concatenate([phi, psi], axis=1), 2, axis=(1, 2)))
+
+
 def oracle_solution(cs, y0, ts):
     """Y on the grid ts, after asserting that Phi stays invertible there and
     that Y + Y* >= 0 up to rounding."""
     phi, psi = exact_flow(cs, y0, ts)
-    ratio = (np.linalg.svd(phi, compute_uv=False)[:, -1]
-             / np.linalg.norm(np.concatenate([phi, psi], axis=1), 2, axis=(1, 2)))
+    ratio = flow_ratio(cs, y0, ts)
     k = int(np.argmin(ratio))
     assert ratio[k] >= MIN_PHI_RATIO, f"Phi nearly singular at t = {ts[k]}"
     y = np.linalg.solve(phi.swapaxes(1, 2), psi.swapaxes(1, 2)).swapaxes(1, 2)
@@ -151,3 +166,63 @@ class TestGeneratorsSatisfyTheirCriterion:
                                              target="comparison"))
         rep = run_criterion("theorem1.1", cs, y0)
         assert rep.holds, [rec for rec in rep.conditions if not rec.passed]
+
+
+#: Largest distance from a zero of det Phi at which the direct integration
+#: may stop short of it: its norm cap 1e8 on ||Y||_F ~ sqrt(n) / (z - t)
+#: is reached within 2e-8 of the pole.
+ESCAPE_GAP = 1e-7
+
+
+def det_phi_zeros(cs, y0, scale):
+    """The zeros of det Phi in (t0, t_end) of a gen_blowup instance: its
+    closed-form candidates t0 + (k + 1/2) pi / sqrt(c), each checked to be a
+    zero of the expm flow, with no other dip of the flow on the fine grid."""
+    half_period = np.pi / np.sqrt(scale)
+    zeros = cs.t0 + (np.arange(int(cs.span / half_period) + 1) + 0.5) * half_period
+    zeros = zeros[zeros < cs.t_end]
+    if zeros.size:
+        assert flow_ratio(cs, y0, zeros).max() <= 1e-12
+    ts = np.linspace(cs.t0, cs.t_end, FLOW_POINTS)
+    dips = ts[flow_ratio(cs, y0, ts) < 1e-2]
+    assert all(np.abs(zeros - t).min() < 0.02 * half_period for t in dips)
+    return zeros
+
+
+class TestBlowUpBracket:
+    @ORACLE
+    @given(n=st.integers(1, 4), scale=st.floats(0.25, 9.0), t0=st.floats(-2.0, 2.0),
+           horizon=st.floats(0.5, 6.0), rtol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_escape_and_singular_times_bracket_the_zeros(self, n, scale, t0, horizon, rtol):
+        cs, y0 = gen_blowup(InstanceSpec(n=n, seed=0, t0=t0, horizon=horizon, scale=scale,
+                                         target="blowup"))
+        zeros = det_phi_zeros(cs, y0, scale)
+        # a uniform grid with every zero as a sample time (grid points near one dropped)
+        grid = np.linspace(cs.t0, cs.t_end, 41)
+        near = np.abs(grid[:, None] - zeros[None, :]).min(axis=1, initial=np.inf) < 1e-3
+        samples = np.sort(np.concatenate([grid[~near], zeros]))
+        opts = IntegratorOptions(rtol=rtol)
+        direct = integrate_riccati_direct(cs, y0, opts, samples)
+        _, radon = integrate_linear_system(cs, y0, opts, samples)
+        if not zeros.size:
+            assert direct.status == radon.status == "completed"
+            return
+        assert direct.status == "blow_up"
+        # within the integration error of the first zero, or just short of it
+        assert abs(direct.t_escape - zeros[0]) <= rtol * (1.0 + abs(zeros[0])) + ESCAPE_GAP
+        assert radon.status == "phi_singular"
+        assert np.array_equal(radon.singular_times, zeros)
+
+    def test_draws_reach_several_zeros(self):
+        # the bracket above is vacuous unless the draws cross zeros, and several
+        seen = []
+
+        @settings(derandomize=True, deadline=None, max_examples=40)
+        @given(scale=st.floats(0.25, 9.0), t0=st.floats(-2.0, 2.0), horizon=st.floats(0.5, 6.0))
+        def collect(scale, t0, horizon):
+            cs, y0 = gen_blowup(InstanceSpec(n=1, seed=0, t0=t0, horizon=horizon, scale=scale,
+                                             target="blowup"))
+            seen.append(det_phi_zeros(cs, y0, scale).size)
+
+        collect()
+        assert 0 in seen and max(seen) >= 3

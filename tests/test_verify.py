@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
 from riccati_cert.coefficients import CoefficientSet
+from riccati_cert.exceptions import DimensionError
 from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison
 from riccati_cert.integrate import (
     Trajectory,
@@ -89,6 +90,16 @@ class TestEigenMonitor:
         traj = integrate_riccati_direct(cs, np.zeros((2, 2)), sample_times=ts)
         series = eigen_monitor(traj)
         assert np.max(np.abs(series - 2 * np.tanh(ts))) <= 1e-8
+
+    @pytest.mark.parametrize("lam, match", [
+        (cf.constant(0.5, scalar=True), "lambda must be matrix-valued"),
+        (cf.constant(np.eye(2)), "lambda has dimension 2, expected 1"),
+    ])
+    def test_gauge_must_be_a_matrix_of_the_trajectory_dimension(self, lam, match):
+        # the rule of CoefficientSet's own functions
+        _, traj = tanh_trajectory()
+        with pytest.raises(DimensionError, match=match):
+            eigen_monitor(traj, lam)
 
 
     def test_blocks_match_per_sample_reference(self):
