@@ -25,9 +25,8 @@ import sys
 
 import numpy as np
 
-from .coefficients import CoefficientSet
 from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
-from .exceptions import InstanceFormatError, IntegrationError, RiccatiError
+from .exceptions import InstanceFormatError, RiccatiError
 from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
 from .matrix_core import DEFAULT_TOL, MAX_DIM
 from .integrate import (
@@ -106,18 +105,19 @@ def _require_tol(tol: float) -> None:
         raise RiccatiError(f"--tol must be a finite number >= 0, got {tol!r}")
 
 
-def _grid(cs: CoefficientSet, num: int | None, flag: str) -> GridSpec:
+def _owned(prefix: str, owner, *args, **kwargs):
+    """``owner(*args, **kwargs)``, its input error prefixed with ``prefix`` (the flag)."""
     try:
-        return GridSpec.for_set(cs, num)
-    except ValueError as exc:
-        raise RiccatiError(f"{flag}: {exc}") from exc
+        return owner(*args, **kwargs)
+    except (ValueError, RiccatiError) as exc:
+        raise RiccatiError(f"{prefix}{exc}") from exc
 
 
 def _cmd_check(args) -> int:
     _require_tol(args.tol)
     inst = load_instance(args.instance)
-    # the instance's grid_points passed GridSpec at load
-    grid = _grid(inst.cs, args.grid if args.grid is not None else inst.grid_points, "--grid")
+    grid = (inst.grid if args.grid is None
+            else _owned("--grid: ", GridSpec.for_set, inst.cs, args.grid))
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     print(json.dumps(report.to_dict(), indent=2))
@@ -137,12 +137,9 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
 
 
 def _cmd_integrate(args) -> int:
-    try:
-        opts = IntegratorOptions(rtol=args.rtol, atol=args.atol)
-    except IntegrationError as exc:  # the message starts with the field
-        raise RiccatiError(f"--{exc}") from exc
+    opts = _owned("--", IntegratorOptions, rtol=args.rtol, atol=args.atol)
     inst = load_instance(args.instance)
-    ts = _grid(inst.cs, args.samples, "--samples").points
+    ts = _owned("--samples: ", GridSpec.for_set, inst.cs, args.samples).points
     extra: dict = {}
 
     if args.method == "direct":
@@ -176,11 +173,10 @@ def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     times, values = read_trajectory_csv(args.trajectory, inst.cs.n)
     t0, t_end = inst.cs.t0, inst.cs.t_end
-    slack_t0, slack_t_end = inst.cs.end_slack()
-    if times[0] < t0 - slack_t0:
+    if times[0] < t0 - inst.cs.end_slack()[0]:
         raise InstanceFormatError(f"trajectory CSV first row, column 't': time "
                                   f"{float(times[0])!r} is before t0 = {t0!r}")
-    if times[-1] > t_end + slack_t_end:
+    if times[-1] > t_end + inst.cs.end_slack()[1]:
         raise InstanceFormatError(f"trajectory CSV last row, column 't': time "
                                   f"{float(times[-1])!r} is after t_end = {t_end!r}")
     side = read_status_sidecar(args.trajectory)
@@ -217,11 +213,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = InstanceSpec(n=args.n, seed=args.seed, horizon=args.horizon,
-                            t0=args.t0, scale=args.scale, target=args.target)
-    except ValueError as exc:  # the message starts with the field, which names the flag
-        raise RiccatiError(f"--{exc}") from exc
+    spec = _owned("--", InstanceSpec, n=args.n, seed=args.seed, horizon=args.horizon,
+                  t0=args.t0, scale=args.scale, target=args.target)
     if args.target == "satisfying":
         cs, lam, mu, y0 = gen_satisfying(spec)
         obj = instance_to_obj(cs, y0, lam=lam, mu=mu)
@@ -250,11 +243,18 @@ def _cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"check": _cmd_check, "integrate": _cmd_integrate, "verify": _cmd_verify,
-                "gen": _cmd_gen}
+    handlers = {
+        "check": _cmd_check,
+        "integrate": _cmd_integrate,
+        "verify": _cmd_verify,
+        "gen": _cmd_gen,
+    }
     try:
         return handlers[args.command](args)
-    except (RiccatiError, OSError) as exc:
+    except RiccatiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

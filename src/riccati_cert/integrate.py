@@ -74,15 +74,11 @@ _H_MIN = 1e-12
 #: Frobenius norm of Y exceeds this.
 _BLOWUP_NORM = 1e8
 
-#: The linear flow is reset to (I, Y) at a sample where its magnitude, or
-#: its condition estimate, exceeds this (the latter also past 0.25/rtol).
+#: The linear flow is reset to (I, Y) at a sample where its condition
+#: estimate or magnitude exceeds this (or Phi's own condition 0.25/rtol).
 _RECONDITION_THRESHOLD = 1e8
 
-#: Hard ceiling on the reconstruction-condition estimate beyond which a
-#: flow sample always counts as numerically singular. The effective
-#: cutoff is accuracy-aware: reconstruction error scales like
-#: cond_est * rtol, so samples are skipped once that estimate reaches
-#: order one (see integrate_linear_system).
+#: Ceiling of the linear flow's rtol-aware singular cutoff (see integrate_linear_system).
 _SINGULAR_COND_CEILING = 1e13
 
 _MAX_STEPS = 1_000_000
@@ -94,8 +90,8 @@ DEFAULT_SAMPLES = 201  # uniform sample times of ``default_sample_times``
 class IntegratorOptions:
     """Error tolerances of the step-size control.
 
-    The minimum step and the blow-up norm cap are fixed module constants
-    (1e-12 and 1e8); the linear flow's thresholds follow rtol.
+    The minimum step, the blow-up norm cap and the recondition threshold
+    are fixed module constants (1e-12, 1e8 and 1e8).
     """
 
     rtol: float = 1e-9
@@ -302,25 +298,21 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
     return result(None)
 
 
-def _check_samples(cs: CoefficientSet, sample_times) -> np.ndarray:
-    ts = np.asarray(sample_times, dtype=np.float64)
-    if ts.ndim != 1 or ts.size < 1:
-        raise IntegrationError("sample_times must be a non-empty 1-D array")
-    slack_t0, slack_t_end = cs.end_slack()
-    if abs(float(ts[0]) - cs.t0) > slack_t0:
-        raise IntegrationError(f"sample_times must start at t0 = {cs.t0}")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0):
-        raise IntegrationError("sample_times must be strictly increasing")
-    if float(ts[-1]) > cs.t_end + slack_t_end:
-        raise IntegrationError(f"sample_times exceed t_end = {cs.t_end}")
-    return ts
-
-
 def _prologue(cs: CoefficientSet, y0, name: str, sample_times) -> tuple[np.ndarray, np.ndarray]:
     """The validated initial value ``name`` and sample times of an integrator
     call (default: ``default_sample_times(cs)``)."""
-    ts = default_sample_times(cs) if sample_times is None else sample_times
-    return _require_matrix(y0, cs.n, name), _check_samples(cs, ts)
+    y0 = _require_matrix(y0, cs.n, name)
+    ts = np.asarray(default_sample_times(cs) if sample_times is None else sample_times,
+                    dtype=np.float64)
+    if ts.ndim != 1 or ts.size < 1:
+        raise IntegrationError("sample_times must be a non-empty 1-D array")
+    if abs(float(ts[0]) - cs.t0) > cs.end_slack()[0]:
+        raise IntegrationError(f"sample_times must start at t0 = {cs.t0}")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        raise IntegrationError("sample_times must be strictly increasing")
+    if float(ts[-1]) > cs.t_end + cs.end_slack()[1]:
+        raise IntegrationError(f"sample_times exceed t_end = {cs.t_end}")
+    return y0, ts
 
 
 def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
@@ -360,20 +352,21 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
                             sample_times=None) -> tuple[LinearFlow, Trajectory]:
     """Integrate the block-linear flow and reconstruct Y = Psi Phi^{-1}.
 
-    From Phi(t0) = I, Psi(t0) = Y0. At every sample time a condition
-    estimate of the reconstruction, (max(||Phi||, ||Psi||) + atol/rtol) /
-    sigma_min(Phi), decides what happens:
+    From Phi(t0) = I, Psi(t0) = Y0. At every sample time two condition
+    estimates decide what happens: the reconstruction's, c = (max(||Phi||,
+    ||Psi||) + atol/rtol) / sigma_min(Phi), and Phi's own against I, its
+    value at the last reset, c_Phi = max(1, ||Phi||_2) / sigma_min(Phi):
 
-    * above the singular cutoff max(0.5/rtol, 2 r) (capped at 1e13) the
-      sample is marked singular and skipped: the reconstructed value
-      would carry an error estimate of order one or worse. The linear
-      flow itself never blows up and simply continues;
-    * above the recondition threshold r = min(1e8, 0.25/rtol) (or when
-      the raw magnitude exceeds 1e8) the pair is reset to (I, Y(tau))
-      and the restart logged; the reset preserves the numerical ratio
-      Psi Phi^{-1} exactly, so it never adds error to the continued flow;
+    * c above max(0.5/rtol, 2e8) (capped at 1e13), or c_Phi above 0.5/rtol
+      (an exact zero of det Phi), marks the sample singular and skips it:
+      the reconstructed value would carry an error estimate of order one
+      or worse. The linear flow itself never blows up and simply continues;
+    * c or the raw magnitude above the recondition threshold 1e8, or c_Phi
+      above 0.25/rtol, resets the pair to (I, Y(tau)) and logs the restart;
+      the reset preserves the numerical ratio Psi Phi^{-1} exactly, so it
+      never adds error to the continued flow;
     * otherwise Y is reconstructed and stored (with reconstruction error
-      bounded by roughly cond_est * rtol relative to 1 + ||Y||).
+      bounded by roughly c * rtol relative to 1 + ||Y||).
 
     The returned ``LinearFlow`` holds the driver's states at the sample
     times, so at a restart it holds the reset pair.
@@ -398,23 +391,25 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     traj_vals: list[np.ndarray] = []
     singular: list[float] = []
     floor = opts.atol / opts.rtol
-    recondition = min(_RECONDITION_THRESHOLD, 0.25 / opts.rtol)
-    singular_cutoff = min(_SINGULAR_COND_CEILING, max(0.5 / opts.rtol, 2.0 * recondition))
+    singular_cutoff = min(_SINGULAR_COND_CEILING,
+                          max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
         phi = y[:n2].reshape(n, n)
         psi = y[n2:].reshape(n, n)
-        smin = float(np.linalg.svd(phi, compute_uv=False)[-1])
+        sigma = np.linalg.svd(phi, compute_uv=False)
+        smin = float(sigma[-1])
         mag = max(float(np.linalg.norm(phi)), float(np.linalg.norm(psi)))
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
+        phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
-        if cond_est > singular_cutoff and traj_times:
+        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and traj_times:
             singular.append(float(t))
             return y
         ymat = np.linalg.solve(phi.T, psi.T).T
         traj_times.append(float(t))
         traj_vals.append(ymat)
-        if cond_est > recondition or mag > _RECONDITION_THRESHOLD:
+        if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
             restarts.append(float(t))
             return np.concatenate([eye_flat, ymat.ravel()])
         return y

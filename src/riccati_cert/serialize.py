@@ -112,9 +112,7 @@ def obj_to_matrix(obj, n: int, field: str) -> np.ndarray:
 
 
 def _finite_number(obj, field: str) -> float:
-    if not _real(obj):
-        raise InstanceFormatError(f"field '{field}' must be a finite number")
-    x = _to_float(obj, field)
+    x = _to_float(obj, field) if _real(obj) else math.nan
     if not math.isfinite(x):
         raise InstanceFormatError(f"field '{field}' must be a finite number")
     return x
@@ -212,7 +210,11 @@ class ParsedInstance:
     lam: CoefficientFunction | None = None
     mu: CoefficientFunction | None = None
     nu: CoefficientFunction | None = None
-    grid_points: int | None = None
+    grid: GridSpec | None = None
+
+    @property
+    def grid_points(self) -> int | None:
+        return None if self.grid is None else self.grid.num_points
 
 
 def parse_instance(obj) -> ParsedInstance:
@@ -252,7 +254,9 @@ def parse_instance(obj) -> ParsedInstance:
 
     try:
         cs = CoefficientSet(n=n, t0=t0, t_end=t_end, **fns)
-    except (RiccatiError, ValueError) as exc:
+    except RiccatiError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+    except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
     lam = function("lambda") if "lambda" in obj else None
@@ -260,15 +264,16 @@ def parse_instance(obj) -> ParsedInstance:
     nu = function("nu", scalar=True) if "nu" in obj else None
     # every matrix above is read as n x n, lambda's values too
     grid_points = obj.get("grid_points")
+    grid = None
     if grid_points is not None:
         if not isinstance(grid_points, int) or isinstance(grid_points, bool):
             raise InstanceFormatError("field 'grid_points' must be an integer")
         try:
-            GridSpec.for_set(cs, grid_points)
+            grid = GridSpec.for_set(cs, grid_points)
         except ValueError as exc:
             raise InstanceFormatError(f"field 'grid_points': {exc}") from exc
 
-    return ParsedInstance(cs=cs, y0=y0, lam=lam, mu=mu, nu=nu, grid_points=grid_points)
+    return ParsedInstance(cs=cs, y0=y0, lam=lam, mu=mu, nu=nu, grid=grid)
 
 
 def load_instance(path: str) -> ParsedInstance:
@@ -343,7 +348,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     """
     m = traj.times.size
     gaps = _csv_floats(eigen_monitor(traj, lam))
-    resid = [""] * m if m < MIN_RESIDUAL_SAMPLES else _csv_floats(residual_series(traj, cs))
+    resid = _csv_floats(residual_series(traj, cs)) if m >= MIN_RESIDUAL_SAMPLES else [""] * m
     tails = [[g, r] for g, r in zip(gaps, resid)]
     if flow is not None:
         det_by_time = dict(zip(flow.times.tolist(),

@@ -167,6 +167,17 @@ class TestIntegrate:
             rows = list(csv.reader(fh))
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-8)  # ytilde(1) = t
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radon_with_loose_tolerances_completes(self, capsys, tmp_path, n):
+        # atol / rtol = 1e6 inflates the condition estimate but makes no zero of det Phi
+        inst, _ = gen_file(capsys, tmp_path, "satisfying", n=n)
+        out = tmp_path / "radon.csv"
+        code, _, _ = run(capsys, "integrate", str(inst), "--method", "radon", "--out", str(out),
+                         "--rtol", "1e-6", "--atol", "1")
+        assert code == 0
+        sidecar = json.loads((tmp_path / "radon.status.json").read_text())
+        assert sidecar["status"] == "completed"
+
 
 class TestVerify:
     def test_round_trip_pass(self, capsys, tmp_path):

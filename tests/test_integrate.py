@@ -187,6 +187,34 @@ class TestLinearFlow:
             err = np.linalg.norm(traj.values[k] - exact)
             assert err <= 1e-6 * (1 + np.linalg.norm(exact))
 
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-6])
+    def test_condition_drift_at_loose_rtol_restarts_instead_of_going_singular(self, rtol):
+        # kappa(phi) = e^{8t} passes 0.5/rtol early: the flow must reset, not skip
+        r = np.diag([4.0, -4.0])
+        cs = CoefficientSet(n=2, t0=0.0, t_end=4.0,
+                            P=cf.constant(np.zeros((2, 2))), Q=cf.constant(np.zeros((2, 2))),
+                            R=cf.constant(r), S=cf.constant(np.zeros((2, 2))))
+        flow, traj = integrate_linear_system(cs, np.ones((2, 2)), IntegratorOptions(rtol=rtol))
+        assert traj.status == "completed" and traj.times.size == 201
+        assert len(flow.restarts) >= 1
+        for k, t in enumerate(traj.times):
+            exact = np.array([[math.exp(-4 * t), math.exp(4 * t)]] * 2)
+            assert np.linalg.norm(traj.values[k] - exact) <= 1e-6 * (1 + np.linalg.norm(exact))
+
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-9])
+    def test_large_y0_with_phi_identity_completes(self, rtol):
+        # P = R = 0 keeps phi = I exactly, so the reconstruction is exact however
+        # large ||psi|| / sigma_min(phi) is
+        cs = CoefficientSet(n=2, t0=0.0, t_end=2.0,
+                            P=cf.constant(np.zeros((2, 2))), Q=cf.constant(0.3 * np.eye(2)),
+                            R=cf.constant(np.zeros((2, 2))), S=cf.constant(np.eye(2)))
+        flow, traj = integrate_linear_system(cs, 1e3 * np.eye(2), IntegratorOptions(rtol=rtol))
+        assert traj.status == "completed" and traj.times.size == 201
+        assert flow.restarts == []
+        # Y' = I - 0.3 Y: Y = (1/0.3 + (1e3 - 1/0.3) e^{-0.3 t}) I
+        exact = 1 / 0.3 + (1e3 - 1 / 0.3) * np.exp(-0.3 * traj.times)
+        assert_allclose(traj.values[:, 0, 0], exact, rtol=10 * rtol)
+
     def test_cross_method_agreement_random(self):
         for seed in range(4):
             for n in (1, 2, 3, 4):
