@@ -12,9 +12,10 @@ function it evaluates:
 * constant       -- a single value, derivative identically zero;
 * polynomial     -- matrix (or scalar) coefficients of t -> sum C_k (t - t_ref)^k,
                     degree <= 8, term-by-term derivative;
-* sampled        -- values on a strictly increasing grid, read through one
-                    piecewise polynomial (linear, natural cubic spline, or
-                    cubic Hermite given node derivatives) and its derivative.
+* sampled        -- values on a strictly increasing grid of finite times, read
+                    through one scipy piecewise polynomial (linear, natural
+                    cubic spline, or cubic Hermite given node derivatives) and
+                    its derivative.
 
 A function's data (its value, its polynomial coefficients, or its
 sampled values and node derivatives) is one complex128 stack, checked once
@@ -33,19 +34,26 @@ stacks of several functions, giving their values at one scalar time in
 one call, equal bit for bit to ``eval``; the integrators' right-hand
 sides use it.
 
+scipy is imported only where sampled data need it: a cubic function
+builds its spline at construction, so scipy's own refusals stay
+construction errors, and a linear one builds its piecewise polynomial on
+its first ``eval`` or ``derivative``. Importing the package, and using
+constant or polynomial data, never loads scipy.
+
 Values are immutable after construction and evaluation is pure, so
-functions are safe to share across threads.
+functions are safe to share across threads; a race on a linear function's
+first evaluation only builds the same piecewise polynomial twice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import MAX_DIM, _as_stack, _defect_measure, adjoint, as_matrix
+from .matrix_core import _as_stack, _defect_measure, _require_dim, adjoint, as_matrix
 
 #: Highest degree of an input polynomial; products built with the algebra
 #: below may exceed it.
@@ -158,12 +166,14 @@ class PolynomialFunction(CoefficientFunction):
 
 
 class SampledFunction(CoefficientFunction):
-    """Values on a strictly increasing time grid, read through one scipy
-    piecewise polynomial built at construction: straight lines for
-    ``order`` 1, the natural cubic spline for ``order`` 3, or the cubic
-    Hermite spline through given ``node_derivatives`` (order 3 only).
-    ``derivative`` is that interpolant's derivative; for order 1 at a node,
-    the slope of the cell to its right (to its left at the last node).
+    """Values on a strictly increasing grid of finite times, read through one
+    scipy piecewise polynomial: straight lines for ``order`` 1, the natural
+    cubic spline for ``order`` 3, or the cubic Hermite spline through given
+    ``node_derivatives`` (order 3 only). A cubic spline is built at
+    construction; the lines are built on the first ``eval`` or
+    ``derivative``. ``derivative`` is that interpolant's derivative; for
+    order 1 at a node, the slope of the cell to its right (to its left at
+    the last node).
     """
 
     kind = "sampled"
@@ -173,6 +183,9 @@ class SampledFunction(CoefficientFunction):
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("sampled grid needs at least 2 time points")
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise ValueError(f"sampled time {bad[0]} must be finite, got {float(times[bad[0]])!r}")
         if not np.all(np.diff(times) > 0):
             raise ValueError("sampled grid times must be strictly increasing")
         if order not in (1, 3):
@@ -185,7 +198,7 @@ class SampledFunction(CoefficientFunction):
         self.values = _freeze(vals)
         self.order = int(order)
         self.shape = vals.shape[1:]
-        self.node_derivatives = None
+        self.node_derivatives = nd = None
         if node_derivatives is not None:
             if self.order != 3:
                 raise ValueError("node derivatives need order 3 (cubic Hermite)")
@@ -193,13 +206,25 @@ class SampledFunction(CoefficientFunction):
             if nd.shape != vals.shape:
                 raise DimensionError("node_derivatives shape mismatch")
             self.node_derivatives = _freeze(nd)
-            pp = CubicHermiteSpline(times, vals, nd, axis=0)
-        elif self.order == 3:
-            pp = CubicSpline(times, vals, axis=0, bc_type="natural")
+        self._lines = self._pps = None
+        if self.order == 3:
+            from scipy.interpolate import CubicHermiteSpline, CubicSpline
+
+            pp = (CubicSpline(times, vals, axis=0, bc_type="natural") if nd is None
+                  else CubicHermiteSpline(times, vals, nd, axis=0))
+            self._pps = (pp, pp.derivative())
         else:
             slopes = np.diff(vals, axis=0) / np.diff(times).reshape((-1,) + (1,) * len(self.shape))
-            pp = PPoly(np.stack([slopes, vals[:-1]]), times)
-        self._pp, self._dpp = pp, pp.derivative()
+            self._lines = np.stack([slopes, vals[:-1]])
+
+    def _interpolant(self) -> tuple:
+        """The piecewise polynomial and its derivative; order 1 builds them here once."""
+        if self._pps is None:
+            from scipy.interpolate import PPoly
+
+            pp = PPoly(self._lines, self.times)
+            self._pps = (pp, pp.derivative())
+        return self._pps
 
     def _clip_t(self, t):
         lo, hi = float(self.times[0]), float(self.times[-1])
@@ -211,10 +236,10 @@ class SampledFunction(CoefficientFunction):
         return np.minimum(np.maximum(ts, lo), hi)
 
     def eval(self, t):
-        return self._out(self._pp(self._clip_t(t)))
+        return self._out(self._interpolant()[0](self._clip_t(t)))
 
     def derivative(self, t):
-        return self._out(self._dpp(self._clip_t(t)))
+        return self._out(self._interpolant()[1](self._clip_t(t)))
 
 
 def stacked_evaluator(functions):
@@ -332,6 +357,15 @@ def _require_matrix(value, n: int, name: str) -> np.ndarray:
     return m
 
 
+def _require_interval(t0: float, t_end: float, name: str = "t_end - t0") -> None:
+    """The rule for a time interval [t0, t_end]: t_end - t0 is finite and
+    positive, so t0 < t_end and both are finite. The error starts with
+    ``name``, the caller's name for that difference."""
+    if not 0.0 < t_end - t0 < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, "
+                         f"got t0 = {t0!r} and t_end = {t_end!r}")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The data (P, Q, R, S) of the quadratic equation on [t0, t_end].
@@ -350,10 +384,8 @@ class CoefficientSet:
     notes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIM:
-            raise DimensionError(f"dimension n = {self.n} outside supported range 1..{MAX_DIM}")
-        if not self.t0 < self.t_end:
-            raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
+        _require_dim(self.n)
+        _require_interval(self.t0, self.t_end)
         for name in ("P", "Q", "R", "S"):
             _require_matrix_function(getattr(self, name), self.n, name)
         ts = np.array([self.t0, 0.5 * (self.t0 + self.t_end), self.t_end])

@@ -72,8 +72,7 @@ class GridSpec:
     def __post_init__(self):
         if not 2 <= self.num_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid needs 2..{MAX_GRID_POINTS} points, got {self.num_points}")
-        if not self.t0 < self.t_end:
-            raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
+        cf._require_interval(self.t0, self.t_end)
 
     @cached_property
     def points(self) -> np.ndarray:

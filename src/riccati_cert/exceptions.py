@@ -5,8 +5,12 @@ class RiccatiError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(RiccatiError):
-    """Matrix or coefficient dimensions are inconsistent."""
+class DimensionError(RiccatiError, ValueError):
+    """Matrix or coefficient dimensions are inconsistent or out of range.
+
+    Also a ``ValueError``: a wrong dimension is a wrong value, and the
+    dimension rule serves callers that raise ``ValueError`` for their
+    other fields."""
 
 
 class DomainError(RiccatiError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientSet, _poly_add, _poly_diff, _poly_mul
-from .matrix_core import MAX_DIM, adjoint
+from .matrix_core import _require_dim, adjoint
 
 TARGETS = ("satisfying", "blowup", "comparison")
 
@@ -47,17 +47,14 @@ class InstanceSpec:
         # each message starts with the field it names; the CLI turns it into the flag
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if not 1 <= self.n <= MAX_DIM:
-            raise ValueError(f"n must be in 1..{MAX_DIM}, got {self.n!r}")
+        _require_dim(self.n)
         if not self.seed >= 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
-        if not math.isfinite(self.t_end):
-            raise ValueError(f"t0 + horizon must be finite, got t0 = {self.t0!r} "
-                             f"and horizon = {self.horizon!r}")
+        cf._require_interval(self.t0, self.t_end, "t0 + horizon minus t0")
 
     def kind_of(self, name: str) -> str:
         return (self.kinds or {}).get(name, "polynomial")

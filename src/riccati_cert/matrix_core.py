@@ -1,12 +1,14 @@
 """Dense complex matrix primitives and the numerical policy of the package.
 
-This module alone knows the rule for input values (finite, square,
-1 <= n <= MAX_DIM; ``_as_stack``), the PSD band (a Hermitian H is >= 0 when
-its least eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above
-the band), the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F))
-and the block size of stacked scans. Every criterion, monitor and predicate
-of the package applies them through ``_psd_measure``, ``_defect_measure``
-and ``_scan``. Also: trace identities and the principal matrix square root
+This module alone knows the rule for input values (finite, square;
+``_as_stack``), the dimension rule (1 <= n <= MAX_DIM; ``_require_dim``,
+which the instance recipe and the coefficient set also apply to their n),
+the PSD band (a Hermitian H is >= 0 when its least eigenvalue is at least
+-(tol + tol ||H||_2), > 0 when it is above the band), the
+Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)) and the block
+size of stacked scans. Every criterion, monitor and predicate of the
+package applies them through ``_psd_measure``, ``_defect_measure`` and
+``_scan``. Also: trace identities and the principal matrix square root
 with its time derivative. All functions are pure; inputs are never mutated.
 """
 
@@ -37,10 +39,17 @@ DEFAULT_TOL = 1e-9
 BLOCK_ENTRIES = 2 ** 14
 
 
+def _require_dim(n: int, name: str = "n") -> None:
+    """The dimension rule: an n x n value has 1 <= n <= MAX_DIM. The error,
+    a ``DimensionError`` (also a ``ValueError``), starts with ``name``."""
+    if not 1 <= n <= MAX_DIM:
+        raise DimensionError(f"{name} must be in 1..{MAX_DIM}, got {n!r}")
+
+
 def _as_stack(values, label, scalar: bool = False) -> np.ndarray:
     """Validate and normalize a sequence of values into one C-contiguous
     complex128 stack: (k,) finite scalars with ``scalar``, else (k, n, n)
-    finite square matrices with 1 <= n <= MAX_DIM, a scalar read as a 1 x 1
+    finite square matrices with n by ``_require_dim``, a scalar read as a 1 x 1
     matrix. ``label(i)`` names value i in the error, raised at the first bad
     value: ``DimensionError`` for a shape, ``ValueError`` for NaN/Inf."""
     values = values if isinstance(values, np.ndarray) else list(values)
@@ -57,9 +66,10 @@ def _as_stack(values, label, scalar: bool = False) -> np.ndarray:
     shape = stack.shape[1:]
     if scalar and shape:
         raise DimensionError(f"{label(0)}: expected a scalar value, got shape {shape}")
-    square = len(shape) == 2 and shape[0] == shape[1] and 1 <= shape[0] <= MAX_DIM
-    if not scalar and not square:
-        raise DimensionError(f"{label(0)} must be square, n in 1..{MAX_DIM}; got shape {shape}")
+    if not scalar:
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionError(f"{label(0)} must be square; got shape {shape}")
+        _require_dim(shape[0], f"{label(0)} dimension")
     finite = np.isfinite(stack.view(np.float64)).reshape(stack.shape + (2,))
     finite = finite.all(axis=tuple(range(1, finite.ndim)))
     if not finite.all():

@@ -225,10 +225,10 @@ def parse_instance(obj) -> ParsedInstance:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceFormatError("field 'n' must be a positive integer")
     t0, t_end = (_finite_number(obj.get(name), name) for name in ("t0", "t_end"))
-    if not t0 < t_end:
-        raise InstanceFormatError("field 't_end' must exceed 't0'")
-    if not math.isfinite(t_end - t0):
-        raise InstanceFormatError("field 't_end' minus 't0' must be a finite number")
+    try:
+        cf._require_interval(t0, t_end, "'t_end' minus 't0'")
+    except ValueError as exc:
+        raise InstanceFormatError(f"field {exc}") from None
 
     def function(name: str, scalar: bool = False) -> CoefficientFunction:
         """Field ``name`` as a function; sampled data must cover [t0, t_end] by

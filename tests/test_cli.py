@@ -44,6 +44,16 @@ class TestGen:
         assert p2.read_bytes() == data1
 
 
+class TestGenInterval:
+    @pytest.mark.parametrize("t0", ["1e308", "1e17"])
+    def test_horizon_lost_in_rounding_exits_two_naming_the_flag(self, capsys, tmp_path, t0):
+        # t0 + 1 rounds to t0: the interval is empty
+        code, _, err = run(capsys, "gen", "--target", "satisfying", "--n", "1",
+                           "--t0", t0, "--horizon", "1", "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert err.startswith("error: --t0 + horizon minus t0 must be a finite positive number")
+
+
 class TestCheck:
     def test_satisfying_instance_exits_zero(self, capsys, tmp_path):
         path, _ = gen_file(capsys, tmp_path, "satisfying", n=2, seed=1)

@@ -189,6 +189,39 @@ class TestCoefficientSet:
                            R=cf.constant([[0.0]]), S=cf.constant([[0.0]]))
 
 
+BAD_INTERVALS = [(1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (0.0, np.inf), (-1e308, 1e308),
+                 (1e17, 1e17 + 1.0)]
+
+
+class TestOneRulePerInput:
+    """t0 < t_end (with a finite span) and n in 1..MAX_DIM are each one rule,
+    applied with one message wherever an interval or a dimension is given."""
+
+    @pytest.mark.parametrize("t0, t_end", BAD_INTERVALS)
+    def test_interval_rule(self, t0, t_end):
+        # InstanceSpec applies it to t0 + horizon: see the gen tests in test_cli.py
+        from riccati_cert.criteria import GridSpec
+
+        f = cf.constant([[1.0]])
+        for build in (lambda: CoefficientSet(n=1, t0=t0, t_end=t_end, P=f, Q=f, R=f, S=f),
+                      lambda: GridSpec(t0, t_end)):
+            with pytest.raises(ValueError, match=r"^t_end - t0 must be a finite positive number"):
+                build()
+
+    @pytest.mark.parametrize("n", [0, 65])
+    def test_dimension_rule(self, n):
+        from riccati_cert.instances import InstanceSpec
+
+        f = cf.constant(np.eye(1))
+        for build, name in ((lambda: InstanceSpec(n=n, seed=0), "n"),
+                            (lambda: CoefficientSet(n=n, t0=0.0, t_end=1.0, P=f, Q=f, R=f, S=f),
+                             "n"),
+                            (lambda: cf.constant(np.eye(n)), "constant value dimension")):
+            with pytest.raises(DimensionError, match=rf"^{name} must be in 1..64, got {n}$"):
+                build()
+        assert issubclass(DimensionError, ValueError)
+
+
 def _array_eval_functions():
     rng = np.random.default_rng(31)
 
