@@ -116,8 +116,10 @@ def _owned(prefix: str, owner, *args, **kwargs):
 def _cmd_check(args) -> int:
     _require_tol(args.tol)
     inst = load_instance(args.instance)
-    grid = (inst.grid if args.grid is None
-            else _owned("--grid: ", GridSpec.for_set, inst.cs, args.grid))
+    if args.grid is not None:
+        grid = _owned("--grid: ", GridSpec.for_set, inst.cs, args.grid)
+    else:  # the file's grid_points, else the default count over its interval
+        grid = inst.grid or _owned("fields 't0', 't_end': ", GridSpec.for_set, inst.cs)
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     print(json.dumps(report.to_dict(), indent=2))
@@ -215,18 +217,19 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     spec = _owned("--", InstanceSpec, n=args.n, seed=args.seed, horizon=args.horizon,
                   t0=args.t0, scale=args.scale, target=args.target)
+    grid = _owned("--horizon: ", GridSpec, spec.t0, spec.t_end)  # default count, checks below
     if args.target == "satisfying":
         cs, lam, mu, y0 = gen_satisfying(spec)
         obj = instance_to_obj(cs, y0, lam=lam, mu=mu)
-        report = run_criterion("theorem3.1", cs, y0, lam=lam)
+        report = run_criterion("theorem3.1", cs, y0, lam=lam, grid=grid)
     elif args.target == "blowup":
         cs, y0 = gen_blowup(spec)
         obj = instance_to_obj(cs, y0)
-        report = run_criterion("theorem3.1", cs, y0)
+        report = run_criterion("theorem3.1", cs, y0, grid=grid)
     else:
         cs, y0 = gen_comparison(spec)
         obj = instance_to_obj(cs, y0)
-        report = run_criterion("theorem1.1", cs, y0)
+        report = run_criterion("theorem1.1", cs, y0, grid=grid)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_instance(obj))
     summary = {

@@ -48,7 +48,7 @@ first evaluation only builds the same piecewise polynomial twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,7 +381,6 @@ class CoefficientSet:
     Q: CoefficientFunction
     R: CoefficientFunction
     S: CoefficientFunction
-    notes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         _require_dim(self.n)

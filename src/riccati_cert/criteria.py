@@ -63,7 +63,7 @@ CRITERION_NAMES = ("theorem3.1", "cor3.1", "cor3.2", "theorem1.1")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform time grid covering [t0, t_end]."""
+    """Uniform time grid covering [t0, t_end] with strictly increasing points."""
 
     t0: float
     t_end: float
@@ -73,6 +73,9 @@ class GridSpec:
         if not 2 <= self.num_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid needs 2..{MAX_GRID_POINTS} points, got {self.num_points}")
         cf._require_interval(self.t0, self.t_end)
+        if not np.all(np.diff(self.points) > 0):
+            raise ValueError(f"the interval [{self.t0!r}, {self.t_end!r}] must resolve the "
+                             f"{self.num_points} grid points into distinct times")
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -16,7 +16,9 @@ accepted step costs six right-hand-side calls. Requested sample times
 are hit exactly by clamping steps, so no dense interpolation error
 enters the stored samples. Everything is deterministic: the initial step
 comes from a standard starting-step heuristic and there are no
-randomized components.
+randomized components. The driver's arithmetic is elementwise, so each
+integrator keeps its natural state layout: Y as one (n, n) matrix, the
+linear flow (Phi, Psi) as one (2, n, n) stack.
 
 Each right-hand-side call evaluates the coefficients it needs through
 one ``coefficients.stacked_evaluator``: constants cost nothing,
@@ -153,9 +155,9 @@ def default_sample_times(cs: CoefficientSet, num: int = DEFAULT_SAMPLES) -> np.n
 
 
 def _rms(x: np.ndarray) -> float:
-    """Root mean square of a 1-D array, with the sum and the division of
-    ``np.mean``."""
-    return math.sqrt(np.add.reduce(np.abs(x) ** 2) / x.size)
+    """Root mean square over all entries of an array of any shape, with the
+    sum and the division of ``np.mean``."""
+    return math.sqrt(np.add.reduce(np.abs(x) ** 2, axis=None) / x.size)
 
 
 def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -179,18 +181,18 @@ def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
 def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
                        opts: IntegratorOptions, after_step=None, at_sample=None):
     """Drive the RK pair through ``sample_times``, clamping steps so every
-    sample is hit exactly.
+    sample is hit exactly. The states and the values of ``f`` have y0's shape.
 
     ``after_step(t, y)`` may return a stop-reason string (checked on the
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
 
     Returns (times, states, stop_reason, t_last, stats) where the arrays
-    ``times``/``states`` hold the samples actually reached, each state as
-    it stands after ``at_sample``, ``t_last`` is the last accepted time
-    and ``stats`` counts the calls of ``f`` (``nfev``: every stage, the
-    starting-step probe and the re-evaluation after a replaced state) and
-    the accepted and rejected steps.
+    ``times``/``states`` hold the samples actually reached (states along a
+    new first axis), each as it stands after ``at_sample``, ``t_last`` is
+    the last accepted time and ``stats`` counts the calls of ``f``
+    (``nfev``: every stage, the starting-step probe and the re-evaluation
+    after a replaced state) and the accepted and rejected steps.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128).copy()
@@ -326,26 +328,21 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
-    n = cs.n
     pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
     def f(t, y):
-        ymat = y.reshape(n, n)
         p, q, r, s = pqrs(t)
-        dy = s - ymat @ p @ ymat - q @ ymat - ymat @ r
-        return dy.ravel()
+        return s - y @ p @ y - q @ y - y @ r
 
     def guard(t, y):
         return "norm_cap" if np.linalg.norm(y) > _BLOWUP_NORM else None
 
-    times, states, reason, t_last, stats = _integrate_sampled(f, ts, y0.ravel(), opts,
+    times, values, reason, t_last, stats = _integrate_sampled(f, ts, y0, opts,
                                                               after_step=guard)
-    values = states.reshape(times.size, n, n)
-    if reason is None:
-        return Trajectory(times=times, values=values, status="completed", method="direct",
-                          stats=stats)
-    return Trajectory(times=times, values=values, status="blow_up", method="direct",
-                      t_escape=t_last, blowup_trigger=reason, stats=stats)
+    blown = reason is not None
+    return Trajectory(times=times, values=values, status="blow_up" if blown else "completed",
+                      method="direct", t_escape=t_last if blown else None,
+                      blowup_trigger=reason, stats=stats)
 
 
 def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
@@ -373,18 +370,13 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
-    n = cs.n
-    n2 = n * n
-    eye_flat = np.eye(n, dtype=np.complex128).ravel()
+    eye = np.eye(cs.n, dtype=np.complex128)
     pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
     def f(t, y):
-        phi = y[:n2].reshape(n, n)
-        psi = y[n2:].reshape(n, n)
+        phi, psi = y
         p, q, r, s = pqrs(t)
-        dphi = r @ phi + p @ psi
-        dpsi = s @ phi - q @ psi
-        return np.concatenate([dphi.ravel(), dpsi.ravel()])
+        return np.array([r @ phi + p @ psi, s @ phi - q @ psi])
 
     restarts: list[float] = []
     traj_times: list[float] = []
@@ -395,8 +387,7 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
                           max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
-        phi = y[:n2].reshape(n, n)
-        psi = y[n2:].reshape(n, n)
+        phi, psi = y
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
         mag = max(float(np.linalg.norm(phi)), float(np.linalg.norm(psi)))
@@ -411,24 +402,19 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         traj_vals.append(ymat)
         if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
             restarts.append(float(t))
-            return np.concatenate([eye_flat, ymat.ravel()])
+            return np.array([eye, ymat])
         return y
 
-    state0 = np.concatenate([eye_flat, y0.ravel()])
-    times, states, reason, t_last, stats = _integrate_sampled(f, ts, state0, opts,
+    times, states, reason, t_last, stats = _integrate_sampled(f, ts, np.array([eye, y0]), opts,
                                                               at_sample=at_sample)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
             "the flow is linear and should not collapse at these scales")
 
-    m = times.size
-    flow = LinearFlow(times=times, phi=states[:, :n2].reshape(m, n, n),
-                      psi=states[:, n2:].reshape(m, n, n), restarts=restarts)
-    values = (np.array(traj_vals).reshape(len(traj_vals), n, n)
-              if traj_vals else np.empty((0, n, n), dtype=np.complex128))
+    flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
     status = "phi_singular" if singular else "completed"
-    traj = Trajectory(times=np.array(traj_times), values=values, status=status,
+    traj = Trajectory(times=np.array(traj_times), values=np.array(traj_vals), status=status,
                       method="radon", singular_times=np.array(singular), stats=stats)
     return flow, traj
 
@@ -444,19 +430,17 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
-    n = cs.n
     rs = stacked_evaluator((cs.R, cs.S))
 
     def f(t, y):
-        ymat = y.reshape(n, n)
         r, s = rs(t)
-        return (s - r.conj().T @ ymat - ymat @ r).ravel()
+        return s - r.conj().T @ y - y @ r
 
-    times, states, reason, t_last, stats = _integrate_sampled(f, ts, y0.ravel(), opts)
+    times, values, reason, t_last, stats = _integrate_sampled(f, ts, y0, opts)
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")
-    return Trajectory(times=times, values=states.reshape(times.size, n, n),
+    return Trajectory(times=times, values=values,
                       status="completed", method="lyapunov", stats=stats,
                       notes=["comparison coefficient A(t) := R(t) "
                              "(symmetric-pair hypothesis R = Q*)"])

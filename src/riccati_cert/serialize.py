@@ -162,8 +162,11 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
     if kind == "constant":
         if "value" not in obj:
             raise InstanceFormatError(f"field '{field}.value' is missing")
-        return cf.constant(_obj_to_value(obj["value"], n, f"{field}.value", scalar),
-                           scalar=scalar)
+        value = _obj_to_value(obj["value"], n, f"{field}.value", scalar)
+        try:
+            return cf.constant(value, scalar=scalar)
+        except ValueError as exc:
+            raise InstanceFormatError(f"field '{field}': {exc}") from exc
     if kind == "polynomial":
         coeffs = obj.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:

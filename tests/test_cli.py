@@ -54,6 +54,60 @@ class TestGenInterval:
         assert err.startswith("error: --t0 + horizon minus t0 must be a finite positive number")
 
 
+class TestUnresolvedGrid:
+    """An interval too short, in floating point, for its grid's points to be
+    distinct times is an input error naming what set the point count."""
+
+    T0 = 1e17  # doubles near 1e17 are 16 apart: 1001 points over [T0, T0 + 16] repeat
+
+    def instance(self, tmp_path, **extra):
+        zero, one = ({"kind": "constant", "value": [[v]]} for v in (0.0, 1.0))
+        obj = {"n": 1, "t0": self.T0, "t_end": self.T0 + 16, "P": one, "Q": zero, "R": zero,
+               "S": one, "Y0": [[1.0]], **extra}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("criterion", ["theorem3.1", "cor3.1", "cor3.2", "theorem1.1"])
+    @pytest.mark.parametrize("source, named", [
+        ("default", "fields 't0', 't_end'"), ("flag", "--grid"), ("field", "field 'grid_points'"),
+    ])
+    def test_check_exits_two(self, capsys, tmp_path, criterion, source, named):
+        extra = {"grid_points": 1001} if source == "field" else {}
+        flags = ["--grid", "1001"] if source == "flag" else []
+        code, out, err = run(capsys, "check", self.instance(tmp_path, **extra),
+                             "--criterion", criterion, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named}: ") and "distinct times" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--target", "satisfying", "--horizon", "5e-324"),
+        ("--target", "blowup", "--t0", "1e17", "--horizon", "16"),
+    ])
+    def test_gen_exits_two_naming_the_horizon(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "gen", "--n", "2", *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: --horizon: ") and "distinct times" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integrate_exits_two_naming_the_samples(self, capsys, tmp_path):
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run(capsys, "integrate", self.instance(tmp_path), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: --samples: ") and "distinct times" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_grid_the_interval_resolves_is_judged(self, capsys, tmp_path):
+        path = self.instance(tmp_path)
+        assert run(capsys, "check", path, "--grid", "2")[0] == 0
+        assert run(capsys, "integrate", path, "--samples", "2",
+                   "--out", str(tmp_path / "traj.csv"))[0] == 0
+
+
 class TestCheck:
     def test_satisfying_instance_exits_zero(self, capsys, tmp_path):
         path, _ = gen_file(capsys, tmp_path, "satisfying", n=2, seed=1)

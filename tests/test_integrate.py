@@ -304,6 +304,28 @@ def traj_notes_mention_comparison(traj):
     return any("A(t) := R(t)" in note for note in traj.notes)
 
 
+class TestStateLayout:
+    """Every integrator returns its samples as an (m, n, n) stack, also at
+    one and two sample times; the linear flow keeps t0 as its first sample."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_values_are_matrix_stacks(self, n, m):
+        cs, y0 = gen_comparison(InstanceSpec(n=n, seed=2, target="comparison"))
+        ts = np.linspace(cs.t0, cs.t_end, 2)[:m]
+        flow, radon = integrate_linear_system(cs, y0, sample_times=ts)
+        for traj in (integrate_riccati_direct(cs, y0, sample_times=ts), radon,
+                     integrate_lyapunov_comparison(cs, y0, sample_times=ts)):
+            assert traj.status == "completed"
+            assert traj.values.shape == (m, n, n)
+            assert traj.n == n
+        assert flow.phi.shape == flow.psi.shape == (m, n, n)
+        assert flow.times[0] == radon.times[0] == cs.t0
+        assert_allclose(flow.phi[0], np.eye(n), atol=0)
+        assert_allclose(flow.psi[0], y0, atol=0)
+        assert_allclose(radon.values[0], y0, atol=0)
+
+
 class TestLiouville:
     def test_cosh_flow_identity(self):
         # det phi = cosh(t) and exp{int tanh} = cosh(t)

@@ -439,6 +439,20 @@ class TestLoaderErrors:
         assert f"field '{field}.times' must cover [t0, t_end]" in err
         assert not (tmp_path / "new.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
+    def test_dimension_above_cap_names_the_field(self, capsys, tmp_path, kind):
+        z = [[0.0] * 65] * 65
+        p = {"constant": {"kind": "constant", "value": z},
+             "polynomial": {"kind": "polynomial", "coefficients": [z]},
+             "sampled": {"kind": "sampled", "order": 1, "times": [0.0, 1.0],
+                         "values": [z, z]}}[kind]
+        obj = {"n": 65, "t0": 0.0, "t_end": 1.0, "P": p, "Q": p, "R": p, "S": p, "Y0": z}
+        path = tmp_path / "n65.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error: field 'P': ") and "1..64, got 65" in err
+
     @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000, None])
     def test_unreadable_json_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
