@@ -138,6 +138,15 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
     return worst
 
 
+def _radon_extras(inst, opts: IntegratorOptions, ts, traj: Trajectory) -> dict:
+    """The linear flow's status, restarts and largest discrepancy from the
+    direct trajectory ``traj``; the flow's samples are freed on return."""
+    flow, traj_radon = integrate_linear_system(inst.cs, inst.y0, opts, ts)
+    return {"radon_status": traj_radon.status,
+            "restarts": [float(t) for t in flow.restarts],
+            "max_discrepancy": _max_discrepancy(traj, traj_radon)}
+
+
 def _cmd_integrate(args) -> int:
     opts = _owned("--", IntegratorOptions, rtol=args.rtol, atol=args.atol)
     inst = load_instance(args.instance)
@@ -156,13 +165,9 @@ def _cmd_integrate(args) -> int:
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
     else:  # both
         traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
-        flow, traj_radon = integrate_linear_system(inst.cs, inst.y0, opts, ts)
+        extra = _radon_extras(inst, opts, ts, traj)
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
-        disc = _max_discrepancy(traj, traj_radon)
-        extra["radon_status"] = traj_radon.status
-        extra["restarts"] = [float(t) for t in flow.restarts]
-        extra["max_discrepancy"] = disc
-        print(f"max_discrepancy {disc:.6e}")
+        print(f"max_discrepancy {extra['max_discrepancy']:.6e}")
 
     status = trajectory_status_obj(traj, extra)
     write_status_sidecar(args.out, status)

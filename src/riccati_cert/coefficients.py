@@ -30,9 +30,10 @@ scalars), each equal bit for bit to the scalar call. The gauge algebra
 S_L, Q_L, R_L accepts both forms the same way. One Horner,
 ``_staggered_horner``, evaluates polynomials: each ``PolynomialFunction``
 runs it over its own stacks, and ``stacked_evaluator`` over the grouped
-stacks of several functions, giving their values at one scalar time in
-one call, equal bit for bit to ``eval``; the integrators' right-hand
-sides use it.
+stacks of several functions: it takes a 1-D array of times and gives one
+list of values per time, each equal bit for bit to ``eval`` at that
+time, with constants shared and read-only. The integrators evaluate
+each step's stage times with it in one call.
 
 scipy is imported only where sampled data need it: a cubic function
 builds its spline at construction, so scipy's own refusals stay
@@ -206,23 +207,29 @@ class SampledFunction(CoefficientFunction):
             if nd.shape != vals.shape:
                 raise DimensionError("node_derivatives shape mismatch")
             self.node_derivatives = _freeze(nd)
-        self._lines = self._pps = None
+        self._pps = None
         if self.order == 3:
             from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
             pp = (CubicSpline(times, vals, axis=0, bc_type="natural") if nd is None
                   else CubicHermiteSpline(times, vals, nd, axis=0))
             self._pps = (pp, pp.derivative())
-        else:
-            slopes = np.diff(vals, axis=0) / np.diff(times).reshape((-1,) + (1,) * len(self.shape))
-            self._lines = np.stack([slopes, vals[:-1]])
 
     def _interpolant(self) -> tuple:
-        """The piecewise polynomial and its derivative; order 1 builds them here once."""
+        """The piecewise polynomial and its derivative; order 1 builds them here once.
+
+        Its slopes are divided here, at first use, with numpy's warnings off:
+        on subnormal spacings they overflow to inf or NaN without printing
+        to stderr, and a caller that never evaluates the function (such as
+        a gauge extracted by ``check``) never divides at all.
+        """
         if self._pps is None:
             from scipy.interpolate import PPoly
 
-            pp = PPoly(self._lines, self.times)
+            spacings = np.diff(self.times).reshape((-1,) + (1,) * len(self.shape))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                slopes = np.diff(self.values, axis=0) / spacings
+            pp = PPoly(np.stack([slopes, self.values[:-1]]), self.times)
             self._pps = (pp, pp.derivative())
         return self._pps
 
@@ -243,18 +250,23 @@ class SampledFunction(CoefficientFunction):
 
 
 def stacked_evaluator(functions):
-    """A callable ``t -> [f(t) for f in functions]`` at a scalar time t.
+    """A callable ``ts -> [[f(t) for f in functions] for t in ts]`` on a 1-D
+    array of times: one list of values per time.
 
-    Each value equals ``f.eval(t)`` bit for bit, at less cost per call:
+    Each value equals ``f.eval(t)`` at that scalar time bit for bit, at
+    less cost per time:
 
-    * a constant returns its stored read-only value, not a copy;
-    * polynomials of one shape that share ``t_ref`` are evaluated by one
-      staggered Horner pass over their stacked coefficients: sorted by
-      degree, each starts at its own leading coefficient and takes the
-      same multiply-add steps as ``eval``. They are never zero-padded,
-      since a padded step can flip the sign of a zero;
-    * any other function (sampled or scalar-valued) goes through its own
-      ``eval``.
+    * a constant gives its stored read-only value at every time, shared
+      and not copied;
+    * polynomials of one shape that share ``t_ref`` are evaluated at all
+      the times by one staggered Horner pass over their stacked
+      coefficients: sorted by degree, each starts at its own leading
+      coefficient and takes the same multiply-add steps as ``eval``. They
+      are never zero-padded, since a padded step can flip the sign of a
+      zero;
+    * any other function (sampled or scalar-valued) goes through one call
+      of its own ``eval`` on the array; a scalar-valued one gives Python
+      complex numbers, as its scalar ``eval`` does.
     """
     template: list = [None] * len(functions)
     groups: dict = {}
@@ -266,20 +278,23 @@ def stacked_evaluator(functions):
         elif kind == "polynomial":
             groups.setdefault((f.t_ref, f.shape), []).append(i)
         else:
-            others.append((i, f.eval))
+            others.append((i, f.eval, f.is_scalar))
     horners = []
     for (t_ref, _), slots in groups.items():
         slots.sort(key=lambda i: -functions[i].degree)
         horners.append((_staggered_horner([functions[i].coefficients for i in slots], t_ref),
                         slots))
 
-    def values(t) -> list:
-        out = template.copy()
+    def values(ts) -> list:
+        out = [template.copy() for _ in range(len(ts))]
         for horner, slots in horners:
-            for i, value in zip(slots, horner(t)):
-                out[i] = value
-        for i, f_eval in others:
-            out[i] = f_eval(t)
+            for i, stack in zip(slots, horner(ts)):
+                for row, value in zip(out, stack):
+                    row[i] = value
+        for i, f_eval, scalar in others:
+            stack = f_eval(ts)
+            for row, value in zip(out, stack.tolist() if scalar else stack):
+                row[i] = value
         return out
 
     return values
@@ -304,7 +319,7 @@ def _staggered_horner(stacks, t_ref: float):
     grid_steps = [(active, coeffs[:, None]) for active, coeffs in steps]
 
     def horner(t) -> np.ndarray:
-        # a float offset and no broadcasting keep the integrators' per-call cost
+        # a float offset and no broadcasting keep a scalar call cheap
         if isinstance(t, float) or np.ndim(t) == 0:
             dt, acc, todo = float(t) - t_ref, leading.copy(), steps
         else:

@@ -20,15 +20,18 @@ randomized components. The driver's arithmetic is elementwise, so each
 integrator keeps its natural state layout: Y as one (n, n) matrix, the
 linear flow (Phi, Psi) as one (2, n, n) stack.
 
-Each right-hand-side call evaluates the coefficients it needs through
-one ``coefficients.stacked_evaluator``: constants cost nothing,
-polynomials that share ``t_ref`` go through one Horner pass over their
-stacked coefficients, and only sampled data calls ``eval``. The values
-equal ``eval``'s bit for bit, and each stage sums its weighted slopes
-one at a time in the tableau's order, skipping the zero weights, so the
-trajectories do not depend on how the coefficients are stored. The
-driver counts its right-hand-side calls and steps in
-``Trajectory.stats``.
+Each step evaluates the coefficients once, at its six stage times,
+through one ``coefficients.stacked_evaluator`` call: constants cost
+nothing, polynomials that share ``t_ref`` go through one Horner pass
+over their stacked coefficients, and sampled data calls ``eval`` once on
+the six times. The values equal ``eval``'s at each time bit for bit,
+and each stage sums its weighted slopes one at a time in the tableau's
+order, skipping the zero weights, so the trajectories do not depend on
+how the coefficients are stored. The driver counts its right-hand-side
+calls (``nfev``, still six per step) and steps in ``Trajectory.stats``.
+
+The samples are written into arrays allocated once per call at their
+full size; a run that stops early returns copies of the rows it reached.
 """
 
 from __future__ import annotations
@@ -56,11 +59,20 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-#: The non-zero weights (j, a_ij) of each stage i = 1..6 with its node c_i,
-#: and the non-zero (j, err_j), each in the tableau's order.
-_STAGES = tuple((_C[i], tuple((j, a) for j, a in enumerate(_A[i]) if a != 0.0))
-                for i in range(1, 7))
-_ERR_WEIGHTS = tuple((j, e) for j, e in enumerate(_ERR) if e != 0.0)
+
+
+def _first_and_rest(row) -> tuple:
+    """The non-zero (j, w_j) of a tableau row in its order, as the first and the rest."""
+    nonzero = tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+    return nonzero[0], nonzero[1:]
+
+
+#: The non-zero weights of each stage i = 1..6 and of the error row.
+_STAGES = tuple(_first_and_rest(_A[i]) for i in range(1, 7))
+_ERR_WEIGHTS = _first_and_rest(_ERR)
+#: The stage nodes c_1..c_6: t + _NODES * h are the doubles t + c_i * h.
+_NODES = np.array(_C[1:])
+_NODES.setflags(write=False)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -178,11 +190,23 @@ def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
     return max(min(100 * h0, h1, span), _H_MIN)
 
 
-def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
+def _reached(count: int, *buffers: np.ndarray) -> tuple:
+    """The first ``count`` rows of each buffer: the buffers themselves when
+    they are full, else copies, so a short result owns its rows and does not
+    keep the whole allocation alive."""
+    if count == len(buffers[0]):
+        return buffers
+    return tuple(b[:count].copy() for b in buffers)
+
+
+def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
                        opts: IntegratorOptions, after_step=None, at_sample=None):
     """Drive the RK pair through ``sample_times``, clamping steps so every
-    sample is hit exactly. The states and the values of ``f`` have y0's shape.
+    sample is hit exactly. The states and the right-hand sides have y0's shape.
 
+    ``values`` is a ``stacked_evaluator`` of the coefficients and
+    ``rhs(vals, y)`` the right-hand side from their values at one time;
+    each step evaluates them once, at its six stage times.
     ``after_step(t, y)`` may return a stop-reason string (checked on the
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
@@ -190,33 +214,40 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
     Returns (times, states, stop_reason, t_last, stats) where the arrays
     ``times``/``states`` hold the samples actually reached (states along a
     new first axis), each as it stands after ``at_sample``, ``t_last`` is
-    the last accepted time and ``stats`` counts the calls of ``f``
+    the last accepted time and ``stats`` counts the right-hand sides
     (``nfev``: every stage, the starting-step probe and the re-evaluation
     after a replaced state) and the accepted and rejected steps.
     """
     t = float(sample_times[0])
-    y = y0.astype(np.complex128).copy()
+    y = y0.astype(np.complex128)
     f_curr = None  # f(t, y), evaluated once there is a step to take
+    abs_y = None  # |y|, kept from the step that reached y
     nfev = accepted = rejected = 0
-    times: list[float] = []
-    states: list[np.ndarray] = []
+    times = np.empty(sample_times.size)
+    states = np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
+    count = 0
+
+    def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
+        """The right-hand side at one time."""
+        return rhs(values(np.array([t_eval]))[0], y_eval)
 
     def record(t_sample: float) -> None:
         """Store a reached sample; a replaced state gets its f anew."""
-        nonlocal y, f_curr, nfev
+        nonlocal y, f_curr, abs_y, nfev, count
         if at_sample is not None:
             y_new = at_sample(t_sample, y)
             if y_new is not y:
-                y = y_new
+                y, abs_y = y_new, None
                 if f_curr is not None:
                     f_curr = f(t, y)
                     nfev += 1
-        times.append(t_sample)
-        states.append(y.copy())
+        times[count] = t_sample
+        states[count] = y
+        count += 1
 
     def result(reason):
         stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected}
-        return np.array(times), np.array(states), reason, t, stats
+        return (*_reached(count, times, states), reason, t, stats)
 
     record(t)
     reason = after_step(t, y) if after_step is not None else None
@@ -251,18 +282,24 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
         # point is the fifth-order solution); each sum is accumulated in
         # the tableau's order, one weighted stage at a time
         k[0] = f_curr
-        for i, (c, weights) in enumerate(_STAGES, 1):
-            yi = y.copy()
-            for j, a in weights:
+        stage_values = values(t + _NODES * h_eff)
+        for i, ((j, a), rest) in enumerate(_STAGES, 1):
+            yi = y + (h_eff * a) * k[j]
+            for j, a in rest:
                 yi += (h_eff * a) * k[j]
-            k[i] = f(t + c * h_eff, yi)
+            k[i] = rhs(stage_values[i - 1], yi)
+        del stage_values  # freed before the next step evaluates its own
         y_new = yi
         nfev += 6
 
-        err_vec = np.zeros_like(y)
-        for j, e in _ERR_WEIGHTS:
+        (j, e), rest = _ERR_WEIGHTS
+        err_vec = (h_eff * e) * k[j]
+        for j, e in rest:
             err_vec += (h_eff * e) * k[j]
-        sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        if abs_y is None:
+            abs_y = np.abs(y)
+        abs_new = np.abs(y_new)
+        sc = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
         err = _rms(err_vec / sc)
         if not math.isfinite(err):
             err = math.inf
@@ -270,7 +307,7 @@ def _integrate_sampled(f, sample_times: np.ndarray, y0: np.ndarray,
         if err <= 1.0:
             accepted += 1
             t = t_target if hit else t + h_eff
-            y = y_new
+            y, abs_y = y_new, abs_new
             f_curr = k[6]  # FSAL
             if err == 0.0:
                 factor = _MAX_FACTOR
@@ -330,14 +367,14 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
     pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
-    def f(t, y):
-        p, q, r, s = pqrs(t)
+    def rhs(values, y):
+        p, q, r, s = values
         return s - y @ p @ y - q @ y - y @ r
 
     def guard(t, y):
         return "norm_cap" if np.linalg.norm(y) > _BLOWUP_NORM else None
 
-    times, values, reason, t_last, stats = _integrate_sampled(f, ts, y0, opts,
+    times, values, reason, t_last, stats = _integrate_sampled(rhs, pqrs, ts, y0, opts,
                                                               after_step=guard)
     blown = reason is not None
     return Trajectory(times=times, values=values, status="blow_up" if blown else "completed",
@@ -373,20 +410,23 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     eye = np.eye(cs.n, dtype=np.complex128)
     pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
-    def f(t, y):
+    def rhs(values, y):
         phi, psi = y
-        p, q, r, s = pqrs(t)
+        p, q, r, s = values
         return np.array([r @ phi + p @ psi, s @ phi - q @ psi])
 
     restarts: list[float] = []
-    traj_times: list[float] = []
-    traj_vals: list[np.ndarray] = []
+    # the reconstructed samples, written in order; singular ones are skipped
+    traj_times = np.empty(ts.size)
+    traj_vals = np.empty((ts.size, cs.n, cs.n), dtype=np.complex128)
+    kept = 0
     singular: list[float] = []
     floor = opts.atol / opts.rtol
     singular_cutoff = min(_SINGULAR_COND_CEILING,
                           max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
+        nonlocal kept
         phi, psi = y
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
@@ -394,19 +434,20 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
         phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
-        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and traj_times:
+        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and kept:
             singular.append(float(t))
             return y
         ymat = np.linalg.solve(phi.T, psi.T).T
-        traj_times.append(float(t))
-        traj_vals.append(ymat)
+        traj_times[kept] = t
+        traj_vals[kept] = ymat
+        kept += 1
         if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
             restarts.append(float(t))
             return np.array([eye, ymat])
         return y
 
-    times, states, reason, t_last, stats = _integrate_sampled(f, ts, np.array([eye, y0]), opts,
-                                                              at_sample=at_sample)
+    times, states, reason, t_last, stats = _integrate_sampled(rhs, pqrs, ts, np.array([eye, y0]),
+                                                              opts, at_sample=at_sample)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
@@ -414,7 +455,8 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
 
     flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
     status = "phi_singular" if singular else "completed"
-    traj = Trajectory(times=np.array(traj_times), values=np.array(traj_vals), status=status,
+    traj_times, traj_vals = _reached(kept, traj_times, traj_vals)
+    traj = Trajectory(times=traj_times, values=traj_vals, status=status,
                       method="radon", singular_times=np.array(singular), stats=stats)
     return flow, traj
 
@@ -432,11 +474,11 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
     rs = stacked_evaluator((cs.R, cs.S))
 
-    def f(t, y):
-        r, s = rs(t)
+    def rhs(values, y):
+        r, s = values
         return s - r.conj().T @ y - y @ r
 
-    times, values, reason, t_last, stats = _integrate_sampled(f, ts, y0, opts)
+    times, values, reason, t_last, stats = _integrate_sampled(rhs, rs, ts, y0, opts)
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")

@@ -378,8 +378,31 @@ def read_trajectory_csv(path: str, n: int):
     Every value must be finite and the times strictly increasing; a
     violation raises ``InstanceFormatError`` naming the line and column.
     """
-    expected = 1 + 2 * n * n
     columns = trajectory_csv_header(n)
+    data, lines = _read_rows(path, n, columns)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, k = bad[0]
+        raise InstanceFormatError(
+            f"trajectory CSV line {lines[r]}, column '{columns[k]}': "
+            f"non-finite value {float(data[r, k])!r}")
+    times = data[:, 0].copy()
+    steps = np.flatnonzero(np.diff(times) <= 0)
+    if steps.size:
+        r = steps[0] + 1
+        raise InstanceFormatError(
+            f"trajectory CSV line {lines[r]}, column 't': time {float(times[r])!r} does not "
+            f"exceed the previous time {float(times[r - 1])!r}")
+    # re + 1j * im with one complex temporary: the same two ufuncs on the same operands
+    values = np.multiply(1j, data[:, 2::2])
+    np.add(data[:, 1::2], values, out=values)
+    return times, values.reshape(-1, n, n)
+
+
+def _read_rows(path: str, n: int, columns: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The sample rows of a trajectory CSV as one float array (a row per
+    sample, the first 1 + 2 n^2 columns) and the line number of each row."""
+    expected = 1 + 2 * n * n
     rows: list[np.ndarray] = []
     lines: list[int] = []
     try:
@@ -405,22 +428,7 @@ def read_trajectory_csv(path: str, n: int):
         raise InstanceFormatError(f"trajectory CSV cannot be read: {exc}") from exc
     if not rows:
         raise InstanceFormatError("trajectory CSV contains no samples")
-    data = np.stack(rows)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, k = bad[0]
-        raise InstanceFormatError(
-            f"trajectory CSV line {lines[r]}, column '{columns[k]}': "
-            f"non-finite value {float(data[r, k])!r}")
-    times = data[:, 0].copy()
-    steps = np.flatnonzero(np.diff(times) <= 0)
-    if steps.size:
-        r = steps[0] + 1
-        raise InstanceFormatError(
-            f"trajectory CSV line {lines[r]}, column 't': time {float(times[r])!r} does not "
-            f"exceed the previous time {float(times[r - 1])!r}")
-    values = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
-    return times, values
+    return np.stack(rows), lines
 
 
 def _parse_row(fields: list[str], line: int, columns: list[str]) -> np.ndarray:

@@ -160,6 +160,25 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 2
 
+    def test_subnormal_interval_prints_no_warning(self, capsys, tmp_path):
+        # t_end = 5e-324: the order-1 gauge theorem3.1 extracts on the grid
+        # has overflowing slopes, which check never evaluates
+        poly = {"kind": "polynomial", "coefficients": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+        zero = {"kind": "constant", "value": [[[0.0, 0.0]]]}
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"n": 1, "t0": 0.0, "t_end": 5e-324, "P": poly, "Q": zero,
+                                    "R": zero, "S": poly, "Y0": [[[1.0, 0.0]]]}))
+        argv = ("check", str(path), "--criterion", "theorem3.1", "--grid", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = run(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == quiet[:2]
+        assert code == 0 and err == ""
+        assert json.loads(out)["holds"] is True
+
 
 def write_tanh_instance(tmp_path, t_end=1.0, s=1.0):
     obj = {

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ class TestEval:
             f.eval(2.0)
         with pytest.raises(DomainError):
             f.derivative(-0.5)
+
+    def test_sampled_linear_on_a_subnormal_spacing_builds_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = cf.sampled([0.0, 5e-324], [0.0, 1.0], order=1, scalar=True)
+        assert f.order == 1
 
     def test_scalar_kind(self):
         f = cf.polynomial([1.0, 2.0j], scalar=True)
@@ -326,29 +333,42 @@ class TestStackedEvaluator:
     def test_matches_eval_bit_for_bit(self, n):
         fs = _evaluator_functions(n)
         values = cf.stacked_evaluator(fs)
-        for t in self.TIMES:
-            got = values(t)
-            assert len(got) == len(fs)
-            for f, v in zip(fs, got):
-                want = f.eval(t)
-                assert v.shape == want.shape and v.dtype == want.dtype
-                assert v.tobytes() == want.tobytes(), (f.kind, getattr(f, "degree", None), t)
+        # all the times in one call, and each on its own
+        calls = [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES]
+        for ts in calls:
+            rows = values(ts)
+            assert len(rows) == ts.size
+            for t, got in zip(ts.tolist(), rows):
+                assert len(got) == len(fs)
+                for f, v in zip(fs, got):
+                    want = f.eval(t)
+                    assert v.shape == want.shape and v.dtype == want.dtype
+                    assert v.tobytes() == want.tobytes(), (f.kind, getattr(f, "degree", None), t)
 
     def test_constants_are_stored_read_only_values(self):
         fs = _evaluator_functions(2)
-        got = cf.stacked_evaluator(fs)(0.7)
-        for f, v in zip(fs, got):
-            if f.kind == "constant":
-                assert v is f.value
-                assert not v.flags.writeable
-                with pytest.raises(ValueError):
-                    v[0, 0] = 1.0
+        for got in cf.stacked_evaluator(fs)(np.array([0.7, 1.5])):
+            for f, v in zip(fs, got):
+                if f.kind == "constant":
+                    assert v is f.value
+                    assert not v.flags.writeable
+                    with pytest.raises(ValueError):
+                        v[0, 0] = 1.0
+
+    def test_an_all_constant_set_gives_its_stored_values_at_every_time(self):
+        fs = [f for f in _evaluator_functions(2) if f.kind == "constant"]
+        rows = cf.stacked_evaluator(fs)(np.array([0.0, 0.5, 1.0]))
+        assert len(rows) == 3
+        for got in rows:
+            assert all(v is f.value for f, v in zip(fs, got))
+        rows[0][0] = None  # each time has its own list
+        assert rows[1][0] is fs[0].value
 
     def test_calls_do_not_share_polynomial_values(self):
         f = cf.polynomial([np.eye(2), np.eye(2)])
         values = cf.stacked_evaluator((f, f))
-        a, b = values(1.0)
-        a2, _ = values(2.0)
+        [a, b], = values(np.array([1.0]))
+        [a2, _], = values(np.array([2.0]))
         assert a.tobytes() == f.eval(1.0).tobytes() == b.tobytes()
         assert a2.tobytes() == f.eval(2.0).tobytes()
 
@@ -356,8 +376,9 @@ class TestStackedEvaluator:
         fs = [ARRAY_EVAL_FUNCTIONS[k] for k in ("constant_scalar", "polynomial_scalar",
                                                  "sampled3_scalar", "polynomial")]
         values = cf.stacked_evaluator(fs)
-        for t in (0.0, 0.25, 1.0):
-            for f, v in zip(fs, values(t)):
+        ts = np.array([0.0, 0.25, 1.0])
+        for t, got in zip(ts.tolist(), values(ts)):
+            for f, v in zip(fs, got):
                 assert type(v) is type(f.eval(t))
                 assert np.asarray(v).tobytes() == np.asarray(f.eval(t)).tobytes()
 
@@ -415,10 +436,15 @@ class TestOneHorner:
     def test_stacked_evaluator_matches_the_reference(self, n):
         polys = self.polynomials(n)
         values = cf.stacked_evaluator(polys)
-        for t in self.TIMES[:-1]:
-            for f, got in zip(polys, values(t)):
-                want = reference_horner(f.coefficients, f.t_ref, t)
-                assert np.asarray(got).tobytes() == want.tobytes(), (f.degree, t)
+        # each scalar time on its own, and the 1001-point grid in one call
+        # (every tenth point at n = 32, where the whole grid needs 330 MB)
+        grid = self.TIMES[-1] if n <= 8 else self.TIMES[-1][::10]
+        calls = [np.array([t]) for t in self.TIMES[:-1]] + [grid]
+        for ts in calls:
+            for t, row in zip(ts.tolist(), values(ts)):
+                for f, got in zip(polys, row):
+                    want = reference_horner(f.coefficients, f.t_ref, t)
+                    assert np.asarray(got).tobytes() == want.tobytes(), (f.degree, t)
 
 
 # ---------------------------------------------------------------------------

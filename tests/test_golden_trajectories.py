@@ -10,9 +10,12 @@ case passes only when its output is bit for bit the recorded one.
 Cases: the three generator families at n in {1, 2, 8} with rtol 1e-9
 and 1e-12, every catalog entry on the default, a 7-sample and a 1-sample
 grid, ``tan_blowup`` with a sample exactly at pi/2, where Phi is
-numerically singular, and a few cases for the rarer branches of the
+numerically singular, a few cases for the rarer branches of the
 driver: flow resets, a run through a pole, samples closer than the
-rounding slack and a step collapse.
+rounding slack and a step collapse, and the order-1 and order-3
+sampled twins (51 nodes) of the satisfying and comparison families at
+n in {1, 2, 8}, so the integrators' path through sampled data is pinned
+as well.
 
 The digests pin the rounding of one numpy build (recorded with numpy
 2.4.6 and its bundled OpenBLAS 0.3.31, DYNAMIC_ARCH, on x86-64); a BLAS
@@ -62,6 +65,19 @@ def _family(family, n):
     if family == "comparison":
         return gen_comparison(InstanceSpec(n=n, seed=seed, target="comparison"))
     return gen_blowup(InstanceSpec(n=n, seed=seed, target="blowup", scale=1.5))
+
+
+def _twin(family, n, order):
+    """(cs, y0) of a generator instance with P, Q, R, S sampled on 51 nodes."""
+    cs, y0 = _family(family, n)
+    nodes = np.linspace(cs.t0, cs.t_end, 51)
+
+    def sample(f):
+        return cf.sampled(nodes, [f.eval(t) for t in nodes], order=order)
+
+    twin = CoefficientSet(n=n, t0=cs.t0, t_end=cs.t_end, P=sample(cs.P), Q=sample(cs.Q),
+                          R=sample(cs.R), S=sample(cs.S))
+    return twin, y0
 
 
 def _catalog(name, num):
@@ -115,6 +131,13 @@ def _cases():
                     return (*_family(family, n), None)
                 for method in METHODS:
                     cases[f"{family}.n{n}.rtol{rtol:g}.{method}"] = (make, method, rtol)
+    for family in ("satisfying", "comparison"):
+        for n in (1, 2, 8):
+            for order in (1, 3):
+                def make(family=family, n=n, order=order):
+                    return (*_twin(family, n, order), None)
+                for method in METHODS:
+                    cases[f"sampled{order}.{family}.n{n}.{method}"] = (make, method, 1e-9)
     for name in canonical_catalog():
         for num in (None, 7, 1):
             grid = "default" if num is None else f"s{num}"
