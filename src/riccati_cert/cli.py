@@ -122,7 +122,13 @@ def _cmd_check(args) -> int:
         grid = inst.grid or _owned("fields 't0', 't_end': ", GridSpec.for_set, inst.cs)
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
-    print(json.dumps(report.to_dict(), indent=2))
+    out = report.to_dict()
+    # a condition that leaves out every grid point has the witness (inf, inf)
+    for rec in out["conditions"]:
+        for key in ("worst_value", "worst_time"):
+            if not math.isfinite(rec[key]):
+                rec[key] = None
+    print(json.dumps(out, indent=2))
     return EXIT_OK if report.holds else EXIT_FAIL
 
 

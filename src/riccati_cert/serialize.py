@@ -14,13 +14,18 @@ Wire conventions shared by the CLI:
   and ``residual`` (and ``det_phi_abs`` for the linear-flow method);
 * each CSV gets a JSON status sidecar next to it.
 
+Instance files are compact JSON on one line with sorted keys, which
+Python's json module formats in C.
+
 The CSV writer formats every number with ``repr``, the shortest string
 that reads back to the same float, and ends every line with ``\r\n``;
 no field is ever quoted. The reader takes the first ``1 + 2 n^2``
 columns of each row, accepts ``\n`` line ends and quoted fields, and
 rejects non-finite values and times that do not strictly increase. It
-rebuilds Y as ``re + 1j * im``, so a zero part may come back with the
-other sign.
+parses with numpy's C reader and falls back to the ``csv`` module on any
+text the C reader refuses or any fault, so both give the same bits and
+every refusal names its line and column. It rebuilds Y as
+``re + 1j * im``, so a zero part may come back with the other sign.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
 CSV line and column) named in the message.
@@ -31,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -318,8 +324,11 @@ def instance_to_obj(cs: CoefficientSet, y0,
 
 
 def dumps_instance(obj: dict) -> str:
-    """Deterministic serialization: identical objects give identical bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization: identical objects give identical bytes.
+
+    Compact JSON on one line: without ``indent`` the json module formats
+    in C, and the file is about half the size of an indented one."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +386,65 @@ def read_trajectory_csv(path: str, n: int):
 
     Every value must be finite and the times strictly increasing; a
     violation raises ``InstanceFormatError`` naming the line and column.
+    numpy's C parser reads the file first; whatever it refuses or finds at
+    fault is read again by the ``csv`` module, which accepts the same
+    texts to the same bits and names the faulty line and column.
     """
     columns = trajectory_csv_header(n)
-    data, lines = _read_rows(path, n, columns)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, k = bad[0]
-        raise InstanceFormatError(
-            f"trajectory CSV line {lines[r]}, column '{columns[k]}': "
-            f"non-finite value {float(data[r, k])!r}")
+    data = _load_rows(path, 1 + 2 * n * n)
+    if data is None or _fault(data) is not None:
+        data, lines = _read_rows(path, n, columns)
+        fault = _fault(data)
+        if fault is not None:
+            r, k = fault
+            if not math.isfinite(data[r, k]):
+                raise InstanceFormatError(
+                    f"trajectory CSV line {lines[r]}, column '{columns[k]}': "
+                    f"non-finite value {float(data[r, k])!r}")
+            raise InstanceFormatError(
+                f"trajectory CSV line {lines[r]}, column 't': time {float(data[r, 0])!r} "
+                f"does not exceed the previous time {float(data[r - 1, 0])!r}")
     times = data[:, 0].copy()
-    steps = np.flatnonzero(np.diff(times) <= 0)
-    if steps.size:
-        r = steps[0] + 1
-        raise InstanceFormatError(
-            f"trajectory CSV line {lines[r]}, column 't': time {float(times[r])!r} does not "
-            f"exceed the previous time {float(times[r - 1])!r}")
     # re + 1j * im with one complex temporary: the same two ufuncs on the same operands
     values = np.multiply(1j, data[:, 2::2])
     np.add(data[:, 1::2], values, out=values)
     return times, values.reshape(-1, n, n)
+
+
+def _fault(data: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first non-finite value, else (row, 0) of the first
+    time that does not exceed the previous one, else None."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        return int(bad[0, 0]), int(bad[0, 1])
+    steps = np.flatnonzero(np.diff(data[:, 0]) <= 0)
+    return (int(steps[0]) + 1, 0) if steps.size else None
+
+
+def _load_rows(path: str, width: int) -> np.ndarray | None:
+    """The first ``width`` columns of every sample row, parsed by numpy's C
+    reader, or None when the header is short, when the reader refuses the
+    text or warns, or when there is no row. A line with a quote is refused
+    too: a quoted field may hold a comma or span lines, which only the csv
+    module reads."""
+    def unquoted(lines):
+        for line in lines:
+            if '"' in line:
+                raise ValueError("quoted field")
+            yield line
+
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or len(header) < width:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(unquoted(fh), delimiter=",", usecols=range(width),
+                                  comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error, Warning):
+        return None  # the csv path reads the file again and names what is wrong
+    return data if len(data) else None
 
 
 def _read_rows(path: str, n: int, columns: list[str]) -> tuple[np.ndarray, list[int]]:

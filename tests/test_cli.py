@@ -439,6 +439,26 @@ class TestNonFiniteMonitors:
         assert any("max_residual" in w for w in report["warnings"])
 
 
+class TestCheckWitnessOutsideTheGrid:
+    """With P = 0, cor3.1 and cor3.2 leave out every grid point of their
+    frame condition, whose witness is then (inf, inf): written as null."""
+
+    @pytest.mark.parametrize("criterion, condition", [("cor3.1", "shifted_source_psd"),
+                                                      ("cor3.2", "sqrt_frame_psd")])
+    def test_null_witness_in_strict_json(self, capsys, tmp_path, criterion, condition):
+        inst = tmp_path / "p0.json"
+        obj = json.loads(write_tanh_instance(tmp_path).read_text())
+        obj["P"]["value"] = [[[0.0, 0.0]]]
+        obj["Y0"] = [[[1.0, 0.0]]]
+        inst.write_text(json.dumps(obj))
+        code, stdout, _ = run(capsys, "check", str(inst), "--criterion", criterion)
+        report = _strict_json(stdout)
+        assert code == 1 and report["holds"] is False
+        rec = next(c for c in report["conditions"] if c["name"] == condition)
+        assert rec["passed"] is False
+        assert rec["worst_value"] is None and rec["worst_time"] is None
+
+
 class TestSidecarSamples:
     def integrate(self, capsys, tmp_path, samples=51):
         inst = write_tanh_instance(tmp_path)

@@ -2,7 +2,8 @@
 
 Traced with ``tracemalloc`` (numpy reports its buffers to it) at n = 32
 on the default 201 samples: each result is allocated once, at its full
-size, and a run keeps little else alive. A trajectory that stops early
+size, and a run keeps little else alive. The CSV reader holds its parsed
+rows and the complex values rebuilt from them, about twice its result. A trajectory that stops early
 holds only the samples it reached, in arrays of its own.
 """
 
@@ -21,7 +22,12 @@ from riccati_cert.integrate import (
     integrate_linear_system,
     integrate_riccati_direct,
 )
-from riccati_cert.serialize import dumps_instance, instance_to_obj
+from riccati_cert.serialize import (
+    dumps_instance,
+    instance_to_obj,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
 
 N = 32
 
@@ -70,6 +76,16 @@ def test_cli_both_frees_the_flow_before_writing(instance, tmp_path):
     assert code == 0
     one_trajectory = 201 * N * N * np.dtype(np.complex128).itemsize
     assert peak <= 5 * one_trajectory
+
+
+def test_csv_reader_holds_about_its_result(instance, tmp_path):
+    cs, y0 = instance
+    traj = integrate_riccati_direct(cs, y0)
+    path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(path, traj, cs)
+    (times, values), peak = traced_peak(lambda: read_trajectory_csv(path, N))
+    assert np.array_equal(values, traj.values) and times.size == 201
+    assert peak <= 2.5 * (times.nbytes + values.nbytes)
 
 
 def test_blow_up_owns_only_the_samples_it_reached():

@@ -9,6 +9,7 @@ output beyond the n <= 8 goldens.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from riccati_cert.coefficients import _poly_add, _poly_diff, _poly_mul
 from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
 from riccati_cert.matrix_core import adjoint
-from riccati_cert.serialize import dumps_instance, instance_to_obj
+from riccati_cert.serialize import instance_to_obj
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +102,9 @@ def test_products_may_exceed_the_input_degree_cap():
     assert _poly_mul(_poly_mul(a, a), a).shape == (25, 2, 2)
 
 
-# SHA-256 of dumps_instance for generated n = 32 instances, recorded with the
-# list-based algebra.
+# SHA-256 of the instance objects of generated n = 32 instances, formatted as
+# below (the indented layout the instance writer used when they were recorded
+# with the list-based algebra).
 DIGESTS = {
     ("satisfying", 0): "6a7e532edd6229c2bd39ea49d25055a4c4236a95baa3c26ce06a95cbd826ca76",
     ("comparison", 0): "36906bf5da4a7c36d88b77f35466ffff98af45985599d27ca5cb93f3e6280aa4",
@@ -120,5 +122,6 @@ def test_generated_n32_instance_bytes(target, seed):
     else:
         cs, y0 = gen_comparison(spec)
         obj = instance_to_obj(cs, y0)
-    digest = hashlib.sha256(dumps_instance(obj).encode()).hexdigest()
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == DIGESTS[target, seed]

@@ -7,21 +7,26 @@ import contextlib
 import copy
 import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from riccati_cert import coefficients as cf
+from riccati_cert import serialize
 from riccati_cert.cli import main
 from riccati_cert.coefficients import CoefficientSet
+from riccati_cert.exceptions import InstanceFormatError
 from riccati_cert.integrate import Trajectory
 from riccati_cert.serialize import (
     dumps_instance,
     instance_to_obj,
     parse_instance,
     read_trajectory_csv,
+    trajectory_csv_header,
     write_trajectory_csv,
 )
 
@@ -73,6 +78,107 @@ def test_csv_round_trip(tmp_path_factory, traj):
     got = values.view(np.float64)
     nonzero = sent != 0
     assert got[nonzero].tobytes() == sent[nonzero].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV: numpy's C parser against the csv module
+# ---------------------------------------------------------------------------
+
+def _cell(draw, x: float, odd: bool) -> str:
+    """``x`` as written, with a sign, an exponent or padding, which both
+    readers take; or, when ``odd``, at times underscored or quoted."""
+    text = draw(st.sampled_from([repr(x), repr(x), format(x, "+"), format(x, ".17E")]))
+    if odd and draw(st.integers(0, 3)) == 0 and text[-2:].isdigit():
+        text = text[:-1] + "_" + text[-1]
+    if draw(st.integers(0, 4)) == 0:
+        pad = st.sampled_from(["", " ", "\t", "\xa0", "\x85"])
+        text = draw(pad) + text + draw(pad)
+    if odd and draw(st.integers(0, 3)) == 0:
+        text = f'"{text}"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    """(n, text) of a trajectory CSV: what the writer produces, with other
+    line ends, blank lines, padded and signed cells and extra monitor
+    columns; some texts also hold whitespace-only lines, underscores,
+    quotes, a non-finite value or a repeated time."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 5))
+    odd = draw(st.booleans())
+    extra = draw(st.integers(0, 3))
+    steps = st.sampled_from([0.1, 1 / 3, 2.5] * 3 + [0.0] * odd)
+    times = np.cumsum(draw(st.lists(steps, min_size=m, max_size=m))).tolist()
+    # a quoted cell may span lines, with a second line that looks like a row
+    spanning = '"a\r\n' + ",".join(["1e9"] + ["0.0"] * (2 * n * n)) + ',b"'
+    monitor = st.sampled_from(["", "0.5", "#", "nan", "x y", "\x00"]
+                              + (['"a,b"', '"a\r\nb"', spanning] if odd else []))
+    blank = st.sampled_from(["", " ", "\t", "\x00"] if odd else [""])
+    eol = st.sampled_from(["\r\n", "\r\n", "\n", "\r"])
+    header = trajectory_csv_header(n) + [f"m{k}" for k in range(extra)]
+    text = ",".join(header) + draw(eol)
+    for t in times:
+        parts = [draw(st.sampled_from([math.inf, math.nan]))
+                 if odd and draw(st.integers(0, 19)) == 0 else draw(finite)
+                 for _ in range(2 * n * n)]
+        cells = [_cell(draw, x, odd) for x in [t, *parts]]
+        cells += [draw(monitor) for _ in range(extra)]
+        text += ",".join(cells) + draw(eol)
+        if draw(st.integers(0, 3)) == 0:
+            text += draw(blank) + draw(eol)
+    return n, text
+
+
+def _outcome(fn):
+    """The bytes of what ``fn()`` returns, or the message of the refusal it raises."""
+    try:
+        return [a.tobytes() for a in fn()]
+    except InstanceFormatError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=csv_texts())
+def test_c_parser_agrees_with_csv_module(tmp_path_factory, case):
+    """Where numpy's C parser takes a text, its rows are those of the csv
+    module bit for bit; and whichever path a text takes, the reader
+    returns or refuses exactly what the csv path alone does."""
+    n, text = case
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    path.write_bytes(text.encode())
+    fast = serialize._load_rows(str(path), 1 + 2 * n * n)
+    if fast is not None:
+        rows, _ = serialize._read_rows(str(path), n, trajectory_csv_header(n))
+        assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
+    got = _outcome(lambda: read_trajectory_csv(str(path), n))
+    event(f"C path {'takes' if fast is not None else 'leaves'} a text the reader "
+          f"{'refuses' if isinstance(got, str) else 'accepts'}")
+    with mock.patch.object(serialize, "_load_rows", return_value=None):
+        assert got == _outcome(lambda: read_trajectory_csv(str(path), n))
+
+
+@pytest.mark.parametrize("text, taken", [
+    ("0.0,1.0,2.0\r\n0.5,3.0,4.0\r\n", True),
+    ("0.0,1.0,2.0\n0.5,3.0,4.0", True),
+    ("0.0,1.0,2.0\r0.5,3.0,4.0\r", True),
+    ("0.0,1.0,2.0\r\n\r\n\r\n0.5,3.0,4.0\r\n", True),
+    ("0.0,1.0,2.0\r\n", True),
+    ("+0.0, 1.0 ,2E0,,#,x\r\n", True),
+    ("0.0,1.0,2.0\r\n \r\n0.5,3.0,4.0\r\n", False),
+    ("0.0,1_0,2.0\r\n", False),
+    ('0.0,"1.0",2.0\r\n', False),
+    ('0.0,1.0,2.0,"a\r\n0.5,3.0,4.0,b"\r\n', False),
+    ("0.0,nan,2.0\r\n", True),
+    ("", False),
+])
+def test_c_parser_takes_the_plain_texts(tmp_path, text, taken):
+    """The C path is not vacuous: it takes what the writer writes with other
+    line ends, blank lines, signs, padding and extra monitor columns, and
+    leaves underscores, quotes and whitespace-only lines to the csv path."""
+    path = tmp_path / "traj.csv"
+    path.write_bytes(("t,y0_0_re,y0_0_im\r\n" + text).encode())
+    assert (serialize._load_rows(str(path), 3) is not None) == taken
 
 
 # ---------------------------------------------------------------------------
