@@ -13,9 +13,10 @@ function it evaluates:
 * polynomial     -- matrix (or scalar) coefficients of t -> sum C_k (t - t_ref)^k,
                     degree <= 8, term-by-term derivative;
 * sampled        -- values on a strictly increasing grid of finite times, read
-                    through one scipy piecewise polynomial (linear, natural
-                    cubic spline, or cubic Hermite given node derivatives) and
-                    its derivative.
+                    through piecewise-polynomial cells built at construction
+                    (linear, natural cubic spline, or cubic Hermite given node
+                    derivatives), each a power-form polynomial about its left
+                    node, and the cells of their derivative.
 
 A function's data (its value, its polynomial coefficients, or its
 sampled values and node derivatives) is one complex128 stack, checked once
@@ -28,22 +29,23 @@ builds its data with it.
 an array of m times returns the stacked (m, n, n) matrices (or (m,)
 scalars), each equal bit for bit to the scalar call. The gauge algebra
 S_L, Q_L, R_L accepts both forms the same way. One Horner,
-``_staggered_horner``, evaluates polynomials: each ``PolynomialFunction``
-runs it over its own stacks, and ``stacked_evaluator`` over the grouped
-stacks of several functions: it takes a 1-D array of times and gives one
-list of values per time, each equal bit for bit to ``eval`` at that
-time, with constants shared and read-only. The integrators evaluate
-each step's stage times with it in one call.
+``_staggered_horner``, evaluates polynomials, and one power sum,
+``_cell_sum``, evaluates sampled cells; each function runs them over its
+own stacks, and ``stacked_evaluator`` over the grouped stacks of several
+functions: it takes a 1-D array of times and gives one list of values per
+time, each equal bit for bit to ``eval`` at that time, with constants
+shared and read-only. The integrators evaluate each step's stage times
+with it in one call.
 
-scipy is imported only where sampled data need it: a cubic function
-builds its spline at construction, so scipy's own refusals stay
-construction errors, and a linear one builds its piecewise polynomial on
-its first ``eval`` or ``derivative``. Importing the package, and using
-constant or polynomial data, never loads scipy.
+A sampled function's cells follow scipy's interpolators operation for
+operation (``PPoly``, ``CubicSpline`` with natural ends, whose tridiagonal
+system ``_gtsv`` solves as LAPACK ``zgtsv`` does, and
+``CubicHermiteSpline``), and ``_cell_sum`` follows scipy's piecewise
+polynomial evaluation, so values and derivatives equal scipy's bit for bit
+without importing it. The package never loads scipy.
 
 Values are immutable after construction and evaluation is pure, so
-functions are safe to share across threads; a race on a linear function's
-first evaluation only builds the same piecewise polynomial twice.
+functions are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -167,14 +169,21 @@ class PolynomialFunction(CoefficientFunction):
 
 
 class SampledFunction(CoefficientFunction):
-    """Values on a strictly increasing grid of finite times, read through one
-    scipy piecewise polynomial: straight lines for ``order`` 1, the natural
+    """Values on a strictly increasing grid of finite times, read through
+    piecewise-polynomial cells: straight lines for ``order`` 1, the natural
     cubic spline for ``order`` 3, or the cubic Hermite spline through given
-    ``node_derivatives`` (order 3 only). A cubic spline is built at
-    construction; the lines are built on the first ``eval`` or
-    ``derivative``. ``derivative`` is that interpolant's derivative; for
-    order 1 at a node, the slope of the cell to its right (to its left at
-    the last node).
+    ``node_derivatives`` (order 3 only).
+
+    ``cells`` is one complex128 stack of shape (order + 1, len(times) - 1)
+    + value shape: ``cells[:, i]`` holds the power-form coefficients, highest
+    power first, of the polynomial in t - times[i] on [times[i], times[i+1]].
+    They are built at construction by scipy's own formulas, operation for
+    operation (``PPoly``, ``CubicSpline`` with ``bc_type="natural"`` and
+    ``CubicHermiteSpline``), so every value and derivative equals scipy's bit
+    for bit, non-finite results included. ``derivative`` evaluates the cells
+    of the derivative, the coefficients times (order, ..., 1); for order 1 at
+    a node it is the slope of the cell to its right (to its left at the last
+    node).
     """
 
     kind = "sampled"
@@ -207,46 +216,188 @@ class SampledFunction(CoefficientFunction):
             if nd.shape != vals.shape:
                 raise DimensionError("node_derivatives shape mismatch")
             self.node_derivatives = _freeze(nd)
-        self._pps = None
-        if self.order == 3:
-            from scipy.interpolate import CubicHermiteSpline, CubicSpline
-
-            pp = (CubicSpline(times, vals, axis=0, bc_type="natural") if nd is None
-                  else CubicHermiteSpline(times, vals, nd, axis=0))
-            self._pps = (pp, pp.derivative())
-
-    def _interpolant(self) -> tuple:
-        """The piecewise polynomial and its derivative; order 1 builds them here once.
-
-        Its slopes are divided here, at first use, with numpy's warnings off:
-        on subnormal spacings they overflow to inf or NaN without printing
-        to stderr, and a caller that never evaluates the function (such as
-        a gauge extracted by ``check``) never divides at all.
-        """
-        if self._pps is None:
-            from scipy.interpolate import PPoly
-
-            spacings = np.diff(self.times).reshape((-1,) + (1,) * len(self.shape))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                slopes = np.diff(self.values, axis=0) / spacings
-            pp = PPoly(np.stack([slopes, self.values[:-1]]), self.times)
-            self._pps = (pp, pp.derivative())
-        return self._pps
+        # tiny or huge spacings overflow to inf or NaN here, as in scipy, but
+        # without printing numpy warnings to stderr
+        with np.errstate(all="ignore"):
+            if self.order == 1:
+                cells = _linear_cells(self.times, vals)
+            else:
+                cells = _hermite_cells(self.times, vals, _natural_slopes(self.times, vals)
+                                       if nd is None else nd)
+            factors = np.arange(self.order, 0, -1.0).reshape((-1,) + (1,) * (cells.ndim - 1))
+            slopes = cells[:-1] * factors
+        self.cells = _freeze(cells)
+        lo, hi = float(times[0]), float(times[-1])
+        slack = 1e-9 * max(1.0, hi - lo)
+        self._domain = (lo, hi, lo - slack, hi + slack)
+        self._values = _cell_sum(self.cells, self.times)
+        self._slopes = _cell_sum(_freeze(slopes), self.times)
 
     def _clip_t(self, t):
-        lo, hi = float(self.times[0]), float(self.times[-1])
-        slack = 1e-9 * max(1.0, hi - lo)
+        """``t`` (a time or an array of times) clipped into the grid; a time
+        more than 1e-9 max(1, span) outside it raises ``DomainError``."""
+        lo, hi, below, above = self._domain
         ts = np.asarray(t, dtype=np.float64)
-        outside = ts[(ts < lo - slack) | (ts > hi + slack)]
-        if outside.size:
-            raise DomainError(f"t = {outside[0]} outside sampled domain [{lo}, {hi}]")
+        outside = (ts < below) | (ts > above)
+        if outside.any():
+            raise DomainError(f"t = {ts[outside][0]} outside sampled domain [{lo}, {hi}]")
         return np.minimum(np.maximum(ts, lo), hi)
 
     def eval(self, t):
-        return self._out(self._interpolant()[0](self._clip_t(t)))
+        return self._out(self._values(self._clip_t(t)))
 
     def derivative(self, t):
-        return self._out(self._interpolant()[1](self._clip_t(t)))
+        return self._out(self._slopes(self._clip_t(t)))
+
+
+def _linear_cells(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Order-1 cells: each cell's slope over its left value."""
+    spacings = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.stack([np.diff(values, axis=0) / spacings, values[:-1]])
+
+
+def _hermite_cells(times: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Cubic cells through ``values`` with the node ``slopes``: the formula
+    of scipy's ``CubicHermiteSpline``, operation for operation."""
+    dxr = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    slope = np.diff(values, axis=0) / dxr
+    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - slopes[:-1]) / dxr - t, slopes[:-1], values[:-1]))
+
+
+def _natural_slopes(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Node slopes of the natural cubic spline: the tridiagonal system of
+    scipy's ``CubicSpline(..., bc_type="natural")``, row for row, solved by
+    ``_gtsv``. Non-finite slopes are refused, as scipy refuses them."""
+    dx = np.diff(times)
+    dxr = dx.reshape((-1,) + (1,) * (values.ndim - 1))
+    slope = np.diff(values, axis=0) / dxr
+    zero = np.zeros(values.shape[1:])        # the natural end condition y'' = 0
+    b = np.empty(values.shape, dtype=values.dtype)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = -0.5 * zero * dx[0] ** 2 + 3 * (values[1] - values[0])
+    b[-1] = 0.5 * zero * dx[-1] ** 2 + 3 * (values[-1] - values[-2])
+    diag = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1:]])
+    slopes = _gtsv(np.concatenate([dx[1:], dx[-1:]]), diag, np.concatenate([dx[:1], dx[:-1]]),
+                   b.reshape(len(b), -1)).reshape(values.shape)
+    if not np.isfinite(slopes).all():
+        raise ValueError("natural cubic spline: the node slopes are not finite")
+    return slopes
+
+
+def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the real tridiagonal system (``lower``, ``diag``, ``upper``) for
+    the complex right-hand sides ``b`` of shape (n, k) as LAPACK ``zgtsv``
+    does: Gaussian elimination with partial pivoting, then back substitution.
+
+    Every complex value is a (real, imaginary) pair, the matrix entries too,
+    and every complex operation is the real arithmetic gfortran compiles
+    ``zgtsv``'s to (``_mul``, ``_div``), so signed zeros and non-finite
+    values come out as LAPACK's do.
+    """
+    n, zero = len(diag), np.float64(0.0)
+    dl, d, du = ([(v, zero) for v in row] for row in (lower, diag, upper))
+    rows = list(zip(b.real.copy(), b.imag.copy()))
+    for k in range(n - 1):
+        if _is_zero(dl[k]):
+            if _is_zero(d[k]):
+                raise np.linalg.LinAlgError("singular matrix")
+        elif abs(d[k][0]) + abs(d[k][1]) >= abs(dl[k][0]) + abs(dl[k][1]):
+            mult = _div(dl[k], d[k])
+            d[k + 1] = _sub(d[k + 1], _mul(mult, du[k]))
+            rows[k + 1] = _sub(rows[k + 1], _mul(mult, rows[k]))
+            if k < n - 2:
+                dl[k] = (zero, zero)
+        else:
+            # interchange rows k and k + 1
+            mult = _div(d[k], dl[k])
+            d[k], temp = dl[k], d[k + 1]
+            d[k + 1] = _sub(du[k], _mul(mult, temp))
+            if k < n - 2:
+                dl[k] = du[k + 1]
+                du[k + 1] = _neg(_mul(mult, dl[k]))
+            du[k] = temp
+            rows[k], rows[k + 1] = rows[k + 1], _sub(rows[k], _mul(mult, rows[k + 1]))
+    if _is_zero(d[-1]):
+        raise np.linalg.LinAlgError("singular matrix")
+    rows[-1] = _div(rows[-1], d[-1])
+    rows[-2] = _div(_sub(rows[-2], _mul(du[-1], rows[-1])), d[-2])
+    for k in range(n - 3, -1, -1):
+        rows[k] = _div(_sub(_sub(rows[k], _mul(du[k], rows[k + 1])), _mul(dl[k], rows[k + 2])),
+                       d[k])
+    x = np.empty(b.shape, dtype=np.complex128)
+    x.real, x.imag = np.stack([re for re, _ in rows]), np.stack([im for _, im in rows])
+    return x
+
+
+def _is_zero(a) -> bool:
+    return a[0] == 0 and a[1] == 0
+
+
+def _neg(a):
+    return -a[0], -a[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _mul(a, b):
+    """Complex product of two (real, imaginary) pairs, term by term."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _div(a, b):
+    """Complex quotient of two (real, imaginary) pairs by Smith's algorithm,
+    in the form gfortran expands a complex division to."""
+    if abs(b[0]) < abs(b[1]):
+        ratio = b[0] / b[1]
+        div = b[0] * ratio + b[1]
+        return (a[0] * ratio + a[1]) / div, (a[1] * ratio - a[0]) / div
+    ratio = b[1] / b[0]
+    div = b[1] * ratio + b[0]
+    return (a[1] * ratio + a[0]) / div, (a[1] - a[0] * ratio) / div
+
+
+def _cell_sum(cells: np.ndarray, times: np.ndarray):
+    """``t -> the values at t`` of the piecewise polynomial whose cells are
+    ``cells`` (highest power first) about the nodes ``times``, for times
+    already in [times[0], times[-1]]; a scalar t gives cells.shape[2:], a
+    1-D array of m times (m,) + cells.shape[2:]. Several functions on one
+    grid are one stack whose axis 2 is the function.
+
+    It follows scipy's ``_ppoly.evaluate`` exactly: the cell is the one whose
+    left node is the last node <= t, the last cell closed; s = t - times[i];
+    the sum starts from the constant term on a +0.0 start, each term c_k s^k
+    is a complex product times a complex 1.0, and s^k is formed by repeated
+    complex multiplication. So values and non-finite results equal scipy's
+    bit for bit, and numpy prints no warning where scipy's loop prints none.
+    """
+    # the cell of t is the number of inner nodes <= t
+    inner = times[1:-1]
+    # the constant term's contribution does not depend on t
+    head = _freeze(0.0 + cells[-1] * 1.0 * 1.0)
+    powers = cells[-2::-1]
+    one = np.complex128(1.0)
+
+    def values(t) -> np.ndarray:
+        ts = np.asarray(t, dtype=np.float64)
+        flat = ts.reshape(-1)
+        i = np.searchsorted(inner, flat, side="right")
+        s = (flat - times.take(i)).reshape((-1,) + (1,) * (cells.ndim - 2))
+        # take copies whole cells, faster than fancy indexing
+        acc, z = head.take(i, axis=0), one
+        # overflow gives inf or NaN as in scipy, without numpy warnings
+        with np.errstate(all="ignore"):
+            for c in powers:
+                z = z * s
+                term = c.take(i, axis=0)
+                term *= z
+                term *= 1.0
+                acc += term
+        return acc.reshape(ts.shape + acc.shape[1:])
+
+    return values
 
 
 def stacked_evaluator(functions):
@@ -264,9 +415,12 @@ def stacked_evaluator(functions):
       coefficient and takes the same multiply-add steps as ``eval``. They
       are never zero-padded, since a padded step can flip the sign of a
       zero;
-    * any other function (sampled or scalar-valued) goes through one call
-      of its own ``eval`` on the array; a scalar-valued one gives Python
-      complex numbers, as its scalar ``eval`` does.
+    * sampled functions of one shape and order on one grid are evaluated at
+      all the times by one ``_cell_sum`` over their stacked cells, with the
+      domain check of ``eval``;
+    * a scalar-valued function goes through one call of its own ``eval`` on
+      the array and gives Python complex numbers, as its scalar ``eval``
+      does.
     """
     template: list = [None] * len(functions)
     groups: dict = {}
@@ -276,19 +430,28 @@ def stacked_evaluator(functions):
         if kind == "constant":
             template[i] = f.value
         elif kind == "polynomial":
-            groups.setdefault((f.t_ref, f.shape), []).append(i)
+            groups.setdefault((kind, f.shape, f.t_ref), []).append(i)
+        elif kind == "sampled":
+            groups.setdefault((kind, f.shape, f.order, f.times.tobytes()), []).append(i)
         else:
             others.append((i, f.eval, f.is_scalar))
-    horners = []
-    for (t_ref, _), slots in groups.items():
-        slots.sort(key=lambda i: -functions[i].degree)
-        horners.append((_staggered_horner([functions[i].coefficients for i in slots], t_ref),
-                        slots))
+    passes = []
+    for (kind, *_), slots in groups.items():
+        first = functions[slots[0]]
+        if kind == "polynomial":
+            slots.sort(key=lambda i: -functions[i].degree)
+            stacked = _staggered_horner([functions[i].coefficients for i in slots], first.t_ref)
+        else:
+            cell_sum = _cell_sum(np.stack([functions[i].cells for i in slots], axis=2),
+                                 first.times)
+            stacked = (lambda ts, cell_sum=cell_sum, clip=first._clip_t:
+                       cell_sum(clip(ts)).swapaxes(0, 1))
+        passes.append((stacked, slots))
 
     def values(ts) -> list:
         out = [template.copy() for _ in range(len(ts))]
-        for horner, slots in horners:
-            for i, stack in zip(slots, horner(ts)):
+        for stacked, slots in passes:
+            for i, stack in zip(slots, stacked(ts)):
                 for row, value in zip(out, stack):
                     row[i] = value
         for i, f_eval, scalar in others:

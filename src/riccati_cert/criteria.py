@@ -178,10 +178,13 @@ def _least(name: str, ts: np.ndarray, lo: np.ndarray, ok: np.ndarray,
 
 def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
              value: np.ndarray, ok: np.ndarray) -> ConditionRecord:
-    """Residual or defect record: the largest score, at the earliest time on ties."""
+    """Residual or defect record: the largest score, at the earliest time on
+    ties. Points left out score -inf (all out: witness (inf, inf))."""
     k = int(np.argmax(score))
+    out = score[k] == -np.inf
     return ConditionRecord(name=name, passed=bool(ok.all()), kind=kind,
-                           worst_value=float(value[k]), worst_time=float(ts[k]))
+                           worst_value=np.inf if out else float(value[k]),
+                           worst_time=np.inf if out else float(ts[k]))
 
 
 def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
@@ -288,7 +291,7 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
     def block(ts):
         p, shift_t = cs.P.eval(ts), shift.eval(ts)
         lo, pd, defect = _psd_measure(p, tol, strict=True)
-        skew, skew_ok = np.zeros(ts.size), np.zeros(ts.size, dtype=bool)
+        skew, skew_ok = np.full(ts.size, -np.inf), np.zeros(ts.size, dtype=bool)
         c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
         if pd.any():
             t_pd = ts[pd]

@@ -383,6 +383,71 @@ class TestStackedEvaluator:
                 assert np.asarray(v).tobytes() == np.asarray(f.eval(t)).tobytes()
 
 
+def _sampled_group_functions():
+    """P, Q, R, S sampled on one grid (natural and Hermite cubics, parts
+    equal to -0.0), and one function each on another grid, of order 1, of
+    another shape, and scalar-valued."""
+    rng = np.random.default_rng(41)
+    nodes = np.linspace(-3.0, 3.0, 9)
+
+    def stack(k, n=2):
+        a = np.empty((k, n, n), dtype=np.complex128)
+        a.real = np.where(rng.random((k, n, n)) < 0.3, -0.0, rng.standard_normal((k, n, n)))
+        a.imag = np.where(rng.random((k, n, n)) < 0.3, -0.0, rng.standard_normal((k, n, n)))
+        return a
+
+    pqrs = [cf.sampled(nodes, stack(9)) for _ in range(3)]
+    pqrs.append(cf.sampled(nodes, stack(9), node_derivatives=stack(9)))
+    apart = {"grid": cf.sampled(np.linspace(-3.0, 3.0, 7), stack(7)),
+             "order": cf.sampled(nodes, stack(9), order=1),
+             "shape": cf.sampled(nodes, stack(9, 3)),
+             "scalar": cf.sampled(nodes, rng.standard_normal(9) + 0.5j, scalar=True)}
+    return pqrs, apart
+
+
+class TestGroupedSampled:
+    """``stacked_evaluator`` evaluates sampled functions of one grid, order
+    and shape in one ``_cell_sum`` over their stacked cells."""
+
+    TIMES = (-3.0, -2.9, -0.75, 0.0, 1e-9, 2.25, 3.0)
+
+    def record_groups(self, monkeypatch, functions):
+        sums = []
+        cell_sum = cf._cell_sum
+        monkeypatch.setattr(cf, "_cell_sum", lambda cells, times: sums.append(
+            (cells.shape[2], times.size)) or cell_sum(cells, times))
+        cf.stacked_evaluator(functions)
+        return sorted(sums)
+
+    def test_one_grid_is_one_group(self, monkeypatch):
+        pqrs, _ = _sampled_group_functions()
+        assert self.record_groups(monkeypatch, pqrs) == [(4, 9)]
+
+    @pytest.mark.parametrize("other", ["grid", "order", "shape"])
+    def test_another_grid_order_or_shape_stays_apart(self, monkeypatch, other):
+        pqrs, apart = _sampled_group_functions()
+        fs = pqrs[:2] + [apart[other]] + pqrs[2:]
+        assert self.record_groups(monkeypatch, fs) == [(1, apart[other].times.size), (4, 9)]
+
+    def test_values_equal_eval_bit_for_bit(self):
+        pqrs, apart = _sampled_group_functions()
+        fs = [apart["shape"], *pqrs[:2], apart["grid"], cf.constant(np.eye(2)), pqrs[2],
+              apart["order"], apart["scalar"], pqrs[3],
+              cf.polynomial([np.eye(2), np.eye(2)], t_ref=0.5)]
+        values = cf.stacked_evaluator(fs)
+        for ts in [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES]:
+            for t, got in zip(ts.tolist(), values(ts)):
+                for f, v in zip(fs, got):
+                    want = f.eval(t)
+                    assert type(v) is type(want) and np.shape(v) == np.shape(want)
+                    assert np.asarray(v).tobytes() == np.asarray(want).tobytes()
+
+    def test_a_time_outside_the_grid_raises(self):
+        pqrs, _ = _sampled_group_functions()
+        with pytest.raises(DomainError, match="3.5"):
+            cf.stacked_evaluator(pqrs)(np.array([0.0, 3.5]))
+
+
 # ---------------------------------------------------------------------------
 # The one Horner against the per-function Horner it replaced
 # ---------------------------------------------------------------------------

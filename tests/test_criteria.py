@@ -533,3 +533,18 @@ class TestOnePassPerCriterion:
         rec = check_positivity_condition(cs, g)
         assert calls == {"_scan": 1, "P": 1}
         assert rec == check_gauge_criterion(cs, None, y0, g).condition("coefficient_psd")
+
+
+class TestFrameWitnessWherePIsNowherePositive:
+    """With P = 0 the frame conditions of cor3.1 and cor3.2 leave out every
+    grid point: the skew condition fails with no witness, (inf, inf), and
+    not with a defect of 0.0 at t0 that reads as a pass."""
+
+    @pytest.mark.parametrize("criterion, skew", [("cor3.1", "gauge_skew"),
+                                                 ("cor3.2", "sqrt_frame_skew")])
+    def test_skew_condition_has_no_witness(self, criterion, skew):
+        cs = make_set(1, P=cf.constant([[0.0]]), S=cf.constant([[1.0]]))
+        rep = criteria.run_criterion(criterion, cs, np.eye(1), grid=grid(cs))
+        rec = next(c for c in rep.conditions if c.name == skew)
+        assert not rec.passed and not rep.holds
+        assert rec.worst_value == math.inf and rec.worst_time == math.inf

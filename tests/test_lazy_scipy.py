@@ -1,10 +1,11 @@
-"""scipy loads only where sampled data need it.
+"""riccati_cert never loads scipy; sampled data equal scipy's bit for bit.
 
-Importing the package and running the four subcommands on constant and
-polynomial instances leave scipy unloaded, checked in a fresh interpreter.
-A sampled function reads its data through the same scipy piecewise
-polynomial as one built eagerly from them, bit for bit, and a cubic one
-still meets scipy's own refusals at construction.
+Importing the package and running the four subcommands on constant,
+polynomial and sampled instances leave scipy unloaded, checked in a fresh
+interpreter. A sampled function's cells, values and derivatives equal
+those of the scipy interpolator built from the same data (scipy is the
+reference implementation here), bit for bit, and it refuses what scipy
+refuses, with the same exception type.
 """
 
 import json
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from riccati_cert import coefficients as cf
@@ -72,40 +75,53 @@ class TestColdStart:
         assert {code for _, code in out["codes"]} <= {0, 1}, out["codes"]
         assert out["scipy"] == []
 
-    def test_cli_on_cubic_sampled_data_loads_scipy(self, tmp_path):
-        # the probe above can see scipy: a cubic sampled P needs it
+    def test_cli_on_sampled_data_loads_no_scipy(self, tmp_path):
+        # a natural cubic P and a linear S, through all four subcommands
         n, t_end = 1, 1.0
         times = list(np.linspace(0.0, t_end, 5))
+        const = {"kind": "constant", "value": [[[0.0, 0.0]]]}
         obj = {"n": n, "t0": 0.0, "t_end": t_end,
                "P": {"kind": "sampled", "order": 3, "times": times,
                      "values": [[[[1.0 + t, 0.0]]] for t in times]},
-               **{name: {"kind": "constant", "value": [[[0.0, 0.0]]]} for name in "QRS"},
+               "Q": const, "R": const,
+               "S": {"kind": "sampled", "order": 1, "times": times,
+                     "values": [[[[t * t, 0.0]]] for t in times]},
                "Y0": [[[1.0, 0.0]]]}
         (tmp_path / "sampled.json").write_text(json.dumps(obj))
         out = fresh_run(CLI_SCRIPT, tmp_path, "sampled")
+        assert len(out["codes"]) == 4 + 8
         assert {code for _, code in out["codes"]} <= {0, 1}, out["codes"]
-        assert "scipy.interpolate" in out["scipy"]
+        assert out["scipy"] == []
 
-    def test_linear_function_loads_scipy_on_first_use(self):
+    def test_linear_function_loads_no_scipy(self):
         out = fresh_run("""
-import sys
 from riccati_cert import coefficients as cf
 f = cf.sampled([0.0, 1.0, 3.0], [1.0, 2.0, 0.0], order=1, scalar=True)
-built = "scipy" in sys.modules
 value = f.eval(2.0)
-OUT = {"built": built, "value": [value.real, value.imag]}
+OUT = {"value": [value.real, value.imag], "slope": f.derivative(2.0).real}
 """)
-        assert not out["built"]
-        assert out["value"] == [1.0, 0.0]
-        assert "scipy.interpolate" in out["scipy"]
+        assert out["value"] == [1.0, 0.0] and out["slope"] == -1.0
+        assert out["scipy"] == []
 
-    def test_cubic_function_loads_scipy_at_construction(self):
+    def test_cubic_function_loads_no_scipy(self):
+        # a natural spline, a Hermite one, and the Hermite gauge of cor3.1
         out = fresh_run("""
-from riccati_cert import coefficients as cf
-cf.sampled([0.0, 1.0, 3.0], [1.0, 2.0, 0.0], order=3, scalar=True)
-OUT = {}
+import numpy as np
+from riccati_cert import coefficients as cf, criteria
+natural = cf.sampled([0.0, 1.0, 3.0], [1.0, 2.0, 0.0], order=3, scalar=True)
+hermite = cf.sampled([0.0, 1.0, 3.0], [1.0, 2.0, 0.0], order=3, scalar=True,
+                     node_derivatives=[0.0, 1.0, 0.0])
+cs = cf.CoefficientSet(n=2, t0=0.0, t_end=1.0, P=cf.constant(np.eye(2)),
+                       Q=cf.polynomial([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]]),
+                       R=cf.constant(np.zeros((2, 2))), S=cf.constant(np.eye(2)))
+gauge, _ = criteria.build_skew_gauge(cs)
+ts = np.linspace(0.0, 1.0, 7)
+values = [f(ts) for f in (natural.eval, natural.derivative, hermite.eval, hermite.derivative,
+                          gauge.eval, gauge.derivative)]
+OUT = {"finite": all(bool(np.isfinite(v).all()) for v in values)}
 """)
-        assert "scipy.interpolate" in out["scipy"]
+        assert out["finite"]
+        assert out["scipy"] == []
 
 
 def _eager(times, values, order, node_derivatives):
@@ -185,6 +201,93 @@ class TestEagerParity:
                 build()
 
 
+#: real and imaginary parts: ordinary values, exact zeros of both signs and ones
+PARTS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def sampled_cases(draw):
+    """(kind, times, values, node derivatives, scalar): 2 to 9 nodes whose
+    neighbouring spacings differ by factors up to e^12, so the natural
+    spline's system pivots; scalar or m x m values, complex or real only."""
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(2, 9))
+    steps = draw(st.lists(st.floats(-6.0, 6.0), min_size=k - 1, max_size=k - 1))
+    times = np.cumsum([0.0] + [float(np.exp(x)) for x in steps]) - 1.0
+    scalar = draw(st.booleans())
+    shape = (k,) if scalar else (k,) + (draw(st.integers(1, 3)),) * 2
+    real_only = draw(st.booleans())
+    size = int(np.prod(shape))
+
+    def stack():
+        a = np.empty(shape, dtype=np.complex128)
+        a.real = np.reshape(draw(st.lists(PARTS, min_size=size, max_size=size)), shape)
+        a.imag = 0.0 if real_only else np.reshape(
+            draw(st.lists(PARTS, min_size=size, max_size=size)), shape)
+        return a
+
+    return kind, times, stack(), stack(), scalar
+
+
+def _case(kind, times, values, scalar=True, nd=None):
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.complex128)
+    nd = np.flip(values, axis=0) if nd is None else np.asarray(nd, dtype=np.complex128)
+    return kind, times, values, nd.copy(), scalar
+
+
+class TestParityProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sampled_cases())
+    # 2 and 3 nodes; spacings 1 then 3 pivot at the first row; real values
+    # with -0.0 parts; matrix values
+    @example(_case("cubic", [0.0, 1.0], [2.0, -0.0]))
+    @example(_case("cubic", [0.0, 1.0, 4.0], [-0.0, 1.0, -0.0]))
+    @example(_case("cubic", [0.0, 1.0, 4.0, 4.5, 40.0],
+                   [complex(-0.0, 1.0), 0.0, -1.0, complex(2.0, -0.0), 0.5]))
+    @example(_case("hermite", [0.0, 1.0, 4.0], [-0.0, 1.0, -0.0]))
+    @example(_case("linear", [0.0, 1.0, 4.0], [-0.0, 1.0, -0.0]))
+    @example(_case("cubic", [0.0, 0.5, 3.0],
+                   [np.eye(2), -0.0 * np.eye(2), [[1.0, -0.0], [0.0, 2.0]]], scalar=False))
+    # finite cells whose s^1 term overflows at the midpoint: scipy's
+    # complex 1.0 turns (inf, 0) into (inf, nan)
+    @example(_case("hermite", [0.0, 1e9], [0.0, 0.0], nd=[1e300, -2e300]))
+    def test_cells_values_and_derivatives_equal_bits(self, case):
+        kind, times, values, nd, scalar = case
+        ours, eager = (build() for build in _build(kind, times, values, scalar, nd))
+        assert _bits(ours.cells) == _bits(eager.c)
+        grid = np.concatenate([times, 0.5 * (times[1:] + times[:-1])])
+        d_eager = eager.derivative()
+        assert _bits(ours.eval(grid)) == _bits(eager(grid))
+        assert _bits(ours.derivative(grid)) == _bits(d_eager(grid))
+        for t in grid[::3]:
+            assert _bits(ours.eval(float(t))) == _bits(eager(float(t)))
+
+
+class TestGtsvPort:
+    """``_gtsv`` against LAPACK ``zgtsv`` itself on real tridiagonal systems
+    with complex right-hand sides made of +-0.0 and +-1.0 parts, where the
+    sign of a zero depends on the order and form of every complex operation."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_bits(self, seed):
+        from scipy.linalg.lapack import zgtsv
+
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            # the natural spline's rows on spacings up to e^4 apart: some pivot
+            dx = np.exp(rng.uniform(-2.0, 2.0, n - 1))
+            lower = np.concatenate([dx[1:], dx[-1:]])
+            diag = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1:]])
+            upper = np.concatenate([dx[:1], dx[:-1]])
+            b = np.empty((n, k), dtype=np.complex128)
+            b.real = rng.choice([0.0, -0.0, 1.0, -1.0], (n, k))
+            b.imag = rng.choice([0.0, -0.0, 1.0], (n, k))
+            want = zgtsv(*(a.astype(np.complex128) for a in (lower, diag, upper)), b.copy())[3]
+            assert _bits(cf._gtsv(lower, diag, upper, b)) == _bits(np.ascontiguousarray(want))
+
+
 class TestFiniteTimes:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("times, k", [([0.0, 1.0, np.inf], 2), ([-np.inf, 0.0, 1.0], 0),
@@ -214,10 +317,10 @@ class TestLoaderRefusals:
         assert "field 'P'" in capsys.readouterr().err
 
 
-class TestFirstUseRace:
-    def test_threads_racing_the_first_eval_read_equal_bits(self):
-        # more threads than cores and a short switch interval: a race on the
-        # first evaluation may build the interpolant twice, never read a half-built one
+class TestConcurrentReads:
+    def test_threads_reading_one_function_read_equal_bits(self):
+        # more threads than cores and a short switch interval: evaluation is
+        # pure, so every thread reads the bits of scipy's interpolant
         import threading
 
         times, values, _ = _data("linear", False)
