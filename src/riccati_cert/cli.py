@@ -144,13 +144,11 @@ def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
     return worst
 
 
-def _radon_extras(inst, opts: IntegratorOptions, ts, traj: Trajectory) -> dict:
-    """The linear flow's status, restarts and largest discrepancy from the
-    direct trajectory ``traj``; the flow's samples are freed on return."""
-    flow, traj_radon = integrate_linear_system(inst.cs, inst.y0, opts, ts)
-    return {"radon_status": traj_radon.status,
-            "restarts": [float(t) for t in flow.restarts],
-            "max_discrepancy": _max_discrepancy(traj, traj_radon)}
+def _radon_run(inst, opts: IntegratorOptions, ts) -> tuple[Trajectory, dict]:
+    """The linear flow's trajectory, with its status and restarts as
+    ``integrate`` prints them; the flow's samples are freed on return."""
+    flow, traj = integrate_linear_system(inst.cs, inst.y0, opts, ts)
+    return traj, {"radon_status": traj.status, "restarts": [float(t) for t in flow.restarts]}
 
 
 def _cmd_integrate(args) -> int:
@@ -169,9 +167,11 @@ def _cmd_integrate(args) -> int:
     elif args.method == "lyapunov":
         traj = integrate_lyapunov_comparison(inst.cs, inst.y0, opts, ts)
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
-    else:  # both
+    else:  # both: the linear flow first, so the direct run meets only its trajectory
+        radon, extra = _radon_run(inst, opts, ts)
         traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
-        extra = _radon_extras(inst, opts, ts, traj)
+        extra["max_discrepancy"] = _max_discrepancy(traj, radon)
+        del radon  # freed before the CSV is written
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
         print(f"max_discrepancy {extra['max_discrepancy']:.6e}")
 

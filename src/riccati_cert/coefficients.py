@@ -32,10 +32,12 @@ S_L, Q_L, R_L accepts both forms the same way. One Horner,
 ``_staggered_horner``, evaluates polynomials, and one power sum,
 ``_cell_sum``, evaluates sampled cells; each function runs them over its
 own stacks, and ``stacked_evaluator`` over the grouped stacks of several
-functions: it takes a 1-D array of times and gives one list of values per
-time, each equal bit for bit to ``eval`` at that time, with constants
-shared and read-only. The integrators evaluate each step's stage times
-with it in one call.
+functions and derivatives: built once, it takes a 1-D array of times and
+gives one stack per function and per requested derivative, each equal bit
+for bit to ``eval`` or ``derivative`` on the array, constants as read-only
+views of their values. Every grid caller (the criteria blocks, the
+monitors, the residual and each RK step) evaluates its coefficients with
+it, one call per block or step.
 
 A sampled function's cells follow scipy's interpolators operation for
 operation (``PPoly``, ``CubicSpline`` with natural ends, whose tridiagonal
@@ -50,6 +52,7 @@ functions are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,10 +183,10 @@ class SampledFunction(CoefficientFunction):
     They are built at construction by scipy's own formulas, operation for
     operation (``PPoly``, ``CubicSpline`` with ``bc_type="natural"`` and
     ``CubicHermiteSpline``), so every value and derivative equals scipy's bit
-    for bit, non-finite results included. ``derivative`` evaluates the cells
-    of the derivative, the coefficients times (order, ..., 1); for order 1 at
-    a node it is the slope of the cell to its right (to its left at the last
-    node).
+    for bit, non-finite results included. ``derivative`` evaluates
+    ``slope_cells``, the cells of the derivative: the coefficients times
+    (order, ..., 1). For order 1 at a node it is the slope of the cell to its
+    right (to its left at the last node).
     """
 
     kind = "sampled"
@@ -227,11 +230,12 @@ class SampledFunction(CoefficientFunction):
             factors = np.arange(self.order, 0, -1.0).reshape((-1,) + (1,) * (cells.ndim - 1))
             slopes = cells[:-1] * factors
         self.cells = _freeze(cells)
+        self.slope_cells = _freeze(slopes)
         lo, hi = float(times[0]), float(times[-1])
         slack = 1e-9 * max(1.0, hi - lo)
         self._domain = (lo, hi, lo - slack, hi + slack)
         self._values = _cell_sum(self.cells, self.times)
-        self._slopes = _cell_sum(_freeze(slopes), self.times)
+        self._slopes = _cell_sum(self.slope_cells, self.times)
 
     def _clip_t(self, t):
         """``t`` (a time or an array of times) clipped into the grid; a time
@@ -290,14 +294,15 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
     the complex right-hand sides ``b`` of shape (n, k) as LAPACK ``zgtsv``
     does: Gaussian elimination with partial pivoting, then back substitution.
 
-    Every complex value is a (real, imaginary) pair, the matrix entries too,
-    and every complex operation is the real arithmetic gfortran compiles
-    ``zgtsv``'s to (``_mul``, ``_div``), so signed zeros and non-finite
-    values come out as LAPACK's do.
+    Every complex value is a (real, imaginary) pair: a matrix entry as two
+    floats, a right-hand-side row as one (2, k) float array. Every complex
+    operation is the real arithmetic gfortran compiles ``zgtsv``'s to
+    (``_mul`` and ``_div`` on entries, ``_times`` and ``_over`` on rows), so
+    signed zeros and non-finite values come out as LAPACK's do.
     """
     n, zero = len(diag), np.float64(0.0)
     dl, d, du = ([(v, zero) for v in row] for row in (lower, diag, upper))
-    rows = list(zip(b.real.copy(), b.imag.copy()))
+    rows = list(np.stack([b.real, b.imag], axis=1))
     for k in range(n - 1):
         if _is_zero(dl[k]):
             if _is_zero(d[k]):
@@ -305,7 +310,7 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
         elif abs(d[k][0]) + abs(d[k][1]) >= abs(dl[k][0]) + abs(dl[k][1]):
             mult = _div(dl[k], d[k])
             d[k + 1] = _sub(d[k + 1], _mul(mult, du[k]))
-            rows[k + 1] = _sub(rows[k + 1], _mul(mult, rows[k]))
+            rows[k + 1] = rows[k + 1] - _times(mult, rows[k])
             if k < n - 2:
                 dl[k] = (zero, zero)
         else:
@@ -317,17 +322,35 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
                 dl[k] = du[k + 1]
                 du[k + 1] = _neg(_mul(mult, dl[k]))
             du[k] = temp
-            rows[k], rows[k + 1] = rows[k + 1], _sub(rows[k], _mul(mult, rows[k + 1]))
+            rows[k], rows[k + 1] = rows[k + 1], rows[k] - _times(mult, rows[k + 1])
     if _is_zero(d[-1]):
         raise np.linalg.LinAlgError("singular matrix")
-    rows[-1] = _div(rows[-1], d[-1])
-    rows[-2] = _div(_sub(rows[-2], _mul(du[-1], rows[-1])), d[-2])
+    rows[-1] = _over(rows[-1], d[-1])
+    rows[-2] = _over(rows[-2] - _times(du[-1], rows[-1]), d[-2])
     for k in range(n - 3, -1, -1):
-        rows[k] = _div(_sub(_sub(rows[k], _mul(du[k], rows[k + 1])), _mul(dl[k], rows[k + 2])),
-                       d[k])
+        rows[k] = _over(rows[k] - _times(du[k], rows[k + 1]) - _times(dl[k], rows[k + 2]), d[k])
+    parts = np.stack(rows)
     x = np.empty(b.shape, dtype=np.complex128)
-    x.real, x.imag = np.stack([re for re, _ in rows]), np.stack([im for _, im in rows])
+    x.real, x.imag = parts[:, 0], parts[:, 1]
     return x
+
+
+def _times(a, row: np.ndarray) -> np.ndarray:
+    """``_mul(a, row)`` for a (2, k) array ``row`` of (real, imaginary) parts:
+    a[0] row + a[1] (i row), where i row = (-imaginary, real), each part one
+    operation on the whole row."""
+    return row * a[0] + row[::-1] * np.array([[-a[1]], [a[1]]])
+
+
+def _over(row: np.ndarray, b) -> np.ndarray:
+    """``_div(row, b)`` for a (2, k) array ``row``: Smith's algorithm as the
+    product by (ratio, -1) or (1, -ratio), exact in its factors of one, over
+    the real divisor."""
+    if abs(b[0]) < abs(b[1]):
+        ratio = b[0] / b[1]
+        return _times((ratio, -1.0), row) / (b[0] * ratio + b[1])
+    ratio = b[1] / b[0]
+    return _times((1.0, -ratio), row) / (b[1] * ratio + b[0])
 
 
 def _is_zero(a) -> bool:
@@ -400,100 +423,91 @@ def _cell_sum(cells: np.ndarray, times: np.ndarray):
     return values
 
 
-def stacked_evaluator(functions):
-    """A callable ``ts -> [[f(t) for f in functions] for t in ts]`` on a 1-D
-    array of times: one list of values per time.
+def stacked_evaluator(functions, derivatives=()):
+    """A callable ``ts -> [f.eval(ts) for f in functions] + [f.derivative(ts)
+    for f in derivatives]`` on a 1-D array of times: one stack per function,
+    then one per requested derivative, each equal bit for bit to that call.
+    Built once, it runs the grouped work in ``evaluate_passes``:
 
-    Each value equals ``f.eval(t)`` at that scalar time bit for bit, at
-    less cost per time:
-
-    * a constant gives its stored read-only value at every time, shared
-      and not copied;
-    * polynomials of one shape that share ``t_ref`` are evaluated at all
-      the times by one staggered Horner pass over their stacked
-      coefficients: sorted by degree, each starts at its own leading
-      coefficient and takes the same multiply-add steps as ``eval``. They
-      are never zero-padded, since a padded step can flip the sign of a
-      zero;
-    * sampled functions of one shape and order on one grid are evaluated at
-      all the times by one ``_cell_sum`` over their stacked cells, with the
-      domain check of ``eval``;
-    * a scalar-valued function goes through one call of its own ``eval`` on
-      the array and gives Python complex numbers, as its scalar ``eval``
-      does.
+    * polynomials of one shape that share ``t_ref``, derivatives included,
+      go through one staggered Horner pass over their coefficient stacks:
+      sorted by degree, each starts at its own leading coefficient and takes
+      the same multiply-add steps as ``eval``. They are never zero-padded,
+      since a padded step can flip the sign of a zero;
+    * sampled functions of one shape and order on one grid go through one
+      domain clip and one ``_cell_sum`` over their stacked ``cells`` (their
+      derivatives, over their ``slope_cells``);
+    * constants give read-only stride-0 views of their stored values (of zero
+      for a derivative), built once for each number of times;
+    * a function of another kind goes through its own ``eval`` or ``derivative``.
     """
-    template: list = [None] * len(functions)
+    requests = [(f, False) for f in functions] + [(f, True) for f in derivatives]
     groups: dict = {}
-    others: list = []
-    for i, f in enumerate(functions):
-        kind = None if f.is_scalar else f.kind
-        if kind == "constant":
-            template[i] = f.value
-        elif kind == "polynomial":
-            groups.setdefault((kind, f.shape, f.t_ref), []).append(i)
-        elif kind == "sampled":
-            groups.setdefault((kind, f.shape, f.order, f.times.tobytes()), []).append(i)
+    for i, (f, slope) in enumerate(requests):
+        if f.kind == "polynomial":
+            key = (f.kind, f.shape, f.t_ref)
+            stack = _poly_diff(f.coefficients) if slope else f.coefficients
+        elif f.kind == "sampled":
+            key = (f.kind, f.shape, f.order, slope, f.times.tobytes())
+            stack = f.slope_cells if slope else f.cells
+        elif f.kind == "constant":
+            key, stack = (f.kind,), _freeze(np.zeros_like(f.value)) if slope else f.value
         else:
-            others.append((i, f.eval, f.is_scalar))
+            key, stack = i, None
+        groups.setdefault(key, []).append((i, stack))
     passes = []
-    for (kind, *_), slots in groups.items():
-        first = functions[slots[0]]
-        if kind == "polynomial":
-            slots.sort(key=lambda i: -functions[i].degree)
-            stacked = _staggered_horner([functions[i].coefficients for i in slots], first.t_ref)
+    for members in groups.values():
+        f, slope = requests[members[0][0]]
+        if f.kind == "polynomial":
+            members.sort(key=lambda member: -len(member[1]))
+            run = _staggered_horner([c for _, c in members], f.t_ref)
+        elif f.kind == "sampled":
+            cell_sum = _cell_sum(np.stack([c for _, c in members], axis=2), f.times)
+            run = lambda ts, cell_sum=cell_sum, clip=f._clip_t: cell_sum(clip(ts)).swapaxes(0, 1)
+        elif f.kind == "constant":
+            stacks = functools.cache(lambda m, values=[c for _, c in members]: tuple(
+                np.ndarray((m,) + v.shape, v.dtype, v, 0, (0,) + v.strides) for v in values))
+            run = lambda ts, stacks=stacks: stacks(ts.size)
         else:
-            cell_sum = _cell_sum(np.stack([functions[i].cells for i in slots], axis=2),
-                                 first.times)
-            stacked = (lambda ts, cell_sum=cell_sum, clip=first._clip_t:
-                       cell_sum(clip(ts)).swapaxes(0, 1))
-        passes.append((stacked, slots))
+            run = lambda ts, g=f.derivative if slope else f.eval: (g(ts),)
+        passes.append((run, [i for i, _ in members]))
+    return lambda ts: evaluate_passes(passes, len(requests), ts)
 
-    def values(ts) -> list:
-        out = [template.copy() for _ in range(len(ts))]
-        for stacked, slots in passes:
-            for i, stack in zip(slots, stacked(ts)):
-                for row, value in zip(out, stack):
-                    row[i] = value
-        for i, f_eval, scalar in others:
-            stack = f_eval(ts)
-            for row, value in zip(out, stack.tolist() if scalar else stack):
-                row[i] = value
-        return out
 
-    return values
+def evaluate_passes(passes, count: int, ts: np.ndarray) -> list:
+    """The ``count`` stacks at the times ``ts`` of a ``stacked_evaluator``'s ``passes``, called
+    by its global name so that perfbench's tracer counts it in the coefficients layer."""
+    out = [None] * count
+    for run, slots in passes:
+        for i, stack in zip(slots, run(ts)):
+            out[i] = stack
+    return out
 
 
 def _staggered_horner(stacks, t_ref: float):
     """``t -> the stacked values at t`` of polynomials about ``t_ref`` given
     as coefficient stacks of one value shape, sorted by length, longest
-    first. At a scalar t the result has shape (p,) + value shape; at a 1-D
-    array of m times, (p, m) + value shape, each value equal bit for bit to
-    the one at the scalar time."""
-    # rows of one polynomial are views of its stack (no second copy); several are stacked
-    leading = _freeze(stacks[0][-1:] if len(stacks) == 1 else np.stack([c[-1] for c in stacks]))
+    first. The result has shape (p,) + the shape of t + value shape, and a
+    scalar t is evaluated as an array of one time."""
+    leading = _freeze(np.stack([c[-1] for c in stacks]))
     # step k: the first `active` rows (degree > k) do acc = acc * dt + C_k;
     # the row of a poly of degree k holds its leading coefficient until then
     steps = []
     for k in range(len(stacks[0]) - 2, -1, -1):
         active = sum(len(c) - 1 > k for c in stacks)
-        rows = stacks[0][k:k + 1] if active == 1 else np.stack([c[k] for c in stacks[:active]])
-        steps.append((active, _freeze(rows)))
-    # on a time grid each coefficient row spans the time axis after it
-    grid_steps = [(active, coeffs[:, None]) for active, coeffs in steps]
+        rows = np.stack([c[k] for c in stacks[:active]])
+        # each coefficient row spans the time axis after it
+        steps.append((active, _freeze(rows[:, None])))
 
     def horner(t) -> np.ndarray:
-        # a float offset and no broadcasting keep a scalar call cheap
-        if isinstance(t, float) or np.ndim(t) == 0:
-            dt, acc, todo = float(t) - t_ref, leading.copy(), steps
-        else:
-            ts = np.asarray(t, dtype=np.float64)
-            dt = (ts - t_ref).reshape(ts.shape + (1,) * (leading.ndim - 1))
-            acc, todo = np.repeat(leading[:, None], ts.size, axis=1), grid_steps
-        for active, coeffs in todo:
+        ts = np.asarray(t, dtype=np.float64).reshape(-1)
+        dt = (ts - t_ref).reshape(ts.shape + (1,) * (leading.ndim - 1))
+        acc = np.repeat(leading[:, None], ts.size, axis=1)
+        for active, coeffs in steps:
             head = acc[:active]
             head *= dt
             head += coeffs
-        return acc
+        return acc.reshape(leading.shape[:1] + np.shape(t) + leading.shape[1:])
 
     return horner
 

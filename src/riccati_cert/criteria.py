@@ -206,13 +206,13 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
     R, S, L and L' once per block, and mu_hat (``check_scalar_shift_condition``)."""
     lam = lam or cf.zero_matrix_function(cs.n)
     cf._require_matrix_function(lam, cs.n, "lambda")
+    values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, lam), (lam,))
 
     def block(ts):
-        p, q, r, s = (f.eval(ts) for f in (cs.P, cs.Q, cs.R, cs.S))
-        lam_t = lam.eval(ts)
+        p, q, r, s, lam_t, lam_dot = values(ts)
         m = r - adjoint(q) - p @ (adjoint(lam_t) - lam_t)
         mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
-        s_l = _shifted_source(p, q, r, s, lam_t, lam.derivative(ts))
+        s_l = _shifted_source(p, q, r, s, lam_t, lam_dot)
         return (*_psd_measure(p, tol), mu_hat,
                 *_defect_measure(m - mu_hat[:, None, None] * np.eye(cs.n), m, tol),
                 *_psd_measure(s_l + adjoint(s_l), tol))
@@ -229,7 +229,8 @@ def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> ConditionRecord:
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
     ts = (grid or GridSpec.for_set(cs)).points
-    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(cs.P.eval(block_ts), tol))
+    p_values = cf.stacked_evaluator((cs.P,))
+    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(*p_values(block_ts), tol))
     return _least("coefficient_psd", ts, lo, ok, defect)
 
 
@@ -288,15 +289,17 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
     once; ``frame(p, q, r, s, shift, *derivatives)`` returns from those values
     the matrices that must be skew-Hermitian and PSD there. Elsewhere both
     conditions fail and the points are left out of their witnesses."""
+    head = cf.stacked_evaluator((cs.P, shift))
+    rest = cf.stacked_evaluator((cs.Q, cs.R, cs.S), derive)
+
     def block(ts):
-        p, shift_t = cs.P.eval(ts), shift.eval(ts)
+        p, shift_t = head(ts)
         lo, pd, defect = _psd_measure(p, tol, strict=True)
         skew, skew_ok = np.full(ts.size, -np.inf), np.zeros(ts.size, dtype=bool)
         c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
         if pd.any():
-            t_pd = ts[pd]
-            k, c = frame(p[pd], *(f.eval(t_pd) for f in (cs.Q, cs.R, cs.S)), shift_t[pd],
-                         *(f.derivative(t_pd) for f in derive))
+            q, r, s, *derivatives = rest(ts[pd])
+            k, c = frame(p[pd], q, r, s, shift_t[pd], *derivatives)
             skew[pd], _, skew_ok[pd] = _defect_measure(k + adjoint(k), k, tol)
             c_lo[pd], c_ok[pd], _ = _psd_measure(c, tol)
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
@@ -338,9 +341,10 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
     """
     grid = grid or GridSpec.for_set(cs)
     mu = mu or cf.zero_scalar_function()
+    values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, mu), (cs.P, cs.Q, cs.R, mu))
 
     def block(ts):
-        p = cs.P.eval(ts)
+        p, *rest = values(ts)
         lo, pd, _ = _psd_measure(p, tol, strict=True)
         if not pd.all():
             k = int(np.argmin(pd))
@@ -348,8 +352,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
                 f"P({ts[k]}) is not positive definite (min eigenvalue "
                 f"{lo[k]:.6e}); the skew gauge is undefined",
                 min_eigenvalue=float(lo[k]))
-        lam0, lam0dot = _skew_gauge(p, *(f.eval(ts) for f in (cs.Q, cs.R, mu)),
-                                    *(f.derivative(ts) for f in (cs.P, cs.Q, cs.R, mu)))
+        lam0, lam0dot = _skew_gauge(p, *rest)
         return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
 
     vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block)
@@ -493,9 +496,10 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """P >= 0, S >= 0, R = Q*, Y0 >= 0 (wire name ``theorem1.1``)."""
     y0 = cf._require_matrix(y0, cs.n, "Y0")
+    pqrs = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
     def block(ts):
-        p, q, r, s = (f.eval(ts) for f in (cs.P, cs.Q, cs.R, cs.S))
+        p, q, r, s = pqrs(ts)
         return (*_psd_measure(p, tol), *_psd_measure(s, tol),
                 *_defect_measure(r - adjoint(q), r, tol))
 

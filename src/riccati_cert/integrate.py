@@ -21,11 +21,13 @@ integrator keeps its natural state layout: Y as one (n, n) matrix, the
 linear flow (Phi, Psi) as one (2, n, n) stack.
 
 Each step evaluates the coefficients once, at its six stage times,
-through one ``coefficients.stacked_evaluator`` call: constants cost
-nothing, polynomials that share ``t_ref`` go through one Horner pass
-over their stacked coefficients, and sampled data calls ``eval`` once on
-the six times. The values equal ``eval``'s at each time bit for bit,
-and each stage sums its weighted slopes one at a time in the tableau's
+through one ``coefficients.stacked_evaluator`` call, which gives one
+stack per coefficient: constants are read-only broadcasts of their
+values, polynomials that share ``t_ref`` go through one Horner pass over
+their stacked coefficients, and sampled functions on one grid through
+one power sum over their stacked cells. Stage i reads row i of each
+stack. The values equal ``eval``'s at each time bit for bit, and each
+stage sums its weighted slopes one at a time in the tableau's
 order, skipping the zero weights, so the trajectories do not depend on
 how the coefficients are stored. The driver counts its right-hand-side
 calls (``nfev``, still six per step) and steps in ``Trajectory.stats``.
@@ -229,7 +231,7 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
 
     def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
         """The right-hand side at one time."""
-        return rhs(values(np.array([t_eval]))[0], y_eval)
+        return rhs([v[0] for v in values(np.array([t_eval]))], y_eval)
 
     def record(t_sample: float) -> None:
         """Store a reached sample; a replaced state gets its f anew."""
@@ -282,13 +284,13 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
         # point is the fifth-order solution); each sum is accumulated in
         # the tableau's order, one weighted stage at a time
         k[0] = f_curr
-        stage_values = values(t + _NODES * h_eff)
-        for i, ((j, a), rest) in enumerate(_STAGES, 1):
+        stacks = values(t + _NODES * h_eff)
+        for i, ((j, a), rest) in enumerate(_STAGES):
             yi = y + (h_eff * a) * k[j]
             for j, a in rest:
                 yi += (h_eff * a) * k[j]
-            k[i] = rhs(stage_values[i - 1], yi)
-        del stage_values  # freed before the next step evaluates its own
+            k[i + 1] = rhs([v[i] for v in stacks], yi)
+        del stacks  # freed before the next step evaluates its own
         y_new = yi
         nfev += 6
 
@@ -537,10 +539,11 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     # a span starts after a dropped (singular) sample or at a restart
     starts = (np.diff(kept, prepend=-2) > 1) | np.isin(flow.times[kept], flow.restarts)
     spans = np.split(kept, np.flatnonzero(starts)[1:])
+    rp = stacked_evaluator((cs.R, cs.P))
 
     def integrands(ts, y):
         """tr(R + P Y) and tr(R + R* + P (Y + Y*)) at every sample of a span."""
-        r, p = cs.R.eval(ts), cs.P.eval(ts)
+        r, p = rp(ts)
         return (np.trace(r + p @ y, axis1=-2, axis2=-1),
                 np.trace(r + adjoint(r) + p @ (y + adjoint(y)), axis1=-2, axis2=-1).real)
 

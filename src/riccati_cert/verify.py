@@ -61,9 +61,10 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     """
     lam = lam or cf.zero_matrix_function(traj.n)
     cf._require_matrix_function(lam, traj.n, "lambda")
+    lam_values = cf.stacked_evaluator((lam,))
 
     def block(ts, y):
-        lam_t = lam.eval(ts)
+        lam_t, = lam_values(ts)
         return (_least_eigvals(y + adjoint(y) - lam_t - adjoint(lam_t), "eigen_monitor"),)
 
     with np.errstate(**_OVERFLOW_QUIET):
@@ -124,6 +125,52 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
                           upper_min=upper[0], upper_t=upper[1], tol=tol)
 
 
+def _central_differences(f: np.ndarray, times: np.ndarray):
+    """``(lo, hi) -> np.gradient(f, times, axis=0, edge_order=2)[lo:hi]`` bit
+    for bit, formed from rows lo - 1 to hi of ``f`` only.
+
+    It applies numpy's formulas and weights, each computed from the full
+    ``times``, and numpy's global test: the uniform forms, the central
+    difference (f[k+1] - f[k-1]) / (2 dx) and its edge constants, apply
+    only when every spacing is equal.
+    """
+    m, dx = times.size, np.diff(times)
+    if (dx == dx[0]).all():
+        h = dx[0]
+
+        def inner(i, j):
+            return (f[i + 1:j + 1] - f[i - 1:j - 1]) / (2. * h)
+        edges = ((-1.5 / h, 2. / h, -0.5 / h), (0.5 / h, -2. / h, 1.5 / h))
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        shape = (-1,) + (1,) * (f.ndim - 1)
+        a = (-(dx2) / (dx1 * (dx1 + dx2))).reshape(shape)
+        b = ((dx2 - dx1) / (dx1 * dx2)).reshape(shape)
+        c = (dx1 / (dx2 * (dx1 + dx2))).reshape(shape)
+
+        def inner(i, j):
+            return (a[i - 1:j - 1] * f[i - 1:j - 1] + b[i - 1:j - 1] * f[i:j]
+                    + c[i - 1:j - 1] * f[i + 1:j + 1])
+        (d1, d2), (e1, e2) = dx[:2], dx[-2:]
+        edges = ((-(2. * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
+                  - d1 / (d2 * (d1 + d2))),
+                 (e2 / (e1 * (e1 + e2)), - (e2 + e1) / (e1 * e2),
+                  (2. * e2 + e1) / (e2 * (e1 + e2))))
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        out = np.empty((hi - lo,) + f.shape[1:], dtype=f.dtype)
+        i, j = max(lo, 1), min(hi, m - 1)
+        if i < j:
+            out[i - lo:j - lo] = inner(i, j)
+        # the one-sided second-order edges, on the first and the last three rows
+        for k, (wa, wb, wc), first in zip((0, m - 1), edges, (0, m - 3)):
+            if lo <= k < hi:
+                out[k - lo] = wa * f[first] + wb * f[first + 1] + wc * f[first + 2]
+        return out
+
+    return rows
+
+
 def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """Scaled equation residual at every sample.
 
@@ -131,18 +178,24 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     samples (second-order one-sided at the ends), so the series has an
     O(h^2) floor in the sample spacing h even for exact trajectories.
     Scaling by 1 + ||Y||_F^2 keeps the measure meaningful for large
-    solutions.
+    solutions. Each block of the scan forms its own differences, so no
+    derivative of the whole trajectory is held.
     """
     if traj.times.size < MIN_RESIDUAL_SAMPLES:
         raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
+    pqrs = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
-    def block(ts, y, dy):
-        resid = dy + y @ cs.P.eval(ts) @ y + cs.Q.eval(ts) @ y + y @ cs.R.eval(ts) - cs.S.eval(ts)
+    def block(ts, y, k):
+        p, q, r, s = pqrs(ts)
+        resid = deriv(int(k[0]), int(k[-1]) + 1) + y @ p @ y + q @ y + y @ r - s
         return (_fro(resid) / (1.0 + _fro(y) ** 2),)
 
     with np.errstate(**_OVERFLOW_QUIET):
-        deriv = np.gradient(traj.values, traj.times, axis=0, edge_order=2)
-        return _scan(traj.times, traj.n, block, traj.values, deriv)[0]
+        deriv = _central_differences(traj.values, traj.times)
+        # a block holds P, Q, R, S, the differences and the products at each
+        # point: scanned as matrices of twice the dimension, it has a quarter
+        # of the points of a one-matrix scan
+        return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size))[0]
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
@@ -325,6 +327,20 @@ def _evaluator_functions(n):
     return [fs[i] for i in order]
 
 
+def assert_stacks_match(fs, stacks, ts, derivatives=()):
+    """One stack per function, then one per derivative, each equal bit for bit
+    to the array call and, row by row, to the call at each scalar time."""
+    calls = [(f, f.eval) for f in fs] + [(f, f.derivative) for f in derivatives]
+    assert len(stacks) == len(calls)
+    for (f, call), stack in zip(calls, stacks):
+        want = call(ts)
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.complex128
+        assert stack.shape == (ts.size,) + f.shape == want.shape
+        assert stack.tobytes() == want.tobytes(), (f.kind, getattr(f, "degree", None))
+        for t, row in zip(ts.tolist(), stack):
+            assert row.tobytes() == np.asarray(call(t)).tobytes(), (f.kind, t)
+
+
 class TestStackedEvaluator:
     # t < both t_refs, each t_ref itself, between them, and beyond
     TIMES = (-2.5, -1.25, -0.5, 0.0, 0.3, 1.0, 2.75)
@@ -334,53 +350,128 @@ class TestStackedEvaluator:
         fs = _evaluator_functions(n)
         values = cf.stacked_evaluator(fs)
         # all the times in one call, and each on its own
-        calls = [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES]
-        for ts in calls:
-            rows = values(ts)
-            assert len(rows) == ts.size
-            for t, got in zip(ts.tolist(), rows):
-                assert len(got) == len(fs)
-                for f, v in zip(fs, got):
-                    want = f.eval(t)
-                    assert v.shape == want.shape and v.dtype == want.dtype
-                    assert v.tobytes() == want.tobytes(), (f.kind, getattr(f, "degree", None), t)
+        for ts in [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES]:
+            assert_stacks_match(fs, values(ts), ts)
 
-    def test_constants_are_stored_read_only_values(self):
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_derivatives_follow_the_values(self, n):
+        fs = _evaluator_functions(n)
+        derivatives = fs[::-1][:-3]
+        values = cf.stacked_evaluator(fs, derivatives)
+        for ts in [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES[:2]]:
+            assert_stacks_match(fs, values(ts), ts, derivatives)
+
+    def test_derivatives_alone(self):
         fs = _evaluator_functions(2)
-        for got in cf.stacked_evaluator(fs)(np.array([0.7, 1.5])):
-            for f, v in zip(fs, got):
-                if f.kind == "constant":
-                    assert v is f.value
-                    assert not v.flags.writeable
-                    with pytest.raises(ValueError):
-                        v[0, 0] = 1.0
+        ts = np.array(self.TIMES)
+        assert_stacks_match([], cf.stacked_evaluator((), fs)(ts), ts, fs)
 
-    def test_an_all_constant_set_gives_its_stored_values_at_every_time(self):
+    def test_constants_are_read_only_broadcasts_of_their_values(self):
         fs = [f for f in _evaluator_functions(2) if f.kind == "constant"]
-        rows = cf.stacked_evaluator(fs)(np.array([0.0, 0.5, 1.0]))
-        assert len(rows) == 3
-        for got in rows:
-            assert all(v is f.value for f, v in zip(fs, got))
-        rows[0][0] = None  # each time has its own list
-        assert rows[1][0] is fs[0].value
+        ts = np.array([0.0, 0.7, 1.5])
+        stacks = cf.stacked_evaluator(fs, fs)(ts)
+        for f, stack in zip(fs + fs, stacks):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        for f, stack in zip(fs, stacks):
+            assert np.shares_memory(stack, f.value)
+            assert all(row.tobytes() == f.value.tobytes() for row in stack)
+        for stack in stacks[len(fs):]:
+            assert stack.tobytes() == np.zeros((3, 2, 2), dtype=np.complex128).tobytes()
 
     def test_calls_do_not_share_polynomial_values(self):
         f = cf.polynomial([np.eye(2), np.eye(2)])
         values = cf.stacked_evaluator((f, f))
-        [a, b], = values(np.array([1.0]))
-        [a2, _], = values(np.array([2.0]))
-        assert a.tobytes() == f.eval(1.0).tobytes() == b.tobytes()
-        assert a2.tobytes() == f.eval(2.0).tobytes()
+        a, b = values(np.array([1.0]))
+        values(np.array([2.0]))
+        assert a[0].tobytes() == f.eval(1.0).tobytes() == b[0].tobytes()
 
-    def test_scalar_functions_go_through_eval(self):
+    def test_scalar_functions_come_back_as_arrays(self):
         fs = [ARRAY_EVAL_FUNCTIONS[k] for k in ("constant_scalar", "polynomial_scalar",
-                                                 "sampled3_scalar", "polynomial")]
-        values = cf.stacked_evaluator(fs)
+                                                 "sampled3_scalar", "sampled1_scalar",
+                                                 "polynomial")]
         ts = np.array([0.0, 0.25, 1.0])
-        for t, got in zip(ts.tolist(), values(ts)):
-            for f, v in zip(fs, got):
-                assert type(v) is type(f.eval(t))
-                assert np.asarray(v).tobytes() == np.asarray(f.eval(t)).tobytes()
+        assert_stacks_match(fs, cf.stacked_evaluator(fs, fs)(ts), ts, fs)
+
+    def test_another_kind_goes_through_its_own_methods(self):
+        class Shifted(cf.CoefficientFunction):
+            kind = "shifted"
+
+            def __init__(self, f):
+                self.f, self.shape, self.calls = f, f.shape, []
+
+            def eval(self, t):
+                self.calls.append(("eval", np.shape(t)))
+                return self.f.eval(t)
+
+            def derivative(self, t):
+                self.calls.append(("derivative", np.shape(t)))
+                return self.f.derivative(t)
+
+        f = Shifted(ARRAY_EVAL_FUNCTIONS["sampled3"])
+        ts = np.linspace(0.0, 1.0, 5)
+        stacks = cf.stacked_evaluator((f,), (f,))(ts)
+        assert f.calls == [("eval", (5,)), ("derivative", (5,))]
+        f.calls.clear()
+        assert_stacks_match([f], stacks, ts, [f])
+
+    def test_the_grouped_work_runs_in_evaluate_passes(self, monkeypatch):
+        """The evaluator calls ``evaluate_passes`` by its module-level name, so
+        a wrapper bound to that name (as a profiler installs) sees each call."""
+        seen = []
+        evaluate = cf.evaluate_passes
+        monkeypatch.setattr(cf, "evaluate_passes",
+                            lambda *args: seen.append(args[-1].size) or evaluate(*args))
+        fs = _evaluator_functions(2)
+        cf.stacked_evaluator(fs)(np.array(self.TIMES))
+        assert seen == [len(self.TIMES)]
+
+
+def _mixed_functions(data, n, derivatives):
+    """Functions drawn for the property test below: constants, polynomials
+    about two t_refs, sampled functions on two grids and of both orders (a
+    Hermite cubic among them), matrix- and scalar-valued, with parts equal
+    to -0.0; and the derivatives requested among them."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    grids = (np.linspace(-3.0, 3.0, 9), np.array([-3.0, -2.2, -0.4, 0.0, 1.3, 3.0]))
+
+    def values(k, scalar):
+        shape = (k,) if scalar else (k, n, n)
+        a = np.empty(shape, dtype=np.complex128)
+        a.real = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+        a.imag = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+        return a
+
+    fs = []
+    for kind, scalar in data.draw(st.lists(st.tuples(
+            st.sampled_from(["constant", "polynomial", "sampled"]), st.booleans()),
+            min_size=1, max_size=8), label="kinds"):
+        if kind == "constant":
+            fs.append(cf.constant(values(1, scalar)[0], scalar=scalar))
+        elif kind == "polynomial":
+            degree = data.draw(st.integers(0, cf.MAX_DEGREE), label="degree")
+            t_ref = data.draw(st.sampled_from([0.3, -1.25]), label="t_ref")
+            fs.append(cf.polynomial(values(degree + 1, scalar), t_ref=t_ref, scalar=scalar))
+        else:
+            nodes = data.draw(st.sampled_from(grids), label="grid")
+            order = data.draw(st.sampled_from([1, 3]), label="order")
+            hermite = order == 3 and data.draw(st.booleans(), label="hermite")
+            fs.append(cf.sampled(nodes, values(nodes.size, scalar), order=order, scalar=scalar,
+                                 node_derivatives=values(nodes.size, scalar) if hermite else None))
+    chosen = data.draw(st.lists(st.integers(0, len(fs) - 1), max_size=len(fs) if derivatives
+                                else 0), label="derivatives")
+    return fs, [fs[i] for i in chosen]
+
+
+class TestStackedEvaluatorProperty:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), derivatives=st.booleans(),
+           times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9))
+    def test_every_stack_equals_its_own_call(self, data, n, derivatives, times):
+        fs, derived = _mixed_functions(data, n, derivatives)
+        ts = np.array(times)
+        assert_stacks_match(fs, cf.stacked_evaluator(fs, derived)(ts), ts, derived)
 
 
 def _sampled_group_functions():
@@ -434,13 +525,9 @@ class TestGroupedSampled:
         fs = [apart["shape"], *pqrs[:2], apart["grid"], cf.constant(np.eye(2)), pqrs[2],
               apart["order"], apart["scalar"], pqrs[3],
               cf.polynomial([np.eye(2), np.eye(2)], t_ref=0.5)]
-        values = cf.stacked_evaluator(fs)
+        values = cf.stacked_evaluator(fs, fs)
         for ts in [np.array(self.TIMES)] + [np.array([t]) for t in self.TIMES]:
-            for t, got in zip(ts.tolist(), values(ts)):
-                for f, v in zip(fs, got):
-                    want = f.eval(t)
-                    assert type(v) is type(want) and np.shape(v) == np.shape(want)
-                    assert np.asarray(v).tobytes() == np.asarray(want).tobytes()
+            assert_stacks_match(fs, values(ts), ts, fs)
 
     def test_a_time_outside_the_grid_raises(self):
         pqrs, _ = _sampled_group_functions()
@@ -506,10 +593,10 @@ class TestOneHorner:
         grid = self.TIMES[-1] if n <= 8 else self.TIMES[-1][::10]
         calls = [np.array([t]) for t in self.TIMES[:-1]] + [grid]
         for ts in calls:
-            for t, row in zip(ts.tolist(), values(ts)):
-                for f, got in zip(polys, row):
+            for f, stack in zip(polys, values(ts)):
+                for t, got in zip(ts.tolist(), stack):
                     want = reference_horner(f.coefficients, f.t_ref, t)
-                    assert np.asarray(got).tobytes() == want.tobytes(), (f.degree, t)
+                    assert got.tobytes() == want.tobytes(), (f.degree, t)
 
 
 # ---------------------------------------------------------------------------

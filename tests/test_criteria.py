@@ -484,27 +484,34 @@ class TestOnePassPerCriterion:
     @pytest.fixture
     def counted(self, monkeypatch):
         """The n=2 satisfying instance (seed 3) on a one-block grid, counting
-        the calls of ``criteria._scan`` and the array-argument ``eval`` and
-        ``derivative`` calls of P, Q, R, S, L and mu (also passed as nu)."""
+        the calls of ``criteria._scan`` and, per call of a grid evaluator,
+        each value and derivative (primed) of P, Q, R, S, L and mu (also
+        passed as nu) that it gives."""
         cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=2, seed=3))
         g = grid(cs)
         assert len(block_slices(g.num_points, cs.n)) == 1
         named = {"P": cs.P, "Q": cs.Q, "R": cs.R, "S": cs.S, "L": lam, "mu": mu}
         assert len({id(f) for f in named.values()}) == len(named)
+        names = {id(f): name for name, f in named.items()}
         calls: dict = {}
 
-        def counting(key, method):
-            def wrapper(t, *rest):
-                if np.ndim(t) == 1:
-                    calls[key] = calls.get(key, 0) + 1
-                return method(t, *rest)
-            return wrapper
+        def count(keys):
+            for key in keys:
+                calls[key] = calls.get(key, 0) + 1
 
-        for name, f in named.items():
-            for meth in ("eval", "derivative"):
-                key = name if meth == "eval" else name + "'"
-                monkeypatch.setattr(f, meth, counting(key, getattr(f, meth)))
-        monkeypatch.setattr(criteria, "_scan", counting("_scan", criteria._scan))
+        def counting_scan(*args):
+            count(["_scan"])
+            return scan(*args)
+
+        def counting_evaluator(functions, derivatives=()):
+            keys = ([names.get(id(f), "other") for f in functions]
+                    + [names.get(id(f), "other") + "'" for f in derivatives])
+            values = evaluator(functions, derivatives)
+            return lambda ts: count(keys) or values(ts)
+
+        scan, evaluator = criteria._scan, cf.stacked_evaluator
+        monkeypatch.setattr(criteria, "_scan", counting_scan)
+        monkeypatch.setattr(cf, "stacked_evaluator", counting_evaluator)
         return cs, lam, mu, y0, g, calls
 
     @pytest.mark.parametrize("name, grid_functions", [

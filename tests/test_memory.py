@@ -1,10 +1,14 @@
-"""Memory held by the integrators and by ``integrate --method both``.
+"""Memory held by the integrators, the residual and the ``integrate --method
+both`` and ``verify`` subcommands.
 
 Traced with ``tracemalloc`` (numpy reports its buffers to it) at n = 32
 on the default 201 samples: each result is allocated once, at its full
-size, and a run keeps little else alive. The CSV reader holds its parsed
-rows and the complex values rebuilt from them, about twice its result. A trajectory that stops early
-holds only the samples it reached, in arrays of its own.
+size, and a run keeps little else alive. ``integrate --method both`` runs
+the linear flow first and frees it before the direct run. The residual
+forms its central differences block by block, so it holds no derivative
+of the whole trajectory. The CSV reader holds its parsed rows and the
+complex values rebuilt from them, about twice its result. A trajectory
+that stops early holds only the samples it reached, in arrays of its own.
 """
 
 import contextlib
@@ -28,8 +32,11 @@ from riccati_cert.serialize import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from riccati_cert.verify import residual_series
 
 N = 32
+#: Bytes of one trajectory's values at n = 32 on the default 201 samples.
+ONE_TRAJECTORY = 201 * N * N * np.dtype(np.complex128).itemsize
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +81,27 @@ def test_cli_both_frees_the_flow_before_writing(instance, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0
-    one_trajectory = 201 * N * N * np.dtype(np.complex128).itemsize
-    assert peak <= 5 * one_trajectory
+    assert peak <= 4 * ONE_TRAJECTORY
+
+
+def test_residual_holds_no_derivative_of_the_whole_trajectory(instance):
+    cs, y0 = instance
+    traj = integrate_riccati_direct(cs, y0)
+    series, peak = traced_peak(lambda: residual_series(traj, cs))
+    assert series.shape == (201,)
+    assert peak <= 0.5 * ONE_TRAJECTORY
+
+
+def test_cli_verify_holds_about_what_it_reads(instance, tmp_path):
+    cs, y0 = instance
+    lam = gen_satisfying(InstanceSpec(n=N, seed=1))[1]
+    path, csv = tmp_path / "inst.json", str(tmp_path / "traj.csv")
+    path.write_text(dumps_instance(instance_to_obj(cs, y0, lam=lam)))
+    write_trajectory_csv(csv, integrate_riccati_direct(cs, y0), cs, lam=lam)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = traced_peak(lambda: cli.main(["verify", str(path), csv]))
+    assert code == 0
+    assert peak <= 3 * ONE_TRAJECTORY
 
 
 def test_csv_reader_holds_about_its_result(instance, tmp_path):

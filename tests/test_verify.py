@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
+from riccati_cert import verify
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import DimensionError
 from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison
@@ -193,6 +194,52 @@ class TestResidual:
                           status="completed", method="direct")
         with pytest.raises(ValueError):
             residual_series(traj, cs)
+
+
+class TestCentralDifferences:
+    """The residual's derivative equals ``np.gradient(..., edge_order=2)`` bit
+    for bit, formed block by block, and so does the residual it enters."""
+
+    GRIDS = {
+        "uniform": lambda m: 0.25 * np.arange(m),
+        "linspace": lambda m: np.linspace(0.0, 5.0, m),
+        "random": lambda m: np.cumsum(np.random.default_rng(m).uniform(0.01, 1.0, m)),
+    }
+
+    @staticmethod
+    def samples(m, n, seed=3):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("m, n", [(3, 1), (3, 3), (201, 32)])
+    def test_rows_equal_numpy_gradient(self, grid, m, n):
+        times, f = self.GRIDS[grid](m), self.samples(m, n)
+        # numpy's global test: 201 linspace points are not exactly uniform
+        spacings = np.diff(times)
+        uniform = grid == "uniform" or (grid == "linspace" and m == 3)
+        assert (spacings == spacings[0]).all() == uniform
+        want = np.gradient(f, times, axis=0, edge_order=2)
+        rows = verify._central_differences(f, times)
+        for step in (1, 2, 4, 16, m):
+            got = np.concatenate([rows(lo, min(lo + step, m)) for lo in range(0, m, step)])
+            assert got.tobytes() == want.tobytes(), step
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("m, n", [(3, 3), (201, 32)])
+    def test_residual_equals_the_gradient_formula(self, grid, m, n):
+        times, values = self.GRIDS[grid](m), self.samples(m, n)
+        g = np.random.default_rng(5).standard_normal((n, n))
+        lam = cf.polynomial([g, g.T, 0.5 * g], t_ref=times[0])
+        cs = CoefficientSet(n=n, t0=times[0], t_end=times[-1], P=cf.constant(g @ g.T),
+                            Q=lam, R=cf.constant(g), S=cf.polynomial([g.T, g]))
+        traj = Trajectory(times=times, values=values, status="completed", method="file")
+        dy = np.gradient(values, times, axis=0, edge_order=2)
+        p, q, r, s = (f.eval(times) for f in (cs.P, cs.Q, cs.R, cs.S))
+        resid = dy + values @ p @ values + q @ values + values @ r - s
+        want = np.linalg.norm(resid, axis=(-2, -1)) / (
+            1.0 + np.linalg.norm(values, axis=(-2, -1)) ** 2)
+        assert residual_series(traj, cs).tobytes() == want.tobytes()
 
 
 class TestGuaranteeSoundness:
