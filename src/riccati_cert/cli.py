@@ -33,6 +33,7 @@ from .integrate import (
     DEFAULT_SAMPLES,
     IntegratorOptions,
     Trajectory,
+    _linear_flow,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -132,23 +133,25 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.holds else EXIT_FAIL
 
 
-def _max_discrepancy(a: Trajectory, b: Trajectory) -> float:
-    b_index = {float(t): k for k, t in enumerate(b.times)}
+def _radon_against(inst, opts: IntegratorOptions, ts, traj: Trajectory) -> dict:
+    """The linear flow's status and restarts as ``integrate`` prints them,
+    and its ``max_discrepancy`` from ``traj``: the largest
+    ||Y - Y_flow|| / (1 + ||Y||) over the sample times both reached. Each
+    reconstructed sample is folded in as the flow reaches it; none is stored."""
+    index = {t: k for k, t in enumerate(traj.times.tolist())}
     worst = 0.0
-    for k, t in enumerate(a.times):
-        j = b_index.get(float(t))
-        if j is None:
-            continue
-        diff = float(np.linalg.norm(a.values[k] - b.values[j]))
-        worst = max(worst, diff / (1.0 + float(np.linalg.norm(a.values[k]))))
-    return worst
 
+    def keep(t, y_flow):
+        nonlocal worst
+        k = index.get(t)
+        if k is not None:
+            y = traj.values[k]
+            diff = float(np.linalg.norm(y - y_flow))
+            worst = max(worst, diff / (1.0 + float(np.linalg.norm(y))))
 
-def _radon_run(inst, opts: IntegratorOptions, ts) -> tuple[Trajectory, dict]:
-    """The linear flow's trajectory, with its status and restarts as
-    ``integrate`` prints them; the flow's samples are freed on return."""
-    flow, traj = integrate_linear_system(inst.cs, inst.y0, opts, ts)
-    return traj, {"radon_status": traj.status, "restarts": [float(t) for t in flow.restarts]}
+    _, _, restarts, singular, _ = _linear_flow(inst.cs, inst.y0, opts, ts, keep)
+    return {"radon_status": "phi_singular" if singular else "completed",
+            "restarts": restarts, "max_discrepancy": worst}
 
 
 def _cmd_integrate(args) -> int:
@@ -167,11 +170,9 @@ def _cmd_integrate(args) -> int:
     elif args.method == "lyapunov":
         traj = integrate_lyapunov_comparison(inst.cs, inst.y0, opts, ts)
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
-    else:  # both: the linear flow first, so the direct run meets only its trajectory
-        radon, extra = _radon_run(inst, opts, ts)
+    else:  # both: the direct run (which checks Y0 and ts), then the flow against it
         traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
-        extra["max_discrepancy"] = _max_discrepancy(traj, radon)
-        del radon  # freed before the CSV is written
+        extra = _radon_against(inst, opts, ts, traj)
         write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
         print(f"max_discrepancy {extra['max_discrepancy']:.6e}")
 

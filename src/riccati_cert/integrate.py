@@ -34,6 +34,10 @@ calls (``nfev``, still six per step) and steps in ``Trajectory.stats``.
 
 The samples are written into arrays allocated once per call at their
 full size; a run that stops early returns copies of the rows it reached.
+The linear flow hands each reconstructed Y to a sample consumer:
+``integrate_linear_system``'s stores it, with the flow's states, while
+a consumer that only folds the samples (the discrepancy of
+``integrate --method both``) lets the flow run storing no sample at all.
 """
 
 from __future__ import annotations
@@ -202,7 +206,8 @@ def _reached(count: int, *buffers: np.ndarray) -> tuple:
 
 
 def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
-                       opts: IntegratorOptions, after_step=None, at_sample=None):
+                       opts: IntegratorOptions, after_step=None, at_sample=None,
+                       record_states: bool = True):
     """Drive the RK pair through ``sample_times``, clamping steps so every
     sample is hit exactly. The states and the right-hand sides have y0's shape.
 
@@ -215,10 +220,11 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
 
     Returns (times, states, stop_reason, t_last, stats) where the arrays
     ``times``/``states`` hold the samples actually reached (states along a
-    new first axis), each as it stands after ``at_sample``, ``t_last`` is
-    the last accepted time and ``stats`` counts the right-hand sides
-    (``nfev``: every stage, the starting-step probe and the re-evaluation
-    after a replaced state) and the accepted and rejected steps.
+    new first axis), each as it stands after ``at_sample``; ``states`` is
+    None unless ``record_states``. ``t_last`` is the last accepted time and
+    ``stats`` counts the right-hand sides (``nfev``: every stage, the
+    starting-step probe and the re-evaluation after a replaced state) and
+    the accepted and rejected steps.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128)
@@ -226,7 +232,8 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
     abs_y = None  # |y|, kept from the step that reached y
     nfev = accepted = rejected = 0
     times = np.empty(sample_times.size)
-    states = np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
+    states = (np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
+              if record_states else None)
     count = 0
 
     def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
@@ -244,11 +251,14 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
                     f_curr = f(t, y)
                     nfev += 1
         times[count] = t_sample
-        states[count] = y
+        if states is not None:
+            states[count] = y
         count += 1
 
     def result(reason):
         stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected}
+        if states is None:
+            return _reached(count, times)[0], None, reason, t, stats
         return (*_reached(count, times, states), reason, t, stats)
 
     record(t)
@@ -409,6 +419,38 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
+    # the reconstructed samples, written in order; singular ones are skipped
+    traj_times = np.empty(ts.size)
+    traj_vals = np.empty((ts.size, cs.n, cs.n), dtype=np.complex128)
+    kept = 0
+
+    def keep(t, ymat):
+        nonlocal kept
+        traj_times[kept] = t
+        traj_vals[kept] = ymat
+        kept += 1
+
+    times, states, restarts, singular, stats = _linear_flow(cs, y0, opts, ts, keep,
+                                                            record_states=True)
+    flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
+    traj_times, traj_vals = _reached(kept, traj_times, traj_vals)
+    traj = Trajectory(times=traj_times, values=traj_vals,
+                      status="phi_singular" if singular else "completed",
+                      method="radon", singular_times=np.array(singular), stats=stats)
+    return flow, traj
+
+
+def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts: np.ndarray,
+                 keep, record_states: bool = False) -> tuple:
+    """The linear flow of ``integrate_linear_system`` from validated ``y0``
+    and sample times ``ts``, handing each reconstructed sample to
+    ``keep(t, Y)`` in time order.
+
+    Returns (times, states, restarts, singular, stats): the sample times,
+    the driver's (Phi, Psi) states there (None unless ``record_states``),
+    the restart and singular times and the driver's counters. With
+    ``record_states`` false nothing of the run is stored but these.
+    """
     eye = np.eye(cs.n, dtype=np.complex128)
     pqrs = stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
@@ -418,17 +460,14 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         return np.array([r @ phi + p @ psi, s @ phi - q @ psi])
 
     restarts: list[float] = []
-    # the reconstructed samples, written in order; singular ones are skipped
-    traj_times = np.empty(ts.size)
-    traj_vals = np.empty((ts.size, cs.n, cs.n), dtype=np.complex128)
-    kept = 0
     singular: list[float] = []
+    first = True
     floor = opts.atol / opts.rtol
     singular_cutoff = min(_SINGULAR_COND_CEILING,
                           max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
-        nonlocal kept
+        nonlocal first
         phi, psi = y
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
@@ -436,31 +475,25 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
         phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
-        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and kept:
+        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and not first:
             singular.append(float(t))
             return y
+        first = False
         ymat = np.linalg.solve(phi.T, psi.T).T
-        traj_times[kept] = t
-        traj_vals[kept] = ymat
-        kept += 1
+        keep(t, ymat)
         if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
             restarts.append(float(t))
             return np.array([eye, ymat])
         return y
 
-    times, states, reason, t_last, stats = _integrate_sampled(rhs, pqrs, ts, np.array([eye, y0]),
-                                                              opts, at_sample=at_sample)
+    times, states, reason, t_last, stats = _integrate_sampled(
+        rhs, pqrs, ts, np.array([eye, y0]), opts, at_sample=at_sample,
+        record_states=record_states)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
             "the flow is linear and should not collapse at these scales")
-
-    flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
-    status = "phi_singular" if singular else "completed"
-    traj_times, traj_vals = _reached(kept, traj_times, traj_vals)
-    traj = Trajectory(times=traj_times, values=traj_vals, status=status,
-                      method="radon", singular_times=np.array(singular), stats=stats)
-    return flow, traj
+    return times, states, restarts, singular, stats
 
 
 def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,

@@ -25,7 +25,8 @@ rejects non-finite values and times that do not strictly increase. It
 parses with numpy's C reader and falls back to the ``csv`` module on any
 text the C reader refuses or any fault, so both give the same bits and
 every refusal names its line and column. It rebuilds Y as
-``re + 1j * im``, so a zero part may come back with the other sign.
+``re + 1j * im`` in place inside the parsed rows, so a zero part may come
+back with the other sign.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
 CSV line and column) named in the message.
@@ -47,6 +48,7 @@ from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import GridSpec
 from .exceptions import DomainError, InstanceFormatError, RiccatiError
 from .integrate import LinearFlow, Trajectory
+from .matrix_core import block_slices
 from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 
 
@@ -389,6 +391,10 @@ def read_trajectory_csv(path: str, n: int):
     numpy's C parser reads the file first; whatever it refuses or finds at
     fault is read again by the ``csv`` module, which accepts the same
     texts to the same bits and names the faulty line and column.
+
+    ``values`` is Y rebuilt in place over the (re, im) columns of the
+    parsed rows: an (m, n, n) complex128 strided view into them, not
+    C-contiguous, so the reader holds no second copy of the samples.
     """
     columns = trajectory_csv_header(n)
     data = _load_rows(path, 1 + 2 * n * n)
@@ -405,9 +411,15 @@ def read_trajectory_csv(path: str, n: int):
                 f"trajectory CSV line {lines[r]}, column 't': time {float(data[r, 0])!r} "
                 f"does not exceed the previous time {float(data[r - 1, 0])!r}")
     times = data[:, 0].copy()
-    # re + 1j * im with one complex temporary: the same two ufuncs on the same operands
-    values = np.multiply(1j, data[:, 2::2])
-    np.add(data[:, 1::2], values, out=values)
+    # Y = re + 1j * im, rebuilt in place over the (re, im) columns of each row
+    # (a complex128 needs 8-byte alignment): the same two ufuncs on the same
+    # operands, with temporaries of one block of rows
+    values = data[:, 1:].view(np.complex128)
+    for rows in block_slices(len(values), n):
+        y = values[rows]
+        re, im = y.real.copy(), y.imag.copy()
+        np.multiply(1j, im, out=y)
+        np.add(re, y, out=y)
     return times, values.reshape(-1, n, n)
 
 

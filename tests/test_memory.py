@@ -1,14 +1,17 @@
-"""Memory held by the integrators, the residual and the ``integrate --method
-both`` and ``verify`` subcommands.
+"""Memory held by the integrators, the residual, the criterion scans and the
+``integrate --method both`` and ``verify`` subcommands.
 
 Traced with ``tracemalloc`` (numpy reports its buffers to it) at n = 32
 on the default 201 samples: each result is allocated once, at its full
 size, and a run keeps little else alive. ``integrate --method both`` runs
-the linear flow first and frees it before the direct run. The residual
-forms its central differences block by block, so it holds no derivative
-of the whole trajectory. The CSV reader holds its parsed rows and the
-complex values rebuilt from them, about twice its result. A trajectory
-that stops early holds only the samples it reached, in arrays of its own.
+the direct integration, then folds each sample of the linear flow into
+the discrepancy as it is reached, storing no sample of the flow. The
+residual forms its central differences block by block, so it holds no
+derivative of the whole trajectory. The CSV reader rebuilds Y in place
+inside its parsed rows, so it holds about its result. A criterion scan
+on the default 1001-point grid holds one block of grid values at a time.
+A trajectory that stops early holds only the samples it reached, in
+arrays of its own.
 """
 
 import contextlib
@@ -20,7 +23,14 @@ import numpy as np
 import pytest
 
 from riccati_cert import cli
-from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_blowup, gen_satisfying
+from riccati_cert.criteria import GridSpec, run_criterion
+from riccati_cert.instances import (
+    InstanceSpec,
+    canonical_catalog,
+    gen_blowup,
+    gen_comparison,
+    gen_satisfying,
+)
 from riccati_cert.integrate import (
     default_sample_times,
     integrate_linear_system,
@@ -73,7 +83,7 @@ def test_linear_flow_holds_its_samples_once(instance):
     assert peak <= 1.3 * (flow.phi.nbytes + flow.psi.nbytes + traj.values.nbytes)
 
 
-def test_cli_both_frees_the_flow_before_writing(instance, tmp_path):
+def test_cli_both_stores_no_sample_of_the_flow(instance, tmp_path):
     cs, y0 = instance
     path = tmp_path / "inst.json"
     path.write_text(dumps_instance(instance_to_obj(cs, y0)))
@@ -81,7 +91,7 @@ def test_cli_both_frees_the_flow_before_writing(instance, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0
-    assert peak <= 4 * ONE_TRAJECTORY
+    assert peak <= 2 * ONE_TRAJECTORY
 
 
 def test_residual_holds_no_derivative_of_the_whole_trajectory(instance):
@@ -101,7 +111,7 @@ def test_cli_verify_holds_about_what_it_reads(instance, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         code, peak = traced_peak(lambda: cli.main(["verify", str(path), csv]))
     assert code == 0
-    assert peak <= 3 * ONE_TRAJECTORY
+    assert peak <= 2 * ONE_TRAJECTORY
 
 
 def test_csv_reader_holds_about_its_result(instance, tmp_path):
@@ -111,7 +121,22 @@ def test_csv_reader_holds_about_its_result(instance, tmp_path):
     write_trajectory_csv(path, traj, cs)
     (times, values), peak = traced_peak(lambda: read_trajectory_csv(path, N))
     assert np.array_equal(values, traj.values) and times.size == 201
-    assert peak <= 2.5 * (times.nbytes + values.nbytes)
+    assert peak <= 1.6 * (times.nbytes + values.nbytes)
+
+
+@pytest.mark.parametrize("criterion, target, bound", [("theorem3.1", "satisfying", 1.5),
+                                                      ("theorem1.1", "comparison", 1.0)])
+def test_criterion_scan_holds_a_block_at_a_time(criterion, target, bound):
+    spec = InstanceSpec(n=N, seed=1, target=target)
+    if target == "satisfying":
+        cs, lam, mu, y0 = gen_satisfying(spec)
+    else:
+        (cs, y0), lam, mu = gen_comparison(spec), None, None
+    grid = GridSpec(cs.t0, cs.t_end)
+    report, peak = traced_peak(lambda: run_criterion(criterion, cs, y0, lam=lam, mu=mu,
+                                                     grid=grid))
+    assert report.holds
+    assert peak <= bound * ONE_TRAJECTORY
 
 
 def test_blow_up_owns_only_the_samples_it_reached():

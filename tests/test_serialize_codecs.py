@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from riccati_cert import coefficients as cf
+from riccati_cert import serialize
 from riccati_cert.cli import main
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import InstanceFormatError
@@ -250,11 +251,51 @@ class TestReaderMatchesReference:
         assert_same_read(gappy, 1)
 
 
-def write_rows(path, n, rows):
+def write_rows(path, n, rows, quoting=csv.QUOTE_MINIMAL):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, quoting=quoting)
         writer.writerow(trajectory_csv_header(n))
         writer.writerows(rows)
+
+
+class TestReaderRebuildsYInPlace:
+    """Y is rebuilt inside the parsed rows, block by block, to the bits of
+    the whole-array ``re + 1j * im`` the reader used before, on the C path
+    (plain fields) and on the csv path (quoted fields)."""
+
+    SIGNED_ZEROS = [[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.5, -0.0)],
+                    [(-0.0, 2.5), (-3.0, 0.0), (0.0, 0.0), (-0.0, -1e-300)],
+                    [(5e-324, -0.0), (-0.0, -5e-324), (-0.0, 1e22), (0.0, -0.0)]]
+
+    @staticmethod
+    def whole_array(rows, n):
+        data = np.array([[float(x) for x in row] for row in rows])
+        return data[:, 0], (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
+
+    def check(self, tmp_path, n, rows):
+        want_times, want = self.whole_array(rows, n)
+        for quoting, c_path in ((csv.QUOTE_MINIMAL, True), (csv.QUOTE_ALL, False)):
+            path = str(tmp_path / f"rows{quoting}.csv")
+            write_rows(path, n, rows, quoting)
+            assert (serialize._load_rows(path, 1 + 2 * n * n) is not None) == c_path
+            times, values = read_trajectory_csv(path, n)
+            assert times.tobytes() == want_times.tobytes()
+            assert values.shape == want.shape and values.dtype == want.dtype
+            assert values.tobytes() == want.tobytes()
+
+    def test_signed_zeros_in_either_part(self, tmp_path):
+        rows = [[repr(t)] + [repr(x) for pair in cells for x in pair]
+                for t, cells in zip((0.0, 0.5, 1.0), self.SIGNED_ZEROS)]
+        self.check(tmp_path, 2, rows)
+
+    def test_many_blocks_at_n32(self, tmp_path):
+        rng = np.random.default_rng(5)
+        parts = rng.standard_normal((40, 2 * 32 * 32))
+        parts[rng.random(parts.shape) < 0.1] = -0.0
+        parts[rng.random(parts.shape) < 0.1] = 0.0
+        rows = [[repr(float(t))] + [repr(x) for x in row]
+                for t, row in zip(np.linspace(0.0, 1.0, 40), parts.tolist())]
+        self.check(tmp_path, 32, rows)
 
 
 class TestReaderRejects:
