@@ -124,7 +124,7 @@ def _cmd_check(args) -> int:
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     out = report.to_dict()
-    # a condition that leaves out every grid point has the witness (inf, inf)
+    # a witness that is not finite (an overflowing point, or none at all) is written as null
     for rec in out["conditions"]:
         for key in ("worst_value", "worst_time"):
             if not math.isfinite(rec[key]):

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import _as_stack, _defect_measure, _require_dim, adjoint, as_matrix
+from .matrix_core import (_OVERFLOW_QUIET, _as_stack, _defect_measure, _require_dim, adjoint,
+                          as_matrix)
 
 #: Highest degree of an input polynomial; products built with the algebra
 #: below may exceed it.
@@ -580,8 +581,9 @@ class CoefficientSet:
         for name in ("P", "Q", "R", "S"):
             _require_matrix_function(getattr(self, name), self.n, name)
         ts = np.array([self.t0, 0.5 * (self.t0 + self.t_end), self.t_end])
-        p = self.P.eval(ts)
-        hermitian = _defect_measure(p - adjoint(p), p, 1e-8)[2]
+        with np.errstate(**_OVERFLOW_QUIET):
+            p = self.P.eval(ts)
+            hermitian = _defect_measure(p - adjoint(p), p, 1e-8)[2]
         if not hermitian.all():
             raise NotHermitianError(f"P({ts[np.argmin(hermitian)]}) is not Hermitian")
 

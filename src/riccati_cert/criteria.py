@@ -23,8 +23,8 @@ report carries a note stating this declared approximation. Each criterion
 is one ``matrix_core._scan`` whose block evaluates P, Q, R, S (and the
 gauge or derivatives it needs) once and returns the per-point columns of
 all its grid conditions, judged by matrix_core's measures; ``_least`` and
-``_largest`` pick the witnesses. The formulas take coefficient values, and
-the public pointwise helpers call them at a scalar time.
+``_largest`` pick the witnesses, a NaN one at its time. The formulas take
+coefficient values, and the public pointwise helpers call them at a scalar time.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ from .coefficients import CoefficientFunction, CoefficientSet, _shifted_source
 from .exceptions import NotPositiveDefiniteError
 from .matrix_core import (
     DEFAULT_TOL,
+    _OVERFLOW_QUIET,
     _defect_measure,
     _eigh,
     _psd_measure,
+    _require_int,
     _scan,
     _sqrt_of_eigh,
     adjoint,
@@ -70,6 +72,7 @@ class GridSpec:
     num_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
+        _require_int(self.num_points, "grid")
         if not 2 <= self.num_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid needs 2..{MAX_GRID_POINTS} points, got {self.num_points}")
         cf._require_interval(self.t0, self.t_end)
@@ -114,7 +117,7 @@ class CriterionReport:
     holds: bool
     conditions: list[ConditionRecord]
     notes: list[str] = field(default_factory=list)
-    extracted_mu: cf.SampledFunction | None = None
+    extracted_mu: cf.SampledFunction | None = None  # left out where not finite
     extracted_nu: cf.SampledFunction | None = None
 
     def condition(self, name: str) -> ConditionRecord:
@@ -141,6 +144,7 @@ class CriterionReport:
         return out
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def _imaginary_shift_note(values: np.ndarray, tol: float, name: str) -> list[str]:
     """Warn when a scalar gauge has a material imaginary part on the grid.
 
@@ -172,7 +176,7 @@ def _least(name: str, ts: np.ndarray, lo: np.ndarray, ok: np.ndarray,
     note = f"max hermiticity defect {defect.max():.3e}" if noted else ""
     return ConditionRecord(name=name, passed=bool(ok.all()), kind="min_eigenvalue",
                            worst_value=float(lo[k]),
-                           worst_time=float(ts[k]) if lo[k] < np.inf else np.inf,
+                           worst_time=float(ts[k]) if lo[k] != np.inf else np.inf,
                            note=note)
 
 
@@ -189,10 +193,12 @@ def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
 
 def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
             **extracted) -> CriterionReport:
-    return CriterionReport(criterion=criterion, conditions=conditions, notes=notes,
+    left_out = [f"{k} left out: not finite on the grid" for k, f in extracted.items() if f is None]
+    return CriterionReport(criterion=criterion, conditions=conditions, notes=notes + left_out,
                            holds=all(rec.passed for rec in conditions), **extracted)
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> ConditionRecord:
     """PSD clause on one matrix at t0, by the grid's own measure."""
     lo, ok, _ = _psd_measure(g0[None], tol)
@@ -201,7 +207,7 @@ def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> Conditi
 
 
 def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
-                      grid: GridSpec | None, tol: float) -> tuple[list, cf.SampledFunction]:
+                      grid: GridSpec | None, tol: float) -> tuple[list, cf.SampledFunction | None]:
     """The three grid conditions of theorem3.1 in one pass that evaluates P, Q,
     R, S, L and L' once per block, and mu_hat (``check_scalar_shift_condition``)."""
     lam = lam or cf.zero_matrix_function(cs.n)
@@ -222,7 +228,7 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
     return ([_least("coefficient_psd", ts, p_lo, p_ok, p_def),
              _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
              _least("shifted_source_psd", ts, s_lo, s_ok, s_def)],
-            cf.sampled(ts, mu_hat, order=1, scalar=True))
+            cf.sampled(ts, mu_hat, order=1, scalar=True) if np.isfinite(mu_hat).all() else None)
 
 
 def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
@@ -236,13 +242,13 @@ def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
 
 def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
                                  grid: GridSpec | None = None, tol: float = DEFAULT_TOL
-                                 ) -> tuple[ConditionRecord, cf.SampledFunction]:
+                                 ) -> tuple[ConditionRecord, cf.SampledFunction | None]:
     """R - Q* - P(L* - L) must equal mu(t) I for some scalar mu.
 
     The scalar is extracted as tr(M)/n rather than supplied: at each grid
     point the checker forms M(t), takes mu_hat = tr(M)/n and accepts when
     ||M - mu_hat I||_F <= tol (1 + ||M||_F). Returns the extracted mu_hat
-    as a sampled scalar function on the grid.
+    as a sampled scalar function on the grid, None where it is not finite.
     """
     conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
     return conditions[1], mu_fn
@@ -273,7 +279,7 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     conditions.append(_initial_record("initial_lower_bound",
                                       y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol))
     return _report("theorem3.1", conditions,
-                   [GRID_NOTE, *_imaginary_shift_note(mu_fn.values, tol, "mu")],
+                   [GRID_NOTE, *(_imaginary_shift_note(mu_fn.values, tol, "mu") if mu_fn else [])],
                    extracted_mu=mu_fn)
 
 
@@ -439,8 +445,8 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
              "certified bound is the congruence "
              "sqrt(P(t))(Y(t) + Y*(t))sqrt(P(t)) >= 0, equivalent to "
              "Y(t) + Y*(t) >= 0 while P(t) > 0", *_imaginary_shift_note(nu_vals, tol, "nu")]
-    return _report("cor3.2", conditions, notes,
-                   extracted_nu=cf.sampled(grid.points, nu_vals, order=1, scalar=True))
+    return _report("cor3.2", conditions, notes, extracted_nu=cf.sampled(
+        grid.points, nu_vals, order=1, scalar=True) if np.isfinite(nu_vals).all() else None)
 
 
 def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL

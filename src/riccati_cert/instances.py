@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientSet, _poly_add, _poly_diff, _poly_mul
-from .matrix_core import _require_dim, adjoint
+from .matrix_core import _require_dim, _require_int, adjoint
 
 TARGETS = ("satisfying", "blowup", "comparison")
 
@@ -48,6 +48,7 @@ class InstanceSpec:
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         _require_dim(self.n)
+        _require_int(self.seed, "seed")
         if not self.seed >= 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):

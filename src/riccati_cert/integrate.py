@@ -49,7 +49,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, _require_matrix, stacked_evaluator
 from .exceptions import IntegrationError
-from .matrix_core import _scan, adjoint
+from .matrix_core import _OVERFLOW_QUIET, _scan, adjoint
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order
 # solution, which is propagated; the _ERR row (fifth- minus fourth-order
@@ -205,6 +205,7 @@ def _reached(count: int, *buffers: np.ndarray) -> tuple:
     return tuple(b[:count].copy() for b in buffers)
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
                        opts: IntegratorOptions, after_step=None, at_sample=None,
                        record_states: bool = True):
@@ -224,7 +225,7 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
     None unless ``record_states``. ``t_last`` is the last accepted time and
     ``stats`` counts the right-hand sides (``nfev``: every stage, the
     starting-step probe and the re-evaluation after a replaced state) and
-    the accepted and rejected steps.
+    the accepted and rejected steps. A non-finite error estimate rejects its step.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128)
@@ -341,7 +342,7 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
         else:
             rejected += 1
             rejected_last = True
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA)) if math.isfinite(err) else _MIN_FACTOR
+            factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA))
             h = h_eff * min(factor, 1.0)
             if h < _H_MIN:
                 return result("step_collapse")
@@ -355,8 +356,8 @@ def _prologue(cs: CoefficientSet, y0, name: str, sample_times) -> tuple[np.ndarr
     y0 = _require_matrix(y0, cs.n, name)
     ts = np.asarray(default_sample_times(cs) if sample_times is None else sample_times,
                     dtype=np.float64)
-    if ts.ndim != 1 or ts.size < 1:
-        raise IntegrationError("sample_times must be a non-empty 1-D array")
+    if ts.ndim != 1 or ts.size < 1 or not np.isfinite(ts).all():
+        raise IntegrationError("sample_times must be a non-empty 1-D array of finite times")
     if abs(float(ts[0]) - cs.t0) > cs.end_slack()[0]:
         raise IntegrationError(f"sample_times must start at t0 = {cs.t0}")
     if ts.size > 1 and not np.all(np.diff(ts) > 0):
@@ -558,13 +559,14 @@ class LiouvilleReport:
     spans: list[tuple[float, float]]
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> LiouvilleReport:
     """Compare det Phi(t) against det Phi(t1) exp{int tr(R + P Y) dtau}.
 
     The quadrature is composite Simpson on the sample grid. Checked on
     every maximal span free of restarts and singular samples; also checks
     the squared-modulus form with integrand tr(R + R* + P (Y + Y*)).
-    Returns the maximum relative error over all checked samples.
+    Returns the maximum relative error over all checked samples (NaN on overflow).
     """
     kept = np.flatnonzero(np.isin(flow.times, traj.times))
     if not kept.size:
@@ -580,10 +582,14 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
         return (np.trace(r + p @ y, axis1=-2, axis2=-1),
                 np.trace(r + adjoint(r) + p @ (y + adjoint(y)), axis1=-2, axis2=-1).real)
 
-    max_det = 0.0
-    max_mod = 0.0
-    checked: list[tuple[float, float]] = []
     tiny = np.finfo(float).tiny
+
+    def worst(lhs, rhs):
+        """The largest |lhs - rhs| / max(|lhs|, |rhs|, tiny) of a span, NaN if one is."""
+        return np.max(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), tiny))
+
+    max_det = max_mod = 0.0
+    checked: list[tuple[float, float]] = []
     for idx in spans:
         ts = flow.times[idx]
         checked.append((float(ts[0]), float(ts[-1])))
@@ -593,23 +599,14 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
         dx = float(dxs[0])
         if np.max(np.abs(dxs - dx)) > 1e-9 * dx:
             raise IntegrationError("liouville_check requires a uniform sample grid")
-        phis = flow.phi[idx]
-        dets = np.linalg.det(phis)
+        dets = np.linalg.det(flow.phi[idx])
         ys = traj.values[np.searchsorted(traj.times, ts)]
-
         integrand, integrand2 = _scan(ts, cs.n, integrands, ys)
+        det_rhs = dets[0] * np.exp(_cumulative_simpson(integrand, dx))
+        mod_rhs = np.abs(dets[0]) ** 2 * np.exp(_cumulative_simpson(integrand2, dx))
+        max_det = np.maximum(max_det, worst(dets, det_rhs))
+        max_mod = np.maximum(max_mod, worst(np.abs(dets) ** 2, mod_rhs))
 
-        cum = _cumulative_simpson(integrand, dx)
-        rhs = dets[0] * np.exp(cum)
-        rel = np.abs(dets - rhs) / np.maximum(np.maximum(np.abs(dets), np.abs(rhs)), tiny)
-        max_det = max(max_det, float(np.max(rel)))
-
-        cum2 = _cumulative_simpson(integrand2, dx)
-        lhs2 = np.abs(dets) ** 2
-        rhs2 = (np.abs(dets[0]) ** 2) * np.exp(cum2)
-        rel2 = np.abs(lhs2 - rhs2) / np.maximum(np.maximum(lhs2, rhs2), tiny)
-        max_mod = max(max_mod, float(np.max(rel2)))
-
-    return LiouvilleReport(max_rel_error=max(max_det, max_mod),
-                           det_form_error=max_det, modulus_form_error=max_mod,
+    return LiouvilleReport(max_rel_error=float(np.maximum(max_det, max_mod)),
+                           det_form_error=float(max_det), modulus_form_error=float(max_mod),
                            spans=checked)

@@ -1,19 +1,22 @@
 """Dense complex matrix primitives and the numerical policy of the package.
 
 This module alone knows the rule for input values (finite, square;
-``_as_stack``), the dimension rule (1 <= n <= MAX_DIM; ``_require_dim``,
-which the instance recipe and the coefficient set also apply to their n),
-the PSD band (a Hermitian H is >= 0 when its least eigenvalue is at least
--(tol + tol ||H||_2), > 0 when it is above the band), the
-Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)) and the block
-size of stacked scans. Every criterion, monitor and predicate of the
-package applies them through ``_psd_measure``, ``_defect_measure`` and
-``_scan``. Also: trace identities and the principal matrix square root
-with its time derivative. All functions are pure; inputs are never mutated.
+``_as_stack``), the integer and dimension rules (an int, not a bool;
+1 <= n <= MAX_DIM), the PSD band (a Hermitian H is >= 0 when its least
+eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above the band),
+the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)), the rule
+that nothing non-finite passes (NaN eigenvalues; a residual norm that is not
+finite fails, so the defect rule is conservative above about 1.3e154, where
+norms overflow) and the block size of stacked scans. Every criterion,
+monitor and predicate applies them through ``_psd_measure``,
+``_defect_measure`` and ``_scan``, under ``_OVERFLOW_QUIET``. Also: trace
+identities and the principal matrix square root with its time derivative.
+All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +41,20 @@ DEFAULT_TOL = 1e-9
 #: bounds the scan's temporaries at every n while keeping numpy calls few.
 BLOCK_ENTRIES = 2 ** 14
 
+#: numpy's error state wherever arithmetic may overflow: the measures fail the inf or NaN.
+_OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
+def _require_int(value, name: str, error=ValueError) -> None:
+    """The integer rule: an int or a numpy integer, not a bool. The error starts with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+
 
 def _require_dim(n: int, name: str = "n") -> None:
     """The dimension rule: an n x n value has 1 <= n <= MAX_DIM. The error,
     a ``DimensionError`` (also a ``ValueError``), starts with ``name``."""
+    _require_int(n, name, DimensionError)
     if not 1 <= n <= MAX_DIM:
         raise DimensionError(f"{name} must be in 1..{MAX_DIM}, got {n!r}")
 
@@ -122,17 +135,14 @@ def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
 
 
 def _hermitian_eigvals(h: np.ndarray, context: str) -> np.ndarray:
-    """Ascending eigenvalues of (H + H*)/2 for a matrix or each matrix of a stack."""
-    return _eigvalsh((h + adjoint(h)) / 2, context)
-
-
-def _least_eigvals(h: np.ndarray, context: str) -> np.ndarray:
-    """Least eigenvalue of each Hermitian part of a stack; NaN where it is not finite."""
+    """Ascending eigenvalues of (H + H*)/2 for each matrix of a stack; NaN for one
+    whose entries (zeroed for the solver) or eigenvalues are not all finite."""
     herm = (h + adjoint(h)) / 2
-    finite = np.isfinite(herm).all(axis=(-2, -1))
-    lo = np.full(herm.shape[0], np.nan)
-    lo[finite] = _eigvalsh(herm[finite], context)[:, 0]
-    return lo
+    bad = ~np.isfinite(herm).all(axis=(-2, -1))
+    herm[bad] = 0
+    eigs = _eigvalsh(herm, context)
+    eigs[bad | ~np.isfinite(eigs).all(axis=-1)] = np.nan
+    return eigs
 
 
 def _eigh(h: np.ndarray, context: str):
@@ -160,11 +170,12 @@ def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
     """Per-point (||resid||_F, its ratio to 1 + ||ref||_F, verdict ratio <= tol).
 
     With resid = M - M* and ref = M this is the Hermiticity-defect rule;
-    with resid = M + M* it measures skew-Hermiticity.
+    with resid = M + M* it measures skew-Hermiticity. A norm of resid that is
+    not finite fails; one of ref that overflows counts as the largest double.
     """
     norm = _fro(resid)
-    scale = 1.0 + _fro(ref)
-    return norm, norm / scale, norm <= tol * scale
+    scale = np.minimum(1.0 + _fro(ref), np.finfo(np.float64).max)
+    return norm, norm / scale, np.isfinite(norm) & (norm <= tol * scale)
 
 
 def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
@@ -178,6 +189,7 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
     return lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def _scan(ts: np.ndarray, n: int, block, *stacks) -> list[np.ndarray]:
     """Run ``block(ts[s], *(a[s] for a in stacks))`` over blocks of at most
     BLOCK_ENTRIES matrix entries and join the per-point arrays it returns."""
@@ -199,6 +211,7 @@ class PsdVerdict:
     hermiticity_defect: float
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def check_psd(h, tol_psd: float | None = None, tol_herm: float | None = None) -> PsdVerdict:
     """Test whether a matrix is positive semidefinite.
 

@@ -277,8 +277,6 @@ def parse_instance(obj) -> ParsedInstance:
     grid_points = obj.get("grid_points")
     grid = None
     if grid_points is not None:
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool):
-            raise InstanceFormatError("field 'grid_points' must be an integer")
         try:
             grid = GridSpec.for_set(cs, grid_points)
         except ValueError as exc:

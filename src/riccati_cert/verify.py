@@ -6,9 +6,9 @@ and the equation residual. The residual uses central differences of the
 stored samples rather than the integrator's internal derivative, so the
 check is independent of the integration code path.
 
-Every series is one ``matrix_core._scan`` over the samples. A monitor is
-NaN, and fails its bound, at a sample whose matrix overflows; the scans
-run under ``np.errstate`` so that case raises no numpy warning.
+Every series is one ``matrix_core._scan`` over the samples. By matrix_core's
+rule a monitor is NaN, and fails its bound, at a sample whose matrix or
+eigenvalue is not finite, and nothing warns.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .exceptions import DimensionError
-from .matrix_core import _fro, _least_eigvals, _scan, adjoint
+from .matrix_core import _OVERFLOW_QUIET, _fro, _hermitian_eigvals, _scan, adjoint
 from .integrate import Trajectory
-
-#: numpy error state of the scans: an overflowing sample gives NaN, its documented result.
-_OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 DEFAULT_BOUND_TOL = 1e-6  # absolute band of the bound checks on the least eigenvalue
 MIN_RESIDUAL_SAMPLES = 3  # of the central-difference residual
@@ -65,10 +62,10 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
 
     def block(ts, y):
         lam_t, = lam_values(ts)
-        return (_least_eigvals(y + adjoint(y) - lam_t - adjoint(lam_t), "eigen_monitor"),)
+        g = y + adjoint(y) - lam_t - adjoint(lam_t)
+        return (_hermitian_eigvals(g, "eigen_monitor")[:, 0],)
 
-    with np.errstate(**_OVERFLOW_QUIET):
-        return _scan(traj.times, traj.n, block, traj.values)[0]
+    return _scan(traj.times, traj.n, block, traj.values)[0]
 
 
 def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = None,
@@ -114,17 +111,16 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise ValueError("trajectories are sampled on different grids")
     if traj.values.shape != traj_tilde.values.shape:
         raise DimensionError("trajectory dimensions differ")
-    with np.errstate(**_OVERFLOW_QUIET):
-        lo, hi = _scan(traj.times, traj.n,
-                       lambda ts, y, y_tilde: (_least_eigvals(y, "verify_sandwich"),
-                                               _least_eigvals(y_tilde - y, "verify_sandwich")),
-                       traj.values, traj_tilde.values)
+    lo, hi = _scan(traj.times, traj.n, lambda ts, y, y_tilde: (
+        _hermitian_eigvals(y, "verify_sandwich")[:, 0],
+        _hermitian_eigvals(y_tilde - y, "verify_sandwich")[:, 0]), traj.values, traj_tilde.values)
     lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],
                           upper_min=upper[0], upper_t=upper[1], tol=tol)
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def _central_differences(f: np.ndarray, times: np.ndarray):
     """``(lo, hi) -> np.gradient(f, times, axis=0, edge_order=2)[lo:hi]`` bit
     for bit, formed from rows lo - 1 to hi of ``f`` only.
@@ -190,12 +186,11 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
         resid = deriv(int(k[0]), int(k[-1]) + 1) + y @ p @ y + q @ y + y @ r - s
         return (_fro(resid) / (1.0 + _fro(y) ** 2),)
 
-    with np.errstate(**_OVERFLOW_QUIET):
-        deriv = _central_differences(traj.values, traj.times)
-        # a block holds P, Q, R, S, the differences and the products at each
-        # point: scanned as matrices of twice the dimension, it has a quarter
-        # of the points of a one-matrix scan
-        return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size))[0]
+    deriv = _central_differences(traj.values, traj.times)
+    # a block holds P, Q, R, S, the differences and the products at each
+    # point: scanned as matrices of twice the dimension, it has a quarter
+    # of the points of a one-matrix scan
+    return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size))[0]
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

@@ -500,3 +500,79 @@ class TestSidecarSamples:
         code, stdout, err = run(capsys, "verify", str(inst), str(out))
         assert code == 2 and stdout == ""
         assert "status sidecar" in err and f"'{field}'" in err
+
+
+def _entries(m):
+    return [[[float(x), 0.0] for x in row] for row in m]
+
+
+def _constant(m):
+    return {"kind": "constant", "value": _entries(m)}
+
+
+def write_probe(tmp_path, name, n, t_end, **coefficients):
+    """An instance file whose coefficients default to P = S = Y0 = I, Q = R = 0."""
+    eye = [[float(i == j) for j in range(n)] for i in range(n)]
+    zero = [[0.0] * n for _ in range(n)]
+    obj = {"n": n, "t0": 0.0, "t_end": t_end, "P": _constant(eye), "Q": _constant(zero),
+           "R": _constant(zero), "S": _constant(eye), "Y0": _entries(eye)}
+    obj.update(coefficients)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+class TestOverflowingCoefficients:
+    """Finite, schema-valid data whose norms or products overflow: no
+    condition passes on inf <= inf, and nothing warns or ends in a traceback."""
+
+    @pytest.mark.parametrize("criterion", ["theorem3.1", "cor3.1", "cor3.2", "theorem1.1"])
+    def test_huge_skew_P_is_not_hermitian(self, capsys, tmp_path, criterion):
+        # ||P - P*||_F and ||P||_F both overflow
+        inst = write_probe(tmp_path, "a", 2, 1.0, P=_constant([[1e160, 1e160], [-1e160, 1e160]]))
+        code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", criterion)
+        assert code == 2 and stdout == ""
+        assert err == "error: P(0.0) is not Hermitian\n"
+
+    @pytest.mark.parametrize("criterion", ["theorem3.1", "cor3.1", "cor3.2", "theorem1.1"])
+    def test_overflowing_R_fails_in_strict_json(self, capsys, tmp_path, criterion):
+        # R = 1e307 t^2 is inf beyond t ~ 4.24, and its norm overflows from t ~ 1e-77
+        inst = write_probe(tmp_path, "b", 1, 5.0, R={"kind": "polynomial", "coefficients": [
+            _entries([[0.0]]), _entries([[0.0]]), _entries([[1e307]])]})
+        code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", criterion)
+        report = _strict_json(stdout)
+        assert code == 1 and report["holds"] is False and err == ""
+        failed = {rec["name"]: rec for rec in report["conditions"] if not rec["passed"]}
+        pair = {"theorem3.1": "scalar_shift", "theorem1.1": "symmetric_pair"}.get(criterion)
+        if pair is not None:
+            assert failed[pair]["worst_value"] is None
+            assert failed[pair]["worst_time"] is not None
+        if criterion == "theorem3.1":
+            assert "extracted_mu" not in report
+            assert "extracted_mu left out: not finite on the grid" in report["notes"]
+
+    def test_overflowing_residual_and_source_fail(self, capsys, tmp_path):
+        # ||M - mu I||_F overflows, and S_L = I - L P L - Q L - L R is NaN
+        inst = write_probe(tmp_path, "c", 2, 5.0,
+                           Q=_constant([[1e300, 0.0], [0.0, 0.0]]),
+                           R=_constant([[-1e300, 0.0], [0.0, 0.0]]),
+                           **{"lambda": _constant([[1e155, 0.0], [0.0, 0.0]])},
+                           Y0=_entries([[1e156, 0.0], [0.0, 1.0]]))
+        code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", "theorem3.1")
+        report = _strict_json(stdout)
+        assert code == 1 and err == ""
+        for name in ("scalar_shift", "shifted_source_psd"):
+            rec = next(c for c in report["conditions"] if c["name"] == name)
+            assert rec["passed"] is False
+            assert rec["worst_value"] is None and rec["worst_time"] == 0.0
+        assert report["conditions"][0]["passed"] and report["conditions"][3]["passed"]
+
+    def test_integrate_direct_warns_nothing(self, capsys, tmp_path):
+        inst = write_probe(tmp_path, "b", 1, 5.0, R={"kind": "polynomial", "coefficients": [
+            _entries([[0.0]]), _entries([[0.0]]), _entries([[1e307]])]})
+        out = tmp_path / "b.csv"
+        code, stdout, err = run_quietly(capsys, "integrate", str(inst), "--method", "direct",
+                                        "--out", str(out))
+        status = json.loads(stdout)
+        assert code == 0 and err == ""
+        assert status["status"] == "blow_up" and status["blowup_trigger"] == "step_collapse"

@@ -555,3 +555,23 @@ class TestFrameWitnessWherePIsNowherePositive:
         rec = next(c for c in rep.conditions if c.name == skew)
         assert not rec.passed and not rep.holds
         assert rec.worst_value == math.inf and rec.worst_time == math.inf
+
+
+class TestShiftsThatAreNotFinite:
+    """A scalar shift that is not finite on the grid is left out of the
+    report with a note, and computing its notes warns nothing."""
+
+    def test_extracted_mu_is_none_where_R_overflows(self):
+        cs = make_set(1, t_end=5.0, R=cf.polynomial([[[0.0]], [[0.0]], [[1e307]]]))
+        rec, mu_fn = check_scalar_shift_condition(cs, None, grid(cs))
+        assert mu_fn is None and not rec.passed
+        assert math.isnan(rec.worst_value) and math.isfinite(rec.worst_time)
+
+    @pytest.mark.parametrize("coefficient", [1e307, 1e307j])
+    def test_supplied_nu_that_overflows_is_left_out(self, coefficient):
+        cs = make_set(1, t_end=5.0, S=cf.constant(np.eye(1)))
+        nu = cf.polynomial([0.0, 0.0, coefficient], scalar=True)
+        rep = check_sqrt_frame_criterion(cs, nu, np.eye(1), grid(cs))
+        assert rep.extracted_nu is None and not rep.holds
+        assert "extracted_nu left out: not finite on the grid" in rep.notes
+        assert "extracted_nu" not in rep.to_dict()

@@ -190,3 +190,24 @@ class TestCatalog:
     def test_escape_annotation(self):
         e = canonical_catalog()["tan_blowup"]
         assert e.escape_time == pytest.approx(math.pi / 2)
+
+
+class TestIntegerRules:
+    """n, seed and the grid's point count are ints (numpy's too), never a
+    float or a bool, refused by their owners with a ValueError."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: InstanceSpec(n=2, seed=1.5), lambda: InstanceSpec(n=2.5, seed=0),
+        lambda: InstanceSpec(n=2, seed=True), lambda: InstanceSpec(n=True, seed=0),
+        lambda: InstanceSpec(n=2.0, seed=0), lambda: GridSpec(0.0, 1.0, 2.5),
+        lambda: GridSpec(0.0, 1.0, 3.0), lambda: GridSpec(0.0, 1.0, True),
+    ], ids=["seed-float", "n-float", "seed-bool", "n-bool", "n-integral-float",
+            "grid-float", "grid-integral-float", "grid-bool"])
+    def test_non_integers_are_refused(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_are_accepted(self):
+        spec = InstanceSpec(n=np.int64(2), seed=np.uint8(3))
+        assert gen_satisfying(spec)[0].n == 2
+        assert GridSpec(0.0, 1.0, np.int32(5)).points.size == 5

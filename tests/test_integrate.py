@@ -479,3 +479,36 @@ def test_cumulative_simpson_matches_the_loop(m, dtype):
     got = integrate._cumulative_simpson(y.astype(dtype), dx)
     want = reference_cumulative_simpson(y.astype(dtype), dx)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("integrator", [integrate_riccati_direct, integrate_linear_system,
+                                            integrate_lyapunov_comparison])
+    @pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan], [0.0, np.inf]])
+    def test_sample_times_must_be_finite(self, integrator, times):
+        with pytest.raises(IntegrationError, match="^sample_times must be a non-empty 1-D "
+                                                   "array of finite times$"):
+            integrator(scalar_set(1.0, p=1.0, s=1.0), np.array([[1.0]]),
+                       sample_times=np.array(times))
+
+    def test_overflowing_steps_are_rejected_silently(self):
+        # R = 1e307 t^2 overflows every step's stages; the suite turns a
+        # RuntimeWarning into an error, so the run must not raise one
+        cs = CoefficientSet(n=1, t0=0.0, t_end=5.0, P=cf.constant([[1.0]]),
+                            Q=cf.constant([[0.0]]), R=cf.polynomial([[[0.0]], [[0.0]], [[1e307]]]),
+                            S=cf.constant([[1.0]]))
+        traj = integrate_riccati_direct(cs, np.array([[1.0]]))
+        assert traj.status == "blow_up" and traj.blowup_trigger == "step_collapse"
+        assert np.isfinite(traj.values).all()
+
+    def test_liouville_overflow_is_nan(self):
+        # det Phi = e^{64 t} overflows at the samples t >= 12 of five
+        n = 64
+        z = cf.constant(np.zeros((n, n)))
+        cs = CoefficientSet(n=n, t0=0.0, t_end=16.0, P=z, Q=z, R=cf.constant(np.eye(n)), S=z)
+        flow, traj = integrate_linear_system(cs, np.zeros((n, n)),
+                                             sample_times=np.linspace(0.0, 16.0, 17))
+        assert traj.status == "completed" and not flow.restarts
+        assert (n * np.log(np.abs(flow.phi[:, 0, 0])) > 710.0).sum() == 5
+        rep = liouville_check(flow, cs, traj)
+        assert math.isnan(rep.max_rel_error) and math.isnan(rep.det_form_error)

@@ -252,3 +252,77 @@ class TestSharedMeasures:
             else:
                 with pytest.raises(NotPositiveDefiniteError):
                     mc.principal_sqrt(p)
+
+
+class TestNonFiniteRule:
+    """No point passes a measure on inf <= inf: a matrix with an entry or an
+    eigenvalue that is not finite has NaN eigenvalues, a residual norm that is
+    not finite fails, and neither warns (the suite turns warnings into errors)."""
+
+    SKEW_HUGE = np.array([[1e160, 1e160], [-1e160, 1e160]], dtype=complex)
+
+    def scan(self, measure, *stacks):
+        """``measure`` on stacks of one point each, in a scan's error state."""
+        return mc._scan(np.zeros(len(stacks[0])), stacks[0].shape[-1],
+                        lambda _, *blocks: measure(*blocks), *stacks)
+
+    def test_huge_skew_part_is_not_hermitian(self):
+        p = self.SKEW_HUGE[None]
+        norm, _, ok = self.scan(lambda m: mc._defect_measure(m - mc.adjoint(m), m, 1e-9), p)
+        assert norm[0] == np.inf and not ok[0]
+        assert not self.scan(lambda m: mc._psd_measure(m, 1e-9), p)[1][0]
+
+    def test_huge_hermitian_matrix_still_passes(self):
+        # the residual is exactly 0 while ||M||_F overflows
+        h = np.array([[[1e160, 1e160], [1e160, 1e160]]], dtype=complex)
+        norm, _, ok = self.scan(lambda m: mc._defect_measure(m - mc.adjoint(m), m, 1e-9), h)
+        assert norm[0] == 0.0 and ok[0]
+
+    @pytest.mark.parametrize("r", [2.5e302, np.inf])
+    def test_overflowing_symmetric_pair_fails(self, r):
+        # R = 1e307 t^2 against Q = 0: ||R - Q*||_F overflows, then R itself
+        rs = np.array([[[r]]], dtype=complex)
+        assert not self.scan(lambda m: mc._defect_measure(m, m, 1e-9), rs)[2][0]
+
+    def test_overflowing_shift_residual_fails(self):
+        # M = diag(-2e300, 0), mu_hat = -1e300: ||M - mu_hat I||_F overflows
+        m = np.diag([-2e300, 0.0]).astype(complex)[None]
+        resid = m + 1e300 * np.eye(2)
+        assert not self.scan(lambda a, b: mc._defect_measure(a, b, 1e-9), resid, m)[2][0]
+
+    @pytest.mark.parametrize("m, tol, hermitian", [
+        ([[1e160, 1e160], [1e160, 1e160]], 0.0, True),
+        ([[1e160, 1e160 + 1e150], [1e160, 1e160]], 1e-160, False),
+    ], ids=["zero-residual-at-tol-0", "nonzero-residual-at-a-tiny-tol"])
+    def test_an_overflowed_norm_counts_as_the_largest_double(self, m, tol, hermitian):
+        # tol * inf would read NaN at tol 0 and pass any finite residual otherwise
+        m = np.array([m], dtype=complex)
+        ok = self.scan(lambda a: mc._defect_measure(a - mc.adjoint(a), a, tol), m)[2]
+        assert bool(ok[0]) is hermitian
+
+    def test_nan_and_inf_matrices_get_nan_rows(self):
+        h = np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]],
+                      [[1.7e308, 1.7e308], [1.7e308, -1e300]]]).astype(complex)
+        eigs = self.scan(lambda m: (mc._hermitian_eigvals(m, "test"),), h)[0]
+        assert_allclose(eigs[0], [1.0, 1.0])
+        assert np.isnan(eigs[1:]).all()
+
+    def test_matrix_with_an_infinite_eigenvalue_gets_a_nan_row(self):
+        # finite Hermitian part; eigenvalues about -5.9e307, 0 and inf
+        a = 8e307
+        h = np.array([[[a, a, a], [a, a, a], [a, a, 0.0]]], dtype=complex)
+        assert np.isnan(self.scan(lambda m: (mc._hermitian_eigvals(m, "test"),), h)[0]).all()
+
+    def test_psd_measure_fails_nan_source(self):
+        # S_L of the probe: I - inf - inf + inf, NaN on the diagonal
+        s_l = np.array([[[np.nan, 0.0], [0.0, 1.0]]], dtype=complex)
+        lo, ok, _ = self.scan(lambda m: mc._psd_measure(m, 1e-9), s_l)
+        assert np.isnan(lo[0]) and not ok[0]
+
+    @pytest.mark.parametrize("h", [
+        [[8e307, 8e307, 8e307], [8e307, 8e307, 8e307], [8e307, 8e307, 0.0]],
+        [[1.7e308, 1.7e308], [1.7e308, -1e300]]], ids=["infinite-eigenvalue", "overflowing-sum"])
+    def test_check_psd_is_not_passed_on_an_infinite_band(self, h):
+        # both have a least eigenvalue near -1e308 beside one that overflows
+        verdict = mc.check_psd(np.array(h))
+        assert not verdict.is_psd and math.isnan(verdict.min_eigenvalue)

@@ -307,6 +307,15 @@ class TestNonFiniteMonitors:
         rep = verify_sandwich(traj, traj)
         assert not rep.passed and math.isnan(rep.lower_min)
 
+    def test_residual_weights_that_overflow_warn_nothing(self):
+        # unequal spacings near 1e299: the difference weights divide by their products
+        times = np.array([0.0, 1e299, 3e299, 1e300])
+        cs = CoefficientSet(n=1, t0=0.0, t_end=1e300, P=cf.constant([[0.0]]),
+                            Q=cf.constant([[0.0]]), R=cf.constant([[0.0]]), S=cf.constant([[0.0]]))
+        traj = Trajectory(times=times, values=np.ones((4, 1, 1), dtype=complex),
+                          status="completed", method="file")
+        assert verify.residual_series(traj, cs).shape == (4,)
+
     def test_empty_trajectory_gives_empty_series(self):
         traj = Trajectory(times=np.empty(0), values=np.empty((0, 2, 2), dtype=complex),
                           status="phi_singular", method="radon")
