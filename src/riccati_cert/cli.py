@@ -9,11 +9,12 @@ Subcommands::
     riccati-cert check INSTANCE --criterion theorem3.1|cor3.1|cor3.2|theorem1.1
     riccati-cert integrate INSTANCE --method direct|radon|both|lyapunov --out CSV
     riccati-cert verify INSTANCE TRAJECTORY_CSV
-    riccati-cert gen --target satisfying|blowup|comparison --n N --seed K --out FILE
+    riccati-cert gen --target TARGET --n N --seed K --out FILE
 
-A flag's rule and default belong to the library type that takes its value
-(``InstanceSpec``, ``IntegratorOptions``, ``GridSpec``); a command builds it
-and names the flag in its error. Only ``--tol``'s range is checked here.
+TARGET is a key of ``instances.TARGETS``. A flag's rule and default belong
+to the library type that takes its value (``InstanceSpec``,
+``IntegratorOptions``, ``GridSpec``); a command builds it and names the flag
+in its error. Only ``--tol``'s range is checked here.
 """
 
 from __future__ import annotations
@@ -23,17 +24,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
 from .exceptions import InstanceFormatError, RiccatiError
-from .instances import InstanceSpec, gen_blowup, gen_comparison, gen_satisfying
+from .instances import TARGETS, InstanceSpec, generate
 from .matrix_core import DEFAULT_TOL, MAX_DIM
 from .integrate import (
     DEFAULT_SAMPLES,
     IntegratorOptions,
     Trajectory,
-    _linear_flow,
+    integrate_both,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -88,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=float, default=DEFAULT_BOUND_TOL)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("--target", choices=("satisfying", "blowup", "comparison"),
-                       required=True)
+    p_gen.add_argument("--target", choices=TARGETS, required=True)
     p_gen.add_argument("--n", type=int, required=True, help=f"dimension, 1..{MAX_DIM}")
     p_gen.add_argument("--seed", type=int, default=0, help="non-negative integer")
     p_gen.add_argument("--out", required=True)
@@ -133,47 +131,22 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.holds else EXIT_FAIL
 
 
-def _radon_against(inst, opts: IntegratorOptions, ts, traj: Trajectory) -> dict:
-    """The linear flow's status and restarts as ``integrate`` prints them,
-    and its ``max_discrepancy`` from ``traj``: the largest
-    ||Y - Y_flow|| / (1 + ||Y||) over the sample times both reached. Each
-    reconstructed sample is folded in as the flow reaches it; none is stored."""
-    index = {t: k for k, t in enumerate(traj.times.tolist())}
-    worst = 0.0
-
-    def keep(t, y_flow):
-        nonlocal worst
-        k = index.get(t)
-        if k is not None:
-            y = traj.values[k]
-            diff = float(np.linalg.norm(y - y_flow))
-            worst = max(worst, diff / (1.0 + float(np.linalg.norm(y))))
-
-    _, _, restarts, singular, _ = _linear_flow(inst.cs, inst.y0, opts, ts, keep)
-    return {"radon_status": "phi_singular" if singular else "completed",
-            "restarts": restarts, "max_discrepancy": worst}
-
-
 def _cmd_integrate(args) -> int:
     opts = _owned("--", IntegratorOptions, rtol=args.rtol, atol=args.atol)
     inst = load_instance(args.instance)
     ts = _owned("--samples: ", GridSpec.for_set, inst.cs, args.samples).points
-    extra: dict = {}
-
+    flow, extra = None, {}
     if args.method == "direct":
         traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
-        write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
     elif args.method == "radon":
         flow, traj = integrate_linear_system(inst.cs, inst.y0, opts, ts)
-        write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam, flow=flow)
         extra["restarts"] = [float(t) for t in flow.restarts]
     elif args.method == "lyapunov":
         traj = integrate_lyapunov_comparison(inst.cs, inst.y0, opts, ts)
-        write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
-    else:  # both: the direct run (which checks Y0 and ts), then the flow against it
-        traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
-        extra = _radon_against(inst, opts, ts, traj)
-        write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam)
+    else:  # both
+        traj, extra = integrate_both(inst.cs, inst.y0, opts, ts)
+    write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam, flow=flow)
+    if args.method == "both":
         print(f"max_discrepancy {extra['max_discrepancy']:.6e}")
 
     status = trajectory_status_obj(traj, extra)
@@ -230,22 +203,13 @@ def _cmd_gen(args) -> int:
     spec = _owned("--", InstanceSpec, n=args.n, seed=args.seed, horizon=args.horizon,
                   t0=args.t0, scale=args.scale, target=args.target)
     grid = _owned("--horizon: ", GridSpec, spec.t0, spec.t_end)  # default count, checks below
-    if args.target == "satisfying":
-        cs, lam, mu, y0 = gen_satisfying(spec)
-        obj = instance_to_obj(cs, y0, lam=lam, mu=mu)
-        report = run_criterion("theorem3.1", cs, y0, lam=lam, grid=grid)
-    elif args.target == "blowup":
-        cs, y0 = gen_blowup(spec)
-        obj = instance_to_obj(cs, y0)
-        report = run_criterion("theorem3.1", cs, y0, grid=grid)
-    else:
-        cs, y0 = gen_comparison(spec)
-        obj = instance_to_obj(cs, y0)
-        report = run_criterion("theorem1.1", cs, y0, grid=grid)
+    cs, y0, gauges = generate(spec)
+    obj = instance_to_obj(cs, y0, **gauges)
+    report = run_criterion(TARGETS[spec.target], cs, y0, grid=grid, **gauges)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_instance(obj))
     summary = {
-        "target": args.target,
+        "target": spec.target,
         "out": args.out,
         "criterion": report.criterion,
         "holds": report.holds,

@@ -261,6 +261,7 @@ def check_source_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
     return _gauge_conditions(cs, lam, grid, tol)[0][2]
 
 
+@np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
 def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
                           y0, grid: GridSpec | None = None,
                           tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -366,6 +367,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
     return lam0_fn, _largest("gauge_skew", "skew_defect", grid.points, defect, defect, ok)
 
 
+@np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
 def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | None,
                                y0, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -416,6 +418,7 @@ def sqrt_frame_condition_matrix(cs: CoefficientSet, nu: CoefficientFunction | No
     return _sqrt_frame_at(cs, nu, t, tol)[1]
 
 
+@np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
 def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None = None,
                                y0=None, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> CriterionReport:

@@ -22,7 +22,8 @@ from . import coefficients as cf
 from .coefficients import CoefficientSet, _poly_add, _poly_diff, _poly_mul
 from .matrix_core import _require_dim, _require_int, adjoint
 
-TARGETS = ("satisfying", "blowup", "comparison")
+#: Each target of ``generate`` and the criterion its instances are built for.
+TARGETS = {"satisfying": "theorem3.1", "blowup": "theorem3.1", "comparison": "theorem1.1"}
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class InstanceSpec:
     """Reproducible recipe for one generated instance.
 
     ``kinds`` optionally overrides the representation per ingredient name
-    ("P", "Q", "lambda", "mu", "S"); the default is polynomial.
+    ("P", "Q", "S", "lambda", "mu") as "polynomial" (the default) or
+    "constant", which means a polynomial of degree 0.
     ``scale`` caps the Frobenius norm of every random draw (and for the
     blow-up family it is the escape-rate constant c in S = -c I).
     """
@@ -46,7 +48,11 @@ class InstanceSpec:
     def __post_init__(self):
         # each message starts with the field it names; the CLI turns it into the flag
         if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
+            raise ValueError(f"target must be one of {tuple(TARGETS)}, got {self.target!r}")
+        for name, kind in (self.kinds or {}).items():
+            if name not in "P Q S lambda mu".split() or kind not in ("polynomial", "constant"):
+                raise ValueError("kinds must map P, Q, S, lambda or mu to 'polynomial' or "
+                                 f"'constant', got {name!r}: {kind!r}")
         _require_dim(self.n)
         _require_int(self.seed, "seed")
         if not self.seed >= 0:
@@ -56,9 +62,6 @@ class InstanceSpec:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         cf._require_interval(self.t0, self.t_end, "t0 + horizon minus t0")
-
-    def kind_of(self, name: str) -> str:
-        return (self.kinds or {}).get(name, "polynomial")
 
     @property
     def t_end(self) -> float:
@@ -102,7 +105,7 @@ def _random_scalar_poly(rng: np.random.Generator, degree: int,
 
 
 def _degree_for(spec: InstanceSpec, name: str, poly_degree: int) -> int:
-    return poly_degree if spec.kind_of(name) == "polynomial" else 0
+    return 0 if (spec.kinds or {}).get(name) == "constant" else poly_degree
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +202,16 @@ def gen_comparison(spec: InstanceSpec):
         S=cf.polynomial(_poly_mul(adjoint(b), b), t_ref=t0),
     )
     return cs, y0
+
+
+def generate(spec: InstanceSpec):
+    """(coefficient set, Y0, gauges) of ``spec.target``, the gauges keyed as
+    ``serialize.instance_to_obj`` and ``run_criterion`` take them."""
+    if spec.target == "satisfying":
+        cs, lam, mu, y0 = gen_satisfying(spec)
+        return cs, y0, {"lam": lam, "mu": mu}
+    cs, y0 = (gen_blowup if spec.target == "blowup" else gen_comparison)(spec)
+    return cs, y0, {}
 
 
 # ---------------------------------------------------------------------------

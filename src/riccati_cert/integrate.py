@@ -37,7 +37,7 @@ full size; a run that stops early returns copies of the rows it reached.
 The linear flow hands each reconstructed Y to a sample consumer:
 ``integrate_linear_system``'s stores it, with the flow's states, while
 a consumer that only folds the samples (the discrepancy of
-``integrate --method both``) lets the flow run storing no sample at all.
+``integrate_both``) lets the flow run storing no sample at all.
 """
 
 from __future__ import annotations
@@ -431,14 +431,33 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
         traj_vals[kept] = ymat
         kept += 1
 
-    times, states, restarts, singular, stats = _linear_flow(cs, y0, opts, ts, keep,
-                                                            record_states=True)
+    times, states, status, restarts, singular, stats = _linear_flow(cs, y0, opts, ts, keep,
+                                                                    record_states=True)
     flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
     traj_times, traj_vals = _reached(kept, traj_times, traj_vals)
-    traj = Trajectory(times=traj_times, values=traj_vals,
-                      status="phi_singular" if singular else "completed",
-                      method="radon", singular_times=np.array(singular), stats=stats)
+    traj = Trajectory(times=traj_times, values=traj_vals, status=status, method="radon",
+                      singular_times=np.array(singular), stats=stats)
     return flow, traj
+
+
+def integrate_both(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
+                   sample_times=None) -> tuple[Trajectory, dict]:
+    """``integrate_riccati_direct``, then the flow of ``integrate_linear_system``
+    folded in sample by sample, storing none. Returns (the direct trajectory,
+    {"radon_status", "restarts", "max_discrepancy"}), the last the largest
+    ||Y - Y_flow|| / (1 + ||Y||) over the sample times both reached."""
+    opts = opts or IntegratorOptions()
+    y0, ts = _prologue(cs, y0, "Y0", sample_times)
+    traj = integrate_riccati_direct(cs, y0, opts, ts)
+    reached = dict(zip(traj.times.tolist(), traj.values))
+    ratios = [0.0]
+
+    def keep(t, y_flow):
+        if (y := reached.get(t)) is not None:
+            ratios.append(float(np.linalg.norm(y - y_flow)) / (1.0 + float(np.linalg.norm(y))))
+
+    _, _, status, restarts, _, _ = _linear_flow(cs, y0, opts, ts, keep)
+    return traj, {"radon_status": status, "restarts": restarts, "max_discrepancy": max(ratios)}
 
 
 def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts: np.ndarray,
@@ -447,9 +466,9 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
     and sample times ``ts``, handing each reconstructed sample to
     ``keep(t, Y)`` in time order.
 
-    Returns (times, states, restarts, singular, stats): the sample times,
-    the driver's (Phi, Psi) states there (None unless ``record_states``),
-    the restart and singular times and the driver's counters. With
+    Returns (times, states, status, restarts, singular, stats): the sample times,
+    the driver's (Phi, Psi) states there (None unless ``record_states``), the
+    run's status, the restart and singular times and the driver's counters. With
     ``record_states`` false nothing of the run is stored but these.
     """
     eye = np.eye(cs.n, dtype=np.complex128)
@@ -494,7 +513,7 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
             "the flow is linear and should not collapse at these scales")
-    return times, states, restarts, singular, stats
+    return times, states, "phi_singular" if singular else "completed", restarts, singular, stats
 
 
 def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,

@@ -48,7 +48,7 @@ from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import GridSpec
 from .exceptions import DomainError, InstanceFormatError, RiccatiError
 from .integrate import LinearFlow, Trajectory
-from .matrix_core import block_slices
+from .matrix_core import _OVERFLOW_QUIET, block_slices
 from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 
 
@@ -363,8 +363,9 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     resid = _csv_floats(residual_series(traj, cs)) if m >= MIN_RESIDUAL_SAMPLES else [""] * m
     tails = [[g, r] for g, r in zip(gaps, resid)]
     if flow is not None:
-        det_by_time = dict(zip(flow.times.tolist(),
-                               (abs(complex(d)) for d in np.linalg.det(flow.phi))))
+        with np.errstate(**_OVERFLOW_QUIET):  # an overflowing determinant is written as inf
+            dets = np.linalg.det(flow.phi)
+        det_by_time = dict(zip(flow.times.tolist(), (abs(complex(d)) for d in dets)))
         for tail, t in zip(tails, traj.times.tolist()):
             tail.append(repr(det_by_time.get(t, float("nan"))))
     # Re/im parts interleaved, in row-major order of Y.

@@ -576,3 +576,70 @@ class TestOverflowingCoefficients:
         status = json.loads(stdout)
         assert code == 0 and err == ""
         assert status["status"] == "blow_up" and status["blowup_trigger"] == "step_collapse"
+
+
+class TestInitialClauseAndDeterminantQuiet:
+    """The initial clause is formed, and the flow's determinant taken, under the
+    package's error state: an overflow there fails or is written as inf, and
+    numpy prints nothing."""
+
+    @pytest.mark.parametrize("criterion, clause", [("theorem3.1", "initial_lower_bound"),
+                                                   ("cor3.1", "initial_psd"),
+                                                   ("cor3.2", "initial_psd")])
+    def test_overflowing_initial_value_fails_quietly(self, capsys, tmp_path, criterion, clause):
+        # Y0 + Y0* overflows to inf (and cor3.2's sqrt(P) congruence meets inf * 0)
+        inst = write_probe(tmp_path, "y0", 1, 1.0, Y0=_entries([[1e308]]))
+        code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", criterion)
+        report = _strict_json(stdout)
+        assert code == 1 and err == ""
+        rec = report["conditions"][-1]
+        assert rec["name"] == clause and rec["passed"] is False
+        assert rec["worst_value"] is None and rec["worst_time"] == 0.0
+        assert all(c["passed"] for c in report["conditions"][:-1])
+
+    def test_huge_P_square_root_at_t0_is_quiet(self, capsys, tmp_path):
+        # ||P||_F squared overflows inside principal_sqrt's Hermiticity check
+        inst = write_probe(tmp_path, "p", 1, 1.0, P=_constant([[1e200]]))
+        code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", "cor3.2")
+        report = _strict_json(stdout)
+        assert code == 0 and err == ""
+        assert report["conditions"][-1]["worst_value"] == 2e200
+
+    def test_overflowing_determinant_is_written_as_inf_quietly(self, capsys, tmp_path):
+        # P = Q = S = 0, R = I: Phi = exp(t) I, so det Phi = exp(64 t) overflows from t ~ 11.1
+        n = 64
+        zero = _constant([[0.0] * n for _ in range(n)])
+        inst = write_probe(tmp_path, "det", n, 16.0, P=zero, S=zero,
+                           R=_constant([[float(i == j) for j in range(n)] for i in range(n)]),
+                           Y0=_entries([[0.0] * n for _ in range(n)]))
+        out = tmp_path / "det.csv"
+        code, stdout, err = run_quietly(capsys, "integrate", str(inst), "--method", "radon",
+                                        "--samples", "17", "--out", str(out))
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["status"] == "completed"
+        with open(out, newline="") as fh:
+            dets = [row["det_phi_abs"] for row in csv.DictReader(fh)]
+        assert dets[0] == "1.0" and dets[11] != "inf"
+        assert dets[12:] == ["inf"] * 5
+
+
+class TestSurface:
+    """The command line parses, makes one library call per computation and
+    prints: it imports neither numpy nor a private name of the package."""
+
+    def test_cli_imports_no_numpy_and_no_private_name(self):
+        import ast
+
+        import riccati_cert.cli as cli
+
+        tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+        modules, private = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+                if node.level > 0 or (node.module or "").startswith("riccati_cert"):
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+        assert not [m for m in modules if m.split(".")[0] == "numpy"], modules
+        assert private == []

@@ -1,12 +1,14 @@
-"""``integrate --method both`` against the two integrators it stands for.
+"""``integrate_both`` and ``integrate --method both`` against the two
+integrators they stand for.
 
-The subcommand runs the direct integration and then folds each sample of
-the linear flow into ``max_discrepancy`` as the flow reaches it, storing
-no sample of the flow. Its ``max_discrepancy``, ``radon_status`` and
-``restarts`` must equal, bit for bit, what ``integrate_riccati_direct``
-and ``integrate_linear_system`` give when their whole trajectories are
-compared by ``reference_max_discrepancy``, the formula the subcommand
-used while it kept both trajectories.
+``integrate_both`` runs the direct integration and then folds each sample
+of the linear flow into ``max_discrepancy`` as the flow reaches it,
+storing no sample of the flow; the subcommand prints what it returns. Its
+``max_discrepancy``, ``radon_status`` and ``restarts`` must equal, bit for
+bit, what ``integrate_riccati_direct`` and ``integrate_linear_system``
+give when their whole trajectories are compared by
+``reference_max_discrepancy``, the formula the subcommand used while it
+kept both trajectories.
 """
 
 import contextlib
@@ -21,9 +23,11 @@ from riccati_cert import cli
 from riccati_cert import coefficients as cf
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.criteria import GridSpec
+from riccati_cert.exceptions import IntegrationError
 from riccati_cert.instances import canonical_catalog
 from riccati_cert.integrate import (
     IntegratorOptions,
+    integrate_both,
     integrate_linear_system,
     integrate_riccati_direct,
 )
@@ -126,3 +130,35 @@ def test_both_equals_the_two_integrators(tmp_path, case):
         assert radon.status == "phi_singular" and direct.status == "blow_up"
     else:
         assert direct.status == radon.status == "completed" and not flow.restarts
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_integrate_both_equals_the_two_integrators(tmp_path, case):
+    make, samples = CASES[case]
+    inst = load_instance(str(make(tmp_path)))
+    ts = GridSpec.for_set(inst.cs, samples).points
+    opts = IntegratorOptions()
+    traj, extra = integrate_both(inst.cs, inst.y0, opts, ts)
+    direct = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
+    flow, radon = integrate_linear_system(inst.cs, inst.y0, opts, ts)
+
+    assert list(extra) == ["radon_status", "restarts", "max_discrepancy"]
+    assert extra["max_discrepancy"].hex() == reference_max_discrepancy(direct, radon).hex()
+    assert extra["radon_status"] == radon.status
+    assert extra["restarts"] == flow.restarts
+    # the trajectory returned is the direct one, bit for bit
+    assert np.array_equal(traj.times, direct.times)
+    assert np.array_equal(traj.values, direct.values)
+    assert (traj.method, traj.status, traj.t_escape, traj.blowup_trigger) == \
+        (direct.method, direct.status, direct.t_escape, direct.blowup_trigger)
+    assert traj.stats == direct.stats
+
+
+def test_integrate_both_defaults_and_input_errors():
+    entry = canonical_catalog()["tanh"]
+    traj, extra = integrate_both(entry.cs, entry.y0)
+    assert traj.times.size == 201 and extra["radon_status"] == "completed"
+    with pytest.raises(ValueError, match="Y0"):
+        integrate_both(entry.cs, [[math.nan]])
+    with pytest.raises(IntegrationError, match="sample_times must start at t0"):
+        integrate_both(entry.cs, entry.y0, sample_times=[1.0, 2.0])

@@ -11,12 +11,14 @@ from riccati_cert.criteria import (
     check_source_condition,
 )
 from riccati_cert.instances import (
+    TARGETS,
     InstanceSpec,
     blowup_escape_time,
     canonical_catalog,
     gen_blowup,
     gen_comparison,
     gen_satisfying,
+    generate,
 )
 from riccati_cert.integrate import integrate_riccati_direct
 from riccati_cert.serialize import dumps_instance, instance_to_obj
@@ -51,6 +53,53 @@ class TestSpec:
         with pytest.raises(ValueError) as err:
             InstanceSpec(**{**spec, field: value})
         assert str(err.value).split()[0] == field
+
+
+    @pytest.mark.parametrize("kinds", [
+        {"lambda": "banana"}, {"P": "sampled"}, {"R": "constant"}, {"Y0": "polynomial"},
+        {"P": "constant", "L": "constant"},
+    ])
+    def test_rejects_kinds_it_would_ignore(self, kinds):
+        with pytest.raises(ValueError) as err:
+            InstanceSpec(n=2, seed=1, kinds=kinds)
+        assert str(err.value).split()[0] == "kinds"
+
+    def test_accepts_every_kind_it_reads(self):
+        for kind in ("polynomial", "constant"):
+            InstanceSpec(n=2, seed=1, kinds=dict.fromkeys(("P", "Q", "S", "lambda", "mu"), kind))
+
+
+class TestGenerate:
+    """``generate`` dispatches on ``spec.target`` to the family's generator."""
+
+    @staticmethod
+    def family_obj(spec):
+        """The instance object of the family generator, as ``gen`` built it per target."""
+        if spec.target == "satisfying":
+            cs, lam, mu, y0 = gen_satisfying(spec)
+            return instance_to_obj(cs, y0, lam=lam, mu=mu)
+        if spec.target == "blowup":
+            return instance_to_obj(*gen_blowup(spec))
+        return instance_to_obj(*gen_comparison(spec))
+
+    @pytest.mark.parametrize("target", list(TARGETS))
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3, 7), (8, 11)])
+    def test_same_bytes_as_the_family_generator(self, target, n, seed):
+        spec = InstanceSpec(n=n, seed=seed, target=target)
+        cs, y0, gauges = generate(spec)
+        assert dumps_instance(instance_to_obj(cs, y0, **gauges)) == \
+            dumps_instance(self.family_obj(spec))
+
+    def test_each_target_passes_or_fails_its_criterion(self):
+        from riccati_cert.criteria import run_criterion
+
+        assert TARGETS == {"satisfying": "theorem3.1", "blowup": "theorem3.1",
+                           "comparison": "theorem1.1"}
+        for target, holds in (("satisfying", True), ("blowup", False), ("comparison", True)):
+            cs, y0, gauges = generate(InstanceSpec(n=2, seed=3, target=target))
+            report = run_criterion(TARGETS[target], cs, y0, grid=GridSpec.for_set(cs, 51),
+                                   **gauges)
+            assert report.holds is holds, target
 
 
 class TestDeterminism:
