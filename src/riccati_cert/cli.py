@@ -13,8 +13,9 @@ Subcommands::
 
 TARGET is a key of ``instances.TARGETS``. A flag's rule and default belong
 to the library type that takes its value (``InstanceSpec``,
-``IntegratorOptions``, ``GridSpec``); a command builds it and names the flag
-in its error. Only ``--tol``'s range is checked here.
+``IntegratorOptions``, ``GridSpec``); a command builds it through
+``exceptions.named_refusal``, which names the flag in its error. Only
+``--tol``'s range is checked here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import sys
 
 from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
-from .exceptions import InstanceFormatError, RiccatiError
+from .exceptions import InstanceFormatError, RiccatiError, named_refusal
 from .instances import TARGETS, InstanceSpec, generate
 from .matrix_core import DEFAULT_TOL, MAX_DIM
 from .integrate import (
@@ -104,21 +105,13 @@ def _require_tol(tol: float) -> None:
         raise RiccatiError(f"--tol must be a finite number >= 0, got {tol!r}")
 
 
-def _owned(prefix: str, owner, *args, **kwargs):
-    """``owner(*args, **kwargs)``, its input error prefixed with ``prefix`` (the flag)."""
-    try:
-        return owner(*args, **kwargs)
-    except (ValueError, RiccatiError) as exc:
-        raise RiccatiError(f"{prefix}{exc}") from exc
-
-
 def _cmd_check(args) -> int:
     _require_tol(args.tol)
     inst = load_instance(args.instance)
     if args.grid is not None:
-        grid = _owned("--grid: ", GridSpec.for_set, inst.cs, args.grid)
+        grid = named_refusal("--grid: ", GridSpec.for_set, inst.cs, args.grid)
     else:  # the file's grid_points, else the default count over its interval
-        grid = inst.grid or _owned("fields 't0', 't_end': ", GridSpec.for_set, inst.cs)
+        grid = inst.grid or named_refusal("fields 't0', 't_end': ", GridSpec.for_set, inst.cs)
     report = run_criterion(args.criterion, inst.cs, inst.y0, lam=inst.lam,
                            mu=inst.mu, nu=inst.nu, grid=grid, tol=args.tol)
     out = report.to_dict()
@@ -132,9 +125,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    opts = _owned("--", IntegratorOptions, rtol=args.rtol, atol=args.atol)
+    opts = named_refusal("--", IntegratorOptions, rtol=args.rtol, atol=args.atol)
     inst = load_instance(args.instance)
-    ts = _owned("--samples: ", GridSpec.for_set, inst.cs, args.samples).points
+    ts = named_refusal("--samples: ", GridSpec.for_set, inst.cs, args.samples).points
     flow, extra = None, {}
     if args.method == "direct":
         traj = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
@@ -200,9 +193,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _owned("--", InstanceSpec, n=args.n, seed=args.seed, horizon=args.horizon,
-                  t0=args.t0, scale=args.scale, target=args.target)
-    grid = _owned("--horizon: ", GridSpec, spec.t0, spec.t_end)  # default count, checks below
+    spec = named_refusal("--", InstanceSpec, n=args.n, seed=args.seed, horizon=args.horizon,
+                         t0=args.t0, scale=args.scale, target=args.target)
+    # the default count, which the criterion check below uses
+    grid = named_refusal("--horizon: ", GridSpec, spec.t0, spec.t_end)
     cs, y0, gauges = generate(spec)
     obj = instance_to_obj(cs, y0, **gauges)
     report = run_criterion(TARGETS[spec.target], cs, y0, grid=grid, **gauges)
@@ -230,10 +224,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RiccatiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (RiccatiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,8 @@ class PolynomialFunction(CoefficientFunction):
             raise ValueError(f"polynomial degree {len(coeffs) - 1} exceeds cap {MAX_DEGREE}")
         self.coefficients = _freeze(coeffs)
         self.t_ref = float(t_ref)
+        if not math.isfinite(self.t_ref):
+            raise ValueError(f"polynomial t_ref must be finite, got {self.t_ref!r}")
         self.shape = coeffs.shape[1:]
         self._values = _staggered_horner([self.coefficients], self.t_ref)
         self._slopes = _staggered_horner([_poly_diff(self.coefficients)], self.t_ref)
@@ -202,8 +205,7 @@ class SampledFunction(CoefficientFunction):
             raise ValueError(f"sampled time {bad[0]} must be finite, got {float(times[bad[0]])!r}")
         if not np.all(np.diff(times) > 0):
             raise ValueError("sampled grid times must be strictly increasing")
-        if order not in (1, 3):
-            raise ValueError(f"interpolation order must be 1 or 3, got {order}")
+        _require_order(order)
         vals = _as_stack(values, "sampled value {}".format, scalar)
         if vals.shape[0] != times.size:
             raise DimensionError(
@@ -221,8 +223,9 @@ class SampledFunction(CoefficientFunction):
                 raise DimensionError("node_derivatives shape mismatch")
             self.node_derivatives = _freeze(nd)
         # tiny or huge spacings overflow to inf or NaN here, as in scipy, but
-        # without printing numpy warnings to stderr
-        with np.errstate(all="ignore"):
+        # without printing numpy warnings to stderr; every divisor is a positive
+        # spacing or a pivot that _gtsv has checked is non-zero
+        with np.errstate(**_OVERFLOW_QUIET):
             if self.order == 1:
                 cells = _linear_cells(self.times, vals)
             else:
@@ -412,7 +415,7 @@ def _cell_sum(cells: np.ndarray, times: np.ndarray):
         # take copies whole cells, faster than fancy indexing
         acc, z = head.take(i, axis=0), one
         # overflow gives inf or NaN as in scipy, without numpy warnings
-        with np.errstate(all="ignore"):
+        with np.errstate(**_OVERFLOW_QUIET):
             for c in powers:
                 z = z * s
                 term = c.take(i, axis=0)
@@ -548,6 +551,13 @@ def _require_matrix(value, n: int, name: str) -> np.ndarray:
     if m.shape[0] != n:
         raise DimensionError(f"{name} has dimension {m.shape[0]}, expected {n}")
     return m
+
+
+def _require_order(order, name: str = "interpolation order") -> None:
+    """The rule for a sampled function's interpolation order: the integer 1 or
+    3, not a bool or a float. The error starts with ``name``."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in (1, 3):
+        raise ValueError(f"{name} must be the integer 1 or 3")
 
 
 def _require_interval(t0: float, t_end: float, name: str = "t_end - t0") -> None:

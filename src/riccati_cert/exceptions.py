@@ -40,12 +40,24 @@ class EigenSolverError(RiccatiError):
 
 
 class InstanceFormatError(RiccatiError):
-    """An instance file or JSON object violates the input schema.
+    """An input value is refused: a field of an instance file, status
+    sidecar or trajectory CSV, or a command-line flag.
 
-    The message names the offending field.
+    The message names the offending field (a CSV line and column) or flag.
     """
 
 
 class IntegrationError(RiccatiError):
     """An integration run could not proceed (bad options, collapsed steps
     on a linear flow, or no usable data for a post-hoc check)."""
+
+
+def named_refusal(prefix: str, owner, /, *args, **kwargs):
+    """``owner(*args, **kwargs)``, where ``owner`` is the library type or rule
+    that takes an input value. Its refusal, a ``ValueError`` or a
+    ``RiccatiError``, is raised as an ``InstanceFormatError`` whose message is
+    ``prefix`` (naming the field or flag) followed by the owner's message."""
+    try:
+        return owner(*args, **kwargs)
+    except (ValueError, RiccatiError) as exc:
+        raise InstanceFormatError(f"{prefix}{exc}") from exc

@@ -212,23 +212,12 @@ class PsdVerdict:
 
 
 @np.errstate(**_OVERFLOW_QUIET)
-def check_psd(h, tol_psd: float | None = None, tol_herm: float | None = None) -> PsdVerdict:
-    """Test whether a matrix is positive semidefinite.
-
-    Left to their defaults, the tolerances give the verdict of ``_psd_measure``
-    at ``DEFAULT_TOL``, as on a criterion grid. ``tol_psd`` replaces the PSD
-    band below zero accepted for the least eigenvalue of the Hermitian part;
-    ``tol_herm`` replaces the defect rule by a bound on ``hermiticity_defect``.
-    """
-    h = as_matrix(h, "H")[None]
-    eigs = _hermitian_eigvals(h, "check_psd")[0]
-    defect, _, hermitian = (x[0] for x in _defect_measure(h - adjoint(h), h, DEFAULT_TOL))
-    if tol_herm is not None:
-        hermitian = defect <= tol_herm
-    if tol_psd is None:
-        tol_psd = _band(eigs, DEFAULT_TOL)
-    return PsdVerdict(is_psd=bool(hermitian and eigs[0] >= -tol_psd),
-                      min_eigenvalue=float(eigs[0]), hermiticity_defect=float(defect))
+def check_psd(h) -> PsdVerdict:
+    """Test whether a matrix is positive semidefinite: the verdict of
+    ``_psd_measure`` at ``DEFAULT_TOL`` on one matrix, as on a criterion grid."""
+    lo, ok, defect = _psd_measure(as_matrix(h, "H")[None], DEFAULT_TOL)
+    return PsdVerdict(is_psd=bool(ok[0]), min_eigenvalue=float(lo[0]),
+                      hermiticity_defect=float(defect[0]))
 
 
 def trace_product(a, b) -> complex:

@@ -29,7 +29,11 @@ every refusal names its line and column. It rebuilds Y as
 back with the other sign.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
-CSV line and column) named in the message.
+CSV line and column) named in the message. A value whose rule belongs to a
+library type or rule (a coefficient function, the interval, the sampled
+order, the coefficient set, ``grid_points``) goes to that owner through
+``exceptions.named_refusal``, which prefixes the owner's refusal with the
+field's name; so do the status sidecar's checks, as one function.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -46,7 +51,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import GridSpec
-from .exceptions import DomainError, InstanceFormatError, RiccatiError
+from .exceptions import DomainError, InstanceFormatError, RiccatiError, named_refusal
 from .integrate import LinearFlow, Trajectory
 from .matrix_core import _OVERFLOW_QUIET, block_slices
 from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
@@ -170,12 +175,8 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
     if kind == "constant":
         if "value" not in obj:
             raise InstanceFormatError(f"field '{field}.value' is missing")
-        value = _obj_to_value(obj["value"], n, f"{field}.value", scalar)
-        try:
-            return cf.constant(value, scalar=scalar)
-        except ValueError as exc:
-            raise InstanceFormatError(f"field '{field}': {exc}") from exc
-    if kind == "polynomial":
+        build = partial(cf.constant, _obj_to_value(obj["value"], n, f"{field}.value", scalar))
+    elif kind == "polynomial":
         coeffs = obj.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise InstanceFormatError(
@@ -183,11 +184,8 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
         t_ref = _finite_number(obj.get("t_ref", default_t_ref), f"{field}.t_ref")
         vals = [_obj_to_value(c, n, f"{field}.coefficients[{k}]", scalar)
                 for k, c in enumerate(coeffs)]
-        try:
-            return cf.polynomial(vals, t_ref=t_ref, scalar=scalar)
-        except ValueError as exc:
-            raise InstanceFormatError(f"field '{field}': {exc}") from exc
-    if kind == "sampled":
+        build = partial(cf.polynomial, vals, t_ref=t_ref)
+    elif kind == "sampled":
         times = obj.get("times")
         values = obj.get("values")
         if not isinstance(times, list) or not isinstance(values, list):
@@ -197,17 +195,15 @@ def obj_to_function(obj, field: str, n: int, scalar: bool = False,
             raise InstanceFormatError(
                 f"field '{field}': {len(times)} times but {len(values)} values")
         order = obj.get("order", 3)
-        if type(order) is not int or order not in (1, 3):
-            raise InstanceFormatError(f"field '{field}.order' must be the integer 1 or 3")
+        named_refusal("", cf._require_order, order, f"field '{field}.order'")
         times = [_finite_number(t, f"{field}.times[{k}]") for k, t in enumerate(times)]
         vals = [_obj_to_value(v, n, f"{field}.values[{k}]", scalar)
                 for k, v in enumerate(values)]
-        try:
-            return cf.sampled(times, vals, order=order, scalar=scalar)
-        except (ValueError, RiccatiError) as exc:
-            raise InstanceFormatError(f"field '{field}': {exc}") from exc
-    raise InstanceFormatError(
-        f"field '{field}.kind' must be 'constant', 'polynomial' or 'sampled'")
+        build = partial(cf.sampled, times, vals, order=order)
+    else:
+        raise InstanceFormatError(
+            f"field '{field}.kind' must be 'constant', 'polynomial' or 'sampled'")
+    return named_refusal(f"field '{field}': ", build, scalar=scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +232,7 @@ def parse_instance(obj) -> ParsedInstance:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceFormatError("field 'n' must be a positive integer")
     t0, t_end = (_finite_number(obj.get(name), name) for name in ("t0", "t_end"))
-    try:
-        cf._require_interval(t0, t_end, "'t_end' minus 't0'")
-    except ValueError as exc:
-        raise InstanceFormatError(f"field {exc}") from None
+    named_refusal("field ", cf._require_interval, t0, t_end, "'t_end' minus 't0'")
 
     def function(name: str, scalar: bool = False) -> CoefficientFunction:
         """Field ``name`` as a function; sampled data must cover [t0, t_end] by
@@ -263,24 +256,15 @@ def parse_instance(obj) -> ParsedInstance:
         raise InstanceFormatError("field 'Y0' is missing")
     y0 = obj_to_matrix(obj["Y0"], n, "Y0")
 
-    try:
-        cs = CoefficientSet(n=n, t0=t0, t_end=t_end, **fns)
-    except RiccatiError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    cs = named_refusal("", CoefficientSet, n=n, t0=t0, t_end=t_end, **fns)
 
     lam = function("lambda") if "lambda" in obj else None
     mu = function("mu", scalar=True) if "mu" in obj else None
     nu = function("nu", scalar=True) if "nu" in obj else None
     # every matrix above is read as n x n, lambda's values too
     grid_points = obj.get("grid_points")
-    grid = None
-    if grid_points is not None:
-        try:
-            grid = GridSpec.for_set(cs, grid_points)
-        except ValueError as exc:
-            raise InstanceFormatError(f"field 'grid_points': {exc}") from exc
+    grid = None if grid_points is None else named_refusal(
+        "field 'grid_points': ", GridSpec.for_set, cs, grid_points)
 
     return ParsedInstance(cs=cs, y0=y0, lam=lam, mu=mu, nu=nu, grid=grid)
 
@@ -561,28 +545,30 @@ def read_status_sidecar(csv_path: str) -> dict | None:
         raise InstanceFormatError(f"cannot read status sidecar: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"status sidecar {sidecar} is not valid JSON: {exc}") from exc
-    try:
-        if not isinstance(obj, dict):
-            raise InstanceFormatError("it must be a JSON object")
-        for key in ("status", "t_escape", "singular_times"):
-            if key not in obj:
-                raise InstanceFormatError(f"field '{key}' is missing")
-        status, t_escape, singular = obj["status"], obj["t_escape"], obj["singular_times"]
-        if not isinstance(status, str) or status not in STATUSES:
-            raise InstanceFormatError(f"field 'status' must be one of {', '.join(STATUSES)}")
-        if t_escape is not None:
-            t_escape = _finite_number(t_escape, "t_escape")
-        if not isinstance(singular, list):
-            raise InstanceFormatError("field 'singular_times' must be a list of finite numbers")
-        singular = [_finite_number(t, f"singular_times[{i}]") for i, t in enumerate(singular)]
-        out = {"status": status, "t_escape": t_escape, "singular_times": singular}
-        if "samples" in obj:
-            out["samples"] = obj["samples"]
-            if type(out["samples"]) is not int or out["samples"] < 0:  # bool is refused
-                raise InstanceFormatError("field 'samples' must be a non-negative integer")
-        if "t_last" in obj:
-            t_last = obj["t_last"]
-            out["t_last"] = None if t_last is None else _finite_number(t_last, "t_last")
-    except InstanceFormatError as exc:
-        raise InstanceFormatError(f"status sidecar {sidecar}: {exc}") from None
+    return named_refusal(f"status sidecar {sidecar}: ", _sidecar_fields, obj)
+
+
+def _sidecar_fields(obj) -> dict:
+    """The fields ``read_status_sidecar`` returns, from a parsed sidecar, checked."""
+    if not isinstance(obj, dict):
+        raise InstanceFormatError("it must be a JSON object")
+    for key in ("status", "t_escape", "singular_times"):
+        if key not in obj:
+            raise InstanceFormatError(f"field '{key}' is missing")
+    status, t_escape, singular = obj["status"], obj["t_escape"], obj["singular_times"]
+    if not isinstance(status, str) or status not in STATUSES:
+        raise InstanceFormatError(f"field 'status' must be one of {', '.join(STATUSES)}")
+    if t_escape is not None:
+        t_escape = _finite_number(t_escape, "t_escape")
+    if not isinstance(singular, list):
+        raise InstanceFormatError("field 'singular_times' must be a list of finite numbers")
+    singular = [_finite_number(t, f"singular_times[{i}]") for i, t in enumerate(singular)]
+    out = {"status": status, "t_escape": t_escape, "singular_times": singular}
+    if "samples" in obj:
+        out["samples"] = obj["samples"]
+        if type(out["samples"]) is not int or out["samples"] < 0:  # bool is refused
+            raise InstanceFormatError("field 'samples' must be a non-negative integer")
+    if "t_last" in obj:
+        t_last = obj["t_last"]
+        out["t_last"] = None if t_last is None else _finite_number(t_last, "t_last")
     return out

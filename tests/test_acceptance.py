@@ -144,7 +144,8 @@ def test_05_trace_lemma_suite():
         v = _rand(rng, n)
         m = v @ h @ v.conj().T
         norm2 = np.linalg.norm(mc.hermitian_part(m), 2)
-        assert mc.check_psd(m, tol_psd=1e-9 * max(norm2, 1.0)).is_psd
+        v = mc.check_psd(m)
+        assert v.is_psd and v.min_eigenvalue >= -1e-9 * max(norm2, 1.0)
 
     budget.done()
 

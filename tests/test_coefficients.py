@@ -61,6 +61,12 @@ class TestEval:
         with pytest.raises(ValueError):
             cf.polynomial([np.eye(1)] * 10)
 
+    @pytest.mark.parametrize("t_ref", [np.inf, -np.inf, np.nan])
+    def test_polynomial_refuses_a_non_finite_t_ref(self, t_ref):
+        # evaluated, (t - inf) times a zero coefficient is NaN: refused at construction
+        with pytest.raises(ValueError, match=r"^polynomial t_ref must be finite, got "):
+            cf.polynomial([[[1.0]], [[1.0]]], t_ref=t_ref)
+
 
 def _derivative_cases():
     """One function of each kind; the sampled ones hold sin(3t) M on an
@@ -216,6 +222,14 @@ class TestOneRulePerInput:
                       lambda: GridSpec(t0, t_end)):
             with pytest.raises(ValueError, match=r"^t_end - t0 must be a finite positive number"):
                 build()
+
+    @pytest.mark.parametrize("order", [True, 1.0, 3.0, 2])
+    def test_order_rule(self, order):
+        # the instance parser applies it as field '<f>.order': see test_refusal_path.py
+        with pytest.raises(ValueError, match=r"^interpolation order must be the integer 1 or 3$"):
+            cf.sampled([0.0, 1.0], [np.eye(1)] * 2, order=order)
+        with pytest.raises(ValueError, match=r"^field 'P.order' must be the integer 1 or 3$"):
+            cf._require_order(order, "field 'P.order'")
 
     @pytest.mark.parametrize("n", [0, 65])
     def test_dimension_rule(self, n):

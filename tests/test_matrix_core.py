@@ -217,8 +217,8 @@ class TestTraceLemmas:
             v = _rand(rng, n)
             m = v @ h @ v.conj().T
             norm2 = np.linalg.norm(mc.hermitian_part(m), 2)
-            verdict = mc.check_psd(m, tol_psd=1e-9 * max(norm2, 1.0))
-            assert verdict.is_psd
+            v = mc.check_psd(m)
+            assert v.is_psd and v.min_eigenvalue >= -1e-9 * max(norm2, 1.0)
 
 
 class TestSharedMeasures:
@@ -235,13 +235,6 @@ class TestSharedMeasures:
             v = mc.check_psd(h)
             assert v.is_psd == bool(ok[0])
             assert v.min_eigenvalue == lo[0] and v.hermiticity_defect == defect[0]
-
-    def test_explicit_tolerances_replace_their_rule(self):
-        m = np.array([[1.0, 1e-3], [0.0, -1e-6]])
-        assert not mc.check_psd(m).is_psd
-        assert not mc.check_psd(m, tol_herm=1e-2).is_psd
-        assert not mc.check_psd(m, tol_psd=1e-3).is_psd
-        assert mc.check_psd(m, tol_psd=1e-3, tol_herm=1e-2).is_psd
 
     def test_positive_definiteness_uses_the_strict_band(self):
         for eps, pd in ((3e-9, True), (1e-9, False), (0.0, False)):
