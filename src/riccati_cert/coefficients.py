@@ -303,6 +303,10 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
     operation is the real arithmetic gfortran compiles ``zgtsv``'s to
     (``_mul`` and ``_div`` on entries, ``_times`` and ``_over`` on rows), so
     signed zeros and non-finite values come out as LAPACK's do.
+
+    The matrix is real, so every pivot's imaginary part is a signed zero, or
+    NaN after an overflow: ``_div`` and ``_over`` need only the branch of
+    Smith's algorithm for |re| >= |im|, the one such a divisor takes.
     """
     n, zero = len(diag), np.float64(0.0)
     dl, d, du = ([(v, zero) for v in row] for row in (lower, diag, upper))
@@ -348,11 +352,7 @@ def _times(a, row: np.ndarray) -> np.ndarray:
 
 def _over(row: np.ndarray, b) -> np.ndarray:
     """``_div(row, b)`` for a (2, k) array ``row``: Smith's algorithm as the
-    product by (ratio, -1) or (1, -ratio), exact in its factors of one, over
-    the real divisor."""
-    if abs(b[0]) < abs(b[1]):
-        ratio = b[0] / b[1]
-        return _times((ratio, -1.0), row) / (b[0] * ratio + b[1])
+    product by (1, -ratio), exact in its factor of one, over the real divisor."""
     ratio = b[1] / b[0]
     return _times((1.0, -ratio), row) / (b[1] * ratio + b[0])
 
@@ -376,11 +376,8 @@ def _mul(a, b):
 
 def _div(a, b):
     """Complex quotient of two (real, imaginary) pairs by Smith's algorithm,
-    in the form gfortran expands a complex division to."""
-    if abs(b[0]) < abs(b[1]):
-        ratio = b[0] / b[1]
-        div = b[0] * ratio + b[1]
-        return (a[0] * ratio + a[1]) / div, (a[1] * ratio - a[0]) / div
+    in the form gfortran expands a complex division to, for a divisor whose
+    imaginary part is a signed zero or NaN (``_gtsv``'s pivots)."""
     ratio = b[1] / b[0]
     div = b[1] * ratio + b[0]
     return (a[1] * ratio + a[0]) / div, (a[1] - a[0] * ratio) / div

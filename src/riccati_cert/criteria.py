@@ -41,11 +41,10 @@ from .matrix_core import (
     DEFAULT_TOL,
     _OVERFLOW_QUIET,
     _defect_measure,
-    _eigh,
+    _hermitian_sqrt,
     _psd_measure,
     _require_int,
     _scan,
-    _sqrt_of_eigh,
     adjoint,
     principal_sqrt,
     sqrt_derivative,
@@ -426,13 +425,14 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
 
     Passes when P(t) > 0, the frame term T is skew-Hermitian, and the
     condition matrix is PSD at every grid point. When an initial value is
-    supplied, sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 is checked as well.
+    supplied, sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 is checked as well, where
+    the grid found P > 0 at its first point (t0 on ``GridSpec.for_set``'s grid).
     """
     grid = grid or GridSpec.for_set(cs)
     nu = nu or cf.zero_scalar_function()
 
     def frame(p, q, r, s, nu_t):
-        return _sqrt_frame(_sqrt_of_eigh(*_eigh((p + adjoint(p)) / 2, "cor3.2")), q, r, s, nu_t)
+        return _sqrt_frame(_hermitian_sqrt(p, "cor3.2"), q, r, s, nu_t)
 
     conditions, nu_vals = _frame_conditions(cs, nu, grid, tol, frame, "sqrt_frame_skew",
                                             "sqrt_frame_psd")
@@ -440,7 +440,7 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
         y0 = cf._require_matrix(y0, cs.n, "Y0")
         g0 = y0 + adjoint(y0)
         if conditions[0].passed:
-            sp0 = principal_sqrt(cs.P.eval(cs.t0), tol)
+            sp0 = _hermitian_sqrt(cs.P.eval(cs.t0), "cor3.2")
             g0 = sp0 @ g0 @ sp0
         conditions.append(_initial_record("initial_psd", g0, cs.t0, tol))
 

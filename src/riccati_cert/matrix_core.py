@@ -9,9 +9,11 @@ that nothing non-finite passes (NaN eigenvalues; a residual norm that is not
 finite fails, so the defect rule is conservative above about 1.3e154, where
 norms overflow) and the block size of stacked scans. Every criterion,
 monitor and predicate applies them through ``_psd_measure``,
-``_defect_measure`` and ``_scan``, under ``_OVERFLOW_QUIET``. Also: trace
-identities and the principal matrix square root with its time derivative.
-All functions are pure; inputs are never mutated.
+``_defect_measure`` and ``_scan``, under ``_OVERFLOW_QUIET``. The P > 0 verdict
+is made once, by ``_psd_measure`` (strict), for the frame masks, ``build_skew_gauge``,
+``principal_sqrt`` and ``sqrt_derivative``. Also: trace identities and the principal
+square root (``_hermitian_sqrt``) with its time derivative. All functions are
+pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -161,11 +163,6 @@ def _fro(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
-def _band(eigs: np.ndarray, tol: float) -> np.ndarray:
-    """The PSD band tol + tol ||H||_2, ||H||_2 read off ascending eigenvalues."""
-    return tol + tol * np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
-
-
 def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
     """Per-point (||resid||_F, its ratio to 1 + ||ref||_F, verdict ratio <= tol).
 
@@ -184,7 +181,8 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
     for the least eigenvalue at or above -band; ``strict`` asks for it above
     +band instead (positive definiteness)."""
     eigs = _hermitian_eigvals(h, "criteria")
-    lo, band = eigs[:, 0], _band(eigs, tol)
+    # the band tol + tol ||H||_2, with ||H||_2 read off the ascending eigenvalues
+    lo, band = eigs[:, 0], tol + tol * np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
     defect, _, hermitian = _defect_measure(h - adjoint(h), h, tol)
     return lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect
 
@@ -228,17 +226,16 @@ def trace_product(a, b) -> complex:
     return complex(np.einsum("jk,kj->", a, b))
 
 
-def _require_hpd(p: np.ndarray, tol: float, context: str):
-    """Validate Hermitian positive definiteness; return (eigvals, eigvecs)."""
+def _require_hpd(p: np.ndarray, tol: float, context: str) -> None:
+    """Refuse a matrix that is not Hermitian, or not positive definite by the
+    grid's own verdict (``_psd_measure``, strict)."""
     defect, _, hermitian = _defect_measure(p - adjoint(p), p, tol)
     if not hermitian:
         raise NotHermitianError(f"{context}: matrix is not Hermitian (defect {defect:.3e})")
-    w, v = _eigh(hermitian_part(p), context)
-    min_eig = float(w[0])
-    if not min_eig > _band(w, tol):
+    lo, pd, _ = _psd_measure(p[None], tol, strict=True)
+    if not pd[0]:
         raise NotPositiveDefiniteError(f"{context}: matrix is not positive definite "
-                                       f"(min eigenvalue {min_eig:.6e})", min_eigenvalue=min_eig)
-    return w, v
+                                       f"(min eigenvalue {lo[0]:.6e})", min_eigenvalue=float(lo[0]))
 
 
 def principal_sqrt(p, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -249,11 +246,14 @@ def principal_sqrt(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``||S @ S - P||_F <= tol * ||P||_F`` at the supported scales.
     """
     p = as_matrix(p, "P")
-    return _sqrt_of_eigh(*_require_hpd(p, tol, "principal_sqrt"))
+    _require_hpd(p, tol, "principal_sqrt")
+    return _hermitian_sqrt(p, "principal_sqrt")
 
 
-def _sqrt_of_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V diag(sqrt(w)) V*, symmetrized; (w, v) may be a stack of eigendecompositions."""
+def _hermitian_sqrt(p: np.ndarray, context: str) -> np.ndarray:
+    """V diag(sqrt(w)) V*, symmetrized, from the eigendecomposition (w, V) of the
+    Hermitian part of a matrix or a stack, where ``_psd_measure`` found P > 0."""
+    w, v = _eigh((p + adjoint(p)) / 2, context)
     s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
     return (s + adjoint(s)) / 2
 
@@ -271,7 +271,8 @@ def sqrt_derivative(p, pdot, tol: float = DEFAULT_TOL) -> np.ndarray:
     _require_same_dim(p, pdot, "sqrt_derivative")
     if not _defect_measure(pdot - adjoint(pdot), pdot, tol)[2]:
         raise NotHermitianError("sqrt_derivative: Pdot is not Hermitian")
-    w, v = _require_hpd(p, tol, "sqrt_derivative")
+    _require_hpd(p, tol, "sqrt_derivative")
+    w, v = _eigh((p + adjoint(p)) / 2, "sqrt_derivative")
     s = np.sqrt(w)
     pdot_tilde = v.conj().T @ pdot @ v
     x_tilde = pdot_tilde / (s[:, None] + s[None, :])

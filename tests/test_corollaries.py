@@ -1,0 +1,152 @@
+"""The corollaries follow from theorem3.1 on the set where P(t) > 0.
+
+* cor3.1 forces the gauge L0 = P^{-1}(Q* - R + mu I)/2. Wherever it holds,
+  theorem3.1 with ``build_skew_gauge``'s L0 as its gauge holds on the same
+  grid. Hypothesis draws the family P = A + tB > 0, a skew K(t) and a real
+  mu(t) of degree <= 1, R = Q* + mu I - 2 P K (so L0 = K), and S with
+  S_K + S_K* a PSD matrix plus a Hermitian perturbation, so both verdicts
+  occur.
+* cor3.2's condition matrix is -(D + D*), with D ``sqrt_frame_source_term``,
+  wherever the frame term T is skew. Here P varies in time, so sqrt(P)' and
+  the terms of D that must cancel are not zero.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riccati_cert import coefficients as cf
+from riccati_cert import matrix_core as mc
+from riccati_cert.coefficients import CoefficientFunction, CoefficientSet, _poly_add, _poly_mul
+from riccati_cert.criteria import (
+    GridSpec,
+    build_skew_gauge,
+    check_gauge_criterion,
+    check_skew_gauge_criterion,
+    sqrt_frame_condition_matrix,
+    sqrt_frame_skew_term,
+    sqrt_frame_source_term,
+)
+from riccati_cert.matrix_core import adjoint
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _rand(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _gram(rng, n, shift=0.0):
+    g = _rand(rng, n)
+    return g @ g.conj().T / n + shift * np.eye(n)
+
+
+def _skew(rng, n):
+    g = _rand(rng, n)
+    return (g - g.conj().T) / 2
+
+
+@st.composite
+def skew_gauge_instances(draw):
+    """(cs, mu, Y0) of the family above on [0, t_end]; the gauge L0 is K."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_end = draw(st.floats(0.5, 2.0))
+    scale = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    eye = np.eye(n)
+    # P(0) and P(t_end) are positive definite, so P(t) is on [0, t_end]
+    a0, a1 = _gram(rng, n, 0.1), _gram(rng, n, 0.1)
+    p = np.stack([a0, (a1 - a0) / t_end])
+    k = np.stack([_skew(rng, n), _skew(rng, n)])
+    mu = rng.standard_normal(2)
+    q = np.stack([_rand(rng, n), _rand(rng, n)])
+    r = _poly_add(adjoint(q) + mu[:, None, None] * eye, -2.0 * _poly_mul(p, k))
+    # S_K + S_K* = W + E: W PSD on [0, t_end], E a Hermitian perturbation
+    w = np.stack([_gram(rng, n), _gram(rng, n) / t_end])
+    e = np.stack([mc.hermitian_part(_rand(rng, n)), mc.hermitian_part(_rand(rng, n))])
+    s_k = (w + scale * e) / 2
+    s = _poly_add(_poly_add(s_k, k[1:]),
+                  _poly_add(_poly_mul(_poly_mul(k, p), k),
+                            _poly_add(_poly_mul(q, k), _poly_mul(k, r))))
+    cs = CoefficientSet(n=n, t0=0.0, t_end=t_end, P=cf.polynomial(p), Q=cf.polynomial(q),
+                        R=cf.polynomial(r), S=cf.polynomial(s))
+    y0 = _gram(rng, n, draw(st.floats(-1.0, 0.5)))
+    return cs, cf.polynomial(mu, scalar=True), y0
+
+
+class TestSkewGaugeCorollary:
+    @PROPERTY
+    @given(skew_gauge_instances())
+    def test_cor31_implies_theorem31_with_its_gauge(self, instance):
+        cs, mu, y0 = instance
+        grid = GridSpec.for_set(cs)
+        if not check_skew_gauge_criterion(cs, mu, y0, grid).holds:
+            return
+        lam, skew = build_skew_gauge(cs, mu, grid)
+        assert skew.passed
+        report = check_gauge_criterion(cs, lam, y0, grid)
+        assert report.holds, report.failed_conditions()
+
+    def test_draws_reach_both_verdicts(self):
+        # the property above is vacuous unless cor3.1 holds on some draws
+        seen = set()
+
+        @settings(derandomize=True, deadline=None, max_examples=20)
+        @given(skew_gauge_instances())
+        def collect(instance):
+            seen.add(check_skew_gauge_criterion(*instance).holds)
+
+        collect()
+        assert seen == {True, False}
+
+
+class FrameR(CoefficientFunction):
+    """R(t) = Q*(t) - sqrt(P)(2K - nu I)sqrt(P)^{-1} with its exact derivative,
+    so that cor3.2's frame term T = K is skew at every t."""
+
+    kind = "frame"
+
+    def __init__(self, p, q, k, nu):
+        self.p, self.q, self.k, self.nu = p, q, k, nu
+        self.shape = p.shape
+
+    def _parts(self, t):
+        sp = mc.principal_sqrt(self.p.eval(t))
+        g = 2 * self.k.eval(t) - self.nu.eval(t) * np.eye(self.shape[0])
+        return sp, np.linalg.inv(sp), g
+
+    def eval(self, t):
+        sp, sp_inv, g = self._parts(t)
+        return adjoint(self.q.eval(t)) - sp @ g @ sp_inv
+
+    def derivative(self, t):
+        sp, sp_inv, g = self._parts(t)
+        spdot = mc.sqrt_derivative(self.p.eval(t), self.p.derivative(t))
+        gdot = 2 * self.k.derivative(t) - self.nu.derivative(t) * np.eye(self.shape[0])
+        return adjoint(self.q.derivative(t)) - (spdot @ g @ sp_inv + sp @ gdot @ sp_inv
+                                                - sp @ g @ sp_inv @ spdot @ sp_inv)
+
+
+class TestSqrtFrameCorollary:
+    def test_condition_matrix_is_minus_the_source_term_on_time_varying_p(self):
+        rng = np.random.default_rng(2208)
+        times = np.linspace(0.0, 1.0, 7)
+        for n in (2, 3, 3, 4):
+            a0, a1 = _gram(rng, n, 0.2), _gram(rng, n)
+            p = cf.polynomial([a0, a1])
+            q = cf.polynomial([_rand(rng, n), _rand(rng, n)])
+            k = cf.polynomial([_skew(rng, n), _skew(rng, n)])
+            nu = cf.polynomial([complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))],
+                               scalar=True)
+            cs = CoefficientSet(n=n, t0=0.0, t_end=1.0, P=p, Q=q, R=FrameR(p, q, k, nu),
+                                S=cf.polynomial([_rand(rng, n), _rand(rng, n)]))
+            for t in times:
+                # sqrt(P)' is far from zero: the terms that must cancel are present
+                assert np.linalg.norm(mc.sqrt_derivative(p.eval(t), p.derivative(t))) > 1e-2
+                t_term = sqrt_frame_skew_term(cs, nu, t)
+                skew = np.linalg.norm(t_term + adjoint(t_term))
+                assert skew <= 1e-12 * (1 + np.linalg.norm(t_term))
+                c = sqrt_frame_condition_matrix(cs, nu, t)
+                d = sqrt_frame_source_term(cs, nu, t)
+                assert np.linalg.norm(c + d + adjoint(d)) <= 1e-10 * (1 + np.linalg.norm(c))

@@ -1,15 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from riccati_cert import coefficients as cf
 from riccati_cert import matrix_core as mc
+from riccati_cert.cli import main
 from riccati_cert.exceptions import (
     DimensionError,
     NotHermitianError,
     NotPositiveDefiniteError,
 )
+from riccati_cert.serialize import dumps_instance, instance_to_obj
 
 
 def _rand(rng, n):
@@ -245,6 +249,52 @@ class TestSharedMeasures:
             else:
                 with pytest.raises(NotPositiveDefiniteError):
                     mc.principal_sqrt(p)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_sqrt_refusal_is_the_grid_verdict_at_the_band_edge(self, n):
+        # eigvalsh and eigh differ in the last bits for n >= 4; one verdict serves both
+        refused = set()
+        for p in _band_edge_draws(n, 300):
+            lo, pd, _ = mc._psd_measure(p[None], mc.DEFAULT_TOL, strict=True)
+            for name, call in (("principal_sqrt", lambda: mc.principal_sqrt(p)),
+                               ("sqrt_derivative", lambda: mc.sqrt_derivative(p, np.eye(n)))):
+                if pd[0]:
+                    call()
+                else:
+                    with pytest.raises(NotPositiveDefiniteError) as err:
+                        call()
+                    assert err.value.min_eigenvalue == lo[0]
+                    refused.add(name)
+        assert refused == {"principal_sqrt", "sqrt_derivative"}
+
+    def test_cor32_runs_where_its_grid_calls_p_positive_definite(self, tmp_path, capsys):
+        # draw 182 at n = 4: eigvalsh's least eigenvalue 4.00000009e-09 clears
+        # the band 4e-09, eigh's 3.99999996e-09 does not
+        p = list(_band_edge_draws(4, 183))[-1]
+        lo, pd, _ = mc._psd_measure(p[None], mc.DEFAULT_TOL, strict=True)
+        assert pd[0]
+        cs = cf.CoefficientSet(n=4, t0=0.0, t_end=1.0, P=cf.constant(p),
+                               Q=cf.constant(np.zeros((4, 4))), R=cf.constant(np.zeros((4, 4))),
+                               S=cf.constant(np.eye(4)))
+        path = tmp_path / "edge.json"
+        path.write_text(dumps_instance(instance_to_obj(cs, np.eye(4))))
+        for criterion in ("cor3.2", "cor3.1", "theorem3.1"):
+            assert main(["check", str(path), "--criterion", criterion]) == 0
+            out, err = capsys.readouterr()
+            report = json.loads(out, parse_constant=lambda c: pytest.fail(f"JSON constant {c}"))
+            assert err == "" and report["holds"]
+            assert report["conditions"][0]["worst_value"] == lo[0]
+
+
+def _band_edge_draws(n, count):
+    """Seeded Hermitian P = U diag(b (1 + e), 1, ..., n - 1) U*, U unitary, with
+    b = DEFAULT_TOL n the strict band of P and e uniform in (-1e-6, 1e-6): the
+    least eigenvalue lies within rounding of the band edge."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        q = np.linalg.qr(_rand(rng, n))[0]
+        w = np.array([mc.DEFAULT_TOL * n * (1 + rng.uniform(-1e-6, 1e-6)), *range(1, n)])
+        yield (q * w) @ q.conj().T
 
 
 class TestNonFiniteRule:

@@ -4,13 +4,17 @@ as one stderr line naming the field or flag, with exit code 2.
 One case per site where an owner's error is named: the three coefficient
 constructors, the interval, the coefficient set (a non-Hermitian P),
 ``grid_points``, the integrator and grid flags, ``gen``'s flags and a
-status sidecar field. The lines are pinned byte for byte."""
+status sidecar field; and the refusals the parser and the CSV reader make
+themselves: a document that is not an object, a missing ``Y0`` or constant
+``value``, a trajectory CSV with no sample row. The lines are pinned byte
+for byte."""
 
 import json
 
 import pytest
 
 from riccati_cert.cli import main
+from riccati_cert.serialize import trajectory_csv_header
 
 
 def _m(*rows):
@@ -43,6 +47,7 @@ INSTANCE_CASES = {
                         "error: P(0.0) is not Hermitian"),
     "grid_points": ({"grid_points": 1},
                     "error: field 'grid_points': grid needs 2..1000000 points, got 1"),
+    "constant-value": ({"Q": {"kind": "constant"}}, "error: field 'Q.value' is missing"),
 }
 
 
@@ -63,6 +68,15 @@ def write(tmp_path, name, obj):
 def test_instance_field_refusal(capsys, tmp_path, case):
     fields, line = INSTANCE_CASES[case]
     path = write(tmp_path, "inst.json", {**BASE, **fields})
+    assert refusal(capsys, "check", path) == line + "\n"
+
+
+@pytest.mark.parametrize("document, line", [
+    ([], "error: instance document must be a JSON object"),
+    ({k: v for k, v in BASE.items() if k != "Y0"}, "error: field 'Y0' is missing"),
+])
+def test_instance_document_refusal(capsys, tmp_path, document, line):
+    path = write(tmp_path, "inst.json", document)
     assert refusal(capsys, "check", path) == line + "\n"
 
 
@@ -108,3 +122,11 @@ def test_sidecar_field_refusal(capsys, tmp_path):
     assert refusal(capsys, "verify", path, str(csv_path)) == (
         f"error: status sidecar {sidecar}: field 'status' must be one of "
         "completed, blow_up, phi_singular\n")
+
+
+def test_empty_trajectory_refusal(capsys, tmp_path):
+    path = write(tmp_path, "inst.json", BASE)
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text(",".join(trajectory_csv_header(1)) + "\r\n")
+    assert refusal(capsys, "verify", path, str(csv_path)) == (
+        "error: trajectory CSV contains no samples\n")

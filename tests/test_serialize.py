@@ -100,6 +100,27 @@ class TestInstanceDocuments:
             assert_allclose(parsed.cs.S.eval(t), cs.S.eval(t), atol=1e-15)
             assert_allclose(parsed.lam.eval(t), lam.eval(t), atol=1e-15)
 
+    def test_nu_round_trip_is_cor32_gauge(self, tmp_path, capsys):
+        from riccati_cert.cli import main
+        from riccati_cert.serialize import load_instance
+
+        eye = np.eye(2)
+        q = np.array([[0.5, 1.0 - 2.0j], [0.25j, -1.0]])
+        nu = cf.polynomial([0.5, -0.25], scalar=True)
+        # R = Q* + nu I makes cor3.2's frame term T zero
+        cs = cf.CoefficientSet(n=2, t0=0.0, t_end=2.0, P=cf.polynomial([2 * eye, eye]),
+                               Q=cf.constant(q), R=cf.polynomial([q.conj().T + 0.5 * eye,
+                                                                  -0.25 * eye]),
+                               S=cf.constant(eye))
+        path = tmp_path / "nu.json"
+        path.write_text(dumps_instance(instance_to_obj(cs, eye, nu=nu)))
+        ts = GridSpec.for_set(cs).points
+        assert np.array_equal(load_instance(str(path)).nu.eval(ts), nu.eval(ts))
+        assert main(["check", str(path), "--criterion", "cor3.2"]) == 0
+        extracted = json.loads(capsys.readouterr().out)["extracted_nu"]
+        assert extracted["times"] == ts.tolist()
+        assert [complex(*v) for v in extracted["values"]] == nu.eval(ts).tolist()
+
     def test_missing_lambda_is_none(self):
         from riccati_cert.instances import gen_blowup
 
