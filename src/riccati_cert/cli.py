@@ -12,10 +12,10 @@ Subcommands::
     riccati-cert gen --target TARGET --n N --seed K --out FILE
 
 TARGET is a key of ``instances.TARGETS``. A flag's rule and default belong
-to the library type that takes its value (``InstanceSpec``,
-``IntegratorOptions``, ``GridSpec``); a command builds it through
-``exceptions.named_refusal``, which names the flag in its error. Only
-``--tol``'s range is checked here.
+to the library type or rule that takes its value (``InstanceSpec``,
+``IntegratorOptions``, ``GridSpec``, ``matrix_core.require_tol`` for
+``--tol``); a command builds or checks it through
+``exceptions.named_refusal``, which names the flag in its error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from .criteria import CRITERION_NAMES, DEFAULT_GRID_POINTS, GridSpec, run_criterion
 from .exceptions import InstanceFormatError, RiccatiError, named_refusal
 from .instances import TARGETS, InstanceSpec, generate
-from .matrix_core import DEFAULT_TOL, MAX_DIM
+from .matrix_core import DEFAULT_TOL, MAX_DIM, require_tol
 from .integrate import (
     DEFAULT_SAMPLES,
     IntegratorOptions,
@@ -99,14 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_tol(tol: float) -> None:
-    """--tol, of check and verify, has no library owner: finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise RiccatiError(f"--tol must be a finite number >= 0, got {tol!r}")
-
-
 def _cmd_check(args) -> int:
-    _require_tol(args.tol)
+    named_refusal("--", require_tol, args.tol)
     inst = load_instance(args.instance)
     if args.grid is not None:
         grid = named_refusal("--grid: ", GridSpec.for_set, inst.cs, args.grid)
@@ -149,7 +143,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_tol(args.tol)
+    named_refusal("--", require_tol, args.tol)
     inst = load_instance(args.instance)
     times, values = read_trajectory_csv(args.trajectory, inst.cs.n)
     t0, t_end = inst.cs.t0, inst.cs.t_end

@@ -5,7 +5,10 @@ The quadratic matrix equation
     Y' + Y P(t) Y + Q(t) Y + Y R(t) - S(t) = 0
 
 is specified through four matrix-valued functions of time plus an
-optional matrix gauge L(t) and scalar gauges mu(t), nu(t). Three
+optional matrix gauge L(t) and scalar gauges mu(t), nu(t). One gauge rule,
+``_require_gauge`` over the table ``GAUGES``, gives every gauge its zero
+default and refuses, by name, a lambda that is not an n x n matrix function
+or a mu or nu that is not scalar-valued. Three
 representations are supported, each with the exact derivative of the
 function it evaluates:
 
@@ -60,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, NotHermitianError
-from .matrix_core import (_OVERFLOW_QUIET, _as_stack, _defect_measure, _require_dim, adjoint,
-                          as_matrix)
+from .matrix_core import (HERMITIAN_PROBE_TOL, _OVERFLOW_QUIET, _as_stack, _defect_measure,
+                          _require_dim, adjoint, as_matrix)
 
 #: Highest degree of an input polynomial; products built with the algebra
 #: below may exceed it.
@@ -542,6 +545,25 @@ def _require_matrix_function(f: CoefficientFunction, n: int, name: str) -> None:
         raise DimensionError(f"{name} has dimension {f.dim}, expected {n}")
 
 
+#: The optional gauges by wire name, each with whether it is scalar-valued:
+#: the matrix gauge L ("lambda") and the scalar shifts mu and nu.
+GAUGES = {"lambda": False, "mu": True, "nu": True}
+
+
+def _require_gauge(f: CoefficientFunction | None, n: int, name: str) -> CoefficientFunction:
+    """The gauge rule: the gauge ``name`` of ``GAUGES`` for n x n data is ``f``,
+    or zero for None. lambda must be an n x n matrix function; mu and nu must
+    be scalar functions. The error, a ``DimensionError``, names the gauge."""
+    scalar = GAUGES[name]
+    if f is None:
+        return zero_scalar_function() if scalar else zero_matrix_function(n)
+    if not scalar:
+        _require_matrix_function(f, n, name)
+    elif not f.is_scalar:
+        raise DimensionError(f"{name} must be scalar-valued")
+    return f
+
+
 def _require_matrix(value, n: int, name: str) -> np.ndarray:
     """``value`` (an initial value such as Y0) as an n x n matrix by ``as_matrix``'s rule."""
     m = as_matrix(value, name)
@@ -590,7 +612,7 @@ class CoefficientSet:
         ts = np.array([self.t0, 0.5 * (self.t0 + self.t_end), self.t_end])
         with np.errstate(**_OVERFLOW_QUIET):
             p = self.P.eval(ts)
-            hermitian = _defect_measure(p - adjoint(p), p, 1e-8)[2]
+            hermitian = _defect_measure(p - adjoint(p), p, HERMITIAN_PROBE_TOL)[2]
         if not hermitian.all():
             raise NotHermitianError(f"P({ts[np.argmin(hermitian)]}) is not Hermitian")
 
@@ -608,19 +630,19 @@ def _shifted_source(p, q, r, s, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.nd
     return s - lam_dot - lam_t @ p @ lam_t - q @ lam_t - lam_t @ r
 
 
-def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
+def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
     """S(t) - L'(t) - L(t)P(t)L(t) - Q(t)L(t) - L(t)R(t) for the gauge L."""
-    _require_matrix_function(lam, cs.n, "lambda")
+    lam = _require_gauge(lam, cs.n, "lambda")
     return _shifted_source(*(f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S, lam)), lam.derivative(t))
 
 
-def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
+def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
     """Q(t) + L(t)P(t)."""
-    _require_matrix_function(lam, cs.n, "lambda")
+    lam = _require_gauge(lam, cs.n, "lambda")
     return cs.Q.eval(t) + lam.eval(t) @ cs.P.eval(t)
 
 
-def eval_R_lambda(cs: CoefficientSet, lam: CoefficientFunction, t) -> np.ndarray:
+def eval_R_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
     """R(t) + P(t)L(t)."""
-    _require_matrix_function(lam, cs.n, "lambda")
+    lam = _require_gauge(lam, cs.n, "lambda")
     return cs.R.eval(t) + cs.P.eval(t) @ lam.eval(t)

@@ -209,8 +209,7 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
                       grid: GridSpec | None, tol: float) -> tuple[list, cf.SampledFunction | None]:
     """The three grid conditions of theorem3.1 in one pass that evaluates P, Q,
     R, S, L and L' once per block, and mu_hat (``check_scalar_shift_condition``)."""
-    lam = lam or cf.zero_matrix_function(cs.n)
-    cf._require_matrix_function(lam, cs.n, "lambda")
+    lam = cf._require_gauge(lam, cs.n, "lambda")
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, lam), (lam,))
 
     def block(ts):
@@ -272,7 +271,7 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     Y(t) + Y*(t) >= L(t) + L*(t); ``verify.verify_hermitian_bound``
     tests that bound along computed trajectories.
     """
-    lam = lam or cf.zero_matrix_function(cs.n)
+    lam = cf._require_gauge(lam, cs.n, "lambda")
     y0 = cf._require_matrix(y0, cs.n, "Y0")
     conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
     lam0 = lam.eval(cs.t0)
@@ -290,22 +289,22 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
 def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: GridSpec | None,
                       tol: float, frame, skew_name: str, psd_name: str, derive=()):
     """coefficient_pd plus the two conditions on a frame that needs P > 0, and
-    the scalar ``shift`` on the grid. Each block evaluates P and the shift once,
-    and where P is positive definite Q, R, S and the derivatives of ``derive``
-    once; ``frame(p, q, r, s, shift, *derivatives)`` returns from those values
+    the scalar ``shift`` on the grid. Each block evaluates P, the shift, Q, R,
+    S and the derivatives of ``derive`` once; ``frame(p, q, r, s, shift,
+    *derivatives)`` returns from their values where P is positive definite
     the matrices that must be skew-Hermitian and PSD there. Elsewhere both
     conditions fail and the points are left out of their witnesses."""
-    head = cf.stacked_evaluator((cs.P, shift))
-    rest = cf.stacked_evaluator((cs.Q, cs.R, cs.S), derive)
+    values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, shift), derive)
 
     def block(ts):
-        p, shift_t = head(ts)
+        p, q, r, s, shift_t, *derivatives = values(ts)
         lo, pd, defect = _psd_measure(p, tol, strict=True)
         skew, skew_ok = np.full(ts.size, -np.inf), np.zeros(ts.size, dtype=bool)
         c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
         if pd.any():
-            q, r, s, *derivatives = rest(ts[pd])
-            k, c = frame(p[pd], q, r, s, shift_t[pd], *derivatives)
+            # a boolean index copies every stack: where P > 0 at every point, none is copied
+            keep = slice(None) if pd.all() else pd
+            k, c = frame(*(v[keep] for v in (p, q, r, s, shift_t, *derivatives)))
             skew[pd], _, skew_ok[pd] = _defect_measure(k + adjoint(k), k, tol)
             c_lo[pd], c_ok[pd], _ = _psd_measure(c, tol)
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
@@ -346,7 +345,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
     positive definite at tolerance ``tol``.
     """
     grid = grid or GridSpec.for_set(cs)
-    mu = mu or cf.zero_scalar_function()
+    mu = cf._require_gauge(mu, cs.n, "mu")
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, mu), (cs.P, cs.Q, cs.R, mu))
 
     def block(ts):
@@ -371,7 +370,7 @@ def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | Non
                                y0, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> CriterionReport:
     """Criterion with the forced skew gauge (wire name ``cor3.1``)."""
-    mu = mu or cf.zero_scalar_function()
+    mu = cf._require_gauge(mu, cs.n, "mu")
     y0 = cf._require_matrix(y0, cs.n, "Y0")
 
     def frame(p, q, r, s, mu_t, *derivatives):
@@ -402,7 +401,8 @@ def _sqrt_frame(sp: np.ndarray, q, r, s, nu):
 
 def _sqrt_frame_at(cs: CoefficientSet, nu: CoefficientFunction | None, t: float, tol: float):
     p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
-    return _sqrt_frame(principal_sqrt(p, tol), q, r, s, (nu or cf.zero_scalar_function()).eval(t))
+    nu = cf._require_gauge(nu, cs.n, "nu")
+    return _sqrt_frame(principal_sqrt(p, tol), q, r, s, nu.eval(t))
 
 
 def sqrt_frame_skew_term(cs: CoefficientSet, nu: CoefficientFunction | None,
@@ -429,7 +429,7 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     the grid found P > 0 at its first point (t0 on ``GridSpec.for_set``'s grid).
     """
     grid = grid or GridSpec.for_set(cs)
-    nu = nu or cf.zero_scalar_function()
+    nu = cf._require_gauge(nu, cs.n, "nu")
 
     def frame(p, q, r, s, nu_t):
         return _sqrt_frame(_hermitian_sqrt(p, "cor3.2"), q, r, s, nu_t)
@@ -483,7 +483,7 @@ def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
     D + D* = -2 T^2 + (nu - conj(nu)) T - sqrt(P)(S + S*)sqrt(P) holds,
     which ties this term to the condition matrix of the checker above.
     """
-    nu = nu or cf.zero_scalar_function()
+    nu = cf._require_gauge(nu, cs.n, "nu")
     t = float(t)
     p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
     sp = principal_sqrt(p, tol)

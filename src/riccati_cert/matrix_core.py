@@ -2,7 +2,10 @@
 
 This module alone knows the rule for input values (finite, square;
 ``_as_stack``), the integer and dimension rules (an int, not a bool;
-1 <= n <= MAX_DIM), the PSD band (a Hermitian H is >= 0 when its least
+1 <= n <= MAX_DIM), the tolerance rule (``require_tol``: a finite number
+>= 0, checked where a tolerance enters the measures, so every criterion,
+the square root, its derivative and the trajectory bounds refuse nan, inf
+and negative values by name), the PSD band (a Hermitian H is >= 0 when its least
 eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above the band),
 the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)), the rule
 that nothing non-finite passes (NaN eigenvalues; a residual norm that is not
@@ -18,6 +21,7 @@ pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -38,6 +42,12 @@ MAX_DIM = 64
 #: Hermiticity/skewness checks.
 DEFAULT_TOL = 1e-9
 
+#: Tolerance of ``CoefficientSet``'s Hermiticity probe of P. Looser than
+#: DEFAULT_TOL: the probe runs at construction on three points, before any
+#: check's tolerance is known, and refuses only a P that is plainly not
+#: Hermitian; each grid check judges P at its own tolerance.
+HERMITIAN_PROBE_TOL = 1e-8
+
 #: Most matrix entries in one stacked block of a grid scan. A block of
 #: n x n matrices holds max(1, BLOCK_ENTRIES // n**2) time points, which
 #: bounds the scan's temporaries at every n while keeping numpy calls few.
@@ -51,6 +61,12 @@ def _require_int(value, name: str, error=ValueError) -> None:
     """The integer rule: an int or a numpy integer, not a bool. The error starts with ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_tol(tol) -> None:
+    """The tolerance rule: ``tol`` is a finite real number >= 0."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _require_dim(n: int, name: str = "n") -> None:
@@ -170,6 +186,7 @@ def _defect_measure(resid: np.ndarray, ref: np.ndarray, tol: float):
     with resid = M + M* it measures skew-Hermiticity. A norm of resid that is
     not finite fails; one of ref that overflows counts as the largest double.
     """
+    require_tol(tol)
     norm = _fro(resid)
     scale = np.minimum(1.0 + _fro(ref), np.finfo(np.float64).max)
     return norm, norm / scale, np.isfinite(norm) & (norm <= tol * scale)
@@ -180,10 +197,11 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
     defect) of a stack. The verdict asks for the Hermiticity-defect rule and
     for the least eigenvalue at or above -band; ``strict`` asks for it above
     +band instead (positive definiteness)."""
+    # the defect first: its measure refuses a bad tol before any eigenvalue is taken
+    defect, _, hermitian = _defect_measure(h - adjoint(h), h, tol)
     eigs = _hermitian_eigvals(h, "criteria")
     # the band tol + tol ||H||_2, with ||H||_2 read off the ascending eigenvalues
     lo, band = eigs[:, 0], tol + tol * np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-    defect, _, hermitian = _defect_measure(h - adjoint(h), h, tol)
     return lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect
 
 

@@ -146,8 +146,7 @@ def _obj_to_value(obj, n: int, field: str, scalar: bool):
 def function_to_obj(f: CoefficientFunction) -> dict:
     scalar = f.is_scalar
     if f.kind == "constant":
-        return {"kind": "constant", "value": _value_to_obj(f.eval(0.0) if scalar
-                                                           else f.value, scalar)}
+        return {"kind": "constant", "value": _value_to_obj(f.value, scalar)}
     if f.kind == "polynomial":
         return {
             "kind": "polynomial",
@@ -258,9 +257,8 @@ def parse_instance(obj) -> ParsedInstance:
 
     cs = named_refusal("", CoefficientSet, n=n, t0=t0, t_end=t_end, **fns)
 
-    lam = function("lambda") if "lambda" in obj else None
-    mu = function("mu", scalar=True) if "mu" in obj else None
-    nu = function("nu", scalar=True) if "nu" in obj else None
+    lam, mu, nu = (function(name, scalar) if name in obj else None
+                   for name, scalar in cf.GAUGES.items())
     # every matrix above is read as n x n, lambda's values too
     grid_points = obj.get("grid_points")
     grid = None if grid_points is None else named_refusal(
@@ -296,12 +294,9 @@ def instance_to_obj(cs: CoefficientSet, y0,
         "S": function_to_obj(cs.S),
         "Y0": matrix_to_obj(y0),
     }
-    if lam is not None:
-        obj["lambda"] = function_to_obj(lam)
-    if mu is not None:
-        obj["mu"] = function_to_obj(mu)
-    if nu is not None:
-        obj["nu"] = function_to_obj(nu)
+    for name, f in zip(cf.GAUGES, (lam, mu, nu)):
+        if f is not None:
+            obj[name] = function_to_obj(cf._require_gauge(f, cs.n, name))
     if grid_points is not None:
         obj["grid_points"] = grid_points
     return obj

@@ -20,7 +20,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientFunction, CoefficientSet
 from .exceptions import DimensionError
-from .matrix_core import _OVERFLOW_QUIET, _fro, _hermitian_eigvals, _scan, adjoint
+from .matrix_core import _OVERFLOW_QUIET, _fro, _hermitian_eigvals, _scan, adjoint, require_tol
 from .integrate import Trajectory
 
 DEFAULT_BOUND_TOL = 1e-6  # absolute band of the bound checks on the least eigenvalue
@@ -56,8 +56,7 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     guarantees; the series is exported as the ``lambda_min_gap`` CSV
     column.
     """
-    lam = lam or cf.zero_matrix_function(traj.n)
-    cf._require_matrix_function(lam, traj.n, "lambda")
+    lam = cf._require_gauge(lam, traj.n, "lambda")
     lam_values = cf.stacked_evaluator((lam,))
 
     def block(ts, y):
@@ -76,6 +75,7 @@ def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = N
     inequality is exact but computed trajectories are not, so the default
     band (``-DEFAULT_BOUND_TOL``) is matched to the integrator tolerances.
     """
+    require_tol(tol)
     series = eigen_monitor(traj, lam)
     if series.size == 0:
         raise ValueError("trajectory has no samples")
@@ -106,6 +106,7 @@ class SandwichReport:
 def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
                     tol: float = DEFAULT_BOUND_TOL) -> SandwichReport:
     """Check Y(t) >= 0 and Ytilde(t) - Y(t) >= 0 at every shared sample."""
+    require_tol(tol)
     if traj.times.shape != traj_tilde.times.shape or \
             not np.array_equal(traj.times, traj_tilde.times):
         raise ValueError("trajectories are sampled on different grids")

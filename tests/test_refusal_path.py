@@ -3,7 +3,7 @@ as one stderr line naming the field or flag, with exit code 2.
 
 One case per site where an owner's error is named: the three coefficient
 constructors, the interval, the coefficient set (a non-Hermitian P),
-``grid_points``, the integrator and grid flags, ``gen``'s flags and a
+``grid_points``, the integrator, grid and tolerance flags, ``gen``'s flags and a
 status sidecar field; and the refusals the parser and the CSV reader make
 themselves: a document that is not an object, a missing ``Y0`` or constant
 ``value``, a trajectory CSV with no sample row. The lines are pinned byte
@@ -84,12 +84,16 @@ def test_instance_document_refusal(capsys, tmp_path, document, line):
     (["check", "--grid", "1"], "error: --grid: grid needs 2..1000000 points, got 1"),
     (["integrate", "--samples", "1"], "error: --samples: grid needs 2..1000000 points, got 1"),
     (["integrate", "--rtol", "inf"], "error: --rtol must be a finite number > 0, got inf"),
+    (["check", "--tol", "inf"], "error: --tol must be a finite number >= 0, got inf"),
+    (["verify", "--tol", "nan"], "error: --tol must be a finite number >= 0, got nan"),
 ])
 def test_instance_flag_refusal(capsys, tmp_path, flags, line):
     path = write(tmp_path, "inst.json", BASE)
     command, *rest = flags
     if command == "integrate":
         rest += ["--out", str(tmp_path / "traj.csv")]
+    elif command == "verify":  # refused before the CSV, which does not exist, is read
+        rest = [str(tmp_path / "traj.csv"), *rest]
     assert refusal(capsys, command, path, *rest) == line + "\n"
 
 
