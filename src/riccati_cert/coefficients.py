@@ -444,6 +444,9 @@ def stacked_evaluator(functions, derivatives=()):
     * constants give read-only stride-0 views of their stored values (of zero
       for a derivative), built once for each number of times;
     * a function of another kind goes through its own ``eval`` or ``derivative``.
+
+    Its ``constant`` attribute says whether every function is a constant:
+    then its stacks depend on the number of times only.
     """
     requests = [(f, False) for f in functions] + [(f, True) for f in derivatives]
     groups: dict = {}
@@ -475,7 +478,9 @@ def stacked_evaluator(functions, derivatives=()):
         else:
             run = lambda ts, g=f.derivative if slope else f.eval: (g(ts),)
         passes.append((run, [i for i, _ in members]))
-    return lambda ts: evaluate_passes(passes, len(requests), ts)
+    evaluate = lambda ts: evaluate_passes(passes, len(requests), ts)
+    evaluate.constant = all(f.kind == "constant" for f, _ in requests)
+    return evaluate
 
 
 def evaluate_passes(passes, count: int, ts: np.ndarray) -> list:

@@ -26,11 +26,16 @@ stack per coefficient: constants are read-only broadcasts of their
 values, polynomials that share ``t_ref`` go through one Horner pass over
 their stacked coefficients, and sampled functions on one grid through
 one power sum over their stacked cells. Stage i reads row i of each
-stack. The values equal ``eval``'s at each time bit for bit, and each
-stage sums its weighted slopes one at a time in the tableau's
-order, skipping the zero weights, so the trajectories do not depend on
-how the coefficients are stored. The driver counts its right-hand-side
-calls (``nfev``, still six per step) and steps in ``Trajectory.stats``.
+stack. When every coefficient is constant, their values are split by
+stage once per run instead. The values equal ``eval``'s at each time
+bit for bit. The step's sums are slope-major: as soon as a slope is
+known, one multiply weighs it for every later stage input and the error
+vector, and one add folds it into them. So each stage input is still y
+plus its weighted slopes in the tableau's order, the error vector its
+terms in that order from the first, the zero weights are skipped, and
+the trajectories do not depend on how the coefficients are stored. The
+driver counts its right-hand-side calls (``nfev``, still six per step),
+its steps and their size range in ``Trajectory.stats``.
 
 The samples are written into arrays allocated once per call at their
 full size; a run that stops early returns copies of the rows it reached.
@@ -42,6 +47,7 @@ a consumer that only folds the samples (the discrepancy of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,18 +73,62 @@ _A = (
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _first_and_rest(row) -> tuple:
-    """The non-zero (j, w_j) of a tableau row in its order, as the first and the rest."""
-    nonzero = tuple((j, w) for j, w in enumerate(row) if w != 0.0)
-    return nonzero[0], nonzero[1:]
+def _slope_layout() -> tuple[tuple, tuple]:
+    """The weights of each slope k_1..k_7 by the accumulator rows they reach,
+    flat and in slope order, and each slope's (weight slice, row slice). Rows
+    0-5 are the inputs of stages 2-7 (row 5 the fifth-order solution) and
+    row 6 the error vector. The rows where a slope's weight is not zero are
+    contiguous in this tableau, so each slope's rows are one slice."""
+    def weight(row: int, j: int) -> float:
+        weights = _ERR if row == 6 else _A[row + 1]
+        return weights[j] if j < len(weights) else 0.0
+
+    flat, slopes = [], []
+    for j in range(7):
+        rows = [row for row in range(7) if weight(row, j) != 0.0]
+        slopes.append((slice(len(flat), len(flat) + len(rows)), slice(rows[0], rows[-1] + 1)))
+        flat.extend(weight(row, j) for row in rows)
+    return tuple(flat), tuple(slopes)
 
 
-#: The non-zero weights of each stage i = 1..6 and of the error row.
-_STAGES = tuple(_first_and_rest(_A[i]) for i in range(1, 7))
-_ERR_WEIGHTS = _first_and_rest(_ERR)
-#: The stage nodes c_1..c_6: t + _NODES * h are the doubles t + c_i * h.
+_WEIGHTS, _SLOPES = _slope_layout()
+#: The stage nodes c_2..c_7: t + _NODES * h are the doubles t + c_i * h.
 _NODES = np.array(_C[1:])
 _NODES.setflags(write=False)
+
+
+@functools.cache
+def _weight_column(ndim: int) -> np.ndarray:
+    """``_WEIGHTS`` along a first axis that spans a state of ``ndim`` axes."""
+    column = np.array(_WEIGHTS).reshape((-1,) + (1,) * ndim)
+    column.setflags(write=False)
+    return column
+
+
+def _rk_stages(rhs, stage_values, y: np.ndarray, f0: np.ndarray, h: float) -> tuple:
+    """One Dormand-Prince step of size ``h`` from ``y`` with ``f0`` the slope
+    there: (the fifth-order solution, the right-hand side there, the error
+    vector). ``stage_values[i]`` are the coefficient values at stage i + 2.
+
+    The sums are slope-major: once a slope is known, one multiply weighs it
+    by (h * w) for every row it reaches and one add folds it into those
+    rows. Each stage input is y plus its terms in the tableau's order, the
+    error vector its terms in that order from the first, and the zero
+    weights A[6][1] and E[1] are never applied. The new state and the error
+    vector are rows of a buffer the step allocates, which no later step
+    writes.
+    """
+    hw = h * _weight_column(y.ndim)
+    cols, _ = _SLOPES[0]  # k_1 reaches every row
+    acc = hw[cols] * f0
+    np.add(y, acc[:6], out=acc[:6])
+    k = f0
+    for i, (cols, rows) in enumerate(_SLOPES[1:]):
+        k = rhs(stage_values[i], acc[i])
+        target = acc[rows]
+        target += hw[cols] * k
+    return acc[5], k, acc[6]
+
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -134,8 +184,9 @@ class Trajectory:
     reconstructed value). All stored values are finite.
 
     ``stats`` holds the driver's counters: ``nfev`` (right-hand-side
-    calls), ``steps_accepted`` and ``steps_rejected``; it is empty for a
-    trajectory read from a file.
+    calls), ``steps_accepted`` and ``steps_rejected``, and the smallest and
+    largest accepted step, ``h_min`` and ``h_max`` (None when no step was
+    accepted); it is empty for a trajectory read from a file.
     """
 
     times: np.ndarray
@@ -214,7 +265,8 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
 
     ``values`` is a ``stacked_evaluator`` of the coefficients and
     ``rhs(vals, y)`` the right-hand side from their values at one time;
-    each step evaluates them once, at its six stage times.
+    each step evaluates them once, at its six stage times, unless they are
+    all constant: then they are evaluated and split by stage once per run.
     ``after_step(t, y)`` may return a stop-reason string (checked on the
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
@@ -225,7 +277,9 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
     None unless ``record_states``. ``t_last`` is the last accepted time and
     ``stats`` counts the right-hand sides (``nfev``: every stage, the
     starting-step probe and the re-evaluation after a replaced state) and
-    the accepted and rejected steps. A non-finite error estimate rejects its step.
+    the accepted and rejected steps, and gives the smallest and largest
+    accepted step (``h_min``, ``h_max``; None before the first). A
+    non-finite error estimate rejects its step.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128)
@@ -236,10 +290,19 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
     states = (np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
               if record_states else None)
     count = 0
+    h_lo, h_hi = math.inf, 0.0  # the accepted step-size range
+
+    def by_stage(ts: np.ndarray) -> list:
+        """The coefficient values at each time of ``ts``, one list per time."""
+        stacks = values(ts)
+        return [[v[i] for v in stacks] for i in range(ts.size)]
+
+    # constants take the same values at every time
+    fixed = by_stage(_NODES) if values.constant else None
 
     def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
         """The right-hand side at one time."""
-        return rhs([v[0] for v in values(np.array([t_eval]))], y_eval)
+        return rhs((fixed or by_stage(np.array([t_eval])))[0], y_eval)
 
     def record(t_sample: float) -> None:
         """Store a reached sample; a replaced state gets its f anew."""
@@ -257,7 +320,8 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
         count += 1
 
     def result(reason):
-        stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected}
+        stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected,
+                 "h_min": h_lo if accepted else None, "h_max": h_hi if accepted else None}
         if states is None:
             return _reached(count, times)[0], None, reason, t, stats
         return (*_reached(count, times, states), reason, t, stats)
@@ -274,7 +338,6 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
     facold = 1e-4
     rejected_last = False
     next_idx = 1
-    k = [None] * 7
 
     while next_idx < sample_times.size:
         t_target = float(sample_times[next_idx])
@@ -291,24 +354,11 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
         hit = h >= (t_target - t) - tiny
         h_eff = (t_target - t) if hit else h
 
-        # stages (FSAL: k[0] is f at the current point, and the last stage
-        # point is the fifth-order solution); each sum is accumulated in
-        # the tableau's order, one weighted stage at a time
-        k[0] = f_curr
-        stacks = values(t + _NODES * h_eff)
-        for i, ((j, a), rest) in enumerate(_STAGES):
-            yi = y + (h_eff * a) * k[j]
-            for j, a in rest:
-                yi += (h_eff * a) * k[j]
-            k[i + 1] = rhs([v[i] for v in stacks], yi)
-        del stacks  # freed before the next step evaluates its own
-        y_new = yi
+        # FSAL: the step starts from f at the current point, and its last
+        # slope is f at the new state
+        y_new, f_new, err_vec = _rk_stages(rhs, fixed or by_stage(t + _NODES * h_eff),
+                                           y, f_curr, h_eff)
         nfev += 6
-
-        (j, e), rest = _ERR_WEIGHTS
-        err_vec = (h_eff * e) * k[j]
-        for j, e in rest:
-            err_vec += (h_eff * e) * k[j]
         if abs_y is None:
             abs_y = np.abs(y)
         abs_new = np.abs(y_new)
@@ -320,8 +370,8 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
         if err <= 1.0:
             accepted += 1
             t = t_target if hit else t + h_eff
-            y, abs_y = y_new, abs_new
-            f_curr = k[6]  # FSAL
+            y, abs_y, f_curr = y_new, abs_new, f_new
+            h_lo, h_hi = min(h_lo, h_eff), max(h_hi, h_eff)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:

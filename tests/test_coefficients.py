@@ -394,6 +394,13 @@ class TestStackedEvaluator:
         for stack in stacks[len(fs):]:
             assert stack.tobytes() == np.zeros((3, 2, 2), dtype=np.complex128).tobytes()
 
+    def test_constant_says_whether_every_function_is_a_constant(self):
+        const = cf.constant(np.eye(2))
+        assert cf.stacked_evaluator((const, const), (const,)).constant
+        # a degree-0 polynomial takes one value too, but is not stored as a constant
+        assert not cf.stacked_evaluator((const, cf.polynomial([np.eye(2)]))).constant
+        assert not cf.stacked_evaluator((const,), (ARRAY_EVAL_FUNCTIONS["sampled3"],)).constant
+
     def test_calls_do_not_share_polynomial_values(self):
         f = cf.polynomial([np.eye(2), np.eye(2)])
         values = cf.stacked_evaluator((f, f))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
@@ -286,6 +289,198 @@ class TestStats:
         else:
             assert stats["steps_rejected"] >= 1
             assert traj.status == ("blow_up" if case == "direct_blowup" else "completed")
+        # every accepted step ends at or before its next sample
+        spacing = t_end / (samples - 1)
+        assert 0 < stats["h_min"] <= stats["h_max"] <= spacing + 1e-13 * max(1.0, t_end)
+
+    def test_step_range_on_a_sample_clamped_run(self):
+        # tanh on 201 samples over [0, 3]: past the first few steps the error
+        # allows steps longer than the sample spacing, so the samples clamp them
+        e = CAT["tanh"]
+        ts = np.linspace(0.0, 3.0, 201)
+        stats = integrate_riccati_direct(e.cs, e.y0, sample_times=ts).stats
+        assert 0 < stats["h_min"] < stats["h_max"]
+        assert abs(stats["h_max"] - 0.015) <= 1e-12
+
+    def test_step_range_is_none_without_a_step(self):
+        e = CAT["tanh"]
+        stats = integrate_riccati_direct(e.cs, e.y0, sample_times=np.array([0.0])).stats
+        assert stats["steps_accepted"] == 0
+        assert stats["h_min"] is None and stats["h_max"] is None
+
+
+def _row_wise_step(rhs, stage_values, y, f0, h):
+    """The Dormand-Prince step summed row by row: each stage input is y plus
+    its weighted slopes in the tableau's order, the error vector its terms
+    from the first, zero weights skipped. Returns the stage inputs, the
+    right-hand side at the last one and the error vector."""
+    k, inputs = [f0], []
+    for i in range(1, 7):
+        yi = y
+        for j, a in enumerate(integrate._A[i]):
+            if a != 0.0:
+                yi = yi + (h * a) * k[j]
+        inputs.append(yi)
+        k.append(rhs(stage_values[i - 1], yi))
+    terms = [(h * e) * k[j] for j, e in enumerate(integrate._ERR) if e != 0.0]
+    err = terms[0]
+    for term in terms[1:]:
+        err = err + term
+    return inputs, k[6], err
+
+
+#: Real and imaginary parts: signed zeros, subnormals, ~1e300 and plain values.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.3e300]),
+                   st.floats(-4.0, 4.0))
+
+
+class TestStageSums:
+    """``_rk_stages`` adds each slope into every row it reaches at once; every
+    stage input, the new state, its slope and the error vector equal the
+    row-wise sums bit for bit, signs of zeros included."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def check(self, rhs, stage_values, y, f0, h):
+        fast_inputs = []  # the states _rk_stages calls rhs at, in call order
+
+        def recorded(vals, yi):
+            fast_inputs.append(yi.copy())
+            return rhs(vals, yi)
+        with np.errstate(all="ignore"):
+            y_new, f_new, err = integrate._rk_stages(recorded, stage_values, y, f0, h)
+            inputs, f_ref, err_ref = _row_wise_step(rhs, stage_values, y, f0, h)
+        assert len(fast_inputs) == 6
+        for got, want in zip(fast_inputs, inputs):
+            self.assert_same_bits(got, want)
+        for got, want in ((y_new, inputs[-1]), (f_new, f_ref), (err, err_ref)):
+            self.assert_same_bits(got, want)
+        return y_new, err
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]), flow=st.booleans(),
+           h=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 1e-12, 0.1, 1.0])))
+    def test_slope_major_sums_equal_the_row_wise_sums(self, data, n, flow, h):
+        shape = (2, n, n) if flow else (n, n)
+        complexes = st.builds(complex, _PARTS, _PARTS)
+
+        def draw(label):
+            return data.draw(hnp.arrays(np.complex128, shape, elements=complexes), label=label)
+
+        y, f0 = draw("y"), draw("f0")
+        stage_values = [draw(f"stage {i + 2}") for i in range(6)]
+        self.check(lambda vals, yi: vals - yi * vals, stage_values, y, f0, h)
+
+    def test_zero_weights_are_never_applied(self):
+        # k_2 (the slope of stage 2) is inf; A[6][1] = E[1] = 0 leave it out
+        # of the new state and the error vector, where 0 * inf would be NaN
+        y = np.array([[1.0 - 2.0j, -0.0], [0.5j, 3.0]])
+        stage_values = [np.full((2, 2), v, dtype=np.complex128)
+                        for v in (math.inf, 1.0, -2.0, 0.5, 3.0, -1.0)]
+        y_new, err = self.check(lambda vals, yi: vals, stage_values, y, 0.25 * y, 0.125)
+        assert np.isfinite(y_new).all() and np.isfinite(err).all()
+
+    def test_error_vector_starts_from_its_first_term(self):
+        # slopes whose every error term is -0.0 + 0.0j: (w + 0j) * (x + 0j) has
+        # the real part -0.0 when x is a zero of the sign opposite to w's. The
+        # sum of those terms is -0.0; a sum started from +0.0 would be +0.0
+        slopes = [np.full((2, 2), complex(math.copysign(0.0, -e), 0.0))
+                  for e in integrate._ERR]
+        _, err = self.check(lambda vals, yi: vals, slopes[1:], np.ones((2, 2), complex),
+                            slopes[0], 0.5)
+        assert np.signbit(err.real).all()
+
+
+def _twins(data: dict, t_end: float, n: int):
+    """The same data as all constants and as degree-0 polynomials."""
+    def build(make):
+        return CoefficientSet(n=n, t0=0.0, t_end=t_end,
+                              **{name: make(value) for name, value in data.items()})
+    return (build(cf.constant), build(lambda value: cf.polynomial([value])))
+
+
+class TestStorageIndependence:
+    """Constant data give the same bits as the same data stored as degree-0
+    polynomials: the once-per-run stage values of constants match the
+    per-step evaluation."""
+
+    CASES = {
+        # a complex, non-normal n = 2 system that completes
+        "completed": (dict(P=np.array([[1.0, 0.5j], [-0.5j, 2.0]]),
+                           Q=np.array([[0.3, -1.0], [0.2, 0.1j]]),
+                           R=np.array([[-0.2, 0.0], [1.0, 0.4]]),
+                           S=np.array([[1.0, 0.25], [0.25, 0.5]])),
+                      2.0, np.array([[0.1, 0.2j], [-0.2j, 0.3]])),
+        # P = S = I on [0, 40]: the linear flow restarts
+        "restarts": (dict(P=np.eye(2), Q=np.zeros((2, 2)), R=np.zeros((2, 2)), S=np.eye(2)),
+                     40.0, np.zeros((2, 2))),
+        # y' = -1 - y^2 escapes at pi/2
+        "blow_up": (dict(P=np.eye(1), Q=np.zeros((1, 1)), R=np.zeros((1, 1)), S=-np.eye(1)),
+                    3.0, np.zeros((1, 1))),
+    }
+
+    @staticmethod
+    def assert_same_trajectory(a, b):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.status, a.t_escape, a.blowup_trigger) == (b.status, b.t_escape, b.blowup_trigger)
+        assert a.singular_times.tobytes() == b.singular_times.tobytes()
+        assert a.stats == b.stats
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constant_and_polynomial_storage_agree(self, case):
+        data, t_end, y0 = self.CASES[case]
+        const, poly = _twins(data, t_end, y0.shape[0])
+        direct = [integrate_riccati_direct(cs, y0) for cs in (const, poly)]
+        self.assert_same_trajectory(*direct)
+        self.assert_same_trajectory(*(integrate_lyapunov_comparison(cs, y0)
+                                      for cs in (const, poly)))
+        (flow_c, traj_c), (flow_p, traj_p) = (integrate_linear_system(cs, y0)
+                                              for cs in (const, poly))
+        self.assert_same_trajectory(traj_c, traj_p)
+        assert flow_c.times.tobytes() == flow_p.times.tobytes()
+        assert flow_c.phi.tobytes() == flow_p.phi.tobytes()
+        assert flow_c.psi.tobytes() == flow_p.psi.tobytes()
+        assert flow_c.restarts == flow_p.restarts
+        assert direct[0].status == ("blow_up" if case == "blow_up" else "completed")
+        assert (len(flow_c.restarts) >= 1) == (case == "restarts")
+
+
+class TestEvaluationCount:
+    """All-constant data are evaluated once per run; other data once per step
+    (at its six stage times) plus the calls at t0 and the starting-step probe."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        evaluate_passes = cf.evaluate_passes
+
+        def counted(*args):
+            count[0] += 1
+            return evaluate_passes(*args)
+        monkeypatch.setattr(cf, "evaluate_passes", counted)
+        return count
+
+    def test_constant_run_does_not_count_its_steps(self, calls):
+        e = CAT["tanh"]
+        assert all(f.kind == "constant" for f in (e.cs.P, e.cs.Q, e.cs.R, e.cs.S))
+        per_run = []
+        for samples in (2, 201):
+            calls[0] = 0
+            ts = default_sample_times(e.cs, samples)
+            traj = integrate_riccati_direct(e.cs, e.y0, sample_times=ts)
+            per_run.append((calls[0], traj.stats["steps_accepted"]))
+        (few, few_steps), (many, many_steps) = per_run
+        assert few == many and few_steps < many_steps
+
+    def test_polynomial_run_evaluates_once_per_step(self, calls):
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=3, horizon=2.0))
+        traj = integrate_riccati_direct(cs, y0)
+        steps = traj.stats["steps_accepted"] + traj.stats["steps_rejected"]
+        assert steps > 0 and calls[0] == 2 + steps
 
 
 class TestLyapunovComparison:
