@@ -23,8 +23,13 @@ report carries a note stating this declared approximation. Each criterion
 is one ``matrix_core._scan`` whose block evaluates P, Q, R, S (and the
 gauge or derivatives it needs) once and returns the per-point columns of
 all its grid conditions, judged by matrix_core's measures; ``_least`` and
-``_largest`` pick the witnesses, a NaN one at its time. The formulas take
-coefficient values, and the public pointwise helpers call them at a scalar time.
+``_largest`` pick the witnesses, a NaN one at its time. The conditions are
+pointwise in t, so where every function a scan reads is a ``ConstantFunction``
+(its ``stacked_evaluator`` reports ``constant``) the scan runs its block at t0
+only and repeats the columns over the grid: one point decides the interval
+exactly, and the witnesses, the extracted shifts and the skew gauge's spline
+are those the full grid gives. The formulas take coefficient values, and the
+public pointwise helpers call them at a scalar time.
 """
 
 from __future__ import annotations
@@ -222,7 +227,8 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
                 *_psd_measure(s_l + adjoint(s_l), tol))
 
     ts = (grid or GridSpec.for_set(cs)).points
-    p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(ts, cs.n, block)
+    p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(
+        ts, cs.n, block, constant=values.constant)
     return ([_least("coefficient_psd", ts, p_lo, p_ok, p_def),
              _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
              _least("shifted_source_psd", ts, s_lo, s_ok, s_def)],
@@ -234,7 +240,8 @@ def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
     ts = (grid or GridSpec.for_set(cs)).points
     p_values = cf.stacked_evaluator((cs.P,))
-    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(*p_values(block_ts), tol))
+    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(*p_values(block_ts), tol),
+                           constant=p_values.constant)
     return _least("coefficient_psd", ts, lo, ok, defect)
 
 
@@ -310,7 +317,8 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
 
     ts = (grid or GridSpec.for_set(cs)).points
-    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block)
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block,
+                                                               constant=values.constant)
     return ([_least("coefficient_pd", ts, lo, pd, defect),
              _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
              _least(psd_name, ts, c_lo, c_ok)], shift_t)
@@ -360,7 +368,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
         lam0, lam0dot = _skew_gauge(p, *rest)
         return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
 
-    vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block)
+    vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block, constant=values.constant)
     lam0_fn = cf.sampled(grid.points, vals, order=3, node_derivatives=derivs)
     return lam0_fn, _largest("gauge_skew", "skew_defect", grid.points, defect, defect, ok)
 
@@ -425,8 +433,8 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
 
     Passes when P(t) > 0, the frame term T is skew-Hermitian, and the
     condition matrix is PSD at every grid point. When an initial value is
-    supplied, sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 is checked as well, where
-    the grid found P > 0 at its first point (t0 on ``GridSpec.for_set``'s grid).
+    supplied, its clause is sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 where
+    coefficient_pd passed on the whole grid, and Y0 + Y0* >= 0 otherwise.
     """
     grid = grid or GridSpec.for_set(cs)
     nu = cf._require_gauge(nu, cs.n, "nu")
@@ -513,7 +521,8 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
                 *_defect_measure(r - adjoint(q), r, tol))
 
     ts = (grid or GridSpec.for_set(cs)).points
-    p_lo, p_ok, p_def, s_lo, s_ok, s_def, resid, ratio, sym_ok = _scan(ts, cs.n, block)
+    p_lo, p_ok, p_def, s_lo, s_ok, s_def, resid, ratio, sym_ok = _scan(
+        ts, cs.n, block, constant=pqrs.constant)
     return _report("theorem1.1",
                    [_least("coefficient_psd", ts, p_lo, p_ok, p_def),
                     _least("source_psd", ts, s_lo, s_ok, s_def),

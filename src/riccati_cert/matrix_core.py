@@ -206,9 +206,17 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
 
 
 @np.errstate(**_OVERFLOW_QUIET)
-def _scan(ts: np.ndarray, n: int, block, *stacks) -> list[np.ndarray]:
+def _scan(ts: np.ndarray, n: int, block, *stacks, constant: bool = False) -> list[np.ndarray]:
     """Run ``block(ts[s], *(a[s] for a in stacks))`` over blocks of at most
-    BLOCK_ENTRIES matrix entries and join the per-point arrays it returns."""
+    BLOCK_ENTRIES matrix entries and join the per-point arrays it returns.
+
+    With ``constant`` (every input the block reads is the same at every
+    point, as for all-``ConstantFunction`` data) the block runs once, on
+    ``ts[:1]``, and each array it returns is repeated to ``ts.size``
+    points: one point decides the whole interval, and a witness picked
+    earliest on ties still names t0."""
+    if constant:
+        return [np.repeat(col, ts.size, axis=0) for col in block(ts[:1], *(a[:1] for a in stacks))]
     parts = [block(ts[s], *(a[s] for a in stacks)) for s in block_slices(ts.size, n)]
     return [np.concatenate(col) for col in zip(*parts)]
 

@@ -1,0 +1,161 @@
+"""Criterion scans on all-constant data run at t0 alone.
+
+The conditions are pointwise in t, so where every function a scan reads is
+a ``ConstantFunction`` one point decides the whole interval. The same data
+stored as degree-0 polynomials take the full grid path; both must give the
+same report bytes, the same skew gauge and the same refusal.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from riccati_cert import coefficients as cf
+from riccati_cert import matrix_core as mc
+from riccati_cert.coefficients import CoefficientSet
+from riccati_cert.criteria import (
+    CRITERION_NAMES,
+    GridSpec,
+    build_skew_gauge,
+    check_positivity_condition,
+    run_criterion,
+)
+from riccati_cert.exceptions import NotPositiveDefiniteError
+from riccati_cert.instances import InstanceSpec, gen_blowup
+
+
+def _blowup(n):
+    """The blowup family with constant gauges: a complex L, a real mu and a
+    complex nu (which adds the imaginary-shift note)."""
+    cs, y0 = gen_blowup(InstanceSpec(n=n, seed=100 + n, target="blowup", scale=1.5))
+    rng = np.random.default_rng(n)
+    lam = cf.constant(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return cs, y0, {"lam": lam, "mu": cf.constant(0.25, scalar=True),
+                    "nu": cf.constant(0.5 + 0.25j, scalar=True)}
+
+
+def _scalar_set(p):
+    zero = cf.constant([[0.0]])
+    return CoefficientSet(n=1, t0=0.0, t_end=1.0, P=cf.constant([[p]]), Q=zero, R=zero,
+                          S=cf.constant([[1.0]]))
+
+
+def _indefinite_p():
+    """P = diag(1, -0.5) on [0.3, 1.3]: positive definite nowhere."""
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    cs = CoefficientSet(n=2, t0=0.3, t_end=1.3, P=cf.constant(np.diag([1.0, -0.5])),
+                        Q=cf.constant(q), R=cf.constant(q.conj().T + np.diag([0.0, 0.1j])),
+                        S=cf.constant(np.eye(2)))
+    return cs, np.eye(2), {"mu": cf.constant(0.25, scalar=True)}
+
+
+CASES = {
+    **{f"blowup.n{n}": (lambda n=n: _blowup(n)) for n in (1, 2, 8)},
+    # no grid point has P > 0: the frame witnesses are left out
+    "p_zero": lambda: (_scalar_set(0.0), np.eye(1), {}),
+    # Y0 + Y0* overflows in the initial clause
+    "y0_huge": lambda: (_scalar_set(1.0), np.array([[1e308]]), {}),
+    # ||P||^2 overflows in cor3.2's sqrt(P(t0))
+    "p_huge": lambda: (_scalar_set(1e200), np.eye(1), {}),
+    "p_indefinite": _indefinite_p,
+}
+
+
+def _as_poly0(f):
+    """The same value as a degree-0 polynomial, which takes the grid path."""
+    return cf.polynomial([f.value], scalar=f.is_scalar)
+
+
+def _poly0_twin(cs, gauges):
+    twin = CoefficientSet(n=cs.n, t0=cs.t0, t_end=cs.t_end,
+                          **{k: _as_poly0(getattr(cs, k)) for k in ("P", "Q", "R", "S")})
+    # a gauge left out is the zero constant; the twin states it as a polynomial
+    zero = {"lam": cf.zero_matrix_function(cs.n), "mu": cf.zero_scalar_function(),
+            "nu": cf.zero_scalar_function()}
+    return twin, {k: _as_poly0(gauges.get(k, f)) for k, f in zero.items()}
+
+
+def _skew_gauge(cs, mu, grid):
+    """build_skew_gauge's spline arrays and record, or its refusal."""
+    try:
+        lam0, rec = build_skew_gauge(cs, mu, grid)
+    except NotPositiveDefiniteError as exc:
+        return str(exc), exc.min_eigenvalue
+    return (lam0.times.tobytes(), lam0.values.tobytes(), lam0.node_derivatives.tobytes(),
+            lam0.cells.tobytes(), lam0.slope_cells.tobytes(), rec)
+
+
+@pytest.mark.parametrize("num_points", [2, 1001, 4097])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_constant_storage_matches_the_grid_path(case, num_points):
+    cs, y0, gauges = CASES[case]()
+    twin, twin_gauges = _poly0_twin(cs, gauges)
+    grid = GridSpec.for_set(cs, num_points)
+    if case == "blowup.n8" and num_points > 2:
+        # several blocks, the last one short
+        assert len(mc.block_slices(num_points, cs.n)) > 1
+        assert num_points % (mc.BLOCK_ENTRIES // cs.n ** 2) != 0
+    for name in CRITERION_NAMES:
+        got = run_criterion(name, cs, y0, grid=grid, **gauges)
+        want = run_criterion(name, twin, y0, grid=grid, **twin_gauges)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), name
+    assert _skew_gauge(cs, gauges.get("mu"), grid) == _skew_gauge(twin, twin_gauges["mu"], grid)
+
+
+@pytest.mark.parametrize("case", ["p_zero", "p_indefinite"])
+def test_skew_gauge_refusal_names_t0(case):
+    cs, _, gauges = CASES[case]()
+    with pytest.raises(NotPositiveDefiniteError, match=rf"^P\({cs.t0}\) is not positive definite"):
+        build_skew_gauge(cs, gauges.get("mu"), GridSpec.for_set(cs, 1001))
+
+
+class TestOneEvaluationOfOnePoint:
+    """On constant data each criterion evaluates its coefficients once, at
+    one time, and every eigenvalue solve sees a stack of one matrix."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        sizes = {"evaluator": [], "eigvals": []}
+        evaluator, eigvals = cf.stacked_evaluator, mc._hermitian_eigvals
+
+        def spy_evaluator(functions, derivatives=()):
+            values = evaluator(functions, derivatives)
+
+            def spied(ts):
+                sizes["evaluator"].append(ts.size)
+                return values(ts)
+
+            spied.constant = values.constant
+            return spied
+
+        def spy_eigvals(h, context):
+            sizes["eigvals"].append(h.shape[0])
+            return eigvals(h, context)
+
+        monkeypatch.setattr(cf, "stacked_evaluator", spy_evaluator)
+        monkeypatch.setattr(mc, "_hermitian_eigvals", spy_eigvals)
+        return sizes
+
+    @pytest.mark.parametrize("check", [*CRITERION_NAMES, "positivity", "skew_gauge"])
+    def test_constant_data_evaluate_one_point(self, seen, check):
+        cs, y0, gauges = _blowup(8)
+        grid = GridSpec.for_set(cs, 1001)
+        assert len(mc.block_slices(grid.num_points, cs.n)) > 1
+        if check == "positivity":
+            check_positivity_condition(cs, grid)
+        elif check == "skew_gauge":
+            build_skew_gauge(cs, gauges["mu"], grid)
+        else:
+            run_criterion(check, cs, y0, grid=grid, **gauges)
+        assert seen["evaluator"] == [1]
+        assert set(seen["eigvals"]) == {1}
+
+    def test_degree_0_polynomials_scan_the_grid(self, seen):
+        cs, y0, gauges = _blowup(8)
+        twin, twin_gauges = _poly0_twin(cs, gauges)
+        grid = GridSpec.for_set(cs, 1001)
+        run_criterion("theorem3.1", twin, y0, grid=grid, **twin_gauges)
+        assert len(seen["evaluator"]) > 1 and sum(seen["evaluator"]) == 1001
+        assert max(seen["eigvals"]) > 1

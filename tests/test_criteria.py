@@ -499,15 +499,17 @@ class TestOnePassPerCriterion:
             for key in keys:
                 calls[key] = calls.get(key, 0) + 1
 
-        def counting_scan(*args):
+        def counting_scan(*args, **kwargs):
             count(["_scan"])
-            return scan(*args)
+            return scan(*args, **kwargs)
 
         def counting_evaluator(functions, derivatives=()):
             keys = ([names.get(id(f), "other") for f in functions]
                     + [names.get(id(f), "other") + "'" for f in derivatives])
             values = evaluator(functions, derivatives)
-            return lambda ts: count(keys) or values(ts)
+            counted_values = lambda ts: count(keys) or values(ts)
+            counted_values.constant = values.constant
+            return counted_values
 
         scan, evaluator = criteria._scan, cf.stacked_evaluator
         monkeypatch.setattr(criteria, "_scan", counting_scan)
