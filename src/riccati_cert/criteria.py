@@ -20,13 +20,14 @@ uses:
 
 All conditions are verified pointwise on a finite uniform grid; every
 report carries a note stating this declared approximation. Each criterion
-is one ``matrix_core._scan`` whose block evaluates P, Q, R, S (and the
-gauge or derivatives it needs) once and returns the per-point columns of
-all its grid conditions, judged by matrix_core's measures; ``_least`` and
-``_largest`` pick the witnesses, a NaN one at its time. The conditions are
-pointwise in t, so where every function a scan reads is a ``ConstantFunction``
-(its ``stacked_evaluator`` reports ``constant``) the scan runs its block at t0
-only and repeats the columns over the grid: one point decides the interval
+is one ``matrix_core._scan`` of a ``stacked_evaluator`` of P, Q, R, S (and
+the gauge or derivatives it needs): its block takes their values and returns
+the per-point columns of all its grid conditions, judged by matrix_core's
+measures; ``_least`` and ``_largest`` pick the witnesses, a NaN one at its
+time, and ``_least`` on t0 alone judges the initial clause. The conditions
+are pointwise in t, so where every function a scan reads is a
+``ConstantFunction`` ``_scan`` decides from its evaluator to run the block at
+t0 only and repeat the columns over the grid: one point decides the interval
 exactly, and the witnesses, the extracted shifts and the skew gauge's spline
 are those the full grid gives. The formulas take coefficient values, and the
 public pointwise helpers call them at a scalar time.
@@ -204,10 +205,8 @@ def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
 
 @np.errstate(**_OVERFLOW_QUIET)
 def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> ConditionRecord:
-    """PSD clause on one matrix at t0, by the grid's own measure."""
-    lo, ok, _ = _psd_measure(g0[None], tol)
-    return ConditionRecord(name=name, passed=bool(ok[0]), kind="min_eigenvalue",
-                           worst_value=float(lo[0]), worst_time=t0)
+    """PSD clause on one matrix at t0: the grid's witness rule on one point."""
+    return _least(name, np.array([t0]), *_psd_measure(g0[None], tol)[:2])
 
 
 def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
@@ -217,8 +216,7 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
     lam = cf._require_gauge(lam, cs.n, "lambda")
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, lam), (lam,))
 
-    def block(ts):
-        p, q, r, s, lam_t, lam_dot = values(ts)
+    def block(ts, p, q, r, s, lam_t, lam_dot):
         m = r - adjoint(q) - p @ (adjoint(lam_t) - lam_t)
         mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
         s_l = _shifted_source(p, q, r, s, lam_t, lam_dot)
@@ -228,7 +226,7 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
 
     ts = (grid or GridSpec.for_set(cs)).points
     p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(
-        ts, cs.n, block, constant=values.constant)
+        ts, cs.n, block, values=values)
     return ([_least("coefficient_psd", ts, p_lo, p_ok, p_def),
              _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
              _least("shifted_source_psd", ts, s_lo, s_ok, s_def)],
@@ -239,9 +237,8 @@ def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> ConditionRecord:
     """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
     ts = (grid or GridSpec.for_set(cs)).points
-    p_values = cf.stacked_evaluator((cs.P,))
-    lo, ok, defect = _scan(ts, cs.n, lambda block_ts: _psd_measure(*p_values(block_ts), tol),
-                           constant=p_values.constant)
+    lo, ok, defect = _scan(ts, cs.n, lambda _, p: _psd_measure(p, tol),
+                           values=cf.stacked_evaluator((cs.P,)))
     return _least("coefficient_psd", ts, lo, ok, defect)
 
 
@@ -296,15 +293,14 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
 def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: GridSpec | None,
                       tol: float, frame, skew_name: str, psd_name: str, derive=()):
     """coefficient_pd plus the two conditions on a frame that needs P > 0, and
-    the scalar ``shift`` on the grid. Each block evaluates P, the shift, Q, R,
-    S and the derivatives of ``derive`` once; ``frame(p, q, r, s, shift,
+    the scalar ``shift`` on the grid. The scan evaluates P, Q, R, S, the shift
+    and the derivatives of ``derive`` once per block; ``frame(p, q, r, s, shift,
     *derivatives)`` returns from their values where P is positive definite
     the matrices that must be skew-Hermitian and PSD there. Elsewhere both
     conditions fail and the points are left out of their witnesses."""
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, shift), derive)
 
-    def block(ts):
-        p, q, r, s, shift_t, *derivatives = values(ts)
+    def block(ts, p, q, r, s, shift_t, *derivatives):
         lo, pd, defect = _psd_measure(p, tol, strict=True)
         skew, skew_ok = np.full(ts.size, -np.inf), np.zeros(ts.size, dtype=bool)
         c_lo, c_ok = np.full(ts.size, np.inf), np.zeros(ts.size, dtype=bool)
@@ -317,8 +313,7 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
 
     ts = (grid or GridSpec.for_set(cs)).points
-    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block,
-                                                               constant=values.constant)
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block, values=values)
     return ([_least("coefficient_pd", ts, lo, pd, defect),
              _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
              _least(psd_name, ts, c_lo, c_ok)], shift_t)
@@ -356,8 +351,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
     mu = cf._require_gauge(mu, cs.n, "mu")
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, mu), (cs.P, cs.Q, cs.R, mu))
 
-    def block(ts):
-        p, *rest = values(ts)
+    def block(ts, p, *rest):
         lo, pd, _ = _psd_measure(p, tol, strict=True)
         if not pd.all():
             k = int(np.argmin(pd))
@@ -368,7 +362,7 @@ def build_skew_gauge(cs: CoefficientSet, mu: CoefficientFunction | None = None,
         lam0, lam0dot = _skew_gauge(p, *rest)
         return (lam0, lam0dot, *_defect_measure(lam0 + adjoint(lam0), lam0, tol))
 
-    vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block, constant=values.constant)
+    vals, derivs, defect, _, ok = _scan(grid.points, cs.n, block, values=values)
     lam0_fn = cf.sampled(grid.points, vals, order=3, node_derivatives=derivs)
     return lam0_fn, _largest("gauge_skew", "skew_defect", grid.points, defect, defect, ok)
 
@@ -513,16 +507,14 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """P >= 0, S >= 0, R = Q*, Y0 >= 0 (wire name ``theorem1.1``)."""
     y0 = cf._require_matrix(y0, cs.n, "Y0")
-    pqrs = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
-    def block(ts):
-        p, q, r, s = pqrs(ts)
+    def block(ts, p, q, r, s):
         return (*_psd_measure(p, tol), *_psd_measure(s, tol),
                 *_defect_measure(r - adjoint(q), r, tol))
 
     ts = (grid or GridSpec.for_set(cs)).points
     p_lo, p_ok, p_def, s_lo, s_ok, s_def, resid, ratio, sym_ok = _scan(
-        ts, cs.n, block, constant=pqrs.constant)
+        ts, cs.n, block, values=cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S)))
     return _report("theorem1.1",
                    [_least("coefficient_psd", ts, p_lo, p_ok, p_def),
                     _least("source_psd", ts, s_lo, s_ok, s_def),

@@ -645,9 +645,8 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     spans = np.split(kept, np.flatnonzero(starts)[1:])
     rp = stacked_evaluator((cs.R, cs.P))
 
-    def integrands(ts, y):
+    def integrands(ts, r, p, y):
         """tr(R + P Y) and tr(R + R* + P (Y + Y*)) at every sample of a span."""
-        r, p = rp(ts)
         return (np.trace(r + p @ y, axis1=-2, axis2=-1),
                 np.trace(r + adjoint(r) + p @ (y + adjoint(y)), axis1=-2, axis2=-1).real)
 
@@ -670,7 +669,7 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
             raise IntegrationError("liouville_check requires a uniform sample grid")
         dets = np.linalg.det(flow.phi[idx])
         ys = traj.values[np.searchsorted(traj.times, ts)]
-        integrand, integrand2 = _scan(ts, cs.n, integrands, ys)
+        integrand, integrand2 = _scan(ts, cs.n, integrands, ys, values=rp)
         det_rhs = dets[0] * np.exp(_cumulative_simpson(integrand, dx))
         mod_rhs = np.abs(dets[0]) ** 2 * np.exp(_cumulative_simpson(integrand2, dx))
         max_det = np.maximum(max_det, worst(dets, det_rhs))

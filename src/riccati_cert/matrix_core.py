@@ -48,9 +48,10 @@ DEFAULT_TOL = 1e-9
 #: Hermitian; each grid check judges P at its own tolerance.
 HERMITIAN_PROBE_TOL = 1e-8
 
-#: Most matrix entries in one stacked block of a grid scan. A block of
-#: n x n matrices holds max(1, BLOCK_ENTRIES // n**2) time points, which
-#: bounds the scan's temporaries at every n while keeping numpy calls few.
+#: Most entries of one n x n stack in a block of a grid scan: a block holds
+#: max(1, BLOCK_ENTRIES // n**2) time points. That bounds each stack, not the
+#: block, which holds several (six for theorem3.1), so ``verify.residual_series``
+#: scans at 2n (ROADMAP item 13).
 BLOCK_ENTRIES = 2 ** 14
 
 #: numpy's error state wherever arithmetic may overflow: the measures fail the inf or NaN.
@@ -206,19 +207,20 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
 
 
 @np.errstate(**_OVERFLOW_QUIET)
-def _scan(ts: np.ndarray, n: int, block, *stacks, constant: bool = False) -> list[np.ndarray]:
-    """Run ``block(ts[s], *(a[s] for a in stacks))`` over blocks of at most
-    BLOCK_ENTRIES matrix entries and join the per-point arrays it returns.
+def _scan(ts: np.ndarray, n: int, block, *stacks, values=None) -> list[np.ndarray]:
+    """Run ``block(ts[s], *values(ts[s]), *(a[s] for a in stacks))`` over
+    blocks of at most BLOCK_ENTRIES entries per n x n stack and join the
+    per-point arrays it returns; ``values`` is the scan's ``stacked_evaluator``, if any.
+    Where it is ``constant`` (every function it reads is a ``ConstantFunction``)
+    and no per-point stack is sliced, one point decides the interval: the block
+    runs once, on ``ts[:1]``, and each array it returns is repeated to
+    ``ts.size`` points, so a witness picked earliest on ties still names t0."""
+    def run(s: slice):
+        return block(ts[s], *(values(ts[s]) if values else ()), *(a[s] for a in stacks))
 
-    With ``constant`` (every input the block reads is the same at every
-    point, as for all-``ConstantFunction`` data) the block runs once, on
-    ``ts[:1]``, and each array it returns is repeated to ``ts.size``
-    points: one point decides the whole interval, and a witness picked
-    earliest on ties still names t0."""
-    if constant:
-        return [np.repeat(col, ts.size, axis=0) for col in block(ts[:1], *(a[:1] for a in stacks))]
-    parts = [block(ts[s], *(a[s] for a in stacks)) for s in block_slices(ts.size, n)]
-    return [np.concatenate(col) for col in zip(*parts)]
+    if values and values.constant and not stacks:
+        return [np.repeat(col, ts.size, axis=0) for col in run(slice(1))]
+    return [np.concatenate(col) for col in zip(*map(run, block_slices(ts.size, n)))]
 
 
 @dataclass(frozen=True)

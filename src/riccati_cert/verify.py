@@ -6,9 +6,10 @@ and the equation residual. The residual uses central differences of the
 stored samples rather than the integrator's internal derivative, so the
 check is independent of the integration code path.
 
-Every series is one ``matrix_core._scan`` over the samples. By matrix_core's
-rule a monitor is NaN, and fails its bound, at a sample whose matrix or
-eigenvalue is not finite, and nothing warns.
+Every series is one ``matrix_core._scan`` over the samples; the scan hands
+its block the values of the coefficients or the gauge the series reads. By
+matrix_core's rule a monitor is NaN, and fails its bound, at a sample whose
+matrix or eigenvalue is not finite, and nothing warns.
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
     column.
     """
     lam = cf._require_gauge(lam, traj.n, "lambda")
-    lam_values = cf.stacked_evaluator((lam,))
 
-    def block(ts, y):
-        lam_t, = lam_values(ts)
+    def block(ts, lam_t, y):
         g = y + adjoint(y) - lam_t - adjoint(lam_t)
         return (_hermitian_eigvals(g, "eigen_monitor")[:, 0],)
 
-    return _scan(traj.times, traj.n, block, traj.values)[0]
+    return _scan(traj.times, traj.n, block, traj.values, values=cf.stacked_evaluator((lam,)))[0]
 
 
 def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = None,
@@ -85,10 +84,10 @@ def verify_hermitian_bound(traj: Trajectory, lam: CoefficientFunction | None = N
 
 
 def _least(series: np.ndarray, times: np.ndarray) -> tuple[float, float]:
-    """(least value, its earliest time), or (inf, nan) for an empty series; a NaN
-    value counts as least, so a monitor that broke down is the witness."""
-    k = int(np.argmin(series)) if series.size else None
-    return (np.inf, np.nan) if k is None else (float(series[k]), float(times[k]))
+    """(least value, its earliest time) of a series with samples; a NaN value
+    counts as least, so a monitor that broke down is the witness."""
+    k = int(np.argmin(series))
+    return float(series[k]), float(times[k])
 
 
 @dataclass
@@ -112,6 +111,8 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise ValueError("trajectories are sampled on different grids")
     if traj.values.shape != traj_tilde.values.shape:
         raise DimensionError("trajectory dimensions differ")
+    if traj.times.size == 0:
+        raise ValueError("trajectory has no samples")
     lo, hi = _scan(traj.times, traj.n, lambda ts, y, y_tilde: (
         _hermitian_eigvals(y, "verify_sandwich")[:, 0],
         _hermitian_eigvals(y_tilde - y, "verify_sandwich")[:, 0]), traj.values, traj_tilde.values)
@@ -180,10 +181,8 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """
     if traj.times.size < MIN_RESIDUAL_SAMPLES:
         raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
-    pqrs = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
 
-    def block(ts, y, k):
-        p, q, r, s = pqrs(ts)
+    def block(ts, p, q, r, s, y, k):
         resid = deriv(int(k[0]), int(k[-1]) + 1) + y @ p @ y + q @ y + y @ r - s
         return (_fro(resid) / (1.0 + _fro(y) ** 2),)
 
@@ -191,7 +190,8 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     # a block holds P, Q, R, S, the differences and the products at each
     # point: scanned as matrices of twice the dimension, it has a quarter
     # of the points of a one-matrix scan
-    return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size))[0]
+    return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size),
+                 values=cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S)))[0]
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

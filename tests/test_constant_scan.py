@@ -3,7 +3,9 @@
 The conditions are pointwise in t, so where every function a scan reads is
 a ``ConstantFunction`` one point decides the whole interval. The same data
 stored as degree-0 polynomials take the full grid path; both must give the
-same report bytes, the same skew gauge and the same refusal.
+same report bytes, the same skew gauge and the same refusal. ``_scan``
+decides this from its evaluator and its per-point stacks: a trajectory scan
+slices the samples, so it scans every block even on constant data.
 """
 
 import json
@@ -23,6 +25,13 @@ from riccati_cert.criteria import (
 )
 from riccati_cert.exceptions import NotPositiveDefiniteError
 from riccati_cert.instances import InstanceSpec, gen_blowup
+from riccati_cert.integrate import (
+    integrate_linear_system,
+    integrate_lyapunov_comparison,
+    integrate_riccati_direct,
+    liouville_check,
+)
+from riccati_cert.verify import eigen_monitor, residual_series, verify_sandwich
 
 
 def _blowup(n):
@@ -159,3 +168,65 @@ class TestOneEvaluationOfOnePoint:
         run_criterion("theorem3.1", twin, y0, grid=grid, **twin_gauges)
         assert len(seen["evaluator"]) > 1 and sum(seen["evaluator"]) == 1001
         assert max(seen["eigvals"]) > 1
+
+
+class TestTheScanDecides:
+    """``_scan`` runs its block at t0 alone exactly when its evaluator is
+    constant and it slices no per-point stack."""
+
+    ts = np.linspace(0.0, 1.0, 1001)
+    n = 8
+
+    def scan(self, f, *stacks):
+        calls = []
+
+        def block(ts, value, *sliced):
+            assert value.shape == (ts.size, self.n, self.n)
+            calls.append(ts.tolist())
+            return (ts, *sliced)
+
+        cols = mc._scan(self.ts, self.n, block, *stacks, values=cf.stacked_evaluator((f,)))
+        return calls, cols
+
+    def blocks(self):
+        slices = mc.block_slices(self.ts.size, self.n)
+        assert len(slices) > 1
+        return [self.ts[s].tolist() for s in slices]
+
+    def test_constant_values_alone_run_once_at_t0(self):
+        calls, (ts,) = self.scan(cf.constant(np.eye(self.n)))
+        assert calls == [self.ts[:1].tolist()]
+        assert ts.size == self.ts.size and (ts == self.ts[0]).all()
+
+    def test_a_per_point_stack_runs_every_block(self):
+        k = np.arange(self.ts.size)
+        calls, (ts, got) = self.scan(cf.constant(np.eye(self.n)), k)
+        assert calls == self.blocks()
+        assert np.array_equal(ts, self.ts) and np.array_equal(got, k)
+
+    def test_varying_values_run_every_block(self):
+        calls, (ts,) = self.scan(cf.polynomial([np.eye(self.n), np.eye(self.n)]))
+        assert calls == self.blocks()
+        assert np.array_equal(ts, self.ts)
+
+
+def _trajectory_results(cs, y0, lam):
+    """The bytes of every trajectory scan that reads coefficients, and of the
+    sandwich, on samples before the blowup's escape; several blocks at n = 8."""
+    ts = np.linspace(cs.t0, 1.0, 301)
+    direct = integrate_riccati_direct(cs, y0, sample_times=ts)
+    assert direct.status == "completed"
+    flow, radon = integrate_linear_system(cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 301))
+    return (eigen_monitor(direct, lam).tobytes(), residual_series(direct, cs).tobytes(),
+            repr(verify_sandwich(direct, integrate_lyapunov_comparison(cs, y0, sample_times=ts))),
+            repr(liouville_check(flow, cs, radon)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_trajectory_scans_match_on_both_storages(n):
+    cs, y0, gauges = _blowup(n)
+    twin, twin_gauges = _poly0_twin(cs, gauges)
+    if n == 8:
+        assert len(mc.block_slices(301, n)) > 1
+    assert _trajectory_results(cs, y0, gauges["lam"]) == \
+        _trajectory_results(twin, y0, twin_gauges["lam"])

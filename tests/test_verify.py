@@ -320,3 +320,10 @@ class TestNonFiniteMonitors:
         traj = Trajectory(times=np.empty(0), values=np.empty((0, 2, 2), dtype=complex),
                           status="phi_singular", method="radon")
         assert eigen_monitor(traj).shape == (0,)
+
+    def test_empty_trajectories_are_refused_by_both_bounds(self):
+        traj = Trajectory(times=np.empty(0), values=np.empty((0, 2, 2), dtype=complex),
+                          status="phi_singular", method="radon")
+        for check in (verify_hermitian_bound, lambda t: verify_sandwich(t, t)):
+            with pytest.raises(ValueError, match="^trajectory has no samples$"):
+                check(traj)
