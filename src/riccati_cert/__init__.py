@@ -27,10 +27,7 @@ from .criteria import (
     build_skew_gauge,
     check_comparison_hypotheses,
     check_gauge_criterion,
-    check_positivity_condition,
-    check_scalar_shift_condition,
     check_skew_gauge_criterion,
-    check_source_condition,
     check_sqrt_frame_criterion,
     run_criterion,
     sqrt_frame_condition_matrix,

@@ -18,13 +18,16 @@ uses:
 * ``theorem1.1``  -- the linear-comparison baseline: P >= 0, S >= 0,
   R = Q*, which certifies 0 <= Y(t) <= Ytilde(t) for PSD initial values.
 
-All conditions are verified pointwise on a finite uniform grid; every
-report carries a note stating this declared approximation. Each criterion
-is one ``matrix_core._scan`` of a ``stacked_evaluator`` of P, Q, R, S (and
-the gauge or derivatives it needs): its block takes their values and returns
-the per-point columns of all its grid conditions, judged by matrix_core's
-measures; ``_least`` and ``_largest`` pick the witnesses, a NaN one at its
-time, and ``_least`` on t0 alone judges the initial clause. The conditions
+Each criterion has one public checker, which judges Y0 too: its
+``CriterionReport``, ending with the initial clause, is the only way to read
+its conditions. All conditions are verified pointwise on a finite uniform
+grid; every report carries a note stating this declared approximation. The
+four criteria and ``build_skew_gauge`` are one ``matrix_core._scan`` each, of
+a ``stacked_evaluator`` of P, Q, R, S (and the gauge or derivatives it
+needs): its block takes their values and returns the per-point columns of
+all its grid conditions, judged by matrix_core's measures; ``_least`` and
+``_largest`` pick the witnesses, a NaN one at its time, and ``_least`` on t0
+alone judges the initial clause. The conditions
 are pointwise in t, so where every function a scan reads is a
 ``ConstantFunction`` ``_scan`` decides from its evaluator to run the block at
 t0 only and repeat the columns over the grid: one point decides the interval
@@ -209,11 +212,21 @@ def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> Conditi
     return _least(name, np.array([t0]), *_psd_measure(g0[None], tol)[:2])
 
 
-def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
-                      grid: GridSpec | None, tol: float) -> tuple[list, cf.SampledFunction | None]:
-    """The three grid conditions of theorem3.1 in one pass that evaluates P, Q,
-    R, S, L and L' once per block, and mu_hat (``check_scalar_shift_condition``)."""
+@np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
+def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
+                          y0, grid: GridSpec | None = None,
+                          tol: float = DEFAULT_TOL) -> CriterionReport:
+    """Full check of the gauge criterion (wire name ``theorem3.1``).
+
+    One pass judges P >= 0, M = R - Q* - P(L* - L) = mu_hat I with
+    mu_hat = tr(M)/n (``extracted_mu`` where finite) and S_L + S_L* >= 0;
+    the clause Y0 + Y0* >= L(t0) + L*(t0) closes the report. When it holds,
+    trajectories from Y0 exist on the whole horizon with
+    Y(t) + Y*(t) >= L(t) + L*(t), which ``verify.verify_hermitian_bound``
+    tests along computed trajectories.
+    """
     lam = cf._require_gauge(lam, cs.n, "lambda")
+    y0 = cf._require_matrix(y0, cs.n, "Y0")
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, lam), (lam,))
 
     def block(ts, p, q, r, s, lam_t, lam_dot):
@@ -227,60 +240,13 @@ def _gauge_conditions(cs: CoefficientSet, lam: CoefficientFunction | None,
     ts = (grid or GridSpec.for_set(cs)).points
     p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(
         ts, cs.n, block, values=values)
-    return ([_least("coefficient_psd", ts, p_lo, p_ok, p_def),
-             _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
-             _least("shifted_source_psd", ts, s_lo, s_ok, s_def)],
-            cf.sampled(ts, mu_hat, order=1, scalar=True) if np.isfinite(mu_hat).all() else None)
-
-
-def check_positivity_condition(cs: CoefficientSet, grid: GridSpec | None = None,
-                               tol: float = DEFAULT_TOL) -> ConditionRecord:
-    """P(t) >= 0 at every grid point (also enforces Hermiticity of P)."""
-    ts = (grid or GridSpec.for_set(cs)).points
-    lo, ok, defect = _scan(ts, cs.n, lambda _, p: _psd_measure(p, tol),
-                           values=cf.stacked_evaluator((cs.P,)))
-    return _least("coefficient_psd", ts, lo, ok, defect)
-
-
-def check_scalar_shift_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
-                                 grid: GridSpec | None = None, tol: float = DEFAULT_TOL
-                                 ) -> tuple[ConditionRecord, cf.SampledFunction | None]:
-    """R - Q* - P(L* - L) must equal mu(t) I for some scalar mu.
-
-    The scalar is extracted as tr(M)/n rather than supplied: at each grid
-    point the checker forms M(t), takes mu_hat = tr(M)/n and accepts when
-    ||M - mu_hat I||_F <= tol (1 + ||M||_F). Returns the extracted mu_hat
-    as a sampled scalar function on the grid, None where it is not finite.
-    """
-    conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
-    return conditions[1], mu_fn
-
-
-def check_source_condition(cs: CoefficientSet, lam: CoefficientFunction | None,
-                           grid: GridSpec | None = None, tol: float = DEFAULT_TOL
-                           ) -> ConditionRecord:
-    """S_L(t) + S_L*(t) >= 0 at every grid point."""
-    return _gauge_conditions(cs, lam, grid, tol)[0][2]
-
-
-@np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
-def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
-                          y0, grid: GridSpec | None = None,
-                          tol: float = DEFAULT_TOL) -> CriterionReport:
-    """Full check of the gauge criterion (wire name ``theorem3.1``).
-
-    Runs the three coefficient conditions plus the initial-value clause
-    Y0 + Y0* >= L(t0) + L*(t0). When it holds, trajectories from Y0 are
-    certified to exist on the whole horizon with
-    Y(t) + Y*(t) >= L(t) + L*(t); ``verify.verify_hermitian_bound``
-    tests that bound along computed trajectories.
-    """
-    lam = cf._require_gauge(lam, cs.n, "lambda")
-    y0 = cf._require_matrix(y0, cs.n, "Y0")
-    conditions, mu_fn = _gauge_conditions(cs, lam, grid, tol)
+    mu_fn = cf.sampled(ts, mu_hat, order=1, scalar=True) if np.isfinite(mu_hat).all() else None
     lam0 = lam.eval(cs.t0)
-    conditions.append(_initial_record("initial_lower_bound",
-                                      y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol))
+    conditions = [_least("coefficient_psd", ts, p_lo, p_ok, p_def),
+                  _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
+                  _least("shifted_source_psd", ts, s_lo, s_ok, s_def),
+                  _initial_record("initial_lower_bound",
+                                  y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol)]
     return _report("theorem3.1", conditions,
                    [GRID_NOTE, *(_imaginary_shift_note(mu_fn.values, tol, "mu") if mu_fn else [])],
                    extracted_mu=mu_fn)
@@ -420,31 +386,30 @@ def sqrt_frame_condition_matrix(cs: CoefficientSet, nu: CoefficientFunction | No
 
 
 @np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
-def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None = None,
-                               y0=None, grid: GridSpec | None = None,
+def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None,
+                               y0, grid: GridSpec | None = None,
                                tol: float = DEFAULT_TOL) -> CriterionReport:
     """Criterion in the sqrt(P) frame (wire name ``cor3.2``).
 
-    Passes when P(t) > 0, the frame term T is skew-Hermitian, and the
-    condition matrix is PSD at every grid point. When an initial value is
-    supplied, its clause is sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 where
-    coefficient_pd passed on the whole grid, and Y0 + Y0* >= 0 otherwise.
+    Passes when P(t) > 0, the frame term T is skew-Hermitian and the
+    condition matrix is PSD at every grid point, and the initial clause
+    holds: sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) >= 0 where coefficient_pd
+    passed on the whole grid, and Y0 + Y0* >= 0 otherwise.
     """
     grid = grid or GridSpec.for_set(cs)
     nu = cf._require_gauge(nu, cs.n, "nu")
+    y0 = cf._require_matrix(y0, cs.n, "Y0")
 
     def frame(p, q, r, s, nu_t):
         return _sqrt_frame(_hermitian_sqrt(p, "cor3.2"), q, r, s, nu_t)
 
     conditions, nu_vals = _frame_conditions(cs, nu, grid, tol, frame, "sqrt_frame_skew",
                                             "sqrt_frame_psd")
-    if y0 is not None:
-        y0 = cf._require_matrix(y0, cs.n, "Y0")
-        g0 = y0 + adjoint(y0)
-        if conditions[0].passed:
-            sp0 = _hermitian_sqrt(cs.P.eval(cs.t0), "cor3.2")
-            g0 = sp0 @ g0 @ sp0
-        conditions.append(_initial_record("initial_psd", g0, cs.t0, tol))
+    g0 = y0 + adjoint(y0)
+    if conditions[0].passed:
+        sp0 = _hermitian_sqrt(cs.P.eval(cs.t0), "cor3.2")
+        g0 = sp0 @ g0 @ sp0
+    conditions.append(_initial_record("initial_psd", g0, cs.t0, tol))
 
     notes = [GRID_NOTE,
              "certified bound is the congruence "

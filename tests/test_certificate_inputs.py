@@ -30,12 +30,6 @@ def _trajectory():
 
 # every public function of the package that takes ``tol``, called on the blow-up instance
 TOL_CALLS = {
-    "criteria.check_positivity_condition":
-        lambda tol: criteria.check_positivity_condition(BLOWUP, GRID, tol),
-    "criteria.check_scalar_shift_condition":
-        lambda tol: criteria.check_scalar_shift_condition(BLOWUP, None, GRID, tol),
-    "criteria.check_source_condition":
-        lambda tol: criteria.check_source_condition(BLOWUP, None, GRID, tol),
     "criteria.check_gauge_criterion":
         lambda tol: criteria.check_gauge_criterion(BLOWUP, None, EYE, GRID, tol),
     "criteria.build_skew_gauge": lambda tol: criteria.build_skew_gauge(BLOWUP, None, GRID, tol),

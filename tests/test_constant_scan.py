@@ -20,7 +20,6 @@ from riccati_cert.criteria import (
     CRITERION_NAMES,
     GridSpec,
     build_skew_gauge,
-    check_positivity_condition,
     run_criterion,
 )
 from riccati_cert.exceptions import NotPositiveDefiniteError
@@ -147,14 +146,12 @@ class TestOneEvaluationOfOnePoint:
         monkeypatch.setattr(mc, "_hermitian_eigvals", spy_eigvals)
         return sizes
 
-    @pytest.mark.parametrize("check", [*CRITERION_NAMES, "positivity", "skew_gauge"])
+    @pytest.mark.parametrize("check", [*CRITERION_NAMES, "skew_gauge"])
     def test_constant_data_evaluate_one_point(self, seen, check):
         cs, y0, gauges = _blowup(8)
         grid = GridSpec.for_set(cs, 1001)
         assert len(mc.block_slices(grid.num_points, cs.n)) > 1
-        if check == "positivity":
-            check_positivity_condition(cs, grid)
-        elif check == "skew_gauge":
+        if check == "skew_gauge":
             build_skew_gauge(cs, gauges["mu"], grid)
         else:
             run_criterion(check, cs, y0, grid=grid, **gauges)

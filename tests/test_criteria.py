@@ -12,10 +12,7 @@ from riccati_cert.criteria import (
     build_skew_gauge,
     check_comparison_hypotheses,
     check_gauge_criterion,
-    check_positivity_condition,
-    check_scalar_shift_condition,
     check_skew_gauge_criterion,
-    check_source_condition,
     check_sqrt_frame_criterion,
     run_criterion,
     sqrt_frame_condition_matrix,
@@ -23,7 +20,7 @@ from riccati_cert.criteria import (
     sqrt_frame_skew_term,
     sqrt_frame_source_term,
 )
-from riccati_cert.exceptions import NotPositiveDefiniteError
+from riccati_cert.exceptions import DimensionError, NotPositiveDefiniteError
 from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
 from riccati_cert.matrix_core import block_slices, principal_sqrt
 
@@ -40,22 +37,28 @@ def grid(cs, num=21):
     return GridSpec.for_set(cs, num)
 
 
+def gauge_report(cs, lam=None, num=21):
+    """theorem3.1 on the grid of ``num`` points, from a Y0 that passes the
+    initial clause of a zero gauge; the grid conditions are read from it."""
+    return check_gauge_criterion(cs, lam, np.eye(cs.n), grid(cs, num))
+
+
 class TestPositivityCondition:
     def test_identity_passes(self):
         cs = make_set(2)
-        rec = check_positivity_condition(cs, grid(cs))
+        rec = gauge_report(cs).condition("coefficient_psd")
         assert rec.passed and rec.worst_value == pytest.approx(1.0)
 
     def test_small_negative_fails(self):
         cs = make_set(2, P=cf.constant(np.diag([1.0, -1e-3])))
-        rec = check_positivity_condition(cs, grid(cs))
+        rec = gauge_report(cs).condition("coefficient_psd")
         assert not rec.passed
         assert rec.worst_value == pytest.approx(-1e-3)
 
     def test_monotone_scalar_worst_at_left_end(self):
         # P(t) = (1 + t^2) I on [0, 1]: minimum is 1 at t = 0
         cs = make_set(2, P=cf.polynomial([np.eye(2), np.zeros((2, 2)), np.eye(2)]))
-        rec = check_positivity_condition(cs, grid(cs))
+        rec = gauge_report(cs).condition("coefficient_psd")
         assert rec.passed
         assert rec.worst_value == pytest.approx(1.0)
         assert rec.worst_time == pytest.approx(0.0)
@@ -64,15 +67,16 @@ class TestPositivityCondition:
 class TestScalarShiftCondition:
     def test_scalar_case_always_matches(self):
         cs = make_set(1, Q=cf.constant([[3.0 + 1.0j]]), R=cf.constant([[5.0]]))
-        rec, mu = check_scalar_shift_condition(cs, None, grid(cs))
-        assert rec.passed
-        assert complex(mu.eval(0.5)) == pytest.approx(2.0 + 1.0j)
+        rep = gauge_report(cs)
+        assert rep.condition("scalar_shift").passed
+        assert complex(rep.extracted_mu.eval(0.5)) == pytest.approx(2.0 + 1.0j)
 
     def test_non_scalar_mismatch_fails(self):
         cs = make_set(2, R=cf.constant(np.diag([1.0, 2.0])))
-        rec, mu = check_scalar_shift_condition(cs, None, grid(cs))
+        rep = gauge_report(cs)
+        rec = rep.condition("scalar_shift")
         assert not rec.passed
-        assert complex(mu.eval(0.0)) == pytest.approx(1.5)
+        assert complex(rep.extracted_mu.eval(0.0)) == pytest.approx(1.5)
         assert rec.worst_value == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_constructed_shift_reextracts(self):
@@ -80,9 +84,9 @@ class TestScalarShiftCondition:
         lam_val = np.array([[0.0, 0.5], [-0.5, 0.0]])
         r = lam_val.conj().T - lam_val + 3.0 * np.eye(2)
         cs = make_set(2, R=cf.constant(r))
-        rec, mu = check_scalar_shift_condition(cs, cf.constant(lam_val), grid(cs))
-        assert rec.passed
-        assert complex(mu.eval(0.3)) == pytest.approx(3.0)
+        rep = gauge_report(cs, cf.constant(lam_val))
+        assert rep.condition("scalar_shift").passed
+        assert complex(rep.extracted_mu.eval(0.3)) == pytest.approx(3.0)
 
     def test_constructive_soundness_random(self):
         # building R by the defining formula must always pass and re-extract mu
@@ -96,27 +100,27 @@ class TestScalarShiftCondition:
             mu_true = complex(rng.standard_normal(), rng.standard_normal())
             r = q.conj().T + p @ (lam.conj().T - lam) + mu_true * np.eye(n)
             cs = make_set(n, P=cf.constant(p), Q=cf.constant(q), R=cf.constant(r))
-            rec, mu = check_scalar_shift_condition(cs, cf.constant(lam), grid(cs, 11))
-            assert rec.passed
+            rep = gauge_report(cs, cf.constant(lam), 11)
+            assert rep.condition("scalar_shift").passed
             for t in grid(cs, 11).points:
-                assert abs(complex(mu.eval(float(t))) - mu_true) <= 1e-9
+                assert abs(complex(rep.extracted_mu.eval(float(t))) - mu_true) <= 1e-9
 
 
 class TestSourceCondition:
     def test_identity_source(self):
         cs = make_set(2, S=cf.constant(np.eye(2)))
-        rec = check_source_condition(cs, None, grid(cs))
+        rec = gauge_report(cs).condition("shifted_source_psd")
         assert rec.passed and rec.worst_value == pytest.approx(2.0)
 
     def test_negative_source(self):
         cs = make_set(2, S=cf.constant(-np.eye(2)))
-        rec = check_source_condition(cs, None, grid(cs))
+        rec = gauge_report(cs).condition("shifted_source_psd")
         assert not rec.passed and rec.worst_value == pytest.approx(-2.0)
 
     def test_gauge_shift_example(self):
         # S = 2, L = 1, P = 1: S_L = 1, so S_L + S_L* = 2 >= 0
         cs = make_set(1, S=cf.constant([[2.0]]))
-        rec = check_source_condition(cs, cf.constant([[1.0]]), grid(cs))
+        rec = gauge_report(cs, cf.constant([[1.0]])).condition("shifted_source_psd")
         assert rec.passed and rec.worst_value == pytest.approx(2.0)
 
 
@@ -227,7 +231,8 @@ class TestSkewGauge:
         assert rep.condition("gauge_skew").passed
         src = rep.condition("shifted_source_psd")
         assert src.worst_value == pytest.approx(2.0) and src.worst_time == 0.0
-        assert check_sqrt_frame_criterion(cs, None, None, grid(cs), tol=1e-12).holds
+        frame = check_sqrt_frame_criterion(cs, None, np.zeros((1, 1)), grid(cs), tol=1e-12)
+        assert frame.holds and frame.conditions[-1].name == "initial_psd"
 
         lam0, rec = build_skew_gauge(cs, None, grid(cs), tol=1e-12)
         assert rec.passed and lam0.eval(0.5)[0, 0] == 0.0
@@ -263,16 +268,18 @@ class TestSqrtFrame:
 
     def test_criterion_identity_source_passes(self):
         cs = make_set(2, S=cf.constant(np.eye(2)))
-        rep = check_sqrt_frame_criterion(cs, None, None, grid(cs))
+        rep = check_sqrt_frame_criterion(cs, None, np.zeros((2, 2)), grid(cs))
         assert rep.holds and rep.criterion == "cor3.2"
+        assert rep.conditions[-1].name == "initial_psd"
         assert rep.condition("sqrt_frame_psd").worst_value == pytest.approx(2.0)
 
     def test_rotation_without_source_fails(self):
         a = 0.8
         r = np.array([[0.0, a], [-a, 0.0]])
         cs = make_set(2, R=cf.constant(r))
-        rep = check_sqrt_frame_criterion(cs, None, None, grid(cs))
+        rep = check_sqrt_frame_criterion(cs, None, np.eye(2), grid(cs))
         assert not rep.holds
+        assert rep.conditions[-1].name == "initial_psd" and rep.conditions[-1].passed
         # T = -R/2 is skew with T^2 = -(a^2/4) I: condition matrix is -a^2/2 I
         assert rep.condition("sqrt_frame_skew").passed
         assert rep.condition("sqrt_frame_psd").worst_value == pytest.approx(-a * a / 2)
@@ -281,8 +288,8 @@ class TestSqrtFrame:
         a = 0.8
         r = np.array([[0.0, a], [-a, 0.0]])
         cs = make_set(2, R=cf.constant(r), S=cf.constant(a * a / 4 * np.eye(2)))
-        rep = check_sqrt_frame_criterion(cs, None, None, grid(cs))
-        assert rep.holds
+        rep = check_sqrt_frame_criterion(cs, None, np.eye(2), grid(cs))
+        assert rep.holds and rep.conditions[-1].name == "initial_psd"
         assert abs(rep.condition("sqrt_frame_psd").worst_value) <= 1e-12
 
 
@@ -478,8 +485,7 @@ class TestDispatch:
 
 class TestOnePassPerCriterion:
     """Each criterion is one scan whose block evaluates every coefficient,
-    gauge and derivative it needs once; the single-condition helpers select
-    from that pass."""
+    gauge and derivative it needs once."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -527,21 +533,19 @@ class TestOnePassPerCriterion:
         run_criterion(name, cs, y0, lam=lam, mu=mu, nu=mu, grid=g)
         assert calls == dict.fromkeys(grid_functions | {"_scan"}, 1)
 
-    def test_single_condition_helpers_select_from_the_pass(self, counted):
-        cs, lam, _, y0, g, calls = counted
-        rep = check_gauge_criterion(cs, lam, y0, g)
-        assert check_positivity_condition(cs, g) == rep.condition("coefficient_psd")
-        rec, mu_fn = check_scalar_shift_condition(cs, lam, g)
-        assert rec == rep.condition("scalar_shift")
-        assert mu_fn.values.tobytes() == rep.extracted_mu.values.tobytes()
-        assert check_source_condition(cs, lam, g) == rep.condition("shifted_source_psd")
-        assert calls["_scan"] == 4
 
-    def test_positivity_scans_P_only(self, counted):
-        cs, _, _, y0, g, calls = counted
-        rec = check_positivity_condition(cs, g)
-        assert calls == {"_scan": 1, "P": 1}
-        assert rec == check_gauge_criterion(cs, None, y0, g).condition("coefficient_psd")
+class TestInitialValueRefusedFirst:
+    """Every checker refuses a Y0 of the wrong dimension before it scans."""
+
+    @pytest.mark.parametrize("name", criteria.CRITERION_NAMES)
+    def test_wrong_dimension_is_refused_before_any_scan(self, monkeypatch, name):
+        scans = []
+        scan = criteria._scan
+        monkeypatch.setattr(criteria, "_scan", lambda *a, **kw: scans.append(1) or scan(*a, **kw))
+        cs = make_set(2, S=cf.constant(np.eye(2)))
+        with pytest.raises(DimensionError, match="^Y0 has dimension 3, expected 2$"):
+            run_criterion(name, cs, np.eye(3), grid=grid(cs))
+        assert scans == []
 
 
 class TestFrameWitnessWherePIsNowherePositive:
@@ -565,8 +569,9 @@ class TestShiftsThatAreNotFinite:
 
     def test_extracted_mu_is_none_where_R_overflows(self):
         cs = make_set(1, t_end=5.0, R=cf.polynomial([[[0.0]], [[0.0]], [[1e307]]]))
-        rec, mu_fn = check_scalar_shift_condition(cs, None, grid(cs))
-        assert mu_fn is None and not rec.passed
+        rep = gauge_report(cs)
+        rec = rep.condition("scalar_shift")
+        assert rep.extracted_mu is None and not rec.passed
         assert math.isnan(rec.worst_value) and math.isfinite(rec.worst_time)
 
     @pytest.mark.parametrize("coefficient", [1e307, 1e307j])

@@ -8,7 +8,6 @@ from riccati_cert.criteria import (
     GridSpec,
     check_comparison_hypotheses,
     check_gauge_criterion,
-    check_source_condition,
 )
 from riccati_cert.instances import (
     TARGETS,
@@ -177,7 +176,8 @@ class TestBlowup:
     def test_violates_source_condition(self):
         c = 1.0
         cs, y0 = gen_blowup(InstanceSpec(n=2, seed=0, scale=c, target="blowup"))
-        rec = check_source_condition(cs, None, GridSpec.for_set(cs, 11))
+        rep = check_gauge_criterion(cs, None, y0, GridSpec.for_set(cs, 11))
+        rec = rep.condition("shifted_source_psd")
         assert not rec.passed
         assert rec.worst_value == pytest.approx(-2 * c)
 

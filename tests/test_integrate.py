@@ -11,7 +11,13 @@ from riccati_cert import coefficients as cf
 from riccati_cert import integrate
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import IntegrationError
-from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison, gen_satisfying
+from riccati_cert.instances import (
+    InstanceSpec,
+    canonical_catalog,
+    gen_blowup,
+    gen_comparison,
+    gen_satisfying,
+)
 from riccati_cert.integrate import (
     IntegratorOptions,
     LiouvilleReport,
@@ -575,6 +581,16 @@ class TestLiouville:
         rep = liouville_check(flow, cs, traj)
         assert len(rep.spans) == len(flow.restarts) + 1
         assert rep.max_rel_error <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="the linear flow steps over poles of Y that fall "
+                       "between samples: no sample is singular, so the run reads completed "
+                       "and liouville_check's one span crosses them")
+    def test_poles_between_samples_split_the_run(self):
+        # Y = -tan t: poles at pi/2 and 3 pi/2 on [0, 5], none on a sample time
+        cs, y0 = gen_blowup(InstanceSpec(n=2, seed=1, target="blowup"))
+        flow, traj = integrate_linear_system(cs, y0)
+        assert traj.status != "completed"
+        assert liouville_check(flow, cs, traj).max_rel_error <= 1e-6
 
 
 def reference_liouville_check(flow, cs, traj):
