@@ -535,17 +535,56 @@ class TestOnePassPerCriterion:
 
 
 class TestInitialValueRefusedFirst:
-    """Every checker refuses a Y0 of the wrong dimension before it scans."""
+    """Every checker refuses a malformed Y0 before it scans."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The calls of ``criteria._scan``, one entry each."""
+        calls = []
+        scan = criteria._scan
+        monkeypatch.setattr(criteria, "_scan", lambda *a, **kw: calls.append(1) or scan(*a, **kw))
+        return calls
 
     @pytest.mark.parametrize("name", criteria.CRITERION_NAMES)
-    def test_wrong_dimension_is_refused_before_any_scan(self, monkeypatch, name):
-        scans = []
-        scan = criteria._scan
-        monkeypatch.setattr(criteria, "_scan", lambda *a, **kw: scans.append(1) or scan(*a, **kw))
+    def test_wrong_dimension_is_refused_before_any_scan(self, scans, name):
         cs = make_set(2, S=cf.constant(np.eye(2)))
         with pytest.raises(DimensionError, match="^Y0 has dimension 3, expected 2$"):
             run_criterion(name, cs, np.eye(3), grid=grid(cs))
         assert scans == []
+
+    @pytest.mark.parametrize("y0, error, message", [
+        # no criterion reads None as "skip the initial clause"
+        (None, ValueError, r"^Y0 contains non-finite entries$"),
+        (np.ones((2, 3)), DimensionError, r"^Y0 must be square; got shape \(2, 3\)$"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, r"^Y0 contains non-finite entries$"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, r"^Y0 contains non-finite entries$"),
+    ], ids=["none", "not_square", "nan", "inf"])
+    @pytest.mark.parametrize("name", criteria.CRITERION_NAMES)
+    def test_malformed_y0_is_refused_before_any_scan(self, scans, name, y0, error, message):
+        cs = make_set(2, S=cf.constant(np.eye(2)))
+        with pytest.raises(error, match=message):
+            run_criterion(name, cs, y0, grid=grid(cs))
+        assert scans == []
+
+
+class TestInitialClauseClosesEveryReport:
+    """Each checker's report ends with its initial-clause record, judged at t0."""
+
+    CLAUSES = {"theorem3.1": "initial_lower_bound", "cor3.1": "initial_psd",
+               "cor3.2": "initial_psd", "theorem1.1": "initial_psd"}
+
+    @pytest.mark.parametrize("name", criteria.CRITERION_NAMES)
+    def test_last_record_is_the_initial_clause(self, name):
+        cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=2, seed=3, t0=0.25))
+        g = grid(cs)
+        good = run_criterion(name, cs, y0, lam=lam, mu=mu, nu=mu, grid=g)
+        bad = run_criterion(name, cs, -10.0 * np.eye(2), lam=lam, mu=mu, nu=mu, grid=g)
+        for rep in (good, bad):
+            last = rep.conditions[-1]
+            assert last.name == self.CLAUSES[name] and last.worst_time == 0.25
+            assert [c.name for c in rep.conditions].count(last.name) == 1
+        assert good.conditions[:-1] == bad.conditions[:-1]
+        assert not bad.conditions[-1].passed and not bad.holds
 
 
 class TestFrameWitnessWherePIsNowherePositive:
