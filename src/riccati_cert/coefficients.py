@@ -55,7 +55,6 @@ functions are safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -442,7 +441,7 @@ def stacked_evaluator(functions, derivatives=()):
       domain clip and one ``_cell_sum`` over their stacked ``cells`` (their
       derivatives, over their ``slope_cells``);
     * constants give read-only stride-0 views of their stored values (of zero
-      for a derivative), built once for each number of times;
+      for a derivative), broadcast over the times;
     * a function of another kind goes through its own ``eval`` or ``derivative``.
 
     Its ``constant`` attribute says whether every function is a constant:
@@ -472,9 +471,8 @@ def stacked_evaluator(functions, derivatives=()):
             cell_sum = _cell_sum(np.stack([c for _, c in members], axis=2), f.times)
             run = lambda ts, cell_sum=cell_sum, clip=f._clip_t: cell_sum(clip(ts)).swapaxes(0, 1)
         elif f.kind == "constant":
-            stacks = functools.cache(lambda m, values=[c for _, c in members]: tuple(
-                np.ndarray((m,) + v.shape, v.dtype, v, 0, (0,) + v.strides) for v in values))
-            run = lambda ts, stacks=stacks: stacks(ts.size)
+            run = lambda ts, values=[c for _, c in members]: [
+                np.broadcast_to(v, ts.shape + v.shape) for v in values]
         else:
             run = lambda ts, g=f.derivative if slope else f.eval: (g(ts),)
         passes.append((run, [i for i, _ in members]))

@@ -22,11 +22,11 @@ that reads back to the same float, and ends every line with ``\r\n``;
 no field is ever quoted. The reader takes the first ``1 + 2 n^2``
 columns of each row, accepts ``\n`` line ends and quoted fields, and
 rejects non-finite values and times that do not strictly increase. It
-parses with numpy's C reader and falls back to the ``csv`` module on any
-text the C reader refuses or any fault, so both give the same bits and
-every refusal names its line and column. It rebuilds Y as
-``re + 1j * im`` in place inside the parsed rows, so a zero part may come
-back with the other sign.
+parses with numpy's C reader, quoted fields included, and falls back to
+the ``csv`` module on any text the C reader refuses or any fault, so both
+give the same bits and every refusal names its line and column. Y is a
+view of the parsed (re, im) pairs, so the reader is the exact inverse of
+the writer: every part, a signed zero too, comes back as written.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
 CSV line and column) named in the message. A value whose rule belongs to a
@@ -53,7 +53,7 @@ from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import GridSpec
 from .exceptions import DomainError, InstanceFormatError, RiccatiError, named_refusal
 from .integrate import LinearFlow, Trajectory
-from .matrix_core import _OVERFLOW_QUIET, block_slices
+from .matrix_core import _OVERFLOW_QUIET
 from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 
 
@@ -370,9 +370,10 @@ def read_trajectory_csv(path: str, n: int):
     fault is read again by the ``csv`` module, which accepts the same
     texts to the same bits and names the faulty line and column.
 
-    ``values`` is Y rebuilt in place over the (re, im) columns of the
-    parsed rows: an (m, n, n) complex128 strided view into them, not
-    C-contiguous, so the reader holds no second copy of the samples.
+    ``values`` is Y as written: an (m, n, n) complex128 strided view into
+    the (re, im) columns of the parsed rows, not C-contiguous, so every
+    part comes back with the bits and sign it was written with and the
+    reader holds no second copy of the samples.
     """
     columns = trajectory_csv_header(n)
     data = _load_rows(path, 1 + 2 * n * n)
@@ -388,17 +389,7 @@ def read_trajectory_csv(path: str, n: int):
             raise InstanceFormatError(
                 f"trajectory CSV line {lines[r]}, column 't': time {float(data[r, 0])!r} "
                 f"does not exceed the previous time {float(data[r - 1, 0])!r}")
-    times = data[:, 0].copy()
-    # Y = re + 1j * im, rebuilt in place over the (re, im) columns of each row
-    # (a complex128 needs 8-byte alignment): the same two ufuncs on the same
-    # operands, with temporaries of one block of rows
-    values = data[:, 1:].view(np.complex128)
-    for rows in block_slices(len(values), n):
-        y = values[rows]
-        re, im = y.real.copy(), y.imag.copy()
-        np.multiply(1j, im, out=y)
-        np.add(re, y, out=y)
-    return times, values.reshape(-1, n, n)
+    return data[:, 0].copy(), data[:, 1:].view(np.complex128).reshape(-1, n, n)
 
 
 def _fault(data: np.ndarray) -> tuple[int, int] | None:
@@ -413,16 +404,8 @@ def _fault(data: np.ndarray) -> tuple[int, int] | None:
 
 def _load_rows(path: str, width: int) -> np.ndarray | None:
     """The first ``width`` columns of every sample row, parsed by numpy's C
-    reader, or None when the header is short, when the reader refuses the
-    text or warns, or when there is no row. A line with a quote is refused
-    too: a quoted field may hold a comma or span lines, which only the csv
-    module reads."""
-    def unquoted(lines):
-        for line in lines:
-            if '"' in line:
-                raise ValueError("quoted field")
-            yield line
-
+    reader with the csv module's quoting, or None when the header is short,
+    when the reader refuses the text or warns, or when there is no row."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
@@ -430,7 +413,7 @@ def _load_rows(path: str, width: int) -> np.ndarray | None:
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                data = np.loadtxt(unquoted(fh), delimiter=",", usecols=range(width),
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=range(width),
                                   comments=None, ndmin=2)
     except (OSError, ValueError, csv.Error, Warning):
         return None  # the csv path reads the file again and names what is wrong

@@ -8,6 +8,7 @@ from riccati_cert import coefficients as cf
 from riccati_cert.criteria import GridSpec, build_skew_gauge
 from riccati_cert.exceptions import InstanceFormatError, RiccatiError
 from riccati_cert.instances import InstanceSpec, gen_satisfying
+from riccati_cert.integrate import Trajectory
 from riccati_cert.serialize import (
     dumps_instance,
     function_to_obj,
@@ -17,6 +18,8 @@ from riccati_cert.serialize import (
     obj_to_matrix,
     pair_to_complex,
     parse_instance,
+    read_trajectory_csv,
+    write_trajectory_csv,
 )
 
 
@@ -152,3 +155,24 @@ class TestInstanceDocuments:
         a = dumps_instance(instance_to_obj(cs, y0, lam=lam, mu=mu))
         b = dumps_instance(instance_to_obj(cs, y0, lam=lam, mu=mu))
         assert a == b
+
+
+class TestTrajectoryCSV:
+    def test_round_trip_keeps_every_part(self, tmp_path):
+        """The reader returns the samples the writer wrote, bit for bit:
+        signed zeros in the real and in the imaginary part included."""
+        parts = np.array([[0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 1.5, -0.0],
+                          [-0.0, 2.5, 5e-324, -0.0, 0.0, 0.0, -3.0, -0.0],
+                          [-0.0, -1e-300, 0.0, -0.0, -0.0, 1e22, -0.0, -5e-324]])
+        traj = Trajectory(times=np.array([0.0, 0.5, 1.0]),
+                          values=parts.view(np.complex128).reshape(3, 2, 2),
+                          status="completed", method="test")
+        eye = np.eye(2)
+        cs = cf.CoefficientSet(n=2, t0=0.0, t_end=1.0, P=cf.constant(eye),
+                               Q=cf.constant(0 * eye), R=cf.constant(0 * eye),
+                               S=cf.constant(eye))
+        path = str(tmp_path / "traj.csv")
+        write_trajectory_csv(path, traj, cs)
+        times, values = read_trajectory_csv(path, 2)
+        assert times.tobytes() == traj.times.tobytes()
+        assert values.tobytes() == traj.values.tobytes()

@@ -167,15 +167,16 @@ def test_c_parser_agrees_with_csv_module(tmp_path_factory, case):
     ("+0.0, 1.0 ,2E0,,#,x\r\n", True),
     ("0.0,1.0,2.0\r\n \r\n0.5,3.0,4.0\r\n", False),
     ("0.0,1_0,2.0\r\n", False),
-    ('0.0,"1.0",2.0\r\n', False),
-    ('0.0,1.0,2.0,"a\r\n0.5,3.0,4.0,b"\r\n', False),
+    ('0.0,"1.0",2.0\r\n', True),
+    ('0.0,1.0,2.0,"a\r\n0.5,3.0,4.0,b"\r\n', True),
     ("0.0,nan,2.0\r\n", True),
     ("", False),
 ])
 def test_c_parser_takes_the_plain_texts(tmp_path, text, taken):
     """The C path is not vacuous: it takes what the writer writes with other
-    line ends, blank lines, signs, padding and extra monitor columns, and
-    leaves underscores, quotes and whitespace-only lines to the csv path."""
+    line ends, blank lines, signs, padding, extra monitor columns and quoted
+    fields, one that spans lines too, and leaves underscores and
+    whitespace-only lines to the csv path."""
     path = tmp_path / "traj.csv"
     path.write_bytes(("t,y0_0_re,y0_0_im\r\n" + text).encode())
     assert (serialize._load_rows(str(path), 3) is not None) == taken
