@@ -52,6 +52,7 @@ from .matrix_core import (
     _defect_measure,
     _hermitian_sqrt,
     _psd_measure,
+    _psd_measures,
     _require_int,
     _scan,
     adjoint,
@@ -212,6 +213,13 @@ def _initial_record(name: str, g0: np.ndarray, t0: float, tol: float) -> Conditi
     return _least(name, np.array([t0]), *_psd_measure(g0[None], tol)[:2])
 
 
+def _scalar_shift(m: np.ndarray, tol: float):
+    """Per point, mu_hat = tr(M)/n and the defect measure of M - mu_hat I."""
+    n = m.shape[-1]
+    mu_hat = np.trace(m, axis1=-2, axis2=-1) / n
+    return (mu_hat, *_defect_measure(m - mu_hat[:, None, None] * np.eye(n), m, tol))
+
+
 @np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
 def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
                           y0, grid: GridSpec | None = None,
@@ -230,12 +238,13 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, lam), (lam,))
 
     def block(ts, p, q, r, s, lam_t, lam_dot):
-        m = r - adjoint(q) - p @ (adjoint(lam_t) - lam_t)
-        mu_hat = np.trace(m, axis1=-2, axis2=-1) / cs.n
+        shift = _scalar_shift(r - adjoint(q) - p @ (adjoint(lam_t) - lam_t), tol)
+        # S_L + S_L* in place: the block holds one stack less while P and it
+        # are measured in one buffer
         s_l = _shifted_source(p, q, r, s, lam_t, lam_dot)
-        return (*_psd_measure(p, tol), mu_hat,
-                *_defect_measure(m - mu_hat[:, None, None] * np.eye(cs.n), m, tol),
-                *_psd_measure(s_l + adjoint(s_l), tol))
+        s_l += adjoint(s_l)
+        p_psd, s_psd = _psd_measures(tol, p, s_l)
+        return (*p_psd, *shift, *s_psd)
 
     ts = (grid or GridSpec.for_set(cs)).points
     p_lo, p_ok, p_def, mu_hat, resid, ratio, mu_ok, s_lo, s_ok, s_def = _scan(
@@ -257,13 +266,15 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
 # ---------------------------------------------------------------------------
 
 def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: GridSpec | None,
-                      tol: float, frame, skew_name: str, psd_name: str, derive=()):
+                      tol: float, frame, skew_name: str, psd_name: str, derive=(),
+                      split: bool = True):
     """coefficient_pd plus the two conditions on a frame that needs P > 0, and
     the scalar ``shift`` on the grid. The scan evaluates P, Q, R, S, the shift
     and the derivatives of ``derive`` once per block; ``frame(p, q, r, s, shift,
     *derivatives)`` returns from their values where P is positive definite
     the matrices that must be skew-Hermitian and PSD there. Elsewhere both
-    conditions fail and the points are left out of their witnesses."""
+    conditions fail and the points are left out of their witnesses. ``split``
+    is ``_scan``'s: whether the scan may run in two halves."""
     values = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S, shift), derive)
 
     def block(ts, p, q, r, s, shift_t, *derivatives):
@@ -279,7 +290,8 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
         return lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t
 
     ts = (grid or GridSpec.for_set(cs)).points
-    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block, values=values)
+    lo, pd, defect, skew, skew_ok, c_lo, c_ok, shift_t = _scan(ts, cs.n, block, values=values,
+                                                                split=split)
     return ([_least("coefficient_pd", ts, lo, pd, defect),
              _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
              _least(psd_name, ts, c_lo, c_ok)], shift_t)
@@ -403,8 +415,9 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     def frame(p, q, r, s, nu_t):
         return _sqrt_frame(_hermitian_sqrt(p, "cor3.2"), q, r, s, nu_t)
 
+    # the frame takes the eigenvectors of P, so its scan runs in one thread
     conditions, nu_vals = _frame_conditions(cs, nu, grid, tol, frame, "sqrt_frame_skew",
-                                            "sqrt_frame_psd")
+                                            "sqrt_frame_psd", split=False)
     g0 = y0 + adjoint(y0)
     if conditions[0].passed:
         sp0 = _hermitian_sqrt(cs.P.eval(cs.t0), "cor3.2")
@@ -474,8 +487,8 @@ def check_comparison_hypotheses(cs: CoefficientSet, y0, grid: GridSpec | None = 
     y0 = cf._require_matrix(y0, cs.n, "Y0")
 
     def block(ts, p, q, r, s):
-        return (*_psd_measure(p, tol), *_psd_measure(s, tol),
-                *_defect_measure(r - adjoint(q), r, tol))
+        p_psd, s_psd = _psd_measures(tol, p, s)
+        return (*p_psd, *s_psd, *_defect_measure(r - adjoint(q), r, tol))
 
     ts = (grid or GridSpec.for_set(cs)).points
     p_lo, p_ok, p_def, s_lo, s_ok, s_def, resid, ratio, sym_ok = _scan(

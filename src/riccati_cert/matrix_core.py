@@ -17,12 +17,27 @@ is made once, by ``_psd_measure`` (strict), for the frame masks, ``build_skew_ga
 ``principal_sqrt`` and ``sqrt_derivative``. Also: trace identities and the principal
 square root (``_hermitian_sqrt``) with its time derivative. All functions are
 pure; inputs are never mutated.
+
+The grid points of a scan do not depend on each other, so a scan may run in
+two halves at once (``_scan_blocks``): where the process may run on at least
+two CPUs, the scan slices no per-point stack (the criterion scans and
+``build_skew_gauge``, not the trajectory monitors or cor3.2, whose block
+takes eigenvectors) and a block of ``BLOCK_ENTRIES // 2`` entries per stack
+holds ``SPLIT_MIN_POINTS`` to ``SPLIT_MAX_POINTS`` time points
+(16 <= n <= 32), the caller scans the first half of those blocks and one
+helper thread the second. The per-point results are the same bits in
+either partition, the two blocks in flight hold what one serial block holds,
+the earliest block's exception wins, and the scan returns only once the
+helper is done.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +66,16 @@ HERMITIAN_PROBE_TOL = 1e-8
 #: Most entries of one n x n stack in a block of a grid scan: a block holds
 #: max(1, BLOCK_ENTRIES // n**2) time points. That bounds each stack, not the
 #: block, which holds several (six for theorem3.1), so ``verify.residual_series``
-#: scans at 2n (ROADMAP item 13).
+#: scans at 2n (ROADMAP item 15). A scan that splits in two halves runs two
+#: blocks at once, each of BLOCK_ENTRIES // 2 entries per stack, so the two in
+#: flight hold what one block of a serial scan holds.
 BLOCK_ENTRIES = 2 ** 14
+
+#: Fewest and most time points in a block of a scan that splits (16 <= n <= 32
+#: at BLOCK_ENTRIES // 2). Shorter blocks gain nothing from running beside each
+#: other; longer ones hold small matrices, whose many short numpy calls keep
+#: the GIL, so the two threads take turns and lose.
+SPLIT_MIN_POINTS, SPLIT_MAX_POINTS = 8, 32
 
 #: numpy's error state wherever arithmetic may overflow: the measures fail the inf or NaN.
 _OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
@@ -138,12 +161,60 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def block_slices(count: int, n: int) -> list[slice]:
+def block_slices(count: int, n: int, parts: int = 1) -> list[slice]:
     """Consecutive slices over ``count`` stacked n x n matrices, each block
-    holding at most ``BLOCK_ENTRIES`` entries and at least one matrix; an
-    empty stack gets one empty block."""
-    step = max(1, BLOCK_ENTRIES // (n * n))
+    holding at most ``BLOCK_ENTRIES // parts`` entries and at least one
+    matrix; an empty stack gets one empty block."""
+    step = max(1, BLOCK_ENTRIES // parts // (n * n))
     return [slice(k, k + step) for k in range(0, max(count, 1), step)]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask where the
+    platform has one: ``taskset -c 0`` gives 1)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
+def _scan_blocks(count: int, n: int, split: bool) -> tuple[list[slice], list[slice]]:
+    """The blocks of a scan over ``count`` points of n x n stacks: (the caller's,
+    the helper's). The scan splits where it may (``split``), the process may
+    run on two CPUs and a block of ``BLOCK_ENTRIES // 2`` entries holds
+    ``SPLIT_MIN_POINTS`` to ``SPLIT_MAX_POINTS`` points: the caller takes the
+    first half of those blocks, the helper the rest. Otherwise the caller
+    takes every block of ``block_slices`` and the helper none."""
+    points = (BLOCK_ENTRIES // 2) // (n * n)
+    if not split or not SPLIT_MIN_POINTS <= points <= SPLIT_MAX_POINTS or _cpus() < 2:
+        return block_slices(count, n), []
+    blocks = block_slices(count, n, parts=2)
+    half = (len(blocks) + 1) // 2
+    return blocks[:half], blocks[half:]
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_pool():
+    """The one helper thread of the split scans, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="riccati-scan")
+        return _helper
+
+
+def _forget_helper_pool() -> None:
+    """In a forked child the parent's helper thread does not exist, while its
+    pool still counts it idle and would queue work for it forever."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper_pool)
 
 
 def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
@@ -153,10 +224,21 @@ def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
         raise EigenSolverError(f"{context}: eigenvalue solver failed: {exc}") from exc
 
 
-def _hermitian_eigvals(h: np.ndarray, context: str) -> np.ndarray:
-    """Ascending eigenvalues of (H + H*)/2 for each matrix of a stack; NaN for one
-    whose entries (zeroed for the solver) or eigenvalues are not all finite."""
-    herm = (h + adjoint(h)) / 2
+def _hermitian_eigvals(context: str, *hs: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of (H + H*)/2 for each matrix of the stacks ``hs``
+    (of one n), joined in their order and taken in one solver call over one
+    buffer; NaN for a matrix whose entries (zeroed for the solver) or
+    eigenvalues are not all finite."""
+    herm = np.empty((sum(len(h) for h in hs),) + hs[0].shape[1:], dtype=np.result_type(*hs))
+    k = 0
+    for h in hs:
+        # H* + H, the bits of H + H*: each part of a complex sum is one
+        # commutative addition
+        part = herm[k:k + len(h)]
+        np.conjugate(h.swapaxes(-1, -2), out=part)
+        part += h
+        k += len(h)
+    herm /= 2
     bad = ~np.isfinite(herm).all(axis=(-2, -1))
     herm[bad] = 0
     eigs = _eigvalsh(herm, context)
@@ -198,29 +280,59 @@ def _psd_measure(h: np.ndarray, tol: float, strict: bool = False):
     defect) of a stack. The verdict asks for the Hermiticity-defect rule and
     for the least eigenvalue at or above -band; ``strict`` asks for it above
     +band instead (positive definiteness)."""
-    # the defect first: its measure refuses a bad tol before any eigenvalue is taken
-    defect, _, hermitian = _defect_measure(h - adjoint(h), h, tol)
-    eigs = _hermitian_eigvals(h, "criteria")
-    # the band tol + tol ||H||_2, with ||H||_2 read off the ascending eigenvalues
-    lo, band = eigs[:, 0], tol + tol * np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-    return lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect
+    return _psd_measures(tol, h, strict=strict)[0]
+
+
+def _psd_measures(tol: float, *hs: np.ndarray, strict: bool = False) -> list[tuple]:
+    """``_psd_measure`` of each stack of ``hs`` (of one n), from one eigenvalue
+    call: a split scan's half block is then long enough for the solver to
+    run beside the other half."""
+    # the defects first: their measure refuses a bad tol before any eigenvalue is taken
+    defects = [_defect_measure(h - adjoint(h), h, tol) for h in hs]
+    eigs = _hermitian_eigvals("criteria", *hs)
+    out, k = [], 0
+    for h, (defect, _, hermitian) in zip(hs, defects):
+        e, k = eigs[k:k + len(h)], k + len(h)
+        # the band tol + tol ||H||_2, with ||H||_2 read off the ascending eigenvalues
+        lo, band = e[:, 0], tol + tol * np.maximum(np.abs(e[:, 0]), np.abs(e[:, -1]))
+        out.append((lo, hermitian & ((lo > band) if strict else (lo >= -band)), defect))
+    return out
 
 
 @np.errstate(**_OVERFLOW_QUIET)
-def _scan(ts: np.ndarray, n: int, block, *stacks, values=None) -> list[np.ndarray]:
+def _scan(ts: np.ndarray, n: int, block, *stacks, values=None, split: bool = True
+          ) -> list[np.ndarray]:
     """Run ``block(ts[s], *values(ts[s]), *(a[s] for a in stacks))`` over
     blocks of at most BLOCK_ENTRIES entries per n x n stack and join the
     per-point arrays it returns; ``values`` is the scan's ``stacked_evaluator``, if any.
     Where it is ``constant`` (every function it reads is a ``ConstantFunction``)
     and no per-point stack is sliced, one point decides the interval: the block
     runs once, on ``ts[:1]``, and each array it returns is repeated to
-    ``ts.size`` points, so a witness picked earliest on ties still names t0."""
+    ``ts.size`` points, so a witness picked earliest on ties still names t0.
+    Otherwise the blocks are ``_scan_blocks``'s, which split only a scan that
+    slices no per-point stack and whose caller allows it (``split``; a block
+    that takes eigenvectors does not: LAPACK's solver for them leaves a BLAS
+    worker thread spinning on the CPU the helper would use). The helper's half
+    runs in a copy of this context (numpy's error state) while the caller runs
+    its own, and the caller waits for it before it returns or raises. The
+    caller's exception comes first in grid order, so it wins over the helper's."""
     def run(s: slice):
         return block(ts[s], *(values(ts[s]) if values else ()), *(a[s] for a in stacks))
 
     if values and values.constant and not stacks:
         return [np.repeat(col, ts.size, axis=0) for col in run(slice(1))]
-    return [np.concatenate(col) for col in zip(*map(run, block_slices(ts.size, n)))]
+    mine, theirs = _scan_blocks(ts.size, n, split and not stacks)
+    helper = _helper_pool().submit(contextvars.copy_context().run,
+                                   lambda: list(map(run, theirs))) if theirs else None
+    try:
+        cols = list(map(run, mine))
+        if helper:
+            cols += helper.result()
+    except BaseException:
+        if helper:
+            helper.exception()  # the scan ends with the helper; a later block's error is dropped
+        raise
+    return [np.concatenate(col) for col in zip(*cols)]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def eigen_monitor(traj: Trajectory, lam: CoefficientFunction | None = None) -> n
 
     def block(ts, lam_t, y):
         g = y + adjoint(y) - lam_t - adjoint(lam_t)
-        return (_hermitian_eigvals(g, "eigen_monitor")[:, 0],)
+        return (_hermitian_eigvals("eigen_monitor", g)[:, 0],)
 
     return _scan(traj.times, traj.n, block, traj.values, values=cf.stacked_evaluator((lam,)))[0]
 
@@ -114,8 +114,8 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
     if traj.times.size == 0:
         raise ValueError("trajectory has no samples")
     lo, hi = _scan(traj.times, traj.n, lambda ts, y, y_tilde: (
-        _hermitian_eigvals(y, "verify_sandwich")[:, 0],
-        _hermitian_eigvals(y_tilde - y, "verify_sandwich")[:, 0]), traj.values, traj_tilde.values)
+        _hermitian_eigvals("verify_sandwich", y)[:, 0],
+        _hermitian_eigvals("verify_sandwich", y_tilde - y)[:, 0]), traj.values, traj_tilde.values)
     lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],

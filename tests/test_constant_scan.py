@@ -121,7 +121,7 @@ def test_skew_gauge_refusal_names_t0(case):
 
 class TestOneEvaluationOfOnePoint:
     """On constant data each criterion evaluates its coefficients once, at
-    one time, and every eigenvalue solve sees a stack of one matrix."""
+    one time, and every eigenvalue solve sees one time point of each stack."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -138,9 +138,10 @@ class TestOneEvaluationOfOnePoint:
             spied.constant = values.constant
             return spied
 
-        def spy_eigvals(h, context):
-            sizes["eigvals"].append(h.shape[0])
-            return eigvals(h, context)
+        def spy_eigvals(context, *hs):
+            # one solve may measure several stacks: count time points, not matrices
+            sizes["eigvals"].extend(len(h) for h in hs)
+            return eigvals(context, *hs)
 
         monkeypatch.setattr(cf, "stacked_evaluator", spy_evaluator)
         monkeypatch.setattr(mc, "_hermitian_eigvals", spy_eigvals)
@@ -169,41 +170,50 @@ class TestOneEvaluationOfOnePoint:
 
 class TestTheScanDecides:
     """``_scan`` runs its block at t0 alone exactly when its evaluator is
-    constant and it slices no per-point stack."""
+    constant and it slices no per-point stack. Otherwise it runs every block
+    of its partition once, with that block's times, and joins the columns in
+    grid order; at n = 32 on two CPUs the partition is two halves, run by two
+    threads, so the calls are compared in sorted order."""
 
     ts = np.linspace(0.0, 1.0, 1001)
-    n = 8
 
-    def scan(self, f, *stacks):
+    @pytest.fixture(params=[8, 32])
+    def n(self, request, monkeypatch):
+        monkeypatch.setattr(mc, "_cpus", lambda: 2)
+        return request.param
+
+    def scan(self, n, f, *stacks):
         calls = []
 
         def block(ts, value, *sliced):
-            assert value.shape == (ts.size, self.n, self.n)
+            assert value.shape == (ts.size, n, n)
             calls.append(ts.tolist())
             return (ts, *sliced)
 
-        cols = mc._scan(self.ts, self.n, block, *stacks, values=cf.stacked_evaluator((f,)))
-        return calls, cols
+        cols = mc._scan(self.ts, n, block, *stacks, values=cf.stacked_evaluator((f,)))
+        return sorted(calls), cols
 
-    def blocks(self):
-        slices = mc.block_slices(self.ts.size, self.n)
-        assert len(slices) > 1
-        return [self.ts[s].tolist() for s in slices]
+    def blocks(self, n, sliced):
+        """The times of each block of the partition the scan uses, sorted."""
+        mine, theirs = mc._scan_blocks(self.ts.size, n, not sliced)
+        assert len(mine + theirs) > 1
+        assert bool(theirs) is (n == 32 and not sliced)
+        return sorted(self.ts[s].tolist() for s in mine + theirs)
 
-    def test_constant_values_alone_run_once_at_t0(self):
-        calls, (ts,) = self.scan(cf.constant(np.eye(self.n)))
+    def test_constant_values_alone_run_once_at_t0(self, n):
+        calls, (ts,) = self.scan(n, cf.constant(np.eye(n)))
         assert calls == [self.ts[:1].tolist()]
         assert ts.size == self.ts.size and (ts == self.ts[0]).all()
 
-    def test_a_per_point_stack_runs_every_block(self):
+    def test_a_per_point_stack_runs_every_block(self, n):
         k = np.arange(self.ts.size)
-        calls, (ts, got) = self.scan(cf.constant(np.eye(self.n)), k)
-        assert calls == self.blocks()
+        calls, (ts, got) = self.scan(n, cf.constant(np.eye(n)), k)
+        assert calls == self.blocks(n, sliced=True)
         assert np.array_equal(ts, self.ts) and np.array_equal(got, k)
 
-    def test_varying_values_run_every_block(self):
-        calls, (ts,) = self.scan(cf.polynomial([np.eye(self.n), np.eye(self.n)]))
-        assert calls == self.blocks()
+    def test_varying_values_run_every_block(self, n):
+        calls, (ts,) = self.scan(n, cf.polynomial([np.eye(n), np.eye(n)]))
+        assert calls == self.blocks(n, sliced=False)
         assert np.array_equal(ts, self.ts)
 
 

@@ -346,7 +346,7 @@ class TestNonFiniteRule:
     def test_nan_and_inf_matrices_get_nan_rows(self):
         h = np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]],
                       [[1.7e308, 1.7e308], [1.7e308, -1e300]]]).astype(complex)
-        eigs = self.scan(lambda m: (mc._hermitian_eigvals(m, "test"),), h)[0]
+        eigs = self.scan(lambda m: (mc._hermitian_eigvals("test", m),), h)[0]
         assert_allclose(eigs[0], [1.0, 1.0])
         assert np.isnan(eigs[1:]).all()
 
@@ -354,7 +354,7 @@ class TestNonFiniteRule:
         # finite Hermitian part; eigenvalues about -5.9e307, 0 and inf
         a = 8e307
         h = np.array([[[a, a, a], [a, a, a], [a, a, 0.0]]], dtype=complex)
-        assert np.isnan(self.scan(lambda m: (mc._hermitian_eigvals(m, "test"),), h)[0]).all()
+        assert np.isnan(self.scan(lambda m: (mc._hermitian_eigvals("test", m),), h)[0]).all()
 
     def test_psd_measure_fails_nan_source(self):
         # S_L of the probe: I - inf - inf + inf, NaN on the diagonal

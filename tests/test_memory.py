@@ -7,11 +7,13 @@ size, and a run keeps little else alive. ``integrate --method both`` runs
 the direct integration, then folds each sample of the linear flow into
 the discrepancy as it is reached, storing no sample of the flow. The
 residual forms its central differences block by block, so it holds no
-derivative of the whole trajectory. The CSV reader rebuilds Y in place
-inside its parsed rows, so it holds about its result. A criterion scan
-on the default 1001-point grid holds one block of grid values at a time.
-A trajectory that stops early holds only the samples it reached, in
-arrays of its own.
+derivative of the whole trajectory. The CSV reader's Y is a view of its
+parsed rows, so it holds about its result. A criterion scan on the default
+1001-point grid holds one block of grid values at a time, or, where it runs
+in two halves, two half blocks in flight: the caller and the helper thread
+each scan a block of ``BLOCK_ENTRIES // 2`` entries per stack, which
+together hold what one block of the serial scan holds. A trajectory that
+stops early holds only the samples it reached, in arrays of its own.
 """
 
 import contextlib
