@@ -27,8 +27,9 @@ holds ``SPLIT_MIN_POINTS`` to ``SPLIT_MAX_POINTS`` time points
 (16 <= n <= 32), the caller scans the first half of those blocks and one
 helper thread the second. The per-point results are the same bits in
 either partition, the two blocks in flight hold what one serial block holds,
-the earliest block's exception wins, and the scan returns only once the
-helper is done.
+the earliest block's exception wins. The helper thread lives for one scan:
+the scan starts it in a ``with`` block and leaves that block, on return or
+raise, only once the thread is joined, so no thread outlives a scan.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import contextvars
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,32 +191,6 @@ def _scan_blocks(count: int, n: int, split: bool) -> tuple[list[slice], list[sli
     return blocks[:half], blocks[half:]
 
 
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _helper_pool():
-    """The one helper thread of the split scans, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="riccati-scan")
-        return _helper
-
-
-def _forget_helper_pool() -> None:
-    """In a forked child the parent's helper thread does not exist, while its
-    pool still counts it idle and would queue work for it forever."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper_pool)
-
-
 def _eigvalsh(h: np.ndarray, context: str) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(h)
@@ -312,26 +286,31 @@ def _scan(ts: np.ndarray, n: int, block, *stacks, values=None, split: bool = Tru
     Otherwise the blocks are ``_scan_blocks``'s, which split only a scan that
     slices no per-point stack and whose caller allows it (``split``; a block
     that takes eigenvectors does not: LAPACK's solver for them leaves a BLAS
-    worker thread spinning on the CPU the helper would use). The helper's half
-    runs in a copy of this context (numpy's error state) while the caller runs
-    its own, and the caller waits for it before it returns or raises. The
+    worker thread spinning on the CPU the helper would use). A split scan
+    starts its one helper thread in a ``with`` block: the helper's half runs
+    in a copy of this context (numpy's error state) while the caller runs its
+    own, and leaving the block joins the helper, on return and on raise. The
     caller's exception comes first in grid order, so it wins over the helper's."""
     def run(s: slice):
         return block(ts[s], *(values(ts[s]) if values else ()), *(a[s] for a in stacks))
 
     if values and values.constant and not stacks:
         return [np.repeat(col, ts.size, axis=0) for col in run(slice(1))]
+    # a scan that slices per-point stacks (the trajectory monitors) stays in
+    # one thread: its blocks are one or two eigenvalue calls on stored
+    # samples, and in two halves they ran slower (n = 32, 201 samples, one
+    # BLAS thread, 2 vCPUs: verify_sandwich 60 ms against 51 ms,
+    # eigen_monitor 33 ms against 29 ms, medians of 35 runs)
     mine, theirs = _scan_blocks(ts.size, n, split and not stacks)
-    helper = _helper_pool().submit(contextvars.copy_context().run,
-                                   lambda: list(map(run, theirs))) if theirs else None
-    try:
+    if not theirs:
         cols = list(map(run, mine))
-        if helper:
-            cols += helper.result()
-    except BaseException:
-        if helper:
-            helper.exception()  # the scan ends with the helper; a later block's error is dropped
-        raise
+    else:
+        # imported here: its ~7 ms import (mostly logging) is not paid by runs that never split
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="riccati-scan") as pool:
+            helper = pool.submit(contextvars.copy_context().run, lambda: list(map(run, theirs)))
+            cols = list(map(run, mine)) + helper.result()
     return [np.concatenate(col) for col in zip(*cols)]
 
 

@@ -9,9 +9,13 @@
 * cor3.2's condition matrix is -(D + D*), with D ``sqrt_frame_source_term``,
   wherever the frame term T is skew. Here P varies in time, so sqrt(P)' and
   the terms of D that must cancel are not zero.
+* theorem3.1 extends theorem1.1: with L = 0, R = Q* extracts mu = 0, so
+  wherever theorem1.1 holds theorem3.1 should hold. Three probes show that
+  the tolerance rules break this today (ROADMAP item 2).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,7 @@ from riccati_cert.coefficients import CoefficientFunction, CoefficientSet, _poly
 from riccati_cert.criteria import (
     GridSpec,
     build_skew_gauge,
+    check_comparison_hypotheses,
     check_gauge_criterion,
     check_skew_gauge_criterion,
     sqrt_frame_condition_matrix,
@@ -150,3 +155,30 @@ class TestSqrtFrameCorollary:
                 c = sqrt_frame_condition_matrix(cs, nu, t)
                 d = sqrt_frame_source_term(cs, nu, t)
                 assert np.linalg.norm(c + d + adjoint(d)) <= 1e-10 * (1 + np.linalg.norm(c))
+
+
+_Q = 100.0 * np.array([[1.0, 2.0], [0.0, 1.0]])
+
+#: (Q, R, S, Y0) of ROADMAP item 2's probes, each with n = 2 and P = I on
+#: [0, 5], by the theorem3.1 condition each one fails
+EXTENSION_PROBES = {
+    "shifted_source_psd": (np.zeros((2, 2)), np.zeros((2, 2)), -7e-10 * np.eye(2),
+                           np.zeros((2, 2))),
+    "initial_lower_bound": (np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), -7e-10 * np.eye(2)),
+    "scalar_shift": (_Q, _Q.T + 5e-8 * np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2),
+                     np.eye(2)),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: theorem3.1 judges 2S, Y0 + Y0* and R - Q* "
+                   "against bands that theorem1.1 scales by S, Y0 and R, so it can fail "
+                   "where theorem1.1 holds")
+@pytest.mark.parametrize("probe", EXTENSION_PROBES)
+def test_theorem31_with_zero_gauge_holds_where_theorem11_holds(probe):
+    q, r, s, y0 = EXTENSION_PROBES[probe]
+    cs = CoefficientSet(n=2, t0=0.0, t_end=5.0, P=cf.constant(np.eye(2)), Q=cf.constant(q),
+                        R=cf.constant(r), S=cf.constant(s))
+    comparison = check_comparison_hypotheses(cs, y0)
+    gauge = check_gauge_criterion(cs, None, y0)
+    assert not comparison.holds or gauge.holds, [c.name for c in gauge.failed_conditions()]

@@ -7,8 +7,8 @@ helper thread the second. Each test here runs the same scan with
 ``matrix_core._cpus`` read as 2 (halves) and as 1 (one thread), so the
 halves are exercised on any host, and checks that the helper behaves as
 the serial scan does: the same report bytes, no numpy warning where the
-serial scan prints none, the serial exception, no work left running after
-the scan, and a forked child that can still scan.
+serial scan prints none, the serial exception, no work and no helper thread
+left after the scan, and a forked child that can still scan.
 """
 
 import json
@@ -34,6 +34,11 @@ GRID_POINTS = 201
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(mc, "_cpus", lambda: count)
+
+
+def _scan_threads():
+    """The split scans' helper threads that are alive now."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("riccati-scan")]
 
 
 def _split(n, points=GRID_POINTS):
@@ -139,7 +144,8 @@ def test_skew_gauge_refusal_is_the_serial_one(monkeypatch, p, halves):
 
 
 class TestTheHelperIsDoneWhenTheScanIs:
-    """``_scan`` returns or raises only once the helper's half has finished."""
+    """``_scan`` returns or raises only once the helper's half has finished
+    and its thread is gone."""
 
     ts = np.linspace(0.0, 1.0, 101)
     n = 32
@@ -179,6 +185,7 @@ class TestTheHelperIsDoneWhenTheScanIs:
         assert np.array_equal(ts, self.ts)
         assert state["running"] == 0
         assert state["helper_blocks"] == len(mc._scan_blocks(self.ts.size, self.n, True)[1])
+        assert _scan_threads() == []
 
     def test_after_the_caller_raises(self, scan):
         run, state = scan
@@ -186,6 +193,7 @@ class TestTheHelperIsDoneWhenTheScanIs:
             run("caller")
         done = state["helper_blocks"]
         assert state["running"] == 0 and done
+        assert _scan_threads() == []
         time.sleep(0.05)
         assert state["helper_blocks"] == done
 
@@ -196,18 +204,19 @@ class TestTheHelperIsDoneWhenTheScanIs:
         with pytest.raises(ValueError, match=rf"^helper at {first}$"):
             run("helper")
         assert state["running"] == 0
+        assert _scan_threads() == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_scans_in_halves(monkeypatch):
-    """A child forked after a scan that split starts its own helper: the
-    parent's pool counts a worker the child does not have, and would queue
-    the child's half for it forever."""
+    """A child forked after a scan that split scans in halves too: the scan
+    took its helper thread with it, so the parent forks with no helper
+    thread alive and the child starts its own."""
     cs, y0, gauges = generate(InstanceSpec(n=32, seed=1, target="satisfying"))
     grid = GridSpec.for_set(cs, GRID_POINTS)
     _cpus(monkeypatch, 2)
     want = json.dumps(run_criterion("theorem3.1", cs, y0, grid=grid, **gauges).to_dict())
-    assert mc._helper is not None
+    assert _split(32) and _scan_threads() == []
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only when its split scan gives the parent's bytes
         code = 1
