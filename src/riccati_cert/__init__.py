@@ -15,9 +15,6 @@ from .coefficients import (
     PolynomialFunction,
     SampledFunction,
     constant,
-    eval_Q_lambda,
-    eval_R_lambda,
-    eval_S_lambda,
     polynomial,
     sampled,
 )
@@ -30,10 +27,6 @@ from .criteria import (
     check_skew_gauge_criterion,
     check_sqrt_frame_criterion,
     run_criterion,
-    sqrt_frame_condition_matrix,
-    sqrt_frame_factors,
-    sqrt_frame_skew_term,
-    sqrt_frame_source_term,
 )
 from .exceptions import (
     DimensionError,
@@ -64,14 +57,6 @@ from .integrate import (
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
     liouville_check,
-)
-from .matrix_core import (
-    PsdVerdict,
-    check_psd,
-    hermitian_part,
-    principal_sqrt,
-    sqrt_derivative,
-    trace_product,
 )
 from .verify import (
     BoundReport,

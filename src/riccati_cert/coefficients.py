@@ -30,8 +30,7 @@ builds its data with it.
 
 ``eval`` and ``derivative`` take a scalar time or a 1-D array of times;
 an array of m times returns the stacked (m, n, n) matrices (or (m,)
-scalars), each equal bit for bit to the scalar call. The gauge algebra
-S_L, Q_L, R_L accepts both forms the same way. One Horner,
+scalars), each equal bit for bit to the scalar call. One Horner,
 ``_staggered_horner``, evaluates polynomials, and one power sum,
 ``_cell_sum``, evaluates sampled cells; each function runs them over its
 own stacks, and ``stacked_evaluator`` over the grouped stacks of several
@@ -632,20 +631,3 @@ def _shifted_source(p, q, r, s, lam_t: np.ndarray, lam_dot: np.ndarray) -> np.nd
     """S - L' - L P L - Q L - L R from values of P, Q, R, S, L and L'."""
     return s - lam_dot - lam_t @ p @ lam_t - q @ lam_t - lam_t @ r
 
-
-def eval_S_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
-    """S(t) - L'(t) - L(t)P(t)L(t) - Q(t)L(t) - L(t)R(t) for the gauge L."""
-    lam = _require_gauge(lam, cs.n, "lambda")
-    return _shifted_source(*(f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S, lam)), lam.derivative(t))
-
-
-def eval_Q_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
-    """Q(t) + L(t)P(t)."""
-    lam = _require_gauge(lam, cs.n, "lambda")
-    return cs.Q.eval(t) + lam.eval(t) @ cs.P.eval(t)
-
-
-def eval_R_lambda(cs: CoefficientSet, lam: CoefficientFunction | None, t) -> np.ndarray:
-    """R(t) + P(t)L(t)."""
-    lam = _require_gauge(lam, cs.n, "lambda")
-    return cs.R.eval(t) + cs.P.eval(t) @ lam.eval(t)

@@ -32,8 +32,7 @@ are pointwise in t, so where every function a scan reads is a
 ``ConstantFunction`` ``_scan`` decides from its evaluator to run the block at
 t0 only and repeat the columns over the grid: one point decides the interval
 exactly, and the witnesses, the extracted shifts and the skew gauge's spline
-are those the full grid gives. The formulas take coefficient values, and the
-public pointwise helpers call them at a scalar time.
+are those the full grid gives. The formulas take coefficient values.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ from .matrix_core import (
     _require_int,
     _scan,
     adjoint,
-    principal_sqrt,
-    sqrt_derivative,
 )
 
 #: Default number of uniform grid points for criterion checks.
@@ -379,24 +376,6 @@ def _sqrt_frame(sp: np.ndarray, q, r, s, nu):
         + (np.conj(nu) - nu) * t_term
 
 
-def _sqrt_frame_at(cs: CoefficientSet, nu: CoefficientFunction | None, t: float, tol: float):
-    p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
-    nu = cf._require_gauge(nu, cs.n, "nu")
-    return _sqrt_frame(principal_sqrt(p, tol), q, r, s, nu.eval(t))
-
-
-def sqrt_frame_skew_term(cs: CoefficientSet, nu: CoefficientFunction | None,
-                         t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """T(t) = (sqrt(P)^{-1} [Q*(t) - R(t)] sqrt(P) + nu(t) I) / 2."""
-    return _sqrt_frame_at(cs, nu, t, tol)[0]
-
-
-def sqrt_frame_condition_matrix(cs: CoefficientSet, nu: CoefficientFunction | None,
-                                t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """sqrt(P)(S + S*)sqrt(P) + 2 T^2 + (conj(nu) - nu) T at time t."""
-    return _sqrt_frame_at(cs, nu, t, tol)[1]
-
-
 @np.errstate(**_OVERFLOW_QUIET)  # the initial clause's matrix is formed quietly too
 def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | None,
                                y0, grid: GridSpec | None = None,
@@ -430,51 +409,6 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
              "Y(t) + Y*(t) >= 0 while P(t) > 0", *_imaginary_shift_note(nu_vals, tol, "nu")]
     return _report("cor3.2", conditions, notes, extracted_nu=cf.sampled(
         grid.points, nu_vals, order=1, scalar=True) if np.isfinite(nu_vals).all() else None)
-
-
-def sqrt_frame_factors(cs: CoefficientSet, t: float, tol: float = DEFAULT_TOL
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The unique factors F, L with F sqrt(P) = sqrt(P) Q - sqrt(P)' and
-    sqrt(P) L = R sqrt(P) - sqrt(P)'.
-
-    Explicitly F = [sqrt(P) Q - sqrt(P)'] sqrt(P)^{-1} and
-    L = sqrt(P)^{-1} [R sqrt(P) - sqrt(P)'].
-    """
-    p = cs.P.eval(t)
-    return _sqrt_frame_factors(principal_sqrt(p, tol), sqrt_derivative(p, cs.P.derivative(t), tol),
-                               cs.Q.eval(t), cs.R.eval(t))
-
-
-def _sqrt_frame_factors(sp: np.ndarray, spdot: np.ndarray, q: np.ndarray, r: np.ndarray):
-    """F and L of ``sqrt_frame_factors`` from sqrt(P), sqrt(P)', Q and R."""
-    f = np.linalg.solve(sp.T, (sp @ q - spdot).T).T
-    return f, np.linalg.solve(sp, r @ sp - spdot)
-
-
-def sqrt_frame_source_term(cs: CoefficientSet, nu: CoefficientFunction | None,
-                           t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Source term D(t) of the frame-shifted quadratic equation:
-
-        D = T' + T^2 + F T + T L - sqrt(P) S sqrt(P).
-
-    T' is exact: with A = Q* - R, sp = sqrt(P) and sp' from ``sqrt_derivative``,
-    T' = (-sp^{-1} sp' sp^{-1} A sp + sp^{-1} A' sp + sp^{-1} A sp' + nu' I) / 2.
-    For skew T the identity
-    D + D* = -2 T^2 + (nu - conj(nu)) T - sqrt(P)(S + S*)sqrt(P) holds,
-    which ties this term to the condition matrix of the checker above.
-    """
-    nu = cf._require_gauge(nu, cs.n, "nu")
-    t = float(t)
-    p, q, r, s = (f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S))
-    sp = principal_sqrt(p, tol)
-    spdot = sqrt_derivative(p, cs.P.derivative(t), tol)
-    a = adjoint(q) - r
-    adot = adjoint(cs.Q.derivative(t)) - cs.R.derivative(t)
-    t_term = _sqrt_frame(sp, q, r, s, nu.eval(t))[0]
-    tdot = (np.linalg.solve(sp, adot @ sp + a @ spdot - spdot @ np.linalg.solve(sp, a) @ sp)
-            + nu.derivative(t) * np.eye(cs.n)) / 2.0
-    f, l = _sqrt_frame_factors(sp, spdot, q, r)
-    return tdot + t_term @ t_term + f @ t_term + t_term @ l - sp @ s @ sp
 
 
 # ---------------------------------------------------------------------------

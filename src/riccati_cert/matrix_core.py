@@ -3,20 +3,20 @@
 This module alone knows the rule for input values (finite, square;
 ``_as_stack``), the integer and dimension rules (an int, not a bool;
 1 <= n <= MAX_DIM), the tolerance rule (``require_tol``: a finite number
->= 0, checked where a tolerance enters the measures, so every criterion,
-the square root, its derivative and the trajectory bounds refuse nan, inf
-and negative values by name), the PSD band (a Hermitian H is >= 0 when its least
-eigenvalue is at least -(tol + tol ||H||_2), > 0 when it is above the band),
+>= 0, checked where a tolerance enters the measures, so every criterion
+and the trajectory bounds refuse nan, inf and negative values by name), the
+PSD band (a Hermitian H is >= 0 when its least eigenvalue is at least
+-(tol + tol ||H||_2), > 0 when it is above the band),
 the Hermiticity-defect rule (||M - M*||_F <= tol (1 + ||M||_F)), the rule
 that nothing non-finite passes (NaN eigenvalues; a residual norm that is not
 finite fails, so the defect rule is conservative above about 1.3e154, where
 norms overflow) and the block size of stacked scans. Every criterion,
 monitor and predicate applies them through ``_psd_measure``,
 ``_defect_measure`` and ``_scan``, under ``_OVERFLOW_QUIET``. The P > 0 verdict
-is made once, by ``_psd_measure`` (strict), for the frame masks, ``build_skew_gauge``,
-``principal_sqrt`` and ``sqrt_derivative``. Also: trace identities and the principal
-square root (``_hermitian_sqrt``) with its time derivative. All functions are
-pure; inputs are never mutated.
+is made once, by ``_psd_measure`` (strict), for the frame masks and
+``build_skew_gauge``. Also: the principal square root (``_hermitian_sqrt``)
+that cor3.2 takes where that verdict found P > 0. All functions are pure;
+inputs are never mutated.
 
 The grid points of a scan do not depend on each other, so a scan may run in
 two halves at once (``_scan_blocks``): where the process may run on at least
@@ -38,16 +38,10 @@ import contextvars
 import math
 import numbers
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    EigenSolverError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
-)
+from .exceptions import DimensionError, EigenSolverError
 
 #: Largest supported matrix dimension. Dense algorithms stay adequate and
 #: desk-scale tests stay honest below this cap.
@@ -139,21 +133,6 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     non-square or over-cap inputs and ``ValueError`` for NaN/Inf entries.
     """
     return _as_stack([value], lambda _: name)[0]
-
-
-def _require_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{what}: dimension mismatch {a.shape} vs {b.shape}")
-
-
-def hermitian_part(m) -> np.ndarray:
-    """Return (M + M*)/2.
-
-    The remainder M - hermitian_part(M) is skew-Hermitian, so this splits
-    any square matrix into its Hermitian and skew-Hermitian parts.
-    """
-    m = as_matrix(m, "M")
-    return (m + m.conj().T) / 2
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -314,86 +293,9 @@ def _scan(ts: np.ndarray, n: int, block, *stacks, values=None, split: bool = Tru
     return [np.concatenate(col) for col in zip(*cols)]
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of a positive-semidefiniteness test.
-
-    ``is_psd`` is true exactly when the Hermiticity defect is within its
-    tolerance and the least eigenvalue of the Hermitian part is above the
-    negative tolerance band.
-    """
-
-    is_psd: bool
-    min_eigenvalue: float
-    hermiticity_defect: float
-
-
-@np.errstate(**_OVERFLOW_QUIET)
-def check_psd(h) -> PsdVerdict:
-    """Test whether a matrix is positive semidefinite: the verdict of
-    ``_psd_measure`` at ``DEFAULT_TOL`` on one matrix, as on a criterion grid."""
-    lo, ok, defect = _psd_measure(as_matrix(h, "H")[None], DEFAULT_TOL)
-    return PsdVerdict(is_psd=bool(ok[0]), min_eigenvalue=float(lo[0]),
-                      hermiticity_defect=float(defect[0]))
-
-
-def trace_product(a, b) -> complex:
-    """tr(AB) computed as sum_{j,k} a_jk b_kj without forming AB."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    _require_same_dim(a, b, "trace_product")
-    return complex(np.einsum("jk,kj->", a, b))
-
-
-def _require_hpd(p: np.ndarray, tol: float, context: str) -> None:
-    """Refuse a matrix that is not Hermitian, or not positive definite by the
-    grid's own verdict (``_psd_measure``, strict)."""
-    defect, _, hermitian = _defect_measure(p - adjoint(p), p, tol)
-    if not hermitian:
-        raise NotHermitianError(f"{context}: matrix is not Hermitian (defect {defect:.3e})")
-    lo, pd, _ = _psd_measure(p[None], tol, strict=True)
-    if not pd[0]:
-        raise NotPositiveDefiniteError(f"{context}: matrix is not positive definite "
-                                       f"(min eigenvalue {lo[0]:.6e})", min_eigenvalue=float(lo[0]))
-
-
-def principal_sqrt(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix.
-
-    Computed by eigendecomposition with square roots of the eigenvalues.
-    The result is Hermitian positive definite and satisfies
-    ``||S @ S - P||_F <= tol * ||P||_F`` at the supported scales.
-    """
-    p = as_matrix(p, "P")
-    _require_hpd(p, tol, "principal_sqrt")
-    return _hermitian_sqrt(p, "principal_sqrt")
-
-
 def _hermitian_sqrt(p: np.ndarray, context: str) -> np.ndarray:
     """V diag(sqrt(w)) V*, symmetrized, from the eigendecomposition (w, V) of the
     Hermitian part of a matrix or a stack, where ``_psd_measure`` found P > 0."""
     w, v = _eigh((p + adjoint(p)) / 2, context)
     s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
     return (s + adjoint(s)) / 2
-
-
-def sqrt_derivative(p, pdot, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Time derivative of t -> sqrt(P(t)) from P and P'.
-
-    Solves X sqrt(P) + sqrt(P) X = P' entrywise in the eigenbasis of P:
-    with eigenvalues s_i of sqrt(P), Xtilde_ij = Pdot_tilde_ij / (s_i + s_j).
-    Requires P Hermitian positive definite (so the denominators are
-    bounded away from zero) and P' Hermitian.
-    """
-    p = as_matrix(p, "P")
-    pdot = as_matrix(pdot, "Pdot")
-    _require_same_dim(p, pdot, "sqrt_derivative")
-    if not _defect_measure(pdot - adjoint(pdot), pdot, tol)[2]:
-        raise NotHermitianError("sqrt_derivative: Pdot is not Hermitian")
-    _require_hpd(p, tol, "sqrt_derivative")
-    w, v = _eigh((p + adjoint(p)) / 2, "sqrt_derivative")
-    s = np.sqrt(w)
-    pdot_tilde = v.conj().T @ pdot @ v
-    x_tilde = pdot_tilde / (s[:, None] + s[None, :])
-    x = v @ x_tilde @ v.conj().T
-    return hermitian_part(x)

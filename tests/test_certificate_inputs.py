@@ -35,21 +35,12 @@ TOL_CALLS = {
     "criteria.build_skew_gauge": lambda tol: criteria.build_skew_gauge(BLOWUP, None, GRID, tol),
     "criteria.check_skew_gauge_criterion":
         lambda tol: criteria.check_skew_gauge_criterion(BLOWUP, None, EYE, GRID, tol),
-    "criteria.sqrt_frame_skew_term":
-        lambda tol: criteria.sqrt_frame_skew_term(BLOWUP, None, 0.5, tol),
-    "criteria.sqrt_frame_condition_matrix":
-        lambda tol: criteria.sqrt_frame_condition_matrix(BLOWUP, None, 0.5, tol),
     "criteria.check_sqrt_frame_criterion":
         lambda tol: criteria.check_sqrt_frame_criterion(BLOWUP, None, EYE, GRID, tol),
-    "criteria.sqrt_frame_factors": lambda tol: criteria.sqrt_frame_factors(BLOWUP, 0.5, tol),
-    "criteria.sqrt_frame_source_term":
-        lambda tol: criteria.sqrt_frame_source_term(BLOWUP, None, 0.5, tol),
     "criteria.check_comparison_hypotheses":
         lambda tol: criteria.check_comparison_hypotheses(BLOWUP, EYE, GRID, tol),
     "criteria.run_criterion": lambda tol: criteria.run_criterion(
         "theorem3.1", BLOWUP, EYE, tol=tol),
-    "matrix_core.principal_sqrt": lambda tol: matrix_core.principal_sqrt(EYE, tol),
-    "matrix_core.sqrt_derivative": lambda tol: matrix_core.sqrt_derivative(EYE, EYE, tol),
     "matrix_core.require_tol": matrix_core.require_tol,
     "verify.verify_hermitian_bound":
         lambda tol: verify.verify_hermitian_bound(_trajectory(), tol=tol),
@@ -74,6 +65,38 @@ def test_bad_tol_is_refused_by_the_one_rule(call, tol):
         TOL_CALLS[call](tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("criterion", criteria.CRITERION_NAMES)
+def test_bad_tol_is_refused_on_every_criterion_path(criterion, tol):
+    with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+        criteria.run_criterion(criterion, BLOWUP, EYE, grid=GRID, tol=tol)
+
+
+# the measures the checkers run on the grid and at t0, which the P > 0 verdict
+# of cor3.2 and build_skew_gauge (``strict``) shares
+MEASURE_CALLS = {
+    "matrix_core._psd_measure": lambda tol: matrix_core._psd_measure(EYE[None], tol),
+    "matrix_core._psd_measure-strict":
+        lambda tol: matrix_core._psd_measure(EYE[None], tol, strict=True),
+    "matrix_core._psd_measures": lambda tol: matrix_core._psd_measures(tol, EYE[None], EYE[None]),
+    "matrix_core._defect_measure":
+        lambda tol: matrix_core._defect_measure(EYE[None], EYE[None], tol),
+    "criteria._scalar_shift": lambda tol: criteria._scalar_shift(EYE[None], tol),
+    "criteria._initial_record": lambda tol: criteria._initial_record("initial_psd", EYE, 0.0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("call", MEASURE_CALLS)
+def test_bad_tol_is_refused_by_the_measures_before_any_eigenvalue(call, tol, monkeypatch):
+    def no_eigenvalues(*args):
+        raise AssertionError("an eigenvalue was taken before tol was checked")
+
+    monkeypatch.setattr(matrix_core, "_hermitian_eigvals", no_eigenvalues)
+    with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+        MEASURE_CALLS[call](tol)
+
+
 @pytest.mark.parametrize("criterion", ["theorem3.1", "theorem1.1"])
 def test_blowup_probe_does_not_hold_at_tol_inf(criterion):
     # S + S* = -2 I: the criteria fail at the default tol, and the direct
@@ -96,12 +119,13 @@ GAUGE_CALLS = {
     "cor3.1": ("mu", lambda g: criteria.check_skew_gauge_criterion(BLOWUP, g, EYE, GRID)),
     "build_skew_gauge": ("mu", lambda g: criteria.build_skew_gauge(BLOWUP, g, GRID)),
     "cor3.2": ("nu", lambda g: criteria.check_sqrt_frame_criterion(BLOWUP, g, EYE, GRID)),
-    "sqrt_frame_skew_term": ("nu", lambda g: criteria.sqrt_frame_skew_term(BLOWUP, g, 0.5)),
-    "sqrt_frame_condition_matrix":
-        ("nu", lambda g: criteria.sqrt_frame_condition_matrix(BLOWUP, g, 0.5)),
-    "sqrt_frame_source_term": ("nu", lambda g: criteria.sqrt_frame_source_term(BLOWUP, g, 0.5)),
+    "run_criterion-cor3.1":
+        ("mu", lambda g: criteria.run_criterion("cor3.1", BLOWUP, EYE, mu=g, grid=GRID)),
+    "run_criterion-cor3.2":
+        ("nu", lambda g: criteria.run_criterion("cor3.2", BLOWUP, EYE, nu=g, grid=GRID)),
     # the writer refuses what the instance parser would refuse
     "instance_to_obj": ("mu", lambda g: instance_to_obj(BLOWUP, EYE, mu=g)),
+    "instance_to_obj-nu": ("nu", lambda g: instance_to_obj(BLOWUP, EYE, nu=g)),
 }
 
 
@@ -122,8 +146,25 @@ def test_lambda_of_the_wrong_kind_keeps_its_messages(lam, message):
         criteria.check_gauge_criterion(BLOWUP, lam, EYE, GRID)
 
 
+# each checker that takes a gauge, with its zero gauge
+ZERO_GAUGES = {
+    "theorem3.1": ("lam", cf.zero_matrix_function(2)),
+    "cor3.1": ("mu", cf.zero_scalar_function()),
+    "cor3.2": ("nu", cf.zero_scalar_function()),
+}
 
-@pytest.mark.parametrize("algebra, ref", [
-    (cf.eval_S_lambda, BLOWUP.S), (cf.eval_Q_lambda, BLOWUP.Q), (cf.eval_R_lambda, BLOWUP.R)])
-def test_gauge_algebra_takes_none_as_the_zero_gauge(algebra, ref):
-    assert np.array_equal(algebra(BLOWUP, None, 0.5), ref.eval(0.5))
+
+@pytest.mark.parametrize("criterion", ZERO_GAUGES)
+def test_gauge_algebra_takes_none_as_the_zero_gauge(criterion):
+    name, zero = ZERO_GAUGES[criterion]
+    got = criteria.run_criterion(criterion, BLOWUP, EYE, grid=GRID).to_dict()
+    assert got == criteria.run_criterion(criterion, BLOWUP, EYE, grid=GRID, **{name: zero}).to_dict()
+
+
+def test_skew_gauge_takes_none_as_the_zero_gauge():
+    got, record = criteria.build_skew_gauge(BLOWUP, None, GRID)
+    want, want_record = criteria.build_skew_gauge(BLOWUP, cf.zero_scalar_function(), GRID)
+    ts = np.linspace(BLOWUP.t0, BLOWUP.t_end, 23)
+    assert got.eval(ts).tobytes() == want.eval(ts).tobytes()
+    assert got.derivative(ts).tobytes() == want.derivative(ts).tobytes()
+    assert record == want_record

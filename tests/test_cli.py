@@ -598,7 +598,9 @@ class TestInitialClauseAndDeterminantQuiet:
         assert all(c["passed"] for c in report["conditions"][:-1])
 
     def test_huge_P_square_root_at_t0_is_quiet(self, capsys, tmp_path):
-        # ||P||_F squared overflows inside principal_sqrt's Hermiticity check
+        # ||P||_F squared overflows in matrix_core._defect_measure where the
+        # frame scan's _psd_measure judges P > 0, and again on the initial
+        # clause's sqrt(P(t0))(Y0 + Y0*)sqrt(P(t0)) = 2e200
         inst = write_probe(tmp_path, "p", 1, 1.0, P=_constant([[1e200]]))
         code, stdout, err = run_quietly(capsys, "check", str(inst), "--criterion", "cor3.2")
         report = _strict_json(stdout)

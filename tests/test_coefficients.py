@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
-from riccati_cert.coefficients import (
-    CoefficientSet,
-    eval_Q_lambda,
-    eval_R_lambda,
-    eval_S_lambda,
-)
+from riccati_cert import criteria
+from riccati_cert.coefficients import CoefficientSet, _shifted_source
 from riccati_cert.exceptions import DimensionError, DomainError, NotHermitianError
 
 
@@ -21,6 +17,12 @@ def scalar_set(t_end=2.0, p=1.0, q=0.0, r=0.0, s=1.0):
     return CoefficientSet(n=1, t0=0.0, t_end=t_end,
                           P=cf.constant([[p]]), Q=cf.constant([[q]]),
                           R=cf.constant([[r]]), S=cf.constant([[s]]))
+
+
+def s_lambda(cs, lam, t):
+    """S_L(t) by the formula theorem3.1's scan runs, on ``eval`` values at a
+    time or an array of times."""
+    return _shifted_source(*(f.eval(t) for f in (cs.P, cs.Q, cs.R, cs.S, lam)), lam.derivative(t))
 
 
 class TestEval:
@@ -145,37 +147,44 @@ class TestGaugeAlgebra:
                             P=cf.constant(np.eye(3)), Q=cf.constant(s_val + s_val.conj().T),
                             R=cf.constant(np.zeros((3, 3))), S=cf.constant(s_val))
         lam = cf.zero_matrix_function(3)
-        got = eval_S_lambda(cs, lam, 0.3)
+        got = s_lambda(cs, lam, 0.3)
         assert np.array_equal(got, cs.S.eval(0.3))
 
     def test_scalar_constant_example(self):
         # S = 2, L = 1, P = 1, Q = R = 0: S_L = 2 - 0 - 1 - 0 - 0 = 1
         cs = scalar_set(p=1.0, s=2.0)
         lam = cf.constant([[1.0]])
-        assert eval_S_lambda(cs, lam, 0.5)[0, 0] == pytest.approx(1.0)
+        assert s_lambda(cs, lam, 0.5)[0, 0] == pytest.approx(1.0)
 
     def test_time_dependent_gauge_example(self):
         # L(t) = t, P = 1, Q = R = S = 0 at t = 1: 0 - 1 - t^2 = -2
         cs = scalar_set(p=1.0, s=0.0)
         lam = cf.polynomial([[[0.0]], [[1.0]]], t_ref=0.0)
-        assert eval_S_lambda(cs, lam, 1.0)[0, 0] == pytest.approx(-2.0)
+        assert s_lambda(cs, lam, 1.0)[0, 0] == pytest.approx(-2.0)
 
     def test_shifted_coefficients(self):
+        # P = 3, Q = R = 1, S = 0, L = 2: S_L = 0 - 0 - 12 - 2 - 2 = -16
         cs = scalar_set(p=3.0, q=1.0, r=1.0, s=0.0)
-        lam = cf.constant([[2.0]])
-        assert eval_Q_lambda(cs, lam, 0.1)[0, 0] == pytest.approx(7.0)  # 1 + 2*3
-        assert eval_R_lambda(cs, lam, 0.1)[0, 0] == pytest.approx(7.0)  # 1 + 3*2
+        assert s_lambda(cs, cf.constant([[2.0]]), 0.1)[0, 0] == pytest.approx(-16.0)
+        # Q L and L R, not L Q and R L: with L nilpotent (L P L = 0) the
+        # products differ in their (0, 1) entry
+        lam = cf.constant([[0.0, 1.0], [0.0, 0.0]])
+        d, z = np.diag([1.0, 2.0]), np.zeros((2, 2))
+        for q, r, want in ((d, z, -1.0), (z, d, -2.0)):
+            cs = CoefficientSet(n=2, t0=0.0, t_end=1.0, P=cf.constant(np.eye(2)),
+                                Q=cf.constant(q), R=cf.constant(r), S=cf.constant(z))
+            assert_allclose(s_lambda(cs, lam, 0.1), [[0.0, want], [0.0, 0.0]], atol=0)
 
     def test_zero_gauge_passthrough(self):
-        cs = scalar_set(q=4.0, r=-2.0)
-        lam = cf.zero_matrix_function(1)
-        assert eval_Q_lambda(cs, lam, 0.0)[0, 0] == pytest.approx(4.0)
-        assert eval_R_lambda(cs, lam, 0.0)[0, 0] == pytest.approx(-2.0)
+        cs = scalar_set(q=4.0, r=-2.0, s=1.5)
+        assert s_lambda(cs, cf.zero_matrix_function(1), 0.0)[0, 0] == 1.5
 
     def test_dimension_mismatch_fails_loudly(self):
         cs = scalar_set()
-        with pytest.raises(DimensionError):
-            eval_S_lambda(cs, cf.zero_matrix_function(2), 0.5)
+        with pytest.raises(DimensionError, match="^lambda has dimension 2, expected 1$"):
+            cf._require_gauge(cf.zero_matrix_function(2), cs.n, "lambda")
+        with pytest.raises(DimensionError, match="^lambda has dimension 2, expected 1$"):
+            criteria.check_gauge_criterion(cs, cf.zero_matrix_function(2), np.eye(1))
 
 
 class TestCoefficientSet:
@@ -300,9 +309,8 @@ class TestArrayEval:
                             S=ARRAY_EVAL_FUNCTIONS["constant"])
         lam = ARRAY_EVAL_FUNCTIONS["sampled1"]
         ts = np.linspace(0.0, 1.0, 7)
-        for fn in (eval_S_lambda, eval_Q_lambda, eval_R_lambda):
-            want = np.stack([fn(cs, lam, float(t)) for t in ts])
-            assert fn(cs, lam, ts).tobytes() == want.tobytes()
+        want = np.stack([s_lambda(cs, lam, float(t)) for t in ts])
+        assert s_lambda(cs, lam, ts).tobytes() == want.tobytes()
 
 
 class TestDimensionCap:

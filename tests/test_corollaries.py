@@ -6,7 +6,8 @@
   mu(t) of degree <= 1, R = Q* + mu I - 2 P K (so L0 = K), and S with
   S_K + S_K* a PSD matrix plus a Hermitian perturbation, so both verdicts
   occur.
-* cor3.2's condition matrix is -(D + D*), with D ``sqrt_frame_source_term``,
+* cor3.2's condition matrix is -(D + D*), with D the source term of
+  ``frame_oracle``,
   wherever the frame term T is skew. Here P varies in time, so sqrt(P)' and
   the terms of D that must cancel are not zero.
 * theorem3.1 extends theorem1.1: with L = 0, R = Q* extracts mu = 0, so
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import frame_oracle
 from riccati_cert import coefficients as cf
-from riccati_cert import matrix_core as mc
 from riccati_cert.coefficients import CoefficientFunction, CoefficientSet, _poly_add, _poly_mul
 from riccati_cert.criteria import (
     GridSpec,
@@ -28,11 +29,8 @@ from riccati_cert.criteria import (
     check_comparison_hypotheses,
     check_gauge_criterion,
     check_skew_gauge_criterion,
-    sqrt_frame_condition_matrix,
-    sqrt_frame_skew_term,
-    sqrt_frame_source_term,
 )
-from riccati_cert.matrix_core import adjoint
+from riccati_cert.matrix_core import _hermitian_sqrt, adjoint
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -69,7 +67,8 @@ def skew_gauge_instances(draw):
     r = _poly_add(adjoint(q) + mu[:, None, None] * eye, -2.0 * _poly_mul(p, k))
     # S_K + S_K* = W + E: W PSD on [0, t_end], E a Hermitian perturbation
     w = np.stack([_gram(rng, n), _gram(rng, n) / t_end])
-    e = np.stack([mc.hermitian_part(_rand(rng, n)), mc.hermitian_part(_rand(rng, n))])
+    e = np.stack([_rand(rng, n), _rand(rng, n)])
+    e = (e + adjoint(e)) / 2
     s_k = (w + scale * e) / 2
     s = _poly_add(_poly_add(s_k, k[1:]),
                   _poly_add(_poly_mul(_poly_mul(k, p), k),
@@ -117,7 +116,7 @@ class FrameR(CoefficientFunction):
         self.shape = p.shape
 
     def _parts(self, t):
-        sp = mc.principal_sqrt(self.p.eval(t))
+        sp = _hermitian_sqrt(self.p.eval(t), "test")
         g = 2 * self.k.eval(t) - self.nu.eval(t) * np.eye(self.shape[0])
         return sp, np.linalg.inv(sp), g
 
@@ -127,7 +126,7 @@ class FrameR(CoefficientFunction):
 
     def derivative(self, t):
         sp, sp_inv, g = self._parts(t)
-        spdot = mc.sqrt_derivative(self.p.eval(t), self.p.derivative(t))
+        spdot = frame_oracle.sqrt_derivative(self.p.eval(t), self.p.derivative(t))
         gdot = 2 * self.k.derivative(t) - self.nu.derivative(t) * np.eye(self.shape[0])
         return adjoint(self.q.derivative(t)) - (spdot @ g @ sp_inv + sp @ gdot @ sp_inv
                                                 - sp @ g @ sp_inv @ spdot @ sp_inv)
@@ -148,12 +147,12 @@ class TestSqrtFrameCorollary:
                                 S=cf.polynomial([_rand(rng, n), _rand(rng, n)]))
             for t in times:
                 # sqrt(P)' is far from zero: the terms that must cancel are present
-                assert np.linalg.norm(mc.sqrt_derivative(p.eval(t), p.derivative(t))) > 1e-2
-                t_term = sqrt_frame_skew_term(cs, nu, t)
+                assert np.linalg.norm(frame_oracle.sqrt_derivative(p.eval(t), p.derivative(t))) \
+                    > 1e-2
+                t_term, c = frame_oracle.frame(cs, nu, t)
                 skew = np.linalg.norm(t_term + adjoint(t_term))
                 assert skew <= 1e-12 * (1 + np.linalg.norm(t_term))
-                c = sqrt_frame_condition_matrix(cs, nu, t)
-                d = sqrt_frame_source_term(cs, nu, t)
+                d = frame_oracle.source_term(cs, nu, t)
                 assert np.linalg.norm(c + d + adjoint(d)) <= 1e-10 * (1 + np.linalg.norm(c))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import frame_oracle
 from riccati_cert import coefficients as cf
 from riccati_cert import criteria
 from riccati_cert.coefficients import CoefficientSet
@@ -15,14 +16,10 @@ from riccati_cert.criteria import (
     check_skew_gauge_criterion,
     check_sqrt_frame_criterion,
     run_criterion,
-    sqrt_frame_condition_matrix,
-    sqrt_frame_factors,
-    sqrt_frame_skew_term,
-    sqrt_frame_source_term,
 )
 from riccati_cert.exceptions import DimensionError, NotPositiveDefiniteError
 from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
-from riccati_cert.matrix_core import block_slices, principal_sqrt
+from riccati_cert.matrix_core import _hermitian_sqrt, block_slices
 
 
 def make_set(n, t_end=1.0, t0=0.0, **kw):
@@ -248,7 +245,7 @@ class TestSqrtFrame:
         q = q + q.T  # Hermitian so Q* - Q = 0
         cs = make_set(2, Q=cf.constant(q), R=cf.constant(q))
         nu = cf.constant(0.6 + 0.2j, scalar=True)
-        t_term = sqrt_frame_skew_term(cs, nu, 0.5)
+        t_term = frame_oracle.frame(cs, nu, 0.5)[0]
         assert_allclose(t_term, (0.6 + 0.2j) / 2 * np.eye(2), atol=1e-12)
 
     def test_identity_P_reduces_to_half_gap(self):
@@ -256,14 +253,14 @@ class TestSqrtFrame:
         q = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cs = make_set(3, Q=cf.constant(q), R=cf.constant(r))
-        assert_allclose(sqrt_frame_skew_term(cs, None, 0.1),
+        assert_allclose(frame_oracle.frame(cs, None, 0.1)[0],
                         (q.conj().T - r) / 2, atol=1e-12)
 
     def test_anisotropic_frame_example(self):
         # P = diag(1, 4), R = [[0, 2], [-2, 0]]: T = [[0, -2], [0.5, 0]]
         cs = make_set(2, P=cf.constant(np.diag([1.0, 4.0])),
                       R=cf.constant(np.array([[0.0, 2.0], [-2.0, 0.0]])))
-        assert_allclose(sqrt_frame_skew_term(cs, None, 0.3),
+        assert_allclose(frame_oracle.frame(cs, None, 0.3)[0],
                         np.array([[0.0, -2.0], [0.5, 0.0]]), atol=1e-12)
 
     def test_criterion_identity_source_passes(self):
@@ -299,14 +296,14 @@ class TestSqrtFrameFactors:
         q = rng.standard_normal((2, 2))
         r = rng.standard_normal((2, 2))
         cs = make_set(2, Q=cf.constant(q), R=cf.constant(r))
-        f, l = sqrt_frame_factors(cs, 0.5)
+        f, l = frame_oracle.factors(cs, 0.5)
         assert_allclose(f, q, atol=1e-12)
         assert_allclose(l, r, atol=1e-12)
 
     def test_constant_scalar(self):
         cs = make_set(1, P=cf.constant([[4.0]]), Q=cf.constant([[1.0]]),
                       R=cf.constant([[2.0]]))
-        f, l = sqrt_frame_factors(cs, 0.5)
+        f, l = frame_oracle.factors(cs, 0.5)
         assert f[0, 0] == pytest.approx(1.0)
         assert l[0, 0] == pytest.approx(2.0)
 
@@ -314,7 +311,7 @@ class TestSqrtFrameFactors:
         # P(t) = (1 + t)^2: sqrt(P) = 1 + t, sqrt(P)' = 1, so F = L = -1 at t = 0
         cs = make_set(1, P=cf.polynomial([[[1.0]], [[2.0]], [[1.0]]]),
                       S=cf.constant([[0.0]]))
-        f, l = sqrt_frame_factors(cs, 0.0)
+        f, l = frame_oracle.factors(cs, 0.0)
         assert f[0, 0] == pytest.approx(-1.0)
         assert l[0, 0] == pytest.approx(-1.0)
 
@@ -328,32 +325,28 @@ class TestSqrtFrameFactors:
         r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cs = make_set(3, P=cf.polynomial([p0, p1]), Q=cf.constant(q), R=cf.constant(r))
         t = 0.4
-        f, l = sqrt_frame_factors(cs, t)
-        sp = principal_sqrt(cs.P.eval(t))
-        from riccati_cert.matrix_core import sqrt_derivative
-        spdot = sqrt_derivative(cs.P.eval(t), cs.P.derivative(t))
+        f, l = frame_oracle.factors(cs, t)
+        sp = _hermitian_sqrt(cs.P.eval(t), "test")
+        spdot = frame_oracle.sqrt_derivative(cs.P.eval(t), cs.P.derivative(t))
         assert_allclose(f @ sp, sp @ q - spdot, atol=1e-10)
         assert_allclose(sp @ l, r @ sp - spdot, atol=1e-10)
 
 
 class TestSourceTermWork:
-    def test_one_sqrt_one_sqrt_derivative_one_P_eval_per_call(self, monkeypatch):
-        # the factors F, L are built from the sqrt(P) and sqrt(P)' the source
-        # term already holds, not recomputed from P
-        cs, _, mu, _ = gen_satisfying(InstanceSpec(n=3, seed=3))
-        calls: dict = {}
+    def test_one_sqrt_per_scan_block_and_one_at_t0(self, monkeypatch):
+        # cor3.2 takes sqrt(P) once over the stacked grid and once for the
+        # initial clause, not once per point
+        cs, _, _, _ = gen_satisfying(InstanceSpec(n=3, seed=3))
+        shapes = []
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] = calls.get(key, 0) + 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting(p, context):
+            shapes.append(p.shape)
+            return _hermitian_sqrt(p, context)
 
-        for name in ("principal_sqrt", "sqrt_derivative"):
-            monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
-        monkeypatch.setattr(cs.P, "eval", counting("P.eval", cs.P.eval))
-        sqrt_frame_source_term(cs, mu, 0.7)
-        assert calls == {"principal_sqrt": 1, "sqrt_derivative": 1, "P.eval": 1}
+        monkeypatch.setattr(criteria, "_hermitian_sqrt", counting)
+        report = check_sqrt_frame_criterion(cs, None, np.eye(3), GridSpec.for_set(cs, 11))
+        assert report.condition("coefficient_pd").passed
+        assert shapes == [(11, 3, 3), (3, 3)]
 
 
 def _skew_frame_instance(rng, n):
@@ -364,7 +357,7 @@ def _skew_frame_instance(rng, n):
     g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = (g2 - g2.conj().T) / 2
     nu = complex(rng.standard_normal(), rng.standard_normal())
-    sp = principal_sqrt(p)
+    sp = _hermitian_sqrt(p, "test")
     r = q.conj().T - sp @ (2 * k - nu * np.eye(n)) @ np.linalg.inv(sp)
     g3 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     s = g3  # arbitrary source
@@ -376,12 +369,12 @@ def _skew_frame_instance(rng, n):
 class TestSourceTermIdentity:
     def test_zero_instance(self):
         cs = make_set(2)
-        d = sqrt_frame_source_term(cs, None, 0.5)
+        d = frame_oracle.source_term(cs, None, 0.5)
         assert_allclose(d, np.zeros((2, 2)), atol=1e-12)
 
     def test_pure_source(self):
         cs = make_set(2, S=cf.constant(np.eye(2)))
-        d = sqrt_frame_source_term(cs, None, 0.5)
+        d = frame_oracle.source_term(cs, None, 0.5)
         assert_allclose(d, -np.eye(2), atol=1e-12)
 
     def test_hermitian_part_identity_random(self):
@@ -392,11 +385,11 @@ class TestSourceTermIdentity:
             n = int(rng.integers(1, 5))
             cs, nu, k = _skew_frame_instance(rng, n)
             t = 0.5
-            t_term = sqrt_frame_skew_term(cs, nu, t)
+            t_term, c = frame_oracle.frame(cs, nu, t)
             assert_allclose(t_term, k, atol=1e-10)
-            d = sqrt_frame_source_term(cs, nu, t)
+            d = frame_oracle.source_term(cs, nu, t)
             lhs = d + d.conj().T
-            rhs = -sqrt_frame_condition_matrix(cs, nu, t)
+            rhs = -c
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
 
@@ -417,7 +410,7 @@ class TestExactFrameDerivative:
         cs = make_set(1, P=cf.polynomial([[[1.0]], [[2.0]], [[1.0]]]),
                       Q=cf.polynomial([[[0.0]], [[0.0]], [[0.0]], [[1.0]]]),
                       S=cf.constant([[2.0]]))
-        d = sqrt_frame_source_term(cs, None, t)
+        d = frame_oracle.source_term(cs, None, t)
         assert abs(d[0, 0] - self.closed_form(t, 2.0)) <= 1e-12
 
     def test_time_varying_nu_enters_through_its_derivative(self):
@@ -426,7 +419,7 @@ class TestExactFrameDerivative:
         nu = cf.polynomial([0.0, 4.0], scalar=True)
         t = 0.25
         tt = 2 * t
-        d = sqrt_frame_source_term(cs, nu, t)
+        d = frame_oracle.source_term(cs, nu, t)
         assert abs(d[0, 0] - (2.0 + tt * tt)) <= 1e-12
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from riccati_cert.coefficients import _shifted_source
 from riccati_cert.criteria import (
     GridSpec,
     check_comparison_hypotheses,
@@ -154,12 +155,11 @@ class TestSatisfying:
     def test_shifted_source_is_constant_psd(self):
         # S is derived so that S_L + S_L* equals one fixed PSD matrix W:
         # time-independent with nonnegative spectrum
-        from riccati_cert.coefficients import eval_S_lambda
-
         cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=3, seed=2))
         probes = []
         for t in np.linspace(cs.t0, cs.t_end, 7):
-            sl = eval_S_lambda(cs, lam, float(t))
+            sl = _shifted_source(*(f.eval(float(t)) for f in (cs.P, cs.Q, cs.R, cs.S, lam)),
+                                 lam.derivative(float(t)))
             probes.append(sl + sl.conj().T)
         for w in probes[1:]:
             assert np.linalg.norm(w - probes[0]) <= 1e-10

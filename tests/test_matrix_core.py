@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import frame_oracle
 from riccati_cert import coefficients as cf
+from riccati_cert import criteria
 from riccati_cert import matrix_core as mc
 from riccati_cert.cli import main
-from riccati_cert.exceptions import (
-    DimensionError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
-)
+from riccati_cert.criteria import GridSpec, build_skew_gauge
+from riccati_cert.exceptions import DimensionError, NotHermitianError, NotPositiveDefiniteError
 from riccati_cert.serialize import dumps_instance, instance_to_obj
 
 
@@ -20,98 +19,116 @@ def _rand(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _psd(h, tol=mc.DEFAULT_TOL, strict=False):
+    """The grid's verdict on one matrix: (least eigenvalue, verdict, Hermiticity defect)."""
+    lo, ok, defect = mc._psd_measure(np.asarray(h, dtype=complex)[None], tol, strict=strict)
+    return float(lo[0]), bool(ok[0]), float(defect[0])
+
+
 class TestHermitianPart:
+    """The Hermitian part (M + M*)/2 whose least eigenvalue the PSD measure
+    reads, beside the defect ||M - M*||_F it reports."""
+
     def test_hermitian_fixed_point(self):
-        assert_allclose(mc.hermitian_part(np.eye(2)), np.eye(2))
+        assert _psd(np.eye(2)) == (1.0, True, 0.0)
 
     def test_forced_arithmetic(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert_allclose(mc.hermitian_part(m), np.array([[0.0, 0.5], [0.5, 0.0]]))
+        # (M + M*)/2 = [[0, 0.5], [0.5, 0]] has eigenvalues -0.5, 0.5; M - M* = [[0, 1], [-1, 0]]
+        lo, ok, defect = _psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert lo == pytest.approx(-0.5, abs=1e-15)
+        assert defect == pytest.approx(math.sqrt(2), abs=1e-15)
+        assert not ok
 
     def test_skew_annihilation(self):
         rng = np.random.default_rng(1)
         g = _rand(rng, 3)
         k = g - g.conj().T  # K* = -K
-        assert_allclose(mc.hermitian_part(k), np.zeros((3, 3)), atol=1e-15)
+        lo, ok, defect = _psd(k)
+        assert lo == 0.0 and not ok
+        assert defect == pytest.approx(2 * np.linalg.norm(k), rel=1e-15)
 
     def test_split_remainder_is_skew(self):
         rng = np.random.default_rng(2)
-        m = _rand(rng, 4)
-        h = mc.hermitian_part(m)
-        k = m - h
-        assert_allclose(h, h.conj().T, atol=1e-15)
-        assert_allclose(k, -k.conj().T, atol=1e-15)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            m = _rand(rng, n)
+            h, k = (m + m.conj().T) / 2, (m - m.conj().T) / 2
+            lo, _, defect = _psd(m)
+            assert lo == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12 * np.linalg.norm(m))
+            assert defect == pytest.approx(2 * np.linalg.norm(k), rel=1e-14)
 
     def test_rejects_non_square(self):
+        # a matrix reaches the measure through the one matrix rule, which refuses it
         with pytest.raises(DimensionError):
-            mc.hermitian_part(np.ones((2, 3)))
+            mc.as_matrix(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            cf._require_matrix(np.ones((2, 3)), 2, "Y0")
 
 
-class TestCheckPsd:
+class TestPsdMeasure:
     def test_identity(self):
-        v = mc.check_psd(np.eye(2))
-        assert v.is_psd and v.min_eigenvalue == pytest.approx(1.0)
+        lo, ok, _ = _psd(np.eye(2))
+        assert ok and lo == pytest.approx(1.0)
 
     def test_indefinite_diag(self):
-        v = mc.check_psd(np.diag([1.0, -1.0]))
-        assert not v.is_psd
-        assert v.min_eigenvalue == pytest.approx(-1.0)
+        lo, ok, _ = _psd(np.diag([1.0, -1.0]))
+        assert not ok
+        assert lo == pytest.approx(-1.0)
 
     def test_2x2_characteristic_polynomial_oracle(self):
         # eigenvalues of [[2,1],[1,2]] from l^2 - 4l + 3 = 0: {1, 3}
-        lo = (4 - math.sqrt(16 - 12)) / 2
-        v = mc.check_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert v.is_psd
-        assert v.min_eigenvalue == pytest.approx(lo, abs=1e-12)
+        expected = (4 - math.sqrt(16 - 12)) / 2
+        lo, ok, _ = _psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert ok
+        assert lo == pytest.approx(expected, abs=1e-12)
 
     def test_hermiticity_defect_blocks_verdict(self):
         # Hermitian part is PSD but the asymmetry itself must fail the verdict
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        v = mc.check_psd(m)
-        assert v.hermiticity_defect == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert v.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
-        assert not v.is_psd
+        lo, ok, defect = _psd(m)
+        assert defect == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert lo == pytest.approx(0.5, abs=1e-12)
+        assert not ok
+        assert not _psd(m, strict=True)[1]
 
     def test_tolerance_band_accepts_roundoff(self):
-        v = mc.check_psd(np.diag([1.0, -1e-12]))
-        assert v.is_psd
+        assert _psd(np.diag([1.0, -1e-12]))[1]
+
+    def test_strict_verdict_refuses_indefinite_with_its_witness(self):
+        lo, ok, _ = _psd(np.diag([1.0, -2.0]), strict=True)
+        assert not ok and lo == pytest.approx(-2.0)
+
+    def test_congruence_preserves_psd(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            h = (lambda g: g.conj().T @ g)(_rand(rng, n))
+            v = _rand(rng, n)
+            m = v @ h @ v.conj().T
+            norm2 = np.linalg.norm((m + m.conj().T) / 2, 2)
+            lo, ok, _ = _psd(m)
+            assert ok and lo >= -1e-9 * max(norm2, 1.0)
 
 
-class TestTraceProduct:
+class TestHermitianSqrt:
+    """The square root cor3.2 takes where the strict verdict found P > 0."""
+
+    @staticmethod
+    def sqrt(p):
+        return mc._hermitian_sqrt(np.asarray(p, dtype=complex), "test")
+
     def test_identity(self):
-        assert mc.trace_product(np.eye(3), np.eye(3)) == pytest.approx(3.0)
+        assert_allclose(self.sqrt(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_diag(self):
-        assert mc.trace_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_dense_product_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a, b = _rand(rng, 4), _rand(rng, 4)
-            expected = np.trace(a @ b)
-            got = mc.trace_product(a, b)
-            assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            mc.trace_product(np.eye(2), np.eye(3))
-
-
-class TestPrincipalSqrt:
-    def test_identity(self):
-        assert_allclose(mc.principal_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diag(self):
-        assert_allclose(mc.principal_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
-                        atol=1e-14)
+        assert_allclose(self.sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_2x2_eigendecomposition_oracle(self):
         # [[2,1],[1,2]] has eigenpairs (1, [1,-1]/sqrt2), (3, [1,1]/sqrt2);
         # the square root is [[(s3+1)/2, (s3-1)/2], [(s3-1)/2, (s3+1)/2]].
         s3 = math.sqrt(3.0)
         expected = np.array([[(s3 + 1) / 2, (s3 - 1) / 2], [(s3 - 1) / 2, (s3 + 1) / 2]])
-        got = mc.principal_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert_allclose(got, expected, atol=1e-12)
+        assert_allclose(self.sqrt(np.array([[2.0, 1.0], [1.0, 2.0]])), expected, atol=1e-12)
 
     def test_round_trip_random_pd(self):
         rng = np.random.default_rng(4)
@@ -119,42 +136,55 @@ class TestPrincipalSqrt:
             n = int(rng.integers(1, 7))
             g = _rand(rng, n)
             p = g.conj().T @ g + np.eye(n)
-            s = mc.principal_sqrt(p)
+            assert _psd(p, strict=True)[1]
+            s = self.sqrt(p)
             assert np.linalg.norm(s @ s - p) <= 1e-10 * np.linalg.norm(p)
             assert_allclose(s, s.conj().T, atol=1e-13)
 
+
+    def test_rejects_indefinite_and_reports_witness(self, monkeypatch):
+        # cor3.2 takes no square root where the strict verdict refuses P
+        taken = []
+        monkeypatch.setattr(criteria, "_hermitian_sqrt",
+                            lambda p, context: taken.append(p) or mc._hermitian_sqrt(p, context))
+        zero = cf.constant(np.zeros((2, 2)))
+        cs = cf.CoefficientSet(n=2, t0=0.0, t_end=1.0, P=cf.constant(np.diag([1.0, -2.0])),
+                               Q=zero, R=zero, S=zero)
+        report = criteria.check_sqrt_frame_criterion(cs, None, np.eye(2), GridSpec.for_set(cs, 5))
+        pd = report.condition("coefficient_pd")
+        assert not pd.passed and pd.worst_value == pytest.approx(-2.0) and pd.worst_time == 0.0
+        assert report.condition("sqrt_frame_psd").worst_value == np.inf
+        assert report.condition("initial_psd").passed and not report.holds
+        assert taken == []
+
     def test_rejects_non_hermitian(self):
+        p = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert not _psd(p, strict=True)[1]
+        zero = cf.constant(np.zeros((2, 2)))
         with pytest.raises(NotHermitianError):
-            mc.principal_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_indefinite_and_reports_witness(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            mc.principal_sqrt(np.diag([1.0, -2.0]))
-        assert exc.value.min_eigenvalue == pytest.approx(-2.0)
+            cf.CoefficientSet(n=2, t0=0.0, t_end=1.0, P=cf.constant(p), Q=zero, R=zero, S=zero)
 
 
-class TestSqrtDerivative:
+class TestSqrtDerivativeOracle:
+    """The test oracle's sqrt(P)' (cor3.2's derivation, which no checker runs)."""
+
     def test_zero_rate(self):
         rng = np.random.default_rng(5)
         g = _rand(rng, 3)
         p = g.conj().T @ g + np.eye(3)
-        assert_allclose(mc.sqrt_derivative(p, np.zeros((3, 3))), np.zeros((3, 3)),
+        assert_allclose(frame_oracle.sqrt_derivative(p, np.zeros((3, 3))), np.zeros((3, 3)),
                         atol=1e-14)
 
     def test_scalar_chain_rule(self):
         # d/dt sqrt(p) = p' / (2 sqrt(p)) = 4 / (2 * 2) = 1
-        assert_allclose(mc.sqrt_derivative(np.array([[4.0]]), np.array([[4.0]])),
+        assert_allclose(frame_oracle.sqrt_derivative(np.array([[4.0]]), np.array([[4.0]])),
                         np.array([[1.0]]), atol=1e-14)
 
     def test_diagonal_componentwise_oracle(self):
-        got = mc.sqrt_derivative(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
+        got = frame_oracle.sqrt_derivative(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
         assert_allclose(got, np.diag([2.0 / 2.0, 4.0 / 4.0]), atol=1e-13)
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            mc.sqrt_derivative(np.diag([1.0, 0.0]), np.eye(2))
-
-    def test_matches_finite_differences_at_second_order(self):
+    def test_matches_finite_differences_of_the_checker_sqrt_at_second_order(self):
         # P(t) = B(t)* B(t) + I with B linear in t; halving the step must
         # shrink the central-difference discrepancy by >= 3.5x.
         rng = np.random.default_rng(6)
@@ -166,106 +196,55 @@ class TestSqrtDerivative:
 
         t = 0.4
         pdot = (b0 + t * b1).conj().T @ b1 + b1.conj().T @ (b0 + t * b1)
-        x = mc.sqrt_derivative(p_at(t), pdot)
+        x = frame_oracle.sqrt_derivative(p_at(t), pdot)
+        sqrt = TestHermitianSqrt.sqrt
 
         def fd_error(h):
-            fd = (mc.principal_sqrt(p_at(t + h)) - mc.principal_sqrt(p_at(t - h))) / (2 * h)
+            fd = (sqrt(p_at(t + h)) - sqrt(p_at(t - h))) / (2 * h)
             return np.linalg.norm(fd - x)
 
         assert fd_error(1e-3) / fd_error(5e-4) >= 3.5
 
 
-class TestTraceLemmas:
-    """Trace and congruence identities on seeded random matrices."""
-
-    def test_commutation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            a, b = _rand(rng, n), _rand(rng, n)
-            lhs, rhs = mc.trace_product(a, b), mc.trace_product(b, a)
-            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-    def test_psd_pair_product_nonnegative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            h1 = (lambda g: g.conj().T @ g)(_rand(rng, n))
-            h2 = (lambda g: g.conj().T @ g)(_rand(rng, n))
-            tr = mc.trace_product(h1, h2)
-            scale = np.linalg.norm(h1) * np.linalg.norm(h2)
-            assert tr.real >= -1e-10
-            assert abs(tr.imag) <= 1e-10 * scale
-
-    def test_hermitian_skew_product_real_part_vanishes(self):
-        # Only the real part vanishes over the complex field: for example
-        # H = diag(1, 2), K = diag(i, -i) gives tr(HK) = -i.
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            h = mc.hermitian_part(_rand(rng, n))
-            g = _rand(rng, n)
-            k = (g - g.conj().T) / 2
-            tr = mc.trace_product(h, k)
-            assert abs(tr.real) <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(k)
-
-    def test_hermitian_skew_complex_trace_need_not_vanish(self):
-        tr = mc.trace_product(np.diag([1.0, 2.0]), np.diag([1j, -1j]))
-        assert tr == pytest.approx(-1j)
-
-    def test_congruence_preserves_psd(self):
-        rng = np.random.default_rng(10)
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            h = (lambda g: g.conj().T @ g)(_rand(rng, n))
-            v = _rand(rng, n)
-            m = v @ h @ v.conj().T
-            norm2 = np.linalg.norm(mc.hermitian_part(m), 2)
-            v = mc.check_psd(m)
-            assert v.is_psd and v.min_eigenvalue >= -1e-9 * max(norm2, 1.0)
-
-
 class TestSharedMeasures:
-    """check_psd and _require_hpd apply the stacked measures of the grid scans."""
+    """build_skew_gauge refuses P by the strict verdict of the grid scans."""
 
-    def test_default_check_psd_is_the_stacked_measure(self):
+    def test_initial_clause_is_the_stacked_measure(self):
+        # the one-matrix clause at t0 reads the grid's measure on a one-point stack
         rng = np.random.default_rng(31)
         for _ in range(200):
             n = int(rng.integers(1, 6))
-            h = mc.hermitian_part(_rand(rng, n))
+            m = _rand(rng, n)
+            h = (m + m.conj().T) / 2
             # shift the least eigenvalue to the edge of the band, either side
             h -= (np.linalg.eigvalsh(h)[0] + rng.choice([-2e-9, 0.0, 2e-9])) * np.eye(n)
-            lo, ok, defect = mc._psd_measure(h[None], mc.DEFAULT_TOL)
-            v = mc.check_psd(h)
-            assert v.is_psd == bool(ok[0])
-            assert v.min_eigenvalue == lo[0] and v.hermiticity_defect == defect[0]
+            lo, ok, _ = mc._psd_measure(h[None], mc.DEFAULT_TOL)
+            rec = criteria._initial_record("initial_psd", h, 0.25, mc.DEFAULT_TOL)
+            assert rec.passed == bool(ok[0]) and rec.worst_value == lo[0]
+            assert rec.worst_time == 0.25
 
     def test_positive_definiteness_uses_the_strict_band(self):
         for eps, pd in ((3e-9, True), (1e-9, False), (0.0, False)):
             p = np.diag([1.0, eps])
             assert bool(mc._psd_measure(p[None], 1e-9, strict=True)[1][0]) is pd
-            if pd:
-                mc.principal_sqrt(p)
-            else:
-                with pytest.raises(NotPositiveDefiniteError):
-                    mc.principal_sqrt(p)
 
     @pytest.mark.parametrize("n", [4, 8])
-    def test_sqrt_refusal_is_the_grid_verdict_at_the_band_edge(self, n):
-        # eigvalsh and eigh differ in the last bits for n >= 4; one verdict serves both
-        refused = set()
+    def test_skew_gauge_refusal_is_the_grid_verdict_at_the_band_edge(self, n):
+        zero = cf.constant(np.zeros((n, n)))
+        refused = accepted = 0
         for p in _band_edge_draws(n, 300):
             lo, pd, _ = mc._psd_measure(p[None], mc.DEFAULT_TOL, strict=True)
-            for name, call in (("principal_sqrt", lambda: mc.principal_sqrt(p)),
-                               ("sqrt_derivative", lambda: mc.sqrt_derivative(p, np.eye(n)))):
-                if pd[0]:
-                    call()
-                else:
-                    with pytest.raises(NotPositiveDefiniteError) as err:
-                        call()
-                    assert err.value.min_eigenvalue == lo[0]
-                    refused.add(name)
-        assert refused == {"principal_sqrt", "sqrt_derivative"}
+            cs = cf.CoefficientSet(n=n, t0=0.0, t_end=1.0, P=cf.constant(p), Q=zero, R=zero,
+                                   S=zero)
+            if pd[0]:
+                build_skew_gauge(cs, None, GridSpec.for_set(cs, 2))
+                accepted += 1
+            else:
+                with pytest.raises(NotPositiveDefiniteError) as err:
+                    build_skew_gauge(cs, None, GridSpec.for_set(cs, 2))
+                assert err.value.min_eigenvalue == lo[0]
+                refused += 1
+        assert refused and accepted
 
     def test_cor32_runs_where_its_grid_calls_p_positive_definite(self, tmp_path, capsys):
         # draw 182 at n = 4: eigvalsh's least eigenvalue 4.00000009e-09 clears
@@ -365,7 +344,8 @@ class TestNonFiniteRule:
     @pytest.mark.parametrize("h", [
         [[8e307, 8e307, 8e307], [8e307, 8e307, 8e307], [8e307, 8e307, 0.0]],
         [[1.7e308, 1.7e308], [1.7e308, -1e300]]], ids=["infinite-eigenvalue", "overflowing-sum"])
-    def test_check_psd_is_not_passed_on_an_infinite_band(self, h):
+    def test_psd_measure_is_not_passed_on_an_infinite_band(self, h):
         # both have a least eigenvalue near -1e308 beside one that overflows
-        verdict = mc.check_psd(np.array(h))
-        assert not verdict.is_psd and math.isnan(verdict.min_eigenvalue)
+        lo, ok, _ = self.scan(lambda m: mc._psd_measure(m, mc.DEFAULT_TOL),
+                              np.array([h], dtype=complex))
+        assert not ok[0] and math.isnan(lo[0])

@@ -8,15 +8,20 @@ helper thread the second. Each test here runs the same scan with
 halves are exercised on any host, and checks that the helper behaves as
 the serial scan does: the same report bytes, no numpy warning where the
 serial scan prints none, the serial exception, no work and no helper thread
-left after the scan, and a forked child that can still scan.
+left after the scan, and a forked child that can still scan. A run whose
+scans never split imports no ``concurrent`` module: the helper's pool is
+imported where a scan first splits.
 """
 
 import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +233,48 @@ def test_a_forked_child_scans_in_halves(monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+POOL_SCRIPT = """
+import contextlib, io, json, sys
+from riccati_cert import matrix_core as mc
+from riccati_cert.cli import main
+
+workdir, n, steps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+mc._cpus = lambda: 2  # a split scan is possible on any host
+inst, csv = f"{workdir}/inst.json", f"{workdir}/traj.csv"
+chain = [["gen", "--target", "satisfying", "--n", n, "--out", inst], ["check", inst],
+         ["integrate", inst, "--method", "both", "--out", csv], ["verify", inst, csv]]
+codes = []
+for argv in chain[:steps]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes,
+                  "concurrent": sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")}))
+"""
+
+
+def _fresh_chain(workdir, n, steps):
+    """Run the first ``steps`` commands of gen, check, integrate, verify at n
+    in a fresh interpreter; (exit codes, concurrent modules loaded at exit)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", POOL_SCRIPT, str(workdir), str(n), str(steps)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(done.stdout.splitlines()[-1])
+    return out["codes"], out["concurrent"]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4], ids=["gen", "check", "integrate", "verify"])
+def test_commands_whose_scans_never_split_import_no_pool(tmp_path, steps):
+    assert not _split(3)
+    codes, loaded = _fresh_chain(tmp_path, 3, steps)
+    assert codes == [0] * steps
+    assert loaded == []
+
+
+def test_a_scan_that_splits_imports_the_pool(tmp_path):
+    # the control of the test above: at n = 32 check's scan splits
+    codes, loaded = _fresh_chain(tmp_path, 32, 2)
+    assert codes == [0, 0]
+    assert "concurrent.futures" in loaded
