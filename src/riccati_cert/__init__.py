@@ -52,7 +52,6 @@ from .integrate import (
     LinearFlow,
     LiouvilleReport,
     Trajectory,
-    default_sample_times,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,

@@ -532,14 +532,6 @@ def sampled(times, values, order: int = 3, scalar: bool = False,
                            node_derivatives=node_derivatives)
 
 
-def zero_matrix_function(n: int) -> ConstantFunction:
-    return ConstantFunction(np.zeros((n, n)), scalar=False)
-
-
-def zero_scalar_function() -> ConstantFunction:
-    return ConstantFunction(0.0, scalar=True)
-
-
 def _require_matrix_function(f: CoefficientFunction, n: int, name: str) -> None:
     if f.is_scalar:
         raise DimensionError(f"{name} must be matrix-valued")
@@ -558,7 +550,7 @@ def _require_gauge(f: CoefficientFunction | None, n: int, name: str) -> Coeffici
     be scalar functions. The error, a ``DimensionError``, names the gauge."""
     scalar = GAUGES[name]
     if f is None:
-        return zero_scalar_function() if scalar else zero_matrix_function(n)
+        return ConstantFunction(0.0 if scalar else np.zeros((n, n)), scalar=scalar)
     if not scalar:
         _require_matrix_function(f, n, name)
     elif not f.is_scalar:

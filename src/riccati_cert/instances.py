@@ -5,6 +5,8 @@ derives R and S so that every condition holds exactly (not by rejection,
 which would bias the shifted source toward small values). All arithmetic
 stays inside the polynomial representation, so coefficient derivatives
 are exact and the downstream checks are quantitatively trustworthy.
+Each random draw is a polynomial of fixed degree: P's factor 1, Q 2,
+lambda 2, mu 1 and S's factor 1.
 
 Generation is fully determined by the seed: identical specs produce
 bit-identical instances.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +32,6 @@ TARGETS = {"satisfying": "theorem3.1", "blowup": "theorem3.1", "comparison": "th
 class InstanceSpec:
     """Reproducible recipe for one generated instance.
 
-    ``kinds`` optionally overrides the representation per ingredient name
-    ("P", "Q", "S", "lambda", "mu") as "polynomial" (the default) or
-    "constant", which means a polynomial of degree 0.
     ``scale`` caps the Frobenius norm of every random draw (and for the
     blow-up family it is the escape-rate constant c in S = -c I).
     """
@@ -41,7 +40,6 @@ class InstanceSpec:
     seed: int
     horizon: float = 5.0
     t0: float = 0.0
-    kinds: Mapping[str, str] | None = None
     scale: float = 1.0
     target: str = "satisfying"
 
@@ -49,10 +47,6 @@ class InstanceSpec:
         # each message starts with the field it names; the CLI turns it into the flag
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {tuple(TARGETS)}, got {self.target!r}")
-        for name, kind in (self.kinds or {}).items():
-            if name not in "P Q S lambda mu".split() or kind not in ("polynomial", "constant"):
-                raise ValueError("kinds must map P, Q, S, lambda or mu to 'polynomial' or "
-                                 f"'constant', got {name!r}: {kind!r}")
         _require_dim(self.n)
         _require_int(self.seed, "seed")
         if not self.seed >= 0:
@@ -104,10 +98,6 @@ def _random_scalar_poly(rng: np.random.Generator, degree: int,
     return np.array(out)
 
 
-def _degree_for(spec: InstanceSpec, name: str, poly_degree: int) -> int:
-    return 0 if (spec.kinds or {}).get(name) == "constant" else poly_degree
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -125,10 +115,10 @@ def gen_satisfying(spec: InstanceSpec):
     rng = np.random.default_rng(spec.seed)
     n, t0, span = spec.n, spec.t0, spec.horizon
 
-    a = _random_matrix_poly(rng, n, _degree_for(spec, "P", 1), math.sqrt(spec.scale), span)
-    q = _random_matrix_poly(rng, n, _degree_for(spec, "Q", 2), spec.scale, span)
-    lam = _random_matrix_poly(rng, n, _degree_for(spec, "lambda", 2), 0.5 * spec.scale, span)
-    mu = _random_scalar_poly(rng, _degree_for(spec, "mu", 1), spec.scale, span)
+    a = _random_matrix_poly(rng, n, 1, math.sqrt(spec.scale), span)
+    q = _random_matrix_poly(rng, n, 2, spec.scale, span)
+    lam = _random_matrix_poly(rng, n, 2, 0.5 * spec.scale, span)
+    mu = _random_scalar_poly(rng, 1, spec.scale, span)
     w = _random_psd(rng, n, spec.scale)
     h0 = _random_psd(rng, n, spec.scale)
 
@@ -189,9 +179,9 @@ def gen_comparison(spec: InstanceSpec):
     rng = np.random.default_rng(spec.seed)
     n, t0, span = spec.n, spec.t0, spec.horizon
 
-    a = _random_matrix_poly(rng, n, _degree_for(spec, "P", 1), math.sqrt(spec.scale), span)
-    b = _random_matrix_poly(rng, n, _degree_for(spec, "S", 1), math.sqrt(spec.scale), span)
-    q = _random_matrix_poly(rng, n, _degree_for(spec, "Q", 2), spec.scale, span)
+    a = _random_matrix_poly(rng, n, 1, math.sqrt(spec.scale), span)
+    b = _random_matrix_poly(rng, n, 1, math.sqrt(spec.scale), span)
+    q = _random_matrix_poly(rng, n, 2, spec.scale, span)
     y0 = _random_psd(rng, n, spec.scale)
 
     cs = CoefficientSet(

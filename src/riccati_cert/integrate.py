@@ -153,7 +153,7 @@ _SINGULAR_COND_CEILING = 1e13
 
 _MAX_STEPS = 1_000_000
 
-DEFAULT_SAMPLES = 201  # uniform sample times of ``default_sample_times``
+DEFAULT_SAMPLES = 201  # uniform sample times on [t0, t_end] when none are given
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,6 @@ class LinearFlow:
     phi: np.ndarray
     psi: np.ndarray
     restarts: list[float] = field(default_factory=list)
-
-
-def default_sample_times(cs: CoefficientSet, num: int = DEFAULT_SAMPLES) -> np.ndarray:
-    return np.linspace(cs.t0, cs.t_end, num)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -402,10 +398,10 @@ def _integrate_sampled(rhs, values, sample_times: np.ndarray, y0: np.ndarray,
 
 def _prologue(cs: CoefficientSet, y0, name: str, sample_times) -> tuple[np.ndarray, np.ndarray]:
     """The validated initial value ``name`` and sample times of an integrator
-    call (default: ``default_sample_times(cs)``)."""
+    call (default: ``DEFAULT_SAMPLES`` uniform times on [t0, t_end])."""
     y0 = _require_matrix(y0, cs.n, name)
-    ts = np.asarray(default_sample_times(cs) if sample_times is None else sample_times,
-                    dtype=np.float64)
+    ts = np.asarray(np.linspace(cs.t0, cs.t_end, DEFAULT_SAMPLES) if sample_times is None
+                    else sample_times, dtype=np.float64)
     if ts.ndim != 1 or ts.size < 1 or not np.isfinite(ts).all():
         raise IntegrationError("sample_times must be a non-empty 1-D array of finite times")
     if abs(float(ts[0]) - cs.t0) > cs.end_slack()[0]:

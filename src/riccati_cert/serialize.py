@@ -18,15 +18,17 @@ Instance files are compact JSON on one line with sorted keys, which
 Python's json module formats in C.
 
 The CSV writer formats every number with ``repr``, the shortest string
-that reads back to the same float, and ends every line with ``\r\n``;
-no field is ever quoted. The reader takes the first ``1 + 2 n^2``
-columns of each row, accepts ``\n`` line ends and quoted fields, and
-rejects non-finite values and times that do not strictly increase. It
-parses with numpy's C reader, quoted fields included, and falls back to
-the ``csv`` module on any text the C reader refuses or any fault, so both
-give the same bits and every refusal names its line and column. Y is a
-view of the parsed (re, im) pairs, so the reader is the exact inverse of
-the writer: every part, a signed zero too, comes back as written.
+that reads back to the same float, and ends every line with ``\r\n``; no
+field is ever quoted. The reader takes the first ``1 + 2 n^2`` columns
+of each row, whose header names must be the writer's for the instance's
+n (the monitor columns after them are free), accepts ``\n`` line ends
+and quoted fields, and rejects non-finite values and times that do not
+strictly increase. It parses with numpy's C reader, quoted fields
+included, and falls back to the ``csv`` module on any text the C reader
+refuses or any fault, so both give the same bits and every refusal names
+its line and column. Y is a view of the parsed (re, im) pairs, so the
+reader is the exact inverse of the writer: every part, a signed zero
+too, comes back as written.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
 CSV line and column) named in the message. A value whose rule belongs to a
@@ -61,11 +63,6 @@ from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 # Complex scalars and matrices
 # ---------------------------------------------------------------------------
 
-def complex_to_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _real(obj) -> bool:
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
@@ -86,8 +83,8 @@ def pair_to_complex(obj, field: str) -> complex:
 
 
 def matrix_to_obj(m) -> list:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    return m.view(np.float64).reshape(*m.shape, 2).tolist()
+    """``m`` (a scalar, a matrix or a stack of them) as nested ``[re, im]`` pairs."""
+    return np.asarray(m, dtype=np.complex128, order="C")[..., None].view(np.float64).tolist()
 
 
 def _pair_matrix(obj, n: int):
@@ -131,10 +128,6 @@ def _finite_number(obj, field: str) -> float:
     return x
 
 
-def _value_to_obj(v, scalar: bool):
-    return complex_to_pair(v) if scalar else matrix_to_obj(v)
-
-
 def _obj_to_value(obj, n: int, field: str, scalar: bool):
     return pair_to_complex(obj, field) if scalar else obj_to_matrix(obj, n, field)
 
@@ -144,14 +137,13 @@ def _obj_to_value(obj, n: int, field: str, scalar: bool):
 # ---------------------------------------------------------------------------
 
 def function_to_obj(f: CoefficientFunction) -> dict:
-    scalar = f.is_scalar
     if f.kind == "constant":
-        return {"kind": "constant", "value": _value_to_obj(f.value, scalar)}
+        return {"kind": "constant", "value": matrix_to_obj(f.value)}
     if f.kind == "polynomial":
         return {
             "kind": "polynomial",
             "t_ref": f.t_ref,
-            "coefficients": [_value_to_obj(c, scalar) for c in f.coefficients],
+            "coefficients": matrix_to_obj(f.coefficients),
         }
     if f.kind == "sampled":
         if f.node_derivatives is not None:
@@ -161,7 +153,7 @@ def function_to_obj(f: CoefficientFunction) -> dict:
             "kind": "sampled",
             "order": f.order,
             "times": f.times.tolist(),
-            "values": [_value_to_obj(v, scalar) for v in f.values],
+            "values": matrix_to_obj(f.values),
         }
     raise RiccatiError(f"cannot serialize coefficient function of kind {f.kind!r}")
 
@@ -364,8 +356,9 @@ def _csv_floats(series: np.ndarray) -> list[str]:
 def read_trajectory_csv(path: str, n: int):
     """Read back (times, values) from a trajectory CSV of dimension n.
 
-    Every value must be finite and the times strictly increasing; a
-    violation raises ``InstanceFormatError`` naming the line and column.
+    The header must begin with ``trajectory_csv_header(n)``'s sample
+    columns, every value must be finite and the times strictly increasing;
+    a violation raises ``InstanceFormatError`` naming the line and column.
     numpy's C parser reads the file first; whatever it refuses or finds at
     fault is read again by the ``csv`` module, which accepts the same
     texts to the same bits and names the faulty line and column.
@@ -375,8 +368,8 @@ def read_trajectory_csv(path: str, n: int):
     part comes back with the bits and sign it was written with and the
     reader holds no second copy of the samples.
     """
-    columns = trajectory_csv_header(n)
-    data = _load_rows(path, 1 + 2 * n * n)
+    columns = trajectory_csv_header(n)[:1 + 2 * n * n]
+    data = _load_rows(path, columns)
     if data is None or _fault(data) is not None:
         data, lines = _read_rows(path, n, columns)
         fault = _fault(data)
@@ -402,18 +395,18 @@ def _fault(data: np.ndarray) -> tuple[int, int] | None:
     return (int(steps[0]) + 1, 0) if steps.size else None
 
 
-def _load_rows(path: str, width: int) -> np.ndarray | None:
-    """The first ``width`` columns of every sample row, parsed by numpy's C
-    reader with the csv module's quoting, or None when the header is short,
-    when the reader refuses the text or warns, or when there is no row."""
+def _load_rows(path: str, columns: list[str]) -> np.ndarray | None:
+    """The first ``len(columns)`` columns of every sample row, parsed by numpy's
+    C reader with the csv module's quoting, or None when the header does not
+    begin with ``columns``, when the reader refuses the text or warns, or when
+    there is no row."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or len(header) < width:
+            if next(csv.reader(fh), [])[:len(columns)] != columns:
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=range(width),
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=range(len(columns)),
                                   comments=None, ndmin=2)
     except (OSError, ValueError, csv.Error, Warning):
         return None  # the csv path reads the file again and names what is wrong
@@ -422,18 +415,23 @@ def _load_rows(path: str, width: int) -> np.ndarray | None:
 
 def _read_rows(path: str, n: int, columns: list[str]) -> tuple[np.ndarray, list[int]]:
     """The sample rows of a trajectory CSV as one float array (a row per
-    sample, the first 1 + 2 n^2 columns) and the line number of each row."""
+    sample, the first 1 + 2 n^2 columns, named as in ``columns``) and the
+    line number of each row."""
     expected = 1 + 2 * n * n
     rows: list[np.ndarray] = []
     lines: list[int] = []
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < expected:
-                raise InstanceFormatError(
-                    f"trajectory CSV has {0 if header is None else len(header)} columns, "
-                    f"expected at least {expected} for dimension {n}")
+            header = next(reader, [])
+            if len(header) < expected:
+                raise InstanceFormatError(f"trajectory CSV has {len(header)} columns, "
+                                          f"expected at least {expected} for dimension {n}")
+            for k in range(expected):
+                if header[k] != columns[k]:
+                    raise InstanceFormatError(
+                        f"trajectory CSV header column {k + 1} is {header[k]!r}, "
+                        f"expected {columns[k]!r} for dimension {n}")
             for row in reader:
                 if not row:
                     continue

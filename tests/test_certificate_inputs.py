@@ -148,9 +148,9 @@ def test_lambda_of_the_wrong_kind_keeps_its_messages(lam, message):
 
 # each checker that takes a gauge, with its zero gauge
 ZERO_GAUGES = {
-    "theorem3.1": ("lam", cf.zero_matrix_function(2)),
-    "cor3.1": ("mu", cf.zero_scalar_function()),
-    "cor3.2": ("nu", cf.zero_scalar_function()),
+    "theorem3.1": ("lam", cf.constant(np.zeros((2, 2)))),
+    "cor3.1": ("mu", cf.constant(0.0, scalar=True)),
+    "cor3.2": ("nu", cf.constant(0.0, scalar=True)),
 }
 
 
@@ -163,7 +163,7 @@ def test_gauge_algebra_takes_none_as_the_zero_gauge(criterion):
 
 def test_skew_gauge_takes_none_as_the_zero_gauge():
     got, record = criteria.build_skew_gauge(BLOWUP, None, GRID)
-    want, want_record = criteria.build_skew_gauge(BLOWUP, cf.zero_scalar_function(), GRID)
+    want, want_record = criteria.build_skew_gauge(BLOWUP, cf.constant(0.0, scalar=True), GRID)
     ts = np.linspace(BLOWUP.t0, BLOWUP.t_end, 23)
     assert got.eval(ts).tobytes() == want.eval(ts).tobytes()
     assert got.derivative(ts).tobytes() == want.derivative(ts).tobytes()

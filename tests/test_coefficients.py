@@ -146,7 +146,7 @@ class TestGaugeAlgebra:
         cs = CoefficientSet(n=3, t0=0.0, t_end=1.0,
                             P=cf.constant(np.eye(3)), Q=cf.constant(s_val + s_val.conj().T),
                             R=cf.constant(np.zeros((3, 3))), S=cf.constant(s_val))
-        lam = cf.zero_matrix_function(3)
+        lam = cf.constant(np.zeros((3, 3)))
         got = s_lambda(cs, lam, 0.3)
         assert np.array_equal(got, cs.S.eval(0.3))
 
@@ -177,14 +177,14 @@ class TestGaugeAlgebra:
 
     def test_zero_gauge_passthrough(self):
         cs = scalar_set(q=4.0, r=-2.0, s=1.5)
-        assert s_lambda(cs, cf.zero_matrix_function(1), 0.0)[0, 0] == 1.5
+        assert s_lambda(cs, cf.constant(np.zeros((1, 1))), 0.0)[0, 0] == 1.5
 
     def test_dimension_mismatch_fails_loudly(self):
         cs = scalar_set()
         with pytest.raises(DimensionError, match="^lambda has dimension 2, expected 1$"):
-            cf._require_gauge(cf.zero_matrix_function(2), cs.n, "lambda")
+            cf._require_gauge(cf.constant(np.zeros((2, 2))), cs.n, "lambda")
         with pytest.raises(DimensionError, match="^lambda has dimension 2, expected 1$"):
-            criteria.check_gauge_criterion(cs, cf.zero_matrix_function(2), np.eye(1))
+            criteria.check_gauge_criterion(cs, cf.constant(np.zeros((2, 2))), np.eye(1))
 
 
 class TestCoefficientSet:

@@ -80,8 +80,8 @@ def _poly0_twin(cs, gauges):
     twin = CoefficientSet(n=cs.n, t0=cs.t0, t_end=cs.t_end,
                           **{k: _as_poly0(getattr(cs, k)) for k in ("P", "Q", "R", "S")})
     # a gauge left out is the zero constant; the twin states it as a polynomial
-    zero = {"lam": cf.zero_matrix_function(cs.n), "mu": cf.zero_scalar_function(),
-            "nu": cf.zero_scalar_function()}
+    zero = {"lam": cf.constant(np.zeros((cs.n, cs.n))), "mu": cf.constant(0.0, scalar=True),
+            "nu": cf.constant(0.0, scalar=True)}
     return twin, {k: _as_poly0(gauges.get(k, f)) for k, f in zero.items()}
 
 

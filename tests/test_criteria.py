@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import frame_oracle
 from riccati_cert import coefficients as cf
 from riccati_cert import criteria
-from riccati_cert.coefficients import CoefficientSet
+from riccati_cert.coefficients import CoefficientSet, _poly_add, _poly_mul
 from riccati_cert.criteria import (
     GridSpec,
     build_skew_gauge,
@@ -19,7 +19,7 @@ from riccati_cert.criteria import (
 )
 from riccati_cert.exceptions import DimensionError, NotPositiveDefiniteError
 from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
-from riccati_cert.matrix_core import _hermitian_sqrt, block_slices
+from riccati_cert.matrix_core import _hermitian_sqrt, adjoint, block_slices
 
 
 def make_set(n, t_end=1.0, t0=0.0, **kw):
@@ -152,11 +152,29 @@ class TestGaugeCriterion:
 
     def test_scale_covariance_of_verdicts(self):
         # scaling (P, Q, R, S, mu) by c > 0 with a constant gauge leaves
-        # every boolean verdict unchanged (tolerances are relative)
-        from riccati_cert.instances import InstanceSpec, gen_satisfying
+        # every boolean verdict unchanged (tolerances are relative). The
+        # instance meets theorem3.1 with the constant gauge L by
+        # construction: P = A*A, R = Q* + P(L* - L) + mu I and
+        # S = W/2 + L P L + Q L + L R with W >= 0, and Y0 = L + H0 with H0 >= 0.
+        n = 3
+        rng = np.random.default_rng(21)
 
-        spec = InstanceSpec(n=3, seed=21, kinds={"lambda": "constant"})
-        cs, lam, mu, y0 = gen_satisfying(spec)
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def gram():
+            g = draw(n, n)
+            return g @ adjoint(g) / np.linalg.norm(g) ** 2
+
+        a, q, ell, mu = draw(2, n, n) / 2, draw(3, n, n) / 3, draw(1, n, n) / 5, rng.random(2)
+        p = _poly_mul(adjoint(a), a)
+        r = _poly_add(_poly_add(adjoint(q), _poly_mul(p, adjoint(ell) - ell)),
+                      mu[:, None, None] * np.eye(n))
+        s = _poly_add(_poly_add(gram()[None] / 2, _poly_mul(_poly_mul(ell, p), ell)),
+                      _poly_add(_poly_mul(q, ell), _poly_mul(ell, r)))
+        cs = CoefficientSet(n=n, t0=0.0, t_end=5.0, P=cf.polynomial(p), Q=cf.polynomial(q),
+                            R=cf.polynomial(r), S=cf.polynomial(s))
+        lam, y0 = cf.constant(ell[0]), ell[0] + gram()
         base = check_gauge_criterion(cs, lam, y0, grid(cs, 31))
         assert base.holds
         for c in (1e-3, 1e3):

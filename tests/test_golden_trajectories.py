@@ -46,7 +46,6 @@ from riccati_cert.instances import (
 )
 from riccati_cert.integrate import (
     IntegratorOptions,
-    default_sample_times,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -83,7 +82,7 @@ def _twin(family, n, order):
 def _catalog(name, num):
     """(cs, y0, sample_times) of a catalog entry; ``num=None`` is the default grid."""
     e = canonical_catalog()[name]
-    return e.cs, e.y0, None if num is None else default_sample_times(e.cs, num)
+    return e.cs, e.y0, None if num is None else np.linspace(e.cs.t0, e.cs.t_end, num)
 
 
 def _pole():

@@ -55,20 +55,6 @@ class TestSpec:
         assert str(err.value).split()[0] == field
 
 
-    @pytest.mark.parametrize("kinds", [
-        {"lambda": "banana"}, {"P": "sampled"}, {"R": "constant"}, {"Y0": "polynomial"},
-        {"P": "constant", "L": "constant"},
-    ])
-    def test_rejects_kinds_it_would_ignore(self, kinds):
-        with pytest.raises(ValueError) as err:
-            InstanceSpec(n=2, seed=1, kinds=kinds)
-        assert str(err.value).split()[0] == "kinds"
-
-    def test_accepts_every_kind_it_reads(self):
-        for kind in ("polynomial", "constant"):
-            InstanceSpec(n=2, seed=1, kinds=dict.fromkeys(("P", "Q", "S", "lambda", "mu"), kind))
-
-
 class TestGenerate:
     """``generate`` dispatches on ``spec.target`` to the family's generator."""
 
@@ -137,14 +123,6 @@ class TestSatisfying:
             cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=2, seed=seed))
             for t in np.linspace(cs.t0, cs.t_end, 7):
                 assert abs(complex(mu.eval(float(t))).imag) == 0.0
-
-    def test_constant_kind_request(self):
-        spec = InstanceSpec(n=2, seed=5, kinds={"P": "constant", "Q": "constant",
-                                                "lambda": "constant", "mu": "constant"})
-        cs, lam, mu, y0 = gen_satisfying(spec)
-        assert cs.P.degree == 0 and lam.degree == 0
-        rep = check_gauge_criterion(cs, lam, y0, GridSpec.for_set(cs, 31))
-        assert rep.holds
 
     def test_magnitude_control(self):
         cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=3, seed=11, scale=0.5))

@@ -21,7 +21,6 @@ from riccati_cert.instances import (
 from riccati_cert.integrate import (
     IntegratorOptions,
     LiouvilleReport,
-    default_sample_times,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -107,7 +106,7 @@ class TestDirect:
     def test_hermitian_transport(self):
         # Y0 = Y0*, P, S Hermitian, R = Q* keep the solution Hermitian
         cs, y0 = gen_comparison(InstanceSpec(n=3, seed=23, target="comparison"))
-        traj = integrate_riccati_direct(cs, y0, sample_times=default_sample_times(cs, 101))
+        traj = integrate_riccati_direct(cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 101))
         assert traj.status == "completed"
         for k in range(traj.times.size):
             y = traj.values[k]
@@ -228,7 +227,7 @@ class TestLinearFlow:
         for seed in range(4):
             for n in (1, 2, 3, 4):
                 cs, lam, mu, y0 = gen_satisfying(InstanceSpec(n=n, seed=seed, horizon=3.0))
-                ts = default_sample_times(cs, 61)
+                ts = np.linspace(cs.t0, cs.t_end, 61)
                 direct = integrate_riccati_direct(cs, y0, sample_times=ts)
                 assert direct.status == "completed"
                 _, radon = integrate_linear_system(cs, y0, sample_times=ts)
@@ -281,7 +280,7 @@ class TestStats:
                             R=_Counted(_sampled_constant(r, t_end)), S=cs.S)
         calls = cs.R.calls
         result = integrator(cs, np.array([[1.0]]), IntegratorOptions(rtol=1e-7),
-                            default_sample_times(cs, samples))
+                            np.linspace(cs.t0, cs.t_end, samples))
         flow, traj = result if isinstance(result, tuple) else (None, result)
         stats = traj.stats
         assert stats["nfev"] == sum(np.size(t) for t in calls) > 0
@@ -476,7 +475,7 @@ class TestEvaluationCount:
         per_run = []
         for samples in (2, 201):
             calls[0] = 0
-            ts = default_sample_times(e.cs, samples)
+            ts = np.linspace(e.cs.t0, e.cs.t_end, samples)
             traj = integrate_riccati_direct(e.cs, e.y0, sample_times=ts)
             per_run.append((calls[0], traj.stats["steps_accepted"]))
         (few, few_steps), (many, many_steps) = per_run

@@ -34,7 +34,7 @@ from riccati_cert.instances import (
     gen_satisfying,
 )
 from riccati_cert.integrate import (
-    default_sample_times,
+    DEFAULT_SAMPLES,
     integrate_linear_system,
     integrate_riccati_direct,
 )
@@ -55,7 +55,7 @@ ONE_TRAJECTORY = 201 * N * N * np.dtype(np.complex128).itemsize
 def instance():
     cs, _, _, y0 = gen_satisfying(InstanceSpec(n=N, seed=1))
     # warm up once, so lazy set-up is not counted as the run's memory
-    ts = default_sample_times(cs, 3)
+    ts = np.linspace(cs.t0, cs.t_end, 3)
     integrate_riccati_direct(cs, y0, sample_times=ts)
     integrate_linear_system(cs, y0, sample_times=ts)
     return cs, y0
@@ -145,7 +145,7 @@ def test_blow_up_owns_only_the_samples_it_reached():
     cs, y0 = gen_blowup(InstanceSpec(n=N, seed=0, target="blowup", scale=1.5))
     traj = integrate_riccati_direct(cs, y0)
     assert traj.status == "blow_up"
-    assert 1 < traj.times.size < default_sample_times(cs).size
+    assert 1 < traj.times.size < DEFAULT_SAMPLES
     assert traj.values.shape == (traj.times.size, N, N)
     assert traj.times.base is None and traj.values.base is None
 

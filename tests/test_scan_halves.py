@@ -98,8 +98,8 @@ def _set(n, p, r=None):
     eye = np.eye(n)
     poly = lambda c: cf.polynomial([a * eye for a in c])
     return CoefficientSet(n=n, t0=0.0, t_end=5.0, P=poly(p),
-                          Q=cf.zero_matrix_function(n),
-                          R=poly(r) if r is not None else cf.zero_matrix_function(n),
+                          Q=cf.constant(np.zeros((n, n))),
+                          R=poly(r) if r is not None else cf.constant(np.zeros((n, n))),
                           S=cf.constant(eye))
 
 

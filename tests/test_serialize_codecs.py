@@ -28,7 +28,6 @@ from riccati_cert.integrate import (
     integrate_linear_system,
 )
 from riccati_cert.serialize import (
-    complex_to_pair,
     matrix_to_obj,
     obj_to_matrix,
     pair_to_complex,
@@ -92,9 +91,12 @@ def reference_read_trajectory_csv(path, n):
 
 
 def reference_matrix_to_obj(m):
+    """``[re, im]`` of each entry of a scalar, a matrix or a stack, nested as ``m``."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_pair(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+    if m.ndim == 0:
+        z = complex(m)
+        return [z.real, z.imag]
+    return [reference_matrix_to_obj(x) for x in m]
 
 
 def reference_obj_to_matrix(obj, n, field):
@@ -242,6 +244,24 @@ class TestReaderMatchesReference:
         times, values = assert_same_read(quoted, 2)
         assert times.tobytes() == read_trajectory_csv(str(new), 2)[0].tobytes()
 
+    def test_header_must_name_the_columns_of_the_dimension(self, tmp_path):
+        """An n = 3 file holds the 9 columns an n = 2 read takes, under other
+        names: the reader refuses it at the first such name. The rule
+        compares unquoted names, so LF and fully quoted copies of the file
+        read to the same bits as the written one."""
+        new, _ = write_both(tmp_path, awkward_trajectory(3, 4), constant_set(3))
+        lf, quoted = tmp_path / "lf.csv", tmp_path / "quoted.csv"
+        lf.write_bytes(new.read_bytes().replace(b"\r\n", b"\n"))
+        with new.open(newline="") as src, quoted.open("w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        want = [a.tobytes() for a in read_trajectory_csv(str(new), 3)]
+        for path in (new, lf, quoted):
+            assert [a.tobytes() for a in read_trajectory_csv(str(path), 3)] == want
+            with pytest.raises(InstanceFormatError) as err:
+                read_trajectory_csv(str(path), 2)
+            assert str(err.value) == ("trajectory CSV header column 6 is 'y0_2_re', "
+                                      "expected 'y1_0_re' for dimension 2")
+
     def test_blank_lines_skipped(self, tmp_path):
         new, _ = write_both(tmp_path, awkward_trajectory(1, 3), constant_set(1))
         gappy = tmp_path / "gappy.csv"
@@ -276,7 +296,7 @@ class TestReaderReturnsWrittenParts:
         for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
             path = str(tmp_path / f"rows{quoting}.csv")
             write_rows(path, n, rows, quoting)
-            assert serialize._load_rows(path, 1 + 2 * n * n) is not None
+            assert serialize._load_rows(path, trajectory_csv_header(n)[:1 + 2 * n * n]) is not None
             times, values = read_trajectory_csv(path, n)
             assert times.tobytes() == want_times.tobytes()
             assert values.shape == want.shape and values.dtype == want.dtype
@@ -359,6 +379,21 @@ class TestMatrixCodecsMatchReference:
         assert json.dumps(obj) == json.dumps(reference_matrix_to_obj(m))
         back = obj_to_matrix(json.loads(json.dumps(obj)), m.shape[0], "M")
         assert back.tobytes() == np.asarray(m, dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize("m", [
+        -0.0, 5e-324, complex(-0.0, 5e-324), np.complex128(complex(5e-324, -0.0)),
+        np.array(-5e-324 - 0.0j), np.float64(-0.0), 3,
+        np.array([-0.0, 5e-324j, 1e22 - 1e-300j]),
+        np.array([[[1 + 2j, -0.0 - 0.0j], [5e-324j, -5e-324]],
+                  [[-0.0, 1e16], [0.25j, -1e-300 + 0j]]]),
+        np.array([[[-0.0, 5e-324]]])[:, :, ::-1],
+    ], ids=["neg-zero", "subnormal", "complex", "np-scalar", "0-d", "np-float", "int",
+            "scalar-stack", "matrix-stack", "strided"])
+    def test_matrix_to_obj_of_any_shape(self, m):
+        """A scalar writes one pair and a stack one nested list per entry."""
+        obj = matrix_to_obj(m)
+        assert json.dumps(obj) == json.dumps(reference_matrix_to_obj(m))
+        assert np.shape(obj) == np.shape(m) + (2,)
 
     @pytest.mark.parametrize("obj", [
         [[[1.0, 2.0], [-0.0, 5e-324]], [[1e22, -1e-300], [3, -4]]],

@@ -59,7 +59,7 @@ def trajectories(draw):
 
 
 def zero_set(n, t_end):
-    zero = cf.zero_matrix_function(n)
+    zero = cf.constant(np.zeros((n, n)))
     return CoefficientSet(n=n, t0=0.0, t_end=t_end, P=zero, Q=zero, R=zero, S=zero)
 
 
@@ -147,7 +147,7 @@ def test_c_parser_agrees_with_csv_module(tmp_path_factory, case):
     n, text = case
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     path.write_bytes(text.encode())
-    fast = serialize._load_rows(str(path), 1 + 2 * n * n)
+    fast = serialize._load_rows(str(path), trajectory_csv_header(n)[:1 + 2 * n * n])
     if fast is not None:
         rows, _ = serialize._read_rows(str(path), n, trajectory_csv_header(n))
         assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
@@ -179,7 +179,7 @@ def test_c_parser_takes_the_plain_texts(tmp_path, text, taken):
     whitespace-only lines to the csv path."""
     path = tmp_path / "traj.csv"
     path.write_bytes(("t,y0_0_re,y0_0_im\r\n" + text).encode())
-    assert (serialize._load_rows(str(path), 3) is not None) == taken
+    assert (serialize._load_rows(str(path), trajectory_csv_header(1)[:3]) is not None) == taken
 
 
 # ---------------------------------------------------------------------------
