@@ -9,8 +9,9 @@ optional matrix gauge L(t) and scalar gauges mu(t), nu(t). One gauge rule,
 ``_require_gauge`` over the table ``GAUGES``, gives every gauge its zero
 default and refuses, by name, a lambda that is not an n x n matrix function
 or a mu or nu that is not scalar-valued. Three
-representations are supported, each with the exact derivative of the
-function it evaluates:
+representations are supported, each a class that its kind's name also
+binds (``constant`` is ``ConstantFunction``) and each with the exact
+derivative of the function it evaluates:
 
 * constant       -- a single value, derivative identically zero;
 * polynomial     -- matrix (or scalar) coefficients of t -> sum C_k (t - t_ref)^k,
@@ -518,18 +519,7 @@ def _staggered_horner(stacks, t_ref: float):
     return horner
 
 
-def constant(value, scalar: bool = False) -> ConstantFunction:
-    return ConstantFunction(value, scalar=scalar)
-
-
-def polynomial(coefficients, t_ref: float = 0.0, scalar: bool = False) -> PolynomialFunction:
-    return PolynomialFunction(coefficients, t_ref=t_ref, scalar=scalar)
-
-
-def sampled(times, values, order: int = 3, scalar: bool = False,
-            node_derivatives=None) -> SampledFunction:
-    return SampledFunction(times, values, order=order, scalar=scalar,
-                           node_derivatives=node_derivatives)
+constant, polynomial, sampled = ConstantFunction, PolynomialFunction, SampledFunction
 
 
 def _require_matrix_function(f: CoefficientFunction, n: int, name: str) -> None:

@@ -199,13 +199,6 @@ def _hermitian_eigvals(context: str, *hs: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _eigh(h: np.ndarray, context: str):
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"{context}: eigenvalue solver failed: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # The PSD band, the Hermiticity-defect rule and the blocked scan
 # ---------------------------------------------------------------------------
@@ -296,6 +289,9 @@ def _scan(ts: np.ndarray, n: int, block, *stacks, values=None, split: bool = Tru
 def _hermitian_sqrt(p: np.ndarray, context: str) -> np.ndarray:
     """V diag(sqrt(w)) V*, symmetrized, from the eigendecomposition (w, V) of the
     Hermitian part of a matrix or a stack, where ``_psd_measure`` found P > 0."""
-    w, v = _eigh((p + adjoint(p)) / 2, context)
+    try:
+        w, v = np.linalg.eigh((p + adjoint(p)) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"{context}: eigenvalue solver failed: {exc}") from exc
     s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
     return (s + adjoint(s)) / 2

@@ -21,14 +21,14 @@ The CSV writer formats every number with ``repr``, the shortest string
 that reads back to the same float, and ends every line with ``\r\n``; no
 field is ever quoted. The reader takes the first ``1 + 2 n^2`` columns
 of each row, whose header names must be the writer's for the instance's
-n (the monitor columns after them are free), accepts ``\n`` line ends
-and quoted fields, and rejects non-finite values and times that do not
-strictly increase. It parses with numpy's C reader, quoted fields
-included, and falls back to the ``csv`` module on any text the C reader
-refuses or any fault, so both give the same bits and every refusal names
-its line and column. Y is a view of the parsed (re, im) pairs, so the
-reader is the exact inverse of the writer: every part, a signed zero
-too, comes back as written.
+n, with no sample column of a larger n after them (the monitor columns
+are free), accepts ``\n`` line ends and quoted fields, and rejects
+non-finite values and times that do not strictly increase. It parses with
+numpy's C reader, quoted fields included, and falls back to the ``csv``
+module on any text the C reader refuses or any fault, so both give the
+same bits and every refusal names its line and column. Y is a view of the
+parsed (re, im) pairs, so the reader is the exact inverse of the writer:
+every part, a signed zero too, comes back as written.
 
 Parse errors raise ``InstanceFormatError`` with the offending field (or
 CSV line and column) named in the message. A value whose rule belongs to a
@@ -43,6 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -357,11 +358,12 @@ def read_trajectory_csv(path: str, n: int):
     """Read back (times, values) from a trajectory CSV of dimension n.
 
     The header must begin with ``trajectory_csv_header(n)``'s sample
-    columns, every value must be finite and the times strictly increasing;
-    a violation raises ``InstanceFormatError`` naming the line and column.
-    numpy's C parser reads the file first; whatever it refuses or finds at
-    fault is read again by the ``csv`` module, which accepts the same
-    texts to the same bits and names the faulty line and column.
+    columns and have no sample column after them (``_header_fault``), every
+    value must be finite and the times strictly increasing; a violation
+    raises ``InstanceFormatError`` naming the line and column. numpy's C
+    parser reads the file first; whatever it refuses or finds at fault is
+    read again by the ``csv`` module, which accepts the same texts to the
+    same bits and names the faulty line and column.
 
     ``values`` is Y as written: an (m, n, n) complex128 strided view into
     the (re, im) columns of the parsed rows, not C-contiguous, so every
@@ -395,14 +397,29 @@ def _fault(data: np.ndarray) -> tuple[int, int] | None:
     return (int(steps[0]) + 1, 0) if steps.size else None
 
 
+def _header_fault(header: list[str], columns: list[str]) -> str | None:
+    """What is wrong with a CSV ``header`` for the sample ``columns`` of one n,
+    or None: too few columns, a name that differs, or a sample column right
+    after them, as in a file of a larger n (the monitor columns are free)."""
+    k = len(columns)
+    if len(header) < k:
+        return f"has {len(header)} columns, expected at least {k}"
+    for i, (name, want) in enumerate(zip(header, columns)):
+        if name != want:
+            return f"header column {i + 1} is {name!r}, expected {want!r}"
+    if len(header) > k and re.fullmatch(r"y\d+_\d+_(re|im)", header[k]):
+        return f"header column {k + 1} is {header[k]!r}, expected no further sample column"
+    return None
+
+
 def _load_rows(path: str, columns: list[str]) -> np.ndarray | None:
     """The first ``len(columns)`` columns of every sample row, parsed by numpy's
-    C reader with the csv module's quoting, or None when the header does not
-    begin with ``columns``, when the reader refuses the text or warns, or when
+    C reader with the csv module's quoting, or None when ``_header_fault`` finds
+    the header at fault, when the reader refuses the text or warns, or when
     there is no row."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            if next(csv.reader(fh), [])[:len(columns)] != columns:
+            if _header_fault(next(csv.reader(fh), []), columns):
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -423,15 +440,9 @@ def _read_rows(path: str, n: int, columns: list[str]) -> tuple[np.ndarray, list[
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            if len(header) < expected:
-                raise InstanceFormatError(f"trajectory CSV has {len(header)} columns, "
-                                          f"expected at least {expected} for dimension {n}")
-            for k in range(expected):
-                if header[k] != columns[k]:
-                    raise InstanceFormatError(
-                        f"trajectory CSV header column {k + 1} is {header[k]!r}, "
-                        f"expected {columns[k]!r} for dimension {n}")
+            fault = _header_fault(next(reader, []), columns)
+            if fault:
+                raise InstanceFormatError(f"trajectory CSV {fault} for dimension {n}")
             for row in reader:
                 if not row:
                     continue

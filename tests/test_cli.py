@@ -306,16 +306,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(inst), str(bad))
         assert code == 2
 
-    def test_csv_of_another_dimension_exits_two_naming_the_column(self, capsys, tmp_path):
-        # an n = 3 CSV has the 9 columns an n = 2 instance reads, under other names
-        big, _ = gen_file(capsys, tmp_path, "satisfying", n=3, seed=1)
-        small, _ = gen_file(capsys, tmp_path, "satisfying", n=2, seed=1)
+    @pytest.mark.parametrize("big_n, small_n, message", [
+        (3, 2, "header column 6 is 'y0_2_re', expected 'y1_0_re' for dimension 2"),
+        (2, 1, "header column 4 is 'y0_1_re', expected no further sample column "
+               "for dimension 1"),
+    ])
+    def test_csv_of_another_dimension_exits_two_naming_the_column(self, capsys, tmp_path,
+                                                                  big_n, small_n, message):
+        # an n = 3 CSV has the 9 columns an n = 2 instance reads, under other
+        # names; the 3 columns an n = 1 instance reads begin every larger header
+        big, _ = gen_file(capsys, tmp_path, "satisfying", n=big_n, seed=1)
+        small, _ = gen_file(capsys, tmp_path, "satisfying", n=small_n, seed=1)
         out = tmp_path / "traj.csv"
         assert run(capsys, "integrate", str(big), "--out", str(out))[0] == 0
         code, stdout, err = run(capsys, "verify", str(small), str(out))
         assert (code, stdout) == (2, "")
-        assert err == ("error: trajectory CSV header column 6 is 'y0_2_re', "
-                       "expected 'y1_0_re' for dimension 2\n")
+        assert err == f"error: trajectory CSV {message}\n"
 
     def test_blowup_chain_reports_sidecar_status(self, capsys, tmp_path):
         inst, _ = gen_file(capsys, tmp_path, "blowup", n=2, seed=3)

@@ -1,6 +1,6 @@
 """The package ships only code that runs: every top-level public function and
-class of ``riccati_cert`` (but ``__init__.py``, which re-exports) is named by
-a statement of the package or of ``perfbench`` other than its own
+class of ``riccati_cert`` (``__init__.py`` holds only ``__version__``) is
+named by a statement of the package or of ``perfbench`` other than its own
 definition. A test does not count as a caller, and neither does a docstring,
 a string or an import."""
 

@@ -1,11 +1,11 @@
 """riccati_cert never loads scipy; sampled data equal scipy's bit for bit.
 
-Importing the package and running the four subcommands on constant,
-polynomial and sampled instances leave scipy unloaded, checked in a fresh
-interpreter. A sampled function's cells, values and derivatives equal
-those of the scipy interpolator built from the same data (scipy is the
-reference implementation here), bit for bit, and it refuses what scipy
-refuses, with the same exception type.
+Importing every module of the package and running the four subcommands
+on constant, polynomial and sampled instances leave scipy unloaded,
+checked in a fresh interpreter. A sampled function's cells, values and
+derivatives equal those of the scipy interpolator built from the same
+data (scipy is the reference implementation here), bit for bit, and it
+refuses what scipy refuses, with the same exception type.
 """
 
 import json
@@ -66,7 +66,14 @@ OUT = {"codes": codes}
 
 class TestColdStart:
     def test_import_loads_no_scipy(self):
-        assert fresh_run("import riccati_cert\nOUT = {}")["scipy"] == []
+        # the package root imports no submodule, so every one is imported here
+        out = fresh_run("import importlib, pkgutil, riccati_cert\n"
+                        "names = [m.name for m in pkgutil.iter_modules(riccati_cert.__path__)]\n"
+                        "for name in names:\n"
+                        "    importlib.import_module(f'riccati_cert.{name}')\n"
+                        "OUT = {'modules': names}")
+        assert {"coefficients", "criteria", "integrate", "verify", "cli"} <= set(out["modules"])
+        assert out["scipy"] == []
 
     def test_cli_on_constant_and_polynomial_data_loads_no_scipy(self, tmp_path):
         # blowup is constant data; satisfying and comparison are polynomial

@@ -244,23 +244,34 @@ class TestReaderMatchesReference:
         times, values = assert_same_read(quoted, 2)
         assert times.tobytes() == read_trajectory_csv(str(new), 2)[0].tobytes()
 
-    def test_header_must_name_the_columns_of_the_dimension(self, tmp_path):
+    @pytest.mark.parametrize("written, read, message", [
+        (3, 2, "header column 6 is 'y0_2_re', expected 'y1_0_re'"),
+        (2, 1, "header column 4 is 'y0_1_re', expected no further sample column"),
+    ])
+    def test_header_must_name_the_columns_of_the_dimension(self, tmp_path, written, read,
+                                                           message):
         """An n = 3 file holds the 9 columns an n = 2 read takes, under other
-        names: the reader refuses it at the first such name. The rule
-        compares unquoted names, so LF and fully quoted copies of the file
-        read to the same bits as the written one."""
-        new, _ = write_both(tmp_path, awkward_trajectory(3, 4), constant_set(3))
+        names: the reader refuses it at the first such name. An n = 1 read
+        takes a prefix of every larger file's header: the reader refuses the
+        sample column after it. The rule compares unquoted names, so LF and
+        fully quoted copies of the file read to the same bits as the written
+        one, and both reader paths refuse them alike."""
+        new, _ = write_both(tmp_path, awkward_trajectory(written, 4), constant_set(written))
         lf, quoted = tmp_path / "lf.csv", tmp_path / "quoted.csv"
         lf.write_bytes(new.read_bytes().replace(b"\r\n", b"\n"))
         with new.open(newline="") as src, quoted.open("w", newline="") as dst:
             csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
-        want = [a.tobytes() for a in read_trajectory_csv(str(new), 3)]
+        want = [a.tobytes() for a in read_trajectory_csv(str(new), written)]
+        columns = trajectory_csv_header(read)[:1 + 2 * read * read]
         for path in (new, lf, quoted):
-            assert [a.tobytes() for a in read_trajectory_csv(str(path), 3)] == want
+            assert [a.tobytes() for a in read_trajectory_csv(str(path), written)] == want
+            assert serialize._load_rows(str(path), columns) is None
             with pytest.raises(InstanceFormatError) as err:
-                read_trajectory_csv(str(path), 2)
-            assert str(err.value) == ("trajectory CSV header column 6 is 'y0_2_re', "
-                                      "expected 'y1_0_re' for dimension 2")
+                serialize._read_rows(str(path), read, columns)
+            assert str(err.value) == f"trajectory CSV {message} for dimension {read}"
+            with pytest.raises(InstanceFormatError) as err:
+                read_trajectory_csv(str(path), read)
+            assert str(err.value) == f"trajectory CSV {message} for dimension {read}"
 
     def test_blank_lines_skipped(self, tmp_path):
         new, _ = write_both(tmp_path, awkward_trajectory(1, 3), constant_set(1))
