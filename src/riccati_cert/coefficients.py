@@ -39,8 +39,9 @@ functions and derivatives: built once, it takes a 1-D array of times and
 gives one stack per function and per requested derivative, each equal bit
 for bit to ``eval`` or ``derivative`` on the array, constants as read-only
 views of their values. Every grid caller (the criteria blocks, the
-monitors, the residual and each RK step) evaluates its coefficients with
-it, one call per block or step.
+monitors, the residual and the RK driver) evaluates its coefficients with
+it: one call per block, and in the driver one per window of
+sample-to-sample steps or per other step.
 
 A sampled function's cells follow scipy's interpolators operation for
 operation (``PPoly``, ``CubicSpline`` with natural ends, whose tridiagonal
@@ -55,6 +56,7 @@ functions are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -433,8 +435,8 @@ def stacked_evaluator(functions, derivatives=()):
     Built once, it runs the grouped work in ``evaluate_passes``:
 
     * polynomials of one shape that share ``t_ref``, derivatives included,
-      go through one staggered Horner pass over their coefficient stacks:
-      sorted by degree, each starts at its own leading coefficient and takes
+      go through one staggered Horner pass over their coefficient stacks,
+      in their order: each starts at its own leading coefficient and takes
       the same multiply-add steps as ``eval``. They are never zero-padded,
       since a padded step can flip the sign of a zero;
     * sampled functions of one shape and order on one grid go through one
@@ -444,8 +446,10 @@ def stacked_evaluator(functions, derivatives=()):
       for a derivative), broadcast over the times;
     * a function of another kind goes through its own ``eval`` or ``derivative``.
 
-    Its ``constant`` attribute says whether every function is a constant:
-    then its stacks depend on the number of times only.
+    One pass alone (polynomials of one ``t_ref``, or splines of one grid)
+    gives its stacks as the rows of one array. Its ``constant`` attribute
+    says whether every function is a constant: then its stacks depend on
+    the number of times only.
     """
     requests = [(f, False) for f in functions] + [(f, True) for f in derivatives]
     groups: dict = {}
@@ -465,7 +469,6 @@ def stacked_evaluator(functions, derivatives=()):
     for members in groups.values():
         f, slope = requests[members[0][0]]
         if f.kind == "polynomial":
-            members.sort(key=lambda member: -len(member[1]))
             run = _staggered_horner([c for _, c in members], f.t_ref)
         elif f.kind == "sampled":
             cell_sum = _cell_sum(np.stack([c for _, c in members], axis=2), f.times)
@@ -481,9 +484,11 @@ def stacked_evaluator(functions, derivatives=()):
     return evaluate
 
 
-def evaluate_passes(passes, count: int, ts: np.ndarray) -> list:
+def evaluate_passes(passes, count: int, ts: np.ndarray):
     """The ``count`` stacks at the times ``ts`` of a ``stacked_evaluator``'s ``passes``, called
     by its global name so that perfbench's tracer counts it in the coefficients layer."""
+    if len(passes) == 1:
+        return passes[0][0](ts)
     out = [None] * count
     for run, slots in passes:
         for i, stack in zip(slots, run(ts)):
@@ -493,25 +498,31 @@ def evaluate_passes(passes, count: int, ts: np.ndarray) -> list:
 
 def _staggered_horner(stacks, t_ref: float):
     """``t -> the stacked values at t`` of polynomials about ``t_ref`` given
-    as coefficient stacks of one value shape, sorted by length, longest
-    first. The result has shape (p,) + the shape of t + value shape, and a
-    scalar t is evaluated as an array of one time."""
+    as coefficient stacks of one value shape, in any order of degree. The
+    result has shape (p,) + the shape of t + value shape, row i the value of
+    ``stacks[i]``, and a scalar t is evaluated as an array of one time."""
     leading = _freeze(np.stack([c[-1] for c in stacks]))
-    # step k: the first `active` rows (degree > k) do acc = acc * dt + C_k;
-    # the row of a poly of degree k holds its leading coefficient until then
+    degrees = [len(c) - 1 for c in stacks]
+    # step k: the rows of degree > k do acc = acc * dt + C_k, each run of
+    # adjacent such rows as one slice; the row of a poly of degree k holds
+    # its leading coefficient until then
     steps = []
-    for k in range(len(stacks[0]) - 2, -1, -1):
-        active = sum(len(c) - 1 > k for c in stacks)
-        rows = np.stack([c[k] for c in stacks[:active]])
-        # each coefficient row spans the time axis after it
-        steps.append((active, _freeze(rows[:, None])))
+    for k in range(max(degrees) - 1, -1, -1):
+        start = 0
+        for active, run in itertools.groupby(degrees, key=lambda degree: degree > k):
+            stop = start + len(list(run))
+            if active:
+                rows = np.stack([c[k] for c in stacks[start:stop]])
+                # each coefficient row spans the time axis after it
+                steps.append((slice(start, stop), _freeze(rows[:, None])))
+            start = stop
 
     def horner(t) -> np.ndarray:
         ts = np.asarray(t, dtype=np.float64).reshape(-1)
         dt = (ts - t_ref).reshape(ts.shape + (1,) * (leading.ndim - 1))
         acc = np.repeat(leading[:, None], ts.size, axis=1)
-        for active, coeffs in steps:
-            head = acc[:active]
+        for rows, coeffs in steps:
+            head = acc[rows]
             head *= dt
             head += coeffs
         return acc.reshape(leading.shape[:1] + np.shape(t) + leading.shape[1:])

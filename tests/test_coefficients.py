@@ -409,6 +409,22 @@ class TestStackedEvaluator:
         assert not cf.stacked_evaluator((const, cf.polynomial([np.eye(2)]))).constant
         assert not cf.stacked_evaluator((const,), (ARRAY_EVAL_FUNCTIONS["sampled3"],)).constant
 
+    def test_one_pass_hands_over_one_array_in_request_order(self):
+        # the polynomials about 0.3, degrees out of order; then sampled
+        # functions of one grid and order
+        polys = [f for f in _evaluator_functions(2)
+                 if f.kind == "polynomial" and f.t_ref == 0.3]
+        degrees = [f.degree for f in polys]
+        assert degrees != sorted(degrees, reverse=True)
+        nodes = np.linspace(-3.0, 3.0, 9)
+        rng = np.random.default_rng(3)
+        splines = [cf.sampled(nodes, rng.standard_normal((9, 2, 2)), order=3) for _ in range(3)]
+        ts = np.array(self.TIMES)
+        for fs in (polys, splines):
+            stacks = cf.stacked_evaluator(fs)(ts)
+            assert isinstance(stacks, np.ndarray) and stacks.shape == (len(fs), ts.size, 2, 2)
+            assert_stacks_match(fs, stacks, ts)
+
     def test_calls_do_not_share_polynomial_values(self):
         f = cf.polynomial([np.eye(2), np.eye(2)])
         values = cf.stacked_evaluator((f, f))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
 from riccati_cert import integrate
+from riccati_cert import matrix_core as mc
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import IntegrationError
 from riccati_cert.instances import (
@@ -410,7 +411,7 @@ def _twins(data: dict, t_end: float, n: int):
 class TestStorageIndependence:
     """Constant data give the same bits as the same data stored as degree-0
     polynomials: the once-per-run stage values of constants match the
-    per-step evaluation."""
+    polynomials' evaluation by window and by step."""
 
     CASES = {
         # a complex, non-normal n = 2 system that completes
@@ -454,38 +455,139 @@ class TestStorageIndependence:
         assert (len(flow_c.restarts) >= 1) == (case == "restarts")
 
 
+def _as_polynomials(cs: CoefficientSet) -> CoefficientSet:
+    """The same data with every constant stored as a degree-0 polynomial."""
+    def poly(f):
+        return cf.polynomial([f.value]) if f.kind == "constant" else f
+    return CoefficientSet(n=cs.n, t0=cs.t0, t_end=cs.t_end,
+                          **{name: poly(getattr(cs, name)) for name in "PQRS"})
+
+
+def _spline_twin(cs: CoefficientSet, order: int) -> CoefficientSet:
+    """P, Q, R, S sampled on 41 nodes and read through cells of ``order``."""
+    nodes = np.linspace(cs.t0, cs.t_end, 41)
+    return CoefficientSet(n=cs.n, t0=cs.t0, t_end=cs.t_end, **{
+        name: cf.sampled(nodes, getattr(cs, name).eval(nodes), order=order)
+        for name in "PQRS"})
+
+
+def _window_case(name: str):
+    """(coefficients, Y0, sample times or None) of a window case."""
+    if name.startswith("polynomial"):
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=int(name[-1]), seed=3))
+        return cs, y0, None
+    cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=3))
+    if name.startswith("sampled"):
+        return _spline_twin(cs, int(name[-1])), y0, None
+    if name == "mixed":
+        # Q and S constant, P and R polynomials: two evaluation passes
+        mixed = CoefficientSet(n=2, t0=cs.t0, t_end=cs.t_end, P=cs.P,
+                               Q=cf.constant(cs.Q.eval(0.3)), R=cs.R,
+                               S=cf.constant(cs.S.eval(0.1)))
+        return mixed, y0, None
+    if name == "non_uniform":
+        return cs, y0, cs.t0 + (cs.t_end - cs.t0) * np.linspace(0.0, 1.0, 57) ** 1.7
+    if name == "close_samples":
+        # samples 10 and 11 are closer than the rounding slack 1e-13 * max(1, |t|)
+        ts = np.linspace(cs.t0, cs.t_end, 41)
+        return cs, y0, np.insert(ts, 11, ts[10] + 5e-14)
+    if name == "blow_up":
+        cs, y0 = gen_blowup(InstanceSpec(n=2, seed=1, target="blowup", scale=1.5))
+        return _as_polynomials(cs), y0, None
+    # tanh: P = S = I on [0, 40], the linear flow restarts
+    entry = CAT["tanh"]
+    cs = entry.cs
+    return (_as_polynomials(CoefficientSet(n=1, t0=0.0, t_end=40.0, P=cs.P, Q=cs.Q, R=cs.R,
+                                           S=cs.S)), entry.y0, None)
+
+
+class TestWindow:
+    """A step from sample k that hits sample k + 1 reads its stage values from
+    a window of such steps evaluated at once; with the window forced to one
+    step (``BLOCK_ENTRIES`` of 1), every run gives the same bits."""
+
+    CASES = ("polynomial_n1", "polynomial_n2", "polynomial_n8", "sampled1", "sampled3",
+             "mixed", "non_uniform", "close_samples", "blow_up", "tanh")
+
+    @staticmethod
+    def runs(cs, y0, ts):
+        direct = integrate_riccati_direct(cs, y0, sample_times=ts)
+        flow, radon = integrate_linear_system(cs, y0, sample_times=ts)
+        lyapunov = integrate_lyapunov_comparison(cs, y0, sample_times=ts)
+        return direct, flow, radon, lyapunov
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_window_equals_one_step_windows(self, case, monkeypatch):
+        cs, y0, ts = _window_case(case)
+        direct, flow, radon, lyapunov = self.runs(cs, y0, ts)
+        monkeypatch.setattr(mc, "BLOCK_ENTRIES", 1)
+        direct_1, flow_1, radon_1, lyapunov_1 = self.runs(cs, y0, ts)
+        for a, b in ((direct, direct_1), (radon, radon_1), (lyapunov, lyapunov_1)):
+            TestStorageIndependence.assert_same_trajectory(a, b)
+        assert flow.times.tobytes() == flow_1.times.tobytes()
+        assert flow.phi.tobytes() == flow_1.phi.tobytes()
+        assert flow.psi.tobytes() == flow_1.psi.tobytes()
+        assert flow.restarts == flow_1.restarts
+        if case == "blow_up":
+            # the direct run stops inside its first window of 170 steps
+            assert direct.status == "blow_up" and direct.times.size < 170
+        if case == "tanh":
+            assert len(flow.restarts) >= 1
+        if case == "close_samples":
+            assert direct.times.size == ts.size
+
+
 class TestEvaluationCount:
-    """All-constant data are evaluated once per run; other data once per step
-    (at its six stage times) plus the calls at t0 and the starting-step probe."""
+    """All-constant data are evaluated once per run. Other data are evaluated
+    at t0 and at the starting-step probe, once per window of sample-to-sample
+    steps and once per other step (at its six stage times)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
+        sizes = []  # the number of times of each evaluation
         evaluate_passes = cf.evaluate_passes
 
         def counted(*args):
-            count[0] += 1
+            sizes.append(args[-1].size)
             return evaluate_passes(*args)
         monkeypatch.setattr(cf, "evaluate_passes", counted)
-        return count
+        return sizes
 
     def test_constant_run_does_not_count_its_steps(self, calls):
         e = CAT["tanh"]
         assert all(f.kind == "constant" for f in (e.cs.P, e.cs.Q, e.cs.R, e.cs.S))
         per_run = []
         for samples in (2, 201):
-            calls[0] = 0
+            calls.clear()
             ts = np.linspace(e.cs.t0, e.cs.t_end, samples)
             traj = integrate_riccati_direct(e.cs, e.y0, sample_times=ts)
-            per_run.append((calls[0], traj.stats["steps_accepted"]))
+            per_run.append((len(calls), traj.stats["steps_accepted"]))
         (few, few_steps), (many, many_steps) = per_run
         assert few == many and few_steps < many_steps
 
-    def test_polynomial_run_evaluates_once_per_step(self, calls):
+    def test_polynomial_run_evaluates_once_per_window(self, calls):
         cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=3, horizon=2.0))
         traj = integrate_riccati_direct(cs, y0)
-        steps = traj.stats["steps_accepted"] + traj.stats["steps_rejected"]
-        assert steps > 0 and calls[0] == 2 + steps
+        stats = traj.stats
+        # the first sample interval takes two steps and every later one a
+        # single step from its sample: 199 sample-to-sample steps
+        assert stats["steps_rejected"] == 0 and stats["steps_accepted"] == 201
+        hits, others = 199, 2
+        span = mc.BLOCK_ENTRIES // (6 * 4 * 2 ** 2)  # steps per window: 170
+        windows = -(-hits // span)
+        assert len(calls) == 2 + windows + others
+        # t0 and the probe, the two other steps, then the windows in order
+        assert calls == [1, 1, 6, 6, 6 * span, 6 * (hits - span)]
+
+    def test_steps_shorter_than_the_spacing_evaluate_once_each(self, calls):
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=3, horizon=2.0))
+        ts = np.linspace(cs.t0, cs.t_end, 11)
+        traj = integrate_riccati_direct(cs, y0, IntegratorOptions(rtol=1e-12), ts)
+        stats = traj.stats
+        # no step spans a sample interval, so none reads a window
+        assert stats["h_max"] < (cs.t_end - cs.t0) / 10
+        assert len(calls) == 2 + stats["steps_accepted"] + stats["steps_rejected"]
+        assert calls == [1, 1] + [6] * (len(calls) - 2)
 
 
 class TestLyapunovComparison:

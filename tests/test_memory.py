@@ -13,7 +13,10 @@ parsed rows, so it holds about its result. A criterion scan on the default
 in two halves, two half blocks in flight: the caller and the helper thread
 each scan a block of ``BLOCK_ENTRIES // 2`` entries per stack, which
 together hold what one block of the serial scan holds. A trajectory that
-stops early holds only the samples it reached, in arrays of its own.
+stops early holds only the samples it reached, in arrays of its own. The
+driver evaluates the coefficients for a window of sample-to-sample steps
+at once, of at most ``BLOCK_ENTRIES`` entries, and frees each window
+before the next: a run on many samples holds its samples and one window.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ import numpy as np
 import pytest
 
 from riccati_cert import cli
+from riccati_cert.matrix_core import BLOCK_ENTRIES
 from riccati_cert.criteria import GridSpec, run_criterion
 from riccati_cert.instances import (
     InstanceSpec,
@@ -77,6 +81,24 @@ def test_direct_holds_its_samples_once(instance):
     traj, peak = traced_peak(lambda: integrate_riccati_direct(*instance))
     assert traj.status == "completed" and traj.times.size == 201
     assert peak <= 1.5 * traj.values.nbytes
+
+
+def test_direct_on_many_samples_holds_its_samples_and_one_window():
+    n = 8
+    cs, _, _, y0 = gen_satisfying(InstanceSpec(n=n, seed=1))
+    ts = np.linspace(cs.t0, cs.t_end, 2001)
+    integrate_riccati_direct(cs, y0, sample_times=ts[:3])
+    traj, peak = traced_peak(lambda: integrate_riccati_direct(cs, y0, sample_times=ts))
+    assert traj.status == "completed" and traj.times.size == ts.size
+    # a window: 10 steps of P, Q, R, S at six stage times each
+    entries = 6 * (BLOCK_ENTRIES // (6 * 4 * n * n)) * 4 * n * n
+    assert entries == 15360
+    window = entries * np.dtype(np.complex128).itemsize
+    # the window, and at most as much again while it is evaluated: numpy
+    # buffers a broadcast operand of a product, up to np.getbufsize()
+    # entries, fewer than a window's
+    assert np.getbufsize() <= entries
+    assert peak <= traj.times.nbytes + traj.values.nbytes + 2 * window
 
 
 def test_linear_flow_holds_its_samples_once(instance):
