@@ -4,17 +4,17 @@ Four criteria are supported, addressed by the same wire names the CLI
 uses:
 
 * ``theorem3.1``  -- the gauge criterion: P(t) >= 0, the drift mismatch
-  R - Q* - P(L* - L) is a scalar multiple mu(t) of the identity, and the
-  shifted source S_L + S_L* is positive semidefinite. Together with
-  Y0 + Y0* >= L(t0) + L*(t0) this certifies global existence and the
-  running bound Y(t) + Y*(t) >= L(t) + L*(t).
+  R - Q* - P(L* - L) is a scalar multiple mu(t) of the identity with mu
+  real, and the shifted source S_L + S_L* is positive semidefinite.
+  Together with Y0 + Y0* >= L(t0) + L*(t0) this certifies global existence
+  and the running bound Y(t) + Y*(t) >= L(t) + L*(t).
 * ``cor3.1``      -- the skew-gauge variant: P(t) > 0 and the gauge is
-  forced to L0 = P^{-1}(Q* - R + mu I)/2, which must be skew-Hermitian;
-  the certified bound becomes Y(t) + Y*(t) >= 0.
+  forced to L0 = P^{-1}(Q* - R + mu I)/2 with mu real, which must be
+  skew-Hermitian; the certified bound becomes Y(t) + Y*(t) >= 0.
 * ``cor3.2``      -- the sqrt-frame variant: P(t) > 0, the frame term
-  T = (sqrt(P)^{-1}(Q* - R)sqrt(P) + nu I)/2 must be skew-Hermitian and
-  sqrt(P)(S + S*)sqrt(P) + 2T^2 + (conj(nu) - nu)T >= 0; the bound is the
-  congruence sqrt(P)(Y + Y*)sqrt(P) >= 0.
+  T = (sqrt(P)^{-1}(Q* - R)sqrt(P) + nu I)/2 with nu real must be
+  skew-Hermitian and sqrt(P)(S + S*)sqrt(P) + 2T^2 + (conj(nu) - nu)T >= 0;
+  the bound is the congruence sqrt(P)(Y + Y*)sqrt(P) >= 0.
 * ``theorem1.1``  -- the linear-comparison baseline: P >= 0, S >= 0,
   R = Q*, which certifies 0 <= Y(t) <= Ytilde(t) for PSD initial values.
 
@@ -25,7 +25,8 @@ grid; every report carries a note stating this declared approximation. The
 four criteria and ``build_skew_gauge`` are one ``matrix_core._scan`` each, of
 a ``stacked_evaluator`` of P, Q, R, S (and the gauge or derivatives it
 needs): its block takes their values and returns the per-point columns of
-all its grid conditions, judged by matrix_core's measures; ``_least`` and
+all its grid conditions, judged by matrix_core's measures (a scalar
+shift's ``real_shift`` by ``_real_shift``); ``_least`` and
 ``_largest`` pick the witnesses, a NaN one at its time, and ``_least`` on t0
 alone judges the initial clause. The conditions
 are pointwise in t, so where every function a scan reads is a
@@ -150,24 +151,6 @@ class CriterionReport:
         return out
 
 
-@np.errstate(**_OVERFLOW_QUIET)
-def _imaginary_shift_note(values: np.ndarray, tol: float, name: str) -> list[str]:
-    """Warn when a scalar gauge has a material imaginary part on the grid.
-
-    A purely imaginary shift rotates solutions in the complex plane
-    (y' = -i y is the model case) and defeats any lower bound on Y + Y*,
-    so certificates are only sound for real shifts. The conditions above
-    accept complex shifts by contract; this note records the caveat.
-    """
-    worst = float(np.max(np.abs(values.imag) / (1.0 + np.abs(values)), initial=0.0))
-    if worst > tol:
-        return [f"extracted or supplied {name}(t) has a nonzero imaginary part "
-                f"(max relative magnitude {worst:.3e}); the certified lower "
-                "bound is established for real shifts only and can fail "
-                "otherwise"]
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Witness records
 # ---------------------------------------------------------------------------
@@ -197,6 +180,23 @@ def _largest(name: str, kind: str, ts: np.ndarray, score: np.ndarray,
                            worst_time=np.inf if out else float(ts[k]))
 
 
+@np.errstate(**_OVERFLOW_QUIET)
+def _real_shift(ts: np.ndarray, shift: np.ndarray, tol: float) -> ConditionRecord:
+    """The ``real_shift`` record of a scalar shift's values on the grid.
+
+    A shift with an imaginary part rotates solutions in the complex plane
+    (y' = -i y is the model case) and defeats any lower bound on Y + Y*, so
+    the certificate needs a real shift: the condition fails where
+    |Im s(t)| > tol (1 + |s(t)|) or s(t) is not finite. The witness is the
+    largest |Im s| by that ratio; a shift that is not finite scores inf.
+    """
+    imag = np.abs(shift.imag)
+    ratio = imag / np.minimum(1.0 + np.abs(shift), np.finfo(np.float64).max)
+    finite = np.isfinite(shift)
+    return _largest("real_shift", "residual", ts, np.where(finite, ratio, np.inf),
+                    np.where(finite, imag, np.inf), finite & (ratio <= tol))
+
+
 def _report(criterion: str, conditions: list[ConditionRecord], notes: list[str],
             **extracted) -> CriterionReport:
     left_out = [f"{k} left out: not finite on the grid" for k, f in extracted.items() if f is None]
@@ -224,7 +224,7 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     """Full check of the gauge criterion (wire name ``theorem3.1``).
 
     One pass judges P >= 0, M = R - Q* - P(L* - L) = mu_hat I with
-    mu_hat = tr(M)/n (``extracted_mu`` where finite) and S_L + S_L* >= 0;
+    mu_hat = tr(M)/n (``extracted_mu`` where finite) real, and S_L + S_L* >= 0;
     the clause Y0 + Y0* >= L(t0) + L*(t0) closes the report. When it holds,
     trajectories from Y0 exist on the whole horizon with
     Y(t) + Y*(t) >= L(t) + L*(t), which ``verify.verify_hermitian_bound``
@@ -251,11 +251,10 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
     conditions = [_least("coefficient_psd", ts, p_lo, p_ok, p_def),
                   _largest("scalar_shift", "residual", ts, ratio, resid, mu_ok),
                   _least("shifted_source_psd", ts, s_lo, s_ok, s_def),
+                  _real_shift(ts, mu_hat, tol),
                   _initial_record("initial_lower_bound",
                                   y0 + adjoint(y0) - lam0 - adjoint(lam0), cs.t0, tol)]
-    return _report("theorem3.1", conditions,
-                   [GRID_NOTE, *(_imaginary_shift_note(mu_fn.values, tol, "mu") if mu_fn else [])],
-                   extracted_mu=mu_fn)
+    return _report("theorem3.1", conditions, [GRID_NOTE], extracted_mu=mu_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +264,11 @@ def check_gauge_criterion(cs: CoefficientSet, lam: CoefficientFunction | None,
 def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: GridSpec | None,
                       tol: float, frame, skew_name: str, psd_name: str, derive=(),
                       split: bool = True):
-    """coefficient_pd plus the two conditions on a frame that needs P > 0, and
-    the scalar ``shift`` on the grid. The scan evaluates P, Q, R, S, the shift
-    and the derivatives of ``derive`` once per block; ``frame(p, q, r, s, shift,
-    *derivatives)`` returns from their values where P is positive definite
+    """coefficient_pd, the two conditions on a frame that needs P > 0 and
+    real_shift on the scalar ``shift``, and the shift's values on the grid.
+    The scan evaluates P, Q, R, S, the shift and the derivatives of
+    ``derive`` once per block; ``frame(p, q, r, s, shift, *derivatives)``
+    returns from their values where P is positive definite
     the matrices that must be skew-Hermitian and PSD there. Elsewhere both
     conditions fail and the points are left out of their witnesses. ``split``
     is ``_scan``'s: whether the scan may run in two halves."""
@@ -291,7 +291,7 @@ def _frame_conditions(cs: CoefficientSet, shift: CoefficientFunction, grid: Grid
                                                                 split=split)
     return ([_least("coefficient_pd", ts, lo, pd, defect),
              _largest(skew_name, "skew_defect", ts, skew, skew, skew_ok),
-             _least(psd_name, ts, c_lo, c_ok)], shift_t)
+             _least(psd_name, ts, c_lo, c_ok), _real_shift(ts, shift_t, tol)], shift_t)
 
 
 def _skew_gauge(p, q, r, mu, pdot, qdot, rdot, mudot):
@@ -355,12 +355,12 @@ def check_skew_gauge_criterion(cs: CoefficientSet, mu: CoefficientFunction | Non
         s_l = _shifted_source(p, q, r, s, lam0, lam0dot)
         return lam0, s_l + adjoint(s_l)
 
-    conditions, mu_t = _frame_conditions(cs, mu, grid, tol, frame, "gauge_skew",
-                                         "shifted_source_psd", derive=(cs.P, cs.Q, cs.R, mu))
+    conditions, _ = _frame_conditions(cs, mu, grid, tol, frame, "gauge_skew",
+                                      "shifted_source_psd", derive=(cs.P, cs.Q, cs.R, mu))
     conditions.append(_initial_record("initial_psd", y0 + adjoint(y0), cs.t0, tol))
     return _report("cor3.1", conditions,
                    [GRID_NOTE, "skew gauge cancels in the bound: the certified statement is "
-                    "Y(t) + Y*(t) >= 0", *_imaginary_shift_note(mu_t, tol, "mu")])
+                    "Y(t) + Y*(t) >= 0"])
 
 
 def _sqrt_frame(sp: np.ndarray, q, r, s, nu):
@@ -406,7 +406,7 @@ def check_sqrt_frame_criterion(cs: CoefficientSet, nu: CoefficientFunction | Non
     notes = [GRID_NOTE,
              "certified bound is the congruence "
              "sqrt(P(t))(Y(t) + Y*(t))sqrt(P(t)) >= 0, equivalent to "
-             "Y(t) + Y*(t) >= 0 while P(t) > 0", *_imaginary_shift_note(nu_vals, tol, "nu")]
+             "Y(t) + Y*(t) >= 0 while P(t) > 0"]
     return _report("cor3.2", conditions, notes, extracted_nu=cf.sampled(
         grid.points, nu_vals, order=1, scalar=True) if np.isfinite(nu_vals).all() else None)
 

@@ -18,21 +18,24 @@ enters the stored samples. Everything is deterministic: the initial step
 comes from a standard starting-step heuristic and there are no
 randomized components. The driver's arithmetic is elementwise, so each
 integrator keeps its natural state layout: Y as one (n, n) matrix, the
-linear flow (Phi, Psi) as one (2, n, n) stack.
+linear flow (Phi, Psi) as one (2n, n) array X with Phi = X[:n] and
+Psi = X[n:].
 
-The coefficients' values at one time are one array, the
-``stacked_evaluator`` stacks read time first: (P, R, Q, S) for the
-direct run, whose Y P and Y R are one broadcast product, and
-[[R, S], [P, Q]] for the flow, whose right-hand side is one broadcast
-product by (Phi, Psi), one add and one subtract. A step from sample k
-that hits sample k + 1 reads its six stage values from a window of such
-steps evaluated in one call at the same doubles t + c_i h (170 steps at
-n = 2, 10 at n = 8, 1 at n = 32: at most ``matrix_core.BLOCK_ENTRIES``
-entries). Other steps evaluate their own; all-constant coefficients are
-evaluated once per run. The values equal ``eval``'s bit for bit. The
-step's sums are slope-major: as soon as a slope is known, one multiply
-weighs it for every later stage input and the error vector, and one add
-folds it into them. So each stage input is still y plus its weighted
+The coefficients' values at one time are one array, read from the
+``stacked_evaluator`` stacks time first: (P, Q, R, S) for the direct run,
+whose right-hand side is S - Q Y - Y (R + P Y) with P Y and Q Y one
+broadcast product, and for the flow the block H = [[R, P], [S, -Q]],
+assembled once from the stacks of R, P, S and Q (one copy and one
+negation), so that its right-hand side is the one product H X. A step
+from sample k that hits sample k + 1 reads its six stage values from a
+window of such steps evaluated in one call at the same doubles
+t + c_i h (170 steps at n = 2, 10 at n = 8, 1 at n = 32: at most
+``matrix_core.BLOCK_ENTRIES`` entries). Other steps evaluate their own;
+all-constant coefficients are evaluated once per run. The values equal
+``eval``'s bit for bit (-Q its exact negation). The step's sums are
+slope-major: as soon as a slope is known, one multiply weighs it for
+every later stage input and the error vector, and one add folds it into
+them. So each stage input is still y plus its weighted
 slopes in the tableau's order, the error vector its terms in that order
 from the first, the zero weights are skipped, and the trajectories do
 not depend on how the coefficients are stored. The driver counts its
@@ -223,9 +226,17 @@ class LinearFlow:
 
 
 def _rms(x: np.ndarray) -> float:
-    """Root mean square over all entries of an array of any shape, with the
-    sum and the division of ``np.mean``."""
-    return math.sqrt(np.add.reduce(np.abs(x) ** 2, axis=None) / x.size)
+    """Root mean square over all entries of an array of any shape: the sum
+    of their squared moduli is one ``vdot``."""
+    return math.sqrt(np.vdot(x, x).real / x.size)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array: ``np.linalg.norm``'s two dots and
+    its bits, without its dispatch."""
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -257,16 +268,18 @@ def _reached(count: int, *buffers: np.ndarray) -> tuple:
 
 @np.errstate(**_OVERFLOW_QUIET)
 def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
-                       opts: IntegratorOptions, layout=None, after_step=None, at_sample=None,
-                       record_states: bool = True):
+                       opts: IntegratorOptions, assemble=None, after_step=None,
+                       at_sample=None, record_states: bool = True):
     """Drive the RK pair through ``sample_times``, clamping steps so every
     sample is hit exactly. The states and the right-hand sides have y0's shape.
 
     ``rhs(vals, y)`` is the right-hand side from the values of ``functions``
-    at one time as one array, the functions in their order or arranged in
-    ``layout``. A window of sample-to-sample steps holds the most steps (at
-    least one) whose 6 W times hold at most ``matrix_core.BLOCK_ENTRIES``
-    entries.
+    at one time as one array: the functions in their order, or what
+    ``assemble(stacks)`` builds from the evaluated stacks (functions first,
+    then times) with times first. Each window, and all-constant data once
+    per run, is assembled once. A window of sample-to-sample steps holds
+    the most steps (at least one) whose 6 W times hold at most
+    ``matrix_core.BLOCK_ENTRIES`` entries.
     ``after_step(t, y)`` may return a stop-reason string (checked on the
     initial state and after every accepted step). ``at_sample(t, y)`` may
     return a replacement state (used for flow reconditioning).
@@ -293,18 +306,21 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     h_lo, h_hi = math.inf, 0.0  # the accepted step-size range
 
     evaluate = stacked_evaluator(functions)
-    layout = layout or (len(functions),)
     entries = len(functions) * math.prod(functions[0].shape)  # at one time
     span = max(1, matrix_core.BLOCK_ENTRIES // (6 * entries))
 
     def by_time(ts: np.ndarray) -> np.ndarray:
         """The values at the times ``ts``, of any shape: the stacks read time first."""
         stacks = np.asarray(evaluate(ts.ravel()))
-        return stacks.swapaxes(0, 1).reshape(ts.shape + layout + stacks.shape[2:])
+        values = assemble(stacks) if assemble is not None else stacks.swapaxes(0, 1)
+        return values.reshape(ts.shape + values.shape[1:])
 
     # constants take the same values at every time
-    fixed = (np.broadcast_to(by_time(_NODES[:1]), _NODES.shape + layout + functions[0].shape)
-             if evaluate.constant else None)
+    if evaluate.constant:
+        fixed = by_time(_NODES[:1])
+        fixed = np.broadcast_to(fixed, _NODES.shape + fixed.shape[1:])
+    else:
+        fixed = None
     # the stage values of the steps from samples first, ..., stop - 1 to the next
     window, first, stop = None, 0, 0
 
@@ -452,16 +468,16 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
 
     def rhs(values, y):
-        # values (P, R, Q, S): Y P and Y R are one broadcast product; the
-        # terms are still subtracted as in S - Y P Y - Q Y - Y R
-        yp_yr = np.matmul(y, values[:2])
-        return values[3] - yp_yr[0] @ y - values[2] @ y - yp_yr[1]
+        # values (P, Q, R, S): P Y and Q Y are one broadcast product, and
+        # S - Y P Y - Q Y - Y R is formed as S - Q Y - Y (R + P Y)
+        py_qy = np.matmul(values[:2], y)
+        return values[3] - py_qy[1] - y @ (values[2] + py_qy[0])
 
     def guard(t, y):
-        return "norm_cap" if np.linalg.norm(y) > _BLOWUP_NORM else None
+        return "norm_cap" if _norm(y) > _BLOWUP_NORM else None
 
     times, values, reason, t_last, stats = _integrate_sampled(
-        rhs, (cs.P, cs.R, cs.Q, cs.S), ts, y0, opts, after_step=guard)
+        rhs, (cs.P, cs.Q, cs.R, cs.S), ts, y0, opts, after_step=guard)
     blown = reason is not None
     return Trajectory(times=times, values=values, status="blow_up" if blown else "completed",
                       method="direct", t_escape=t_last if blown else None,
@@ -506,7 +522,8 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
 
     times, states, status, restarts, singular, stats = _linear_flow(cs, y0, opts, ts, keep,
                                                                     record_states=True)
-    flow = LinearFlow(times=times, phi=states[:, 0], psi=states[:, 1], restarts=restarts)
+    flow = LinearFlow(times=times, phi=states[:, :cs.n], psi=states[:, cs.n:],
+                      restarts=restarts)
     traj_times, traj_vals = _reached(kept, traj_times, traj_vals)
     traj = Trajectory(times=traj_times, values=traj_vals, status=status, method="radon",
                       singular_times=np.array(singular), stats=stats)
@@ -517,8 +534,10 @@ def integrate_both(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None
                    sample_times=None) -> tuple[Trajectory, dict]:
     """``integrate_riccati_direct``, then the flow of ``integrate_linear_system``
     folded in sample by sample, storing none. Returns (the direct trajectory,
-    {"radon_status", "restarts", "max_discrepancy"}), the last the largest
-    ||Y - Y_flow|| / (1 + ||Y||) over the sample times both reached."""
+    {"radon_status", "restarts", "max_discrepancy", "radon_stats"}):
+    ``max_discrepancy`` is the largest ||Y - Y_flow|| / (1 + ||Y||) over the
+    sample times both reached, and ``radon_stats`` the flow's counters, as
+    ``Trajectory.stats``."""
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
     traj = integrate_riccati_direct(cs, y0, opts, ts)
@@ -527,10 +546,11 @@ def integrate_both(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None
 
     def keep(t, y_flow):
         if (y := reached.get(t)) is not None:
-            ratios.append(float(np.linalg.norm(y - y_flow)) / (1.0 + float(np.linalg.norm(y))))
+            ratios.append(_norm(y - y_flow) / (1.0 + _norm(y)))
 
-    _, _, status, restarts, _, _ = _linear_flow(cs, y0, opts, ts, keep)
-    return traj, {"radon_status": status, "restarts": restarts, "max_discrepancy": max(ratios)}
+    _, _, status, restarts, _, stats = _linear_flow(cs, y0, opts, ts, keep)
+    return traj, {"radon_status": status, "restarts": restarts, "max_discrepancy": max(ratios),
+                  "radon_stats": stats}
 
 
 def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts: np.ndarray,
@@ -540,20 +560,21 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
     ``keep(t, Y)`` in time order.
 
     Returns (times, states, status, restarts, singular, stats): the sample times,
-    the driver's (Phi, Psi) states there (None unless ``record_states``), the
+    the driver's states [Phi; Psi] there (None unless ``record_states``), the
     run's status, the restart and singular times and the driver's counters. With
     ``record_states`` false nothing of the run is stored but these.
     """
-    eye = np.eye(cs.n, dtype=np.complex128)
+    n = cs.n
+    eye = np.eye(n, dtype=np.complex128)
 
-    def rhs(values, y):
-        # values [[R, S], [P, Q]] times y = (Phi, Psi) row by row: prod[0] is
-        # (R Phi, S Phi), prod[1] (P Psi, Q Psi)
-        prod = np.matmul(values, y[:, None])
-        out = np.empty_like(y)
-        np.add(prod[0, 0], prod[1, 0], out=out[0])
-        np.subtract(prod[0, 1], prod[1, 1], out=out[1])
-        return out
+    def assemble(stacks):
+        """H = [[R, P], [S, -Q]] at each time from the stacks of R, P, S and Q."""
+        m = stacks.shape[1]
+        h = np.empty((m, 2 * n, 2 * n), dtype=np.complex128)
+        blocks = stacks.reshape(2, 2, m, n, n).transpose(2, 0, 3, 1, 4)
+        np.copyto(h.reshape(m, 2, n, 2, n), blocks)
+        np.negative(h[:, n:, n:], out=h[:, n:, n:])
+        return h
 
     restarts: list[float] = []
     singular: list[float] = []
@@ -564,10 +585,10 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
 
     def at_sample(t, y):
         nonlocal first
-        phi, psi = y
+        phi, psi = y[:n], y[n:]
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
-        mag = max(float(np.linalg.norm(phi)), float(np.linalg.norm(psi)))
+        mag = max(_norm(phi), _norm(psi))
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
         phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
@@ -579,12 +600,13 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
         keep(t, ymat)
         if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
             restarts.append(float(t))
-            return np.array([eye, ymat])
+            return np.concatenate((eye, ymat))
         return y
 
+    # the right-hand side H X is (R Phi + P Psi, S Phi - Q Psi)
     times, states, reason, t_last, stats = _integrate_sampled(
-        rhs, (cs.R, cs.S, cs.P, cs.Q), ts, np.array([eye, y0]), opts, layout=(2, 2),
-        at_sample=at_sample, record_states=record_states)
+        np.matmul, (cs.R, cs.P, cs.S, cs.Q), ts, np.concatenate((eye, y0)), opts,
+        assemble=assemble, at_sample=at_sample, record_states=record_states)
     if reason is not None:
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "

@@ -481,6 +481,8 @@ def status_sidecar_path(csv_path: str) -> str:
 
 
 def trajectory_status_obj(traj: Trajectory, extra: dict | None = None) -> dict:
+    """The status sidecar's object of a computed trajectory: its status fields,
+    its driver's counters ``stats`` (``Trajectory.stats``), then ``extra``."""
     obj = {
         "method": traj.method,
         "status": traj.status,
@@ -492,6 +494,7 @@ def trajectory_status_obj(traj: Trajectory, extra: dict | None = None) -> dict:
         "blowup_trigger": traj.blowup_trigger,
         "singular_times": [float(t) for t in traj.singular_times],
         "notes": list(traj.notes),
+        "stats": dict(traj.stats),
     }
     if extra:
         obj.update(extra)

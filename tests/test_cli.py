@@ -6,6 +6,14 @@ import warnings
 import pytest
 
 from riccati_cert.cli import main
+from riccati_cert.criteria import GridSpec
+from riccati_cert.integrate import (
+    IntegratorOptions,
+    integrate_linear_system,
+    integrate_lyapunov_comparison,
+    integrate_riccati_direct,
+)
+from riccati_cert.serialize import load_instance
 
 
 def run(capsys, *argv):
@@ -209,6 +217,24 @@ class TestIntegrate:
         assert float(last[1]) == pytest.approx(math.tanh(1.0), abs=1e-8)
         sidecar = json.loads((tmp_path / "traj.status.json").read_text())
         assert sidecar["status"] == "completed"
+
+    @pytest.mark.parametrize("method", ["direct", "radon", "lyapunov"])
+    def test_sidecar_stats_are_the_runs_counters(self, capsys, tmp_path, method):
+        inst = write_tanh_instance(tmp_path, t_end=2.0)
+        out = tmp_path / "traj.csv"
+        code, stdout, _ = run(capsys, "integrate", str(inst), "--method", method,
+                              "--out", str(out), "--samples", "41")
+        assert code == 0
+        loaded = load_instance(str(inst))
+        ts = GridSpec.for_set(loaded.cs, 41).points
+        result = {"direct": integrate_riccati_direct, "radon": integrate_linear_system,
+                  "lyapunov": integrate_lyapunov_comparison}[method](
+                      loaded.cs, loaded.y0, IntegratorOptions(), ts)
+        traj = result[1] if method == "radon" else result
+        sidecar = json.loads((tmp_path / "traj.status.json").read_text())
+        assert sidecar["stats"] == json.loads(stdout)["stats"] == traj.stats
+        assert sidecar["stats"]["nfev"] == 2 + 6 * (traj.stats["steps_accepted"]
+                                                    + traj.stats["steps_rejected"])
 
     def test_blowup_is_exit_zero_with_status(self, capsys, tmp_path):
         inst = write_tanh_instance(tmp_path, t_end=2.0, s=-1.0)
@@ -495,6 +521,15 @@ class TestSidecarSamples:
         assert any("t_last = 1.0" in w for w in report["warnings"])
         assert "truncated" in err
 
+    def test_sidecar_without_stats_verifies_the_same(self, capsys, tmp_path):
+        inst, out, side = self.integrate(capsys, tmp_path)
+        with_stats = run(capsys, "verify", str(inst), str(out))
+        obj = json.loads(side.read_text())
+        del obj["stats"]
+        side.write_text(json.dumps(obj))
+        assert run(capsys, "verify", str(inst), str(out)) == with_stats
+        assert with_stats[0] == 0
+
     def test_sidecar_without_the_fields_is_not_compared(self, capsys, tmp_path):
         inst, out, side = self.integrate(capsys, tmp_path)
         out.write_text("".join(out.read_text().splitlines(keepends=True)[:3]))
@@ -582,7 +617,8 @@ class TestOverflowingCoefficients:
             rec = next(c for c in report["conditions"] if c["name"] == name)
             assert rec["passed"] is False
             assert rec["worst_value"] is None and rec["worst_time"] == 0.0
-        assert report["conditions"][0]["passed"] and report["conditions"][3]["passed"]
+        passed = {c["name"] for c in report["conditions"] if c["passed"]}
+        assert passed == {"coefficient_psd", "real_shift", "initial_lower_bound"}
 
     def test_integrate_direct_warns_nothing(self, capsys, tmp_path):
         inst = write_probe(tmp_path, "b", 1, 5.0, R={"kind": "polynomial", "coefficients": [

@@ -35,7 +35,7 @@ from riccati_cert.verify import eigen_monitor, residual_series, verify_sandwich
 
 def _blowup(n):
     """The blowup family with constant gauges: a complex L, a real mu and a
-    complex nu (which adds the imaginary-shift note)."""
+    complex nu (which fails real_shift)."""
     cs, y0 = gen_blowup(InstanceSpec(n=n, seed=100 + n, target="blowup", scale=1.5))
     rng = np.random.default_rng(n)
     lam = cf.constant(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

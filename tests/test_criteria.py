@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 import frame_oracle
 from riccati_cert import coefficients as cf
 from riccati_cert import criteria
+from riccati_cert.cli import main
 from riccati_cert.coefficients import CoefficientSet, _poly_add, _poly_mul
 from riccati_cert.criteria import (
     GridSpec,
@@ -20,6 +22,7 @@ from riccati_cert.criteria import (
 from riccati_cert.exceptions import DimensionError, NotPositiveDefiniteError
 from riccati_cert.instances import InstanceSpec, gen_comparison, gen_satisfying
 from riccati_cert.matrix_core import _hermitian_sqrt, adjoint, block_slices
+from riccati_cert.serialize import dumps_instance, instance_to_obj
 
 
 def make_set(n, t_end=1.0, t0=0.0, **kw):
@@ -142,13 +145,22 @@ class TestGaugeCriterion:
         assert [r.name for r in rep.failed_conditions()] == ["initial_lower_bound"]
         assert rep.condition("initial_lower_bound").worst_value == pytest.approx(-2.0)
 
-    def test_imaginary_shift_gets_warning_note(self):
-        # R = iI satisfies the conditions with mu = i, but solutions rotate;
-        # the report must carry the real-shift caveat.
-        cs = make_set(1, P=cf.constant([[0.0]]), R=cf.constant([[1j]]))
+    def test_imaginary_shift_fails_real_shift(self, tmp_path, capsys):
+        # P = Q = S = 0, R = i on [0, 5] from Y0 = 1: mu = i meets every other
+        # condition, yet y = e^{-it} has Y + Y* = -2 at t = pi. The shift
+        # must be real, so the criterion fails there and check exits 1
+        cs = make_set(1, t_end=5.0, P=cf.constant([[0.0]]), R=cf.constant([[1j]]))
         rep = check_gauge_criterion(cs, None, np.array([[1.0]]), grid(cs))
-        assert rep.holds
-        assert any("imaginary part" in note for note in rep.notes)
+        assert not rep.holds
+        assert [r.name for r in rep.failed_conditions()] == ["real_shift"]
+        rec = rep.condition("real_shift")
+        assert (rec.kind, rec.worst_value, rec.worst_time) == ("residual", 1.0, 0.0)
+        assert not any("imaginary part" in note for note in rep.notes)
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_instance(instance_to_obj(cs, np.array([[1.0]]))))
+        assert main(["check", str(path), "--criterion", "theorem3.1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in out["conditions"] if not c["passed"]] == ["real_shift"]
 
     def test_scale_covariance_of_verdicts(self):
         # scaling (P, Q, R, S, mu) by c > 0 with a constant gauge leaves

@@ -4,9 +4,10 @@ integrators they stand for.
 ``integrate_both`` runs the direct integration and then folds each sample
 of the linear flow into ``max_discrepancy`` as the flow reaches it,
 storing no sample of the flow; the subcommand prints what it returns. Its
-``max_discrepancy``, ``radon_status`` and ``restarts`` must equal, bit for
-bit, what ``integrate_riccati_direct`` and ``integrate_linear_system``
-give when their whole trajectories are compared by
+``max_discrepancy``, ``radon_status``, ``restarts`` and ``radon_stats``
+(and the sidecar's ``stats``) must equal, bit for bit, what
+``integrate_riccati_direct`` and ``integrate_linear_system`` give when
+their whole trajectories are compared by
 ``reference_max_discrepancy``, the formula the subcommand used while it
 kept both trajectories.
 """
@@ -116,6 +117,7 @@ def test_both_equals_the_two_integrators(tmp_path, case):
         assert got["radon_status"] == radon.status
         assert got["restarts"] == flow.restarts
         assert got["status"] == direct.status
+        assert got["stats"] == direct.stats and got["radon_stats"] == radon.stats
     assert stdout.splitlines()[0] == f"max_discrepancy {expected:.6e}"
 
     # each case reaches the branch it stands for
@@ -142,7 +144,8 @@ def test_integrate_both_equals_the_two_integrators(tmp_path, case):
     direct = integrate_riccati_direct(inst.cs, inst.y0, opts, ts)
     flow, radon = integrate_linear_system(inst.cs, inst.y0, opts, ts)
 
-    assert list(extra) == ["radon_status", "restarts", "max_discrepancy"]
+    assert list(extra) == ["radon_status", "restarts", "max_discrepancy", "radon_stats"]
+    assert extra["radon_stats"] == radon.stats
     assert extra["max_discrepancy"].hex() == reference_max_discrepancy(direct, radon).hex()
     assert extra["radon_status"] == radon.status
     assert extra["restarts"] == flow.restarts

@@ -400,6 +400,102 @@ class TestStageSums:
         assert np.signbit(err.real).all()
 
 
+class TestRightHandSides:
+    """The direct run's S - Q Y - Y (R + P Y) and the flow's one product
+    H [Phi; Psi], H = [[R, P], [S, -Q]], equal the textbook forms
+    S - Y P Y - Q Y - Y R and (R Phi + P Psi, S Phi - Q Psi) to rounding,
+    on random complex data read through the constant path (constants) and
+    through windows of sample-to-sample steps (degree-0 polynomials)."""
+
+    @staticmethod
+    def captured(monkeypatch, run):
+        """The (rhs, stage values) of every step ``run()`` takes, and the
+        number of times of each coefficient evaluation."""
+        steps, sizes = [], []
+        rk_stages, evaluate_passes = integrate._rk_stages, cf.evaluate_passes
+
+        def spy(rhs, stage_values, *args):
+            steps.append((rhs, stage_values))
+            return rk_stages(rhs, stage_values, *args)
+
+        def counted(*args):
+            sizes.append(args[-1].size)
+            return evaluate_passes(*args)
+        monkeypatch.setattr(integrate, "_rk_stages", spy)
+        monkeypatch.setattr(cf, "evaluate_passes", counted)
+        run()
+        return steps, sizes
+
+    @staticmethod
+    def data(n: int, storage: str):
+        rng = np.random.default_rng(n)
+        p, q, r, s, y0 = (rng.standard_normal((5, n, n))
+                          + 1j * rng.standard_normal((5, n, n))) / (4 * n)
+        p = p + adjoint(p)  # CoefficientSet asks for a Hermitian P
+        make = cf.constant if storage == "constant" else (lambda v: cf.polynomial([v]))
+        cs = CoefficientSet(n=n, t0=0.0, t_end=0.01, P=make(p), Q=make(q), R=make(r),
+                            S=make(s))
+        return cs, (p, q, r, s), y0, rng
+
+    @staticmethod
+    def assert_close(got, want, scale):
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("storage", ["constant", "polynomial"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_direct_matches_the_textbook_form(self, monkeypatch, n, storage):
+        cs, (p, q, r, s), y0, rng = self.data(n, storage)
+        steps, sizes = self.captured(monkeypatch, lambda: integrate_riccati_direct(
+            cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 6)))
+        # polynomials read windows of several steps (of one step at n = 32)
+        assert steps and (storage == "constant" or n == 32 or max(sizes) > 6)
+        norm = np.linalg.norm
+        for rhs, stage_values in steps:
+            for values in stage_values:
+                y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                want = s - y @ p @ y - q @ y - y @ r
+                scale = norm(s) + norm(y) ** 2 * norm(p) + norm(q) * norm(y) + norm(y) * norm(r)
+                self.assert_close(rhs(values, y), want, scale)
+
+    @pytest.mark.parametrize("storage", ["constant", "polynomial"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_flow_matches_the_textbook_form(self, monkeypatch, n, storage):
+        cs, (p, q, r, s), y0, rng = self.data(n, storage)
+        steps, sizes = self.captured(monkeypatch, lambda: integrate_linear_system(
+            cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 6)))
+        assert steps and (storage == "constant" or n == 32 or max(sizes) > 6)
+        norm = np.linalg.norm
+        for rhs, stage_values in steps:
+            for values in stage_values:
+                x = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+                phi, psi = x[:n], x[n:]
+                want = np.concatenate((r @ phi + p @ psi, s @ phi - q @ psi))
+                scale = (norm(r) + norm(p) + norm(s) + norm(q)) * norm(x)
+                self.assert_close(rhs(values, x), want, scale)
+
+
+class TestNorm:
+    """``_norm`` gives ``np.linalg.norm``'s bits, on whole states and on the
+    row blocks Phi = X[:n] and Psi = X[n:] of the flow's state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_norm_equals_numpy(self, n):
+        rng = np.random.default_rng(n)
+        scales = 10.0 ** rng.integers(-200, 200, size=(2 * n, n))
+        x = (rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))) * scales
+        with np.errstate(over="ignore"):
+            for a in (x, x[:n], x[n:], x / 1e200, x[:n] * 1e-200, np.zeros((n, n), complex)):
+                assert integrate._norm(a).hex() == float(np.linalg.norm(a)).hex()
+
+    def test_norm_of_non_finite_states(self):
+        for v in (math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)):
+            x = np.ones((4, 2), dtype=np.complex128)
+            x[3, 1] = v
+            for a in (x, x[:2], x[2:]):
+                assert integrate._norm(a).hex() == float(np.linalg.norm(a)).hex()
+
+
 def _twins(data: dict, t_end: float, n: int):
     """The same data as all constants and as degree-0 polynomials."""
     def build(make):
