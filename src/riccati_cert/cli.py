@@ -133,9 +133,6 @@ def _cmd_integrate(args) -> int:
     else:  # both
         traj, extra = integrate_both(inst.cs, inst.y0, opts, ts)
     write_trajectory_csv(args.out, traj, inst.cs, lam=inst.lam, flow=flow)
-    if args.method == "both":
-        print(f"max_discrepancy {extra['max_discrepancy']:.6e}")
-
     status = trajectory_status_obj(traj, extra)
     write_status_sidecar(args.out, status)
     print(json.dumps(status))

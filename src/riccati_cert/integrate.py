@@ -40,7 +40,8 @@ slopes in the tableau's order, the error vector its terms in that order
 from the first, the zero weights are skipped, and the trajectories do
 not depend on how the coefficients are stored. The driver counts its
 right-hand-side calls (``nfev``, still six per step), its steps and
-their size range in ``Trajectory.stats``.
+their size range in ``Trajectory.stats``; the linear flow adds its
+conditioning, the least sigma_min(Phi) / ||[Phi; Psi]||_F over the samples.
 
 The samples are written into arrays allocated once per call at their
 full size; a run that stops early returns copies of the rows it reached.
@@ -192,7 +193,9 @@ class Trajectory:
     ``stats`` holds the driver's counters: ``nfev`` (right-hand-side
     calls), ``steps_accepted`` and ``steps_rejected``, and the smallest and
     largest accepted step, ``h_min`` and ``h_max`` (None when no step was
-    accepted); it is empty for a trajectory read from a file.
+    accepted). The linear flow's adds ``phi_sigma_ratio`` and
+    ``phi_sigma_ratio_t`` (see ``_linear_flow``). It is empty for a
+    trajectory read from a file.
     """
 
     times: np.ndarray
@@ -561,8 +564,12 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
 
     Returns (times, states, status, restarts, singular, stats): the sample times,
     the driver's states [Phi; Psi] there (None unless ``record_states``), the
-    run's status, the restart and singular times and the driver's counters. With
-    ``record_states`` false nothing of the run is stored but these.
+    run's status, the restart and singular times and the driver's counters,
+    with the flow's conditioning: ``phi_sigma_ratio``, the least
+    sigma_min(Phi) / ||[Phi; Psi]||_F over the samples as the driver reaches
+    them (before any reset; None if not finite), and ``phi_sigma_ratio_t``,
+    its earliest time. With ``record_states`` false nothing of the run is
+    stored but these.
     """
     n = cs.n
     eye = np.eye(n, dtype=np.complex128)
@@ -579,16 +586,21 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
     restarts: list[float] = []
     singular: list[float] = []
     first = True
+    least = (math.inf, None)  # (sigma_min(Phi) / ||[Phi; Psi]||_F, its time)
     floor = opts.atol / opts.rtol
     singular_cutoff = min(_SINGULAR_COND_CEILING,
                           max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
     def at_sample(t, y):
-        nonlocal first
+        nonlocal first, least
         phi, psi = y[:n], y[n:]
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
-        mag = max(_norm(phi), _norm(psi))
+        norms = _norm(phi), _norm(psi)
+        mag = max(norms)
+        size = math.hypot(*norms)  # ||[Phi; Psi]||_F
+        if size > 0 and smin / size < least[0]:
+            least = (smin / size, float(t))
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
         phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
@@ -611,6 +623,8 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
         raise IntegrationError(
             f"linear flow integration stopped at t = {t_last} ({reason}); "
             "the flow is linear and should not collapse at these scales")
+    stats["phi_sigma_ratio"] = least[0] if math.isfinite(least[0]) else None
+    stats["phi_sigma_ratio_t"] = least[1]
     return times, states, "phi_singular" if singular else "completed", restarts, singular, stats
 
 

@@ -325,8 +325,10 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     """Write samples plus monitor columns.
 
     ``lambda_min_gap`` is the least eigenvalue of Y + Y* - L - L*;
-    ``residual`` is the central-difference equation residual (empty when
-    fewer than 3 samples are available); either is empty where it is NaN.
+    ``residual`` is ``verify.residual_series``, the scaled equation residual
+    of the samples' cubic Hermite interpolant, 0 in the first and last row
+    (empty when fewer than 3 samples are available); either is empty where
+    it is NaN.
     ``det_phi_abs`` is only present when a linear flow is supplied. Rows
     are written one at a time.
     """

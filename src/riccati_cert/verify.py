@@ -2,12 +2,14 @@
 
 Tests the statements the certificates guarantee: the Hermitian-part
 lower bound Y + Y* >= L + L*, the two-sided comparison 0 <= Y <= Ytilde,
-and the equation residual. The residual uses central differences of the
-stored samples rather than the integrator's internal derivative, so the
-check is independent of the integration code path.
+and the equation residual. The residual differentiates the stored samples
+through their cubic Hermite interpolant, whose slopes F(t, Y) it forms
+here rather than take from the integrator, so the check is independent of
+the integration code path; it is fourth order in the sample spacing.
 
 Every series is one ``matrix_core._scan`` over the samples; the scan hands
-its block the values of the coefficients or the gauge the series reads. By
+its block the values of the gauge the series reads, and the residual's block
+evaluates the coefficients itself, on the samples its cubics span. By
 matrix_core's rule a monitor is NaN, and fails its bound, at a sample whose
 matrix or eigenvalue is not finite, and nothing warns.
 """
@@ -25,7 +27,7 @@ from .matrix_core import _OVERFLOW_QUIET, _fro, _hermitian_eigvals, _scan, adjoi
 from .integrate import Trajectory
 
 DEFAULT_BOUND_TOL = 1e-6  # absolute band of the bound checks on the least eigenvalue
-MIN_RESIDUAL_SAMPLES = 3  # of the central-difference residual
+MIN_RESIDUAL_SAMPLES = 3  # a sample and two others: the residual's cubic
 
 
 @dataclass
@@ -113,9 +115,13 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
         raise DimensionError("trajectory dimensions differ")
     if traj.times.size == 0:
         raise ValueError("trajectory has no samples")
-    lo, hi = _scan(traj.times, traj.n, lambda ts, y, y_tilde: (
-        _hermitian_eigvals("verify_sandwich", y)[:, 0],
-        _hermitian_eigvals("verify_sandwich", y_tilde - y)[:, 0]), traj.values, traj_tilde.values)
+
+    def block(_, y, y_tilde):
+        # both stacks' eigenvalues from one solver call
+        least = _hermitian_eigvals("verify_sandwich", y, y_tilde - y)[:, 0]
+        return least[:len(y)], least[len(y):]
+
+    lo, hi = _scan(traj.times, traj.n, block, traj.values, traj_tilde.values)
     lower, upper = _least(lo, traj.times), _least(hi, traj.times)
     return SandwichReport(passed=(lower[0] >= -tol and upper[0] >= -tol),
                           lower_min=lower[0], lower_t=lower[1],
@@ -123,75 +129,68 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
 
 
 @np.errstate(**_OVERFLOW_QUIET)
-def _central_differences(f: np.ndarray, times: np.ndarray):
-    """``(lo, hi) -> np.gradient(f, times, axis=0, edge_order=2)[lo:hi]`` bit
-    for bit, formed from rows lo - 1 to hi of ``f`` only.
-
-    It applies numpy's formulas and weights, each computed from the full
-    ``times``, and numpy's global test: the uniform forms, the central
-    difference (f[k+1] - f[k-1]) / (2 dx) and its edge constants, apply
-    only when every spacing is equal.
-    """
-    m, dx = times.size, np.diff(times)
-    if (dx == dx[0]).all():
-        h = dx[0]
-
-        def inner(i, j):
-            return (f[i + 1:j + 1] - f[i - 1:j - 1]) / (2. * h)
-        edges = ((-1.5 / h, 2. / h, -0.5 / h), (0.5 / h, -2. / h, 1.5 / h))
-    else:
-        dx1, dx2 = dx[:-1], dx[1:]
-        shape = (-1,) + (1,) * (f.ndim - 1)
-        a = (-(dx2) / (dx1 * (dx1 + dx2))).reshape(shape)
-        b = ((dx2 - dx1) / (dx1 * dx2)).reshape(shape)
-        c = (dx1 / (dx2 * (dx1 + dx2))).reshape(shape)
-
-        def inner(i, j):
-            return (a[i - 1:j - 1] * f[i - 1:j - 1] + b[i - 1:j - 1] * f[i:j]
-                    + c[i - 1:j - 1] * f[i + 1:j + 1])
-        (d1, d2), (e1, e2) = dx[:2], dx[-2:]
-        edges = ((-(2. * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
-                  - d1 / (d2 * (d1 + d2))),
-                 (e2 / (e1 * (e1 + e2)), - (e2 + e1) / (e1 * e2),
-                  (2. * e2 + e1) / (e2 * (e1 + e2))))
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        out = np.empty((hi - lo,) + f.shape[1:], dtype=f.dtype)
-        i, j = max(lo, 1), min(hi, m - 1)
-        if i < j:
-            out[i - lo:j - lo] = inner(i, j)
-        # the one-sided second-order edges, on the first and the last three rows
-        for k, (wa, wb, wc), first in zip((0, m - 1), edges, (0, m - 3)):
-            if lo <= k < hi:
-                out[k - lo] = wa * f[first] + wb * f[first + 1] + wc * f[first + 2]
-        return out
-
-    return rows
-
-
 def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """Scaled equation residual at every sample.
 
-    The derivative is estimated by central differences of the stored
-    samples (second-order one-sided at the ends), so the series has an
-    O(h^2) floor in the sample spacing h even for exact trajectories.
-    Scaling by 1 + ||Y||_F^2 keeps the measure meaningful for large
-    solutions. Each block of the scan forms its own differences, so no
-    derivative of the whole trajectory is held.
+    With F(t, Y) = S - Q Y - Y (R + P Y), the derivative at sample k is
+    that of the cubic through samples a = clip(k - 1, 0, m - 3) and
+    b = a + 2 with slopes F there: for s = (t_k - t_a) / H, H = t_b - t_a,
+
+        Y'_k = 6 s (1 - s) (Y_b - Y_a) / H + (3 s - 1)(s - 1) F_a + s (3 s - 2) F_b,
+
+    and the residual is ||Y'_k - F(t_k, Y_k)||_F / (1 + ||Y_k||_F^2): fourth
+    order in the sample spacing on any grid. The end rows are exactly 0 (s
+    is 0 or 1 there, where the cubic takes the slope F); samples 0 and m - 1
+    enter rows 1 and m - 2. F is formed here from the stored samples, not
+    taken from the integrator, so the check is independent of the
+    integration code path. A block of the scan needs F on its rows and one
+    sample on each side, and holds no derivative of the whole trajectory.
     """
-    if traj.times.size < MIN_RESIDUAL_SAMPLES:
+    ts, ys, m = traj.times, traj.values, traj.times.size
+    if m < MIN_RESIDUAL_SAMPLES:
         raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
+    coefficients = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
+    a = np.clip(np.arange(m) - 1, 0, m - 3)
+    span = ts[a + 2] - ts[a]
+    s = (ts - ts[a]) / span
+    # the weights of Y_b - Y_a, F_a and F_b, complex so that no product casts
+    weights = np.stack((6.0 * s * (1.0 - s) / span, (3.0 * s - 1.0) * (s - 1.0),
+                        s * (3.0 * s - 2.0))).astype(np.complex128)[..., None, None]
 
-    def block(ts, p, q, r, s, y, k):
-        resid = deriv(int(k[0]), int(k[-1]) + 1) + y @ p @ y + q @ y + y @ r - s
-        return (_fro(resid) / (1.0 + _fro(y) ** 2),)
+    # (first row, F there) of the rows a block shares with the next: the scan
+    # runs the blocks of a sliced stack in order, so F is formed once a sample
+    shared = (0, ys[:0])
 
-    deriv = _central_differences(traj.values, traj.times)
-    # a block holds P, Q, R, S, the differences and the products at each
-    # point: scanned as matrices of twice the dimension, it has a quarter
+    def block(_, k):
+        nonlocal shared
+        k0, k1 = int(k[0]), int(k[-1]) + 1
+        lo, hi = int(a[k0]), int(a[k1 - 1]) + 3  # a of the first row to b of the last
+        known = shared[1] if shared[0] == lo else ys[:0]
+        new = slice(lo + len(known), hi)
+        f = np.concatenate((known, _slope(coefficients(ts[new]), ys[new])))
+        nxt = int(a[min(k1, m - 1)])  # the next block's first row
+        shared = (nxt, f[nxt - lo:])
+        y, i, (w_y, w_a, w_b) = ys[lo:hi], a[k0:k1] - lo, weights[:, k0:k1]
+        d = w_y * (y[i + 2] - y[i])
+        d += w_a * f[i]
+        d += w_b * f[i + 2]
+        d -= f[k0 - lo:k1 - lo]
+        return (_fro(d) / (1.0 + _fro(ys[k0:k1]) ** 2),)
+
+    # a block holds P, Q, R, S, F and the products on its rows and one more on
+    # each side: scanned as matrices of twice the dimension, it has a quarter
     # of the points of a one-matrix scan
-    return _scan(traj.times, 2 * traj.n, block, traj.values, np.arange(traj.times.size),
-                 values=cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S)))[0]
+    return _scan(ts, 2 * traj.n, block, np.arange(m))[0]
+
+
+def _slope(values, y: np.ndarray) -> np.ndarray:
+    """F = S - Q Y - Y (R + P Y) from the stacks ``values`` of (P, Q, R, S):
+    P Y and Q Y are one broadcast product."""
+    pq = np.matmul(values[:2], y)
+    f = values[3] - pq[1]
+    pq[0] += values[2]
+    f -= np.matmul(y, pq[0], out=pq[1])
+    return f
 
 
 def residual_check(traj: Trajectory, cs: CoefficientSet) -> float:

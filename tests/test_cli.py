@@ -310,6 +310,23 @@ class TestVerify:
         assert code == 1
         assert json.loads(stdout)["min_lambda"] == pytest.approx(-2 * math.tan(1.0), abs=1e-4)
 
+    def test_one_shifted_sample_raises_max_residual(self, capsys, tmp_path):
+        # y0_0_re of data row 101 moved by 1e-7, in a copy with its sidecar
+        inst, _ = gen_file(capsys, tmp_path, "satisfying", n=3)
+        out, shifted = tmp_path / "traj.csv", tmp_path / "shifted.csv"
+        code, _, _ = run(capsys, "integrate", str(inst), "--method", "both", "--out", str(out))
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[101][1] = repr(float(rows[101][1]) + 1e-7)
+        with open(shifted, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        shifted.with_suffix(".status.json").write_text(
+            out.with_suffix(".status.json").read_text())
+        clean, bad = (json.loads(run(capsys, "verify", str(inst), str(path))[1])["max_residual"]
+                      for path in (out, shifted))
+        assert clean < 1e-8 and bad >= 100 * clean
+
     def test_truncated_csv_skips_residual_with_warning(self, capsys, tmp_path):
         inst = write_tanh_instance(tmp_path)
         out = tmp_path / "short.csv"

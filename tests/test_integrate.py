@@ -238,6 +238,56 @@ class TestLinearFlow:
                     assert diff <= 1e-6 * (1 + np.linalg.norm(direct.values[k]))
 
 
+class TestFlowConditioning:
+    """The flow's stats keep the least sigma_min(Phi) / ||[Phi; Psi]||_F over
+    the samples, taken before any reset, and its time."""
+
+    @staticmethod
+    def ratios(flow):
+        return np.array([np.linalg.svd(phi, compute_uv=False)[-1]
+                         / math.hypot(np.linalg.norm(phi), np.linalg.norm(psi))
+                         for phi, psi in zip(flow.phi, flow.psi)])
+
+    @staticmethod
+    def rates(*rates):
+        """P = I, Q = R = 0, S = diag(rates^2) on [0, 40] from Y0 = 0: Phi grows as
+        diag(cosh(rate t)), so the flow restarts."""
+        n = len(rates)
+        cs = CoefficientSet(n=n, t0=0.0, t_end=40.0, P=cf.constant(np.eye(n)),
+                            Q=cf.constant(np.zeros((n, n))), R=cf.constant(np.zeros((n, n))),
+                            S=cf.constant(np.diag(np.square(rates))))
+        return integrate_linear_system(cs, np.zeros((n, n)))
+
+    def test_equals_the_recomputation_from_the_samples_without_restart(self):
+        cs, y0 = gen_comparison(InstanceSpec(n=3, seed=2, target="comparison"))
+        flow, traj = integrate_linear_system(cs, y0)
+        assert not flow.restarts
+        ratios = self.ratios(flow)
+        k = int(np.argmin(ratios))
+        assert traj.stats["phi_sigma_ratio"] == ratios[k]
+        assert traj.stats["phi_sigma_ratio_t"] == flow.times[k]
+
+    def test_tanh40_restarts_and_no_stored_sample_is_lower(self):
+        # Phi = cosh(t) I scales out of the ratio
+        flow, traj = self.rates(1.0, 1.0)
+        assert flow.restarts and traj.stats["phi_sigma_ratio"] <= self.ratios(flow).min()
+
+    def test_a_restart_counts_the_flow_before_its_reset(self):
+        # rates 1 and 2: Phi is reset at the least ratio, so every stored sample lies above
+        flow, traj = self.rates(1.0, 2.0)
+        assert flow.restarts and traj.stats["phi_sigma_ratio"] < self.ratios(flow).min()
+        assert traj.stats["phi_sigma_ratio_t"] in flow.restarts
+
+    def test_a_pole_reads_far_below_a_regular_flow(self):
+        # gen_blowup's Phi = cos(t) I vanishes at pi / 2, between two samples
+        blowup = integrate_linear_system(*gen_blowup(InstanceSpec(n=2, seed=1, target="blowup")))
+        regular = integrate_linear_system(*gen_comparison(InstanceSpec(n=2, seed=1,
+                                                                       target="comparison")))
+        low, high = blowup[1].stats, regular[1].stats
+        assert low["phi_sigma_ratio"] < 0.05 * high["phi_sigma_ratio"]
+        assert abs(low["phi_sigma_ratio_t"] - math.pi / 2) < 0.025
+
+
 def _sampled_constant(value, t_end):
     return cf.sampled([0.0, t_end], [[[value]], [[value]]], order=1)
 

@@ -6,8 +6,8 @@ on the default 201 samples: each result is allocated once, at its full
 size, and a run keeps little else alive. ``integrate --method both`` runs
 the direct integration, then folds each sample of the linear flow into
 the discrepancy as it is reached, storing no sample of the flow. The
-residual forms its central differences block by block, so it holds no
-derivative of the whole trajectory. The CSV reader's Y is a view of its
+residual forms F block by block, on a block's rows and one sample on each
+side, so it holds no derivative of the whole trajectory. The CSV reader's Y is a view of its
 parsed rows, so it holds about its result. A criterion scan on the default
 1001-point grid holds one block of grid values at a time, or, where it runs
 in two halves, two half blocks in flight: the caller and the helper thread

@@ -8,12 +8,14 @@ long as Phi stays invertible. The oracle evaluates that flow with
 Runge-Kutta integrators.
 
 Hypothesis draws constant instances with n <= 4 of the shape both
-criteria speak about: P = A*A, R = Q* + mu I with real mu and
-S = B*B + c I. Wherever ``theorem3.1`` (zero gauge) or ``theorem1.1``
-holds, Phi must stay well conditioned on the whole grid and
-Y + Y* >= 0 (up to rounding) must hold there, and the direct and radon
-integrators must reproduce the flow. The instance generators must
-always satisfy the criterion they are built for.
+criteria speak about: P = A*A, R = Q* + mu I and S = B*B + c I, where mu
+is complex, a + ib with b in {0, +-1e-12, +-0.3}, in about half the draws.
+Wherever ``theorem3.1`` (zero gauge) or ``theorem1.1`` holds, Phi must
+stay well conditioned on the whole grid and Y + Y* >= 0 (up to rounding)
+must hold there, and the direct and radon integrators must reproduce the
+flow. A shift with |Im mu| > tol (1 + |mu|) must fail theorem3.1's
+``real_shift``. The instance generators must always satisfy the criterion
+they are built for.
 
 On the constant blow-up family the flow is Phi = cos(sqrt(c) (t - t0)) I,
 and the zeros of det Phi, confirmed on the expm flow, must be bracketed:
@@ -36,6 +38,7 @@ from riccati_cert.integrate import (
     integrate_linear_system,
     integrate_riccati_direct,
 )
+from riccati_cert.matrix_core import DEFAULT_TOL
 
 ORACLE = settings(derandomize=True, deadline=None, max_examples=40,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -56,12 +59,15 @@ def _matrix(rng, n, scale):
 
 @st.composite
 def constant_instances(draw):
-    """(cs, Y0) with P = A*A, Q, R = Q* + mu I, S = B*B + c I and
+    """(cs, Y0, mu) with P = A*A, Q, R = Q* + mu I, S = B*B + c I and
     Y0 = G*G + d I + K for a skew-Hermitian K that is zero in about half
-    the draws (so that theorem1.1, which wants Y0 >= 0, can hold)."""
+    the draws (so that theorem1.1, which wants Y0 >= 0, can hold); mu has
+    an imaginary part from {0, +-1e-12, +-0.3} in about half the draws."""
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mu = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):
+        mu += 1j * draw(st.sampled_from([0.0, 1e-12, -1e-12, 0.3, -0.3]))
     c = draw(st.floats(-0.5, 0.5))
     d = draw(st.floats(-0.5, 1.0))
     skew = draw(st.booleans())
@@ -72,7 +78,7 @@ def constant_instances(draw):
     y0 = g.conj().T @ g + d * eye + ((k - k.conj().T) / 2 if skew else 0.0)
     cs = CoefficientSet(n=n, t0=0.0, t_end=t_end, P=cf.constant(p), Q=cf.constant(q),
                         R=cf.constant(q.conj().T + mu * eye), S=cf.constant(s))
-    return cs, y0
+    return cs, y0, mu
 
 
 def exact_flow(cs, y0, ts):
@@ -114,7 +120,7 @@ class TestConstantFlows:
     @ORACLE
     @given(constant_instances())
     def test_certified_instances_keep_the_bound_and_the_integrators_agree(self, instance):
-        cs, y0 = instance
+        cs, y0, _ = instance
         if not _certified(cs, y0):
             return
         ts = np.linspace(cs.t0, cs.t_end, FLOW_POINTS)
@@ -129,17 +135,34 @@ class TestConstantFlows:
             assert np.array_equal(traj.times, samples), traj.method
             assert np.abs(traj.values - want).max() <= tol, traj.method
 
+    @ORACLE
+    @given(constant_instances())
+    def test_a_complex_shift_fails_real_shift(self, instance):
+        cs, y0, mu = instance
+        if abs(mu.imag) > DEFAULT_TOL * (1.0 + abs(mu)):
+            failed = run_criterion("theorem3.1", cs, y0).failed_conditions()
+            assert "real_shift" in [rec.name for rec in failed]
+
     def test_draws_reach_both_criteria(self):
-        # the property above is vacuous unless the draws certify instances
+        # the properties above are vacuous unless the draws certify instances,
+        # one of them with an imaginary part of 1e-12 in its shift, and
+        # draw shifts that real_shift refuses
         seen = set()
 
         @settings(derandomize=True, deadline=None, max_examples=40)
         @given(constant_instances())
         def collect(instance):
-            seen.update(_certified(*instance))
+            cs, y0, mu = instance
+            certified = _certified(cs, y0)
+            seen.update(certified)
+            if abs(mu.imag) == 1e-12 and certified:
+                seen.add("tiny imaginary shift certified")
+            if abs(mu.imag) == 0.3:
+                seen.add("complex shift")
 
         collect()
-        assert seen == {"theorem3.1", "theorem1.1"}
+        assert seen == {"theorem3.1", "theorem1.1", "tiny imaginary shift certified",
+                        "complex shift"}
 
     def test_oracle_catches_a_blow_up(self):
         # Y = -tan(t): Phi = cos(t) vanishes at pi/2 inside [0, 2]

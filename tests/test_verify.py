@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
+from riccati_cert import matrix_core as mc
 from riccati_cert import verify
 from riccati_cert.coefficients import CoefficientSet
 from riccati_cert.exceptions import DimensionError
-from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison
+from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparison, gen_satisfying
 from riccati_cert.integrate import (
+    IntegratorOptions,
     Trajectory,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -30,6 +32,23 @@ def tanh_trajectory(t_end=3.0, num=61):
     cs = CoefficientSet(n=1, t0=0.0, t_end=t_end, P=e.cs.P, Q=e.cs.Q, R=e.cs.R, S=e.cs.S)
     ts = np.linspace(0.0, t_end, num)
     return cs, integrate_riccati_direct(cs, e.y0, sample_times=ts)
+
+
+def slope(cs, t, y):
+    """F(t, Y) = S - Y P Y - Q Y - Y R at one sample."""
+    p, q, r, s = (f.eval(float(t)) for f in (cs.P, cs.Q, cs.R, cs.S))
+    return s - y @ p @ y - q @ y - y @ r
+
+
+def hermite_slope(cs, ts, values, k):
+    """The derivative at t_k of the cubic through samples a = clip(k - 1, 0,
+    m - 3) and a + 2 with slopes F there, from its basis polynomials."""
+    a = min(max(k - 1, 0), ts.size - 3)
+    b, h = a + 2, ts[a + 2] - ts[a]
+    s = (ts[k] - ts[a]) / h
+    return (6 * s * (1 - s) * (values[b] - values[a]) / h
+            + (3 * s - 1) * (s - 1) * slope(cs, ts[a], values[a])
+            + s * (3 * s - 2) * slope(cs, ts[b], values[b]))
 
 
 class TestHermitianBound:
@@ -113,13 +132,12 @@ class TestEigenMonitor:
         lam = cf.polynomial([g, g.T])
         cs = CoefficientSet(n=n, t0=0.0, t_end=1.0, P=cf.constant(g @ g.T),
                             Q=lam, R=cf.constant(g), S=lam)
-        deriv = np.gradient(values, ts, axis=0, edge_order=2)
         want_gap, want_resid = [], []
         for k, t in enumerate(ts):
             y, l = values[k], lam.eval(float(t))
             gap = y + y.conj().T - l - l.conj().T
             want_gap.append(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
-            r = deriv[k] + y @ cs.P.eval(t) @ y + cs.Q.eval(t) @ y + y @ cs.R.eval(t) - cs.S.eval(t)
+            r = hermite_slope(cs, ts, values, k) - slope(cs, t, y)
             want_resid.append(np.linalg.norm(r) / (1.0 + np.linalg.norm(y) ** 2))
         assert eigen_monitor(traj, lam).tobytes() == np.array(want_gap).tobytes()
         assert_allclose(residual_series(traj, cs), want_resid, rtol=1e-12, atol=0)
@@ -175,7 +193,7 @@ class TestResidual:
         assert residual_check(traj, cs0) <= 1e-12
 
     def test_tanh_fd_floor(self):
-        # h = 1e-3 leaves only the O(h^2) differencing floor
+        # h = 1e-3: the cubic's O(h^4) floor is far below this bound
         cs, traj = tanh_trajectory(t_end=1.0, num=1001)
         assert residual_check(traj, cs) <= 1e-5
 
@@ -196,49 +214,67 @@ class TestResidual:
             residual_series(traj, cs)
 
 
-class TestCentralDifferences:
-    """The residual's derivative equals ``np.gradient(..., edge_order=2)`` bit
-    for bit, formed block by block, and so does the residual it enters."""
-
-    GRIDS = {
-        "uniform": lambda m: 0.25 * np.arange(m),
-        "linspace": lambda m: np.linspace(0.0, 5.0, m),
-        "random": lambda m: np.cumsum(np.random.default_rng(m).uniform(0.01, 1.0, m)),
-    }
+class TestHermiteResidual:
+    """The residual differentiates the samples through the cubic Hermite
+    interpolant with slopes F: fourth order on any grid, exact on cubics, 0
+    at the end rows, raised by one shifted sample, and the same bits for
+    every block size of its scan."""
 
     @staticmethod
-    def samples(m, n, seed=3):
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    def satisfying(n, samples):
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=n, seed=1))
+        ts = np.linspace(cs.t0, cs.t_end, samples)
+        return cs, integrate_riccati_direct(cs, y0, IntegratorOptions(rtol=1e-12), ts)
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("m, n", [(3, 1), (3, 3), (201, 32)])
-    def test_rows_equal_numpy_gradient(self, grid, m, n):
-        times, f = self.GRIDS[grid](m), self.samples(m, n)
-        # numpy's global test: 201 linspace points are not exactly uniform
-        spacings = np.diff(times)
-        uniform = grid == "uniform" or (grid == "linspace" and m == 3)
-        assert (spacings == spacings[0]).all() == uniform
-        want = np.gradient(f, times, axis=0, edge_order=2)
-        rows = verify._central_differences(f, times)
-        for step in (1, 2, 4, 16, m):
-            got = np.concatenate([rows(lo, min(lo + step, m)) for lo in range(0, m, step)])
-            assert got.tobytes() == want.tobytes(), step
+    @staticmethod
+    def shifted(traj, k, delta):
+        values = traj.values.copy()
+        values[k, 0, 0] += delta
+        return Trajectory(times=traj.times, values=values, status="completed", method="file")
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("m, n", [(3, 3), (201, 32)])
-    def test_residual_equals_the_gradient_formula(self, grid, m, n):
-        times, values = self.GRIDS[grid](m), self.samples(m, n)
-        g = np.random.default_rng(5).standard_normal((n, n))
-        lam = cf.polynomial([g, g.T, 0.5 * g], t_ref=times[0])
-        cs = CoefficientSet(n=n, t0=times[0], t_end=times[-1], P=cf.constant(g @ g.T),
-                            Q=lam, R=cf.constant(g), S=cf.polynomial([g.T, g]))
-        traj = Trajectory(times=times, values=values, status="completed", method="file")
-        dy = np.gradient(values, times, axis=0, edge_order=2)
-        p, q, r, s = (f.eval(times) for f in (cs.P, cs.Q, cs.R, cs.S))
-        resid = dy + values @ p @ values + q @ values + values @ r - s
-        want = np.linalg.norm(resid, axis=(-2, -1)) / (
-            1.0 + np.linalg.norm(values, axis=(-2, -1)) ** 2)
+    def test_refinement_cuts_the_max_as_h4(self):
+        # 4x the samples: h^4 gives 256x (central differences gave 16x)
+        maxima = [residual_check(*self.satisfying(2, m)[::-1]) for m in (51, 201, 801)]
+        assert maxima[0] >= 100 * maxima[1] and maxima[1] >= 100 * maxima[2], maxima
+
+    def test_shifted_sample_raises_the_max(self):
+        cs, traj = self.satisfying(8, 201)
+        clean = residual_check(traj, cs)
+        assert residual_check(self.shifted(traj, 100, 1e-8), cs) >= 100 * clean
+
+    def test_cubic_solution_is_exact(self):
+        # Y = t^3 I solves Y' = 3 t^2 I with P = Q = R = 0, and the cubic
+        # interpolant reproduces it on any grid
+        rng = np.random.default_rng(11)
+        ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 38)), [2.0]))
+        zero = cf.constant(np.zeros((2, 2)))
+        cs = CoefficientSet(n=2, t0=0.0, t_end=2.0, P=zero, Q=zero, R=zero,
+                            S=cf.polynomial([np.zeros((2, 2)), np.zeros((2, 2)), 3 * np.eye(2)]))
+        traj = Trajectory(times=ts, values=ts[:, None, None] ** 3 * np.eye(2), status="completed",
+                          method="file")
+        assert residual_check(traj, cs) <= 1e-14
+
+    def test_end_rows_are_zero_and_the_first_sample_enters_row_one(self):
+        cs, traj = self.satisfying(2, 201)
+        clean = residual_series(traj, cs)
+        assert clean[0] == 0.0 and clean[-1] == 0.0
+        bad = residual_series(self.shifted(traj, 0, 1e-6), cs)
+        assert bad[0] == 0.0 and bad[1] >= 100 * clean[1]
+
+    @pytest.mark.parametrize("n, entries", [(1, 1), (1, 12), (3, 36), (3, 100), (8, 256), (8, 1280)])
+    def test_bits_do_not_depend_on_the_block_size(self, n, entries, monkeypatch):
+        # a block shares the F of its first rows with the block before it
+        rng = np.random.default_rng(n)
+        ts = np.cumsum(rng.uniform(0.01, 1.0, 23))
+        values = rng.standard_normal((23, n, n)) + 1j * rng.standard_normal((23, n, n))
+        g = rng.standard_normal((n, n))
+        cs = CoefficientSet(n=n, t0=ts[0], t_end=ts[-1], P=cf.constant(g @ g.T),
+                            Q=cf.polynomial([g, g.T], t_ref=ts[0]),
+                            R=cf.sampled(ts, [np.sin(t) * g for t in ts], order=3),
+                            S=cf.constant(g.T))
+        traj = Trajectory(times=ts, values=values, status="completed", method="file")
+        want = residual_series(traj, cs)
+        monkeypatch.setattr(mc, "BLOCK_ENTRIES", entries)
         assert residual_series(traj, cs).tobytes() == want.tobytes()
 
 
@@ -308,7 +344,7 @@ class TestNonFiniteMonitors:
         assert not rep.passed and math.isnan(rep.lower_min)
 
     def test_residual_weights_that_overflow_warn_nothing(self):
-        # unequal spacings near 1e299: the difference weights divide by their products
+        # unequal spacings near 1e299: the cubic's weights divide by them
         times = np.array([0.0, 1e299, 3e299, 1e300])
         cs = CoefficientSet(n=1, t0=0.0, t_end=1e300, P=cf.constant([[0.0]]),
                             Q=cf.constant([[0.0]]), R=cf.constant([[0.0]]), S=cf.constant([[0.0]]))
