@@ -151,7 +151,8 @@ def _cmd_verify(args) -> int:
         raise InstanceFormatError(f"trajectory CSV last row, column 't': time "
                                   f"{float(times[-1])!r} is after t_end = {t_end!r}")
     side = read_status_sidecar(args.trajectory)
-    traj = Trajectory(times=times, values=values, method="file",
+    # the sidecar's method picks the equation the residual judges the samples by
+    traj = Trajectory(times=times, values=values, method=(side or {}).get("method", "file"),
                       status=side["status"] if side else "completed")
     report = verify_hermitian_bound(traj, inst.lam, tol=args.tol)
     out = report.to_dict()

@@ -43,12 +43,14 @@ right-hand-side calls (``nfev``, still six per step), its steps and
 their size range in ``Trajectory.stats``; the linear flow adds its
 conditioning, the least sigma_min(Phi) / ||[Phi; Psi]||_F over the samples.
 
-The samples are written into arrays allocated once per call at their
-full size; a run that stops early returns copies of the rows it reached.
-The linear flow hands each reconstructed Y to a sample consumer:
+A sample is its index k in the sample times, reached in order: a run's
+times are their prefix, and no consumer matches samples by float time.
+The states are written into an array allocated once per call at its full
+size; a run that stops early returns a copy of the rows it reached. The
+linear flow hands each reconstructed Y with its k to a sample consumer:
 ``integrate_linear_system``'s stores it, with the flow's states, while
-a consumer that only folds the samples (the discrepancy of
-``integrate_both``) lets the flow run storing no sample at all.
+the discrepancy of ``integrate_both`` pairs it with direct sample k and
+lets the flow run storing no sample at all.
 """
 
 from __future__ import annotations
@@ -284,13 +286,14 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     the most steps (at least one) whose 6 W times hold at most
     ``matrix_core.BLOCK_ENTRIES`` entries.
     ``after_step(t, y)`` may return a stop-reason string (checked on the
-    initial state and after every accepted step). ``at_sample(t, y)`` may
+    initial state and after every accepted step). ``at_sample(k, y)`` gets
+    the index k of the sample reached, at ``sample_times[k]``, and may
     return a replacement state (used for flow reconditioning).
 
-    Returns (times, states, stop_reason, t_last, stats) where the arrays
-    ``times``/``states`` hold the samples actually reached (states along a
-    new first axis), each as it stands after ``at_sample``; ``states`` is
-    None unless ``record_states``. ``t_last`` is the last accepted time and
+    Returns (times, states, stop_reason, t_last, stats): a copy of the
+    prefix of ``sample_times`` the run reached, the states there (along a
+    new first axis) as they stand after ``at_sample`` (None unless
+    ``record_states``), the stop reason; ``t_last`` is the last accepted time and
     ``stats`` counts the right-hand sides (``nfev``: every stage, the
     starting-step probe and the re-evaluation after a replaced state) and
     the accepted and rejected steps, and gives the smallest and largest
@@ -302,10 +305,9 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     f_curr = None  # f(t, y), evaluated once there is a step to take
     abs_y = None  # |y|, kept from the step that reached y
     nfev = accepted = rejected = 0
-    times = np.empty(sample_times.size)
     states = (np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
               if record_states else None)
-    count = 0
+    count = 0  # samples reached: the next to reach is sample_times[count]
     h_lo, h_hi = math.inf, 0.0  # the accepted step-size range
 
     evaluate = stacked_evaluator(functions)
@@ -345,17 +347,16 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         """The right-hand side at one time."""
         return rhs(fixed[0] if fixed is not None else by_time(np.array(t_eval)), y_eval)
 
-    def record(t_sample: float) -> None:
-        """Store a reached sample; a replaced state gets its f anew."""
+    def record() -> None:
+        """Store the sample reached; a replaced state gets its f anew."""
         nonlocal y, f_curr, abs_y, nfev, count
         if at_sample is not None:
-            y_new = at_sample(t_sample, y)
+            y_new = at_sample(count, y)
             if y_new is not y:
                 y, abs_y = y_new, None
                 if f_curr is not None:
                     f_curr = f(t, y)
                     nfev += 1
-        times[count] = t_sample
         if states is not None:
             states[count] = y
         count += 1
@@ -363,11 +364,10 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     def result(reason):
         stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected,
                  "h_min": h_lo if accepted else None, "h_max": h_hi if accepted else None}
-        if states is None:
-            return _reached(count, times)[0], None, reason, t, stats
-        return (*_reached(count, times, states), reason, t, stats)
+        reached = None if states is None else _reached(count, states)[0]
+        return sample_times[:count].copy(), reached, reason, t, stats
 
-    record(t)
+    record()
     reason = after_step(t, y) if after_step is not None else None
     if reason is not None or sample_times.size == 1:
         return result(reason)
@@ -378,15 +378,13 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
 
     facold = 1e-4
     rejected_last = False
-    next_idx = 1
 
-    while next_idx < sample_times.size:
-        t_target = float(sample_times[next_idx])
+    while count < sample_times.size:
+        t_target = float(sample_times[count])
         tiny = 1e-13 * max(1.0, abs(t_target))
         if t_target - t <= tiny:
             # already there to rounding; record the sample without stepping
-            record(t_target)
-            next_idx += 1
+            record()
             continue
 
         if accepted + rejected >= _MAX_STEPS:
@@ -397,7 +395,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
 
         # FSAL: the step starts from f at the current point, and its last
         # slope is f at the new state
-        y_new, f_new, err_vec = _rk_stages(rhs, stage_values(hit, h_eff, next_idx - 1),
+        y_new, f_new, err_vec = _rk_stages(rhs, stage_values(hit, h_eff, count - 1),
                                            y, f_curr, h_eff)
         nfev += 6
         if abs_y is None:
@@ -424,8 +422,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
             facold = max(err, 1e-4)
             h = max(h_eff * factor, _H_MIN)
             if hit:
-                record(t)
-                next_idx += 1
+                record()
             if after_step is not None:
                 reason = after_step(t, y)
                 if reason is not None:
@@ -517,9 +514,9 @@ def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | No
     traj_vals = np.empty((ts.size, cs.n, cs.n), dtype=np.complex128)
     kept = 0
 
-    def keep(t, ymat):
+    def keep(k, ymat):
         nonlocal kept
-        traj_times[kept] = t
+        traj_times[kept] = ts[k]
         traj_vals[kept] = ymat
         kept += 1
 
@@ -539,16 +536,16 @@ def integrate_both(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None
     folded in sample by sample, storing none. Returns (the direct trajectory,
     {"radon_status", "restarts", "max_discrepancy", "radon_stats"}):
     ``max_discrepancy`` is the largest ||Y - Y_flow|| / (1 + ||Y||) over the
-    sample times both reached, and ``radon_stats`` the flow's counters, as
-    ``Trajectory.stats``."""
+    samples k both reached (the direct run's are a prefix), and ``radon_stats``
+    the flow's counters, as ``Trajectory.stats``."""
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
     traj = integrate_riccati_direct(cs, y0, opts, ts)
-    reached = dict(zip(traj.times.tolist(), traj.values))
     ratios = [0.0]
 
-    def keep(t, y_flow):
-        if (y := reached.get(t)) is not None:
+    def keep(k, y_flow):
+        if k < traj.times.size:
+            y = traj.values[k]
             ratios.append(_norm(y - y_flow) / (1.0 + _norm(y)))
 
     _, _, status, restarts, _, stats = _linear_flow(cs, y0, opts, ts, keep)
@@ -560,7 +557,7 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
                  keep, record_states: bool = False) -> tuple:
     """The linear flow of ``integrate_linear_system`` from validated ``y0``
     and sample times ``ts``, handing each reconstructed sample to
-    ``keep(t, Y)`` in time order.
+    ``keep(k, Y)`` in time order, k its index in ``ts``.
 
     Returns (times, states, status, restarts, singular, stats): the sample times,
     the driver's states [Phi; Psi] there (None unless ``record_states``), the
@@ -585,14 +582,14 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
 
     restarts: list[float] = []
     singular: list[float] = []
-    first = True
     least = (math.inf, None)  # (sigma_min(Phi) / ||[Phi; Psi]||_F, its time)
     floor = opts.atol / opts.rtol
     singular_cutoff = min(_SINGULAR_COND_CEILING,
                           max(0.5 / opts.rtol, 2.0 * _RECONDITION_THRESHOLD))
 
-    def at_sample(t, y):
-        nonlocal first, least
+    def at_sample(k, y):
+        nonlocal least
+        t = float(ts[k])
         phi, psi = y[:n], y[n:]
         sigma = np.linalg.svd(phi, compute_uv=False)
         smin = float(sigma[-1])
@@ -600,18 +597,17 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
         mag = max(norms)
         size = math.hypot(*norms)  # ||[Phi; Psi]||_F
         if size > 0 and smin / size < least[0]:
-            least = (smin / size, float(t))
+            least = (smin / size, t)
         cond_est = (mag + floor) / smin if smin > 0 else math.inf
         phi_cond = max(1.0, float(sigma[0])) / smin if smin > 0 else math.inf
         # the first sample is exact (Phi = I, Psi = Y0): never singular
-        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and not first:
-            singular.append(float(t))
+        if (cond_est > singular_cutoff or phi_cond > 0.5 / opts.rtol) and k > 0:
+            singular.append(t)
             return y
-        first = False
         ymat = np.linalg.solve(phi.T, psi.T).T
-        keep(t, ymat)
+        keep(k, ymat)
         if max(cond_est, mag) > _RECONDITION_THRESHOLD or phi_cond > 0.25 / opts.rtol:
-            restarts.append(float(t))
+            restarts.append(t)
             return np.concatenate((eye, ymat))
         return y
 
@@ -698,12 +694,13 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
     the squared-modulus form with integrand tr(R + R* + P (Y + Y*)).
     Returns the maximum relative error over all checked samples (NaN on overflow).
     """
-    kept = np.flatnonzero(np.isin(flow.times, traj.times))
+    # the flow sample of each row: the trajectory's are the flow's less the singular ones
+    kept = np.searchsorted(flow.times, traj.times)
     if not kept.size:
         raise IntegrationError("no singularity-free span available")
     # a span starts after a dropped (singular) sample or at a restart
-    starts = (np.diff(kept, prepend=-2) > 1) | np.isin(flow.times[kept], flow.restarts)
-    spans = np.split(kept, np.flatnonzero(starts)[1:])
+    starts = (np.diff(kept, prepend=-2) > 1) | np.isin(traj.times, flow.restarts)
+    bounds = [*np.flatnonzero(starts).tolist(), kept.size]
     rp = stacked_evaluator((cs.R, cs.P))
 
     def integrands(ts, r, p, y):
@@ -719,17 +716,17 @@ def liouville_check(flow: LinearFlow, cs: CoefficientSet, traj: Trajectory) -> L
 
     max_det = max_mod = 0.0
     checked: list[tuple[float, float]] = []
-    for idx in spans:
-        ts = flow.times[idx]
+    for lo, hi in zip(bounds, bounds[1:]):
+        ts = traj.times[lo:hi]
         checked.append((float(ts[0]), float(ts[-1])))
-        if idx.size == 1:
+        if hi - lo == 1:
             continue  # trivial span: identity holds with error 0 by definition
         dxs = np.diff(ts)
         dx = float(dxs[0])
         if np.max(np.abs(dxs - dx)) > 1e-9 * dx:
             raise IntegrationError("liouville_check requires a uniform sample grid")
-        dets = np.linalg.det(flow.phi[idx])
-        ys = traj.values[np.searchsorted(traj.times, ts)]
+        dets = np.linalg.det(flow.phi[kept[lo:hi]])
+        ys = traj.values[lo:hi]
         integrand, integrand2 = _scan(ts, cs.n, integrands, ys, values=rp)
         det_rhs = dets[0] * np.exp(_cumulative_simpson(integrand, dx))
         mod_rhs = np.abs(dets[0]) ** 2 * np.exp(_cumulative_simpson(integrand2, dx))

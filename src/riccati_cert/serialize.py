@@ -325,10 +325,11 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     """Write samples plus monitor columns.
 
     ``lambda_min_gap`` is the least eigenvalue of Y + Y* - L - L*;
-    ``residual`` is ``verify.residual_series``, the scaled equation residual
-    of the samples' cubic Hermite interpolant, 0 in the first and last row
-    (empty when fewer than 3 samples are available); either is empty where
-    it is NaN.
+    ``residual`` is ``verify.residual_series``, the scaled residual of the
+    samples' cubic Hermite interpolant in the run's own equation (the
+    comparison equation for a ``lyapunov`` run, else the Riccati equation),
+    0 in the first and last row (empty when fewer than 3 samples are
+    available); either is empty where it is NaN.
     ``det_phi_abs`` is only present when a linear flow is supplied. Rows
     are written one at a time.
     """
@@ -514,18 +515,20 @@ def write_status_sidecar(csv_path: str, status: dict) -> str:
 
 #: The termination statuses a trajectory can carry.
 STATUSES = ("completed", "blow_up", "phi_singular")
+#: The methods a computed trajectory can carry (``both`` writes its direct run).
+METHODS = ("direct", "radon", "lyapunov")
 
 
 def read_status_sidecar(csv_path: str) -> dict | None:
     """``status``, ``t_escape``, ``singular_times`` and, when recorded,
-    ``samples`` and ``t_last`` from the status sidecar of ``csv_path``, or
-    None when there is no sidecar.
+    ``samples``, ``t_last`` and ``method`` from the status sidecar of
+    ``csv_path``, or None when there is no sidecar.
 
     The first three fields must be present: ``status`` one of ``STATUSES``,
     ``t_escape`` a finite number or null, ``singular_times`` a list of
-    finite numbers; ``samples`` must be a non-negative integer and
-    ``t_last`` a finite number or null. Otherwise ``InstanceFormatError``
-    names the field.
+    finite numbers; ``samples`` must be a non-negative integer, ``t_last``
+    a finite number or null and ``method`` one of ``METHODS``. Otherwise
+    ``InstanceFormatError`` names the field.
     """
     sidecar = status_sidecar_path(csv_path)
     try:
@@ -563,4 +566,8 @@ def _sidecar_fields(obj) -> dict:
     if "t_last" in obj:
         t_last = obj["t_last"]
         out["t_last"] = None if t_last is None else _finite_number(t_last, "t_last")
+    if "method" in obj:
+        out["method"] = obj["method"]
+        if out["method"] not in METHODS:
+            raise InstanceFormatError(f"field 'method' must be one of {', '.join(METHODS)}")
     return out

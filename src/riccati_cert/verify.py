@@ -5,7 +5,9 @@ lower bound Y + Y* >= L + L*, the two-sided comparison 0 <= Y <= Ytilde,
 and the equation residual. The residual differentiates the stored samples
 through their cubic Hermite interpolant, whose slopes F(t, Y) it forms
 here rather than take from the integrator, so the check is independent of
-the integration code path; it is fourth order in the sample spacing.
+the integration code path; it is fourth order in the sample spacing. A
+trajectory is judged by the equation it solves: a ``lyapunov`` run by the
+comparison equation, every other by the Riccati equation.
 
 Every series is one ``matrix_core._scan`` over the samples; the scan hands
 its block the values of the gauge the series reads, and the residual's block
@@ -132,8 +134,11 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
 def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """Scaled equation residual at every sample.
 
-    With F(t, Y) = S - Q Y - Y (R + P Y), the derivative at sample k is
-    that of the cubic through samples a = clip(k - 1, 0, m - 3) and
+    F is the right-hand side of the trajectory's own equation: for a
+    ``lyapunov`` run the comparison equation's, F(t, Y) = S - R* Y - Y R,
+    which evaluates R and S only; for every other method the Riccati
+    equation's, F(t, Y) = S - Q Y - Y (R + P Y). The derivative at sample k
+    is that of the cubic through samples a = clip(k - 1, 0, m - 3) and
     b = a + 2 with slopes F there: for s = (t_k - t_a) / H, H = t_b - t_a,
 
         Y'_k = 6 s (1 - s) (Y_b - Y_a) / H + (3 s - 1)(s - 1) F_a + s (3 s - 2) F_b,
@@ -149,7 +154,10 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     ts, ys, m = traj.times, traj.values, traj.times.size
     if m < MIN_RESIDUAL_SAMPLES:
         raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
-    coefficients = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
+    if traj.method == "lyapunov":
+        coefficients, slope = cf.stacked_evaluator((cs.R, cs.S)), _comparison_slope
+    else:
+        coefficients, slope = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S)), _slope
     a = np.clip(np.arange(m) - 1, 0, m - 3)
     span = ts[a + 2] - ts[a]
     s = (ts - ts[a]) / span
@@ -167,7 +175,7 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
         lo, hi = int(a[k0]), int(a[k1 - 1]) + 3  # a of the first row to b of the last
         known = shared[1] if shared[0] == lo else ys[:0]
         new = slice(lo + len(known), hi)
-        f = np.concatenate((known, _slope(coefficients(ts[new]), ys[new])))
+        f = np.concatenate((known, slope(coefficients(ts[new]), ys[new])))
         nxt = int(a[min(k1, m - 1)])  # the next block's first row
         shared = (nxt, f[nxt - lo:])
         y, i, (w_y, w_a, w_b) = ys[lo:hi], a[k0:k1] - lo, weights[:, k0:k1]
@@ -190,6 +198,13 @@ def _slope(values, y: np.ndarray) -> np.ndarray:
     f = values[3] - pq[1]
     pq[0] += values[2]
     f -= np.matmul(y, pq[0], out=pq[1])
+    return f
+
+
+def _comparison_slope(values, y: np.ndarray) -> np.ndarray:
+    """F = S - R* Y - Y R from the stacks ``values`` of (R, S)."""
+    f = values[1] - adjoint(values[0]) @ y
+    f -= y @ values[0]
     return f
 
 

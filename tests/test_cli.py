@@ -560,6 +560,7 @@ class TestSidecarSamples:
     @pytest.mark.parametrize("field, value", [
         ("samples", -1), ("samples", 2.5), ("samples", True), ("samples", "51"),
         ("samples", None), ("t_last", "1.0"), ("t_last", float("nan")), ("t_last", True),
+        ("method", 7), ("method", "euler"), ("method", None), ("method", "both"),
     ])
     def test_malformed_field_exits_two(self, capsys, tmp_path, field, value):
         inst, out, side = self.integrate(capsys, tmp_path, samples=11)
@@ -569,6 +570,35 @@ class TestSidecarSamples:
         code, stdout, err = run(capsys, "verify", str(inst), str(out))
         assert code == 2 and stdout == ""
         assert "status sidecar" in err and f"'{field}'" in err
+
+
+class TestSidecarMethod:
+    """verify judges a CSV by the equation its sidecar's method solves: a
+    lyapunov run by the comparison equation, else the Riccati equation."""
+
+    def integrate(self, capsys, tmp_path):
+        inst, _ = gen_file(capsys, tmp_path, "comparison", n=3)
+        out = tmp_path / "ly.csv"
+        assert run(capsys, "integrate", str(inst), "--method", "lyapunov", "--out", str(out))[0] == 0
+        return inst, out, tmp_path / "ly.status.json"
+
+    def test_lyapunov_csv_meets_its_own_equation(self, capsys, tmp_path):
+        # judged by the Riccati equation this run reads 0.37
+        inst, out, _ = self.integrate(capsys, tmp_path)
+        code, stdout, err = run(capsys, "verify", str(inst), str(out))
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["max_residual"] <= 1e-8
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 201 and max(float(r["residual"]) for r in rows) <= 1e-8
+
+    def test_sidecar_without_method_is_judged_by_the_riccati_equation(self, capsys, tmp_path):
+        inst, out, side = self.integrate(capsys, tmp_path)
+        obj = json.loads(side.read_text())
+        del obj["method"]
+        side.write_text(json.dumps(obj))
+        code, stdout, _ = run(capsys, "verify", str(inst), str(out))
+        assert code == 0 and json.loads(stdout)["max_residual"] >= 1e-3
 
 
 def _entries(m):

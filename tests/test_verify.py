@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from riccati_cert.instances import InstanceSpec, canonical_catalog, gen_comparis
 from riccati_cert.integrate import (
     IntegratorOptions,
     Trajectory,
+    integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
 )
@@ -275,6 +277,45 @@ class TestHermiteResidual:
         traj = Trajectory(times=ts, values=values, status="completed", method="file")
         want = residual_series(traj, cs)
         monkeypatch.setattr(mc, "BLOCK_ENTRIES", entries)
+        assert residual_series(traj, cs).tobytes() == want.tobytes()
+
+
+class TestComparisonResidual:
+    """A ``lyapunov`` run solves the comparison equation Y' = S - R* Y - Y R,
+    and the residual judges it by that equation; every other method is
+    judged by the Riccati equation."""
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (8, 3)])
+    def test_lyapunov_run_meets_its_own_equation(self, n, seed):
+        # judged by the Riccati equation these runs read 0.43 and 0.056
+        cs, y0 = gen_comparison(InstanceSpec(n=n, seed=seed, target="comparison"))
+        traj = integrate_lyapunov_comparison(cs, y0)
+        assert residual_check(traj, cs) <= 1e-8
+        assert residual_check(dataclasses.replace(traj, method="file"), cs) >= 1e-3
+
+    def test_matches_per_sample_reference(self):
+        # n = 32 spans three blocks of the scan; the set's P and Q play no part
+        rng = np.random.default_rng(29)
+        n, ts = 32, np.linspace(0.0, 1.0, 41)
+        values = rng.standard_normal((ts.size, n, n)) + 1j * rng.standard_normal((ts.size, n, n))
+        g = rng.standard_normal((n, n))
+        cs = CoefficientSet(n=n, t0=0.0, t_end=1.0, P=cf.constant(g @ g.T), Q=cf.constant(g),
+                            R=cf.polynomial([g, g.T]), S=cf.constant(g @ g.T))
+        comparison = CoefficientSet(n=n, t0=0.0, t_end=1.0, P=cf.constant(np.zeros((n, n))),
+                                    Q=cf.polynomial([g.T, g]), R=cs.R, S=cs.S)
+        want = [np.linalg.norm(hermite_slope(comparison, ts, values, k)
+                               - slope(comparison, t, values[k]))
+                / (1.0 + np.linalg.norm(values[k]) ** 2) for k, t in enumerate(ts)]
+        traj = Trajectory(times=ts, values=values, status="completed", method="lyapunov")
+        assert_allclose(residual_series(traj, cs), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", ["direct", "radon"])
+    def test_riccati_runs_keep_their_bits(self, method):
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=3, seed=1))
+        traj = (integrate_riccati_direct(cs, y0) if method == "direct"
+                else integrate_linear_system(cs, y0)[1])
+        assert traj.method == method
+        want = residual_series(dataclasses.replace(traj, method="file"), cs)
         assert residual_series(traj, cs).tobytes() == want.tobytes()
 
 
