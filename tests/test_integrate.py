@@ -460,13 +460,19 @@ class TestRightHandSides:
     @staticmethod
     def captured(monkeypatch, run):
         """The (rhs, stage values) of every step ``run()`` takes, and the
-        number of times of each coefficient evaluation."""
+        number of times of each coefficient evaluation. A call on a stack of
+        bases (``_step_maps``: the flow's steps as matrices) is one step per
+        basis, each with its own stage values."""
         steps, sizes = [], []
         rk_stages, evaluate_passes = integrate._rk_stages, cf.evaluate_passes
 
-        def spy(rhs, stage_values, *args):
-            steps.append((rhs, stage_values))
-            return rk_stages(rhs, stage_values, *args)
+        def spy(rhs, stage_values, y, *args):
+            if y.ndim == 2:
+                steps.append((rhs, stage_values))
+            else:
+                steps.extend((rhs, [v[w] for v in stage_values])
+                             for w in range(len(stage_values[0])))
+            return rk_stages(rhs, stage_values, y, *args)
 
         def counted(*args):
             sizes.append(args[-1].size)
@@ -527,7 +533,8 @@ class TestRightHandSides:
 
 class TestNorm:
     """``_norm`` gives ``np.linalg.norm``'s bits, on whole states and on the
-    row blocks Phi = X[:n] and Psi = X[n:] of the flow's state."""
+    row blocks Phi = X[:n] and Psi = X[n:] of the flow's state; the batched
+    ``_norms`` and ``_rms_each`` give ``_norm``'s and ``_rms``'s."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_norm_equals_numpy(self, n):
@@ -544,6 +551,24 @@ class TestNorm:
             x[3, 1] = v
             for a in (x, x[:2], x[2:]):
                 assert integrate._norm(a).hex() == float(np.linalg.norm(a)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_batched_norms_equal_the_single_ones(self, n):
+        """``_norms`` and ``_rms_each`` give ``_norm``'s and ``_rms``'s bits
+        on each of a stack of states, as the batches hand them over: a strided
+        slice of the stack of [X; F], and any number of them."""
+        rng = np.random.default_rng(n)
+        for m in (1, 3, 170):
+            shape = (m, 4 * n, n)
+            z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (
+                10.0 ** rng.integers(-100, 100, size=shape))
+            z[0] = z[0].real
+            x = z[:, :2 * n]
+            pairs = integrate._norms(x.reshape(m, 2, n * n))
+            want = [(integrate._norm(s[:n]), integrate._norm(s[n:])) for s in x]
+            assert [(a.hex(), b.hex()) for a, b in pairs] == [(a.hex(), b.hex()) for a, b in want]
+            rms = [integrate._rms(s).hex() for s in z]
+            assert [r.hex() for r in integrate._rms_each(z)] == rms
 
 
 def _twins(data: dict, t_end: float, n: int):
@@ -683,6 +708,121 @@ class TestWindow:
             assert direct.times.size == ts.size
 
 
+def _batch_case(name: str):
+    """(coefficients, Y0, sample times or None) of a batch-path case."""
+    if name.startswith("catalog."):
+        e = CAT[name[8:]]
+        return e.cs, e.y0, None
+    if name.startswith("blowup"):
+        # Phi vanishes between samples: the flow runs through the poles of Y
+        cs, y0 = gen_blowup(InstanceSpec(n=int(name[-1]), seed=2, target="blowup", scale=1.5))
+        return cs, y0, None
+    if name.startswith("tanh40"):
+        # the flow restarts twice; on 2001 samples its steps hit them, and
+        # both restarts fall inside batches
+        cs, y0, _ = _window_case("tanh")
+        return cs, y0, np.linspace(0.0, 40.0, 2001) if name == "tanh40_dense" else None
+    if name == "rejected":
+        # S jumps from 0 to 40 over [1.03, 1.05]: a step of a batch is rejected there
+        jump = cf.sampled([0.0, 1.03, 1.05, 2.0], [[[0.0]], [[0.0]], [[40.0]], [[40.0]]], order=1)
+        cs = CoefficientSet(n=1, t0=0.0, t_end=2.0, P=cf.constant([[1.0]]),
+                            Q=cf.constant([[0.0]]), R=cf.constant([[0.0]]), S=jump)
+        return cs, np.zeros((1, 1)), np.linspace(0.0, 2.0, 41)
+    if name == "close_dense":
+        # close_samples on 201 samples: a batch crosses the close pair
+        cs, y0, _ = _window_case("close_samples")
+        ts = np.linspace(cs.t0, cs.t_end, 201)
+        return cs, y0, np.insert(ts, 11, ts[10] + 5e-14)
+    return _window_case(name)
+
+
+class TestBatchPath:
+    """At small n the flow steps from sample to sample by matrices, in
+    batches; forced onto the stage path (``_MAPS_MAX_N`` of 0) it makes the
+    same decisions, and its values agree to rounding."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_window_maps_match_stepping_by_stages(self, n):
+        rng = np.random.default_rng(n)
+        p, w = 2 * n, 7
+        values = (rng.standard_normal((w, 6, p, p)) + 1j * rng.standard_normal((w, 6, p, p)))
+        gaps = rng.uniform(1e-3, 0.5, w)
+        g, e = integrate._step_maps(values, gaps)
+        assert g.shape == (w, 2 * p, 2 * p) and e.shape == (w, p, 2 * p)
+        for k in range(w):
+            x, f0 = (rng.standard_normal((2, p, n)) + 1j * rng.standard_normal((2, p, n)))
+            x_new, f_new, err = integrate._rk_stages(np.matmul, values[k], x, f0, gaps[k])
+            z = np.concatenate((x, f0))
+            scale = (np.linalg.norm(x) + np.linalg.norm(f0)) * max(
+                1.0, gaps[k] * max(np.linalg.norm(v, 2) for v in values[k])) ** 6
+            assert np.linalg.norm(g[k] @ z - np.concatenate((x_new, f_new))) <= 1e-13 * scale
+            assert np.linalg.norm(e[k] @ z - err) <= 1e-13 * scale
+
+    CASES = (*(f"catalog.{name}" for name in CAT), "blowup_n1", "blowup_n2", "tanh40",
+             "tanh40_dense", "rejected", "close_samples", "close_dense")
+    #: cases none of whose steps from a sample hits the next: no batch runs
+    STAGES_ONLY = ("catalog.care_constant", "tanh40", "close_samples")
+
+    @staticmethod
+    def batches(monkeypatch) -> list:
+        """(samples handed over, samples taken, restarted) of every
+        ``at_samples`` call of the runs that follow."""
+        calls, driver = [], integrate._integrate_sampled
+
+        def spy(*args, at_samples=None, **kwargs):
+            def seen(k, ys):
+                taken, reset = at_samples(k, ys)
+                calls.append((len(ys), taken, reset is not None))
+                return taken, reset
+            return driver(*args, at_samples=seen, **kwargs)
+
+        monkeypatch.setattr(integrate, "_integrate_sampled", spy)
+        return calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_and_stage_paths_decide_alike(self, case, monkeypatch):
+        cs, y0, ts = _batch_case(case)
+        calls = self.batches(monkeypatch)
+        flow, traj = integrate_linear_system(cs, y0, sample_times=ts)
+        batched = [c for c in calls if c[0] > 1]
+        assert bool(batched) == (case not in self.STAGES_ONLY)
+        if case.startswith("tanh40"):
+            assert len(flow.restarts) == 2
+        if case == "tanh40_dense":
+            assert sum(restarted for _, _, restarted in batched) == 2
+        monkeypatch.setattr(integrate, "_MAPS_MAX_N", 0)
+        flow_s, traj_s = integrate_linear_system(cs, y0, sample_times=ts)
+        assert traj.times.tobytes() == traj_s.times.tobytes()
+        assert traj.status == traj_s.status
+        assert flow.restarts == flow_s.restarts
+        assert traj.singular_times.tobytes() == traj_s.singular_times.tobytes()
+        assert flow.times.tobytes() == flow_s.times.tobytes()
+        # the step counts too, but on gen_blowup n = 1, where the paths'
+        # rounding moves step-size choices: 254 accepted steps by batches, 257 by stages
+        for key in ("steps_rejected",) if case == "blowup_n1" else (
+                "nfev", "steps_accepted", "steps_rejected"):
+            assert traj.stats[key] == traj_s.stats[key], key
+        # the states agree to 1e-12 of their norm
+        x, x_s = (np.concatenate((fl.phi, fl.psi), axis=1) for fl in (flow, flow_s))
+        size = np.linalg.norm(x_s, axis=(1, 2))
+        assert np.all(np.linalg.norm(x - x_s, axis=(1, 2)) <= 1e-12 * size)
+        # Y = Psi Phi^{-1} to 1e-12 of 1 + ||Y|| where Phi is well conditioned,
+        # ||[Phi; Psi]|| / sigma_min(Phi) <= 100; near a pole the states'
+        # rounding is amplified by that condition, and the bound with it
+        cond = size / np.linalg.svd(flow_s.phi, compute_uv=False)[:, -1]
+        cond = cond[np.isin(flow_s.times, traj_s.times)]
+        dy = np.linalg.norm(traj.values - traj_s.values, axis=(1, 2))
+        bound = 1e-12 * (1 + np.linalg.norm(traj_s.values, axis=(1, 2)))
+        mild = cond <= 100
+        assert mild.sum() >= traj.times.size - 2
+        assert np.all(dy[mild] <= bound[mild])
+        assert np.all(dy <= cond * bound)
+        if case == "rejected":
+            assert traj.stats["steps_rejected"] >= 1
+        if case == "catalog.care_constant":
+            assert traj.stats["steps_accepted"] > traj.times.size  # steps that do not hit
+
+
 class TestEvaluationCount:
     """All-constant data are evaluated once per run. Other data are evaluated
     at t0 and at the starting-step probe, once per window of sample-to-sample
@@ -812,6 +952,14 @@ class TestLiouville:
         assert np.max(np.abs(dets - np.exp(3 * ts))) <= 1e-6 * np.exp(6.0)
         rep = liouville_check(flow, cs, traj)
         assert rep.max_rel_error <= 1e-6
+
+    def test_a_trajectory_off_the_flow_samples_is_refused(self):
+        e = CAT["cosh_sinh"]
+        flow, _ = integrate_linear_system(e.cs, e.y0, sample_times=np.linspace(0.0, 2.0, 201))
+        other = integrate_riccati_direct(e.cs, e.y0, sample_times=np.linspace(0.0, 2.0, 101) ** 1.5
+                                         / 2.0 ** 0.5)
+        with pytest.raises(IntegrationError, match="is not a sample of the flow"):
+            liouville_check(flow, e.cs, other)
 
     def test_trivial_span_is_exact(self):
         e = CAT["cosh_sinh"]
