@@ -519,7 +519,9 @@ def _staggered_horner(stacks, t_ref: float):
 
     def horner(t) -> np.ndarray:
         ts = np.asarray(t, dtype=np.float64).reshape(-1)
-        dt = (ts - t_ref).reshape(ts.shape + (1,) * (leading.ndim - 1))
+        # the offsets cast to the stacks' complex dtype once: every multiply
+        # below runs the complex loop on that cast either way
+        dt = (ts - t_ref).astype(leading.dtype).reshape(ts.shape + (1,) * (leading.ndim - 1))
         acc = np.repeat(leading[:, None], ts.size, axis=1)
         for rows, coeffs in steps:
             head = acc[rows]

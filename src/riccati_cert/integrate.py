@@ -26,22 +26,36 @@ The coefficients' values at one time are one array, read from the
 whose right-hand side is S - Q Y - Y (R + P Y) with P Y and Q Y one
 broadcast product, and for the flow the block H = [[R, P], [S, -Q]],
 assembled once from the stacks of R, P, S and Q (one copy and one
-negation), so that its right-hand side is the one product H X. A step
-from sample k that hits sample k + 1 reads its six stage values from a
-window of such steps evaluated in one call at the same doubles
-t + c_i h (170 steps at n = 2, 10 at n = 8, 1 at n = 32: at most
-``matrix_core.BLOCK_ENTRIES`` entries). Other steps evaluate their own;
-all-constant coefficients are evaluated once per run. The values equal
-``eval``'s bit for bit (-Q its exact negation). The step's sums are
-slope-major: as soon as a slope is known, one multiply weighs it for
-every later stage input and the error vector, and one add folds it into
-them. So each stage input is still y plus its weighted
-slopes in the tableau's order, the error vector its terms in that order
-from the first, the zero weights are skipped, and the trajectories do
-not depend on how the coefficients are stored. The driver counts its
-right-hand-side calls (``nfev``, still six per step), its steps and
-their size range in ``Trajectory.stats``; the linear flow adds its
-conditioning, the least sigma_min(Phi) / ||[Phi; Psi]||_F over the samples.
+negation), so that its right-hand side is the one product H X. The
+comparison equation's values are (R*, R, S), R* one contiguous copy
+formed with them. A stage time is the double t + c_i h, and c_6 = c_7 = 1
+gives stages 6 and 7 one time, so a step is evaluated at its five
+distinct times and stage 7 reads stage 6's values. A step from sample k
+that hits sample k + 1 reads them from a window of such steps evaluated
+in one call (170 steps at n = 2, 10 at n = 8, 1 at n = 32: six stages a
+step hold at most ``matrix_core.BLOCK_ENTRIES`` entries). Other steps
+evaluate their own; all-constant coefficients are evaluated once per
+run. The values equal ``eval``'s bit for bit (-Q its exact negation).
+The step's sums are slope-major: as soon as a slope is known, one
+multiply weighs it for every later stage input and the error vector, and
+one add folds it into them. So each stage input is still y plus its
+weighted slopes in the tableau's order, the error vector its terms in
+that order from the first, the zero weights are skipped, and the
+trajectories do not depend on how the coefficients are stored. The
+driver counts its right-hand-side calls (``nfev``, still six per step),
+its steps and their size range in ``Trajectory.stats``; the linear flow
+adds its conditioning, the least sigma_min(Phi) / ||[Phi; Psi]||_F over
+the samples.
+
+A flow whose H takes one value over the run (every coefficient a
+constant or a polynomial of degree 0) steps by powers of H wherever a
+batch (below) does not: for x' = H x one Dormand-Prince step is exactly
+x_new = R(hH) x with the error vector E(hH) x, R the tableau's stability
+function and E its error polynomial (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4). The stack H^0..H^7 is formed once per run, and a step is
+one stacked matmul and one (2, 8) product (``_power_step``); the FSAL
+slope H x is formed only where a batch starts. This is still the same
+Runge-Kutta step, with other rounding, and ``nfev`` counts it as six.
 
 The flow at n <= ``_MAPS_MAX_N`` (6) steps from sample to sample by
 matrices. Its right-hand side is linear, so a step from x with slope f is
@@ -57,7 +71,8 @@ or meets the step budget, at the window's end and at a restart (the run
 continues from the reset state, its slope evaluated anew). Every
 per-step value depends on the step alone, not on the batch or window
 that holds it. The path is chosen by dimension, by measurement: at n = 8
-a window holds 10 steps and the maps cost more than the stages.
+a window holds 10 steps and the maps cost more than the stages. The batch
+path is the same for every flow, H of one value or not.
 
 A sample is its index k in the sample times, reached in order: a run's
 times are their prefix, and no consumer matches samples by float time.
@@ -117,9 +132,48 @@ def _slope_layout() -> tuple[tuple, tuple]:
 
 
 _WEIGHTS, _SLOPES = _slope_layout()
-#: The stage nodes c_2..c_7: t + _NODES * h are the doubles t + c_i * h.
-_NODES = np.array(_C[1:])
+#: The distinct stage nodes c_2..c_6: t + _NODES * h are the doubles
+#: t + c_i * h. c_7 = c_6 = 1, so stage 7 is at stage 6's double.
+_NODES = np.array(_C[1:6])
 _NODES.setflags(write=False)
+
+
+def _by_stage(values) -> tuple:
+    """The values at stages 2..7 from those at the five ``_NODES`` along
+    the first axis: stage 7 reads stage 6's."""
+    return (*values, values[4])
+
+
+#: One step of x' = H x with constant H is exactly x_new = R(hH) x with the
+#: error vector E(hH) x: rows of the coefficients of (hH)^0..(hH)^7 of the
+#: tableau's stability function R (degree 6) and of its error polynomial E,
+#: whose term in (hH)^7 is the FSAL slope's (Hairer, Norsett & Wanner,
+#: Solving ODEs I, II.4). Both follow from _A and _ERR.
+_POWER_WEIGHTS = np.array([[1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
+                           [0.0, 0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000]])
+_POWER_WEIGHTS.setflags(write=False)
+_EXPONENTS = np.arange(8.0)
+_EXPONENTS.setflags(write=False)
+
+
+def _powers(h: np.ndarray) -> np.ndarray:
+    """The stack H^0..H^7 of a square matrix H, H^1 being H itself."""
+    out = np.empty((8,) + h.shape, dtype=np.complex128)
+    out[0] = np.eye(len(h))
+    out[1] = h
+    for k in range(2, 8):
+        np.matmul(out[k - 1], h, out=out[k])
+    return out
+
+
+def _power_step(powers: np.ndarray, x: np.ndarray, h: float) -> tuple:
+    """One Dormand-Prince step of size ``h`` of x' = H x from ``x``, with
+    ``powers`` the stack H^0..H^7: (the fifth-order solution, the error
+    vector). One stacked matmul forms H^k x, and one (2, 8) product weighs
+    them by ``_POWER_WEIGHTS`` h^k."""
+    terms = np.matmul(powers, x).reshape(len(powers), -1)
+    pair = (_POWER_WEIGHTS * h ** _EXPONENTS) @ terms
+    return pair[0].reshape(x.shape), pair[1].reshape(x.shape)
 
 
 @functools.cache
@@ -214,7 +268,10 @@ class Trajectory:
     reconstructed value). All stored values are finite.
 
     ``stats`` holds the driver's counters: ``nfev`` (right-hand-side
-    calls), ``steps_accepted`` and ``steps_rejected``, and the smallest and
+    calls: f at t0 and the starting-step probe, six per step and one per
+    flow reset, counted so also where the flow steps by matrices or by
+    powers of H),
+    ``steps_accepted`` and ``steps_rejected``, and the smallest and
     largest accepted step, ``h_min`` and ``h_max`` (None when no step was
     accepted). The linear flow's adds ``phi_sigma_ratio`` and
     ``phi_sigma_ratio_t`` (see ``_linear_flow``). It is empty for a
@@ -337,7 +394,7 @@ def _error_scale(abs_y: np.ndarray, abs_new: np.ndarray, opts: IntegratorOptions
 def _step_maps(values: np.ndarray, gaps: np.ndarray) -> tuple:
     """W Dormand-Prince steps of the linear right-hand side H x as matrices.
 
-    ``values`` (W, 6, p, p) holds H at the stage times c_2..c_7 of steps of
+    ``values`` (W, 5, p, p) holds H at the stage nodes c_2..c_6 of steps of
     sizes ``gaps``. A step from x with slope f there is linear in z = [x; f],
     so ``_rk_stages`` run on the basis [I 0] with slope [0 I] (p x 2p), all
     W steps in one call, gives each step's matrices: G_k (2p x 2p) maps z to
@@ -347,9 +404,15 @@ def _step_maps(values: np.ndarray, gaps: np.ndarray) -> tuple:
     p = values.shape[-1]
     basis = np.eye(p, 2 * p, dtype=np.complex128)[None]
     slope = np.eye(p, 2 * p, p, dtype=np.complex128)[None]
-    x_new, f_new, err = _rk_stages(np.matmul, values.swapaxes(0, 1), basis, slope,
+    x_new, f_new, err = _rk_stages(np.matmul, _by_stage(values.swapaxes(0, 1)), basis, slope,
                                    gaps[:, None, None])
     return np.concatenate((x_new, f_new), axis=1), err
+
+
+def _one_value(f) -> bool:
+    """Whether the coefficient ``f`` takes one value at every time: a
+    constant or a polynomial of degree 0."""
+    return f.kind == "constant" or (f.kind == "polynomial" and f.degree == 0)
 
 
 @np.errstate(**_OVERFLOW_QUIET)
@@ -364,8 +427,9 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     ``assemble(stacks)`` builds from the evaluated stacks (functions first,
     then times) with times first. Each window, and all-constant data once
     per run, is assembled once. A window of sample-to-sample steps holds
-    the most steps (at least one) whose 6 W times hold at most
-    ``matrix_core.BLOCK_ENTRIES`` entries.
+    the most steps (at least one) whose six stages hold at most
+    ``matrix_core.BLOCK_ENTRIES`` entries; a step is evaluated at its five
+    distinct times ``_NODES``, and stage 7 reads stage 6's values.
     ``after_step(t, y)`` may return a stop-reason string (checked on the
     initial state and after every accepted step). ``at_samples(k, ys)`` gets
     the states ``ys`` (along a first axis) of the samples k, k + 1, ...
@@ -388,19 +452,26 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     batch ends there and the run continues from the replacement. Every
     per-step value depends on the step alone, not on the batch that holds it.
 
+    Where the right-hand side is ``np.matmul(vals, y)`` (the linear flow's)
+    and every function takes one value at every time (``_one_value``), H is
+    evaluated at t0, its powers H^0..H^7 are formed once, and every step a
+    batch does not take is ``_power_step``. Such a step gives no FSAL slope;
+    the slope H y is formed where a batch starts from its state.
+
     Returns (times, states, stop_reason, t_last, stats): a copy of the
     prefix of ``sample_times`` the run reached, the states there (along a
     new first axis) as they stand after ``at_samples`` (None unless
     ``record_states``), the stop reason; ``t_last`` is the last accepted time and
-    ``stats`` counts the right-hand sides (``nfev``: every stage, the
-    starting-step probe and the re-evaluation after a replaced state) and
+    ``stats`` counts the right-hand sides (``nfev``: f at t0, the
+    starting-step probe, six per step, batched, by powers or not, and one
+    after each replaced state, evaluated when a step needs it) and
     the accepted and rejected steps, and gives the smallest and largest
     accepted step (``h_min``, ``h_max``; None before the first). A
     non-finite error estimate rejects its step.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128)
-    f_curr = None  # f(t, y), evaluated once there is a step to take
+    f_curr = None  # f(t, y): the last step's FSAL slope, or None until a step needs it
     abs_y = None  # |y|, kept from the step that reached y
     nfev = accepted = rejected = 0
     states = (np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
@@ -418,12 +489,12 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         values = assemble(stacks) if assemble is not None else stacks.swapaxes(0, 1)
         return values.reshape(ts.shape + values.shape[1:])
 
-    # constants take the same values at every time
-    if evaluate.constant:
-        fixed = by_time(_NODES[:1])
-        fixed = np.broadcast_to(fixed, _NODES.shape + fixed.shape[1:])
-    else:
-        fixed = None
+    # the values at every time where they are one: all constants, or a
+    # linear flow's H of constants and degree-0 polynomials
+    powers = rhs is np.matmul and all(map(_one_value, functions))
+    steady = by_time(sample_times[:1])[0] if evaluate.constant or powers else None
+    fixed = np.broadcast_to(steady, _NODES.shape + steady.shape) if evaluate.constant else None
+    power_stack = _powers(steady) if powers else None
     # the steps from samples first, ..., stop - 1 to the next: their stage
     # values, or with maps their matrices
     window, first, stop = None, 0, 0
@@ -453,7 +524,15 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
 
     def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
         """The right-hand side at one time."""
-        return rhs(fixed[0] if fixed is not None else by_time(np.array(t_eval)), y_eval)
+        return rhs(steady if steady is not None else by_time(np.array(t_eval)), y_eval)
+
+    def slope() -> np.ndarray:
+        """f at the current state: the FSAL slope, evaluated here after a
+        power step or a replaced state."""
+        nonlocal f_curr
+        if f_curr is None:
+            f_curr = f(t, y)
+        return f_curr
 
     def record(ys: np.ndarray) -> tuple:
         """Store the samples reached, count, count + 1, ..., with the states
@@ -469,13 +548,12 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         return taken, reset
 
     def restart(reset) -> None:
-        """Continue from a replaced state, if any, with its f anew."""
+        """Continue from a replaced state, if any: its f counts as one
+        right-hand side, evaluated when a step needs it."""
         nonlocal y, abs_y, f_curr, nfev
         if reset is not None:
-            y, abs_y = reset, None
-            if f_curr is not None:
-                f_curr = f(t, y)
-                nfev += 1
+            y, abs_y, f_curr = reset, None, None
+            nfev += 1
 
     def result(reason):
         stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected,
@@ -483,7 +561,8 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         reached = None if states is None else _reached(count, states)[0]
         return sample_times[:count].copy(), reached, reason, t, stats
 
-    restart(record(y[None])[1])
+    reset = record(y[None])[1]
+    y = y if reset is None else reset
     reason = after_step(t, y) if after_step is not None else None
     if reason is not None or sample_times.size == 1:
         return result(reason)
@@ -506,7 +585,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         m = len(g)
         rows = y.shape[0]
         z = np.empty((m + 1, 2 * rows) + y.shape[1:], dtype=np.complex128)
-        z[0, :rows], z[0, rows:] = y, f_curr
+        z[0, :rows], z[0, rows:] = y, slope()
         for j in range(m):
             np.matmul(g[j], z[j], out=z[j + 1])
         xs = z[:, :rows]
@@ -565,10 +644,14 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
             continue
         h_eff = (t_target - t) if hit else h
 
-        # FSAL: the step starts from f at the current point, and its last
-        # slope is f at the new state
-        y_new, f_new, err_vec = _rk_stages(rhs, stage_values(hit, h_eff, count - 1),
-                                           y, f_curr, h_eff)
+        if power_stack is not None:
+            y_new, err_vec = _power_step(power_stack, y, h_eff)
+            f_new = None
+        else:
+            # FSAL: the step starts from f at the current point, and its last
+            # slope is f at the new state
+            y_new, f_new, err_vec = _rk_stages(rhs, _by_stage(stage_values(hit, h_eff, count - 1)),
+                                               y, slope(), h_eff)
         nfev += 6
         if abs_y is None:
             abs_y = np.abs(y)
@@ -731,6 +814,8 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
     batch's samples in order with one SVD, one pair of norms per sample and
     one solve for all of them, up to the first restart. The path depends on
     n alone, so no value depends on how many steps a window or batch holds.
+    Where every coefficient takes one value (``_one_value``), the other
+    steps go by powers of H.
     """
     n = cs.n
     eye = np.eye(n, dtype=np.complex128)
@@ -821,11 +906,17 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
 
-    def rhs(values, y):
-        r, s = values
-        return s - r.conj().T @ y - y @ r
+    def assemble(stacks):
+        """(R*, R, S) at each time from the stacks of R and S."""
+        r, s = stacks
+        return np.stack((adjoint(r), r, s), axis=1)
 
-    times, values, reason, t_last, stats = _integrate_sampled(rhs, (cs.R, cs.S), ts, y0, opts)
+    def rhs(values, y):
+        r_star, r, s = values
+        return s - r_star @ y - y @ r
+
+    times, values, reason, t_last, stats = _integrate_sampled(rhs, (cs.R, cs.S), ts, y0, opts,
+                                                              assemble=assemble)
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -311,8 +312,9 @@ class _Counted(cf.CoefficientFunction):
 
 class TestStats:
     """``Trajectory.stats`` counts the driver's right-hand-side calls and
-    steps; a counted R goes through ``R.eval`` once per step, at the
-    step's six stage times, so the times it is evaluated at count them."""
+    steps, six per step; a counted R goes through ``R.eval`` once per step,
+    at the step's five distinct stage times (stages 6 and 7 share t + h), so
+    the times it is evaluated at count them."""
 
     CASES = {
         # y' = -1 - y^2 escapes at pi/2 (norm cap), with rejected steps
@@ -334,12 +336,13 @@ class TestStats:
                             np.linspace(cs.t0, cs.t_end, samples))
         flow, traj = result if isinstance(result, tuple) else (None, result)
         stats = traj.stats
-        assert stats["nfev"] == sum(np.size(t) for t in calls) > 0
         steps = stats["steps_accepted"] + stats["steps_rejected"]
         resets = len(flow.restarts) if flow is not None else 0
         # f at t0, the starting-step probe, six stages per step and one
         # call after each reset
         assert stats["nfev"] == 2 + 6 * steps + resets
+        # R at t0, at the probe, at five times per step and after each reset
+        assert sum(np.size(t) for t in calls) == 2 + 5 * steps + resets
         if flow is not None:
             assert resets >= 1
         else:
@@ -462,9 +465,11 @@ class TestRightHandSides:
         """The (rhs, stage values) of every step ``run()`` takes, and the
         number of times of each coefficient evaluation. A call on a stack of
         bases (``_step_maps``: the flow's steps as matrices) is one step per
-        basis, each with its own stage values."""
+        basis, each with its own stage values; the powers of a flow's H that
+        takes one value (``_powers``: its power path) are one step of that H."""
         steps, sizes = [], []
         rk_stages, evaluate_passes = integrate._rk_stages, cf.evaluate_passes
+        powers = integrate._powers
 
         def spy(rhs, stage_values, y, *args):
             if y.ndim == 2:
@@ -477,8 +482,13 @@ class TestRightHandSides:
         def counted(*args):
             sizes.append(args[-1].size)
             return evaluate_passes(*args)
+
+        def powered(h):
+            steps.append((np.matmul, [h]))
+            return powers(h)
         monkeypatch.setattr(integrate, "_rk_stages", spy)
         monkeypatch.setattr(cf, "evaluate_passes", counted)
+        monkeypatch.setattr(integrate, "_powers", powered)
         run()
         return steps, sizes
 
@@ -520,7 +530,10 @@ class TestRightHandSides:
         cs, (p, q, r, s), y0, rng = self.data(n, storage)
         steps, sizes = self.captured(monkeypatch, lambda: integrate_linear_system(
             cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 6)))
-        assert steps and (storage == "constant" or n == 32 or max(sizes) > 6)
+        # H takes one value: the flow steps by its powers, and polynomials
+        # read windows only for the batches of sample-to-sample steps
+        assert [len(values) for _, values in steps].count(1) == 1
+        assert storage == "constant" or n > integrate._MAPS_MAX_N or max(sizes) > 6
         norm = np.linalg.norm
         for rhs, stage_values in steps:
             for values in stage_values:
@@ -745,13 +758,15 @@ class TestBatchPath:
     def test_window_maps_match_stepping_by_stages(self, n):
         rng = np.random.default_rng(n)
         p, w = 2 * n, 7
-        values = (rng.standard_normal((w, 6, p, p)) + 1j * rng.standard_normal((w, 6, p, p)))
+        # H at each step's five distinct stage nodes
+        values = (rng.standard_normal((w, 5, p, p)) + 1j * rng.standard_normal((w, 5, p, p)))
         gaps = rng.uniform(1e-3, 0.5, w)
         g, e = integrate._step_maps(values, gaps)
         assert g.shape == (w, 2 * p, 2 * p) and e.shape == (w, p, 2 * p)
         for k in range(w):
             x, f0 = (rng.standard_normal((2, p, n)) + 1j * rng.standard_normal((2, p, n)))
-            x_new, f_new, err = integrate._rk_stages(np.matmul, values[k], x, f0, gaps[k])
+            x_new, f_new, err = integrate._rk_stages(np.matmul, integrate._by_stage(values[k]),
+                                                     x, f0, gaps[k])
             z = np.concatenate((x, f0))
             scale = (np.linalg.norm(x) + np.linalg.norm(f0)) * max(
                 1.0, gaps[k] * max(np.linalg.norm(v, 2) for v in values[k])) ** 6
@@ -779,6 +794,25 @@ class TestBatchPath:
         monkeypatch.setattr(integrate, "_integrate_sampled", spy)
         return calls
 
+    @staticmethod
+    def assert_values_agree(flow, traj, flow_s, traj_s) -> int:
+        """The states of two runs that sample the same times agree to 1e-12
+        of their norm, and Y = Psi Phi^{-1} to 1e-12 of 1 + ||Y|| where Phi
+        is well conditioned, ||[Phi; Psi]|| / sigma_min(Phi) <= 100; near a
+        pole the states' rounding is amplified by that condition, and the
+        bound with it. Returns how many samples are beyond that condition."""
+        x, x_s = (np.concatenate((fl.phi, fl.psi), axis=1) for fl in (flow, flow_s))
+        size = np.linalg.norm(x_s, axis=(1, 2))
+        assert np.all(np.linalg.norm(x - x_s, axis=(1, 2)) <= 1e-12 * size)
+        cond = size / np.linalg.svd(flow_s.phi, compute_uv=False)[:, -1]
+        cond = cond[np.isin(flow_s.times, traj_s.times)]
+        dy = np.linalg.norm(traj.values - traj_s.values, axis=(1, 2))
+        bound = 1e-12 * (1 + np.linalg.norm(traj_s.values, axis=(1, 2)))
+        mild = cond <= 100
+        assert np.all(dy[mild] <= bound[mild])
+        assert np.all(dy <= cond * bound)
+        return int(traj.times.size - mild.sum())
+
     @pytest.mark.parametrize("case", CASES)
     def test_batch_and_stage_paths_decide_alike(self, case, monkeypatch):
         cs, y0, ts = _batch_case(case)
@@ -802,31 +836,136 @@ class TestBatchPath:
         for key in ("steps_rejected",) if case == "blowup_n1" else (
                 "nfev", "steps_accepted", "steps_rejected"):
             assert traj.stats[key] == traj_s.stats[key], key
-        # the states agree to 1e-12 of their norm
-        x, x_s = (np.concatenate((fl.phi, fl.psi), axis=1) for fl in (flow, flow_s))
-        size = np.linalg.norm(x_s, axis=(1, 2))
-        assert np.all(np.linalg.norm(x - x_s, axis=(1, 2)) <= 1e-12 * size)
-        # Y = Psi Phi^{-1} to 1e-12 of 1 + ||Y|| where Phi is well conditioned,
-        # ||[Phi; Psi]|| / sigma_min(Phi) <= 100; near a pole the states'
-        # rounding is amplified by that condition, and the bound with it
-        cond = size / np.linalg.svd(flow_s.phi, compute_uv=False)[:, -1]
-        cond = cond[np.isin(flow_s.times, traj_s.times)]
-        dy = np.linalg.norm(traj.values - traj_s.values, axis=(1, 2))
-        bound = 1e-12 * (1 + np.linalg.norm(traj_s.values, axis=(1, 2)))
-        mild = cond <= 100
-        assert mild.sum() >= traj.times.size - 2
-        assert np.all(dy[mild] <= bound[mild])
-        assert np.all(dy <= cond * bound)
+        assert self.assert_values_agree(flow, traj, flow_s, traj_s) <= 2
         if case == "rejected":
             assert traj.stats["steps_rejected"] >= 1
         if case == "catalog.care_constant":
             assert traj.stats["steps_accepted"] > traj.times.size  # steps that do not hit
 
 
+def _power_case(name: str):
+    """(coefficients, Y0, sample times or None) of a power-path case: a
+    flow whose H takes one value over the run."""
+    if name.startswith("catalog."):
+        e = CAT[name[8:]]
+        return e.cs, e.y0, None
+    if name == "growth":
+        # Phi = e^{20t}: repeated resets
+        return scalar_set(6.0, r=20.0), np.array([[1.0]]), np.linspace(0.0, 6.0, 301)
+    if name == "drift":
+        # kappa(Phi) = e^{8t}: resets driven by the condition estimate
+        zero = cf.constant(np.zeros((2, 2)))
+        cs = CoefficientSet(n=2, t0=0.0, t_end=4.0, P=zero, Q=zero,
+                            R=cf.constant(np.diag([4.0, -4.0])), S=zero)
+        return cs, np.ones((2, 2)), np.linspace(0.0, 4.0, 201)
+    if name == "through_pole":
+        # y = -tan t on [0, pi]: singular samples, then resets past the pole
+        return (scalar_set(math.pi, p=1.0, s=-1.0), np.zeros((1, 1)),
+                np.linspace(0.0, math.pi, 101))
+    if name == "close_samples":
+        # samples closer than the rounding slack are recorded without a step
+        e = CAT["tanh"]
+        return e.cs, e.y0, np.array([0.0, 1e-14, 1.0, 1.0 + 1e-14, 3.0])
+    if name == "tanh40":
+        cs = CAT["tanh"].cs
+        return (CoefficientSet(n=1, t0=0.0, t_end=40.0, P=cs.P, Q=cs.Q, R=cs.R, S=cs.S),
+                CAT["tanh"].y0, None)
+    # n = 8: constant data whose flow runs through the poles of Y
+    cs, y0 = gen_blowup(InstanceSpec(n=8, seed=2, target="blowup", scale=1.5))
+    return cs, y0, None
+
+
+class TestPowerPath:
+    """A flow whose H takes one value steps by its powers: one step is
+    x_new = R(hH) x with the error vector E(hH) x, R and E the tableau's
+    stability function and error polynomial. Forced onto the stage path it
+    makes the same decisions, and its values agree to rounding."""
+
+    @staticmethod
+    def tableau_polynomials() -> tuple:
+        """R and E from _A and _ERR in exact arithmetic: stage i's slope is
+        H u_i(hH) y with u_1 = 1 and u_i = 1 + sum_j a_ij z u_j, so
+        R = u_7 (the solution is stage 7's input) and E = sum_j e_j z u_j."""
+        def exact(x):
+            return Fraction(x).limit_denominator(10 ** 6)
+
+        def axpy(acc, a, u):  # acc + a z u
+            acc = acc + [Fraction(0)] * (len(u) + 1 - len(acc))
+            for k, c in enumerate(u):
+                acc[k + 1] += a * c
+            return acc
+
+        u = [[Fraction(1)]]
+        for row in integrate._A[1:]:
+            acc = [Fraction(1)]
+            for a, uj in zip(row, u):
+                acc = axpy(acc, exact(a), uj)
+            u.append(acc)
+        err = [Fraction(0)]
+        for e, uj in zip(integrate._ERR, u):
+            err = axpy(err, exact(e), uj)
+        return u[6], err
+
+    def test_weights_are_the_tableau_polynomials(self):
+        r, e = self.tableau_polynomials()
+        assert r[:6] == [Fraction(1, math.factorial(k)) for k in range(6)]
+        assert len(r) == 7 and len(e) == 8
+        want = np.array([r + [0] * (8 - len(r)), e], dtype=float)
+        assert integrate._POWER_WEIGHTS.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_power_step_equals_the_stage_step(self, n):
+        rng = np.random.default_rng(n)
+        p = 2 * n
+        for _ in range(3):
+            h_mat = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+            h_mat /= np.linalg.norm(h_mat, 2)
+            x = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+            h = rng.uniform(0.3, 1.0)
+            x_new, err = integrate._power_step(integrate._powers(h_mat), x, h)
+            want_x, _, want_err = integrate._rk_stages(np.matmul, [h_mat] * 6, x, h_mat @ x, h)
+            scale = 1e-13 * np.linalg.norm(x)
+            assert np.linalg.norm(x_new - want_x) <= scale
+            assert np.linalg.norm(err - want_err) <= scale
+            # the error vector is far above the tolerance, so a wrong weight shows
+            assert np.linalg.norm(want_err) > 1e4 * scale
+
+    CASES = (*(f"catalog.{name}" for name in CAT), "growth", "drift", "through_pole",
+             "close_samples", "tanh40", "blowup_n8")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_power_and_stage_paths_decide_alike(self, case, monkeypatch):
+        cs, y0, ts = _power_case(case)
+        calls, powers = [], integrate._powers
+
+        def counted(h):
+            calls.append(h)
+            return powers(h)
+        monkeypatch.setattr(integrate, "_powers", counted)
+        flow, traj = integrate_linear_system(cs, y0, sample_times=ts)
+        assert len(calls) == all(map(integrate._one_value, (cs.P, cs.Q, cs.R, cs.S)))
+        monkeypatch.setattr(integrate, "_one_value", lambda f: False)
+        flow_s, traj_s = integrate_linear_system(cs, y0, sample_times=ts)
+        assert len(calls) <= 1
+        assert traj.times.tobytes() == traj_s.times.tobytes()
+        assert traj.status == traj_s.status
+        assert flow.restarts == flow_s.restarts
+        assert traj.singular_times.tobytes() == traj_s.singular_times.tobytes()
+        assert flow.times.tobytes() == flow_s.times.tobytes()
+        # drift's condition e^{8t} is beyond 100 past t ~ 0.6 by design; the
+        # n = 8 flow has a sample next to each of its poles
+        beyond = TestBatchPath.assert_values_agree(flow, traj, flow_s, traj_s)
+        assert beyond <= {"drift": traj.times.size, "blowup_n8": 5}.get(case, 2)
+        if case in ("growth", "drift", "tanh40"):
+            assert flow.restarts
+        if case == "through_pole":
+            assert traj.status == "phi_singular"
+
+
 class TestEvaluationCount:
     """All-constant data are evaluated once per run. Other data are evaluated
     at t0 and at the starting-step probe, once per window of sample-to-sample
-    steps and once per other step (at its six stage times)."""
+    steps and once per other step (at its five distinct stage times)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -863,7 +1002,7 @@ class TestEvaluationCount:
         windows = -(-hits // span)
         assert len(calls) == 2 + windows + others
         # t0 and the probe, the two other steps, then the windows in order
-        assert calls == [1, 1, 6, 6, 6 * span, 6 * (hits - span)]
+        assert calls == [1, 1, 5, 5, 5 * span, 5 * (hits - span)]
 
     def test_steps_shorter_than_the_spacing_evaluate_once_each(self, calls):
         cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=3, horizon=2.0))
@@ -873,7 +1012,7 @@ class TestEvaluationCount:
         # no step spans a sample interval, so none reads a window
         assert stats["h_max"] < (cs.t_end - cs.t0) / 10
         assert len(calls) == 2 + stats["steps_accepted"] + stats["steps_rejected"]
-        assert calls == [1, 1] + [6] * (len(calls) - 2)
+        assert calls == [1, 1] + [5] * (len(calls) - 2)
 
 
 class TestLyapunovComparison:
