@@ -8,8 +8,9 @@
 * ``integrate_lyapunov_comparison`` -- the linear comparison equation
   Ytilde' = S - R* Ytilde - Ytilde R used by the sandwich bound.
 
-All three share one driver: the embedded explicit Runge-Kutta 5(4) pair
-of Dormand and Prince with a PI step-size controller. The pair is FSAL
+All three share one driver, the embedded explicit Runge-Kutta 5(4) pair
+of Dormand and Prince with a PI step-size controller, except the linear
+flow of constant data, which is exact (below). The pair is FSAL
 (first same as last): the last stage point is the new state, and the
 right-hand side there is the first stage of the next step, so an
 accepted step costs six right-hand-side calls. Requested sample times
@@ -48,17 +49,13 @@ adds its conditioning, the least sigma_min(Phi) / ||[Phi; Psi]||_F over
 the samples.
 
 A flow whose H takes one value over the run (every coefficient a
-constant or a polynomial of degree 0) steps by powers of H wherever a
-batch (below) does not: for x' = H x one Dormand-Prince step is exactly
-x_new = R(hH) x with the error vector E(hH) x, R the tableau's stability
-function and E its error polynomial (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4). The stack H^0..H^7 is formed once per run, and a step is
-one stacked matmul and one (2, 8) product (``_power_step``); the FSAL
-slope H x is formed only where a batch starts. This is still the same
-Runge-Kutta step, with other rounding, and ``nfev`` counts it as six.
+constant or a polynomial of degree 0) is exact and takes no step:
+X_{k+1} = expm(g_k H) X_k, g_k the gap to sample k + 1 (``_exact_flow``),
+with one ``_expm`` (Pade-13 scaling and squaring, N. J. Higham, SIAM J.
+Matrix Anal. Appl. 26, 2005) per distinct gap, 7 to 9 on a default grid.
 
-The flow at n <= ``_MAPS_MAX_N`` (6) steps from sample to sample by
-matrices. Its right-hand side is linear, so a step from x with slope f is
+Any other flow at n <= ``_MAPS_MAX_N`` (6) steps from sample to sample
+by matrices. Its right-hand side is linear, so a step from x with slope f is
 linear in z = [x; f]: ``_step_maps`` runs ``_rk_stages`` on the basis
 [I 0] with slope [0 I], all steps of a window in one call, and gets each
 step's G_k (z to [x_new; f_new]) and E_k (z to the error vector). Such
@@ -71,8 +68,7 @@ or meets the step budget, at the window's end and at a restart (the run
 continues from the reset state, its slope evaluated anew). Every
 per-step value depends on the step alone, not on the batch or window
 that holds it. The path is chosen by dimension, by measurement: at n = 8
-a window holds 10 steps and the maps cost more than the stages. The batch
-path is the same for every flow, H of one value or not.
+a window holds 10 steps and the maps cost more than the stages.
 
 A sample is its index k in the sample times, reached in order: a run's
 times are their prefix, and no consumer matches samples by float time.
@@ -142,38 +138,6 @@ def _by_stage(values) -> tuple:
     """The values at stages 2..7 from those at the five ``_NODES`` along
     the first axis: stage 7 reads stage 6's."""
     return (*values, values[4])
-
-
-#: One step of x' = H x with constant H is exactly x_new = R(hH) x with the
-#: error vector E(hH) x: rows of the coefficients of (hH)^0..(hH)^7 of the
-#: tableau's stability function R (degree 6) and of its error polynomial E,
-#: whose term in (hH)^7 is the FSAL slope's (Hairer, Norsett & Wanner,
-#: Solving ODEs I, II.4). Both follow from _A and _ERR.
-_POWER_WEIGHTS = np.array([[1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
-                           [0.0, 0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000]])
-_POWER_WEIGHTS.setflags(write=False)
-_EXPONENTS = np.arange(8.0)
-_EXPONENTS.setflags(write=False)
-
-
-def _powers(h: np.ndarray) -> np.ndarray:
-    """The stack H^0..H^7 of a square matrix H, H^1 being H itself."""
-    out = np.empty((8,) + h.shape, dtype=np.complex128)
-    out[0] = np.eye(len(h))
-    out[1] = h
-    for k in range(2, 8):
-        np.matmul(out[k - 1], h, out=out[k])
-    return out
-
-
-def _power_step(powers: np.ndarray, x: np.ndarray, h: float) -> tuple:
-    """One Dormand-Prince step of size ``h`` of x' = H x from ``x``, with
-    ``powers`` the stack H^0..H^7: (the fifth-order solution, the error
-    vector). One stacked matmul forms H^k x, and one (2, 8) product weighs
-    them by ``_POWER_WEIGHTS`` h^k."""
-    terms = np.matmul(powers, x).reshape(len(powers), -1)
-    pair = (_POWER_WEIGHTS * h ** _EXPONENTS) @ terms
-    return pair[0].reshape(x.shape), pair[1].reshape(x.shape)
 
 
 @functools.cache
@@ -269,8 +233,8 @@ class Trajectory:
 
     ``stats`` holds the driver's counters: ``nfev`` (right-hand-side
     calls: f at t0 and the starting-step probe, six per step and one per
-    flow reset, counted so also where the flow steps by matrices or by
-    powers of H),
+    flow reset, counted so also where the flow steps by matrices; an exact
+    flow, of H of one value, takes no step and counts none),
     ``steps_accepted`` and ``steps_rejected``, and the smallest and
     largest accepted step, ``h_min`` and ``h_max`` (None when no step was
     accepted). The linear flow's adds ``phi_sigma_ratio`` and
@@ -415,6 +379,61 @@ def _one_value(f) -> bool:
     return f.kind == "constant" or (f.kind == "polynomial" and f.degree == 0)
 
 
+#: The coefficients b_k = (26 - k)! / (k! (13 - k)!) of the degree-13 Pade
+#: approximant of exp, and the 1-norm up to which its backward error is
+#: within double rounding.
+_PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+                for k in range(14))
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Pade-13 scaling and squaring (Higham 2005): the approximant
+    (V - U)^{-1} (V + U) at a 2^-s, of 1-norm at most ``_THETA13``, squared s times."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
+    a, b, eye = a * 2.0 ** -s, _PADE13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+@np.errstate(**_OVERFLOW_QUIET)
+def _exact_flow(h: np.ndarray, sample_times: np.ndarray, x0: np.ndarray, at_samples,
+                record_states: bool) -> tuple:
+    """X' = H X of one value ``h`` from ``x0`` exactly: X_{k+1} = expm(g_k H) X_k,
+    g_k the gap to sample k + 1. ``at_samples`` decides chunks of at most
+    ``matrix_core.BLOCK_ENTRIES`` entries as ``_integrate_sampled``'s, and the
+    next product starts from the state it leaves, so no bit depends on the
+    chunks. Returns (those states, None unless ``record_states``; the stats)."""
+    gaps, which = np.unique(np.diff(sample_times), return_inverse=True)
+    maps = [_expm(g * h) for g in gaps]
+    size = sample_times.size
+    states = np.empty((size,) + x0.shape, dtype=np.complex128) if record_states else None
+    span = max(1, matrix_core.BLOCK_ENTRIES // x0.size)
+    k, x = 0, x0  # the next sample, and the state the product to it starts from
+    while k < size:
+        ys = np.empty((min(span, size - k),) + x0.shape, dtype=np.complex128)
+        if k == 0:
+            ys[0] = x0
+        for j in range(k == 0, len(ys)):
+            x = np.matmul(maps[which[k + j - 1]], x, out=ys[j])
+        taken, reset = at_samples(k, ys)
+        x = ys[taken - 1] if reset is None else reset
+        if states is not None:
+            states[k:k + taken] = ys[:taken]
+            states[k + taken - 1] = x
+        k += taken
+    return states, {"nfev": 0, "steps_accepted": 0, "steps_rejected": 0,
+                    "h_min": None, "h_max": None}
+
+
 @np.errstate(**_OVERFLOW_QUIET)
 def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
                        opts: IntegratorOptions, assemble=None, after_step=None,
@@ -438,40 +457,33 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
     replacement state or None (used for flow reconditioning).
 
     With ``maps`` (and no ``after_step``) the right-hand side is
-    ``np.matmul(vals, y)``, linear in y,
-    and the steps that hit their samples run in batches: a window holds each
-    step's matrices (``_step_maps``) in place of its stage values, and a
-    batch starts where a step from a sample would hit the next one. It forms
-    the states [y; f] of every step to the window's end, one matmul per
-    step, and their error estimates in one ``_rms_each`` call; ``_control``
-    then decides the steps in order. A batch ends at the first step that
-    would not hit its sample, is rejected (that step is the batch's last),
-    falls within the rounding slack of its sample (recorded without a step,
-    as ever) or meets the step budget, and at the window's end. Its samples
-    then go to ``at_samples`` at once; where that replaces a state, the
-    batch ends there and the run continues from the replacement. Every
-    per-step value depends on the step alone, not on the batch that holds it.
-
-    Where the right-hand side is ``np.matmul(vals, y)`` (the linear flow's)
-    and every function takes one value at every time (``_one_value``), H is
-    evaluated at t0, its powers H^0..H^7 are formed once, and every step a
-    batch does not take is ``_power_step``. Such a step gives no FSAL slope;
-    the slope H y is formed where a batch starts from its state.
+    ``np.matmul(vals, y)``, linear in y, and the steps that hit their
+    samples run in batches: a window holds each step's matrices
+    (``_step_maps``) in place of its stage values, and a batch starts where
+    a step from a sample would hit the next one. It forms the states [y; f]
+    of every step to the window's end, one matmul per step, and their error
+    estimates in one ``_rms_each`` call; ``_control`` then decides the steps
+    in order. A batch ends at the first step that would not hit its sample,
+    is rejected (that step is the batch's last), falls within the rounding
+    slack of its sample (recorded without a step, as ever) or meets the step
+    budget, and at the window's end. Its samples then go to ``at_samples``
+    at once; where that replaces a state, the batch ends there and the run
+    continues from the replacement. Every per-step value depends on the step
+    alone, not on the batch that holds it.
 
     Returns (times, states, stop_reason, t_last, stats): a copy of the
     prefix of ``sample_times`` the run reached, the states there (along a
     new first axis) as they stand after ``at_samples`` (None unless
-    ``record_states``), the stop reason; ``t_last`` is the last accepted time and
-    ``stats`` counts the right-hand sides (``nfev``: f at t0, the
-    starting-step probe, six per step, batched, by powers or not, and one
-    after each replaced state, evaluated when a step needs it) and
-    the accepted and rejected steps, and gives the smallest and largest
-    accepted step (``h_min``, ``h_max``; None before the first). A
-    non-finite error estimate rejects its step.
+    ``record_states``), the stop reason; ``t_last`` is the last accepted
+    time and ``stats`` counts the right-hand sides (``nfev``: f at t0, the
+    starting-step probe, six per step, batched or not, and one after each
+    replaced state) and the accepted and rejected steps, and gives the
+    smallest and largest accepted step (``h_min``, ``h_max``; None before
+    the first). A non-finite error estimate rejects its step.
     """
     t = float(sample_times[0])
     y = y0.astype(np.complex128)
-    f_curr = None  # f(t, y): the last step's FSAL slope, or None until a step needs it
+    f_curr = None  # f(t, y): the last step's FSAL slope
     abs_y = None  # |y|, kept from the step that reached y
     nfev = accepted = rejected = 0
     states = (np.empty((sample_times.size,) + y.shape, dtype=np.complex128)
@@ -489,12 +501,10 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         values = assemble(stacks) if assemble is not None else stacks.swapaxes(0, 1)
         return values.reshape(ts.shape + values.shape[1:])
 
-    # the values at every time where they are one: all constants, or a
-    # linear flow's H of constants and degree-0 polynomials
-    powers = rhs is np.matmul and all(map(_one_value, functions))
-    steady = by_time(sample_times[:1])[0] if evaluate.constant or powers else None
-    fixed = np.broadcast_to(steady, _NODES.shape + steady.shape) if evaluate.constant else None
-    power_stack = _powers(steady) if powers else None
+    # all-constant values: one at every time
+    fixed = by_time(sample_times[:1]) if evaluate.constant else None
+    if fixed is not None:
+        fixed = np.broadcast_to(fixed, _NODES.shape + fixed.shape[1:])
     # the steps from samples first, ..., stop - 1 to the next: their stage
     # values, or with maps their matrices
     window, first, stop = None, 0, 0
@@ -507,10 +517,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
             first, stop = k, min(k + span, sample_times.size - 1)
             ts = sample_times[first:stop + 1]
             gaps = np.diff(ts)
-            if fixed is None:
-                values = by_time(ts[:-1, None] + _NODES * gaps[:, None])
-            else:
-                values = np.broadcast_to(fixed, gaps.shape + fixed.shape)
+            values = by_time(ts[:-1, None] + _NODES * gaps[:, None])
             window = _step_maps(values, gaps) if maps else values
         return window
 
@@ -524,15 +531,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
 
     def f(t_eval: float, y_eval: np.ndarray) -> np.ndarray:
         """The right-hand side at one time."""
-        return rhs(steady if steady is not None else by_time(np.array(t_eval)), y_eval)
-
-    def slope() -> np.ndarray:
-        """f at the current state: the FSAL slope, evaluated here after a
-        power step or a replaced state."""
-        nonlocal f_curr
-        if f_curr is None:
-            f_curr = f(t, y)
-        return f_curr
+        return rhs(fixed[0] if fixed is not None else by_time(np.array(t_eval)), y_eval)
 
     def record(ys: np.ndarray) -> tuple:
         """Store the samples reached, count, count + 1, ..., with the states
@@ -548,12 +547,13 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         return taken, reset
 
     def restart(reset) -> None:
-        """Continue from a replaced state, if any: its f counts as one
-        right-hand side, evaluated when a step needs it."""
+        """Continue from a replaced state, if any, with its f anew."""
         nonlocal y, abs_y, f_curr, nfev
         if reset is not None:
-            y, abs_y, f_curr = reset, None, None
-            nfev += 1
+            y, abs_y = reset, None
+            if f_curr is not None:
+                f_curr = f(t, y)
+                nfev += 1
 
     def result(reason):
         stats = {"nfev": nfev, "steps_accepted": accepted, "steps_rejected": rejected,
@@ -561,8 +561,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         reached = None if states is None else _reached(count, states)[0]
         return sample_times[:count].copy(), reached, reason, t, stats
 
-    reset = record(y[None])[1]
-    y = y if reset is None else reset
+    restart(record(y[None])[1])
     reason = after_step(t, y) if after_step is not None else None
     if reason is not None or sample_times.size == 1:
         return result(reason)
@@ -585,7 +584,7 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
         m = len(g)
         rows = y.shape[0]
         z = np.empty((m + 1, 2 * rows) + y.shape[1:], dtype=np.complex128)
-        z[0, :rows], z[0, rows:] = y, slope()
+        z[0, :rows], z[0, rows:] = y, f_curr
         for j in range(m):
             np.matmul(g[j], z[j], out=z[j + 1])
         xs = z[:, :rows]
@@ -644,14 +643,10 @@ def _integrate_sampled(rhs, functions, sample_times: np.ndarray, y0: np.ndarray,
             continue
         h_eff = (t_target - t) if hit else h
 
-        if power_stack is not None:
-            y_new, err_vec = _power_step(power_stack, y, h_eff)
-            f_new = None
-        else:
-            # FSAL: the step starts from f at the current point, and its last
-            # slope is f at the new state
-            y_new, f_new, err_vec = _rk_stages(rhs, _by_stage(stage_values(hit, h_eff, count - 1)),
-                                               y, slope(), h_eff)
+        # FSAL: the step starts from f at the current point, and its last
+        # slope is f at the new state
+        y_new, f_new, err_vec = _rk_stages(rhs, _by_stage(stage_values(hit, h_eff, count - 1)),
+                                           y, f_curr, h_eff)
         nfev += 6
         if abs_y is None:
             abs_y = np.abs(y)
@@ -814,8 +809,9 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
     batch's samples in order with one SVD, one pair of norms per sample and
     one solve for all of them, up to the first restart. The path depends on
     n alone, so no value depends on how many steps a window or batch holds.
-    Where every coefficient takes one value (``_one_value``), the other
-    steps go by powers of H.
+    Where every coefficient takes one value (``_one_value``), H is evaluated
+    at t0 and the flow is exact (``_exact_flow``): ``at_samples`` decides its
+    samples in chunks, with the same bits whatever their size.
     """
     n = cs.n
     eye = np.eye(n, dtype=np.complex128)
@@ -881,14 +877,18 @@ def _linear_flow(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts
         return taken, np.concatenate((eye, ymats[-1])) if reset else None
 
     # the right-hand side H X is (R Phi + P Psi, S Phi - Q Psi)
-    times, states, reason, t_last, stats = _integrate_sampled(
-        np.matmul, (cs.R, cs.P, cs.S, cs.Q), ts, np.concatenate((eye, y0)), opts,
-        assemble=assemble, at_samples=at_samples, record_states=record_states,
-        maps=n <= _MAPS_MAX_N)
-    if reason is not None:
-        raise IntegrationError(
-            f"linear flow integration stopped at t = {t_last} ({reason}); "
-            "the flow is linear and should not collapse at these scales")
+    functions, x0 = (cs.R, cs.P, cs.S, cs.Q), np.concatenate((eye, y0))
+    if all(map(_one_value, functions)):
+        h = assemble(np.asarray(stacked_evaluator(functions)(ts[:1])))[0]
+        times, (states, stats) = ts.copy(), _exact_flow(h, ts, x0, at_samples, record_states)
+    else:
+        times, states, reason, t_last, stats = _integrate_sampled(
+            np.matmul, functions, ts, x0, opts, assemble=assemble, at_samples=at_samples,
+            record_states=record_states, maps=n <= _MAPS_MAX_N)
+        if reason is not None:
+            raise IntegrationError(
+                f"linear flow integration stopped at t = {t_last} ({reason}); "
+                "the flow is linear and should not collapse at these scales")
     stats["phi_sigma_ratio"] = least[0] if math.isfinite(least[0]) else None
     stats["phi_sigma_ratio_t"] = least[1]
     return times, states, "phi_singular" if singular else "completed", restarts, singular, stats

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from riccati_cert.cli import main
@@ -13,7 +14,8 @@ from riccati_cert.integrate import (
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
 )
-from riccati_cert.serialize import load_instance
+from riccati_cert.instances import canonical_catalog
+from riccati_cert.serialize import dumps_instance, instance_to_obj, load_instance
 
 
 def run(capsys, *argv):
@@ -233,8 +235,15 @@ class TestIntegrate:
         traj = result[1] if method == "radon" else result
         sidecar = json.loads((tmp_path / "traj.status.json").read_text())
         assert sidecar["stats"] == json.loads(stdout)["stats"] == traj.stats
-        assert sidecar["stats"]["nfev"] == 2 + 6 * (traj.stats["steps_accepted"]
-                                                    + traj.stats["steps_rejected"])
+        if method == "radon":
+            # constant data: the flow is exact and takes no step
+            assert {k: traj.stats[k] for k in ("nfev", "steps_accepted", "steps_rejected",
+                                               "h_min", "h_max")} == {
+                "nfev": 0, "steps_accepted": 0, "steps_rejected": 0, "h_min": None,
+                "h_max": None}
+        else:
+            assert sidecar["stats"]["nfev"] == 2 + 6 * (traj.stats["steps_accepted"]
+                                                        + traj.stats["steps_rejected"])
 
     def test_blowup_is_exit_zero_with_status(self, capsys, tmp_path):
         inst = write_tanh_instance(tmp_path, t_end=2.0, s=-1.0)
@@ -255,6 +264,21 @@ class TestIntegrate:
         assert "max_discrepancy" in stdout
         sidecar = json.loads((tmp_path / "both.status.json").read_text())
         assert sidecar["max_discrepancy"] <= 1e-6
+
+    def test_both_on_constant_data_measures_the_direct_runs_error(self, capsys, tmp_path):
+        # the flow of constant data is exact, so the discrepancy is the
+        # direct run's own error against the closed form Y = tanh(t) I
+        e = canonical_catalog()["care_constant"]
+        inst = tmp_path / "care.json"
+        inst.write_text(dumps_instance(instance_to_obj(e.cs, e.y0)))
+        code, stdout, _ = run(capsys, "integrate", str(inst), "--method", "both",
+                              "--out", str(tmp_path / "both.csv"))
+        assert code == 0
+        traj = integrate_riccati_direct(e.cs, e.y0)
+        error = max(np.linalg.norm(y - e.exact(t)) / (1 + np.linalg.norm(y))
+                    for t, y in zip(traj.times, traj.values))
+        assert error > 1e-13  # the direct run's error is well above rounding
+        assert abs(json.loads(stdout)["max_discrepancy"] - error) <= 1e-14
 
     def test_radon_adds_det_column(self, capsys, tmp_path):
         inst = write_tanh_instance(tmp_path)

@@ -1,9 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -458,18 +458,20 @@ class TestRightHandSides:
     H [Phi; Psi], H = [[R, P], [S, -Q]], equal the textbook forms
     S - Y P Y - Q Y - Y R and (R Phi + P Psi, S Phi - Q Psi) to rounding,
     on random complex data read through the constant path (constants) and
-    through windows of sample-to-sample steps (degree-0 polynomials)."""
+    through windows of sample-to-sample steps (degree-0 polynomials). The
+    flow of such data is exact, and its H is checked as the one value it
+    steps by; with the exact route switched off, as the stages' values."""
 
     @staticmethod
     def captured(monkeypatch, run):
         """The (rhs, stage values) of every step ``run()`` takes, and the
         number of times of each coefficient evaluation. A call on a stack of
         bases (``_step_maps``: the flow's steps as matrices) is one step per
-        basis, each with its own stage values; the powers of a flow's H that
-        takes one value (``_powers``: its power path) are one step of that H."""
+        basis, each with its own stage values; the H of an exact flow
+        (``_exact_flow``) is one step of that H."""
         steps, sizes = [], []
         rk_stages, evaluate_passes = integrate._rk_stages, cf.evaluate_passes
-        powers = integrate._powers
+        exact_flow = integrate._exact_flow
 
         def spy(rhs, stage_values, y, *args):
             if y.ndim == 2:
@@ -483,12 +485,12 @@ class TestRightHandSides:
             sizes.append(args[-1].size)
             return evaluate_passes(*args)
 
-        def powered(h):
+        def exact(h, *args):
             steps.append((np.matmul, [h]))
-            return powers(h)
+            return exact_flow(h, *args)
         monkeypatch.setattr(integrate, "_rk_stages", spy)
         monkeypatch.setattr(cf, "evaluate_passes", counted)
-        monkeypatch.setattr(integrate, "_powers", powered)
+        monkeypatch.setattr(integrate, "_exact_flow", exact)
         run()
         return steps, sizes
 
@@ -527,13 +529,22 @@ class TestRightHandSides:
     @pytest.mark.parametrize("storage", ["constant", "polynomial"])
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_flow_matches_the_textbook_form(self, monkeypatch, n, storage):
+        self.check_flow(monkeypatch, n, storage, exact=True)
+
+    @pytest.mark.parametrize("storage", ["constant", "polynomial"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_flow_off_the_exact_route_matches_the_textbook_form(self, monkeypatch, n, storage):
+        monkeypatch.setattr(integrate, "_one_value", lambda f: False)
+        self.check_flow(monkeypatch, n, storage, exact=False)
+
+    def check_flow(self, monkeypatch, n, storage, exact):
         cs, (p, q, r, s), y0, rng = self.data(n, storage)
         steps, sizes = self.captured(monkeypatch, lambda: integrate_linear_system(
             cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 6)))
-        # H takes one value: the flow steps by its powers, and polynomials
-        # read windows only for the batches of sample-to-sample steps
-        assert [len(values) for _, values in steps].count(1) == 1
-        assert storage == "constant" or n > integrate._MAPS_MAX_N or max(sizes) > 6
+        # H takes one value: the exact flow reads it once; off that route,
+        # polynomials read windows for the batches of sample-to-sample steps
+        assert steps and (len(steps) == 1) == exact
+        assert exact or storage == "constant" or n > integrate._MAPS_MAX_N or max(sizes) > 6
         norm = np.linalg.norm
         for rhs, stage_values in steps:
             for values in stage_values:
@@ -721,20 +732,34 @@ class TestWindow:
             assert direct.times.size == ts.size
 
 
+def _stepped(cs: CoefficientSet) -> CoefficientSet:
+    """The same data with every function of one value stored as an order-1
+    sampled function of that value: the flow then takes Runge-Kutta steps
+    where the data as given would take the exact route."""
+    def stepped(f):
+        if not integrate._one_value(f):
+            return f
+        value = f.eval(cs.t0)
+        return cf.sampled([cs.t0, cs.t_end], [value, value], order=1)
+    return CoefficientSet(n=cs.n, t0=cs.t0, t_end=cs.t_end,
+                          **{name: stepped(getattr(cs, name)) for name in "PQRS"})
+
+
 def _batch_case(name: str):
-    """(coefficients, Y0, sample times or None) of a batch-path case."""
+    """(coefficients, Y0, sample times or None) of a batch-path case; data
+    of one value are stepped (``_stepped``)."""
     if name.startswith("catalog."):
         e = CAT[name[8:]]
-        return e.cs, e.y0, None
+        return _stepped(e.cs), e.y0, None
     if name.startswith("blowup"):
         # Phi vanishes between samples: the flow runs through the poles of Y
         cs, y0 = gen_blowup(InstanceSpec(n=int(name[-1]), seed=2, target="blowup", scale=1.5))
-        return cs, y0, None
+        return _stepped(cs), y0, None
     if name.startswith("tanh40"):
         # the flow restarts twice; on 2001 samples its steps hit them, and
         # both restarts fall inside batches
         cs, y0, _ = _window_case("tanh")
-        return cs, y0, np.linspace(0.0, 40.0, 2001) if name == "tanh40_dense" else None
+        return _stepped(cs), y0, np.linspace(0.0, 40.0, 2001) if name == "tanh40_dense" else None
     if name == "rejected":
         # S jumps from 0 to 40 over [1.03, 1.05]: a step of a batch is rejected there
         jump = cf.sampled([0.0, 1.03, 1.05, 2.0], [[[0.0]], [[0.0]], [[40.0]], [[40.0]]], order=1)
@@ -843,12 +868,17 @@ class TestBatchPath:
             assert traj.stats["steps_accepted"] > traj.times.size  # steps that do not hit
 
 
-def _power_case(name: str):
-    """(coefficients, Y0, sample times or None) of a power-path case: a
-    flow whose H takes one value over the run."""
+def _exact_case(name: str):
+    """(coefficients, Y0, sample times or None) of a flow whose H takes one
+    value over the run."""
     if name.startswith("catalog."):
         e = CAT[name[8:]]
         return e.cs, e.y0, None
+    if name.startswith("blowup_n"):
+        # Phi vanishes between samples: the flow runs through the poles of Y
+        n = int(name[8:])
+        cs, y0 = gen_blowup(InstanceSpec(n=n, seed=100 + n, target="blowup", scale=1.5))
+        return cs, y0, None
     if name == "growth":
         # Phi = e^{20t}: repeated resets
         return scalar_set(6.0, r=20.0), np.array([[1.0]]), np.linspace(0.0, 6.0, 301)
@@ -859,107 +889,111 @@ def _power_case(name: str):
                             R=cf.constant(np.diag([4.0, -4.0])), S=zero)
         return cs, np.ones((2, 2)), np.linspace(0.0, 4.0, 201)
     if name == "through_pole":
-        # y = -tan t on [0, pi]: singular samples, then resets past the pole
+        # y = -tan t on [0, pi]: a singular sample, then the flow past the pole
         return (scalar_set(math.pi, p=1.0, s=-1.0), np.zeros((1, 1)),
                 np.linspace(0.0, math.pi, 101))
     if name == "close_samples":
-        # samples closer than the rounding slack are recorded without a step
+        # samples closer than the Runge-Kutta driver's rounding slack
         e = CAT["tanh"]
         return e.cs, e.y0, np.array([0.0, 1e-14, 1.0, 1.0 + 1e-14, 3.0])
-    if name == "tanh40":
-        cs = CAT["tanh"].cs
-        return (CoefficientSet(n=1, t0=0.0, t_end=40.0, P=cs.P, Q=cs.Q, R=cs.R, S=cs.S),
-                CAT["tanh"].y0, None)
-    # n = 8: constant data whose flow runs through the poles of Y
-    cs, y0 = gen_blowup(InstanceSpec(n=8, seed=2, target="blowup", scale=1.5))
-    return cs, y0, None
+    # tanh on [0, 40]: the flow restarts twice
+    cs = CAT["tanh"].cs
+    return (CoefficientSet(n=1, t0=0.0, t_end=40.0, P=cs.P, Q=cs.Q, R=cs.R, S=cs.S),
+            CAT["tanh"].y0, None)
 
 
-class TestPowerPath:
-    """A flow whose H takes one value steps by its powers: one step is
-    x_new = R(hH) x with the error vector E(hH) x, R and E the tableau's
-    stability function and error polynomial. Forced onto the stage path it
-    makes the same decisions, and its values agree to rounding."""
+#: Square complex matrices of order 1..4 with 1-norms up to 50: beyond
+#: ``_THETA13`` (5.37) ``_expm`` scales and squares.
+_EXPM_ARGS = st.tuples(
+    st.integers(1, 4).flatmap(lambda n: hnp.arrays(
+        np.complex128, (n, n), elements=st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)))),
+    st.floats(0.0, 50.0))
 
-    @staticmethod
-    def tableau_polynomials() -> tuple:
-        """R and E from _A and _ERR in exact arithmetic: stage i's slope is
-        H u_i(hH) y with u_1 = 1 and u_i = 1 + sum_j a_ij z u_j, so
-        R = u_7 (the solution is stage 7's input) and E = sum_j e_j z u_j."""
-        def exact(x):
-            return Fraction(x).limit_denominator(10 ** 6)
 
-        def axpy(acc, a, u):  # acc + a z u
-            acc = acc + [Fraction(0)] * (len(u) + 1 - len(acc))
-            for k, c in enumerate(u):
-                acc[k + 1] += a * c
-            return acc
+class TestExactFlow:
+    """A flow whose H takes one value is exact: X_{k+1} = expm(g_k H) X_k,
+    one ``_expm`` per distinct gap g_k. It meets the catalog's closed forms
+    to rounding, decides every sample as the Runge-Kutta route does, and
+    its bits do not depend on the chunks the samples are decided in."""
 
-        u = [[Fraction(1)]]
-        for row in integrate._A[1:]:
-            acc = [Fraction(1)]
-            for a, uj in zip(row, u):
-                acc = axpy(acc, exact(a), uj)
-            u.append(acc)
-        err = [Fraction(0)]
-        for e, uj in zip(integrate._ERR, u):
-            err = axpy(err, exact(e), uj)
-        return u[6], err
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(args=_EXPM_ARGS)
+    @example(args=(np.zeros((3, 3), complex), 0.0))
+    @example(args=(np.triu(np.ones((4, 4), complex), 1), 50.0))  # nilpotent
+    def test_expm_matches_scipy(self, args):
+        a, norm = args
+        size = np.abs(a).sum(axis=0).max()
+        if size > 0:
+            a = a * (norm / size)
+        want = scipy.linalg.expm(a)
+        # relative to ||expm(a)||, the gap grows with ||a||_1: exp's condition
+        # at a scalar x is |x|, and each squaring doubles a relative error
+        # (20000 draws read at most 6e-15 ||a||_1)
+        gap = np.linalg.norm(integrate._expm(a) - want)
+        assert gap <= 2e-14 * max(1.0, norm) * np.linalg.norm(want)
 
-    def test_weights_are_the_tableau_polynomials(self):
-        r, e = self.tableau_polynomials()
-        assert r[:6] == [Fraction(1, math.factorial(k)) for k in range(6)]
-        assert len(r) == 7 and len(e) == 8
-        want = np.array([r + [0] * (8 - len(r)), e], dtype=float)
-        assert integrate._POWER_WEIGHTS.tobytes() == want.tobytes()
+    CLOSED_FORMS = {"catalog.tanh": 1e-14, "catalog.linear": 1e-14,
+                    "catalog.care_constant": 1e-14, "catalog.cosh_sinh": 1e-14,
+                    "tanh40": 1e-14,
+                    # the error is set by a sample's distance to the pole at pi / 2
+                    "catalog.tan_blowup": 1e-11}
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 32])
-    def test_power_step_equals_the_stage_step(self, n):
-        rng = np.random.default_rng(n)
-        p = 2 * n
-        for _ in range(3):
-            h_mat = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            h_mat /= np.linalg.norm(h_mat, 2)
-            x = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-            h = rng.uniform(0.3, 1.0)
-            x_new, err = integrate._power_step(integrate._powers(h_mat), x, h)
-            want_x, _, want_err = integrate._rk_stages(np.matmul, [h_mat] * 6, x, h_mat @ x, h)
-            scale = 1e-13 * np.linalg.norm(x)
-            assert np.linalg.norm(x_new - want_x) <= scale
-            assert np.linalg.norm(err - want_err) <= scale
-            # the error vector is far above the tolerance, so a wrong weight shows
-            assert np.linalg.norm(want_err) > 1e4 * scale
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_closed_forms(self, case):
+        cs, y0, ts = _exact_case(case)
+        exact = CAT[case[8:] if case.startswith("catalog.") else "tanh"].exact
+        flow, traj = integrate_linear_system(cs, y0, sample_times=ts)
+        assert traj.status == "completed" and traj.times.size == flow.times.size
+        assert (len(flow.restarts) == 2) == (case == "tanh40")
+        error = max(np.linalg.norm(y - exact(t)) / (1 + np.linalg.norm(exact(t)))
+                    for t, y in zip(traj.times, traj.values))
+        assert error <= self.CLOSED_FORMS[case]
+        assert traj.stats["nfev"] == traj.stats["steps_accepted"] == 0
 
-    CASES = (*(f"catalog.{name}" for name in CAT), "growth", "drift", "through_pole",
-             "close_samples", "tanh40", "blowup_n8")
+    CASES = (*(f"catalog.{name}" for name in CAT), "blowup_n1", "blowup_n2", "blowup_n8",
+             "growth", "drift", "through_pole", "close_samples", "tanh40")
 
     @pytest.mark.parametrize("case", CASES)
-    def test_power_and_stage_paths_decide_alike(self, case, monkeypatch):
-        cs, y0, ts = _power_case(case)
-        calls, powers = [], integrate._powers
-
-        def counted(h):
-            calls.append(h)
-            return powers(h)
-        monkeypatch.setattr(integrate, "_powers", counted)
+    def test_exact_and_stage_paths_decide_alike(self, case, monkeypatch):
+        cs, y0, ts = _exact_case(case)
         flow, traj = integrate_linear_system(cs, y0, sample_times=ts)
-        assert len(calls) == all(map(integrate._one_value, (cs.P, cs.Q, cs.R, cs.S)))
         monkeypatch.setattr(integrate, "_one_value", lambda f: False)
         flow_s, traj_s = integrate_linear_system(cs, y0, sample_times=ts)
-        assert len(calls) <= 1
         assert traj.times.tobytes() == traj_s.times.tobytes()
         assert traj.status == traj_s.status
         assert flow.restarts == flow_s.restarts
         assert traj.singular_times.tobytes() == traj_s.singular_times.tobytes()
         assert flow.times.tobytes() == flow_s.times.tobytes()
-        # drift's condition e^{8t} is beyond 100 past t ~ 0.6 by design; the
-        # n = 8 flow has a sample next to each of its poles
-        beyond = TestBatchPath.assert_values_agree(flow, traj, flow_s, traj_s)
-        assert beyond <= {"drift": traj.times.size, "blowup_n8": 5}.get(case, 2)
+        # the values differ by the Runge-Kutta run's error (rtol 1e-9), which
+        # the flow's condition amplifies in Y
+        x, x_s = (np.concatenate((fl.phi, fl.psi), axis=1) for fl in (flow, flow_s))
+        size = np.linalg.norm(x_s, axis=(1, 2))
+        assert np.all(np.linalg.norm(x - x_s, axis=(1, 2)) <= 1e-8 * size)
+        cond = size / np.linalg.svd(flow_s.phi, compute_uv=False)[:, -1]
+        cond = cond[np.isin(flow_s.times, traj_s.times)]
+        dy = np.linalg.norm(traj.values - traj_s.values, axis=(1, 2))
+        assert np.all(dy <= 1e-9 * cond * (1 + np.linalg.norm(traj_s.values, axis=(1, 2))))
         if case in ("growth", "drift", "tanh40"):
             assert flow.restarts
         if case == "through_pole":
             assert traj.status == "phi_singular"
+
+    @pytest.mark.parametrize("case", ["growth", "drift", "through_pole", "tanh40", "blowup_n8"])
+    def test_bits_do_not_depend_on_the_chunks(self, case, monkeypatch):
+        cs, y0, ts = _exact_case(case)
+        runs = []
+        # the default chunks (every sample at n <= 2, 128 samples at n = 8),
+        # chunks of one sample and chunks of three
+        for entries in (mc.BLOCK_ENTRIES, 1, 3 * 2 * cs.n ** 2):
+            monkeypatch.setattr(mc, "BLOCK_ENTRIES", entries)
+            runs.append(integrate_linear_system(cs, y0, sample_times=ts))
+        (flow, traj), *others = runs
+        for flow_1, traj_1 in others:
+            TestStorageIndependence.assert_same_trajectory(traj, traj_1)
+            assert flow.times.tobytes() == flow_1.times.tobytes()
+            assert flow.phi.tobytes() == flow_1.phi.tobytes()
+            assert flow.psi.tobytes() == flow_1.psi.tobytes()
+            assert flow.restarts == flow_1.restarts
 
 
 class TestEvaluationCount:

@@ -94,6 +94,14 @@ class TestPsdMeasure:
     def test_tolerance_band_accepts_roundoff(self):
         assert _psd(np.diag([1.0, -1e-12]))[1]
 
+    def test_band_edge_belongs_to_the_band(self):
+        # tol = 2^-10 and ||H||_2 = 1: the band tol + tol ||H||_2 is exactly
+        # 2^-9, so a least eigenvalue of -2^-9 passes and the next double below fails
+        tol, edge = 2.0 ** -10, -(2.0 ** -9)
+        assert _psd(np.diag([edge, 1.0]), tol) == (edge, True, 0.0)
+        below = np.nextafter(edge, -1.0)
+        assert _psd(np.diag([below, 1.0]), tol) == (below, False, 0.0)
+
     def test_strict_verdict_refuses_indefinite_with_its_witness(self):
         lo, ok, _ = _psd(np.diag([1.0, -2.0]), strict=True)
         assert not ok and lo == pytest.approx(-2.0)
