@@ -11,7 +11,8 @@ default and refuses, by name, a lambda that is not an n x n matrix function
 or a mu or nu that is not scalar-valued. Three
 representations are supported, each a class that its kind's name also
 binds (``constant`` is ``ConstantFunction``) and each with the exact
-derivative of the function it evaluates:
+derivative of the function it evaluates and its exact ``adjoint()``, the
+function of the same kind built from the adjoints of its data:
 
 * constant       -- a single value, derivative identically zero;
 * polynomial     -- matrix (or scalar) coefficients of t -> sum C_k (t - t_ref)^k,
@@ -50,6 +51,9 @@ system ``_gtsv`` solves as LAPACK ``zgtsv`` does, and
 polynomial evaluation, so values and derivatives equal scipy's bit for bit
 without importing it. The package never loads scipy.
 
+``CoefficientSet.comparison()`` is the comparison equation's data
+(P, Q, R, S) = (0, R*, R, S), with R* the ``adjoint()`` of R.
+
 Values are immutable after construction and evaluation is pure, so
 functions are safe to share across threads.
 """
@@ -78,7 +82,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class CoefficientFunction:
-    """Common interface: ``eval(t)``, ``derivative(t)``, ``shape``, ``kind``."""
+    """Common interface: ``eval(t)``, ``derivative(t)``, ``adjoint()``, ``shape``, ``kind``."""
 
     #: () for scalar-valued functions, (n, n) for matrix-valued ones.
     shape: tuple
@@ -98,8 +102,17 @@ class CoefficientFunction:
     def derivative(self, t: float):
         raise NotImplementedError
 
+    def adjoint(self) -> CoefficientFunction:
+        """t -> F(t)*, exactly: the library kinds give it from the adjoints of
+        their data; any other kind has none."""
+        raise NotImplementedError(f"coefficient kind {self.kind!r} has no adjoint")
+
     def _out(self, value: np.ndarray):
         return complex(value) if self.is_scalar and np.ndim(value) == 0 else value
+
+    def _adjoint_of(self, stack: np.ndarray) -> np.ndarray:
+        """The adjoint of every value in a data stack: the conjugate of a scalar."""
+        return stack.conj() if self.is_scalar else adjoint(stack)
 
 
 class ConstantFunction(CoefficientFunction):
@@ -116,6 +129,10 @@ class ConstantFunction(CoefficientFunction):
 
     def derivative(self, t):
         return self._out(np.zeros(np.asarray(t).shape + self.shape, dtype=np.complex128))
+
+    def adjoint(self) -> ConstantFunction:
+        """The constant of the adjoint value."""
+        return ConstantFunction(self._adjoint_of(self.value), scalar=self.is_scalar)
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,6 +194,11 @@ class PolynomialFunction(CoefficientFunction):
 
     def derivative(self, t):
         return self._out(self._slopes(t)[0])
+
+    def adjoint(self) -> PolynomialFunction:
+        """The polynomial of the adjoint coefficients about the same ``t_ref``."""
+        return PolynomialFunction(self._adjoint_of(self.coefficients), self.t_ref,
+                                  scalar=self.is_scalar)
 
 
 class SampledFunction(CoefficientFunction):
@@ -260,6 +282,14 @@ class SampledFunction(CoefficientFunction):
 
     def derivative(self, t):
         return self._out(self._slopes(self._clip_t(t)))
+
+    def adjoint(self) -> SampledFunction:
+        """The interpolant of the adjoint values (and node derivatives) on the
+        same times, of the same order."""
+        nd = self.node_derivatives
+        return SampledFunction(self.times, self._adjoint_of(self.values), self.order,
+                               scalar=self.is_scalar,
+                               node_derivatives=None if nd is None else self._adjoint_of(nd))
 
 
 def _linear_cells(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -616,6 +646,14 @@ class CoefficientSet:
     @property
     def span(self) -> float:
         return self.t_end - self.t0
+
+    def comparison(self) -> CoefficientSet:
+        """The comparison equation's data (P, Q, R, S) = (0, R*, R, S): the
+        linear equation Y' = S - R* Y - Y R is this set's Riccati equation at
+        P = 0 and Q = R*. R and S are this set's own functions."""
+        zero = ConstantFunction(np.zeros((self.n, self.n)))
+        return CoefficientSet(n=self.n, t0=self.t0, t_end=self.t_end, P=zero,
+                              Q=self.R.adjoint(), R=self.R, S=self.S)
 
     def end_slack(self) -> tuple[float, float]:
         """How far a computed or stored time may pass t0 and t_end: 1e-12 max(1, |t|)."""

@@ -1,14 +1,19 @@
-"""Trajectory computation by three routes.
+"""Trajectory computation by two routes.
 
 * ``integrate_riccati_direct``      -- the quadratic equation itself,
-  Y' = S - Y P Y - Q Y - Y R, with finite-escape (blow-up) detection;
+  Y' = S - Y P Y - Q Y - Y R, with finite-escape (blow-up) detection
+  where P is not identically zero;
 * ``integrate_linear_system``       -- the equivalent 2n x n linear flow
   Phi' = R Phi + P Psi, Psi' = S Phi - Q Psi with Y = Psi Phi^{-1},
-  which continues through Riccati blow-up;
-* ``integrate_lyapunov_comparison`` -- the linear comparison equation
-  Ytilde' = S - R* Ytilde - Ytilde R used by the sandwich bound.
+  which continues through Riccati blow-up.
 
-All three share one driver, the embedded explicit Runge-Kutta 5(4) pair
+``integrate_lyapunov_comparison``, the linear comparison equation
+Ytilde' = S - R* Ytilde - Ytilde R used by the sandwich bound, is the
+direct run of ``CoefficientSet.comparison()``, the quadratic equation at
+(P, Q) = (0, R*): one body (``_direct``), which at P = 0 takes the linear
+right-hand side S - Q Y - Y R and no norm cap.
+
+Both routes share one driver, the embedded explicit Runge-Kutta 5(4) pair
 of Dormand and Prince with a PI step-size controller, except the linear
 flow of constant data, which is exact (below). The pair is FSAL
 (first same as last): the last stage point is the new state, and the
@@ -25,16 +30,16 @@ Psi = X[n:].
 The coefficients' values at one time are one array, read from the
 ``stacked_evaluator`` stacks time first: (P, Q, R, S) for the direct run,
 whose right-hand side is S - Q Y - Y (R + P Y) with P Y and Q Y one
-broadcast product, and for the flow the block H = [[R, P], [S, -Q]],
-assembled once from the stacks of R, P, S and Q (one copy and one
-negation), so that its right-hand side is the one product H X. The
-comparison equation's values are (R*, R, S), R* one contiguous copy
-formed with them. A stage time is the double t + c_i h, and c_6 = c_7 = 1
-gives stages 6 and 7 one time, so a step is evaluated at its five
-distinct times and stage 7 reads stage 6's values. A step from sample k
-that hits sample k + 1 reads them from a window of such steps evaluated
-in one call (170 steps at n = 2, 10 at n = 8, 1 at n = 32: six stages a
-step hold at most ``matrix_core.BLOCK_ENTRIES`` entries). Other steps
+broadcast product ((Q, R, S) and S - Q Y - Y R where P is the zero
+constant), and for the flow the block H = [[R, P], [S, -Q]], assembled
+once from the stacks of R, P, S and Q (one copy and one negation), so
+that its right-hand side is the one product H X. A stage time is the
+double t + c_i h, and c_6 = c_7 = 1 gives stages 6 and 7 one time, so a
+step is evaluated at its five distinct times and stage 7 reads stage 6's
+values. A step from sample k that hits sample k + 1 reads them from a
+window of such steps evaluated in one call (170 steps at n = 2, 10 at
+n = 8, 1 at n = 32: six stages a step hold at most
+``matrix_core.BLOCK_ENTRIES`` entries). Other steps
 evaluate their own; all-constant coefficients are evaluated once per
 run. The values equal ``eval``'s bit for bit (-Q its exact negation).
 The step's sums are slope-major: as soon as a slope is known, one
@@ -185,7 +190,7 @@ _ALPHA = 0.2 - 0.75 * _BETA
 _H_MIN = 1e-12
 
 #: The direct integration declares blow-up (``norm_cap``) once the
-#: Frobenius norm of Y exceeds this.
+#: Frobenius norm of Y exceeds this, unless P is the zero constant.
 _BLOWUP_NORM = 1e8
 
 #: The linear flow is reset to (I, Y) at a sample where its condition
@@ -698,10 +703,35 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     Declares blow-up when the Frobenius norm of Y exceeds 1e8 or the step
     collapses below 1e-12 after a rejection; the escape-time estimate is
     the last accepted time and the report distinguishes the two triggers
-    (a step collapse can also signal stiffness).
+    (a step collapse can also signal stiffness). The norm cap applies only
+    where P is not identically zero: with P the zero constant the equation
+    is linear and cannot escape (``_direct``).
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, y0, "Y0", sample_times)
+    times, values, reason, t_last, stats = _direct(cs, y0, opts, ts)
+    blown = reason is not None
+    return Trajectory(times=times, values=values, status="blow_up" if blown else "completed",
+                      method="direct", t_escape=t_last if blown else None,
+                      blowup_trigger=reason, stats=stats)
+
+
+def _direct(cs: CoefficientSet, y0: np.ndarray, opts: IntegratorOptions, ts: np.ndarray) -> tuple:
+    """The direct run from validated ``y0`` over sample times ``ts``:
+    ``_integrate_sampled``'s (times, states, stop reason, t_last, stats).
+
+    Where P is the zero constant (``_one_value`` and every entry 0, decided
+    once from the data) the equation is linear: its right-hand side is
+    S - Q Y - Y R from the values of (Q, R, S), and the run takes no norm
+    cap. Otherwise it is S - Q Y - Y (R + P Y) from those of (P, Q, R, S),
+    with the norm cap ``_BLOWUP_NORM`` checked after every accepted step.
+    """
+    if _one_value(cs.P) and not np.any(cs.P.eval(cs.t0)):
+        def rhs(values, y):
+            q, r, s = values
+            return s - q @ y - y @ r
+
+        return _integrate_sampled(rhs, (cs.Q, cs.R, cs.S), ts, y0, opts)
 
     def rhs(values, y):
         # values (P, Q, R, S): P Y and Q Y are one broadcast product, and
@@ -712,12 +742,7 @@ def integrate_riccati_direct(cs: CoefficientSet, y0, opts: IntegratorOptions | N
     def guard(t, y):
         return "norm_cap" if _norm(y) > _BLOWUP_NORM else None
 
-    times, values, reason, t_last, stats = _integrate_sampled(
-        rhs, (cs.P, cs.Q, cs.R, cs.S), ts, y0, opts, after_step=guard)
-    blown = reason is not None
-    return Trajectory(times=times, values=values, status="blow_up" if blown else "completed",
-                      method="direct", t_escape=t_last if blown else None,
-                      blowup_trigger=reason, stats=stats)
+    return _integrate_sampled(rhs, (cs.P, cs.Q, cs.R, cs.S), ts, y0, opts, after_step=guard)
 
 
 def integrate_linear_system(cs: CoefficientSet, y0, opts: IntegratorOptions | None = None,
@@ -900,23 +925,16 @@ def integrate_lyapunov_comparison(cs: CoefficientSet, ytilde0,
     """Integrate the linear comparison equation Y' = S - R* Y - Y R.
 
     Intended under the symmetric-pair hypotheses (P >= 0, S >= 0, R = Q*),
-    where the comparison coefficient is taken as A(t) := R(t). Linear,
-    hence never blows up on a finite span.
+    where the comparison coefficient is taken as A(t) := R(t). The equation
+    is the Riccati equation of ``cs.comparison()``, (P, Q) = (0, R*), so the
+    run is the direct run there (``_direct``), which takes no norm cap at
+    P = 0. Linear, hence never blows up on a finite span: a run that stops
+    early (a step collapse) raises ``IntegrationError``. R must be of a kind
+    with an ``adjoint()``.
     """
     opts = opts or IntegratorOptions()
     y0, ts = _prologue(cs, ytilde0, "Ytilde0", sample_times)
-
-    def assemble(stacks):
-        """(R*, R, S) at each time from the stacks of R and S."""
-        r, s = stacks
-        return np.stack((adjoint(r), r, s), axis=1)
-
-    def rhs(values, y):
-        r_star, r, s = values
-        return s - r_star @ y - y @ r
-
-    times, values, reason, t_last, stats = _integrate_sampled(rhs, (cs.R, cs.S), ts, y0, opts,
-                                                              assemble=assemble)
+    times, values, reason, t_last, stats = _direct(cs.comparison(), y0, opts, ts)
     if reason is not None:
         raise IntegrationError(
             f"linear comparison integration stopped at t = {t_last} ({reason})")

@@ -326,10 +326,11 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
 
     ``lambda_min_gap`` is the least eigenvalue of Y + Y* - L - L*;
     ``residual`` is ``verify.residual_series``, the scaled residual of the
-    samples' cubic Hermite interpolant in the run's own equation (the
-    comparison equation for a ``lyapunov`` run, else the Riccati equation),
-    0 in the first and last row (empty when fewer than 3 samples are
-    available); either is empty where it is NaN.
+    samples' cubic Hermite interpolant in the run's own equation, by one
+    formula: the Riccati equation of ``cs.comparison()`` for a ``lyapunov``
+    run (the comparison equation), else that of ``cs``; 0 in the first and
+    last row (empty when fewer than 3 samples are available); either is
+    empty where it is NaN.
     ``det_phi_abs`` is only present when a linear flow is supplied. Rows
     are written one at a time.
     """

@@ -6,8 +6,10 @@ and the equation residual. The residual differentiates the stored samples
 through their cubic Hermite interpolant, whose slopes F(t, Y) it forms
 here rather than take from the integrator, so the check is independent of
 the integration code path; it is fourth order in the sample spacing. A
-trajectory is judged by the equation it solves: a ``lyapunov`` run by the
-comparison equation, every other by the Riccati equation.
+trajectory is judged by the equation it solves, by one formula: a
+``lyapunov`` run by the comparison equation, the Riccati equation of
+``CoefficientSet.comparison()`` (P = 0, Q = R*), every other by the Riccati
+equation of its own data.
 
 Every series is one ``matrix_core._scan`` over the samples; the scan hands
 its block the values of the gauge the series reads, and the residual's block
@@ -134,10 +136,10 @@ def verify_sandwich(traj: Trajectory, traj_tilde: Trajectory,
 def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     """Scaled equation residual at every sample.
 
-    F is the right-hand side of the trajectory's own equation: for a
-    ``lyapunov`` run the comparison equation's, F(t, Y) = S - R* Y - Y R,
-    which evaluates R and S only; for every other method the Riccati
-    equation's, F(t, Y) = S - Q Y - Y (R + P Y). The derivative at sample k
+    F is the right-hand side of the trajectory's own equation, one formula,
+    F(t, Y) = S - Q Y - Y (R + P Y): the Riccati equation of ``cs``, or for a
+    ``lyapunov`` run that of ``cs.comparison()``, (P, Q) = (0, R*), where F
+    is S - R* Y - Y R, the comparison equation's. The derivative at sample k
     is that of the cubic through samples a = clip(k - 1, 0, m - 3) and
     b = a + 2 with slopes F there: for s = (t_k - t_a) / H, H = t_b - t_a,
 
@@ -155,9 +157,8 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
     if m < MIN_RESIDUAL_SAMPLES:
         raise ValueError(f"residual check needs at least {MIN_RESIDUAL_SAMPLES} samples")
     if traj.method == "lyapunov":
-        coefficients, slope = cf.stacked_evaluator((cs.R, cs.S)), _comparison_slope
-    else:
-        coefficients, slope = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S)), _slope
+        cs = cs.comparison()
+    coefficients = cf.stacked_evaluator((cs.P, cs.Q, cs.R, cs.S))
     a = np.clip(np.arange(m) - 1, 0, m - 3)
     span = ts[a + 2] - ts[a]
     s = (ts - ts[a]) / span
@@ -175,7 +176,7 @@ def residual_series(traj: Trajectory, cs: CoefficientSet) -> np.ndarray:
         lo, hi = int(a[k0]), int(a[k1 - 1]) + 3  # a of the first row to b of the last
         known = shared[1] if shared[0] == lo else ys[:0]
         new = slice(lo + len(known), hi)
-        f = np.concatenate((known, slope(coefficients(ts[new]), ys[new])))
+        f = np.concatenate((known, _slope(coefficients(ts[new]), ys[new])))
         nxt = int(a[min(k1, m - 1)])  # the next block's first row
         shared = (nxt, f[nxt - lo:])
         y, i, (w_y, w_a, w_b) = ys[lo:hi], a[k0:k1] - lo, weights[:, k0:k1]
@@ -198,13 +199,6 @@ def _slope(values, y: np.ndarray) -> np.ndarray:
     f = values[3] - pq[1]
     pq[0] += values[2]
     f -= np.matmul(y, pq[0], out=pq[1])
-    return f
-
-
-def _comparison_slope(values, y: np.ndarray) -> np.ndarray:
-    """F = S - R* Y - Y R from the stacks ``values`` of (R, S)."""
-    f = values[1] - adjoint(values[0]) @ y
-    f -= y @ values[0]
     return f
 
 

@@ -519,6 +519,75 @@ class TestStackedEvaluatorProperty:
         assert_stacks_match(fs, cf.stacked_evaluator(fs, derived)(ts), ts, derived)
 
 
+def _unsigned_zero_bits(a: np.ndarray) -> bytes:
+    """The bits of ``a`` with every zero part made +0.0 (x + 0.0 is x else)."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+class TestAdjoint:
+    """``adjoint()`` of each library kind is the function of that kind built
+    from the adjoints of its data, so its values and derivatives are the
+    adjoints of the original's: bit for bit, up to the sign of a zero part
+    (conjugating a value negates a +0.0 imaginary part, while evaluating the
+    conjugated data keeps it +0.0)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3, 4]),
+           times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9))
+    def test_values_and_derivatives_are_the_adjoints(self, data, n, times):
+        fs, _ = _mixed_functions(data, n, derivatives=False)
+        ts = np.array(times)
+        for f in fs:
+            g = f.adjoint()
+            assert (type(g), g.shape) == (type(f), f.shape)
+            if f.kind == "polynomial":
+                assert g.t_ref == f.t_ref
+            elif f.kind == "sampled":
+                assert g.times.tobytes() == f.times.tobytes() and g.order == f.order
+                assert (g.node_derivatives is None) == (f.node_derivatives is None)
+            for method in ("eval", "derivative"):
+                value = getattr(f, method)(ts)
+                want = np.conj(value) if f.is_scalar else value.swapaxes(-1, -2).conj()
+                assert _unsigned_zero_bits(getattr(g, method)(ts)) == _unsigned_zero_bits(want)
+
+    def test_a_constant_keeps_its_zero_signs(self):
+        value = np.array([[-0.0 + 1j, 2.0 - 0.0j], [complex(-0.0, -0.0), 3.0 + 0.0j]])
+        g = cf.constant(value).adjoint()
+        assert g.eval(0.5).tobytes() == value.T.conj().tobytes()
+
+
+class TestComparisonSet:
+    """``comparison()`` is (P, Q, R, S) = (0, R*, R, S) on the same interval."""
+
+    def test_fields(self):
+        grid = np.linspace(0.0, 2.0, 5)
+        r = np.array([[[1.0 + t, 2.0j * t], [-0.5, t * t]] for t in grid])
+        cs = CoefficientSet(n=2, t0=0.0, t_end=2.0, P=cf.constant(np.eye(2)),
+                            Q=cf.polynomial([np.ones((2, 2)), np.eye(2)]),
+                            R=cf.sampled(grid, r, order=3), S=cf.constant(np.eye(2)))
+        comparison = cs.comparison()
+        assert (comparison.n, comparison.t0, comparison.t_end) == (cs.n, cs.t0, cs.t_end)
+        assert comparison.P.kind == "constant"
+        assert comparison.P.value.tobytes() == np.zeros((2, 2), dtype=np.complex128).tobytes()
+        assert comparison.R is cs.R and comparison.S is cs.S
+        assert comparison.Q.kind == "sampled"
+        ts = np.linspace(0.0, 2.0, 9)
+        assert_allclose(comparison.Q.eval(ts), cs.R.eval(ts).swapaxes(1, 2).conj(), rtol=0, atol=0)
+
+    def test_an_R_without_adjoint_is_refused_by_its_kind(self):
+        class Shifted(cf.CoefficientFunction):
+            kind = "shifted"
+            shape = (1, 1)
+
+            def eval(self, t):
+                return np.zeros(np.shape(t) + self.shape, dtype=np.complex128)
+
+        cs = scalar_set()
+        cs = CoefficientSet(n=1, t0=cs.t0, t_end=cs.t_end, P=cs.P, Q=cs.Q, R=Shifted(), S=cs.S)
+        with pytest.raises(NotImplementedError, match="^coefficient kind 'shifted' has no adjoint$"):
+            cs.comparison()
+
+
 def _sampled_group_functions():
     """P, Q, R, S sampled on one grid (natural and Hermite cubics, parts
     equal to -0.0), and one function each on another grid, of order 1, of

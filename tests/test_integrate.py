@@ -23,6 +23,7 @@ from riccati_cert.instances import (
 from riccati_cert.integrate import (
     IntegratorOptions,
     LiouvilleReport,
+    integrate_both,
     integrate_linear_system,
     integrate_lyapunov_comparison,
     integrate_riccati_direct,
@@ -312,9 +313,12 @@ class _Counted(cf.CoefficientFunction):
 
 class TestStats:
     """``Trajectory.stats`` counts the driver's right-hand-side calls and
-    steps, six per step; a counted R goes through ``R.eval`` once per step,
-    at the step's five distinct stage times (stages 6 and 7 share t + h), so
-    the times it is evaluated at count them."""
+    steps, six per step; a counted coefficient goes through its ``eval``
+    once per step, at the step's five distinct stage times (stages 6 and 7
+    share t + h), so the times it is evaluated at count them. The counted
+    one is R, except in the lyapunov case: that run reads the comparison set
+    (0, R*, R, S), and a custom kind has no adjoint, so S is counted there,
+    which the comparison set passes through as it is."""
 
     CASES = {
         # y' = -1 - y^2 escapes at pi/2 (norm cap), with rejected steps
@@ -329,9 +333,13 @@ class TestStats:
     def test_nfev_counts_sampled_R_evals(self, case):
         integrator, t_end, data, r, samples = self.CASES[case]
         cs = scalar_set(t_end, **data)
-        cs = CoefficientSet(n=1, t0=0.0, t_end=t_end, P=cs.P, Q=cs.Q,
-                            R=_Counted(_sampled_constant(r, t_end)), S=cs.S)
-        calls = cs.R.calls
+        r_fn, s_fn = _sampled_constant(r, t_end), cs.S
+        if case == "lyapunov":
+            s_fn = counted = _Counted(_sampled_constant(cs.S.value[0, 0].real, t_end))
+        else:
+            r_fn = counted = _Counted(r_fn)
+        cs = CoefficientSet(n=1, t0=0.0, t_end=t_end, P=cs.P, Q=cs.Q, R=r_fn, S=s_fn)
+        calls = counted.calls
         result = integrator(cs, np.array([[1.0]]), IntegratorOptions(rtol=1e-7),
                             np.linspace(cs.t0, cs.t_end, samples))
         flow, traj = result if isinstance(result, tuple) else (None, result)
@@ -341,7 +349,8 @@ class TestStats:
         # f at t0, the starting-step probe, six stages per step and one
         # call after each reset
         assert stats["nfev"] == 2 + 6 * steps + resets
-        # R at t0, at the probe, at five times per step and after each reset
+        # the counted coefficient at t0, at the probe, at five times per
+        # step and after each reset
         assert sum(np.size(t) for t in calls) == 2 + 5 * steps + resets
         if flow is not None:
             assert resets >= 1
@@ -454,9 +463,10 @@ class TestStageSums:
 
 
 class TestRightHandSides:
-    """The direct run's S - Q Y - Y (R + P Y) and the flow's one product
-    H [Phi; Psi], H = [[R, P], [S, -Q]], equal the textbook forms
-    S - Y P Y - Q Y - Y R and (R Phi + P Psi, S Phi - Q Psi) to rounding,
+    """The direct run's S - Q Y - Y (R + P Y), the comparison run's S - Q Y -
+    Y R at (P, Q) = (0, R*) and the flow's one product H [Phi; Psi],
+    H = [[R, P], [S, -Q]], equal the textbook forms S - Y P Y - Q Y - Y R,
+    S - R* Y - Y R and (R Phi + P Psi, S Phi - Q Psi) to rounding,
     on random complex data read through the constant path (constants) and
     through windows of sample-to-sample steps (degree-0 polynomials). The
     flow of such data is exact, and its H is checked as the one value it
@@ -525,6 +535,20 @@ class TestRightHandSides:
                 want = s - y @ p @ y - q @ y - y @ r
                 scale = norm(s) + norm(y) ** 2 * norm(p) + norm(q) * norm(y) + norm(y) * norm(r)
                 self.assert_close(rhs(values, y), want, scale)
+
+    @pytest.mark.parametrize("storage", ["constant", "polynomial"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_comparison_matches_the_textbook_form(self, monkeypatch, n, storage):
+        cs, (_, _, r, s), y0, rng = self.data(n, storage)
+        steps, _ = self.captured(monkeypatch, lambda: integrate_lyapunov_comparison(
+            cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, 6)))
+        assert steps
+        norm = np.linalg.norm
+        for rhs, stage_values in steps:
+            for values in stage_values:
+                y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                want = s - adjoint(r) @ y - y @ r
+                self.assert_close(rhs(values, y), want, norm(s) + 2 * norm(r) * norm(y))
 
     @pytest.mark.parametrize("storage", ["constant", "polynomial"])
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
@@ -1075,6 +1099,45 @@ class TestLyapunovComparison:
             assert abs(y.values[k][0, 0] - math.tanh(t)) <= 1e-8
             assert abs(yt.values[k][0, 0] - t) <= 1e-8
         assert traj_notes_mention_comparison(yt)
+
+
+class TestZeroP:
+    """Where P is the zero constant the direct equation is linear, decided
+    once from the data: S - Q Y - Y R with no norm cap, so it cannot escape."""
+
+    @staticmethod
+    def large_source(p) -> CoefficientSet:
+        # Y' = 1e9 I from Y0 = 0: Y = 1e9 t I passes the norm cap 1e8 at t = 0.07
+        z = cf.constant(np.zeros((2, 2)))
+        return CoefficientSet(n=2, t0=0.0, t_end=1.0, P=p, Q=z, R=z,
+                              S=cf.constant(1e9 * np.eye(2)))
+
+    @pytest.mark.parametrize("p", [cf.constant(np.zeros((2, 2))),
+                                   cf.constant(np.full((2, 2), -0.0)),
+                                   cf.polynomial([np.zeros((2, 2))])],
+                             ids=["constant", "negative_zero", "polynomial_degree_0"])
+    def test_a_linear_run_passes_the_norm_cap(self, p):
+        cs, y0 = self.large_source(p), np.zeros((2, 2))
+        traj = integrate_riccati_direct(cs, y0)
+        assert (traj.status, traj.t_escape, traj.blowup_trigger) == ("completed", None, None)
+        assert traj.times.size == 201
+        exact = 1e9 * traj.times[:, None, None] * np.eye(2)
+        assert_allclose(traj.values, exact, rtol=1e-14, atol=0)
+        lyapunov = integrate_lyapunov_comparison(cs, y0)
+        assert lyapunov.values.tobytes() == traj.values.tobytes()
+        assert lyapunov.stats == traj.stats
+        direct, _ = integrate_both(cs, y0)
+        assert direct.status == "completed"
+        assert direct.values.tobytes() == traj.values.tobytes()
+
+    def test_a_P_zero_at_t0_alone_keeps_the_cap(self):
+        # P = -t I is 0 at t0 but takes more than one value: Y' = 1e9 + t Y^2
+        # escapes, and the cap declares it
+        traj = integrate_riccati_direct(self.large_source(cf.polynomial([np.zeros((2, 2)),
+                                                                         -np.eye(2)])),
+                                        np.zeros((2, 2)))
+        assert (traj.status, traj.blowup_trigger) == ("blow_up", "norm_cap")
+        assert traj.t_escape < 0.1
 
 
 def traj_notes_mention_comparison(traj):

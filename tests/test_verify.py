@@ -280,10 +280,42 @@ class TestHermiteResidual:
         assert residual_series(traj, cs).tobytes() == want.tobytes()
 
 
+def _comparison_case(name: str) -> tuple:
+    """(cs, Y0) of a comparison-identity case: ``gen_comparison.n<n>``, a
+    catalog entry ``catalog.<key>``, or ``sampled_R``, gen_comparison n = 3
+    with R read through a natural cubic of its values on 9 times."""
+    if name.startswith("gen_comparison.n"):
+        return gen_comparison(InstanceSpec(n=int(name[16:]), seed=1, target="comparison"))
+    if name.startswith("catalog."):
+        e = CAT[name[8:]]
+        return e.cs, e.y0
+    cs, y0 = gen_comparison(InstanceSpec(n=3, seed=1, target="comparison"))
+    grid = np.linspace(cs.t0, cs.t_end, 9)
+    return dataclasses.replace(cs, R=cf.sampled(grid, cs.R.eval(grid), order=3)), y0
+
+
+COMPARISON_CASES = ([f"gen_comparison.n{n}" for n in (1, 2, 3, 8, 32)]
+                    + [f"catalog.{key}" for key in sorted(CAT)] + ["sampled_R"])
+
+
 class TestComparisonResidual:
     """A ``lyapunov`` run solves the comparison equation Y' = S - R* Y - Y R,
     and the residual judges it by that equation; every other method is
     judged by the Riccati equation."""
+
+    @pytest.mark.parametrize("case", COMPARISON_CASES)
+    def test_lyapunov_run_is_the_direct_run_of_the_comparison_set(self, case):
+        # the comparison equation is the Riccati equation of (0, R*, R, S):
+        # the same samples, counters and residual series, bit for bit
+        cs, y0 = _comparison_case(case)
+        lyapunov = integrate_lyapunov_comparison(cs, y0)
+        direct = integrate_riccati_direct(cs.comparison(), y0)
+        assert direct.status == "completed" and lyapunov.method == "lyapunov"
+        assert lyapunov.times.tobytes() == direct.times.tobytes()
+        assert lyapunov.values.tobytes() == direct.values.tobytes()
+        assert lyapunov.stats == direct.stats
+        assert (residual_series(lyapunov, cs).tobytes()
+                == residual_series(direct, cs.comparison()).tobytes())
 
     @pytest.mark.parametrize("n, seed", [(3, 1), (8, 3)])
     def test_lyapunov_run_meets_its_own_equation(self, n, seed):
