@@ -42,6 +42,7 @@ from .serialize import (
     dumps_instance,
     instance_to_obj,
     load_instance,
+    open_output,
     read_status_sidecar,
     read_trajectory_csv,
     trajectory_status_obj,
@@ -192,7 +193,7 @@ def _cmd_gen(args) -> int:
     cs, y0, gauges = generate(spec)
     obj = instance_to_obj(cs, y0, **gauges)
     report = run_criterion(TARGETS[spec.target], cs, y0, grid=grid, **gauges)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         fh.write(dumps_instance(obj))
     summary = {
         "target": spec.target,

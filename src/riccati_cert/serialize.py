@@ -14,6 +14,14 @@ Wire conventions shared by the CLI:
   and ``residual`` (and ``det_phi_abs`` for the linear-flow method);
 * each CSV gets a JSON status sidecar next to it.
 
+Every output file (the CSV, its sidecar and ``gen``'s instance file) is
+opened by ``open_output``, which rewrites an existing file in place and
+truncates it where the writing ends: a symlink is written through to its
+target, and an existing file keeps its inode and permissions, as with a
+file opened in mode ``"w"``. Nothing is fsynced, so, as before, a write
+makes no durability promise; a write that stops partway leaves the file
+ending where it stopped.
+
 Instance files are compact JSON on one line with sorted keys, which
 Python's json module formats in C.
 
@@ -43,8 +51,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import stat
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -304,6 +315,32 @@ def dumps_instance(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Output files
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def open_output(path: str, newline: str | None = None):
+    """A UTF-8 text file that writes ``path`` from offset 0, created if missing.
+
+    An existing file is rewritten in place, not truncated first, and on exit
+    is truncated at the byte offset the writing reached, also when the body
+    raises. Mode ``"w"`` truncates to zero before writing, and on ext4
+    (``auto_da_alloc``) closing a file that was truncated to zero and
+    rewritten waits on a flush of the new data; replacing the file by
+    ``os.replace`` waits the same way. A target that is not a regular file
+    (``/dev/null``, a pipe) is never truncated. ``newline`` is ``open``'s.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+# ---------------------------------------------------------------------------
 # Trajectory CSV and status sidecar
 # ---------------------------------------------------------------------------
 
@@ -332,7 +369,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     last row (empty when fewer than 3 samples are available); either is
     empty where it is NaN.
     ``det_phi_abs`` is only present when a linear flow is supplied. Rows
-    are written one at a time.
+    are written one at a time, to a file opened by ``open_output``.
     """
     m = traj.times.size
     gaps = _csv_floats(eigen_monitor(traj, lam))
@@ -347,7 +384,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     # Re/im parts interleaved, in row-major order of Y.
     ys = np.ascontiguousarray(traj.values, dtype=np.complex128).reshape(m, -1).view(np.float64)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(",".join(trajectory_csv_header(traj.n, with_det=flow is not None)) + "\r\n")
         for t, y, tail in zip(traj.times.tolist(), ys, tails):
             fh.write(",".join([repr(t), *map(repr, y.tolist()), *tail]) + "\r\n")
@@ -506,9 +543,10 @@ def trajectory_status_obj(traj: Trajectory, extra: dict | None = None) -> dict:
 
 
 def write_status_sidecar(csv_path: str, status: dict) -> str:
-    """Write ``status`` (a ``trajectory_status_obj``) next to ``csv_path``."""
+    """Write ``status`` (a ``trajectory_status_obj``) next to ``csv_path``,
+    to a file opened by ``open_output``."""
     sidecar = status_sidecar_path(csv_path)
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open_output(sidecar) as fh:
         json.dump(status, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return sidecar

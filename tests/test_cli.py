@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from riccati_cert import serialize
 from riccati_cert.cli import main
 from riccati_cert.criteria import GridSpec
 from riccati_cert.integrate import (
@@ -769,3 +771,67 @@ class TestSurface:
                     private += [a.name for a in node.names if a.name.startswith("_")]
         assert not [m for m in modules if m.split(".")[0] == "numpy"], modules
         assert private == []
+
+
+class TestOutputFiles:
+    """Every output is rewritten in place and truncated where the writing
+    ends: over a longer file it leaves exactly the bytes of a fresh write."""
+
+    def test_integrate_over_a_longer_output_writes_fresh_bytes(self, capsys, tmp_path):
+        path, _ = gen_file(capsys, tmp_path, "satisfying", n=2, seed=3)
+        over, fresh = tmp_path / "over.csv", tmp_path / "fresh.csv"
+        for out, samples in ((over, "201"), (over, "11"), (fresh, "11")):
+            code, _, _ = run(capsys, "integrate", str(path), "--method", "both",
+                             "--samples", samples, "--out", str(out))
+            assert code == 0
+        assert over.read_bytes() == fresh.read_bytes()
+        assert ((tmp_path / "over.status.json").read_bytes()
+                == (tmp_path / "fresh.status.json").read_bytes())
+
+    def test_gen_over_a_longer_instance_writes_fresh_bytes(self, capsys, tmp_path):
+        over = tmp_path / "over.json"
+        for n in ("8", "3"):
+            code, _, _ = run(capsys, "gen", "--target", "satisfying", "--n", n, "--out", str(over))
+            assert code == 0
+        fresh, _ = gen_file(capsys, tmp_path, "satisfying", n=3)
+        assert over.read_bytes() == fresh.read_bytes()
+
+    def test_symlinked_out_writes_its_target_and_keeps_the_link(self, capsys, tmp_path):
+        inst = write_tanh_instance(tmp_path)
+        target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "f.csv"
+        target.write_text("old\n" * 10_000)
+        link.symlink_to(target)
+        for out in (link, fresh):
+            code, _, _ = run(capsys, "integrate", str(inst), "--samples", "11", "--out", str(out))
+            assert code == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_existing_file_keeps_its_inode_and_mode(self, capsys, tmp_path):
+        out = tmp_path / "inst.json"
+        out.write_text("{}\n" * 10_000)
+        out.chmod(0o604)
+        before = out.stat()
+        code, _, _ = run(capsys, "gen", "--target", "satisfying", "--n", "2", "--out", str(out))
+        assert code == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert after.st_size < before.st_size
+
+    def test_dev_null_out_exits_zero(self, capsys, tmp_path, monkeypatch):
+        sidecar = tmp_path / "null.status.json"
+        monkeypatch.setattr(serialize, "status_sidecar_path", lambda csv_path: str(sidecar))
+        inst = write_tanh_instance(tmp_path)
+        code, _, _ = run(capsys, "integrate", str(inst), "--samples", "11", "--out", os.devnull)
+        assert code == 0
+        assert json.loads(sidecar.read_text())["samples"] == 11
+        code, _, _ = run(capsys, "gen", "--target", "satisfying", "--n", "2", "--out", os.devnull)
+        assert code == 0
+
+    def test_directory_out_exits_two_with_one_error_line(self, capsys, tmp_path):
+        inst = write_tanh_instance(tmp_path)
+        for argv in (["integrate", str(inst), "--samples", "11", "--out", str(tmp_path)],
+                     ["gen", "--target", "satisfying", "--n", "2", "--out", str(tmp_path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,8 +8,9 @@ the direct integration, then folds each sample of the linear flow into
 the discrepancy as it is reached, storing no sample of the flow. The
 residual forms F block by block, on a block's rows and one sample on each
 side, so it holds no derivative of the whole trajectory. The CSV reader's Y is a view of its
-parsed rows, so it holds about its result. A criterion scan on the default
-1001-point grid holds one block of grid values at a time, or, where it runs
+parsed rows, so it holds about its result. The CSV writer formats and writes one
+row at a time, so it holds a fraction of the samples it writes. A criterion scan
+on the default 1001-point grid holds one block of grid values at a time, or, where it runs
 in two halves, two half blocks in flight: the caller and the helper thread
 each scan a block of ``BLOCK_ENTRIES // 2`` entries per stack, which
 together hold what one block of the serial scan holds. A trajectory that
@@ -146,6 +147,14 @@ def test_csv_reader_holds_about_its_result(instance, tmp_path):
     (times, values), peak = traced_peak(lambda: read_trajectory_csv(path, N))
     assert np.array_equal(values, traj.values) and times.size == 201
     assert peak <= 1.6 * (times.nbytes + values.nbytes)
+
+
+def test_csv_writer_streams_its_rows(instance, tmp_path):
+    cs, y0 = instance
+    traj = integrate_riccati_direct(cs, y0)
+    path = str(tmp_path / "traj.csv")
+    _, peak = traced_peak(lambda: write_trajectory_csv(path, traj, cs))
+    assert peak <= 0.5 * traj.values.nbytes
 
 
 @pytest.mark.parametrize("criterion, target, bound", [("theorem3.1", "satisfying", 1.5),

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from riccati_cert import coefficients as cf
+from riccati_cert import serialize
 from riccati_cert.criteria import GridSpec, build_skew_gauge
 from riccati_cert.exceptions import InstanceFormatError, RiccatiError
 from riccati_cert.instances import InstanceSpec, gen_satisfying
-from riccati_cert.integrate import Trajectory
+from riccati_cert.integrate import Trajectory, integrate_riccati_direct
 from riccati_cert.serialize import (
     dumps_instance,
     function_to_obj,
@@ -176,3 +177,27 @@ class TestTrajectoryCSV:
         times, values = read_trajectory_csv(path, 2)
         assert times.tobytes() == traj.times.tobytes()
         assert values.tobytes() == traj.values.tobytes()
+
+
+class TestOutputFile:
+    def test_writer_that_raises_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        """A CSV write that stops at row 5 of 11, over a 201-sample file,
+        leaves the header and rows 0 to 4 of a fresh write, and nothing more."""
+        cs, _, _, y0 = gen_satisfying(InstanceSpec(n=2, seed=1))
+        long, short = (integrate_riccati_direct(cs, y0, sample_times=np.linspace(
+            cs.t0, cs.t_end, m)) for m in (201, 11))
+        path, fresh = tmp_path / "traj.csv", tmp_path / "fresh.csv"
+        write_trajectory_csv(str(path), long, cs)
+        write_trajectory_csv(str(fresh), short, cs)
+        stop = float(short.times[5])
+
+        def row_repr(x):
+            if x == stop:
+                raise RuntimeError("formatter failed")
+            return repr(x)
+
+        monkeypatch.setattr(serialize, "repr", row_repr, raising=False)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_trajectory_csv(str(path), short, cs)
+        head = b"".join(fresh.read_bytes().splitlines(keepends=True)[:6])
+        assert path.read_bytes() == head
