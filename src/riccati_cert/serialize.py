@@ -27,7 +27,12 @@ Python's json module formats in C.
 
 The CSV writer formats every number with ``repr``, the shortest string
 that reads back to the same float, and ends every line with ``\r\n``; no
-field is ever quoted. The reader takes the first ``1 + 2 n^2`` columns
+field is ever quoted. ``repr`` holds the GIL, so a helper thread cannot
+share the formatting: where the process may run on two CPUs, is its only
+Python thread and the samples hold at least ``_SPLIT_MIN_VALUES`` values,
+one forked child formats the second half of the rows and hands them over
+a pipe, while the parent writes the header and the first half; the bytes
+are the same either way. The reader takes the first ``1 + 2 n^2`` columns
 of each row, whose header names must be the writer's for the instance's
 n, with no sample column of a larger n after them (the monitor columns
 are free), accepts ``\n`` line ends and quoted fields, and rejects
@@ -53,7 +58,9 @@ import json
 import math
 import os
 import re
+import signal
 import stat
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,7 +74,7 @@ from .coefficients import CoefficientFunction, CoefficientSet
 from .criteria import GridSpec
 from .exceptions import DomainError, InstanceFormatError, RiccatiError, named_refusal
 from .integrate import LinearFlow, Trajectory
-from .matrix_core import _OVERFLOW_QUIET
+from .matrix_core import _OVERFLOW_QUIET, _cpus
 from .verify import MIN_RESIDUAL_SAMPLES, eigen_monitor, residual_series
 
 
@@ -368,8 +375,12 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
     run (the comparison equation), else that of ``cs``; 0 in the first and
     last row (empty when fewer than 3 samples are available); either is
     empty where it is NaN.
-    ``det_phi_abs`` is only present when a linear flow is supplied. Rows
-    are written one at a time, to a file opened by ``open_output``.
+    ``det_phi_abs`` is only present when a linear flow is supplied. The
+    monitor columns are computed once; then, where ``_may_split`` allows,
+    a forked child formats rows ``m // 2`` on (``_FormattingChild``), while
+    this process writes the header and the rows before them, one at a time,
+    to a file opened by ``open_output``, and then copies the child's bytes
+    after them. Where the child fails, this process formats its rows itself.
     """
     m = traj.times.size
     gaps = _csv_floats(eigen_monitor(traj, lam))
@@ -383,11 +394,114 @@ def write_trajectory_csv(path: str, traj: Trajectory, cs: CoefficientSet,
             tail.append(repr(det_by_time.get(t, float("nan"))))
     # Re/im parts interleaved, in row-major order of Y.
     ys = np.ascontiguousarray(traj.values, dtype=np.complex128).reshape(m, -1).view(np.float64)
+    rows = partial(_csv_rows, traj.times.tolist(), ys, tails)
 
-    with open_output(path, newline="") as fh:
-        fh.write(",".join(trajectory_csv_header(traj.n, with_det=flow is not None)) + "\r\n")
-        for t, y, tail in zip(traj.times.tolist(), ys, tails):
-            fh.write(",".join([repr(t), *map(repr, y.tolist()), *tail]) + "\r\n")
+    half = m // 2
+    child = _FormattingChild.start(rows(half, m)) if _may_split(ys.size) else None
+    try:
+        with open_output(path, newline="") as fh:
+            fh.write(",".join(trajectory_csv_header(traj.n, with_det=flow is not None)) + "\r\n")
+            fh.writelines(rows(0, half if child else m))
+            if child and not child.copy_to(fh):
+                fh.writelines(rows(half, m))
+    finally:
+        if child:
+            child.close()
+
+
+def _csv_rows(times: list[float], ys: np.ndarray, tails: list[list[str]], start: int, stop: int):
+    """The CSV lines of rows ``start`` to ``stop - 1``, one string each."""
+    for k in range(start, stop):
+        yield ",".join([repr(times[k]), *map(repr, ys[k].tolist()), *tails[k]]) + "\r\n"
+
+
+#: Fewest sample values (m rows of 2 n^2 floats) whose CSV rows are
+#: formatted in two processes: the measured break-even of the split against
+#: half the ``repr`` calls. The split costs the fork and the pipe, and also
+#: later: after a fork each page the parent writes first takes a fault,
+#: about 2.5 ms over the n = 32 op that follows. Timed as ``integrate
+#: --method both`` plus ``verify`` in one process of n = 32 size (201
+#: samples, one BLAS thread, 2 vCPUs, medians of 21), the split won or lost
+#: at n = 6 and 7 (19698 values) and won at n >= 8 (25728 values) in every
+#: run, so it splits n >= 8 at 201 samples.
+_SPLIT_MIN_VALUES = 24_000
+
+#: Most bytes one read takes from the child's pipe.
+_PIPE_READ = 1 << 16
+
+
+def _may_split(values: int) -> bool:
+    """Whether ``values`` sample values are formatted in two processes: the
+    process may run on two CPUs (``matrix_core._cpus``, the rule of a split
+    scan), can fork, and runs no second Python thread, whose locks a forked
+    child could inherit held."""
+    return (values >= _SPLIT_MIN_VALUES and _cpus() >= 2 and hasattr(os, "fork")
+            and threading.active_count() == 1)
+
+
+class _FormattingChild:
+    """A forked child that writes CSV lines, joined, to a pipe and leaves by
+    ``os._exit``: no ``atexit`` handler runs and no inherited buffer is flushed.
+    Its exit code is 0 once every byte is written. The parent copies the pipe
+    with ``copy_to`` and ends the child with ``close``, which kills it if it
+    is still unreaped, so no child outlives the write."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid, self.fd = pid, fd
+
+    @classmethod
+    def start(cls, lines) -> _FormattingChild | None:
+        """Fork a child that formats ``lines`` (a generator, not yet run);
+        None where the pipe or the fork fails."""
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return None
+        try:
+            # Python 3.12 warns where native (BLAS) threads exist; _may_split
+            # ruled out a second Python thread, the warning's hazard here
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    pipe.write("".join(lines).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        return cls(pid, r)
+
+    def copy_to(self, fh) -> bool:
+        """Append the child's bytes to the text file ``fh`` and reap the child.
+        False where it exited non-zero: ``fh`` is then back where the child's
+        bytes began (a pipe or another unseekable target raises ``OSError``
+        if any were copied)."""
+        fh.flush()
+        copied = 0
+        while chunk := os.read(self.fd, _PIPE_READ):
+            fh.buffer.write(chunk)
+            copied += len(chunk)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if os.waitstatus_to_exitcode(status) == 0:
+            return True
+        if copied:
+            fh.buffer.seek(-copied, os.SEEK_CUR)
+        return False
+
+    def close(self) -> None:
+        os.close(self.fd)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _csv_floats(series: np.ndarray) -> list[str]:

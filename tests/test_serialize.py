@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from riccati_cert import serialize
 from riccati_cert.criteria import GridSpec, build_skew_gauge
 from riccati_cert.exceptions import InstanceFormatError, RiccatiError
 from riccati_cert.instances import InstanceSpec, gen_satisfying
-from riccati_cert.integrate import Trajectory, integrate_riccati_direct
+from riccati_cert.integrate import Trajectory, integrate_linear_system, integrate_riccati_direct
 from riccati_cert.serialize import (
     dumps_instance,
     function_to_obj,
@@ -201,3 +204,134 @@ class TestOutputFile:
             write_trajectory_csv(str(path), short, cs)
         head = b"".join(fresh.read_bytes().splitlines(keepends=True)[:6])
         assert path.read_bytes() == head
+
+
+def _trajectory(n: int, m: int = 201):
+    """A satisfying instance's radon flow and trajectory on m samples, with
+    one sample (row m // 2, an entry of 1e308 on the diagonal) whose gap and
+    residual cells are NaN, so written empty."""
+    cs, lam, _, y0 = gen_satisfying(InstanceSpec(n=n, seed=1))
+    flow, traj = integrate_linear_system(cs, y0, sample_times=np.linspace(cs.t0, cs.t_end, m))
+    values = traj.values.copy()
+    values[m // 2, 1, 1] = 1e308
+    return cs, lam, flow, dataclasses.replace(traj, values=values)
+
+
+class TestSplitWriter:
+    """The writer formats the second half of a large CSV's rows in a forked
+    child where ``_cpus`` reads 2, and all of them in this process where it
+    reads 1: the same bytes either way, and no child outlives a write."""
+
+    @pytest.fixture(scope="class")
+    def n16(self):
+        return _trajectory(16)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids ``os.fork`` returned to this process."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def _write(monkeypatch, tmp_path, name, cpus, cs, lam, flow, traj) -> bytes:
+        monkeypatch.setattr(serialize, "_cpus", lambda: cpus)
+        path = tmp_path / name
+        write_trajectory_csv(str(path), traj, cs, lam=lam, flow=flow)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return path.read_bytes()
+
+    def test_split_write_gives_the_one_process_bytes(self, n16, forks, monkeypatch, tmp_path):
+        cs, lam, flow, traj = n16
+        assert traj.times.size % 2 == 1
+        one = self._write(monkeypatch, tmp_path, "one.csv", 1, *n16)
+        assert forks == []
+        two = self._write(monkeypatch, tmp_path, "two.csv", 2, *n16)
+        assert len(forks) == 1
+        assert two == one
+        lines = one.split(b"\r\n")
+        assert lines[0].endswith(b",det_phi_abs") and len(lines) == traj.times.size + 2
+        assert lines[1 + traj.times.size // 2].split(b",")[-3:-1] == [b"", b""]
+
+    def test_forks_once_at_n32_and_never_below_the_threshold(self, forks, monkeypatch, tmp_path):
+        small = _trajectory(4)
+        assert small[3].values.size * 2 < serialize._SPLIT_MIN_VALUES
+        self._write(monkeypatch, tmp_path, "n4.csv", 2, *small)
+        assert forks == []
+        large = _trajectory(32)
+        self._write(monkeypatch, tmp_path, "n32_one.csv", 1, *large)
+        assert forks == []
+        self._write(monkeypatch, tmp_path, "n32.csv", 2, *large)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("sent", [0, 100_000])
+    def test_failed_child_leaves_the_parent_bytes(self, n16, sent, monkeypatch, tmp_path):
+        """A child that exits with code 1, before writing or after writing
+        ``sent`` bytes of junk (more than one pipe read), leaves the bytes of
+        the one-process write: the parent formats the child's rows itself."""
+        one = self._write(monkeypatch, tmp_path, "one.csv", 1, *n16)
+        fds, pipe, fork = [], os.pipe, os.fork
+
+        def kept_pipe():
+            fds[:] = pipe()
+            return tuple(fds)
+
+        def failing_fork():
+            pid = fork()
+            if pid == 0:
+                try:
+                    os.write(fds[1], b"x" * sent)
+                finally:
+                    os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "pipe", kept_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self._write(monkeypatch, tmp_path, "two.csv", 2, *n16) == one
+
+    def test_fork_that_fails_gives_the_one_process_bytes(self, n16, monkeypatch, tmp_path):
+        one = self._write(monkeypatch, tmp_path, "one.csv", 1, *n16)
+
+        def no_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self._write(monkeypatch, tmp_path, "two.csv", 2, *n16) == one
+
+    def test_parent_that_raises_leaves_no_child(self, n16, forks, monkeypatch, tmp_path):
+        cs, lam, flow, traj = n16
+        stop = float(traj.times[3])
+
+        def row_repr(x):
+            if x == stop:
+                raise RuntimeError("formatter failed")
+            return repr(x)
+
+        monkeypatch.setattr(serialize, "repr", row_repr, raising=False)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            self._write(monkeypatch, tmp_path, "two.csv", 2, *n16)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_second_thread_keeps_one_process(self, n16, forks, monkeypatch, tmp_path):
+        one = self._write(monkeypatch, tmp_path, "one.csv", 1, *n16)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            two = self._write(monkeypatch, tmp_path, "two.csv", 2, *n16)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert two == one
